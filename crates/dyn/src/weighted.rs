@@ -18,13 +18,22 @@
 //! violators are unmatched (cascading price resets through their freed
 //! rows), and the resulting unmatched dirty columns re-enter a serial
 //! auction that starts from the *current* prices — typically a handful of
-//! bids. Above [`WDynOptions::fallback_threshold`] the engine abandons
-//! incrementality and runs a cold parallel solve
-//! ([`mcm_core::weighted::auction_mwm_par`]) instead. Either way the
-//! result satisfies the same ε-CS certificate the static engines carry
-//! ([`mcm_core::verify::verify_eps_cs`]), with ε fixed at the exactness
-//! bound `1/(2·(n1+1))` so integer-weight instances stay exactly optimal
-//! across arbitrary update histories.
+//! bids, however many columns the batch dirtied.
+//!
+//! Every batch tries that re-auction first, under a **bid budget** the
+//! engine measures itself: the bid count of its most recent cold solve
+//! ([`mcm_core::weighted::WeightedResult::bids`]), floored at one bid per
+//! column. The re-auction runs at the final ε only, so an adversarial
+//! batch (a price war among near-equal bids) can cost far more than the
+//! ε-scaled cold solve; once it spends the budget it stops, its partial
+//! state is discarded, and the batch cold-solves with
+//! [`mcm_core::weighted::auction_mwm_par`] ([`WBatchReport::cold`],
+//! [`WDynStats::budget_exhausted`]). A batch thus costs at most about
+//! two cold solves, and one that is cheap to repair never pays for one.
+//! Either way the result satisfies the same ε-CS certificate the static
+//! engines carry ([`mcm_core::verify::verify_eps_cs`]), with ε fixed at
+//! the exactness bound `1/(2·(n1+1))` so integer-weight instances stay
+//! exactly optimal across arbitrary update histories.
 
 use mcm_core::auction::AuctionOptions;
 use mcm_core::verify::{verify_eps_cs, VerifyError};
@@ -45,8 +54,10 @@ pub enum WUpdate {
 /// Tunables of the weighted incremental engine.
 #[derive(Clone, Copy, Debug)]
 pub struct WDynOptions {
-    /// Dirty-bidder fraction of the column side above which the engine
-    /// cold-solves instead of repairing incrementally.
+    /// Ignored by the weighted engine, which always repairs
+    /// incrementally first and falls back to a cold solve only when the
+    /// re-auction exhausts its measured bid budget. Kept so existing
+    /// struct literals still compile.
     pub fallback_threshold: f64,
     /// Worker threads for cold solves (incremental repair is serial).
     pub threads: usize,
@@ -80,7 +91,11 @@ pub struct WBatchReport {
     pub repaired: usize,
     /// Bids processed by the incremental re-auction.
     pub rebids: usize,
-    /// `true` when the batch fell back to a cold parallel solve.
+    /// Bid budget the re-auction ran under (the last cold solve's bid
+    /// count, at least one bid per column).
+    pub budget: usize,
+    /// `true` when the re-auction spent its whole budget and the batch
+    /// fell back to a cold parallel solve.
     pub cold: bool,
     /// Matching weight change produced by this batch.
     pub weight_delta: f64,
@@ -111,6 +126,8 @@ pub struct WDynStats {
     pub incremental_batches: u64,
     /// Batches that cold-solved.
     pub cold_solves: u64,
+    /// Batches whose re-auction exhausted its bid budget.
+    pub budget_exhausted: u64,
     /// Sum of positive per-batch weight deltas.
     pub weight_gained: f64,
     /// Sum of negative per-batch weight deltas (as a positive number).
@@ -180,6 +197,8 @@ pub struct WDynMatching {
     opts: WDynOptions,
     stats: WDynStats,
     weight: f64,
+    /// Bids of the most recent cold solve (0 before the first one).
+    cold_bids: usize,
 }
 
 impl WDynMatching {
@@ -194,6 +213,7 @@ impl WDynMatching {
             opts,
             stats: WDynStats::default(),
             weight: 0.0,
+            cold_bids: 0,
         }
     }
 
@@ -387,12 +407,18 @@ impl WDynMatching {
             .copied()
             .filter(|&c| self.m.mate_c.get(c) == NIL && self.cols.col_degree(c) > 0)
             .collect();
-        let threshold = (self.opts.fallback_threshold * n2 as f64).ceil() as usize;
-        if !bidders.is_empty() && bidders.len() > threshold {
-            rep.cold = true;
-            self.cold_solve();
-        } else if !bidders.is_empty() {
-            rep.rebids = self.reauction(bidders);
+        rep.budget = self.bid_budget();
+        if !bidders.is_empty() {
+            match self.reauction(bidders, rep.budget) {
+                Ok(rebids) => rep.rebids = rebids,
+                Err(rebids) => {
+                    // The re-auction's partial matching and prices are
+                    // overwritten wholesale by the cold solve.
+                    rep.rebids = rebids;
+                    rep.cold = true;
+                    self.cold_solve();
+                }
+            }
         }
 
         // --- Phase 4: account + certify. --------------------------------
@@ -413,7 +439,9 @@ impl WDynMatching {
         self.stats.dirty_bidders += rep.dirty as u64;
         self.stats.rebids += rep.rebids as u64;
         if rep.cold {
+            // Budget exhaustion is the only road to a cold batch.
             self.stats.cold_solves += 1;
+            self.stats.budget_exhausted += 1;
         } else {
             self.stats.incremental_batches += 1;
         }
@@ -426,6 +454,7 @@ impl WDynMatching {
             let strategy = if rep.cold { "cold" } else { "incremental" };
             let labels = [("strategy", strategy)];
             mcm_obs::counter_add("mcm_wdyn_batches_total", &labels, 1);
+            mcm_obs::counter_add("mcm_wdyn_budget_exhausted_total", &[], rep.cold as u64);
             mcm_obs::counter_add("mcm_wdyn_updates_total", &labels, rep.applied as u64);
             mcm_obs::counter_add("mcm_wdyn_rebids_total", &labels, rep.rebids as u64);
             mcm_obs::observe_ns("mcm_wdyn_batch_seconds", &labels, sw.elapsed_ns());
@@ -435,15 +464,28 @@ impl WDynMatching {
         rep
     }
 
+    /// The re-auction's bid budget: what the last cold solve spent, and
+    /// at least one bid per column (an engine built empty has no cold
+    /// solve to measure yet).
+    fn bid_budget(&self) -> usize {
+        self.cold_bids.max(self.cols.ncols())
+    }
+
     /// Serial forward auction from the current prices, seeded with the
     /// dirty bidders. Evicted owners re-enter the queue; a bidder whose
     /// best net value is negative retires (prices only rise, so its
-    /// retirement stays certified).
-    fn reauction(&mut self, bidders: Vec<Vidx>) -> usize {
+    /// retirement stays certified). Returns the bids made, or `Err` with
+    /// the bids spent when the auction hit `budget` with bidders still
+    /// queued — the matching and prices are then mid-auction and must be
+    /// replaced by a cold solve.
+    fn reauction(&mut self, bidders: Vec<Vidx>, budget: usize) -> Result<usize, usize> {
         let _span = mcm_obs::span("wdyn_reauction");
         let mut queue: VecDeque<Vidx> = bidders.into();
         let mut rebids = 0usize;
         while let Some(c) = queue.pop_front() {
+            if rebids == budget {
+                return Err(rebids);
+            }
             rebids += 1;
             let mut best: Option<(f64, Vidx)> = None;
             let mut second = f64::NEG_INFINITY;
@@ -472,11 +514,11 @@ impl WDynMatching {
             let floor = second.max(0.0);
             self.prices[r as usize] += (best_net - floor) + self.eps;
         }
-        rebids
+        Ok(rebids)
     }
 
     /// Throws the certificate away and re-solves from scratch with the
-    /// parallel ε-scaled auction.
+    /// parallel ε-scaled auction; its bid count becomes the next budget.
     fn cold_solve(&mut self) {
         let _span = mcm_obs::span("wdyn_cold_solve");
         let a = self.cols.to_wcsc();
@@ -491,6 +533,7 @@ impl WDynMatching {
         );
         self.m = r.matching;
         self.prices = r.prices;
+        self.cold_bids = r.bids as usize;
     }
 
     fn recompute_weight(&self) -> f64 {
@@ -612,25 +655,82 @@ mod tests {
     }
 
     #[test]
-    fn large_batch_triggers_cold_fallback() {
-        let n = 16usize;
-        let mut wm = WDynMatching::new(
-            n,
-            n,
-            WDynOptions { fallback_threshold: 0.25, full_verify: true, ..Default::default() },
+    fn hub_deletes_dirtying_a_quarter_of_the_columns_stay_incremental() {
+        // RMAT-like skew: row r is drawn as n1·u³, so the low rows are hubs
+        // adjacent to most columns, and there are more columns than rows,
+        // so many columns sit retired (unmatched) at the load-time prices.
+        let (n1, n2) = (64usize, 160usize);
+        let mut rng = SplitMix64::new(0x4B5);
+        let mut entries = Vec::new();
+        for c in 0..n2 as Vidx {
+            let mut rows: Vec<Vidx> = (0..4)
+                .map(|_| {
+                    let u = rng.below(1 << 20) as f64 / (1 << 20) as f64;
+                    (n1 as f64 * u * u * u) as Vidx
+                })
+                .collect();
+            rows.sort_unstable();
+            rows.dedup();
+            for r in rows {
+                entries.push((r, c, (rng.below(30) + 1) as f64));
+            }
+        }
+        let mut wm = WDynMatching::from_weighted_triples(
+            n1,
+            n2,
+            entries,
+            WDynOptions { full_verify: true, ..Default::default() },
         );
+        // Free every matched hub: each freed row's price resets to 0 and
+        // re-dirties its whole neighbourhood.
+        let batch: Vec<WUpdate> = (0..4)
+            .filter_map(|r| {
+                let c = wm.matching().mate_r.get(r);
+                (c != NIL).then_some(WUpdate::Delete(r, c))
+            })
+            .collect();
+        let rep = wm.apply_batch(&batch);
+        assert!(rep.matched_deletes >= 3, "{rep:?}");
+        assert!(
+            4 * rep.dirty > n2,
+            "hub deletes must dirty over a quarter of the columns: {rep:?}"
+        );
+        assert!(!rep.cold, "cheap repair must not cold-solve: {rep:?}");
+        assert!(rep.rebids < rep.budget, "{rep:?}");
+        assert_eq!(rep.weight, oracle_weight(&wm));
+    }
+
+    #[test]
+    fn price_war_exhausts_the_bid_budget_and_cold_solves() {
+        // Many columns, few rows, equal weights: a re-auction at the
+        // final ε raises a price ε per bid, ~rows·w/ε bids in all, while
+        // the ε-scaled cold solve settles the same instance in far fewer.
+        // An engine built empty budgets one bid per column.
+        let (n1, n2, w) = (5usize, 65usize, 10.0);
+        let mut wm =
+            WDynMatching::new(n1, n2, WDynOptions { full_verify: true, ..Default::default() });
         let mut batch = Vec::new();
-        for i in 0..n as Vidx {
-            batch.push(WUpdate::Insert(i, i, 5.0));
-            batch.push(WUpdate::Insert(i, (i + 1) % n as Vidx, 3.0));
+        for r in 0..4 as Vidx {
+            for c in 0..64 as Vidx {
+                batch.push(WUpdate::Insert(r, c, w));
+            }
         }
         let rep = wm.apply_batch(&batch);
-        assert!(rep.cold, "a batch dirtying every column must cold-solve");
-        assert_eq!(rep.weight, 5.0 * n as f64);
+        assert_eq!(rep.budget, n2);
+        assert_eq!(rep.rebids, n2, "the re-auction stops exactly at its budget");
+        assert!(rep.cold, "{rep:?}");
+        assert_eq!(wm.stats().budget_exhausted, 1);
         assert_eq!(wm.stats().cold_solves, 1);
-        // A tiny follow-up stays incremental.
-        let rep = wm.apply_batch(&[WUpdate::Insert(0, 1, 4.0)]);
-        assert!(!rep.cold);
+        assert_eq!(rep.weight, 4.0 * w);
+        assert_eq!(rep.weight, oracle_weight(&wm));
+        wm.verify_full().expect("eps-CS certificate after the cold solve");
+        // A tiny follow-up stays incremental, under the budget the cold
+        // solve just measured.
+        let rep = wm.apply_batch(&[WUpdate::Insert(4, 64, 4.0)]);
+        assert!(!rep.cold, "{rep:?}");
+        assert!(rep.budget > n2, "the cold solve's bid count becomes the budget: {rep:?}");
+        assert_eq!(rep.weight, 4.0 * w + 4.0);
+        assert_eq!(wm.stats().budget_exhausted, 1);
         assert!(wm.stats().incremental_batches >= 1);
     }
 

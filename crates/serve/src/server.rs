@@ -271,8 +271,8 @@ pub fn format_wstats_line(
 ) -> String {
     format!(
         "stats batches {} updates {} inserts {} deletes {} matched_deletes {} \
-         dirty {} rebids {} incremental {} cold {} weight_gained {} weight_lost {} \
-         cardinality {} weight {} nnz {} epoch {} algo wauction",
+         dirty {} rebids {} incremental {} cold {} budget_exhausted {} weight_gained {} \
+         weight_lost {} cardinality {} weight {} nnz {} epoch {} algo wauction",
         s.batches,
         s.updates,
         s.inserts,
@@ -282,6 +282,7 @@ pub fn format_wstats_line(
         s.rebids,
         s.incremental_batches,
         s.cold_solves,
+        s.budget_exhausted,
         s.weight_gained,
         s.weight_lost,
         cardinality,

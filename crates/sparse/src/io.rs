@@ -48,7 +48,11 @@ fn parse_err(msg: impl Into<String>) -> MmError {
 /// (symmetric entries are mirrored; diagonal entries of skew files are
 /// dropped, as the format mandates they are absent). Values are discarded.
 pub fn read_matrix_market<R: Read>(reader: R) -> Result<Triples, MmError> {
-    let (nrows, ncols, entries) = parse_mm(reader)?;
+    read_pattern(reader, None)
+}
+
+fn read_pattern<R: Read>(reader: R, input_len: Option<u64>) -> Result<Triples, MmError> {
+    let (nrows, ncols, entries) = parse_mm(reader, input_len)?;
     Ok(Triples::from_edges(nrows, ncols, entries.into_iter().map(|(i, j, _)| (i, j)).collect()))
 }
 
@@ -57,21 +61,38 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<Triples, MmError> {
 /// `symmetric` mirrors carry the same value, `skew-symmetric` the negated
 /// one. `complex` entries use the real part.
 pub fn read_matrix_market_weighted<R: Read>(reader: R) -> Result<crate::WCsc, MmError> {
-    let (nrows, ncols, entries) = parse_mm(reader)?;
+    read_weighted(reader, None)
+}
+
+fn read_weighted<R: Read>(reader: R, input_len: Option<u64>) -> Result<crate::WCsc, MmError> {
+    let (nrows, ncols, entries) = parse_mm(reader, input_len)?;
     Ok(crate::WCsc::from_weighted_triples(nrows, ncols, entries))
 }
 
 /// Reads a weighted Matrix Market file from disk.
 pub fn read_matrix_market_weighted_file(path: impl AsRef<Path>) -> Result<crate::WCsc, MmError> {
-    read_matrix_market_weighted(std::fs::File::open(path)?)
+    let (file, len) = open_with_len(path)?;
+    read_weighted(file, Some(len))
 }
+
+fn open_with_len(path: impl AsRef<Path>) -> Result<(std::fs::File, u64), MmError> {
+    let file = std::fs::File::open(path)?;
+    let len = file.metadata()?.len();
+    Ok((file, len))
+}
+
+/// Entries preallocated for a reader of unknown length; past this the
+/// entry list grows as lines actually arrive.
+const UNSIZED_PREALLOC: usize = 1 << 16;
 
 /// Parsed Matrix Market body: dimensions plus 0-based weighted entries.
 type MmBody = (usize, usize, Vec<(Vidx, Vidx, f64)>);
 
 /// The shared parser: dimensions plus 0-based `(row, col, value)` entries
-/// with symmetry already expanded.
-fn parse_mm<R: Read>(reader: R) -> Result<MmBody, MmError> {
+/// with symmetry already expanded. `input_len` is the input's byte length
+/// when known; it bounds the entries a header may make the parser
+/// preallocate.
+fn parse_mm<R: Read>(reader: R, input_len: Option<u64>) -> Result<MmBody, MmError> {
     let mut lines = BufReader::new(reader).lines();
 
     let header = lines.next().ok_or_else(|| parse_err("empty file"))??;
@@ -112,12 +133,20 @@ fn parse_mm<R: Read>(reader: R) -> Result<MmBody, MmError> {
     let declared_nnz: usize =
         it.next().and_then(|s| s.parse().ok()).ok_or_else(|| parse_err("bad size line"))?;
 
-    assert!(
-        nrows < Vidx::MAX as usize && ncols < Vidx::MAX as usize,
-        "matrix dimensions must fit in Vidx"
-    );
+    if nrows >= Vidx::MAX as usize || ncols >= Vidx::MAX as usize {
+        return Err(parse_err(format!(
+            "matrix dimensions {nrows}x{ncols} exceed the vertex index limit {}",
+            Vidx::MAX - 1
+        )));
+    }
+    // The header is untrusted: never preallocate more entry lines than the
+    // input can hold (the shortest, `1 1\n`, takes four bytes).
+    let holdable = match input_len {
+        Some(len) => usize::try_from(len.saturating_add(1) / 4).unwrap_or(usize::MAX),
+        None => UNSIZED_PREALLOC,
+    };
     let mut entries: Vec<(Vidx, Vidx, f64)> =
-        Vec::with_capacity(declared_nnz * if mirror { 2 } else { 1 });
+        Vec::with_capacity(declared_nnz.min(holdable).saturating_mul(if mirror { 2 } else { 1 }));
     let mut seen = 0usize;
     for line in lines {
         let line = line?;
@@ -159,7 +188,8 @@ fn parse_mm<R: Read>(reader: R) -> Result<MmBody, MmError> {
 
 /// Reads a Matrix Market file from disk.
 pub fn read_matrix_market_file(path: impl AsRef<Path>) -> Result<Triples, MmError> {
-    read_matrix_market(std::fs::File::open(path)?)
+    let (file, len) = open_with_len(path)?;
+    read_pattern(file, Some(len))
 }
 
 /// Writes a pattern matrix in Matrix Market `coordinate pattern general`
@@ -266,6 +296,30 @@ mod tests {
         assert!(read_matrix_market(oob.as_bytes()).is_err());
         let short = "%%MatrixMarket matrix coordinate pattern general\n2 2 2\n1 1\n";
         assert!(read_matrix_market(short.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn hostile_headers_are_typed_errors_not_aborts() {
+        // A declared nnz of ~1e17 once asked the allocator for exabytes.
+        let huge_nnz =
+            "%%MatrixMarket matrix coordinate pattern symmetric\n2 2 99999999999999999\n1 1\n";
+        let err = read_matrix_market(huge_nnz.as_bytes()).unwrap_err();
+        assert!(matches!(err, MmError::Parse(ref m) if m.contains("expected")), "{err}");
+        let path = std::env::temp_dir().join("mcm_io_huge_nnz.mtx");
+        std::fs::write(&path, huge_nnz).unwrap();
+        let from_file = read_matrix_market_file(&path).map(|_| ());
+        let weighted = read_matrix_market_weighted_file(&path).map(|_| ());
+        std::fs::remove_file(&path).ok();
+        assert!(matches!(from_file, Err(MmError::Parse(_))), "{from_file:?}");
+        assert!(matches!(weighted, Err(MmError::Parse(_))), "{weighted:?}");
+
+        // Dimensions past the vertex index type were an assert! panic.
+        for size in ["4294967295 2 1", "2 4294967296 1", "99999999999999999 2 1"] {
+            let src = format!("%%MatrixMarket matrix coordinate pattern general\n{size}\n1 1\n");
+            let err = read_matrix_market(src.as_bytes()).unwrap_err();
+            assert!(matches!(err, MmError::Parse(ref m) if m.contains("vertex index")), "{err}");
+            assert!(read_matrix_market_weighted(src.as_bytes()).is_err());
+        }
     }
 
     #[test]

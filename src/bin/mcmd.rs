@@ -69,7 +69,9 @@ usage:
   --weighted            serve maximum *weight* matching: `insert u v [w]`
                         (missing weight = 1.0), `query` answers
                         \"matching <n> weight <w>\", repairs re-auction only
-                        the eps-CS-violated columns from persistent prices
+                        the eps-CS-violated columns from persistent prices,
+                        cold-solving only when a re-auction spends the bid
+                        count of the last cold solve
   --rows n / --cols n   vertex counts of an initially empty graph (default 1024)
   --load file           start from a graph file instead (solves it first; the
                         format — Matrix Market text or MCSB binary — is sniffed
@@ -83,8 +85,9 @@ usage:
   --max-delay-ms ms     socket mode: ... or this many ms after it opened (default 1)
   --queue-cap n         socket mode: admission queue bound; a full queue answers
                         `busy` (default 4096)
-  --fallback f          dirty fraction of n1+n2 above which repair falls back to
-                        the warm-started MS-BFS driver (default 0.25)
+  --fallback f          cardinality mode: dirty fraction of n1+n2 above which
+                        repair falls back to the warm-started MS-BFS driver
+                        (default 0.25); ignored with --weighted
   --algo a              engine servicing fallback solves: warm-started MS-BFS
                         (msbfs, default), parallel Pothen-Fan (ppf), the
                         eps-scaled auction (auction), or a per-fallback
@@ -227,7 +230,6 @@ fn run(args: &[String]) -> Result<(), String> {
 
     let served = if args.iter().any(|a| a == "--weighted") {
         let wopts = WDynOptions {
-            fallback_threshold: fallback,
             threads: parse_usize(opt(args, "--threads"), "--threads", 1)?,
             full_verify: args.iter().any(|a| a == "--full-verify"),
             ..WDynOptions::default()
@@ -633,12 +635,13 @@ fn flush_weighted(
     if !quiet {
         writeln!(
             out,
-            "batch applied {} dirty {} repaired {} rebids {} cold {} weight_delta {} \
+            "batch applied {} dirty {} repaired {} rebids {} budget {} cold {} weight_delta {} \
              weight {} cardinality {}",
             rep.applied,
             rep.dirty,
             rep.repaired,
             rep.rebids,
+            rep.budget,
             rep.cold,
             rep.weight_delta,
             rep.weight,

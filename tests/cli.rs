@@ -122,6 +122,36 @@ fn helpful_errors() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("usage"));
 }
 
+#[test]
+fn hostile_matrix_market_headers_fail_cleanly() {
+    // A declared nnz of ~1e17 or a row count past u32 used to abort or
+    // panic both loaders; they must exit with an ordinary error instead.
+    let huge_nnz = tmp("huge_nnz.mtx");
+    std::fs::write(
+        &huge_nnz,
+        "%%MatrixMarket matrix coordinate pattern general\n2 2 99999999999999999\n1 1\n",
+    )
+    .unwrap();
+    let huge_dim = tmp("huge_dim.mtx");
+    std::fs::write(
+        &huge_dim,
+        "%%MatrixMarket matrix coordinate pattern general\n4294967296 2 1\n1 1\n",
+    )
+    .unwrap();
+    for file in [&huge_nnz, &huge_dim] {
+        let runs = [
+            mcm().arg("match").arg(file).output().unwrap(),
+            mcmd().arg("--load").arg(file).output().unwrap(),
+            mcmd().args(["--weighted", "--load"]).arg(file).output().unwrap(),
+        ];
+        for out in runs {
+            assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stderr));
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(err.contains("Matrix Market parse error"), "{err}");
+        }
+    }
+}
+
 fn mcmd() -> Command {
     Command::new(env!("CARGO_BIN_EXE_mcmd"))
 }
@@ -189,7 +219,7 @@ fn mcmd_weighted_streams_reweights_and_snapshots() {
          # reweighting the matched diagonal down reroutes the optimum\n\
          insert 0 0 2\nquery\n\
          delete 1 1\nquery\n\
-         stats\nsnapshot {}\nquit\n",
+         metrics\nstats\nsnapshot {}\nquit\n",
         snap.display()
     );
     let text = mcmd_session(
@@ -209,6 +239,8 @@ fn mcmd_weighted_streams_reweights_and_snapshots() {
     );
     let stats = text.lines().find(|l| l.starts_with("stats ")).unwrap_or_else(|| panic!("{text}"));
     assert!(stats.ends_with("algo wauction"), "{stats}");
+    assert!(stats.contains(" cold 0 budget_exhausted 0 "), "small batches repair: {stats}");
+    assert!(text.contains("\nmcm_wdyn_budget_exhausted_total 0\n"), "{text}");
     assert!(stats.contains(" weight 9 "), "{stats}");
     assert!(stats.contains("matched_deletes 1"), "{stats}");
 

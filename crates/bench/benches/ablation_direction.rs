@@ -11,18 +11,19 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mcm_bsp::{DistCtx, Kernel, MachineConfig};
 use mcm_core::maximal::Initializer;
-use mcm_core::{maximum_matching, McmOptions};
+use mcm_core::{maximum_matching, McmOptions, SolverPool, Start};
 use mcm_gen::rmat::{rmat, RmatParams};
 use std::hint::black_box;
 
 fn bench_direction(c: &mut Criterion) {
-    let t = rmat(RmatParams::er(12), 8);
+    let a = rmat(RmatParams::er(12), 8).to_csc();
 
     for init in [Initializer::None, Initializer::DynamicMindegree] {
         for diropt in [false, true] {
             let mut ctx = DistCtx::new(MachineConfig::hybrid(4, 12));
             let opts = McmOptions { init, direction_optimizing: diropt, ..Default::default() };
-            let r = maximum_matching(&mut ctx, &t, &opts);
+            let r =
+                maximum_matching(&mut ctx, &a.view(), Start::Cold, &opts, &mut SolverPool::new());
             eprintln!(
                 "[ablation_direction] init={:<18} bottom_up={}: SpMV {:.3} ms \
                  ({} of {} iterations pulled), |M| {}",
@@ -41,8 +42,8 @@ fn bench_direction(c: &mut Criterion) {
     for diropt in [false, true] {
         group.bench_with_input(
             BenchmarkId::new("no_init", if diropt { "pull" } else { "push" }),
-            &t,
-            |b, t| {
+            &a,
+            |b, a| {
                 b.iter(|| {
                     let mut ctx = DistCtx::new(MachineConfig::hybrid(2, 1));
                     let opts = McmOptions {
@@ -50,7 +51,13 @@ fn bench_direction(c: &mut Criterion) {
                         direction_optimizing: diropt,
                         ..Default::default()
                     };
-                    black_box(maximum_matching(&mut ctx, t, &opts))
+                    black_box(maximum_matching(
+                        &mut ctx,
+                        &a.view(),
+                        Start::Cold,
+                        &opts,
+                        &mut SolverPool::new(),
+                    ))
                 });
             },
         );

@@ -9,12 +9,12 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mcm_bsp::{DistCtx, MachineConfig};
-use mcm_core::{maximum_matching, McmOptions, SemiringKind};
+use mcm_core::{maximum_matching, McmOptions, SemiringKind, SolverPool, Start};
 use mcm_gen::rmat::{rmat, RmatParams};
 use std::hint::black_box;
 
 fn bench_semirings(c: &mut Criterion) {
-    let t = rmat(RmatParams::g500(12), 11);
+    let a = rmat(RmatParams::g500(12), 11).to_csc();
     let semirings = [
         ("minParent", SemiringKind::MinParent),
         ("randParent", SemiringKind::RandParent(13)),
@@ -26,7 +26,7 @@ fn bench_semirings(c: &mut Criterion) {
     for (name, semiring) in semirings {
         let mut ctx = DistCtx::new(MachineConfig::hybrid(8, 12));
         let opts = McmOptions { semiring, ..Default::default() };
-        let r = maximum_matching(&mut ctx, &t, &opts);
+        let r = maximum_matching(&mut ctx, &a.view(), Start::Cold, &opts, &mut SolverPool::new());
         eprintln!(
             "[ablation_semiring] {name:>10}: modeled {:.3} ms, {} phases, {} iterations, |M| {}",
             ctx.timers.total() * 1e3,
@@ -39,11 +39,17 @@ fn bench_semirings(c: &mut Criterion) {
     let mut group = c.benchmark_group("semiring");
     group.sample_size(10);
     for (name, semiring) in semirings {
-        group.bench_with_input(BenchmarkId::from_parameter(name), &t, |b, t| {
+        group.bench_with_input(BenchmarkId::from_parameter(name), &a, |b, a| {
             b.iter(|| {
                 let mut ctx = DistCtx::new(MachineConfig::hybrid(4, 1));
                 let opts = McmOptions { semiring, ..Default::default() };
-                black_box(maximum_matching(&mut ctx, t, &opts))
+                black_box(maximum_matching(
+                    &mut ctx,
+                    &a.view(),
+                    Start::Cold,
+                    &opts,
+                    &mut SolverPool::new(),
+                ))
             });
         });
     }

@@ -25,17 +25,18 @@ fn bench_portfolio(c: &mut Criterion) {
     group.sample_size(10);
     for (name, t) in &inputs {
         group.throughput(Throughput::Elements(t.len() as u64));
+        let a = t.to_csc();
         for algo in MatchingAlgo::CONCRETE {
             let opts = PortfolioOptions { algo, threads: 4, ..PortfolioOptions::default() };
-            group.bench_with_input(BenchmarkId::new(algo.name(), name), t, |b, t| {
-                b.iter(|| black_box(solve(t, &opts)));
+            group.bench_with_input(BenchmarkId::new(algo.name(), name), &a, |b, a| {
+                b.iter(|| black_box(solve(&a.view(), &opts)));
             });
         }
         // The auto path: measurement + dispatch, the end-to-end cost a
         // caller actually pays for not choosing.
         let opts = PortfolioOptions { threads: 4, ..PortfolioOptions::default() };
-        group.bench_with_input(BenchmarkId::new("auto", name), t, |b, t| {
-            b.iter(|| black_box(solve(t, &opts)));
+        group.bench_with_input(BenchmarkId::new("auto", name), &a, |b, a| {
+            b.iter(|| black_box(solve(&a.view(), &opts)));
         });
     }
     group.finish();
@@ -45,8 +46,8 @@ fn bench_portfolio(c: &mut Criterion) {
     let mut group = c.benchmark_group("algo_selector");
     for (name, t) in &inputs {
         group.throughput(Throughput::Elements(t.len() as u64));
-        group.bench_with_input(BenchmarkId::new("measure", name), t, |b, t| {
-            b.iter(|| black_box(SelectorStats::measure(t).choose()));
+        group.bench_with_input(BenchmarkId::new("measure", name), &t.to_csc(), |b, a| {
+            b.iter(|| black_box(SelectorStats::measure_csc(a).choose()));
         });
     }
     group.finish();

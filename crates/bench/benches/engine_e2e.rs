@@ -7,16 +7,23 @@
 //! on real cores (`mcmd --backend engine|shared`, DESIGN.md §12, §14).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mcm_bsp::{DistCtx, MachineConfig};
-use mcm_core::mcm::maximum_matching_shared;
+use mcm_bsp::{Communicator, DistCtx, EngineComm, MachineConfig, SharedComm};
 use mcm_core::serial::hopcroft_karp;
-use mcm_core::{maximum_matching, maximum_matching_engine, McmOptions};
+use mcm_core::{maximum_matching, McmOptions, SolverPool, Start};
 use mcm_gen::rmat::{rmat, RmatParams};
+use mcm_sparse::Csc;
 use std::hint::black_box;
 
 /// Total-core sweep → (ranks, threads-per-rank): square rank counts only,
 /// threads soak up the non-square factors.
 const CORES: [(usize, usize, usize); 4] = [(1, 1, 1), (2, 1, 2), (4, 4, 1), (8, 4, 2)];
+
+/// Cardinality of one cold solve of `a` on `comm`.
+fn solve(comm: &mut impl Communicator, a: &Csc, opts: &McmOptions) -> usize {
+    maximum_matching(comm, &a.view(), Start::Cold, opts, &mut SolverPool::new())
+        .matching
+        .cardinality()
+}
 
 fn bench_engine_e2e(c: &mut Criterion) {
     let t = rmat(RmatParams::g500(12), 7);
@@ -32,15 +39,13 @@ fn bench_engine_e2e(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("simulator", "g500_s12"), |b| {
         b.iter(|| {
             let mut ctx = DistCtx::new(MachineConfig::hybrid(2, 1));
-            black_box(maximum_matching(&mut ctx, &t, &opts).matching.cardinality())
+            black_box(solve(&mut ctx, &csc, &opts))
         })
     });
 
     for &(cores, p, threads) in &CORES {
         group.bench_function(BenchmarkId::new("engine", cores), |b| {
-            b.iter(|| {
-                black_box(maximum_matching_engine(p, threads, &t, &opts).matching.cardinality())
-            })
+            b.iter(|| black_box(solve(&mut EngineComm::new(p, threads), &csc, &opts)))
         });
     }
 
@@ -50,11 +55,7 @@ fn bench_engine_e2e(c: &mut Criterion) {
     let shared_opts = McmOptions { permute_seed: None, ..McmOptions::default() };
     for &(cores, p, threads) in &CORES {
         group.bench_function(BenchmarkId::new("shared", cores), |b| {
-            b.iter(|| {
-                black_box(
-                    maximum_matching_shared(p, threads, &t, &shared_opts).matching.cardinality(),
-                )
-            })
+            b.iter(|| black_box(solve(&mut SharedComm::new(p, threads), &csc, &shared_opts)))
         });
     }
     group.finish();

@@ -17,25 +17,34 @@
 //!    site-count side of the gate arithmetic too.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mcm_core::{maximum_matching_engine, McmOptions};
+use mcm_bsp::EngineComm;
+use mcm_core::{maximum_matching, McmOptions, SolverPool, Start};
 use mcm_gen::rmat::{rmat, RmatParams};
+use mcm_sparse::Csc;
 use std::hint::black_box;
 
 /// Same total-core sweep as `engine_e2e`: (cores, ranks, threads/rank).
 const CORES: [(usize, usize, usize); 4] = [(1, 1, 1), (2, 1, 2), (4, 4, 1), (8, 4, 2)];
+
+/// Cardinality of one cold solve of `a` on `p` engine ranks.
+fn solve_engine(p: usize, threads: usize, a: &Csc, opts: &McmOptions) -> usize {
+    let mut comm = EngineComm::new(p, threads);
+    maximum_matching(&mut comm, &a.view(), Start::Cold, opts, &mut SolverPool::new())
+        .matching
+        .cardinality()
+}
 
 fn bench_obs_overhead(c: &mut Criterion) {
     let t = rmat(RmatParams::g500(12), 7);
     let opts = McmOptions::default();
     let mut group = c.benchmark_group("obs_overhead");
     group.throughput(Throughput::Elements(t.len() as u64));
+    let a = t.to_csc();
 
     mcm_obs::enable_all(false);
     for &(cores, p, threads) in &CORES {
         group.bench_function(BenchmarkId::new("disabled", cores), |b| {
-            b.iter(|| {
-                black_box(maximum_matching_engine(p, threads, &t, &opts).matching.cardinality())
-            })
+            b.iter(|| black_box(solve_engine(p, threads, &a, &opts)))
         });
     }
 
@@ -43,7 +52,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("enabled", cores), |b| {
             b.iter(|| {
                 mcm_obs::enable_all(true);
-                let card = maximum_matching_engine(p, threads, &t, &opts).matching.cardinality();
+                let card = solve_engine(p, threads, &a, &opts);
                 mcm_obs::enable_all(false);
                 // Collection is part of the enabled price.
                 black_box(mcm_obs::take_trace().events.len());
@@ -70,7 +79,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
     mcm_obs::enable_all(true);
     drop(mcm_obs::take_trace());
     let (_, p, threads) = CORES[3];
-    maximum_matching_engine(p, threads, &t, &opts);
+    solve_engine(p, threads, &a, &opts);
     let events = mcm_obs::take_trace().events.len() as u64;
     mcm_obs::enable_all(false);
     let mut vol = c.benchmark_group("events");

@@ -8,8 +8,8 @@
 //! * `load` — `McsbFile::open` (mmap + header/colptr validation only);
 //! * `rss_delta` — resident-set growth across open + full view
 //!   construction, the number the format exists to keep small;
-//! * `solve` — `maximum_matching_shared_view` end-to-end on the borrowed
-//!   view, Berge-certified at the smallest scale.
+//! * `solve` — `maximum_matching` on the shared-memory backend, end-to-end
+//!   on the borrowed view, Berge-certified at the smallest scale.
 //!
 //! Custom harness (not the criterion stand-in): the record carries RSS and
 //! file-size fields that the shared `BenchRecord` schema has no slots for.
@@ -17,11 +17,19 @@
 //! `15,18,20`; override with `MCM_STORE_SCALES=s1,s2,...` (CI uses a
 //! smaller list — see .github/workflows/ci.yml).
 
-use mcm_core::verify::is_maximum_view;
-use mcm_core::McmOptions;
+use mcm_bsp::SharedComm;
+use mcm_core::verify::is_maximum;
+use mcm_core::{maximum_matching, McmOptions, McmResult, SolverPool, Start};
 use mcm_gen::RmatParams;
+use mcm_sparse::CscView;
 use mcm_store::{McsbFile, McsbStreamWriter};
 use std::time::Instant;
+
+/// One cold solve of `v` on the shared-memory backend with 4 logical ranks.
+fn solve_shared(v: &CscView<'_>, threads: usize) -> McmResult {
+    let mut comm = SharedComm::new(4, threads);
+    maximum_matching(&mut comm, v, Start::Cold, &McmOptions::default(), &mut SolverPool::new())
+}
 
 /// Reads a `VmRSS`/`VmHWM`-style field from `/proc/self/status`, in bytes.
 fn proc_status_kb(field: &str) -> Option<u64> {
@@ -71,9 +79,8 @@ fn run_scale(scale: u32, dir: &std::path::Path) -> ScaleRecord {
         _ => None,
     };
 
-    let opts = McmOptions::default();
     let t2 = Instant::now();
-    let res = mcm_core::mcm::maximum_matching_shared_view(4, mcm_par::max_threads(), &v, &opts);
+    let res = solve_shared(&v, mcm_par::max_threads());
     let solve_secs = t2.elapsed().as_secs_f64();
 
     std::fs::remove_file(&path).ok();
@@ -108,8 +115,8 @@ fn main() {
         w.finish(mcm_par::max_threads()).unwrap();
         let f = McsbFile::open(&path).unwrap();
         let v = f.view();
-        let res = mcm_core::mcm::maximum_matching_shared_view(4, 2, &v, &McmOptions::default());
-        assert!(is_maximum_view(&v, &res.matching), "Berge certificate failed");
+        let res = solve_shared(&v, 2);
+        assert!(is_maximum(v, &res.matching), "Berge certificate failed");
         std::fs::remove_file(&path).ok();
         eprintln!("certified: scale {} matching is maximum (Berge)", smallest.min(12));
     }

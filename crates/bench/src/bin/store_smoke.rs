@@ -6,8 +6,9 @@
 //!
 //! Exits non-zero on any failed step. `--scale n` overrides the size.
 
-use mcm_core::verify::is_maximum_view;
-use mcm_core::McmOptions;
+use mcm_bsp::SharedComm;
+use mcm_core::verify::is_maximum;
+use mcm_core::{maximum_matching, McmOptions, SolverPool, Start};
 use mcm_gen::RmatParams;
 use mcm_store::{McsbFile, McsbStreamWriter};
 use std::process::ExitCode;
@@ -73,13 +74,10 @@ fn main() -> ExitCode {
     }
 
     // Solve from the borrowed view and certify maximality.
-    let res = mcm_core::mcm::maximum_matching_shared_view(
-        4,
-        mcm_par::max_threads(),
-        &v,
-        &McmOptions::default(),
-    );
-    if !is_maximum_view(&v, &res.matching) {
+    let mut comm = SharedComm::new(4, mcm_par::max_threads());
+    let opts = McmOptions::default();
+    let res = maximum_matching(&mut comm, &v, Start::Cold, &opts, &mut SolverPool::new());
+    if !is_maximum(v, &res.matching) {
         eprintln!("store_smoke: FAIL: Berge certificate rejected the matching");
         return ExitCode::FAILURE;
     }

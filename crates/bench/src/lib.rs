@@ -8,7 +8,7 @@
 //! builders for the augmentation ablation.
 
 use mcm_bsp::{DistCtx, Kernel, MachineConfig, Timers};
-use mcm_core::{maximum_matching, Matching, McmOptions, McmStats};
+use mcm_core::{maximum_matching, Matching, McmOptions, McmStats, SolverPool, Start};
 use mcm_sparse::{DenseVec, Triples, Vidx};
 use std::io::Write;
 use std::path::PathBuf;
@@ -43,7 +43,8 @@ pub fn run_mcm_scaled(
     work_scale: f64,
 ) -> RunOutcome {
     let mut ctx = DistCtx::new(cfg).with_work_scale(work_scale);
-    let result = maximum_matching(&mut ctx, t, opts);
+    let a = t.to_csc();
+    let result = maximum_matching(&mut ctx, &a.view(), Start::Cold, opts, &mut SolverPool::new());
     RunOutcome {
         modeled_s: ctx.timers.total(),
         timers: ctx.timers.clone(),

@@ -161,212 +161,22 @@ impl DistMatrix {
 
     /// Distributes `t` over an explicit `pr × pc` grid.
     pub fn with_grid(t: &Triples, pr: usize, pc: usize) -> Self {
-        Self::with_grid_mapped(t, pr, pc, None, None, false)
+        Self::with_grid_csc(&t.to_csc().view(), pr, pc, None, None)
     }
 
-    /// Distributes `t` with the relabeling and transposition fused into the
-    /// scatter: entry `(i, j)` lands as `(rowp(i), colp(j))`, swapped when
-    /// `transpose` is set. Avoids materializing the permuted (and
-    /// transposed) triple lists that `maximum_matching` previously cloned
-    /// on every solve.
-    pub fn from_triples_mapped(
-        ctx: &DistCtx,
-        t: &Triples,
-        rowp: Option<&Permutation>,
-        colp: Option<&Permutation>,
-        transpose: bool,
-    ) -> Self {
-        Self::with_grid_mapped(t, ctx.machine.grid.pr, ctx.machine.grid.pc, rowp, colp, transpose)
-    }
-
-    /// Builds `A` and `Aᵀ` together from one scatter pass over `t` —
-    /// permutation lookups and block routing are paid once for both
-    /// orientations. Used by the matching pipeline, which needs the
-    /// transpose for every row-proposing initializer.
-    pub fn from_triples_mapped_pair(
-        ctx: &DistCtx,
-        t: &Triples,
-        rowp: Option<&Permutation>,
-        colp: Option<&Permutation>,
-    ) -> (Self, Self) {
-        let (pr, pc) = (ctx.machine.grid.pr, ctx.machine.grid.pc);
-        Self::with_grid_mapped_pair(t, pr, pc, rowp, colp)
-    }
-
-    /// [`DistMatrix::from_triples_mapped_pair`] over an explicit grid.
-    pub fn with_grid_mapped_pair(
-        t: &Triples,
-        pr: usize,
-        pc: usize,
-        rowp: Option<&Permutation>,
-        colp: Option<&Permutation>,
-    ) -> (Self, Self) {
-        if pr == 1 && pc == 1 {
-            // Single-block execution (the shared-memory backend): scatter A
-            // once and derive Aᵀ by counting transpose over the compacted
-            // nonzeros — cheaper than a second scatter of the raw edge
-            // list, and bit-identical (transpose of a canonical DCSC is the
-            // canonical DCSC of the swapped pairs).
-            let a_block = if rowp.is_none() && colp.is_none() {
-                Dcsc::from_unsorted_pairs(t.nrows(), t.ncols(), t.entries())
-            } else {
-                let mapped: Vec<(Vidx, Vidx)> = t
-                    .entries()
-                    .iter()
-                    .map(|&(i, j)| (rowp.map_or(i, |p| p.apply(i)), colp.map_or(j, |p| p.apply(j))))
-                    .collect();
-                Dcsc::from_unsorted_pairs(t.nrows(), t.ncols(), &mapped)
-            };
-            let at_block = a_block.transposed();
-            let (nnz, t_nnz) = (a_block.nnz(), at_block.nnz());
-            let a = Self {
-                nrows: t.nrows(),
-                ncols: t.ncols(),
-                pr: 1,
-                pc: 1,
-                row_off: vec![0, t.nrows()],
-                col_off: vec![0, t.ncols()],
-                blocks: vec![a_block],
-                nnz,
-            };
-            let at = Self {
-                nrows: t.ncols(),
-                ncols: t.nrows(),
-                pr: 1,
-                pc: 1,
-                row_off: vec![0, t.ncols()],
-                col_off: vec![0, t.nrows()],
-                blocks: vec![at_block],
-                nnz: t_nnz,
-            };
-            return (a, at);
-        }
-        let row_off = block_offsets(t.nrows(), pr);
-        let col_off = block_offsets(t.ncols(), pc);
-        let t_row_off = block_offsets(t.ncols(), pr);
-        let t_col_off = block_offsets(t.nrows(), pc);
-        let cap = t.len() / (pr * pc) + 8;
-        let mut parts: Vec<Vec<(Vidx, Vidx)>> =
-            (0..pr * pc).map(|_| Vec::with_capacity(cap)).collect();
-        let mut t_parts: Vec<Vec<(Vidx, Vidx)>> =
-            (0..pr * pc).map(|_| Vec::with_capacity(cap)).collect();
-        for &(i, j) in t.entries() {
-            let pi = rowp.map_or(i, |p| p.apply(i));
-            let pj = colp.map_or(j, |p| p.apply(j));
-            let bi = block_owner(&row_off, pi as usize);
-            let bj = block_owner(&col_off, pj as usize);
-            parts[bi * pc + bj].push((pi - row_off[bi] as Vidx, pj - col_off[bj] as Vidx));
-            let tbi = block_owner(&t_row_off, pj as usize);
-            let tbj = block_owner(&t_col_off, pi as usize);
-            t_parts[tbi * pc + tbj]
-                .push((pj - t_row_off[tbi] as Vidx, pi - t_col_off[tbj] as Vidx));
-        }
-        let build = |off_r: &[usize], off_c: &[usize], parts: &[Vec<(Vidx, Vidx)>]| -> Vec<Dcsc> {
-            mcm_par::par_map_range(parts.len(), mcm_par::max_threads(), |b| {
-                let (bi, bj) = (b / pc, b % pc);
-                Dcsc::from_unsorted_pairs(
-                    off_r[bi + 1] - off_r[bi],
-                    off_c[bj + 1] - off_c[bj],
-                    &parts[b],
-                )
-            })
-        };
-        let blocks = build(&row_off, &col_off, &parts);
-        let t_blocks = build(&t_row_off, &t_col_off, &t_parts);
-        let nnz = blocks.iter().map(|b| b.nnz()).sum();
-        let t_nnz = t_blocks.iter().map(|b| b.nnz()).sum();
-        let a = Self { nrows: t.nrows(), ncols: t.ncols(), pr, pc, row_off, col_off, blocks, nnz };
-        let at = Self {
-            nrows: t.ncols(),
-            ncols: t.nrows(),
-            pr,
-            pc,
-            row_off: t_row_off,
-            col_off: t_col_off,
-            blocks: t_blocks,
-            nnz: t_nnz,
-        };
-        (a, at)
-    }
-
-    /// [`DistMatrix::from_triples_mapped`] over an explicit grid.
-    pub fn with_grid_mapped(
-        t: &Triples,
-        pr: usize,
-        pc: usize,
-        rowp: Option<&Permutation>,
-        colp: Option<&Permutation>,
-        transpose: bool,
-    ) -> Self {
-        let (nrows, ncols) =
-            if transpose { (t.ncols(), t.nrows()) } else { (t.nrows(), t.ncols()) };
-        if pr == 1 && pc == 1 {
-            // Single-block fast path: no routing, no per-block partitions.
-            let block = if rowp.is_none() && colp.is_none() && !transpose {
-                Dcsc::from_unsorted_pairs(nrows, ncols, t.entries())
-            } else if rowp.is_none() && colp.is_none() {
-                Dcsc::from_unsorted_pairs(t.nrows(), t.ncols(), t.entries()).transposed()
-            } else {
-                let mapped: Vec<(Vidx, Vidx)> = t
-                    .entries()
-                    .iter()
-                    .map(|&(i, j)| {
-                        let pi = rowp.map_or(i, |p| p.apply(i));
-                        let pj = colp.map_or(j, |p| p.apply(j));
-                        if transpose {
-                            (pj, pi)
-                        } else {
-                            (pi, pj)
-                        }
-                    })
-                    .collect();
-                Dcsc::from_unsorted_pairs(nrows, ncols, &mapped)
-            };
-            let nnz = block.nnz();
-            return Self {
-                nrows,
-                ncols,
-                pr,
-                pc,
-                row_off: vec![0, nrows],
-                col_off: vec![0, ncols],
-                blocks: vec![block],
-                nnz,
-            };
-        }
-        let row_off = block_offsets(nrows, pr);
-        let col_off = block_offsets(ncols, pc);
-        let mut parts: Vec<Vec<(Vidx, Vidx)>> =
-            (0..pr * pc).map(|_| Vec::with_capacity(t.len() / (pr * pc) + 8)).collect();
-        for &(i, j) in t.entries() {
-            let pi = rowp.map_or(i, |p| p.apply(i));
-            let pj = colp.map_or(j, |p| p.apply(j));
-            let (gi, gj) = if transpose { (pj, pi) } else { (pi, pj) };
-            let bi = block_owner(&row_off, gi as usize);
-            let bj = block_owner(&col_off, gj as usize);
-            parts[bi * pc + bj].push((gi - row_off[bi] as Vidx, gj - col_off[bj] as Vidx));
-        }
-        let blocks: Vec<Dcsc> = mcm_par::par_map_range(parts.len(), mcm_par::max_threads(), |b| {
-            let (bi, bj) = (b / pc, b % pc);
-            Dcsc::from_unsorted_pairs(
-                row_off[bi + 1] - row_off[bi],
-                col_off[bj + 1] - col_off[bj],
-                &parts[b],
-            )
-        });
-        let nnz = blocks.iter().map(|b| b.nnz()).sum();
-        Self { nrows, ncols, pr, pc, row_off, col_off, blocks, nnz }
-    }
-
-    /// [`DistMatrix::with_grid_mapped_pair`] from a borrowed CSC view — the
-    /// zero-copy load path for mmap-backed MCSB files (`mcm-store`).
+    /// Builds `A` and `Aᵀ` together from a borrowed CSC view with the
+    /// relabeling fused into one scatter pass: entry `(i, j)` lands as
+    /// `(rowp(i), colp(j))` in `A` and swapped in `Aᵀ`, so permutation
+    /// lookups and block routing are paid once for both orientations. Used
+    /// by the matching pipeline, which needs the transpose for every
+    /// row-proposing initializer and for bottom-up BFS.
     ///
-    /// On a 1×1 grid (the shared-memory backend) no triple list ever
-    /// exists: the unpermuted case compacts the view straight into DCSC
-    /// ([`Dcsc::from_csc_view`]) and the permuted case streams mapped pairs
-    /// through the two-pass counting builder ([`Dcsc::from_pair_iter`]).
-    /// Multi-block grids scatter into per-block pair buffers, the same
-    /// transient footprint as the triples-based path.
+    /// On a 1×1 grid (the shared-memory backend) no pair list ever exists:
+    /// the unpermuted case compacts the view straight into DCSC
+    /// ([`Dcsc::from_csc_view`]), the permuted case streams mapped pairs
+    /// through the two-pass counting builder ([`Dcsc::from_pair_iter`]),
+    /// and `Aᵀ` is a counting transpose of the compacted block.
+    /// Multi-block grids scatter into per-block pair buffers.
     pub fn with_grid_csc_pair(
         v: &CscView<'_>,
         pr: usize,
@@ -375,37 +185,9 @@ impl DistMatrix {
         colp: Option<&Permutation>,
     ) -> (Self, Self) {
         if pr == 1 && pc == 1 {
-            let a_block = if rowp.is_none() && colp.is_none() {
-                Dcsc::from_csc_view(v)
-            } else {
-                Dcsc::from_pair_iter(v.nrows(), v.ncols(), || {
-                    v.iter().map(|(i, j)| {
-                        (rowp.map_or(i, |p| p.apply(i)), colp.map_or(j, |p| p.apply(j)))
-                    })
-                })
-            };
-            let at_block = a_block.transposed();
-            let (nnz, t_nnz) = (a_block.nnz(), at_block.nnz());
-            let a = Self {
-                nrows: v.nrows(),
-                ncols: v.ncols(),
-                pr: 1,
-                pc: 1,
-                row_off: vec![0, v.nrows()],
-                col_off: vec![0, v.ncols()],
-                blocks: vec![a_block],
-                nnz,
-            };
-            let at = Self {
-                nrows: v.ncols(),
-                ncols: v.nrows(),
-                pr: 1,
-                pc: 1,
-                row_off: vec![0, v.ncols()],
-                col_off: vec![0, v.nrows()],
-                blocks: vec![at_block],
-                nnz: t_nnz,
-            };
+            let a = Self::with_grid_csc(v, 1, 1, rowp, colp);
+            let at_block = a.blocks[0].transposed();
+            let at = Self::single_block(at_block);
             return (a, at);
         }
         let row_off = block_offsets(v.nrows(), pr);
@@ -428,88 +210,72 @@ impl DistMatrix {
             t_parts[tbi * pc + tbj]
                 .push((pj - t_row_off[tbi] as Vidx, pi - t_col_off[tbj] as Vidx));
         }
-        let build = |off_r: &[usize], off_c: &[usize], parts: &[Vec<(Vidx, Vidx)>]| -> Vec<Dcsc> {
-            mcm_par::par_map_range(parts.len(), mcm_par::max_threads(), |b| {
-                let (bi, bj) = (b / pc, b % pc);
-                Dcsc::from_unsorted_pairs(
-                    off_r[bi + 1] - off_r[bi],
-                    off_c[bj + 1] - off_c[bj],
-                    &parts[b],
-                )
-            })
-        };
-        let blocks = build(&row_off, &col_off, &parts);
-        let t_blocks = build(&t_row_off, &t_col_off, &t_parts);
-        let nnz = blocks.iter().map(|b| b.nnz()).sum();
-        let t_nnz = t_blocks.iter().map(|b| b.nnz()).sum();
-        let a = Self { nrows: v.nrows(), ncols: v.ncols(), pr, pc, row_off, col_off, blocks, nnz };
-        let at = Self {
-            nrows: v.ncols(),
-            ncols: v.nrows(),
-            pr,
-            pc,
-            row_off: t_row_off,
-            col_off: t_col_off,
-            blocks: t_blocks,
-            nnz: t_nnz,
-        };
+        let a = Self::from_parts(v.nrows(), v.ncols(), pr, pc, row_off, col_off, &parts);
+        let at = Self::from_parts(v.ncols(), v.nrows(), pr, pc, t_row_off, t_col_off, &t_parts);
         (a, at)
     }
 
-    /// [`DistMatrix::with_grid_mapped`] from a borrowed CSC view (see
-    /// [`DistMatrix::with_grid_csc_pair`] for the zero-copy guarantees).
+    /// `A` alone from a borrowed CSC view, relabeled as in
+    /// [`DistMatrix::with_grid_csc_pair`].
     pub fn with_grid_csc(
         v: &CscView<'_>,
         pr: usize,
         pc: usize,
         rowp: Option<&Permutation>,
         colp: Option<&Permutation>,
-        transpose: bool,
     ) -> Self {
-        let (nrows, ncols) =
-            if transpose { (v.ncols(), v.nrows()) } else { (v.nrows(), v.ncols()) };
         if pr == 1 && pc == 1 {
-            let block = if rowp.is_none() && colp.is_none() && !transpose {
+            let block = if rowp.is_none() && colp.is_none() {
                 Dcsc::from_csc_view(v)
-            } else if rowp.is_none() && colp.is_none() {
-                Dcsc::from_csc_view(v).transposed()
             } else {
-                Dcsc::from_pair_iter(nrows, ncols, || {
+                Dcsc::from_pair_iter(v.nrows(), v.ncols(), || {
                     v.iter().map(|(i, j)| {
-                        let pi = rowp.map_or(i, |p| p.apply(i));
-                        let pj = colp.map_or(j, |p| p.apply(j));
-                        if transpose {
-                            (pj, pi)
-                        } else {
-                            (pi, pj)
-                        }
+                        (rowp.map_or(i, |p| p.apply(i)), colp.map_or(j, |p| p.apply(j)))
                     })
                 })
             };
-            let nnz = block.nnz();
-            return Self {
-                nrows,
-                ncols,
-                pr,
-                pc,
-                row_off: vec![0, nrows],
-                col_off: vec![0, ncols],
-                blocks: vec![block],
-                nnz,
-            };
+            return Self::single_block(block);
         }
-        let row_off = block_offsets(nrows, pr);
-        let col_off = block_offsets(ncols, pc);
+        let row_off = block_offsets(v.nrows(), pr);
+        let col_off = block_offsets(v.ncols(), pc);
         let mut parts: Vec<Vec<(Vidx, Vidx)>> =
             (0..pr * pc).map(|_| Vec::with_capacity(v.nnz() / (pr * pc) + 8)).collect();
         for (i, j) in v.iter() {
             let pi = rowp.map_or(i, |p| p.apply(i));
             let pj = colp.map_or(j, |p| p.apply(j));
-            let (gi, gj) = if transpose { (pj, pi) } else { (pi, pj) };
-            let bi = block_owner(&row_off, gi as usize);
-            let bj = block_owner(&col_off, gj as usize);
-            parts[bi * pc + bj].push((gi - row_off[bi] as Vidx, gj - col_off[bj] as Vidx));
+            let bi = block_owner(&row_off, pi as usize);
+            let bj = block_owner(&col_off, pj as usize);
+            parts[bi * pc + bj].push((pi - row_off[bi] as Vidx, pj - col_off[bj] as Vidx));
         }
+        Self::from_parts(v.nrows(), v.ncols(), pr, pc, row_off, col_off, &parts)
+    }
+
+    /// A 1×1 grid holding `block` whole.
+    fn single_block(block: Dcsc) -> Self {
+        let (nrows, ncols, nnz) = (block.nrows(), block.ncols(), block.nnz());
+        Self {
+            nrows,
+            ncols,
+            pr: 1,
+            pc: 1,
+            row_off: vec![0, nrows],
+            col_off: vec![0, ncols],
+            blocks: vec![block],
+            nnz,
+        }
+    }
+
+    /// Compacts per-block pair buffers (block-local coordinates, row-major
+    /// block order) into DCSC blocks, one block per worker task.
+    fn from_parts(
+        nrows: usize,
+        ncols: usize,
+        pr: usize,
+        pc: usize,
+        row_off: Vec<usize>,
+        col_off: Vec<usize>,
+        parts: &[Vec<(Vidx, Vidx)>],
+    ) -> Self {
         let blocks: Vec<Dcsc> = mcm_par::par_map_range(parts.len(), mcm_par::max_threads(), |b| {
             let (bi, bj) = (b / pc, b % pc);
             Dcsc::from_unsorted_pairs(

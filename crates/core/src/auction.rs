@@ -48,7 +48,7 @@
 
 use crate::matching::Matching;
 use mcm_sparse::permute::SplitMix64;
-use mcm_sparse::{Csc, Vidx, NIL};
+use mcm_sparse::{CscView, Vidx, NIL};
 
 /// Tunables of the auction engine.
 #[derive(Clone, Copy, Debug)]
@@ -114,7 +114,8 @@ pub struct AuctionResult {
 const TOL: f64 = 1e-12;
 
 /// Computes a maximum cardinality matching by ε-scaled forward auction.
-pub fn auction(a: &Csc, opts: &AuctionOptions) -> AuctionResult {
+pub fn auction<'a>(a: impl Into<CscView<'a>>, opts: &AuctionOptions) -> AuctionResult {
+    let a = &a.into();
     let (n1, n2) = (a.nrows(), a.ncols());
     let mut m = Matching::empty(n1, n2);
     let mut stats = AuctionStats::default();
@@ -184,7 +185,7 @@ pub fn auction(a: &Csc, opts: &AuctionOptions) -> AuctionResult {
 /// Runs Jacobi rounds at a fixed ε until no active bidder remains.
 #[allow(clippy::too_many_arguments)]
 fn run_scale(
-    a: &Csc,
+    a: &CscView<'_>,
     m: &mut Matching,
     prices: &mut [f64],
     active: &mut Vec<Vidx>,

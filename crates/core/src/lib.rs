@@ -11,12 +11,14 @@
 //! ```
 //! use mcm_bsp::{DistCtx, MachineConfig};
 //! use mcm_sparse::Triples;
-//! use mcm_core::{maximum_matching, McmOptions};
+//! use mcm_core::{maximum_matching, McmOptions, SolverPool, Start};
 //!
-//! // A tiny bipartite graph as an edge list (rows x columns).
-//! let g = Triples::from_edges(3, 3, vec![(0, 0), (0, 1), (1, 0), (2, 2)]);
+//! // A tiny bipartite graph as an edge list (rows x columns), compressed
+//! // once into the CSC the solver reads.
+//! let g = Triples::from_edges(3, 3, vec![(0, 0), (0, 1), (1, 0), (2, 2)]).to_csc();
 //! let mut ctx = DistCtx::new(MachineConfig::hybrid(2, 2)); // 2x2 grid, 2 threads
-//! let result = maximum_matching(&mut ctx, &g, &McmOptions::default());
+//! let opts = McmOptions::default();
+//! let result = maximum_matching(&mut ctx, &g.view(), Start::Cold, &opts, &mut SolverPool::new());
 //! assert_eq!(result.matching.cardinality(), 3);
 //! ```
 
@@ -42,11 +44,7 @@ pub mod vertex;
 pub mod weighted;
 
 pub use matching::Matching;
-pub use mcm::{
-    maximum_matching, maximum_matching_engine, maximum_matching_engine_view, maximum_matching_from,
-    maximum_matching_from_pooled, maximum_matching_view, McmOptions, McmResult, McmStats,
-    SolverPool,
-};
+pub use mcm::{maximum_matching, McmOptions, McmResult, McmStats, SolverPool, Start};
 pub use portfolio::{MatchingAlgo, PortfolioBackend, PortfolioOptions, SelectorStats};
 pub use semirings::SemiringKind;
 pub use vertex::Vertex;

@@ -5,7 +5,7 @@
 //! j-th column vertex, then `mate_r[i] = j` and `mate_c[j] = i` (-1 denotes
 //! unmatched vertices)."*
 
-use mcm_sparse::{Csc, CscView, DenseVec, Vidx, NIL};
+use mcm_sparse::{CscView, DenseVec, Vidx, NIL};
 
 /// A (partial) matching of an `n1 × n2` bipartite graph.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -74,23 +74,11 @@ impl Matching {
     }
 
     /// Checks internal consistency and that every matched edge exists in
-    /// `a`; returns a description of the first violation.
-    pub fn validate(&self, a: &Csc) -> Result<(), String> {
-        self.validate_with(a.nrows(), a.ncols(), |r, c| a.contains(r, c))
-    }
-
-    /// [`validate`](Self::validate) against a borrowed [`CscView`] — the
-    /// zero-copy path for MCSB-backed graphs (`mcm-store`).
-    pub fn validate_view(&self, v: &CscView<'_>) -> Result<(), String> {
-        self.validate_with(v.nrows(), v.ncols(), |r, c| v.contains(r, c))
-    }
-
-    fn validate_with(
-        &self,
-        nrows: usize,
-        ncols: usize,
-        contains: impl Fn(Vidx, usize) -> bool,
-    ) -> Result<(), String> {
+    /// `a` (an owned [`Csc`](mcm_sparse::Csc) or a borrowed [`CscView`]);
+    /// returns a description of the first violation.
+    pub fn validate<'a>(&self, a: impl Into<CscView<'a>>) -> Result<(), String> {
+        let a = a.into();
+        let (nrows, ncols) = (a.nrows(), a.ncols());
         if self.n1() != nrows || self.n2() != ncols {
             return Err(format!(
                 "dimension mismatch: matching {}x{}, matrix {}x{}",
@@ -114,7 +102,7 @@ impl Matching {
                     self.mate_r.get(r)
                 ));
             }
-            if !contains(r, j) {
+            if !a.contains(r, j) {
                 return Err(format!("matched edge ({r}, {j}) is not in the graph"));
             }
         }
@@ -134,7 +122,7 @@ impl Matching {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcm_sparse::Triples;
+    use mcm_sparse::{Csc, Triples};
 
     fn graph() -> Csc {
         Triples::from_edges(2, 2, vec![(0, 0), (0, 1), (1, 1)]).to_csc()

@@ -17,11 +17,9 @@ use crate::primitives::{invert_by, prune, select, set_dense};
 use crate::semirings::SemiringKind;
 use crate::vertex::Vertex;
 use mcm_bsp::collectives::per_rank_counts;
-use mcm_bsp::{
-    Communicator, DistCtx, DistMatrix, EngineComm, Kernel, ReduceOp, SharedComm, SpmvPlan,
-};
+use mcm_bsp::{Communicator, DistMatrix, Kernel, ReduceOp, SpmvPlan};
 use mcm_sparse::permute::{relabel_permutations, Permutation};
-use mcm_sparse::{CscView, DenseVec, SpVec, Triples, Vidx, NIL};
+use mcm_sparse::{CscView, DenseVec, SpVec, Vidx, NIL};
 
 /// Tunables of MCM-DIST.
 #[derive(Clone, Copy, Debug)]
@@ -110,44 +108,89 @@ pub struct McmResult {
     pub stats: McmStats,
 }
 
-/// Computes a maximum cardinality matching of the bipartite graph `t` on
-/// the machine behind `comm` — the cost-model simulator ([`DistCtx`]) or
-/// the thread-per-rank engine ([`EngineComm`]); modeled time accrues into
-/// the backend's timers either way.
+/// Where a solve starts from.
+#[derive(Clone, Debug)]
+pub enum Start {
+    /// From the empty matching, after running `opts.init`.
+    Cold,
+    /// From an existing valid (not necessarily maximal) matching in the
+    /// caller's labels; the initializer is skipped.
+    ///
+    /// §V of the paper shows a warm start removes most of the BFS work; the
+    /// incremental engine (`mcm-dyn`) leans on this as its large-dirty-set
+    /// fallback — after a batch of edge updates, the stale matching is still
+    /// valid on the new graph (matched deletions were unmatched first), so
+    /// the phase loop only has to repair the damaged region.
+    Warm(Matching),
+}
+
+/// Computes a maximum cardinality matching of the bipartite graph `a` on
+/// the machine behind `comm`: the cost-model simulator ([`mcm_bsp::DistCtx`]),
+/// the thread-per-rank engine ([`mcm_bsp::EngineComm`]) or the fused
+/// shared-memory backend ([`mcm_bsp::SharedComm`]). Modeled time accrues
+/// into the backend's timers either way, and every backend returns the
+/// identical matching (the `backend_differential` suite asserts this).
+///
+/// `a` is read in place: the load-balancing relabeling (§IV-A) is fused
+/// into the block scatter of matrix assembly, so no permuted or transposed
+/// edge list is ever materialized, and an mmap'ed MCSB view is solved
+/// zero-copy. An owned [`Csc`](mcm_sparse::Csc) lends its view for free
+/// ([`Csc::view`](mcm_sparse::Csc::view)); `Triples` convert once with
+/// `t.to_csc()`.
+///
+/// `pool` carries the SpMSpV plan and phase vectors across calls, so
+/// repeated solves on the same grid run on warm buffers (see
+/// [`SolverPool`]); pass `&mut SolverPool::new()` for a one-off solve.
+///
+/// # Panics
+/// Panics when a warm matching's dimensions do not match `a`'s;
+/// debug-panics when it is not a valid matching of `a`.
 pub fn maximum_matching<C: Communicator>(
     comm: &mut C,
-    t: &Triples,
+    a: &CscView<'_>,
+    start: Start,
     opts: &McmOptions,
+    pool: &mut SolverPool,
 ) -> McmResult {
-    // Load-balancing random relabeling (§IV-A); undone before returning.
-    // The permutation (and the transpose for At) is fused into the block
-    // scatter of matrix assembly — no permuted/transposed triple list is
-    // ever materialized.
-    let perms = opts.permute_seed.map(|seed| relabel_permutations(t.nrows(), t.ncols(), seed));
+    if let Start::Warm(warm) = &start {
+        assert!(
+            warm.n1() == a.nrows() && warm.n2() == a.ncols(),
+            "warm matching is {}x{} but the graph is {}x{}",
+            warm.n1(),
+            warm.n2(),
+            a.nrows(),
+            a.ncols()
+        );
+        debug_assert!(warm.validate(a).is_ok());
+    }
+    let perms = opts.permute_seed.map(|seed| relabel_permutations(a.nrows(), a.ncols(), seed));
     let (rowp, colp) = (perms.as_ref().map(|p| &p.0), perms.as_ref().map(|p| &p.1));
 
     // The transpose is needed by the row-proposing initializers and by the
     // bottom-up direction; when anything wants it, build both orientations
-    // from a single fused scatter pass.
-    // Blocks live on the backend's *physical* execution grid (1×1 for the
-    // shared backend, the accounting grid otherwise).
+    // from a single fused scatter pass. Blocks live on the backend's
+    // *physical* execution grid (1×1 for the shared backend, the
+    // accounting grid otherwise).
     let (epr, epc) = comm.exec_grid();
-    let needs_at = !matches!(opts.init, Initializer::None) || opts.direction_optimizing;
-    let (a, at) = if needs_at {
-        let (a, at) = DistMatrix::with_grid_mapped_pair(t, epr, epc, rowp, colp);
-        (a, Some(at))
+    let run_init = matches!(start, Start::Cold) && !matches!(opts.init, Initializer::None);
+    let (da, dat) = if run_init || opts.direction_optimizing {
+        let (da, dat) = DistMatrix::with_grid_csc_pair(a, epr, epc, rowp, colp);
+        (da, Some(dat))
     } else {
-        (DistMatrix::with_grid_mapped(t, epr, epc, rowp, colp, false), None)
+        (DistMatrix::with_grid_csc(a, epr, epc, rowp, colp), None)
     };
-    let mut m = match (&opts.init, &at) {
-        (Initializer::None, _) => Matching::empty(a.nrows(), a.ncols()),
-        (init, Some(at)) => init.run(comm, &a, at, opts.seed),
-        _ => unreachable!("needs_at covers every non-None initializer"),
+    let mut m = match (start, &dat) {
+        (Start::Warm(warm), _) => match &perms {
+            None => warm,
+            Some((rowp, colp)) => permute_matching(warm, rowp, colp),
+        },
+        (Start::Cold, Some(dat)) if run_init => opts.init.run(comm, &da, dat, opts.seed),
+        (Start::Cold, _) => Matching::empty(a.nrows(), a.ncols()),
     };
     let mut stats =
         McmStats { init_cardinality: m.cardinality(), algo: "msbfs", ..Default::default() };
 
-    run_phases(comm, &a, at.as_ref(), &mut m, opts, &mut stats);
+    run_phases_pooled(comm, &da, dat.as_ref(), &mut m, opts, &mut stats, pool);
 
     let matching = match perms {
         None => m,
@@ -156,77 +199,15 @@ pub fn maximum_matching<C: Communicator>(
     McmResult { matching, stats }
 }
 
-/// [`maximum_matching`] from a borrowed CSC view — the zero-copy path for
-/// mmap-backed MCSB graphs (`mcm-store`).
-///
-/// Identical pipeline, but matrix assembly reads the view in place
-/// ([`DistMatrix::with_grid_csc_pair`]): the default load-balancing
-/// relabeling streams permuted coordinates through a two-pass counting
-/// build, so no triple list (permuted or otherwise) is ever materialized.
-/// Produces the same matching as [`maximum_matching`] on the equivalent
-/// triples (asserted by `tests/store.rs`).
-pub fn maximum_matching_view<C: Communicator>(
-    comm: &mut C,
-    v: &CscView<'_>,
-    opts: &McmOptions,
-) -> McmResult {
-    let perms = opts.permute_seed.map(|seed| relabel_permutations(v.nrows(), v.ncols(), seed));
-    let (rowp, colp) = (perms.as_ref().map(|p| &p.0), perms.as_ref().map(|p| &p.1));
-    let (epr, epc) = comm.exec_grid();
-    let needs_at = !matches!(opts.init, Initializer::None) || opts.direction_optimizing;
-    let (a, at) = if needs_at {
-        let (a, at) = DistMatrix::with_grid_csc_pair(v, epr, epc, rowp, colp);
-        (a, Some(at))
-    } else {
-        (DistMatrix::with_grid_csc(v, epr, epc, rowp, colp, false), None)
-    };
-    let mut m = match (&opts.init, &at) {
-        (Initializer::None, _) => Matching::empty(a.nrows(), a.ncols()),
-        (init, Some(at)) => init.run(comm, &a, at, opts.seed),
-        _ => unreachable!("needs_at covers every non-None initializer"),
-    };
-    let mut stats =
-        McmStats { init_cardinality: m.cardinality(), algo: "msbfs", ..Default::default() };
-
-    run_phases(comm, &a, at.as_ref(), &mut m, opts, &mut stats);
-
-    let matching = match perms {
-        None => m,
-        Some((rowp, colp)) => unpermute(m, &rowp, &colp),
-    };
-    McmResult { matching, stats }
-}
-
-/// Warm-start entry point: resumes MCM-DIST from an existing valid (not
-/// necessarily maximal) matching instead of running an initializer.
-///
-/// §V of the paper shows a warm start removes most of the BFS work; the
-/// incremental engine (`mcm-dyn`) leans on this as its large-dirty-set
-/// fallback — after a batch of edge updates, the stale matching is still
-/// valid on the new graph (matched deletions were unmatched first), so the
-/// phase loop only has to repair the damaged region.
-///
-/// # Panics
-/// Panics when `warm`'s dimensions do not match `t`'s; debug-panics when
-/// `warm` is not a valid matching of `t`.
-pub fn maximum_matching_from<C: Communicator>(
-    comm: &mut C,
-    t: &Triples,
-    warm: Matching,
-    opts: &McmOptions,
-) -> McmResult {
-    maximum_matching_from_pooled(comm, t, warm, opts, &mut SolverPool::new())
-}
-
-/// Reusable cross-solve state for repeated warm-started runs: the SpMSpV
+/// Reusable cross-solve state for repeated solves: the SpMSpV
 /// plan (per-block workspaces + frontier-slice buffers) and the dense
 /// `parent_r`/`path_c` phase vectors.
 ///
-/// One [`maximum_matching_from`] call pays ~1.3ms of cold allocations on
+/// One [`maximum_matching`] call pays ~1.3ms of cold allocations on
 /// the benchmark instances before its first iteration runs warm; a
 /// service that falls back repeatedly (`mcm-dyn`'s large-dirty-set path,
 /// `mcmd` under load) pays it per solve. Holding a `SolverPool` across
-/// [`maximum_matching_from_pooled`] calls keeps those buffers at their
+/// [`maximum_matching`] calls keeps those buffers at their
 /// high-water mark instead: every call after the first runs entirely on
 /// warm workspaces as long as the grid shape is stable (buffers regrow
 /// transparently when the graph outgrows them).
@@ -285,50 +266,8 @@ impl std::fmt::Debug for SolverPool {
     }
 }
 
-/// [`maximum_matching_from`] with buffers drawn from (and returned to) a
-/// caller-held [`SolverPool`], so repeated warm-started solves skip the
-/// per-solve cold allocations.
-pub fn maximum_matching_from_pooled<C: Communicator>(
-    comm: &mut C,
-    t: &Triples,
-    warm: Matching,
-    opts: &McmOptions,
-    pool: &mut SolverPool,
-) -> McmResult {
-    assert!(
-        warm.n1() == t.nrows() && warm.n2() == t.ncols(),
-        "warm matching is {}x{} but the graph is {}x{}",
-        warm.n1(),
-        warm.n2(),
-        t.nrows(),
-        t.ncols()
-    );
-    debug_assert!(warm.validate(&t.to_csc()).is_ok());
-    let perms = opts.permute_seed.map(|seed| relabel_permutations(t.nrows(), t.ncols(), seed));
-    let (rowp, colp) = (perms.as_ref().map(|p| &p.0), perms.as_ref().map(|p| &p.1));
-    let (epr, epc) = comm.exec_grid();
-    let a = DistMatrix::with_grid_mapped(t, epr, epc, rowp, colp, false);
-    let at = opts
-        .direction_optimizing
-        .then(|| DistMatrix::with_grid_mapped(t, epr, epc, rowp, colp, true));
-    let mut m = match &perms {
-        None => warm,
-        Some((rowp, colp)) => permute_matching(warm, rowp, colp),
-    };
-    let mut stats =
-        McmStats { init_cardinality: m.cardinality(), algo: "msbfs", ..Default::default() };
-
-    run_phases_pooled(comm, &a, at.as_ref(), &mut m, opts, &mut stats, pool);
-
-    let matching = match perms {
-        None => m,
-        Some((rowp, colp)) => unpermute(m, &rowp, &colp),
-    };
-    McmResult { matching, stats }
-}
-
 /// Maps a matching in original labels into relabeled vertices (the inverse
-/// of [`unpermute`], used by the warm-start entry).
+/// of [`unpermute`], used by warm starts).
 fn permute_matching(m: Matching, rowp: &Permutation, colp: &Permutation) -> Matching {
     let mut out = Matching::empty(m.n1(), m.n2());
     for j in 0..m.n2() as Vidx {
@@ -341,7 +280,8 @@ fn permute_matching(m: Matching, rowp: &Permutation, colp: &Permutation) -> Matc
 }
 
 /// The phase loop of Algorithm 2, operating on an already-distributed
-/// matrix and matching (used directly by benches that pre-distribute).
+/// matrix and matching (used directly by harnesses that time assembly and
+/// the phases apart).
 /// `at` (the transpose) is only consulted when `opts.direction_optimizing`.
 pub fn run_phases<C: Communicator>(
     comm: &mut C,
@@ -358,7 +298,7 @@ pub fn run_phases<C: Communicator>(
 /// the SpMSpV plan and the dense phase vectors persist across calls, so a
 /// second solve on the same grid starts with every buffer already at its
 /// high-water mark (the per-solve cold-allocation cost drops to zero).
-pub fn run_phases_pooled<C: Communicator>(
+fn run_phases_pooled<C: Communicator>(
     comm: &mut C,
     a: &DistMatrix,
     at: Option<&DistMatrix>,
@@ -541,81 +481,23 @@ fn unpermute(m: Matching, rowp: &Permutation, colp: &Permutation) -> Matching {
     out
 }
 
-/// Convenience: MCM on a serial (1-process) context.
-pub fn maximum_matching_serial(t: &Triples, opts: &McmOptions) -> McmResult {
-    let mut ctx = DistCtx::serial();
-    maximum_matching(&mut ctx, t, opts)
-}
-
-/// MCM on the thread-per-rank execution backend: `p` real ranks (a perfect
-/// square — the 2D SpMV grid) with `threads` workers per rank, every
-/// collective a real channel-mesh exchange and every RMA epoch an atomic
-/// window. Produces the identical matching the simulator backend produces
-/// (the `backend_differential` suite asserts this across the full
-/// generator corpus) while actually using all `p · threads` cores.
-pub fn maximum_matching_engine(
-    p: usize,
-    threads: usize,
-    t: &Triples,
-    opts: &McmOptions,
-) -> McmResult {
-    let mut comm = EngineComm::new(p, threads);
-    maximum_matching(&mut comm, t, opts)
-}
-
-/// MCM on the shared-memory backend: `p` logical ranks (a perfect square)
-/// accounted at simulator-identical α–β–γ cost, executed in one address
-/// space on a single matrix block with the SpMSpV expand/fold fused into
-/// the communication epoch (see [`mcm_bsp::SharedComm`]). Produces the
-/// identical matching and modeled timers the simulator produces at the
-/// same `p` and `threads`.
-pub fn maximum_matching_shared(
-    p: usize,
-    threads: usize,
-    t: &Triples,
-    opts: &McmOptions,
-) -> McmResult {
-    let mut comm = SharedComm::new(p, threads);
-    maximum_matching(&mut comm, t, opts)
-}
-
-/// [`maximum_matching_serial`] from a borrowed CSC view.
-pub fn maximum_matching_serial_view(v: &CscView<'_>, opts: &McmOptions) -> McmResult {
-    let mut ctx = DistCtx::serial();
-    maximum_matching_view(&mut ctx, v, opts)
-}
-
-/// [`maximum_matching_engine`] from a borrowed CSC view.
-pub fn maximum_matching_engine_view(
-    p: usize,
-    threads: usize,
-    v: &CscView<'_>,
-    opts: &McmOptions,
-) -> McmResult {
-    let mut comm = EngineComm::new(p, threads);
-    maximum_matching_view(&mut comm, v, opts)
-}
-
-/// [`maximum_matching_shared`] from a borrowed CSC view: the end of the
-/// zero-copy chain — mmap'ed MCSB pages feed the single shared-memory block
-/// with no intermediate edge list (the path the BENCH_store scaling curve
-/// measures).
-pub fn maximum_matching_shared_view(
-    p: usize,
-    threads: usize,
-    v: &CscView<'_>,
-    opts: &McmOptions,
-) -> McmResult {
-    let mut comm = SharedComm::new(p, threads);
-    maximum_matching_view(&mut comm, v, opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::serial::hopcroft_karp;
     use crate::verify::assert_maximum;
-    use mcm_bsp::MachineConfig;
+    use mcm_bsp::{DistCtx, MachineConfig};
+    use mcm_sparse::Triples;
+
+    /// One solve of `t` on `comm` with a throwaway pool.
+    fn solve<C: Communicator>(
+        comm: &mut C,
+        t: &Triples,
+        start: Start,
+        opts: &McmOptions,
+    ) -> McmResult {
+        maximum_matching(comm, &t.to_csc().view(), start, opts, &mut SolverPool::new())
+    }
 
     fn fig2() -> Triples {
         Triples::from_edges(
@@ -629,7 +511,7 @@ mod tests {
     fn finds_maximum_on_fig2() {
         let t = fig2();
         let mut ctx = DistCtx::new(MachineConfig::hybrid(2, 2));
-        let r = maximum_matching(&mut ctx, &t, &McmOptions::default());
+        let r = solve(&mut ctx, &t, Start::Cold, &McmOptions::default());
         let a = t.to_csc();
         assert_maximum(&a, &r.matching);
         assert_eq!(r.matching.cardinality(), 4);
@@ -657,7 +539,7 @@ mod tests {
             ] {
                 let mut ctx = DistCtx::new(MachineConfig::hybrid(dim, 1));
                 let opts = McmOptions { semiring, prune: prune_on, ..Default::default() };
-                let r = maximum_matching(&mut ctx, &t, &opts);
+                let r = solve(&mut ctx, &t, Start::Cold, &opts);
                 r.matching.validate(&t.to_csc()).unwrap();
                 assert_eq!(
                     r.matching.cardinality(),
@@ -680,7 +562,7 @@ mod tests {
         ] {
             let mut ctx = DistCtx::new(MachineConfig::hybrid(2, 1));
             let opts = McmOptions { init, ..Default::default() };
-            let r = maximum_matching(&mut ctx, &t, &opts);
+            let r = solve(&mut ctx, &t, Start::Cold, &opts);
             assert_eq!(r.matching.cardinality(), want, "init {init:?}");
         }
     }
@@ -688,12 +570,9 @@ mod tests {
     #[test]
     fn permutation_is_transparent() {
         let t = fig2();
-        let base =
-            maximum_matching_serial(&t, &McmOptions { permute_seed: None, ..Default::default() });
-        let perm = maximum_matching_serial(
-            &t,
-            &McmOptions { permute_seed: Some(77), ..Default::default() },
-        );
+        let serial = |opts: &McmOptions| solve(&mut DistCtx::serial(), &t, Start::Cold, opts);
+        let base = serial(&McmOptions { permute_seed: None, ..Default::default() });
+        let perm = serial(&McmOptions { permute_seed: Some(77), ..Default::default() });
         assert_eq!(base.matching.cardinality(), perm.matching.cardinality());
         perm.matching.validate(&t.to_csc()).unwrap();
     }
@@ -703,7 +582,7 @@ mod tests {
         let t = fig2();
         let run = |init| {
             let opts = McmOptions { init, permute_seed: None, ..Default::default() };
-            maximum_matching_serial(&t, &opts).stats
+            solve(&mut DistCtx::serial(), &t, Start::Cold, &opts).stats
         };
         let cold = run(Initializer::None);
         let warm = run(Initializer::DynamicMindegree);
@@ -732,7 +611,7 @@ mod tests {
                     permute_seed: None,
                     ..Default::default()
                 };
-                let r = maximum_matching(&mut ctx, &t, &opts);
+                let r = solve(&mut ctx, &t, Start::Cold, &opts);
                 (r.matching, r.stats.bottom_up_iterations)
             };
             let (plain, zero) = run(false);
@@ -763,7 +642,7 @@ mod tests {
                 permute_seed: None,
                 ..Default::default()
             };
-            let _ = maximum_matching(&mut ctx, &t, &opts);
+            let _ = solve(&mut ctx, &t, Start::Cold, &opts);
             ctx.timers.seconds(Kernel::SpMV)
         };
         assert!(
@@ -780,7 +659,7 @@ mod tests {
         let t = fig2();
         let mut ctx = DistCtx::new(MachineConfig::hybrid(2, 1));
         let opts = McmOptions { init: Initializer::None, ..Default::default() };
-        let r = maximum_matching(&mut ctx, &t, &opts);
+        let r = solve(&mut ctx, &t, Start::Cold, &opts);
         let s = &r.stats;
         assert!(s.spmv_workspace_calls > 0);
         assert!(s.spmv_workspace_hits > 0, "later iterations must reuse buffers");
@@ -817,7 +696,7 @@ mod tests {
             for permute_seed in [None, Some(0xBEEF + trial)] {
                 let mut ctx = DistCtx::new(MachineConfig::hybrid(2, 1));
                 let opts = McmOptions { permute_seed, ..Default::default() };
-                let r = maximum_matching_from(&mut ctx, &t, warm.clone(), &opts);
+                let r = solve(&mut ctx, &t, Start::Warm(warm.clone()), &opts);
                 r.matching.validate(&a).unwrap();
                 assert_eq!(
                     r.matching.cardinality(),
@@ -836,7 +715,7 @@ mod tests {
         let a = t.to_csc();
         let warm = hopcroft_karp(&a, None);
         let mut ctx = DistCtx::new(MachineConfig::hybrid(2, 1));
-        let r = maximum_matching_from(&mut ctx, &t, warm, &McmOptions::default());
+        let r = solve(&mut ctx, &t, Start::Warm(warm), &McmOptions::default());
         assert_eq!(r.stats.augmentations, 0, "an already-maximum warm start needs no paths");
         assert_eq!(r.stats.phases, 1, "one certifying phase only");
         assert_eq!(r.matching.cardinality(), 4);
@@ -853,7 +732,8 @@ mod tests {
         let mut pool = SolverPool::new();
         let run = |pool: &mut SolverPool| {
             let mut ctx = DistCtx::new(MachineConfig::hybrid(2, 1));
-            maximum_matching_from_pooled(&mut ctx, &t, Matching::empty(4, 5), &opts, pool)
+            let a = t.to_csc();
+            maximum_matching(&mut ctx, &a.view(), Start::Warm(Matching::empty(4, 5)), &opts, pool)
         };
         let first = run(&mut pool);
         assert_eq!(first.matching.cardinality(), 4);
@@ -884,14 +764,14 @@ mod tests {
     fn warm_start_rejects_dimension_mismatch() {
         let t = fig2();
         let mut ctx = DistCtx::serial();
-        let _ = maximum_matching_from(&mut ctx, &t, Matching::empty(2, 2), &McmOptions::default());
+        let _ = solve(&mut ctx, &t, Start::Warm(Matching::empty(2, 2)), &McmOptions::default());
     }
 
     #[test]
     fn charges_all_kernel_categories() {
         let t = fig2();
         let mut ctx = DistCtx::new(MachineConfig::hybrid(2, 1));
-        let _ = maximum_matching(&mut ctx, &t, &McmOptions::default());
+        let _ = solve(&mut ctx, &t, Start::Cold, &McmOptions::default());
         assert!(ctx.timers.calls(Kernel::SpMV) > 0);
         assert!(ctx.timers.calls(Kernel::Invert) > 0);
         assert!(ctx.timers.calls(Kernel::Select) > 0);

@@ -18,15 +18,11 @@
 //! serial oracles regardless of the pick.
 
 use crate::auction::{auction, AuctionOptions};
-use crate::matching::Matching;
-use crate::mcm::{
-    maximum_matching, maximum_matching_engine, maximum_matching_shared, McmOptions, McmResult,
-    McmStats,
-};
+use crate::mcm::{maximum_matching, McmOptions, McmResult, McmStats, SolverPool, Start};
 use crate::ppf::{ppf, PpfOptions};
 use crate::weighted::{auction_mwm_par, WeightedResult};
-use mcm_bsp::{DistCtx, MachineConfig};
-use mcm_sparse::{Csc, Triples, WCsc};
+use mcm_bsp::{DistCtx, EngineComm, MachineConfig, SharedComm};
+use mcm_sparse::{CscView, Triples, WCsc};
 use std::fmt;
 use std::str::FromStr;
 
@@ -117,13 +113,15 @@ impl SelectorStats {
     /// degree at ≥ 2× the mean at these sizes).
     pub const UNIFORM: f64 = 1.25;
 
-    /// Measures the selector inputs (deduplicates via CSC assembly).
+    /// Measures the selector inputs of an edge list (deduplicates via CSC
+    /// assembly).
     pub fn measure(t: &Triples) -> SelectorStats {
         Self::measure_csc(&t.to_csc())
     }
 
-    /// Measures the selector inputs from an already-assembled CSC.
-    pub fn measure_csc(a: &Csc) -> SelectorStats {
+    /// Measures the selector inputs from an owned CSC or a borrowed view.
+    pub fn measure_csc<'a>(a: impl Into<CscView<'a>>) -> SelectorStats {
+        let a = a.into();
         let (n1, n2) = (a.nrows(), a.ncols());
         let mut nnz = 0usize;
         let mut max_col = 0usize;
@@ -247,44 +245,46 @@ impl Default for PortfolioOptions {
 
 /// Resolves `Auto` to a concrete engine for this graph (measures only
 /// when needed); returns the engine together with the measured stats.
-pub fn resolve_algo(t: &Triples, algo: MatchingAlgo) -> (MatchingAlgo, Option<SelectorStats>) {
+pub fn resolve_algo(a: &CscView<'_>, algo: MatchingAlgo) -> (MatchingAlgo, Option<SelectorStats>) {
     match algo {
         MatchingAlgo::Auto => {
-            let s = SelectorStats::measure(t);
+            let s = SelectorStats::measure_csc(a);
             (s.choose(), Some(s))
         }
         concrete => (concrete, None),
     }
 }
 
-/// Runs the portfolio on `t`: resolves `Auto`, dispatches the engine, and
+/// Runs the portfolio on `a`: resolves `Auto`, dispatches the engine, and
 /// stamps `McmStats::algo`/`algo_auto` plus the
 /// `mcm_algo_runs_total{algo,selector}` metric.
-pub fn solve(t: &Triples, opts: &PortfolioOptions) -> McmResult {
+pub fn solve(a: &CscView<'_>, opts: &PortfolioOptions) -> McmResult {
     let was_auto = opts.algo == MatchingAlgo::Auto;
-    let (algo, _) = resolve_algo(t, opts.algo);
+    let (algo, _) = resolve_algo(a, opts.algo);
     mcm_obs::counter_add(
         "mcm_algo_runs_total",
         &[("algo", algo.name()), ("selector", if was_auto { "auto" } else { "explicit" })],
         1,
     );
     let mut result = match algo {
-        MatchingAlgo::MsBfs => match opts.backend {
-            PortfolioBackend::Sim { grid, threads } => {
-                let mut ctx = DistCtx::new(MachineConfig::hybrid(grid, threads));
-                maximum_matching(&mut ctx, t, &opts.mcm)
+        MatchingAlgo::MsBfs => {
+            let (mcm, pool) = (&opts.mcm, &mut SolverPool::new());
+            match opts.backend {
+                PortfolioBackend::Sim { grid, threads } => {
+                    let mut ctx = DistCtx::new(MachineConfig::hybrid(grid, threads));
+                    maximum_matching(&mut ctx, a, Start::Cold, mcm, pool)
+                }
+                PortfolioBackend::Engine { p, threads } => {
+                    maximum_matching(&mut EngineComm::new(p, threads), a, Start::Cold, mcm, pool)
+                }
+                PortfolioBackend::Shared { p, threads } => {
+                    maximum_matching(&mut SharedComm::new(p, threads), a, Start::Cold, mcm, pool)
+                }
             }
-            PortfolioBackend::Engine { p, threads } => {
-                maximum_matching_engine(p, threads, t, &opts.mcm)
-            }
-            PortfolioBackend::Shared { p, threads } => {
-                maximum_matching_shared(p, threads, t, &opts.mcm)
-            }
-        },
+        }
         MatchingAlgo::Ppf => {
-            let a = t.to_csc();
             let ppf_opts = PpfOptions { threads: opts.threads, fairness: true, seed: opts.seed };
-            let r = ppf(&a, None, &ppf_opts);
+            let r = ppf(a, None, &ppf_opts);
             McmResult {
                 matching: r.matching,
                 stats: McmStats {
@@ -296,13 +296,12 @@ pub fn solve(t: &Triples, opts: &PortfolioOptions) -> McmResult {
             }
         }
         MatchingAlgo::Auction => {
-            let a = t.to_csc();
             let auction_opts = AuctionOptions {
                 threads: opts.threads,
                 seed: opts.seed,
                 ..AuctionOptions::default()
             };
-            let r = auction(&a, &auction_opts);
+            let r = auction(a, &auction_opts);
             let stats = McmStats {
                 algo: "auction",
                 phases: r.stats.scales,
@@ -316,11 +315,6 @@ pub fn solve(t: &Triples, opts: &PortfolioOptions) -> McmResult {
     };
     result.stats.algo_auto = was_auto;
     result
-}
-
-/// Convenience: [`solve`] returning only the matching.
-pub fn solve_matching(t: &Triples, opts: &PortfolioOptions) -> Matching {
-    solve(t, opts).matching
 }
 
 /// The weighted front door: maximum *weight* matching through the
@@ -436,14 +430,15 @@ mod tests {
             for _ in 0..2 * n1.max(n2) {
                 t.push(rngv.below(n1 as u64) as Vidx, rngv.below(n2 as u64) as Vidx);
             }
-            let want = hopcroft_karp(&t.to_csc(), None).cardinality();
+            let a = t.to_csc();
+            let want = hopcroft_karp(&a, None).cardinality();
             for algo in MatchingAlgo::CONCRETE {
-                let r = solve(&t, &PortfolioOptions { algo, ..PortfolioOptions::default() });
+                let r = solve(&a.view(), &PortfolioOptions { algo, ..PortfolioOptions::default() });
                 assert_eq!(r.matching.cardinality(), want, "algo {algo}");
                 assert_eq!(r.stats.algo, algo.name());
                 assert!(!r.stats.algo_auto);
             }
-            let auto = solve(&t, &PortfolioOptions::default());
+            let auto = solve(&a.view(), &PortfolioOptions::default());
             assert_eq!(auto.matching.cardinality(), want);
             assert!(auto.stats.algo_auto);
             assert_ne!(auto.stats.algo, "auto", "auto must resolve to a concrete engine");

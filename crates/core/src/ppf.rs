@@ -35,7 +35,7 @@
 
 use crate::matching::Matching;
 use mcm_sparse::permute::SplitMix64;
-use mcm_sparse::{Csc, Vidx, NIL};
+use mcm_sparse::{CscView, Vidx, NIL};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 /// Tunables of the parallel Pothen–Fan engine.
@@ -98,7 +98,8 @@ struct FoundPath {
 
 /// Computes a maximum cardinality matching by phase-synchronous parallel
 /// Pothen–Fan, optionally warm-started from `init`.
-pub fn ppf(a: &Csc, init: Option<Matching>, opts: &PpfOptions) -> PpfResult {
+pub fn ppf<'a>(a: impl Into<CscView<'a>>, init: Option<Matching>, opts: &PpfOptions) -> PpfResult {
+    let a = &a.into();
     let (n1, n2) = (a.nrows(), a.ncols());
     let mut m = init.unwrap_or_else(|| Matching::empty(n1, n2));
     debug_assert!(m.validate(a).is_ok());
@@ -169,7 +170,7 @@ pub fn ppf(a: &Csc, init: Option<Matching>, opts: &PpfOptions) -> PpfResult {
 /// One phase: workers pull roots from a shared cursor and DFS against the
 /// frozen matching; returns the disjoint paths found.
 fn run_phase(
-    a: &Csc,
+    a: &CscView<'_>,
     m: &Matching,
     visited: &[AtomicU32],
     lookahead: &[AtomicUsize],
@@ -232,7 +233,7 @@ fn claim(slot: &AtomicU32, phase: u32) -> bool {
 /// matching. Rows are inspected only after winning their stamp CAS, so
 /// concurrent searches stay vertex-disjoint.
 fn dfs_lookahead(
-    a: &Csc,
+    a: &CscView<'_>,
     m: &Matching,
     visited: &[AtomicU32],
     lookahead: &[AtomicUsize],

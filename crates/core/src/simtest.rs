@@ -25,7 +25,7 @@
 use crate::auction::{auction, AuctionOptions};
 use crate::augment::AugmentMode;
 use crate::maximal::Initializer;
-use crate::mcm::{maximum_matching, McmOptions};
+use crate::mcm::{maximum_matching, McmOptions, SolverPool, Start};
 use crate::portfolio::{solve, MatchingAlgo, PortfolioOptions};
 use crate::primitives::invert;
 use crate::semirings::SemiringKind;
@@ -182,20 +182,21 @@ pub fn differential_sweep(
                         for &seed in &cfg.sched_seeds {
                             let sched = Schedule::new(seed);
                             report.runs += 1;
-                            report.interleave_steps +=
-                                run_one(graph, &a, want, dim, semiring, init, augment, sched)
-                                    .map_err(|detail| {
-                                        Box::new(SweepFailure {
-                                            case: name.clone(),
-                                            dim,
-                                            semiring,
-                                            init,
-                                            augment,
-                                            sched_seed: seed,
-                                            algo: "msbfs",
-                                            detail,
-                                        })
-                                    })?;
+                            report.interleave_steps += run_one(
+                                &a, want, dim, semiring, init, augment, sched,
+                            )
+                            .map_err(|detail| {
+                                Box::new(SweepFailure {
+                                    case: name.clone(),
+                                    dim,
+                                    semiring,
+                                    init,
+                                    augment,
+                                    sched_seed: seed,
+                                    algo: "msbfs",
+                                    detail,
+                                })
+                            })?;
                         }
                     }
                 }
@@ -220,20 +221,18 @@ pub fn differential_sweep(
             for &algo in &cfg.algos {
                 for &seed in &cfg.sched_seeds {
                     report.portfolio_runs += 1;
-                    run_portfolio_one(graph, &a, want, algo, dim * dim, seed).map_err(
-                        |detail| {
-                            Box::new(SweepFailure {
-                                case: name.clone(),
-                                dim,
-                                semiring: SemiringKind::MinParent,
-                                init: Initializer::None,
-                                augment: AugmentMode::Auto,
-                                sched_seed: seed,
-                                algo: algo.name(),
-                                detail,
-                            })
-                        },
-                    )?;
+                    run_portfolio_one(&a, want, algo, dim * dim, seed).map_err(|detail| {
+                        Box::new(SweepFailure {
+                            case: name.clone(),
+                            dim,
+                            semiring: SemiringKind::MinParent,
+                            init: Initializer::None,
+                            augment: AugmentMode::Auto,
+                            sched_seed: seed,
+                            algo: algo.name(),
+                            detail,
+                        })
+                    })?;
                 }
             }
         }
@@ -246,7 +245,6 @@ pub fn differential_sweep(
 /// the full Berge certificate, and the seeded dirty-region certificate
 /// (`is_maximum_from` from every unmatched column).
 fn run_portfolio_one(
-    graph: &Triples,
     a: &Csc,
     want: usize,
     algo: MatchingAlgo,
@@ -254,7 +252,7 @@ fn run_portfolio_one(
     seed: u64,
 ) -> Result<(), String> {
     let opts = PortfolioOptions { algo, threads, seed, ..PortfolioOptions::default() };
-    let r = solve(graph, &opts);
+    let r = solve(&a.view(), &opts);
     if r.stats.algo != algo.name() {
         return Err(format!("stats.algo reports '{}', expected '{}'", r.stats.algo, algo.name()));
     }
@@ -293,7 +291,6 @@ fn oracle_cardinality(a: &Csc) -> Result<usize, String> {
 /// interleaved service steps it contributed.
 #[allow(clippy::too_many_arguments)]
 fn run_one(
-    graph: &Triples,
     a: &Csc,
     want: usize,
     dim: usize,
@@ -312,7 +309,7 @@ fn run_one(
         seed,
         ..Default::default()
     };
-    let r = maximum_matching(&mut ctx, graph, &opts);
+    let r = maximum_matching(&mut ctx, &a.view(), Start::Cold, &opts, &mut SolverPool::new());
     if r.matching.cardinality() != want {
         return Err(format!(
             "cardinality {} diverged from serial oracles ({want})",
@@ -417,7 +414,7 @@ pub fn detect_injected_fault(
         let sched = Schedule::with_config(seed, cfg);
         let (semiring, init, augment) =
             (SemiringKind::MinParent, Initializer::Greedy, AugmentMode::PathParallel);
-        if let Err(detail) = run_one(graph, &a, want, 1, semiring, init, augment, sched) {
+        if let Err(detail) = run_one(&a, want, 1, semiring, init, augment, sched) {
             return Some((
                 seed,
                 Box::new(SweepFailure {
@@ -557,7 +554,7 @@ mod tests {
         let a = g.to_csc();
         let want = oracle_cardinality(&a).unwrap();
         for seed in budget {
-            run_portfolio_one(&g, &a, want, MatchingAlgo::Auction, 1, seed)
+            run_portfolio_one(&a, want, MatchingAlgo::Auction, 1, seed)
                 .unwrap_or_else(|e| panic!("clean auction run failed under seed {seed}: {e}"));
         }
     }
@@ -588,7 +585,6 @@ mod tests {
         let want = oracle_cardinality(&a).unwrap();
         for seed in 0..3 {
             run_one(
-                &g,
                 &a,
                 want,
                 1,

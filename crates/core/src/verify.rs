@@ -55,9 +55,12 @@ impl fmt::Display for VerifyError {
 impl std::error::Error for VerifyError {}
 
 /// Full verification as a `Result`: structural validity plus the Berge
-/// maximality certificate. The panicking [`assert_maximum`] wraps this for
-/// benches and examples.
-pub fn verify(a: &Csc, m: &Matching) -> Result<(), VerifyError> {
+/// maximality certificate. Takes an owned [`Csc`] or a borrowed
+/// [`CscView`] (MCSB-backed runs verify against the mapped pages
+/// themselves). The panicking [`assert_maximum`] wraps this for benches
+/// and examples.
+pub fn verify<'a>(a: impl Into<CscView<'a>>, m: &Matching) -> Result<(), VerifyError> {
+    let a = a.into();
     m.validate(a).map_err(VerifyError::Invalid)?;
     if !is_maximum(a, m) {
         return Err(VerifyError::NotMaximum { cardinality: m.cardinality() });
@@ -65,16 +68,10 @@ pub fn verify(a: &Csc, m: &Matching) -> Result<(), VerifyError> {
     Ok(())
 }
 
-/// [`verify`] against a borrowed [`CscView`] — validity plus the Berge
-/// certificate without materializing an owned `Csc`, so MCSB-backed runs
-/// (`mcm match --load graph.mcsb`) are verified against the mapped pages
-/// themselves.
+/// [`verify`] under its older view-only name, kept for the benchmark's
+/// library probe (`perfbench/probe`).
 pub fn verify_view(v: &CscView<'_>, m: &Matching) -> Result<(), VerifyError> {
-    m.validate_view(v).map_err(VerifyError::Invalid)?;
-    if !is_maximum_view(v, m) {
-        return Err(VerifyError::NotMaximum { cardinality: m.cardinality() });
-    }
-    Ok(())
+    verify(v, m)
 }
 
 /// `true` when no edge connects an unmatched row to an unmatched column.
@@ -97,15 +94,9 @@ pub fn is_maximal(a: &Csc, m: &Matching) -> bool {
 /// Alternating BFS over columns: start from all unmatched columns; from a
 /// column go to any unvisited row neighbour; from a matched row go to its
 /// mate column. Reaching an unmatched row ⇔ an augmenting path exists.
-pub fn is_maximum(a: &Csc, m: &Matching) -> bool {
+pub fn is_maximum<'a>(a: impl Into<CscView<'a>>, m: &Matching) -> bool {
     let seeds: Vec<Vidx> = m.unmatched_cols();
     is_maximum_from(a, m, &seeds)
-}
-
-/// [`is_maximum`] against a borrowed [`CscView`] (zero-copy MCSB path).
-pub fn is_maximum_view(v: &CscView<'_>, m: &Matching) -> bool {
-    let seeds: Vec<Vidx> = m.unmatched_cols();
-    berge_from(v.nrows(), v.ncols(), |j| v.col(j), m, &seeds)
 }
 
 /// Dirty-region Berge certificate: `true` when no augmenting path starts
@@ -119,21 +110,10 @@ pub fn is_maximum_view(v: &CscView<'_>, m: &Matching) -> bool {
 /// only dirtied `seed_cols`' trees, and augmenting elsewhere never
 /// creates new paths from a settled free vertex). The sweep harnesses
 /// cross-check it against the full [`is_maximum`].
-pub fn is_maximum_from(a: &Csc, m: &Matching, seed_cols: &[Vidx]) -> bool {
-    berge_from(a.nrows(), a.ncols(), |j| a.col(j), m, seed_cols)
-}
-
-/// Alternating-BFS core shared by the owned and borrowed-view entry points:
-/// `col` abstracts column access over `Csc` / `CscView`.
-fn berge_from<'a>(
-    nrows: usize,
-    ncols: usize,
-    col: impl Fn(usize) -> &'a [Vidx],
-    m: &Matching,
-    seed_cols: &[Vidx],
-) -> bool {
-    let mut visited_col = vec![false; ncols];
-    let mut visited_row = vec![false; nrows];
+pub fn is_maximum_from<'a>(a: impl Into<CscView<'a>>, m: &Matching, seed_cols: &[Vidx]) -> bool {
+    let a = a.into();
+    let mut visited_col = vec![false; a.ncols()];
+    let mut visited_row = vec![false; a.nrows()];
     let mut queue: Vec<Vidx> = Vec::new();
     for &c in seed_cols {
         if !m.col_matched(c) && !visited_col[c as usize] {
@@ -145,7 +125,7 @@ fn berge_from<'a>(
     while head < queue.len() {
         let c = queue[head];
         head += 1;
-        for &r in col(c as usize) {
+        for &r in a.col(c as usize) {
             if visited_row[r as usize] {
                 continue;
             }
@@ -235,7 +215,7 @@ pub fn verify_eps_cs(a: &WCsc, m: &Matching, prices: &[f64], eps: f64) -> Result
 
 /// Panics with a diagnostic unless `m` is a valid maximum matching of `a`
 /// (the [`verify`] wrapper for benches, examples, and tests).
-pub fn assert_maximum(a: &Csc, m: &Matching) {
+pub fn assert_maximum<'a>(a: impl Into<CscView<'a>>, m: &Matching) {
     if let Err(e) = verify(a, m) {
         panic!("{e}");
     }

@@ -19,7 +19,7 @@
 //!    parallelism rule: if the dirty set is larger than
 //!    `fallback_threshold · (n1 + n2)`, hand the whole graph to the
 //!    multi-source MS-BFS driver warm-started from the stale matching
-//!    ([`mcm_core::mcm::maximum_matching_from`]); otherwise run one
+//!    ([`mcm_core::mcm::maximum_matching`] with `Start::Warm`); otherwise run one
 //!    alternating BFS per dirty free vertex (column-rooted over `A`,
 //!    row-rooted over `Aᵀ`), plus one global sweep per interior insert.
 //! 4. **Certify** — a Berge check seeded at the still-free dirty vertices
@@ -40,7 +40,7 @@
 use crate::graph::DynGraph;
 use mcm_bsp::{DistCtx, EngineComm, SharedComm};
 use mcm_core::auction::{auction, AuctionOptions};
-use mcm_core::mcm::{maximum_matching_from_pooled, SolverPool};
+use mcm_core::mcm::{maximum_matching, SolverPool, Start};
 use mcm_core::ppf::{ppf, PpfOptions};
 use mcm_core::serial::hopcroft_karp;
 use mcm_core::verify::VerifyError;
@@ -519,9 +519,12 @@ impl DynMatching {
     fn fallback(&mut self) {
         let _span = mcm_obs::span("warm_start_fallback");
         let stale = std::mem::replace(&mut self.m, Matching::empty(0, 0));
+        // One copy of the graph serves the selector and whichever engine runs.
+        let a = self.g.to_csc();
+        let a = a.view();
         let was_auto = self.opts.algo == MatchingAlgo::Auto;
         let algo = match self.opts.algo {
-            MatchingAlgo::Auto => SelectorStats::measure_csc(&self.g.to_csc()).choose(),
+            MatchingAlgo::Auto => SelectorStats::measure_csc(a).choose(),
             concrete => concrete,
         };
         self.stats.last_algo = algo.name();
@@ -539,20 +542,17 @@ impl DynMatching {
         };
         self.m = match algo {
             MatchingAlgo::MsBfs | MatchingAlgo::Auto => {
-                let t = self.g.to_triples();
-                let (pool, opts) = (&mut self.pool, &self.opts.fallback_opts);
+                let (pool, opts, warm) =
+                    (&mut self.pool, &self.opts.fallback_opts, Start::Warm(stale));
                 let r = match self.opts.backend {
                     FallbackBackend::Simulator => {
-                        let mut ctx = DistCtx::serial();
-                        maximum_matching_from_pooled(&mut ctx, &t, stale, opts, pool)
+                        maximum_matching(&mut DistCtx::serial(), &a, warm, opts, pool)
                     }
                     FallbackBackend::Engine { p, threads } => {
-                        let mut comm = EngineComm::new(p, threads);
-                        maximum_matching_from_pooled(&mut comm, &t, stale, opts, pool)
+                        maximum_matching(&mut EngineComm::new(p, threads), &a, warm, opts, pool)
                     }
                     FallbackBackend::Shared { p, threads } => {
-                        let mut comm = SharedComm::new(p, threads);
-                        maximum_matching_from_pooled(&mut comm, &t, stale, opts, pool)
+                        maximum_matching(&mut SharedComm::new(p, threads), &a, warm, opts, pool)
                     }
                 };
                 self.stats.fallback_spmv_calls += r.stats.spmv_workspace_calls;
@@ -561,11 +561,11 @@ impl DynMatching {
             }
             MatchingAlgo::Ppf => {
                 let opts = PpfOptions { threads, fairness: true, seed: 0 };
-                ppf(&self.g.to_csc(), Some(stale), &opts).matching
+                ppf(a, Some(stale), &opts).matching
             }
             MatchingAlgo::Auction => {
                 let opts = AuctionOptions { threads, ..AuctionOptions::default() };
-                auction(&self.g.to_csc(), &opts).matching
+                auction(a, &opts).matching
             }
         };
     }

@@ -186,26 +186,10 @@ impl Dcsc {
         Dcsc { nrows: self.ncols, ncols: self.nrows, jc, cp, ir: t_ir }
     }
 
-    /// Converts from CSC, dropping empty columns.
-    pub fn from_csc(a: &Csc) -> Self {
-        let mut jc = Vec::new();
-        let mut cp = vec![0usize];
-        let mut ir = Vec::with_capacity(a.nnz());
-        for j in 0..a.ncols() {
-            let col = a.col(j);
-            if !col.is_empty() {
-                jc.push(j as Vidx);
-                ir.extend_from_slice(col);
-                cp.push(ir.len());
-            }
-        }
-        Self { nrows: a.nrows(), ncols: a.ncols(), jc, cp, ir }
-    }
-
-    /// Converts from a borrowed CSC view, dropping empty columns. The
-    /// zero-copy counterpart of [`Dcsc::from_csc`]: a view over mmap'ed
-    /// MCSB pages compacts straight into DCSC with one sequential read of
-    /// the mapped arrays and no intermediate triple list.
+    /// Converts from a borrowed CSC view, dropping empty columns. A view
+    /// over mmap'ed MCSB pages (or an owned [`Csc`]'s arrays, via
+    /// [`Csc::view`]) compacts straight into DCSC with one sequential read
+    /// and no intermediate triple list.
     pub fn from_csc_view(v: &crate::CscView<'_>) -> Self {
         let mut jc = Vec::new();
         let mut cp = vec![0usize];
@@ -369,9 +353,9 @@ impl Dcsc {
 
     /// Converts to CSC (materializing the full column-pointer array).
     pub fn to_csc(&self) -> Csc {
-        let mut colptr = vec![0usize; self.ncols + 1];
+        let mut colptr = vec![0u64; self.ncols + 1];
         for k in 0..self.nzc() {
-            colptr[self.jc[k] as usize + 1] = self.cp[k + 1] - self.cp[k];
+            colptr[self.jc[k] as usize + 1] = (self.cp[k + 1] - self.cp[k]) as u64;
         }
         for j in 0..self.ncols {
             colptr[j + 1] += colptr[j];
@@ -439,7 +423,7 @@ mod tests {
         let a = example();
         let csc = a.to_csc();
         assert_eq!(csc.nnz(), a.nnz());
-        assert_eq!(Dcsc::from_csc(&csc), a);
+        assert_eq!(Dcsc::from_csc_view(&csc.view()), a);
     }
 
     #[test]
@@ -504,12 +488,11 @@ mod tests {
     }
 
     #[test]
-    fn from_csc_view_matches_from_csc() {
+    fn from_csc_view_matches_from_unsorted_pairs() {
         let t = Triples::from_edges(5, 7, vec![(4, 6), (0, 0), (2, 3), (1, 3), (4, 0)]);
         let csc = t.to_csc();
-        let colptr: Vec<u64> = csc.colptr().iter().map(|&p| p as u64).collect();
-        let view = crate::CscView::new(csc.nrows(), csc.ncols(), &colptr, csc.rowind());
-        assert_eq!(Dcsc::from_csc_view(&view), Dcsc::from_csc(&csc));
+        let view = crate::CscView::new(csc.nrows(), csc.ncols(), csc.colptr(), csc.rowind());
+        assert_eq!(Dcsc::from_csc_view(&view), Dcsc::from_unsorted_pairs(5, 7, t.entries()));
     }
 
     #[test]

@@ -145,7 +145,7 @@ pub fn permute_triples(t: &Triples, rowp: &Permutation, colp: &Permutation) -> T
 
 /// The row/column permutation pair [`random_relabel`] applies, without
 /// materializing the permuted triples — callers that fuse the relabeling
-/// into matrix assembly (`DistMatrix::from_triples_mapped`) use this to
+/// into matrix assembly (`DistMatrix::with_grid_csc_pair`) use this to
 /// stay bit-identical with the materializing path.
 pub fn relabel_permutations(nrows: usize, ncols: usize, seed: u64) -> (Permutation, Permutation) {
     let rowp = Permutation::random(nrows, seed ^ 0x517C_C1B7_2722_0A95);

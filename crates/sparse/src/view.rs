@@ -58,6 +58,18 @@ impl<'a> CscView<'a> {
             nrows < Vidx::MAX as usize && ncols < Vidx::MAX as usize,
             "dimensions must fit in Vidx"
         );
+        Self::from_trusted(nrows, ncols, colptr, rowind)
+    }
+
+    /// Wraps arrays whose invariants the caller already guarantees (an
+    /// owned [`Csc`] upholds them by construction), skipping the O(n) check.
+    #[inline]
+    pub(crate) fn from_trusted(
+        nrows: usize,
+        ncols: usize,
+        colptr: &'a [u64],
+        rowind: &'a [Vidx],
+    ) -> Self {
         Self { nrows, ncols, colptr, rowind }
     }
 
@@ -118,8 +130,14 @@ impl<'a> CscView<'a> {
     /// stays zero-copy — this is for consumers that need ownership, like the
     /// dynamic overlay base).
     pub fn to_csc(&self) -> Csc {
-        let colptr: Vec<usize> = self.colptr.iter().map(|&p| p as usize).collect();
-        Csc::from_parts(self.nrows, self.ncols, colptr, self.rowind.to_vec())
+        Csc::from_parts(self.nrows, self.ncols, self.colptr.to_vec(), self.rowind.to_vec())
+    }
+}
+
+/// Lets `impl Into<CscView>` parameters take `&view` as well as `view`.
+impl<'a> From<&CscView<'a>> for CscView<'a> {
+    fn from(v: &CscView<'a>) -> Self {
+        *v
     }
 }
 

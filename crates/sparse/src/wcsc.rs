@@ -88,15 +88,15 @@ impl WCsc {
 
     /// `(row, weight)` pairs of column `j`, rows ascending.
     pub fn col_entries(&self, j: usize) -> impl Iterator<Item = (Vidx, f64)> + '_ {
-        let lo = self.pattern.colptr()[j];
-        let hi = self.pattern.colptr()[j + 1];
+        let lo = self.pattern.colptr()[j] as usize;
+        let hi = self.pattern.colptr()[j + 1] as usize;
         self.pattern.rowind()[lo..hi].iter().zip(&self.values[lo..hi]).map(|(&i, &w)| (i, w))
     }
 
     /// The weight of entry `(i, j)` when present.
     pub fn weight(&self, i: Vidx, j: usize) -> Option<f64> {
-        let lo = self.pattern.colptr()[j];
-        let hi = self.pattern.colptr()[j + 1];
+        let lo = self.pattern.colptr()[j] as usize;
+        let hi = self.pattern.colptr()[j + 1] as usize;
         self.pattern.rowind()[lo..hi].binary_search(&i).ok().map(|k| self.values[lo + k])
     }
 

@@ -33,11 +33,11 @@ pub fn write_parts(
     path: impl AsRef<Path>,
     nrows: usize,
     ncols: usize,
-    colptr: &[usize],
+    colptr: &[u64],
     rowind: &[Vidx],
     values: Option<&[f64]>,
 ) -> Result<u64, StoreError> {
-    if colptr.len() != ncols + 1 || colptr.last().copied().unwrap_or(1) != rowind.len() {
+    if colptr.len() != ncols + 1 || colptr.last().copied() != Some(rowind.len() as u64) {
         return Err(StoreError::Format(format!(
             "colptr ({} entries, end {:?}) does not describe rowind ({} entries)",
             colptr.len(),
@@ -61,7 +61,7 @@ pub fn write_parts(
     // file emitted in one sequential pass.
     let mut h = FNV_OFFSET;
     for &p in colptr {
-        h = fnv1a(h, &(p as u64).to_le_bytes());
+        h = fnv1a(h, &p.to_le_bytes());
     }
     for &i in rowind {
         h = fnv1a(h, &i.to_le_bytes());
@@ -78,7 +78,7 @@ pub fn write_parts(
     w.write_all(&header.encode())?;
     written += header.encode().len() as u64;
     for &p in colptr {
-        w.write_all(&(p as u64).to_le_bytes())?;
+        w.write_all(&p.to_le_bytes())?;
         written += 8;
     }
     written = pad_to(&mut w, written, header.rowind_off)?;

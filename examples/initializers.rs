@@ -10,13 +10,14 @@
 
 use mcm_bsp::{DistCtx, Kernel, MachineConfig};
 use mcm_core::maximal::Initializer;
-use mcm_core::{maximum_matching, McmOptions};
+use mcm_core::{maximum_matching, McmOptions, SolverPool, Start};
 use mcm_gen::mesh::triangulated_grid;
 
 fn main() {
     let g = triangulated_grid(96, 96, 7);
     println!("delaunay-like mesh: {} x {} with {} edges\n", g.nrows(), g.ncols(), g.len());
 
+    let a = g.to_csc();
     let cfg = MachineConfig::hybrid(4, 12); // 192 cores
     println!(
         "{:<20} {:>8} {:>9} {:>12} {:>12} {:>12}",
@@ -31,7 +32,8 @@ fn main() {
         // Charge the mesh as if it were delaunay_n24-sized (~100M nonzeros).
         let mut ctx = DistCtx::new(cfg).with_work_scale(1.0e8 / g.len() as f64);
         let opts = McmOptions { init, ..Default::default() };
-        let result = maximum_matching(&mut ctx, &g, &opts);
+        let result =
+            maximum_matching(&mut ctx, &a.view(), Start::Cold, &opts, &mut SolverPool::new());
         let init_s = ctx.timers.seconds(Kernel::Init);
         let total_s = ctx.timers.total();
         println!(

@@ -7,7 +7,7 @@
 use mcm_bsp::{DistCtx, MachineConfig};
 use mcm_core::serial::hopcroft_karp;
 use mcm_core::verify::assert_maximum;
-use mcm_core::{maximum_matching, McmOptions};
+use mcm_core::{maximum_matching, McmOptions, SolverPool, Start};
 use mcm_sparse::Triples;
 
 fn main() {
@@ -19,9 +19,14 @@ fn main() {
         vec![(0, 0), (0, 2), (1, 0), (1, 1), (1, 3), (2, 2), (2, 4), (3, 3), (3, 4)],
     );
 
+    // The solver reads a CSC view; an edge list is compressed once here
+    // (an mmap'ed MCSB file would lend the same view with no copy).
+    let a = g.to_csc();
+
     // Simulate a 2x2 process grid with 2 threads per process (8 cores).
     let mut ctx = DistCtx::new(MachineConfig::hybrid(2, 2));
-    let result = maximum_matching(&mut ctx, &g, &McmOptions::default());
+    let opts = McmOptions::default();
+    let result = maximum_matching(&mut ctx, &a.view(), Start::Cold, &opts, &mut SolverPool::new());
 
     println!("graph: {} rows x {} cols, {} edges", g.nrows(), g.ncols(), g.len());
     println!("maximum matching cardinality: {}", result.matching.cardinality());
@@ -41,7 +46,6 @@ fn main() {
     }
 
     // Verify against the independent certificate and the serial oracle.
-    let a = g.to_csc();
     assert_maximum(&a, &result.matching);
     assert_eq!(result.matching.cardinality(), hopcroft_karp(&a, None).cardinality());
     println!("\nverified: no augmenting path exists (Berge) and cardinality matches Hopcroft-Karp");

@@ -10,7 +10,7 @@
 //! ```
 
 use mcm_bsp::{DistCtx, MachineConfig};
-use mcm_core::{maximum_matching, McmOptions};
+use mcm_core::{maximum_matching, McmOptions, SolverPool, Start};
 use mcm_gen::rmat::{rmat, RmatParams};
 
 fn main() {
@@ -28,10 +28,13 @@ fn main() {
     // scale-26 G500 runs (see DistCtx::work_scale).
     let paper_edges = 32.0 * (1u64 << 26) as f64;
     let work_scale = paper_edges / g.len() as f64;
+    let a = g.to_csc();
+    let opts = McmOptions::default();
     let mut base: Option<f64> = None;
     for cfg in MachineConfig::paper_sweep(2028) {
         let mut ctx = DistCtx::new(cfg).with_work_scale(work_scale);
-        let result = maximum_matching(&mut ctx, &g, &McmOptions::default());
+        let result =
+            maximum_matching(&mut ctx, &a.view(), Start::Cold, &opts, &mut SolverPool::new());
         let secs = ctx.timers.total();
         let speedup = base.get_or_insert(secs).max(1e-12) / secs.max(1e-12);
         println!(

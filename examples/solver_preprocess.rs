@@ -14,7 +14,7 @@
 //! ```
 
 use mcm_bsp::{DistCtx, MachineConfig};
-use mcm_core::{maximum_matching, McmOptions};
+use mcm_core::{maximum_matching, McmOptions, SolverPool, Start};
 use mcm_gen::kkt::kkt_stencil;
 use mcm_sparse::permute::{permute_triples, Permutation};
 use mcm_sparse::{Triples, Vidx};
@@ -35,7 +35,10 @@ fn main() {
 
     // Distributed MCM on a simulated 4x4 grid of 12-thread processes.
     let mut ctx = DistCtx::new(MachineConfig::hybrid(4, 12));
-    let result = maximum_matching(&mut ctx, &a, &McmOptions::default());
+    let opts = McmOptions::default();
+    let csc = a.to_csc();
+    let result =
+        maximum_matching(&mut ctx, &csc.view(), Start::Cold, &opts, &mut SolverPool::new());
     let m = &result.matching;
     println!(
         "maximum matching: {} of {} columns matched ({} phases, {} iterations)",

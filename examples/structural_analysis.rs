@@ -14,7 +14,7 @@ use mcm_bsp::{DistCtx, MachineConfig};
 use mcm_core::btf::block_triangular_form;
 use mcm_core::cover::{cover_certifies, koenig_cover};
 use mcm_core::dm::{dulmage_mendelsohn, DmBlock};
-use mcm_core::{maximum_matching, McmOptions};
+use mcm_core::{maximum_matching, McmOptions, SolverPool, Start};
 use mcm_gen::kkt::kkt_stencil;
 use mcm_gen::rmat::{rmat, RmatParams};
 use mcm_sparse::Triples;
@@ -23,10 +23,11 @@ fn analyze(name: &str, t: &Triples) {
     println!("== {name}: {} x {}, {} nonzeros", t.nrows(), t.ncols(), t.len());
 
     // 1. Maximum matching on a simulated 4x4 x 12 allocation.
-    let mut ctx = DistCtx::new(MachineConfig::hybrid(4, 12));
-    let result = maximum_matching(&mut ctx, t, &McmOptions::default());
-    let m = &result.matching;
     let a = t.to_csc();
+    let mut ctx = DistCtx::new(MachineConfig::hybrid(4, 12));
+    let opts = McmOptions::default();
+    let result = maximum_matching(&mut ctx, &a.view(), Start::Cold, &opts, &mut SolverPool::new());
+    let m = &result.matching;
     println!(
         "   structural rank {} of {} (modeled {:.2} ms on {} cores)",
         m.cardinality(),

@@ -33,10 +33,10 @@ use mcm_bsp::{Communicator, DistCtx, EngineComm, MachineConfig, SharedComm};
 use mcm_core::dm::{dulmage_mendelsohn, DmBlock};
 // btf used via full path in cmd_btf
 use mcm_core::serial::{hopcroft_karp, ms_bfs_graft, ms_bfs_serial, pothen_fan, push_relabel};
-use mcm_core::verify::{is_maximum, verify_view};
+use mcm_core::verify::verify;
 use mcm_core::{
-    maximum_matching, maximum_matching_view, Matching, MatchingAlgo, McmOptions, PortfolioBackend,
-    PortfolioOptions,
+    maximum_matching, Matching, MatchingAlgo, McmOptions, PortfolioBackend, PortfolioOptions,
+    SolverPool, Start,
 };
 use mcm_sparse::io::{read_matrix_market_file, write_matrix_market_file};
 use mcm_sparse::permute::{permute_triples, Permutation};
@@ -110,7 +110,7 @@ usage:
 
 Graph inputs are sniffed by content: Matrix Market text or the MCSB binary
 store (mcm-store). MCSB files are mmap'ed and matched zero-copy with
---algo dist; other algorithms materialize an in-RAM copy.
+--algo dist|ppf|auction|auto; the serial algorithms materialize an in-RAM copy.
 ";
 
 /// Pulls `--flag value` out of an argument list.
@@ -142,29 +142,6 @@ enum Input {
     Mcsb(McsbFile),
 }
 
-/// A borrowed graph handed to the solvers: owned triples or a CSC view into
-/// an open [`McsbFile`].
-enum Graph<'a> {
-    Triples(&'a Triples),
-    View(CscView<'a>),
-}
-
-impl Graph<'_> {
-    fn nrows(&self) -> usize {
-        match self {
-            Graph::Triples(t) => t.nrows(),
-            Graph::View(v) => v.nrows(),
-        }
-    }
-
-    fn ncols(&self) -> usize {
-        match self {
-            Graph::Triples(t) => t.ncols(),
-            Graph::View(v) => v.ncols(),
-        }
-    }
-}
-
 /// Sniffs `path` by content (MCSB magic vs `%%MatrixMarket`) and opens it.
 /// Corrupt or truncated MCSB files surface as structured errors here, not
 /// panics deeper in the pipeline.
@@ -184,7 +161,7 @@ fn load(args: &[String]) -> Result<Triples, String> {
     match load_input(path)? {
         Input::Mtx(t) => Ok(t),
         // Commands that need triples (stats, permute, dm, btf) materialize
-        // the edge list; only `match --algo dist` runs zero-copy.
+        // the edge list; `match` reads the mapped view instead.
         Input::Mcsb(f) => {
             let v = f.view();
             Ok(Triples::from_edges(v.nrows(), v.ncols(), v.iter().collect()))
@@ -220,83 +197,49 @@ struct DistRun {
 }
 
 fn compute_dist(
-    g: &Graph<'_>,
+    g: &CscView<'_>,
     backend: &str,
     grid: usize,
     ranks: usize,
     threads: usize,
 ) -> Result<DistRun, String> {
-    let rows = |ctx: &DistCtx| {
-        ctx.timers.breakdown().into_iter().map(|(k, s, c)| (k.name(), s, c)).collect()
-    };
-    // Dispatches to the owned-triples or zero-copy view entry point; the
-    // two produce identical matchings (asserted by `tests/store.rs`).
-    fn solve<C: Communicator>(comm: &mut C, g: &Graph<'_>) -> mcm_core::McmResult {
-        match g {
-            Graph::Triples(t) => maximum_matching(comm, t, &McmOptions::default()),
-            Graph::View(v) => maximum_matching_view(comm, v, &McmOptions::default()),
-        }
+    fn solve<C: Communicator>(comm: &mut C, g: &CscView<'_>) -> DistRun {
+        let r =
+            maximum_matching(comm, g, Start::Cold, &McmOptions::default(), &mut SolverPool::new());
+        let modeled =
+            comm.ctx().timers.breakdown().into_iter().map(|(k, s, c)| (k.name(), s, c)).collect();
+        DistRun { matching: r.matching, modeled, algo: "msbfs", auto: false }
     }
-    match backend {
+    let (run, total) = match backend {
         "sim" => {
             let mut ctx = DistCtx::new(MachineConfig::hybrid(grid, threads));
-            let r = solve(&mut ctx, g);
-            eprintln!(
-                "simulated {} cores ({}x{} grid, {} threads/process); modeled time {:.3} ms",
-                ctx.machine.cores(),
-                grid,
-                grid,
-                threads,
-                ctx.timers.total() * 1e3
+            let run = solve(&mut ctx, g);
+            eprint!(
+                "simulated {} cores ({grid}x{grid} grid, {threads} threads/process)",
+                ctx.machine.cores()
             );
-            Ok(DistRun { matching: r.matching, modeled: rows(&ctx), algo: "msbfs", auto: false })
+            (run, ctx.timers.total())
         }
         "engine" => {
-            let dim = (ranks as f64).sqrt().round() as usize;
-            if ranks == 0 || dim * dim != ranks {
-                return Err(format!("--ranks must be a positive perfect square, got {ranks}"));
-            }
             let mut comm = EngineComm::new(ranks, threads);
-            let r = solve(&mut comm, g);
-            eprintln!(
-                "engine: {} ranks x {} threads; modeled time {:.3} ms",
-                ranks,
-                threads,
-                comm.ctx().timers.total() * 1e3
-            );
-            Ok(DistRun {
-                matching: r.matching,
-                modeled: rows(comm.ctx()),
-                algo: "msbfs",
-                auto: false,
-            })
+            let run = solve(&mut comm, g);
+            eprint!("engine: {ranks} ranks x {threads} threads");
+            (run, comm.ctx().timers.total())
         }
         "shared" => {
-            let dim = (ranks as f64).sqrt().round() as usize;
-            if ranks == 0 || dim * dim != ranks {
-                return Err(format!("--ranks must be a positive perfect square, got {ranks}"));
-            }
             let mut comm = SharedComm::new(ranks, threads);
-            let r = solve(&mut comm, g);
-            eprintln!(
-                "shared: {} logical ranks x {} threads (fused arena); modeled time {:.3} ms",
-                ranks,
-                threads,
-                comm.ctx().timers.total() * 1e3
-            );
-            Ok(DistRun {
-                matching: r.matching,
-                modeled: rows(comm.ctx()),
-                algo: "msbfs",
-                auto: false,
-            })
+            let run = solve(&mut comm, g);
+            eprint!("shared: {ranks} logical ranks x {threads} threads (fused arena)");
+            (run, comm.ctx().timers.total())
         }
-        other => Err(format!("bad --backend value: {other} (want sim|engine|shared)")),
-    }
+        other => return Err(format!("bad --backend value: {other} (want sim|engine|shared)")),
+    };
+    eprintln!("; modeled time {:.3} ms", total * 1e3);
+    Ok(run)
 }
 
 fn compute(
-    g: &Graph<'_>,
+    g: &CscView<'_>,
     algo: &str,
     backend: &str,
     grid: usize,
@@ -313,17 +256,7 @@ fn compute(
         };
         let opts =
             PortfolioOptions { algo: palgo, backend: pbackend, threads, ..Default::default() };
-        // The portfolio measures the graph before picking an engine, which
-        // needs an owned edge list either way.
-        let owned;
-        let t = match g {
-            Graph::Triples(t) => *t,
-            Graph::View(v) => {
-                owned = Triples::from_edges(v.nrows(), v.ncols(), v.iter().collect());
-                &owned
-            }
-        };
-        let r = mcm_core::portfolio::solve(t, &opts);
+        let r = mcm_core::portfolio::solve(g, &opts);
         return Ok(DistRun {
             matching: r.matching,
             modeled: Vec::new(),
@@ -334,24 +267,14 @@ fn compute(
     if algo == "dist" {
         return compute_dist(g, backend, grid, ranks, threads);
     }
-    let a = match g {
-        Graph::Triples(t) => t.to_csc(),
-        Graph::View(v) => v.to_csc(),
-    };
-    let matching = match algo {
-        "hk" => hopcroft_karp(&a, None),
-        "pf" => pothen_fan(&a, None),
-        "pr" => push_relabel(&a),
-        "msbfs" => ms_bfs_serial(&a, None).0,
-        "graft" => ms_bfs_graft(&a, None).0,
+    let a = g.to_csc();
+    let (matching, label) = match algo {
+        "hk" => (hopcroft_karp(&a, None), "hk"),
+        "pf" => (pothen_fan(&a, None), "pf"),
+        "pr" => (push_relabel(&a), "pr"),
+        "msbfs" => (ms_bfs_serial(&a, None).0, "msbfs-serial"),
+        "graft" => (ms_bfs_graft(&a, None).0, "graft"),
         other => return Err(format!("unknown algorithm: {other}")),
-    };
-    let label = match algo {
-        "hk" => "hk",
-        "pf" => "pf",
-        "pr" => "pr",
-        "msbfs" => "msbfs-serial",
-        _ => "graft",
     };
     Ok(DistRun { matching, modeled: Vec::new(), algo: label, auto: false })
 }
@@ -405,10 +328,18 @@ fn cmd_match(args: &[String]) -> Result<(), String> {
         return cmd_match_weighted(args);
     }
     let path = positional(args).ok_or("missing input file")?;
-    let input = load_input(path)?;
-    let g = match &input {
-        Input::Mtx(t) => Graph::Triples(t),
-        Input::Mcsb(f) => Graph::View(f.view()),
+    // Matrix Market text is compressed once into an owned CSC (the triples
+    // drop here); MCSB stays on its mmap'ed pages. Both lend one view.
+    let (owned, file);
+    let g = match load_input(path)? {
+        Input::Mtx(t) => {
+            owned = t.to_csc();
+            owned.view()
+        }
+        Input::Mcsb(f) => {
+            file = f;
+            file.view()
+        }
     };
     let algo = opt(args, "--algo").unwrap_or("dist");
     let backend = opt(args, "--backend").unwrap_or("sim");
@@ -418,6 +349,12 @@ fn cmd_match(args: &[String]) -> Result<(), String> {
         opt(args, "--threads").unwrap_or("4").parse().map_err(|_| "bad --threads")?;
     if grid == 0 || threads == 0 {
         return Err("--grid and --threads must be at least 1".into());
+    }
+    // Every engine can land on the rank-grid backends (`auto` may pick
+    // MS-BFS), so the rank count is checked here, whatever the `--algo`.
+    let dim = (ranks as f64).sqrt().round() as usize;
+    if matches!(backend, "engine" | "shared") && (ranks == 0 || dim * dim != ranks) {
+        return Err(format!("--ranks must be a positive perfect square, got {ranks}"));
     }
     let breakdown = args.iter().any(|a| a == "--breakdown");
     let trace_out = opt(args, "--trace-out");
@@ -445,16 +382,7 @@ fn cmd_match(args: &[String]) -> Result<(), String> {
     }
     // Berge-certify the result against the graph as loaded — for MCSB that
     // means against the mapped pages themselves, no owned copy.
-    match &g {
-        Graph::Triples(t) => {
-            let a = t.to_csc();
-            m.validate(&a).map_err(|e| format!("internal error, invalid matching: {e}"))?;
-            assert!(is_maximum(&a, &m), "internal error: matching not maximum");
-        }
-        Graph::View(v) => {
-            verify_view(v, &m).map_err(|e| format!("internal error: {e}"))?;
-        }
-    }
+    verify(g, &m).map_err(|e| format!("internal error: {e}"))?;
     println!(
         "maximum matching: {} of {} columns ({} rows) matched",
         m.cardinality(),

@@ -70,10 +70,12 @@ fn auto_pick_is_exactly_one_concrete_engines_result() {
         mcm_gen::hard::crown(16),           // dense + uniform → ppf (crown guard)
     ];
     for (i, t) in cases.iter().enumerate() {
-        let (picked, stats) = resolve_algo(t, MatchingAlgo::Auto);
+        let a = t.to_csc();
+        let (picked, stats) = resolve_algo(&a.view(), MatchingAlgo::Auto);
         assert!(stats.is_some(), "auto must measure");
-        let auto_r = solve(t, &PortfolioOptions::default());
-        let conc_r = solve(t, &PortfolioOptions { algo: picked, ..PortfolioOptions::default() });
+        let auto_r = solve(&a.view(), &PortfolioOptions::default());
+        let conc_r =
+            solve(&a.view(), &PortfolioOptions { algo: picked, ..PortfolioOptions::default() });
         assert_eq!(auto_r.stats.algo, picked.name(), "case {i}: label mismatch");
         assert!(auto_r.stats.algo_auto, "case {i}: auto flag missing");
         assert!(!conc_r.stats.algo_auto, "case {i}: explicit run flagged auto");
@@ -90,13 +92,13 @@ fn crown_blind_spot_stays_fixed() {
     // PPF while leaving genuinely skewed dense instances on the auction.
     for n in [8, 16, 64, 128] {
         let t = mcm_gen::hard::crown(n);
-        let (picked, stats) = resolve_algo(&t, MatchingAlgo::Auto);
+        let (picked, stats) = resolve_algo(&t.to_csc().view(), MatchingAlgo::Auto);
         let s = stats.expect("auto must measure");
         assert!(s.density >= SelectorStats::DENSE, "crown({n}) density {}", s.density);
         assert!(s.degree_skew <= SelectorStats::UNIFORM, "crown({n}) skew {}", s.degree_skew);
         assert_eq!(picked, MatchingAlgo::Ppf, "crown({n}) fell back into the auction price war");
     }
-    let (picked, stats) = resolve_algo(&banded_hub(24), MatchingAlgo::Auto);
+    let (picked, stats) = resolve_algo(&banded_hub(24).to_csc().view(), MatchingAlgo::Auto);
     let s = stats.expect("auto must measure");
     assert!(
         s.degree_skew > SelectorStats::UNIFORM && s.degree_skew < SelectorStats::SKEWED,
@@ -158,7 +160,7 @@ fn every_engine_is_berge_certified_from_its_unmatched_columns() {
         let a = t.to_csc();
         let want = hopcroft_karp(&a, None).cardinality();
         for algo in MatchingAlgo::CONCRETE {
-            let r = solve(t, &PortfolioOptions { algo, ..PortfolioOptions::default() });
+            let r = solve(&a.view(), &PortfolioOptions { algo, ..PortfolioOptions::default() });
             assert_eq!(r.matching.cardinality(), want, "{name}/{algo} not maximum");
             assert!(
                 verify::is_maximum_from(&a, &r.matching, &r.matching.unmatched_cols()),

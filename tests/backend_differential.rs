@@ -17,12 +17,10 @@
 //! cross-algorithm matrix to a comma-separated subset (the CI algo
 //! dimension).
 
-use mcm_bsp::{DistCtx, MachineConfig};
+use mcm_bsp::{DistCtx, EngineComm, MachineConfig, SharedComm};
 use mcm_core::augment::AugmentMode;
 use mcm_core::maximal::Initializer;
-use mcm_core::mcm::{
-    maximum_matching, maximum_matching_engine, maximum_matching_shared, McmOptions,
-};
+use mcm_core::mcm::{maximum_matching, McmOptions, SolverPool, Start};
 use mcm_core::portfolio::{solve, MatchingAlgo, PortfolioBackend, PortfolioOptions};
 use mcm_core::serial::hopcroft_karp;
 use mcm_core::verify;
@@ -57,6 +55,7 @@ fn all_three_backends_produce_identical_matchings_across_the_suite() {
     let mut runs = 0usize;
     for (name, t) in &cases {
         let a = t.to_csc();
+        let v = a.view();
         let want = hopcroft_karp(&a, None).cardinality();
         for dim in [1usize, 2, 3] {
             let p = dim * dim;
@@ -64,9 +63,12 @@ fn all_three_backends_produce_identical_matchings_across_the_suite() {
                 for augment in augments {
                     let opts = McmOptions { init, augment, ..McmOptions::default() };
                     let mut ctx = DistCtx::new(MachineConfig::hybrid(dim, 1));
-                    let sim = maximum_matching(&mut ctx, t, &opts);
-                    let eng = maximum_matching_engine(p, threads, t, &opts);
-                    let shr = maximum_matching_shared(p, threads, t, &opts);
+                    let mut eng_comm = EngineComm::new(p, threads);
+                    let mut shr_comm = SharedComm::new(p, threads);
+                    let pool = &mut SolverPool::new();
+                    let sim = maximum_matching(&mut ctx, &v, Start::Cold, &opts, pool);
+                    let eng = maximum_matching(&mut eng_comm, &v, Start::Cold, &opts, pool);
+                    let shr = maximum_matching(&mut shr_comm, &v, Start::Cold, &opts, pool);
                     let tag =
                         format!("{name} p={p} threads={threads} init={init:?} augment={augment:?}");
                     assert_eq!(
@@ -151,7 +153,7 @@ fn cross_algorithm_matrix_agrees_with_the_oracle() {
                                     backend,
                                     ..PortfolioOptions::default()
                                 };
-                                solve(t, &opts)
+                                solve(&a.view(), &opts)
                             })
                             .collect();
                         for (r, backend) in results.iter().zip(backends) {
@@ -181,7 +183,7 @@ fn cross_algorithm_matrix_agrees_with_the_oracle() {
                                     seed: suite_seed ^ p as u64,
                                     ..PortfolioOptions::default()
                                 };
-                                solve(t, &opts)
+                                solve(&a.view(), &opts)
                             })
                             .collect();
                         for (r, threads) in results.iter().zip([1usize, p]) {
@@ -218,12 +220,16 @@ fn cross_algorithm_matrix_agrees_with_the_oracle() {
 #[test]
 fn engine_backend_warm_start_matches_simulator() {
     // The dyn fallback path hands a *stale* matching to either backend:
-    // warm starts must agree too.
+    // warm starts must agree too. Direction optimization is the one warm
+    // configuration that assembles Aᵀ; an empty warm start puts every
+    // column in the first frontier, so its bottom-up branch really runs.
     let cases = simtest_suite(seed(0xD1FF_BACC));
     let threads = engine_threads();
     let (name, t) = &cases[0];
     let a = t.to_csc();
-    let opts = McmOptions { permute_seed: None, ..McmOptions::default() };
+    let want = hopcroft_karp(&a, None).cardinality();
+    let plain = McmOptions { permute_seed: None, ..McmOptions::default() };
+    let diropt = McmOptions { direction_optimizing: true, ..McmOptions::default() };
 
     // A deliberately suboptimal warm start: greedy on the serial sim.
     let stale = {
@@ -231,16 +237,30 @@ fn engine_backend_warm_start_matches_simulator() {
         let am = mcm_bsp::DistMatrix::from_triples(&ctx, t);
         mcm_core::maximal::greedy(&mut ctx, &am)
     };
+    let empty = mcm_core::Matching::empty(a.nrows(), a.ncols());
 
-    let mut ctx = DistCtx::new(MachineConfig::hybrid(2, 1));
-    let sim = mcm_core::mcm::maximum_matching_from(&mut ctx, t, stale.clone(), &opts);
-    let mut comm = mcm_bsp::EngineComm::new(4, threads);
-    let eng = mcm_core::mcm::maximum_matching_from(&mut comm, t, stale.clone(), &opts);
-    let mut shc = mcm_bsp::SharedComm::new(4, threads);
-    let shr = mcm_core::mcm::maximum_matching_from(&mut shc, t, stale, &opts);
-    assert_eq!(sim.matching, eng.matching, "warm-started {name} diverged (engine)");
-    assert_eq!(sim.matching, shr.matching, "warm-started {name} diverged (shared)");
-    verify::verify(&a, &eng.matching).unwrap();
-    verify::verify(&a, &shr.matching).unwrap();
-    assert_eq!(eng.matching.cardinality(), hopcroft_karp(&a, None).cardinality());
+    for (label, opts, warm) in [
+        ("greedy", plain, &stale),
+        ("greedy+diropt", diropt, &stale),
+        ("empty+diropt", diropt, &empty),
+    ] {
+        let mut ctx = DistCtx::new(MachineConfig::hybrid(2, 1));
+        let mut eng_comm = EngineComm::new(4, threads);
+        let mut shr_comm = SharedComm::new(4, threads);
+        let v = a.view();
+        let pool = &mut SolverPool::new();
+        let sim = maximum_matching(&mut ctx, &v, Start::Warm(warm.clone()), &opts, pool);
+        let eng = maximum_matching(&mut eng_comm, &v, Start::Warm(warm.clone()), &opts, pool);
+        let shr = maximum_matching(&mut shr_comm, &v, Start::Warm(warm.clone()), &opts, pool);
+        let tag = format!("warm-started {name} ({label})");
+        assert_eq!(sim.matching, eng.matching, "{tag} diverged (engine)");
+        assert_eq!(sim.matching, shr.matching, "{tag} diverged (shared)");
+        verify::verify(&a, &sim.matching).unwrap_or_else(|e| panic!("{tag}: {e}"));
+        verify::verify(&a, &eng.matching).unwrap_or_else(|e| panic!("{tag}: {e}"));
+        verify::verify(&a, &shr.matching).unwrap_or_else(|e| panic!("{tag}: {e}"));
+        assert_eq!(eng.matching.cardinality(), want, "{tag}");
+        if label == "empty+diropt" {
+            assert!(sim.stats.bottom_up_iterations > 0, "{tag}: bottom-up never ran");
+        }
+    }
 }

@@ -459,6 +459,36 @@ fn match_rejects_unknown_algo_names() {
 }
 
 #[test]
+fn match_rejects_non_square_ranks_for_every_algo() {
+    // A 200-cycle: every degree is 2, so `auto` picks MS-BFS and lands on
+    // the rank-grid backend. A bad rank count must be a clean error for
+    // every engine, never a panic inside the backend.
+    let file = tmp("cycle200.mtx");
+    let n = 200;
+    let mut text = format!("%%MatrixMarket matrix coordinate pattern general\n{n} {n} {}\n", 2 * n);
+    for j in 1..=n {
+        text.push_str(&format!("{j} {j}\n{} {j}\n", j % n + 1));
+    }
+    std::fs::write(&file, text).unwrap();
+    for args in [
+        &["--algo", "auto", "--backend", "shared", "--ranks", "3"][..],
+        &["--algo", "auto", "--backend", "engine", "--ranks", "3"][..],
+        &["--algo", "auto", "--backend", "shared", "--ranks", "0"][..],
+        &["--algo", "dist", "--backend", "engine", "--ranks", "2"][..],
+    ] {
+        let out = mcm().args(["match"]).arg(&file).args(args).output().unwrap();
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("--ranks must be a positive perfect square"), "{args:?}: {err}");
+    }
+}
+
+#[test]
 fn mcmd_algo_flag_routes_fallbacks_and_reports_the_engine() {
     // Same forced-fallback trace under every portfolio engine: the query
     // answers must agree (all engines are maximum, full_verify certifies

@@ -11,7 +11,7 @@
 //! The obs globals (two flags, one trace sink, one registry) are shared
 //! by every test in this binary, so each test serializes on [`GUARD`].
 
-use mcm_core::{maximum_matching, McmOptions};
+use mcm_core::{maximum_matching, McmOptions, SolverPool, Start};
 use mcm_gen::rmat::{rmat, RmatParams};
 use std::sync::Mutex;
 
@@ -24,7 +24,13 @@ fn traced_engine_run(p: usize, threads: usize) -> mcm_obs::Trace {
     mcm_obs::enable_tracing(true);
     drop(mcm_obs::take_trace());
     let mut comm = mcm_bsp::EngineComm::new(p, threads);
-    let r = maximum_matching(&mut comm, &t, &McmOptions::default());
+    let r = maximum_matching(
+        &mut comm,
+        &t.to_csc().view(),
+        Start::Cold,
+        &McmOptions::default(),
+        &mut SolverPool::new(),
+    );
     assert!(r.matching.cardinality() > 0);
     mcm_obs::enable_tracing(false);
     mcm_obs::take_trace()
@@ -167,7 +173,9 @@ fn disabled_recorder_overhead_is_under_two_percent() {
     let opts = McmOptions::default();
     let run = |t: &mcm_sparse::Triples| {
         let mut comm = mcm_bsp::EngineComm::new(4, 2);
-        maximum_matching(&mut comm, t, &opts).matching.cardinality()
+        maximum_matching(&mut comm, &t.to_csc().view(), Start::Cold, &opts, &mut SolverPool::new())
+            .matching
+            .cardinality()
     };
 
     // Sites per run, from an enabled run's trace (span sites; each is one

@@ -170,7 +170,7 @@ fn dcsc_and_csc_agree_structurally() {
     for trial in 0..CASES {
         let t = random_graph(&mut rng);
         let a = t.to_csc();
-        let d = Dcsc::from_csc(&a);
+        let d = Dcsc::from_csc_view(&a.view());
         assert_eq!(d.nnz(), a.nnz(), "trial {trial}");
         for j in 0..a.ncols() {
             assert_eq!(d.col(j), a.col(j), "trial {trial}");

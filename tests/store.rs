@@ -2,13 +2,14 @@
 //! MCSB round-trips across both backings, corruption injection at every
 //! structural boundary (typed errors, never panics), and the differential
 //! guarantee the zero-copy chain advertises — an mmap'ed [`CscView`] fed to
-//! `maximum_matching_*_view` produces the *identical* matching the owned
-//! triples path produces.
+//! `maximum_matching` produces the *identical* matching the view of an
+//! owned `Csc` (built from the generator's triples) produces.
 
-use mcm_core::verify::{is_maximum_view, verify_view};
-use mcm_core::McmOptions;
+use mcm_bsp::{Communicator, EngineComm, SharedComm};
+use mcm_core::verify::{is_maximum, verify};
+use mcm_core::{maximum_matching, McmOptions, McmResult, SolverPool, Start};
 use mcm_gen::{assign_weights, simtest_suite};
-use mcm_sparse::{Triples, WCsc};
+use mcm_sparse::{CscView, Triples, WCsc};
 use mcm_store::{write_csc_file, write_wcsc_file, McsbFile, StoreError};
 use std::path::PathBuf;
 
@@ -220,14 +221,16 @@ fn bad_magic_version_flags_and_header_bytes_are_typed_errors() {
 
 /// The promise `mcm match --load <mcsb>` relies on: solving from a borrowed
 /// view (mmap or heap backing) yields the *identical* matching as solving
-/// from the owned triples, across the whole simtest generator suite and
-/// both view-capable backends.
+/// from an owned `Csc` assembled from the triples, across the whole simtest
+/// generator suite and both multi-threaded backends.
 #[test]
 fn view_solves_match_triples_solves_across_the_suite() {
-    let opts = McmOptions::default();
+    fn solve(comm: &mut impl Communicator, v: &CscView<'_>) -> McmResult {
+        maximum_matching(comm, v, Start::Cold, &McmOptions::default(), &mut SolverPool::new())
+    }
     for (name, mut t) in simtest_suite(0xCA11) {
         t.sort_dedup();
-        let want = mcm_core::mcm::maximum_matching_shared(4, 2, &t, &opts);
+        let want = solve(&mut SharedComm::new(4, 2), &t.to_csc().view());
         let p = tmp(&format!("diff_{name}"));
         write_csc_file(&p, &t.to_csc()).unwrap();
 
@@ -239,18 +242,18 @@ fn view_solves_match_triples_solves_across_the_suite() {
 
         for (backing, file) in [("mmap", &mapped), ("heap", &heap)] {
             let v = file.view();
-            let shared = mcm_core::mcm::maximum_matching_shared_view(4, 2, &v, &opts);
+            let shared = solve(&mut SharedComm::new(4, 2), &v);
             assert_eq!(
                 shared.matching, want.matching,
                 "{name}/{backing}: shared view != owned triples"
             );
-            let engine = mcm_core::mcm::maximum_matching_engine_view(4, 2, &v, &opts);
+            let engine = solve(&mut EngineComm::new(4, 2), &v);
             assert_eq!(
                 engine.matching, want.matching,
                 "{name}/{backing}: engine view != owned triples"
             );
-            verify_view(&v, &shared.matching).unwrap_or_else(|e| panic!("{name}/{backing}: {e}"));
-            assert!(is_maximum_view(&v, &shared.matching), "{name}/{backing}: Berge");
+            verify(v, &shared.matching).unwrap_or_else(|e| panic!("{name}/{backing}: {e}"));
+            assert!(is_maximum(v, &shared.matching), "{name}/{backing}: Berge");
         }
         std::fs::remove_file(p).ok();
     }

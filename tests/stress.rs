@@ -7,7 +7,7 @@ use mcm_core::augment::AugmentMode;
 use mcm_core::maximal::Initializer;
 use mcm_core::semirings::SemiringKind;
 use mcm_core::serial::{hopcroft_karp, ms_bfs_graft, pothen_fan, push_relabel};
-use mcm_core::{maximum_matching, McmOptions};
+use mcm_core::{maximum_matching, McmOptions, SolverPool, Start};
 use mcm_sparse::permute::SplitMix64;
 use mcm_sparse::{Triples, Vidx};
 
@@ -66,7 +66,13 @@ fn dist_matches_hk_exhaustive_options() {
                                     permute_seed: if trial % 2 == 0 { Some(trial) } else { None },
                                     seed: trial,
                                 };
-                                let r = maximum_matching(&mut ctx, &t, &opts);
+                                let r = maximum_matching(
+                                    &mut ctx,
+                                    &t.to_csc().view(),
+                                    Start::Cold,
+                                    &opts,
+                                    &mut SolverPool::new(),
+                                );
                                 r.matching.validate(&t.to_csc()).unwrap_or_else(|e| {
                                     panic!("seed {seed:#x} trial {trial} dim {dim}: {e}")
                                 });
@@ -120,7 +126,14 @@ fn grid_determinism_min_parent() {
         let run = |dim: usize| {
             let mut ctx = DistCtx::new(MachineConfig::hybrid(dim, 1));
             let opts = McmOptions { augment: AugmentMode::LevelParallel, ..Default::default() };
-            maximum_matching(&mut ctx, &t, &opts).matching
+            maximum_matching(
+                &mut ctx,
+                &t.to_csc().view(),
+                Start::Cold,
+                &opts,
+                &mut SolverPool::new(),
+            )
+            .matching
         };
         let base = run(1);
         for dim in 2..=4 {
@@ -144,7 +157,14 @@ fn grid_determinism_rand_semirings() {
                     augment: AugmentMode::LevelParallel,
                     ..Default::default()
                 };
-                maximum_matching(&mut ctx, &t, &opts).matching
+                maximum_matching(
+                    &mut ctx,
+                    &t.to_csc().view(),
+                    Start::Cold,
+                    &opts,
+                    &mut SolverPool::new(),
+                )
+                .matching
             };
             let base = run(1);
             for dim in 2..=3 {

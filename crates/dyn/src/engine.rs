@@ -22,10 +22,12 @@
 //!    ([`mcm_core::mcm::maximum_matching`] with `Start::Warm`); otherwise run one
 //!    alternating BFS per dirty free vertex (column-rooted over `A`,
 //!    row-rooted over `Aᵀ`), plus one global sweep per interior insert.
-//! 4. **Certify** — a Berge check seeded at the still-free dirty vertices
-//!    (the running dirty-region certificate; fallback and global sweeps
-//!    end with a full certificate instead, since their terminating
-//!    search saw every free column).
+//!    A failed search marks the region it explored *dead* for the rest
+//!    of the batch, and later searches from the same side skip it.
+//! 4. **Certify** — a Berge check seeded at the still-free dirty vertices,
+//!    one multi-source BFS per side (the running dirty-region
+//!    certificate; fallback and global sweeps end with a full certificate
+//!    instead, since their terminating search saw every free column).
 //!
 //! Correctness of locality: updates are applied to a *maximum* matching,
 //! so every new augmenting path must use a freed vertex (it becomes an
@@ -34,8 +36,13 @@
 //! former and the one-endpoint-free inserts; interior inserts get global
 //! sweeps. Once a search from a free vertex fails, later augmentations
 //! never create a path from it (the classic settled-vertex lemma), so
-//! each dirty vertex is searched once. `tests/dyn_oracle.rs` checks all
-//! of this differentially against from-scratch Hopcroft–Karp.
+//! each dirty vertex is searched once. The same argument makes a failed
+//! search's whole region dead: it is closed under the alternating step
+//! and holds no free vertex on the far side, so no augmentation can enter
+//! it before the batch ends, and skipping it changes no BFS outcome.
+//! Certificates ignore dead marks, so they do not rest on that lemma.
+//! `tests/dyn_oracle.rs` checks all of this differentially against
+//! from-scratch Hopcroft–Karp.
 
 use crate::graph::DynGraph;
 use mcm_bsp::{DistCtx, EngineComm, SharedComm};
@@ -45,7 +52,7 @@ use mcm_core::ppf::{ppf, PpfOptions};
 use mcm_core::serial::hopcroft_karp;
 use mcm_core::verify::VerifyError;
 use mcm_core::{Matching, MatchingAlgo, McmOptions, SelectorStats};
-use mcm_sparse::{Triples, Vidx, NIL};
+use mcm_sparse::{CscOverlay, Triples, Vidx, NIL};
 
 /// One edge update.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -150,6 +157,9 @@ pub struct BatchReport {
     pub interior_inserts: usize,
     /// Single-source repair searches run.
     pub local_searches: usize,
+    /// Adjacency entries visited by committing searches (local searches
+    /// and global sweeps; certificate searches excluded).
+    pub scanned: usize,
     /// Augmenting paths applied (local, sweep, or immediate excluded).
     pub repaired: usize,
     /// Matched edges flipped in by those paths (path half-lengths).
@@ -186,6 +196,8 @@ pub struct DynStats {
     /// Single-source repair searches / successful augmentations.
     pub local_searches: usize,
     pub repaired: usize,
+    /// Adjacency entries those searches and the global sweeps visited.
+    pub scanned: usize,
     /// Total and maximum repair path length (matched edges).
     pub repair_path_edges: usize,
     pub max_repair_path: usize,
@@ -210,14 +222,16 @@ pub struct DynStats {
 /// An immutable, self-contained copy of the engine's state — what the
 /// `mcm-serve` daemon publishes after each applied batch so reads
 /// (`query`/`stats`/`snapshot`) are served without blocking behind the
-/// writer. Cloning the graph is an O(nnz) memcpy of the frozen CSC plus
-/// the (small, recently-compacted) overlays; the matching itself is not
-/// carried — `cardinality` is the serving-relevant scalar, and the full
-/// mate vectors stay private to the writer.
+/// writer. Only the column adjacency is copied: one per-column insert and
+/// delete list per column plus the frozen CSC, O(n2 + nnz). The row
+/// direction exists for repair searches, which readers never run. The
+/// matching itself is not carried — `cardinality` is the serving-relevant
+/// scalar, and the full mate vectors stay private to the writer.
 #[derive(Clone, Debug)]
 pub struct StateSnapshot {
-    /// The graph as of publication (epoch queryable via `graph.epoch()`).
-    pub graph: DynGraph,
+    /// The edge set as of publication, column adjacency (`A`; epoch
+    /// queryable via `graph.epoch()`).
+    pub graph: CscOverlay,
     /// Cumulative engine counters as of publication.
     pub stats: DynStats,
     /// Matching cardinality as of publication.
@@ -258,6 +272,9 @@ pub struct DynMatching {
     // Generation-stamped BFS scratch (mirrors the SpMSpV workspace SPA:
     // no O(n) clears between searches).
     stamp: u32,
+    /// Stamp value reserved per batch for dead vertices: a failed repair
+    /// search rewrites the far-side vertices it visited to this value.
+    dead: u32,
     row_stamp: Vec<u32>,
     col_stamp: Vec<u32>,
     /// Column that discovered each row (valid where `row_stamp == stamp`).
@@ -300,6 +317,7 @@ impl DynMatching {
             opts,
             stats: DynStats::default(),
             stamp: 0,
+            dead: 0,
             row_stamp: vec![0; n1],
             col_stamp: vec![0; n2],
             row_parent: vec![NIL; n1],
@@ -315,13 +333,13 @@ impl DynMatching {
         &self.m
     }
 
-    /// The current graph.
-    #[inline]
     /// The options this engine was built with.
     pub fn opts(&self) -> &DynOptions {
         &self.opts
     }
 
+    /// The current graph.
+    #[inline]
     pub fn graph(&self) -> &DynGraph {
         &self.g
     }
@@ -341,7 +359,7 @@ impl DynMatching {
     /// An immutable copy of the published state (see [`StateSnapshot`]).
     pub fn snapshot_state(&self) -> StateSnapshot {
         StateSnapshot {
-            graph: self.g.clone(),
+            graph: self.g.cols().clone(),
             stats: self.stats.clone(),
             cardinality: self.m.cardinality(),
         }
@@ -416,27 +434,22 @@ impl DynMatching {
             rep.fallback = true;
             rep.cert_scope = CertScope::Full;
         } else {
+            // A fresh dead value per batch: marks made under an earlier
+            // batch's graph read as stale stamps.
+            self.dead = self.bump_stamp();
             for &c in &dirty_cols {
                 if self.m.col_matched(c) {
                     continue; // matched by an earlier repair in this batch
                 }
                 rep.local_searches += 1;
-                if let Some(flipped) = self.search_from_col(c, true) {
-                    rep.repaired += 1;
-                    rep.repair_path_edges += flipped;
-                    rep.max_repair_path = rep.max_repair_path.max(flipped);
-                }
+                self.repair(Side::Col, &[c], Mode::Repair, &mut rep);
             }
             for &r in &dirty_rows {
                 if self.m.row_matched(r) {
                     continue;
                 }
                 rep.local_searches += 1;
-                if let Some(flipped) = self.search_from_row(r, true) {
-                    rep.repaired += 1;
-                    rep.repair_path_edges += flipped;
-                    rep.max_repair_path = rep.max_repair_path.max(flipped);
-                }
+                self.repair(Side::Row, &[r], Mode::Repair, &mut rep);
             }
             if interior > 0 {
                 // A path between two *settled* free vertices can thread an
@@ -444,13 +457,8 @@ impl DynMatching {
                 loop {
                     rep.global_sweeps += 1;
                     let free = self.m.unmatched_cols();
-                    match self.search_from_col_set(&free, true) {
-                        Some(flipped) => {
-                            rep.repaired += 1;
-                            rep.repair_path_edges += flipped;
-                            rep.max_repair_path = rep.max_repair_path.max(flipped);
-                        }
-                        None => break,
+                    if !self.repair(Side::Col, &free, Mode::Sweep, &mut rep) {
+                        break;
                     }
                 }
                 rep.cert_scope = CertScope::Full;
@@ -460,8 +468,8 @@ impl DynMatching {
                 dirty_cols.retain(|&c| !self.m.col_matched(c));
                 dirty_rows.retain(|&r| !self.m.row_matched(r));
                 rep.cert_seeds = dirty_cols.len() + dirty_rows.len();
-                let clean = dirty_cols.iter().all(|&c| self.search_from_col(c, false).is_none())
-                    && dirty_rows.iter().all(|&r| self.search_from_row(r, false).is_none());
+                let clean = self.search(Side::Col, &dirty_cols, Mode::Certify).0.is_none()
+                    && self.search(Side::Row, &dirty_rows, Mode::Certify).0.is_none();
                 assert!(clean, "dirty-region Berge certificate failed after repair");
             }
         }
@@ -480,6 +488,7 @@ impl DynMatching {
             mcm_obs::counter_add("mcm_dyn_batches_total", &labels, 1);
             mcm_obs::counter_add("mcm_dyn_updates_total", &labels, rep.applied as u64);
             mcm_obs::counter_add("mcm_dyn_repaired_total", &labels, rep.repaired as u64);
+            mcm_obs::counter_add("mcm_dyn_scanned_total", &labels, rep.scanned as u64);
             mcm_obs::observe_ns("mcm_dyn_batch_seconds", &labels, sw.elapsed_ns());
         }
 
@@ -503,6 +512,7 @@ impl DynMatching {
         s.immediate_matches += rep.immediate_matches;
         s.local_searches += rep.local_searches;
         s.repaired += rep.repaired;
+        s.scanned += rep.scanned;
         s.repair_path_edges += rep.repair_path_edges;
         s.max_repair_path = s.max_repair_path.max(rep.max_repair_path);
         s.interior_inserts += rep.interior_inserts;
@@ -572,136 +582,130 @@ impl DynMatching {
 
     fn bump_stamp(&mut self) -> u32 {
         if self.stamp == u32::MAX {
+            // Clearing also forgets the batch's dead marks, which only
+            // prune; re-reserve the dead value below every later stamp.
             self.row_stamp.fill(0);
             self.col_stamp.fill(0);
-            self.stamp = 0;
+            self.stamp = 1;
+            self.dead = 1;
         }
         self.stamp += 1;
         self.stamp
     }
 
-    /// Alternating BFS rooted at free column `c0`. With `commit`, flips
-    /// the discovered augmenting path and returns its length in matched
-    /// edges; without, only reports whether a path exists.
-    fn search_from_col(&mut self, c0: Vidx, commit: bool) -> Option<usize> {
-        self.search_from_col_set(&[c0], commit)
+    /// One committing search; folds its outcome into `rep`. `true` when
+    /// it found and flipped an augmenting path.
+    fn repair(&mut self, side: Side, seeds: &[Vidx], mode: Mode, rep: &mut BatchReport) -> bool {
+        let (flipped, scanned) = self.search(side, seeds, mode);
+        rep.scanned += scanned;
+        let Some(flipped) = flipped else { return false };
+        rep.repaired += 1;
+        rep.repair_path_edges += flipped;
+        rep.max_repair_path = rep.max_repair_path.max(flipped);
+        true
     }
 
-    /// Alternating BFS from a set of free columns (column → rows over `A`,
-    /// matched row → mate column), one path per call.
-    fn search_from_col_set(&mut self, seeds: &[Vidx], commit: bool) -> Option<usize> {
+    /// Alternating BFS from a set of free vertices on `side`, one path
+    /// per call: seed → adjacent far-side vertex → its mate → … until a
+    /// free far-side vertex. Columns scan `A` (rows in a column), rows
+    /// scan `Aᵀ` — the direction deletions of matched edges need, since
+    /// they free a row endpoint too. Returns the augmenting path's length
+    /// in matched edges (`Some(0)` under [`Mode::Certify`], which flips
+    /// nothing) and the adjacency entries visited.
+    fn search(&mut self, side: Side, seeds: &[Vidx], mode: Mode) -> (Option<usize>, usize) {
         let stamp = self.bump_stamp();
-        let Self { g, m, row_stamp, col_stamp, row_parent, queue, .. } = self;
+        // Outside repair, `dead == stamp` folds the dead test into the
+        // visited test.
+        let dead = if mode == Mode::Repair { self.dead } else { stamp };
+        let Self { g, m, row_stamp, col_stamp, row_parent, col_parent, queue, .. } = self;
+        // `near`: the seeds' side; `far`: the side their adjacency reaches.
+        let (adj, near_stamp, far_stamp, far_parent, near_mate, far_mate) = match side {
+            Side::Col => (g.cols(), col_stamp, row_stamp, row_parent, &mut m.mate_c, &mut m.mate_r),
+            Side::Row => (g.rows(), row_stamp, col_stamp, col_parent, &mut m.mate_r, &mut m.mate_c),
+        };
         queue.clear();
-        for &c in seeds {
-            debug_assert!(!m.col_matched(c));
-            if col_stamp[c as usize] != stamp {
-                col_stamp[c as usize] = stamp;
-                queue.push(c);
+        for &u in seeds {
+            debug_assert_eq!(near_mate.get(u), NIL, "seed {u} is matched");
+            if near_stamp[u as usize] != stamp {
+                near_stamp[u as usize] = stamp;
+                queue.push(u);
             }
         }
-        let mut head = 0;
-        let mut end_row = NIL;
-        'bfs: while head < queue.len() {
-            let c = queue[head];
+        let (mut head, mut end, mut scanned) = (0, NIL, 0);
+        while end == NIL && head < queue.len() {
+            let u = queue[head];
             head += 1;
-            let mut found = NIL;
-            g.for_each_row_in_col(c, |r| {
-                if found != NIL || row_stamp[r as usize] == stamp {
+            adj.for_each_in_col(u, |v| {
+                if end != NIL {
                     return;
                 }
-                row_stamp[r as usize] = stamp;
-                row_parent[r as usize] = c;
-                let mate = m.mate_r.get(r);
-                if mate == NIL {
-                    found = r;
-                } else if col_stamp[mate as usize] != stamp {
-                    col_stamp[mate as usize] = stamp;
-                    queue.push(mate);
+                scanned += 1;
+                let seen = far_stamp[v as usize];
+                if seen == stamp || seen == dead {
+                    return;
+                }
+                far_stamp[v as usize] = stamp;
+                far_parent[v as usize] = u;
+                let w = far_mate.get(v);
+                if w == NIL {
+                    end = v;
+                } else if near_stamp[w as usize] != stamp {
+                    near_stamp[w as usize] = stamp;
+                    queue.push(w);
                 }
             });
-            if found != NIL {
-                end_row = found;
-                break 'bfs;
+        }
+        if end == NIL {
+            if mode == Mode::Repair {
+                // Every far vertex visited is the mate of a queued vertex:
+                // the region is closed and free-vertex-free, so it stays
+                // path-free until the batch ends.
+                for &u in queue.iter() {
+                    let v = near_mate.get(u);
+                    if v != NIL {
+                        far_stamp[v as usize] = dead;
+                    }
+                }
             }
+            return (None, scanned);
         }
-        if end_row == NIL {
-            return None;
+        if mode == Mode::Certify {
+            return (Some(0), scanned);
         }
-        if !commit {
-            return Some(0);
-        }
-        // Flip along parent pointers back to the free seed column.
-        let mut r = end_row;
-        let mut flipped = 0;
+        // Flip along parent pointers back to a free seed.
+        let (mut v, mut flipped) = (end, 0);
         loop {
-            let c = row_parent[r as usize];
-            let prev = m.mate_c.get(c);
-            m.mate_r.set(r, c);
-            m.mate_c.set(c, r);
+            let u = far_parent[v as usize];
+            let prev = near_mate.get(u);
+            far_mate.set(v, u);
+            near_mate.set(u, v);
             flipped += 1;
             if prev == NIL {
-                return Some(flipped);
+                return (Some(flipped), scanned);
             }
-            r = prev;
+            v = prev;
         }
     }
+}
 
-    /// Alternating BFS rooted at free row `r0` (row → columns over `Aᵀ`,
-    /// matched column → mate row) — the direction deletions of matched
-    /// edges need, since they free a row endpoint too.
-    fn search_from_row(&mut self, r0: Vidx, commit: bool) -> Option<usize> {
-        let stamp = self.bump_stamp();
-        let Self { g, m, row_stamp, col_stamp, col_parent, queue, .. } = self;
-        debug_assert!(!m.row_matched(r0));
-        queue.clear();
-        row_stamp[r0 as usize] = stamp;
-        queue.push(r0);
-        let mut head = 0;
-        let mut end_col = NIL;
-        'bfs: while head < queue.len() {
-            let r = queue[head];
-            head += 1;
-            let mut found = NIL;
-            g.for_each_col_in_row(r, |c| {
-                if found != NIL || col_stamp[c as usize] == stamp {
-                    return;
-                }
-                col_stamp[c as usize] = stamp;
-                col_parent[c as usize] = r;
-                let mate = m.mate_c.get(c);
-                if mate == NIL {
-                    found = c;
-                } else if row_stamp[mate as usize] != stamp {
-                    row_stamp[mate as usize] = stamp;
-                    queue.push(mate);
-                }
-            });
-            if found != NIL {
-                end_col = found;
-                break 'bfs;
-            }
-        }
-        if end_col == NIL {
-            return None;
-        }
-        if !commit {
-            return Some(0);
-        }
-        let mut c = end_col;
-        let mut flipped = 0;
-        loop {
-            let r = col_parent[c as usize];
-            let prev = m.mate_r.get(r);
-            m.mate_c.set(c, r);
-            m.mate_r.set(r, c);
-            flipped += 1;
-            if prev == NIL {
-                return Some(flipped);
-            }
-            c = prev;
-        }
-    }
+/// The side of the bipartite graph a search is rooted at.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Side {
+    Col,
+    Row,
+}
+
+/// What a search is for.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Mode {
+    /// Committing local repair: skips the batch's dead vertices, and a
+    /// failed search marks its own region dead.
+    Repair,
+    /// Committing global sweep: ignores dead marks.
+    Sweep,
+    /// Berge certificate: reports whether a path exists, flips nothing,
+    /// ignores dead marks.
+    Certify,
 }
 
 #[cfg(test)]
@@ -757,6 +761,92 @@ mod tests {
         assert!(r.global_sweeps >= 1, "interior insert must trigger a sweep");
         assert_eq!(r.cert_scope, CertScope::Full);
         assert_eq!(dm.cardinality(), 3);
+    }
+
+    #[test]
+    fn shared_dead_region_is_searched_once_per_batch() {
+        // A perfectly matched K_{m,m} block (rows 0..m, columns 0..m) plus
+        // k free columns m..m+k, each inserted against one block row in
+        // one batch. Every free column reaches the whole block and no free
+        // row: the first failed search kills the block, so the other k-1
+        // scan one dead entry each. Searching per seed scans ~k·m².
+        let (m, k) = (40usize, 24usize);
+        let block: Vec<(Vidx, Vidx)> =
+            (0..m as Vidx).flat_map(|r| (0..m as Vidx).map(move |c| (r, c))).collect();
+        let t = Triples::from_edges(m, m + k, block);
+        let mut dm = DynMatching::from_triples(&t, opts());
+        assert_eq!(dm.cardinality(), m);
+        let ups: Vec<Update> =
+            (0..k).map(|i| Update::Insert((i % m) as Vidx, (m + i) as Vidx)).collect();
+        let rep = dm.apply_batch(&ups);
+        assert_eq!(rep.local_searches, k);
+        assert_eq!(rep.repaired, 0);
+        assert_eq!(dm.cardinality(), m);
+        assert!(mcm_core::verify::is_maximum(&dm.graph().to_csc(), dm.matching()));
+        assert!(rep.scanned <= 2 * m * m + 2 * k, "scanned {} for m {m}, k {k}", rep.scanned);
+        assert_eq!(dm.stats().scanned, rep.scanned);
+    }
+
+    #[test]
+    fn only_failed_searches_leave_dead_marks() {
+        // Rows r0, r1 matched to b0, b1; free rows f1, f3 hang off b0, b1.
+        // One batch links free columns c1 (to r0, r1) and c2 (to r0). The
+        // search from c1 succeeds through r0 → b0 → f1 after visiting r1;
+        // c2's only path then runs c2 → r0 → c1 → r1 → b1 → f3, through
+        // rows that successful search visited, so they must not be dead.
+        let (r0, r1, f1, f3) = (0, 1, 2, 3);
+        let (b0, b1, c1, c2) = (0, 1, 2, 3);
+        let mut dm = DynMatching::new(4, 4, opts());
+        dm.apply_batch(&[Update::Insert(r0, b0), Update::Insert(r1, b1)]);
+        dm.apply_batch(&[Update::Insert(f1, b0), Update::Insert(f3, b1)]);
+        assert_eq!(dm.cardinality(), 2);
+        let rep = dm.apply_batch(&[
+            Update::Insert(r0, c1),
+            Update::Insert(r1, c1),
+            Update::Insert(r0, c2),
+        ]);
+        assert_eq!((rep.local_searches, rep.repaired), (2, 2));
+        assert_eq!(dm.cardinality(), 4);
+    }
+
+    #[test]
+    fn stamp_wraparound_mid_batch_keeps_the_same_matching() {
+        // Wrapping the stamp clears the dead marks mid-batch; since they
+        // only prune regions no path enters, the engine must reach the
+        // same mate vectors as one whose marks survive the whole batch.
+        let (n1, n2) = (30usize, 26usize);
+        let mut rng = SplitMix64::new(0x57A3);
+        let mut base = Vec::new();
+        for _ in 0..70 {
+            base.push((rng.below(n1 as u64) as Vidx, rng.below(n2 as u64) as Vidx));
+        }
+        let t = Triples::from_edges(n1, n2, base);
+        let o = DynOptions { fallback_threshold: 1e9, ..opts() };
+        let mut plain = DynMatching::from_triples(&t, o);
+        let mut wrapping = plain.clone();
+        let mut wrapped = 0;
+        for _ in 0..30 {
+            let mut ops = Vec::new();
+            for _ in 0..12 {
+                let r = rng.below(n1 as u64) as Vidx;
+                let c = rng.below(n2 as u64) as Vidx;
+                ops.push(if rng.below(2) == 0 {
+                    Update::Insert(r, c)
+                } else {
+                    Update::Delete(r, c)
+                });
+            }
+            // Land the wrap a few searches into the batch (cleared scratch
+            // keeps every stored stamp below the ones still to come).
+            wrapping.row_stamp.fill(0);
+            wrapping.col_stamp.fill(0);
+            wrapping.stamp = u32::MAX - 3;
+            plain.apply_batch(&ops);
+            let rep = wrapping.apply_batch(&ops);
+            wrapped += usize::from(wrapping.stamp < 100 && rep.local_searches > 3);
+            assert_eq!(plain.matching(), wrapping.matching());
+        }
+        assert!(wrapped > 0, "no batch wrapped its stamp mid-repair");
     }
 
     #[test]

@@ -31,10 +31,10 @@ const COMPACT_SLACK: usize = 64;
 /// assert!(!g.insert(1, 2));
 /// assert_eq!(g.nnz(), 1);
 /// let mut rows = Vec::new();
-/// g.for_each_row_in_col(2, |r| rows.push(r));
+/// g.cols().for_each_in_col(2, |r| rows.push(r));
 /// assert_eq!(rows, vec![1]);
 /// let mut cols = Vec::new();
-/// g.for_each_col_in_row(1, |c| cols.push(c));
+/// g.rows().for_each_in_col(1, |c| cols.push(c));
 /// assert_eq!(cols, vec![2]);
 /// ```
 #[derive(Clone, Debug)]
@@ -129,16 +129,18 @@ impl DynGraph {
         self.rows.col_degree(r)
     }
 
-    /// Visits the rows adjacent to column `c` in sorted order.
+    /// The column adjacency (`A`, `n1 × n2`): the rows of each column in
+    /// sorted order, and all a reader of the edge set needs.
     #[inline]
-    pub fn for_each_row_in_col(&self, c: Vidx, f: impl FnMut(Vidx)) {
-        self.cols.for_each_in_col(c, f)
+    pub fn cols(&self) -> &CscOverlay {
+        &self.cols
     }
 
-    /// Visits the columns adjacent to row `r` in sorted order.
+    /// The row adjacency (`Aᵀ`, `n2 × n1`): the columns of each row in
+    /// sorted order.
     #[inline]
-    pub fn for_each_col_in_row(&self, r: Vidx, f: impl FnMut(Vidx)) {
-        self.rows.for_each_in_col(r, f)
+    pub fn rows(&self) -> &CscOverlay {
+        &self.rows
     }
 
     /// Materializes the live edge set (sorted, deduplicated).
@@ -193,7 +195,7 @@ mod tests {
         let a = g.to_csc();
         let mut from_rows = Triples::new(n1, n2);
         for r in 0..n1 as Vidx {
-            g.for_each_col_in_row(r, |c| from_rows.push(r, c));
+            g.rows().for_each_in_col(r, |c| from_rows.push(r, c));
         }
         assert_eq!(from_rows.to_csc(), a);
         assert_eq!(a.nnz(), g.nnz());

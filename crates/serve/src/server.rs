@@ -234,7 +234,7 @@ pub fn format_stats_line(
         "stats batches {} updates {} inserts {} deletes {} matched_deletes {} \
          immediate {} searches {} repaired {} path_edges {} max_path {} \
          interior {} sweeps {} fallbacks {} cert_seeds {} cardinality {} \
-         nnz {} epoch {} incremental {} warm_start {} algo {}",
+         nnz {} epoch {} incremental {} warm_start {} scanned {} algo {}",
         s.batches,
         s.updates,
         s.inserts,
@@ -254,6 +254,7 @@ pub fn format_stats_line(
         epoch,
         s.batches - s.fallbacks,
         s.fallbacks,
+        s.scanned,
         // Which engine actually serviced the last fallback; until one
         // runs, the configured choice (`auto` included).
         if s.last_algo.is_empty() { configured_algo } else { s.last_algo },

@@ -158,6 +158,7 @@ impl<T> SwapCell<T> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::Barrier;
 
     #[test]
     fn load_returns_what_was_stored() {
@@ -202,7 +203,9 @@ mod tests {
     fn hammer_concurrent_readers_see_monotonic_sequence() {
         // One writer publishes 0..N in order; readers assert they never
         // observe the sequence going backwards and never touch freed
-        // memory (the payload validates itself).
+        // memory (the payload validates itself). The writer starts only
+        // once every reader has loaded, so a loaded host cannot finish
+        // all stores before any reader is scheduled.
         const N: usize = 4000;
         struct Payload {
             seq: usize,
@@ -211,23 +214,31 @@ mod tests {
         let cell = Arc::new(SwapCell::new(Arc::new(Payload { seq: 0, check: !0 })));
         let stop = Arc::new(AtomicBool::new(false));
         let reads = Arc::new(AtomicUsize::new(0));
+        let started = Arc::new(Barrier::new(5));
         let readers: Vec<_> = (0..4)
             .map(|_| {
                 let cell = cell.clone();
                 let stop = stop.clone();
                 let reads = reads.clone();
+                let started = started.clone();
                 std::thread::spawn(move || {
+                    let mut p = cell.load();
+                    started.wait();
                     let mut last = 0usize;
-                    while !stop.load(Ordering::Relaxed) {
-                        let p = cell.load();
+                    loop {
                         assert_eq!(p.seq ^ p.check, !0, "torn or freed payload");
                         assert!(p.seq >= last, "sequence went backwards: {} < {last}", p.seq);
                         last = p.seq;
                         reads.fetch_add(1, Ordering::Relaxed);
+                        if stop.load(Ordering::Relaxed) {
+                            break;
+                        }
+                        p = cell.load();
                     }
                 })
             })
             .collect();
+        started.wait();
         for i in 1..=N {
             cell.store(Arc::new(Payload { seq: i, check: i ^ !0 }));
         }

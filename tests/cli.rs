@@ -584,6 +584,19 @@ fn mcmd_metrics_labels_warm_start_fallbacks() {
 }
 
 #[test]
+fn mcmd_reports_scanned_adjacency_entries() {
+    // Deleting matched (0, 0) frees r0 and c0: c0 has no edges left, and
+    // the search from r0 scans r0 → c1 and c1's mate r1 → c1, 2 entries.
+    let text = mcmd_session(
+        &["--rows", "4", "--cols", "4", "--quiet"],
+        "insert 0 0\ninsert 1 1\ninsert 0 1\nquery\ndelete 0 0\nquery\nstats\nmetrics\nquit\n",
+    );
+    let line = text.lines().find(|l| l.starts_with("stats ")).unwrap_or_else(|| panic!("{text}"));
+    assert!(line.ends_with(" warm_start 0 scanned 2 algo msbfs"), "{line}");
+    assert!(text.contains("mcm_dyn_scanned_total{strategy=\"incremental\"} 2"), "{text}");
+}
+
+#[test]
 fn mcmd_trace_out_writes_chrome_json() {
     use std::io::Write;
     let trace = tmp("mcmd_trace.json");

@@ -8,12 +8,19 @@
 //! path, the warm-started MS-BFS fallback, and the mixed regime all face
 //! the same oracle.
 //!
+//! An RMAT case adds the serving regime: a skewed g500 base under large
+//! batches of alternating fresh inserts and live deletes, where many
+//! dirty vertices share one path-free (dead) region.
+//!
 //! Failures print the trace name, seed, batch index, and threshold;
 //! `MCM_TEST_SEED=<seed>` (decimal or `0x` hex) replays a sweep exactly.
 
 use mcm_core::serial::hopcroft_karp;
 use mcm_dyn::{DynMatching, DynOptions, Update};
-use mcm_gen::{update_trace, update_trace_suite, TraceOp};
+use mcm_gen::{rmat, update_trace, update_trace_suite, RmatParams, TraceOp};
+use mcm_sparse::permute::SplitMix64;
+use mcm_sparse::Vidx;
+use std::collections::HashSet;
 
 /// Default seed, overridable via `MCM_TEST_SEED` (decimal or `0x` hex) —
 /// the same convention as `tests/stress.rs` and the simtest sweeps.
@@ -31,6 +38,26 @@ fn sweep_seed(default: u64) -> u64 {
 /// warm-started MS-BFS driver), the default-ish mixed regime, and never
 /// fall back (pure single-path repair + sweeps).
 const THRESHOLDS: [f64; 3] = [0.0, 0.08, 1e9];
+
+/// Applies one batch and checks the oracle: a valid matching, the
+/// cardinality of a from-scratch Hopcroft–Karp solve, and a full Berge
+/// certificate. `ctx` names the batch in failure messages.
+fn apply_and_check(dm: &mut DynMatching, batch: &[Update], ctx: &str) {
+    let rep = dm.apply_batch(batch);
+    let a = dm.graph().to_csc();
+    dm.matching().validate(&a).unwrap_or_else(|e| panic!("{ctx}: invalid matching: {e}"));
+    let want = hopcroft_karp(&a, None).cardinality();
+    assert_eq!(
+        dm.cardinality(),
+        want,
+        "{ctx}: incremental cardinality {} != HK recompute {want} (report {rep:?})",
+        dm.cardinality()
+    );
+    assert!(
+        mcm_core::verify::is_maximum(&a, dm.matching()),
+        "{ctx}: Berge certificate found an augmenting path after repair"
+    );
+}
 
 /// Replays one trace under one threshold, checking the oracle at every
 /// batch boundary. Returns (batches, fallbacks) for regime assertions.
@@ -51,25 +78,10 @@ fn replay_against_hk(
             TraceOp::Insert(r, c) => staged.push(Update::Insert(r, c)),
             TraceOp::Delete(r, c) => staged.push(Update::Delete(r, c)),
             TraceOp::Query => {
-                let rep = dm.apply_batch(&staged);
-                staged.clear();
                 let ctx =
                     format!("trace {name} seed {seed:#x} batch {batch_idx} threshold {threshold}");
-                let a = dm.graph().to_csc();
-                dm.matching()
-                    .validate(&a)
-                    .unwrap_or_else(|e| panic!("{ctx}: invalid matching: {e}"));
-                let want = hopcroft_karp(&a, None).cardinality();
-                assert_eq!(
-                    dm.cardinality(),
-                    want,
-                    "{ctx}: incremental cardinality {} != HK recompute {want} (report {rep:?})",
-                    dm.cardinality()
-                );
-                assert!(
-                    mcm_core::verify::is_maximum(&a, dm.matching()),
-                    "{ctx}: Berge certificate found an augmenting path after repair"
-                );
+                apply_and_check(&mut dm, &staged, &ctx);
+                staged.clear();
                 batch_idx += 1;
             }
         }
@@ -147,4 +159,70 @@ fn decay_trace_exercises_matched_edge_deletions() {
         s.local_searches > 0,
         "trace {name} seed {seed:#x}: matched deletions must trigger local repairs"
     );
+}
+
+#[test]
+fn rmat_serving_mix_matches_hk_every_batch() {
+    // The serving stream's shape on a smaller graph: a g500 base, then
+    // 512-update batches alternating an insert of a fresh edge (drawn in
+    // seeded order from a second g500 graph, skipping live edges) with a
+    // delete of a uniformly random live edge.
+    const SCALE: u32 = 10;
+    const BATCH: usize = 512;
+    const BATCHES: usize = 16;
+    let seed = sweep_seed(0x5E4E);
+    let base = rmat(RmatParams::g500(SCALE), seed);
+    let mut fresh = rmat(RmatParams::g500(SCALE), seed ^ 0x1_5EED).entries().to_vec();
+    let mut rng = SplitMix64::new(seed);
+    for i in (1..fresh.len()).rev() {
+        fresh.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    let mut fresh = fresh.into_iter();
+    let mut live: Vec<(Vidx, Vidx)> = Vec::new();
+    let mut is_live: HashSet<(Vidx, Vidx)> = HashSet::new();
+    for &e in base.entries() {
+        if is_live.insert(e) {
+            live.push(e);
+        }
+    }
+    let batches: Vec<Vec<Update>> = (0..BATCHES)
+        .map(|_| {
+            (0..BATCH)
+                .map(|i| {
+                    if i % 2 == 0 {
+                        let e = fresh
+                            .find(|e| !is_live.contains(e))
+                            .expect("insert source graph exhausted");
+                        is_live.insert(e);
+                        live.push(e);
+                        Update::Insert(e.0, e.1)
+                    } else {
+                        let e = live.swap_remove(rng.below(live.len() as u64) as usize);
+                        is_live.remove(&e);
+                        Update::Delete(e.0, e.1)
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    for threshold in [DynOptions::default().fallback_threshold, 1e9] {
+        let mut dm = DynMatching::from_triples(
+            &base,
+            DynOptions { fallback_threshold: threshold, ..DynOptions::default() },
+        );
+        for (b, batch) in batches.iter().enumerate() {
+            let ctx =
+                format!("rmat g500 scale {SCALE} seed {seed:#x} batch {b} threshold {threshold}");
+            apply_and_check(&mut dm, batch, &ctx);
+        }
+        let s = dm.stats();
+        assert_eq!(
+            s.fallbacks, 0,
+            "seed {seed:#x} threshold {threshold}: the mix must stay incremental"
+        );
+        assert!(
+            s.local_searches > s.repaired,
+            "seed {seed:#x} threshold {threshold}: no search failed, so no dead region formed"
+        );
+    }
 }

@@ -109,7 +109,7 @@ fn bench_dynamic(c: &mut Criterion) {
                     for &op in ops {
                         match op {
                             Update::Insert(r, c) => {
-                                g.insert(r, c);
+                                g.insert(r, c, ());
                             }
                             Update::Delete(r, c) => {
                                 g.delete(r, c);
@@ -133,7 +133,7 @@ fn bench_dynamic(c: &mut Criterion) {
         for &op in &ops {
             match op {
                 Update::Insert(r, c) => {
-                    g.insert(r, c);
+                    g.insert(r, c, ());
                 }
                 Update::Delete(r, c) => {
                     g.delete(r, c);

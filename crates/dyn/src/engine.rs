@@ -236,6 +236,9 @@ pub struct StateSnapshot {
     pub stats: DynStats,
     /// Matching cardinality as of publication.
     pub cardinality: usize,
+    /// The configured fallback engine (`mcmd stats` reports it until a
+    /// fallback runs).
+    pub algo: MatchingAlgo,
 }
 
 impl StateSnapshot {
@@ -362,6 +365,7 @@ impl DynMatching {
             graph: self.g.cols().clone(),
             stats: self.stats.clone(),
             cardinality: self.m.cardinality(),
+            algo: self.opts.algo,
         }
     }
 
@@ -379,7 +383,7 @@ impl DynMatching {
         for &u in updates {
             match u {
                 Update::Insert(r, c) => {
-                    if self.g.insert(r, c) {
+                    if self.g.insert(r, c, ()) {
                         rep.inserts += 1;
                         staged.push((r, c));
                     }
@@ -635,7 +639,7 @@ impl DynMatching {
         while end == NIL && head < queue.len() {
             let u = queue[head];
             head += 1;
-            adj.for_each_in_col(u, |v| {
+            adj.for_each_in_col(u, |v, ()| {
                 if end != NIL {
                     return;
                 }

@@ -1,16 +1,21 @@
 //! `DynGraph`: a mutable bipartite graph with both-sided adjacency.
 //!
-//! The repair engine needs two scan directions the static pipeline never
-//! mixes: column → rows (the matrix `A`, for augmenting searches rooted at
-//! free columns) and row → columns (`Aᵀ`, for searches rooted at rows
-//! freed by matched-edge deletions). `DynGraph` keeps one
+//! The repair engines need two scan directions the static pipeline never
+//! mixes: column → rows (the matrix `A`, for augmenting searches and bids
+//! rooted at columns) and row → columns (`Aᵀ`, for searches rooted at rows
+//! freed by matched-edge deletions, and for the weighted engine's
+//! price-reset fan-out). `DynGraph` keeps one
 //! [`CscOverlay`](mcm_sparse::CscOverlay) per direction, applies every
 //! update to both, and compacts them together once the overlay outgrows a
 //! fraction of the base — the epoch bump is the cache-invalidation signal
 //! for anything keyed on the frozen base (the warm-start fallback
 //! redistributes per epoch, mirroring how `DistMatrix` freezes `Triples`).
+//!
+//! The column direction carries the edge value `V` (`()` for the
+//! cardinality engine, the weight `f64` for the weighted one); the row
+//! direction is always a pattern, since no reader of `Aᵀ` needs values.
 
-use mcm_sparse::{Csc, CscOverlay, Triples, Vidx};
+use mcm_sparse::{Csc, CscOverlay, Triples, Vidx, WCsc};
 
 /// Overlay growth bound before auto-compaction: compact when the staged
 /// overlay exceeds `nnz / COMPACT_DIVISOR + COMPACT_SLACK` entries. The
@@ -18,8 +23,9 @@ use mcm_sparse::{Csc, CscOverlay, Triples, Vidx};
 const COMPACT_DIVISOR: usize = 4;
 const COMPACT_SLACK: usize = 64;
 
-/// A dynamic `n1 × n2` bipartite graph: column adjacency (`A`) and row
-/// adjacency (`Aᵀ`) kept in lock-step through insert/delete overlays.
+/// A dynamic `n1 × n2` bipartite graph: column adjacency (`A`, carrying a
+/// value `V` per edge) and row adjacency (`Aᵀ`, pattern only) kept in
+/// lock-step through insert/delete overlays.
 ///
 /// # Example
 ///
@@ -27,41 +33,64 @@ const COMPACT_SLACK: usize = 64;
 /// use mcm_dyn::DynGraph;
 ///
 /// let mut g = DynGraph::empty(3, 4);
-/// assert!(g.insert(1, 2));
-/// assert!(!g.insert(1, 2));
+/// assert!(g.insert(1, 2, ()));
+/// assert!(!g.insert(1, 2, ()));
 /// assert_eq!(g.nnz(), 1);
 /// let mut rows = Vec::new();
-/// g.cols().for_each_in_col(2, |r| rows.push(r));
+/// g.cols().for_each_in_col(2, |r, ()| rows.push(r));
 /// assert_eq!(rows, vec![1]);
 /// let mut cols = Vec::new();
-/// g.rows().for_each_in_col(1, |c| cols.push(c));
+/// g.rows().for_each_in_col(1, |c, ()| cols.push(c));
 /// assert_eq!(cols, vec![2]);
+///
+/// let mut w = DynGraph::empty(2, 2);
+/// assert!(w.insert(0, 1, 4.5));
+/// assert!(!w.insert(0, 1, 6.0), "a live edge is re-weighted");
+/// assert_eq!(w.cols().value(0, 1), Some(6.0));
 /// ```
 #[derive(Clone, Debug)]
-pub struct DynGraph {
+pub struct DynGraph<V = ()> {
     /// `n1 × n2`: rows adjacent to each column (the matrix `A`).
-    cols: CscOverlay,
+    cols: CscOverlay<V>,
     /// `n2 × n1`: columns adjacent to each row (`Aᵀ`).
     rows: CscOverlay,
 }
 
 impl DynGraph {
-    /// An empty dynamic graph with `n1` row and `n2` column vertices.
-    pub fn empty(n1: usize, n2: usize) -> Self {
-        Self { cols: CscOverlay::empty(n1, n2), rows: CscOverlay::empty(n2, n1) }
-    }
-
     /// Builds from a static edge list (the initial compacted base).
     pub fn from_triples(t: &Triples) -> Self {
-        Self { cols: CscOverlay::new(t.to_csc()), rows: CscOverlay::new(t.transposed().to_csc()) }
+        Self::from_csc(t.to_csc())
     }
 
     /// Builds from an already-compacted CSC base — the MCSB load path
     /// (`mcmd --load graph.mcsb`), which decodes straight to CSC and never
     /// owns a triple list. The row adjacency is the explicit transpose.
     pub fn from_csc(a: Csc) -> Self {
+        let nnz = a.nnz();
+        Self::with_values(a, vec![(); nnz])
+    }
+}
+
+impl DynGraph<f64> {
+    /// Builds from a weighted CSC base: its values become the column
+    /// direction's weights, and the row adjacency is the pattern's
+    /// transpose.
+    pub fn from_wcsc(a: WCsc) -> Self {
+        let (pattern, values) = a.into_parts();
+        Self::with_values(pattern, values)
+    }
+}
+
+impl<V: Copy + PartialEq> DynGraph<V> {
+    /// An empty dynamic graph with `n1` row and `n2` column vertices.
+    pub fn empty(n1: usize, n2: usize) -> Self {
+        Self { cols: CscOverlay::empty(n1, n2), rows: CscOverlay::empty(n2, n1) }
+    }
+
+    /// Builds from a CSC base and values aligned with its nonzeros.
+    fn with_values(a: Csc, values: Vec<V>) -> Self {
         let at = a.transpose();
-        Self { cols: CscOverlay::new(a), rows: CscOverlay::new(at) }
+        Self { cols: CscOverlay::with_values(a, values), rows: CscOverlay::new(at) }
     }
 
     /// Row vertices.
@@ -94,16 +123,18 @@ impl DynGraph {
         self.cols.contains(r, c)
     }
 
-    /// Inserts edge `(r, c)`; `true` when it was not already live. May
-    /// trigger compaction of both adjacency directions.
-    pub fn insert(&mut self, r: Vidx, c: Vidx) -> bool {
-        let changed = self.cols.insert(r, c);
-        if changed {
-            let also = self.rows.insert(c, r);
+    /// Inserts edge `(r, c)` with value `v`; `true` when it was not
+    /// already live. A live edge takes the new value. May trigger
+    /// compaction of both adjacency directions.
+    pub fn insert(&mut self, r: Vidx, c: Vidx, v: V) -> bool {
+        let added = self.cols.insert(r, c, v);
+        if added {
+            let also = self.rows.insert(c, r, ());
             debug_assert!(also, "row/col adjacency diverged on insert ({r}, {c})");
-            self.maybe_compact();
         }
-        changed
+        // A re-valued edge grows the column overlay too.
+        self.maybe_compact();
+        added
     }
 
     /// Deletes edge `(r, c)`; `true` when it was live.
@@ -129,10 +160,10 @@ impl DynGraph {
         self.rows.col_degree(r)
     }
 
-    /// The column adjacency (`A`, `n1 × n2`): the rows of each column in
-    /// sorted order, and all a reader of the edge set needs.
+    /// The column adjacency (`A`, `n1 × n2`): the `(row, value)` entries
+    /// of each column in row order, and all a reader of the edge set needs.
     #[inline]
-    pub fn cols(&self) -> &CscOverlay {
+    pub fn cols(&self) -> &CscOverlay<V> {
         &self.cols
     }
 
@@ -143,12 +174,12 @@ impl DynGraph {
         &self.rows
     }
 
-    /// Materializes the live edge set (sorted, deduplicated).
+    /// Materializes the live edge pattern (sorted, deduplicated).
     pub fn to_triples(&self) -> Triples {
         self.cols.to_triples()
     }
 
-    /// Materializes the live edge set as CSC.
+    /// Materializes the live edge pattern as CSC.
     pub fn to_csc(&self) -> Csc {
         self.cols.to_csc()
     }
@@ -159,7 +190,7 @@ impl DynGraph {
         self.rows.compact();
     }
 
-    /// Staged overlay entries across both directions (diagnostic).
+    /// Staged overlay entries of the column direction (diagnostic).
     #[inline]
     pub fn overlay_nnz(&self) -> usize {
         self.cols.overlay_nnz()
@@ -186,7 +217,7 @@ mod tests {
             let r = rng.below(n1 as u64) as Vidx;
             let c = rng.below(n2 as u64) as Vidx;
             if rng.below(2) == 0 {
-                g.insert(r, c);
+                g.insert(r, c, ());
             } else {
                 g.delete(r, c);
             }
@@ -195,7 +226,7 @@ mod tests {
         let a = g.to_csc();
         let mut from_rows = Triples::new(n1, n2);
         for r in 0..n1 as Vidx {
-            g.rows().for_each_in_col(r, |c| from_rows.push(r, c));
+            g.rows().for_each_in_col(r, |c, ()| from_rows.push(r, c));
         }
         assert_eq!(from_rows.to_csc(), a);
         assert_eq!(a.nnz(), g.nnz());
@@ -207,7 +238,7 @@ mod tests {
         let mut rng = SplitMix64::new(7);
         let epoch0 = g.epoch();
         for _ in 0..2000 {
-            g.insert(rng.below(40) as Vidx, rng.below(40) as Vidx);
+            g.insert(rng.below(40) as Vidx, rng.below(40) as Vidx, ());
             g.delete(rng.below(40) as Vidx, rng.below(40) as Vidx);
         }
         assert!(g.epoch() > epoch0, "sustained churn never compacted");
@@ -215,6 +246,37 @@ mod tests {
             g.overlay_nnz() <= g.nnz() / COMPACT_DIVISOR + COMPACT_SLACK,
             "overlay exceeded the compaction bound"
         );
+    }
+
+    #[test]
+    fn weighted_graph_reweights_compacts_and_keeps_rows_in_sync() {
+        let (n1, n2) = (21usize, 19usize);
+        let mut g = DynGraph::empty(n1, n2);
+        let mut mirror: Vec<Option<f64>> = vec![None; n1 * n2];
+        let mut rng = SplitMix64::new(0xF64);
+        let epoch0 = g.epoch();
+        for _ in 0..3000 {
+            let (r, c) = (rng.below(n1 as u64) as usize, rng.below(n2 as u64) as usize);
+            if rng.below(3) == 0 {
+                assert_eq!(g.delete(r as Vidx, c as Vidx), mirror[r * n2 + c].is_some());
+                mirror[r * n2 + c] = None;
+            } else {
+                let w = (rng.below(9) + 1) as f64;
+                assert_eq!(g.insert(r as Vidx, c as Vidx, w), mirror[r * n2 + c].is_none());
+                mirror[r * n2 + c] = Some(w);
+            }
+        }
+        assert!(g.epoch() > epoch0, "re-weight churn never compacted");
+        let mut from_rows = Triples::new(n1, n2);
+        for r in 0..n1 as Vidx {
+            g.rows().for_each_in_col(r, |c, ()| from_rows.push(r, c));
+        }
+        assert_eq!(from_rows.to_csc(), g.to_csc());
+        for r in 0..n1 {
+            for c in 0..n2 {
+                assert_eq!(g.cols().value(r as Vidx, c as Vidx), mirror[r * n2 + c]);
+            }
+        }
     }
 
     #[test]

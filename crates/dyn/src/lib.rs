@@ -5,7 +5,8 @@
 //!
 //! * [`DynGraph`] — a mutable bipartite graph as two lock-stepped
 //!   [`CscOverlay`](mcm_sparse::CscOverlay)s (column and row adjacency),
-//!   with epoch-bumping compaction back into frozen CSC;
+//!   with epoch-bumping compaction back into frozen CSC; generic over an
+//!   edge value, so both engines below share it (`()` and `f64`);
 //! * [`DynMatching`] — an always-maximum matching repaired after each
 //!   update batch by single-source augmenting searches from the dirtied
 //!   vertices, falling back to the warm-started multi-source MS-BFS

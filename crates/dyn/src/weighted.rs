@@ -35,11 +35,12 @@
 //! the exactness bound `1/(2·(n1+1))` so integer-weight instances stay
 //! exactly optimal across arbitrary update histories.
 
+use crate::graph::DynGraph;
 use mcm_core::auction::AuctionOptions;
 use mcm_core::verify::{verify_eps_cs, VerifyError};
 use mcm_core::weighted::auction_mwm_par;
 use mcm_core::Matching;
-use mcm_sparse::{CscOverlay, Vidx, WCsc, WCscOverlay, NIL};
+use mcm_sparse::{CscOverlay, Vidx, WCsc, NIL};
 use std::collections::VecDeque;
 
 /// One weighted point update. `Insert` on a live edge re-weights it.
@@ -140,8 +141,8 @@ pub struct WDynStats {
 /// weight + counters), cheap enough to publish per batch from a server.
 #[derive(Clone, Debug)]
 pub struct WStateSnapshot {
-    /// The weighted graph at snapshot time.
-    pub graph: WCscOverlay,
+    /// The weighted graph at snapshot time (column adjacency only).
+    pub graph: CscOverlay<f64>,
     /// Counters at snapshot time.
     pub stats: WDynStats,
     /// Matching cardinality at snapshot time.
@@ -163,8 +164,6 @@ impl WStateSnapshot {
 }
 
 const TOL: f64 = 1e-12;
-const COMPACT_DIVISOR: usize = 4;
-const COMPACT_SLACK: usize = 64;
 
 /// Incrementally maintained maximum *weight* matching over a mutable
 /// weighted bipartite graph.
@@ -185,12 +184,10 @@ const COMPACT_SLACK: usize = 64;
 /// assert_eq!(rep.weight, 10.0, "c0 falls back to its light edge... or c1 does");
 /// ```
 pub struct WDynMatching {
-    /// Column-oriented weighted graph: `cols.for_each_in_col(c)` walks
-    /// column `c`'s `(row, weight)` candidates — the bidding direction.
-    cols: WCscOverlay,
-    /// Pattern-only transpose: `rows.for_each_in_col(r)` walks the
-    /// columns adjacent to row `r` — the price-reset fan-out direction.
-    rows: CscOverlay,
+    /// The weighted graph: `g.cols()` walks a column's `(row, weight)`
+    /// candidates (the bidding direction), `g.rows()` a row's adjacent
+    /// columns (the price-reset fan-out direction).
+    g: DynGraph<f64>,
     m: Matching,
     prices: Vec<f64>,
     eps: f64,
@@ -204,9 +201,13 @@ pub struct WDynMatching {
 impl WDynMatching {
     /// An empty `n1 × n2` weighted graph with an empty matching.
     pub fn new(n1: usize, n2: usize, opts: WDynOptions) -> Self {
+        Self::with_graph(DynGraph::empty(n1, n2), opts)
+    }
+
+    fn with_graph(g: DynGraph<f64>, opts: WDynOptions) -> Self {
+        let (n1, n2) = (g.n1(), g.n2());
         Self {
-            cols: WCscOverlay::empty(n1, n2),
-            rows: CscOverlay::empty(n2, n1),
+            g,
             m: Matching::empty(n1, n2),
             prices: vec![0.0; n1],
             eps: 1.0 / (2.0 * (n1 as f64 + 1.0)),
@@ -233,15 +234,7 @@ impl WDynMatching {
     /// (`mcmd --weighted --load graph.mcsb`), which decodes pattern and
     /// values straight to a `WCsc` frozen base with no triple list.
     pub fn from_wcsc(a: WCsc, opts: WDynOptions) -> Self {
-        let (n1, n2) = (a.nrows(), a.ncols());
-        let mut wm = Self::new(n1, n2, opts);
-        let mut rows = CscOverlay::empty(n2, n1);
-        for (r, c) in a.pattern().iter() {
-            rows.insert(c, r);
-        }
-        rows.compact();
-        wm.cols = WCscOverlay::new(a);
-        wm.rows = rows;
+        let mut wm = Self::with_graph(DynGraph::from_wcsc(a), opts);
         wm.cold_solve();
         wm.weight = wm.recompute_weight();
         wm
@@ -277,25 +270,25 @@ impl WDynMatching {
         &self.stats
     }
 
-    /// The weighted graph (column orientation).
-    pub fn graph(&self) -> &WCscOverlay {
-        &self.cols
+    /// The weighted graph.
+    pub fn graph(&self) -> &DynGraph<f64> {
+        &self.g
     }
 
     /// Live edge count.
     pub fn nnz(&self) -> usize {
-        self.cols.nnz()
+        self.g.nnz()
     }
 
-    /// Compaction epoch of the column overlay.
+    /// Compaction epoch of the graph.
     pub fn epoch(&self) -> u64 {
-        self.cols.epoch()
+        self.g.epoch()
     }
 
     /// A consistent copy of the engine state for publication.
     pub fn snapshot_state(&self) -> WStateSnapshot {
         WStateSnapshot {
-            graph: self.cols.clone(),
+            graph: self.g.cols().clone(),
             stats: self.stats.clone(),
             cardinality: self.m.cardinality(),
             weight: self.weight,
@@ -304,7 +297,7 @@ impl WDynMatching {
 
     /// Full independent ε-CS verification of the current state (O(nnz)).
     pub fn verify_full(&self) -> Result<(), VerifyError> {
-        verify_eps_cs(&self.cols.to_wcsc(), &self.m, &self.prices, self.eps)
+        verify_eps_cs(&self.g.cols().to_wcsc(), &self.m, &self.prices, self.eps)
     }
 
     /// Applies a batch of weighted updates and repairs the matching.
@@ -313,7 +306,7 @@ impl WDynMatching {
         let sw = mcm_obs::Stopwatch::new();
         let weight_before = self.weight;
         let mut rep = WBatchReport::default();
-        let n2 = self.cols.ncols();
+        let n2 = self.g.n2();
 
         // Worklist of columns whose ε-CS must be (re-)checked. A column
         // may legitimately re-enter after a later price reset changes its
@@ -332,21 +325,18 @@ impl WDynMatching {
         for &u in batch {
             match u {
                 WUpdate::Insert(r, c, w) => {
-                    let before = self.cols.weight(r, c);
-                    if before == Some(w) {
+                    if self.g.cols().value(r, c) == Some(w) {
                         continue; // pure no-op
                     }
-                    self.cols.insert(r, c, w);
-                    self.rows.insert(c, r);
+                    self.g.insert(r, c, w);
                     rep.applied += 1;
                     rep.inserts += 1;
                     push_dirty(&mut dirty, &mut in_dirty, c);
                 }
                 WUpdate::Delete(r, c) => {
-                    if !self.cols.delete(r, c) {
+                    if !self.g.delete(r, c) {
                         continue;
                     }
-                    self.rows.delete(c, r);
                     rep.applied += 1;
                     rep.deletes += 1;
                     if self.m.mate_c.get(c) == r {
@@ -355,7 +345,7 @@ impl WDynMatching {
                         self.m.mate_r.set(r, NIL);
                         self.prices[r as usize] = 0.0;
                         push_dirty(&mut dirty, &mut in_dirty, c);
-                        self.rows.for_each_in_col(r, |c2| {
+                        self.g.rows().for_each_in_col(r, |c2, ()| {
                             push_dirty(&mut dirty, &mut in_dirty, c2);
                         });
                     }
@@ -384,10 +374,10 @@ impl WDynMatching {
                 continue; // unmatched candidates go to the re-auction below
             }
             let mut best = f64::NEG_INFINITY;
-            self.cols.for_each_in_col(c, |r2, w| {
+            self.g.cols().for_each_in_col(c, |r2, w| {
                 best = best.max(w - self.prices[r2 as usize]);
             });
-            let net = self.cols.weight(r, c).expect("matched edge must be live")
+            let net = self.g.cols().value(r, c).expect("matched edge must be live")
                 - self.prices[r as usize];
             if net + self.eps < best.max(0.0) - TOL {
                 self.m.mate_c.set(c, NIL);
@@ -395,7 +385,7 @@ impl WDynMatching {
                 self.prices[r as usize] = 0.0;
                 rep.repaired += 1;
                 push_dirty(&mut dirty, &mut in_dirty, c);
-                self.rows.for_each_in_col(r, |c2| {
+                self.g.rows().for_each_in_col(r, |c2, ()| {
                     push_dirty(&mut dirty, &mut in_dirty, c2);
                 });
             }
@@ -405,7 +395,7 @@ impl WDynMatching {
         let bidders: Vec<Vidx> = ever
             .iter()
             .copied()
-            .filter(|&c| self.m.mate_c.get(c) == NIL && self.cols.col_degree(c) > 0)
+            .filter(|&c| self.m.mate_c.get(c) == NIL && self.g.col_degree(c) > 0)
             .collect();
         rep.budget = self.bid_budget();
         if !bidders.is_empty() {
@@ -426,7 +416,6 @@ impl WDynMatching {
         rep.weight = self.weight;
         rep.weight_delta = self.weight - weight_before;
         rep.cardinality = self.m.cardinality();
-        self.maybe_compact();
         if self.opts.full_verify {
             self.verify_full().expect("post-batch eps-CS certificate");
         }
@@ -468,7 +457,7 @@ impl WDynMatching {
     /// at least one bid per column (an engine built empty has no cold
     /// solve to measure yet).
     fn bid_budget(&self) -> usize {
-        self.cold_bids.max(self.cols.ncols())
+        self.cold_bids.max(self.g.n2())
     }
 
     /// Serial forward auction from the current prices, seeded with the
@@ -489,7 +478,7 @@ impl WDynMatching {
             rebids += 1;
             let mut best: Option<(f64, Vidx)> = None;
             let mut second = f64::NEG_INFINITY;
-            self.cols.for_each_in_col(c, |r, w| {
+            self.g.cols().for_each_in_col(c, |r, w| {
                 let net = w - self.prices[r as usize];
                 match best {
                     None => best = Some((net, r)),
@@ -521,7 +510,7 @@ impl WDynMatching {
     /// parallel ε-scaled auction; its bid count becomes the next budget.
     fn cold_solve(&mut self) {
         let _span = mcm_obs::span("wdyn_cold_solve");
-        let a = self.cols.to_wcsc();
+        let a = self.g.cols().to_wcsc();
         let r = auction_mwm_par(
             &a,
             &AuctionOptions {
@@ -537,20 +526,12 @@ impl WDynMatching {
     }
 
     fn recompute_weight(&self) -> f64 {
-        (0..self.cols.ncols() as Vidx)
+        (0..self.g.n2() as Vidx)
             .filter_map(|c| {
                 let r = self.m.mate_c.get(c);
-                (r != NIL).then(|| self.cols.weight(r, c).expect("matched edge must be live"))
+                (r != NIL).then(|| self.g.cols().value(r, c).expect("matched edge must be live"))
             })
             .sum()
-    }
-
-    fn maybe_compact(&mut self) {
-        let bound = self.cols.nnz() / COMPACT_DIVISOR + COMPACT_SLACK;
-        if self.cols.overlay_nnz() > bound {
-            self.cols.compact();
-            self.rows.compact();
-        }
     }
 }
 
@@ -561,7 +542,7 @@ mod tests {
     use mcm_sparse::permute::SplitMix64;
 
     fn oracle_weight(wm: &WDynMatching) -> f64 {
-        let a = wm.graph().to_wcsc();
+        let a = wm.graph().cols().to_wcsc();
         auction_mwm(&a, wm.eps()).weight
     }
 

@@ -3,10 +3,16 @@
 //! Turns the `mcm-dyn` incremental engine into a daemon thousands of
 //! clients can hit at once, std-only:
 //!
-//! * [`proto`] — the `mcmd` line protocol (plain text or JSONL), shared
-//!   by the stdin loop and the socket path, plus [`proto::LineFramer`],
-//!   the partial-line/pipelining-tolerant byte-to-line layer whose EOF
-//!   check reports a truncated tail as a structured error;
+//! * [`proto`] — the `mcmd` line protocol (plain text or JSONL), plus
+//!   [`proto::LineFramer`], the partial-line/pipelining-tolerant
+//!   byte-to-line layer whose EOF check reports a truncated tail as a
+//!   structured error;
+//! * [`engine`] — the protocol handler both modes share: [`Engine`] and
+//!   [`Snap`] (the only code that asks which engine runs), the update
+//!   [`Admission`] check, and [`answer_read`], the one answer to each read
+//!   verb, from the live engine or a published snapshot;
+//! * [`session`] — `mcmd` without `--listen`: the serial stdin loop,
+//!   batching updates until the next read verb;
 //! * [`server`] — `mcmd --listen`: a non-blocking acceptor, a worker
 //!   thread per connection, a single writer thread applying admitted
 //!   updates in bounded batches (size + latency watermarks, `busy`
@@ -24,14 +30,19 @@
 //!
 //! DESIGN.md §16 describes the serving architecture and its contracts.
 
+pub mod engine;
 pub mod load;
 pub mod proto;
 pub mod server;
+pub mod session;
 pub mod swap;
 
+pub use engine::{
+    answer_read, format_stats_line, format_wstats_line, Admission, Engine, Published, ReadState,
+    Snap, Summary,
+};
 pub use load::{run_load, LoadConfig, LoadMode, LoadReport, VerbReport};
 pub use proto::{parse_command, verb_of, Command, FrameError, LineFramer};
-pub use server::{
-    format_stats_line, format_wstats_line, ApplyHook, Engine, Published, Server, ServerConfig, Snap,
-};
+pub use server::{ApplyHook, Server, ServerConfig};
+pub use session::run_session;
 pub use swap::SwapCell;

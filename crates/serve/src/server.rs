@@ -28,6 +28,11 @@
 //!   cardinality daemon is answered with an error rather than silently
 //!   dropping the weight.
 //!
+//! Updates pass the same [`Admission`] check, and reads get the same
+//! [`answer_read`] answers, as in the stdin session
+//! ([`crate::session`]); this module adds only the socket framing
+//! (`ok`/`busy` per update, `bye`, `error <reason>`) and the threads.
+//!
 //! ## Adaptive admission batching and backpressure
 //!
 //! Updates are admitted through a bounded queue
@@ -48,12 +53,10 @@
 //! current frames, then drains every admitted update through the writer
 //! before returning the engine — admitted work is never dropped.
 
+use crate::engine::{answer_read, Admission, Engine, Published};
 use crate::proto::{parse_command, verb_of, Command, LineFramer};
 use crate::swap::SwapCell;
-use mcm_dyn::{
-    DynMatching, DynStats, StateSnapshot, Update, WDynMatching, WDynStats, WStateSnapshot, WUpdate,
-};
-use mcm_sparse::io::{write_matrix_market_file, write_matrix_market_weighted_file};
+use mcm_dyn::{DynMatching, WDynMatching, WUpdate};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -98,210 +101,11 @@ impl Default for ServerConfig {
     }
 }
 
-/// The engine behind a daemon: cardinality or weighted, one protocol.
-pub enum Engine {
-    /// Maximum cardinality ([`DynMatching`]).
-    Card(Box<DynMatching>),
-    /// Maximum weight ([`WDynMatching`]).
-    Weighted(Box<WDynMatching>),
-}
-
-impl Engine {
-    fn apply_batch(&mut self, batch: &[WUpdate]) {
-        match self {
-            Engine::Card(dm) => {
-                let unweighted: Vec<Update> = batch
-                    .iter()
-                    .map(|u| match *u {
-                        WUpdate::Insert(r, c, _) => Update::Insert(r, c),
-                        WUpdate::Delete(r, c) => Update::Delete(r, c),
-                    })
-                    .collect();
-                dm.apply_batch(&unweighted);
-            }
-            Engine::Weighted(wm) => {
-                wm.apply_batch(batch);
-            }
-        }
-    }
-
-    fn snapshot(&self) -> Snap {
-        match self {
-            Engine::Card(dm) => Snap::Card(dm.snapshot_state()),
-            Engine::Weighted(wm) => Snap::Weighted(wm.snapshot_state()),
-        }
-    }
-
-    fn cardinality(&self) -> usize {
-        match self {
-            Engine::Card(dm) => dm.cardinality(),
-            Engine::Weighted(wm) => wm.cardinality(),
-        }
-    }
-
-    fn dims(&self) -> (usize, usize) {
-        match self {
-            Engine::Card(dm) => (dm.graph().n1(), dm.graph().n2()),
-            Engine::Weighted(wm) => (wm.graph().nrows(), wm.graph().ncols()),
-        }
-    }
-
-    fn algo_name(&self) -> &'static str {
-        match self {
-            Engine::Card(dm) => dm.opts().algo.name(),
-            Engine::Weighted(_) => "wauction",
-        }
-    }
-
-    /// Unwraps the cardinality engine; panics on a weighted daemon.
-    pub fn expect_card(self) -> DynMatching {
-        match self {
-            Engine::Card(dm) => *dm,
-            Engine::Weighted(_) => panic!("daemon was running the weighted engine"),
-        }
-    }
-
-    /// Unwraps the weighted engine; panics on a cardinality daemon.
-    pub fn expect_weighted(self) -> WDynMatching {
-        match self {
-            Engine::Weighted(wm) => *wm,
-            Engine::Card(_) => panic!("daemon was running the cardinality engine"),
-        }
-    }
-}
-
-/// An engine snapshot as published to readers.
-pub enum Snap {
-    /// Cardinality engine state.
-    Card(StateSnapshot),
-    /// Weighted engine state.
-    Weighted(WStateSnapshot),
-}
-
-impl Snap {
-    /// Matching cardinality at publish time.
-    pub fn cardinality(&self) -> usize {
-        match self {
-            Snap::Card(s) => s.cardinality,
-            Snap::Weighted(s) => s.cardinality,
-        }
-    }
-
-    /// Matching weight at publish time (weighted engine only).
-    pub fn weight(&self) -> Option<f64> {
-        match self {
-            Snap::Card(_) => None,
-            Snap::Weighted(s) => Some(s.weight),
-        }
-    }
-
-    /// Live edge count at publish time.
-    pub fn nnz(&self) -> usize {
-        match self {
-            Snap::Card(s) => s.nnz(),
-            Snap::Weighted(s) => s.nnz(),
-        }
-    }
-
-    /// Overlay compaction epoch at publish time.
-    pub fn epoch(&self) -> u64 {
-        match self {
-            Snap::Card(s) => s.epoch(),
-            Snap::Weighted(s) => s.epoch(),
-        }
-    }
-}
-
-/// What the writer publishes after each batch; readers answer from this.
-pub struct Published {
-    /// Batches applied-and-published so far (0 = the initial state).
-    pub seq: u64,
-    /// Immutable engine state as of `seq`.
-    pub snap: Snap,
-}
-
-/// The `stats` response line of the cardinality engine, shared verbatim
-/// by the stdin loop and the socket daemon (and asserted by
-/// `tests/cli.rs`).
-pub fn format_stats_line(
-    s: &DynStats,
-    cardinality: usize,
-    nnz: usize,
-    epoch: u64,
-    configured_algo: &str,
-) -> String {
-    format!(
-        "stats batches {} updates {} inserts {} deletes {} matched_deletes {} \
-         immediate {} searches {} repaired {} path_edges {} max_path {} \
-         interior {} sweeps {} fallbacks {} cert_seeds {} cardinality {} \
-         nnz {} epoch {} incremental {} warm_start {} scanned {} algo {}",
-        s.batches,
-        s.updates,
-        s.inserts,
-        s.deletes,
-        s.matched_deletes,
-        s.immediate_matches,
-        s.local_searches,
-        s.repaired,
-        s.repair_path_edges,
-        s.max_repair_path,
-        s.interior_inserts,
-        s.global_sweeps,
-        s.fallbacks,
-        s.cert_seeds,
-        cardinality,
-        nnz,
-        epoch,
-        s.batches - s.fallbacks,
-        s.fallbacks,
-        s.scanned,
-        // Which engine actually serviced the last fallback; until one
-        // runs, the configured choice (`auto` included).
-        if s.last_algo.is_empty() { configured_algo } else { s.last_algo },
-    )
-}
-
-/// The `stats` response line of the weighted engine: price-repair
-/// counters plus the weight ledger.
-pub fn format_wstats_line(
-    s: &WDynStats,
-    cardinality: usize,
-    weight: f64,
-    nnz: usize,
-    epoch: u64,
-) -> String {
-    format!(
-        "stats batches {} updates {} inserts {} deletes {} matched_deletes {} \
-         dirty {} rebids {} incremental {} cold {} budget_exhausted {} weight_gained {} \
-         weight_lost {} cardinality {} weight {} nnz {} epoch {} algo wauction",
-        s.batches,
-        s.updates,
-        s.inserts,
-        s.deletes,
-        s.matched_deletes,
-        s.dirty_bidders,
-        s.rebids,
-        s.incremental_batches,
-        s.cold_solves,
-        s.budget_exhausted,
-        s.weight_gained,
-        s.weight_lost,
-        cardinality,
-        weight,
-        nnz,
-        epoch,
-    )
-}
-
 enum WriterMsg {
     Update(WUpdate),
-    /// Barrier: acked with the post-publication sequence + cardinality.
-    Sync(mpsc::Sender<SyncAck>),
-}
-
-struct SyncAck {
-    seq: u64,
-    cardinality: usize,
+    /// Barrier: acked with the state published once everything admitted
+    /// before it has been applied.
+    Sync(mpsc::Sender<Arc<Published>>),
 }
 
 struct Shared {
@@ -315,10 +119,6 @@ struct Shared {
     stop: AtomicBool,
     /// Set by a client's `shutdown` verb; [`Server::join`] watches it.
     shutdown_verb: AtomicBool,
-    /// Whether the writer owns the weighted engine (shapes responses).
-    weighted: bool,
-    /// Configured fallback engine name, for the `stats` response.
-    algo_name: &'static str,
 }
 
 impl Shared {
@@ -357,20 +157,19 @@ impl Server {
         Server::start_engine(Engine::Weighted(Box::new(wm)), cfg)
     }
 
-    fn start_engine(engine: Engine, cfg: ServerConfig) -> std::io::Result<Server> {
+    /// As [`Server::start`], for either engine.
+    pub fn start_engine(engine: Engine, cfg: ServerConfig) -> std::io::Result<Server> {
         mcm_obs::enable_metrics(true);
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-        let dims = engine.dims();
+        let admission = engine.admission();
         let shared = Arc::new(Shared {
             published: SwapCell::new(Arc::new(Published { seq: 0, snap: engine.snapshot() })),
             queue_depth: AtomicUsize::new(0),
             connections: AtomicUsize::new(0),
             stop: AtomicBool::new(false),
             shutdown_verb: AtomicBool::new(false),
-            weighted: matches!(engine, Engine::Weighted(_)),
-            algo_name: engine.algo_name(),
         });
         let (tx, rx) = mpsc::sync_channel::<WriterMsg>(cfg.queue_cap);
         let writer = {
@@ -385,7 +184,7 @@ impl Server {
             let tx = tx.clone();
             std::thread::Builder::new()
                 .name("mcmd-accept".into())
-                .spawn(move || accept_loop(listener, shared, tx, dims))?
+                .spawn(move || accept_loop(listener, shared, tx, admission))?
         };
         Ok(Server {
             local_addr,
@@ -442,7 +241,7 @@ fn writer_loop(
 ) -> Engine {
     let mut seq = 0u64;
     let mut batch: Vec<WUpdate> = Vec::new();
-    let mut syncs: Vec<mpsc::Sender<SyncAck>> = Vec::new();
+    let mut syncs: Vec<mpsc::Sender<Arc<Published>>> = Vec::new();
     loop {
         let Ok(first) = rx.recv() else { break };
         let opened = Instant::now();
@@ -476,7 +275,7 @@ fn writer_loop(
 fn absorb(
     msg: WriterMsg,
     batch: &mut Vec<WUpdate>,
-    syncs: &mut Vec<mpsc::Sender<SyncAck>>,
+    syncs: &mut Vec<mpsc::Sender<Arc<Published>>>,
     shared: &Shared,
 ) {
     match msg {
@@ -492,7 +291,7 @@ fn absorb(
 fn apply_and_publish(
     engine: &mut Engine,
     batch: &mut Vec<WUpdate>,
-    syncs: &mut Vec<mpsc::Sender<SyncAck>>,
+    syncs: &mut Vec<mpsc::Sender<Arc<Published>>>,
     mut seq: u64,
     shared: &Shared,
     cfg: &ServerConfig,
@@ -510,7 +309,7 @@ fn apply_and_publish(
         batch.clear();
     }
     for ack in syncs.drain(..) {
-        ack.send(SyncAck { seq, cardinality: engine.cardinality() }).ok();
+        ack.send(shared.published()).ok();
     }
     seq
 }
@@ -519,7 +318,7 @@ fn accept_loop(
     listener: TcpListener,
     shared: Arc<Shared>,
     tx: SyncSender<WriterMsg>,
-    dims: (usize, usize),
+    admission: Admission,
 ) {
     let mut workers: Vec<JoinHandle<()>> = Vec::new();
     while !shared.stopping() {
@@ -529,7 +328,7 @@ fn accept_loop(
                 let tx = tx.clone();
                 let spawned = std::thread::Builder::new()
                     .name("mcmd-conn".into())
-                    .spawn(move || conn_loop(stream, shared, tx, dims));
+                    .spawn(move || conn_loop(stream, shared, tx, admission));
                 match spawned {
                     Ok(h) => workers.push(h),
                     Err(_) => std::thread::sleep(Duration::from_millis(5)),
@@ -563,11 +362,11 @@ fn conn_loop(
     stream: TcpStream,
     shared: Arc<Shared>,
     tx: SyncSender<WriterMsg>,
-    (n1, n2): (usize, usize),
+    admission: Admission,
 ) {
     let conns = shared.connections.fetch_add(1, Ordering::Relaxed) + 1;
     mcm_obs::gauge_set("mcmd_connections", &[], conns as f64);
-    serve_conn(&stream, &shared, &tx, n1, n2);
+    serve_conn(&stream, &shared, &tx, admission);
     let conns = shared.connections.fetch_sub(1, Ordering::Relaxed) - 1;
     mcm_obs::gauge_set("mcmd_connections", &[], conns as f64);
 }
@@ -576,8 +375,7 @@ fn serve_conn(
     stream: &TcpStream,
     shared: &Shared,
     tx: &SyncSender<WriterMsg>,
-    n1: usize,
-    n2: usize,
+    admission: Admission,
 ) {
     // The read timeout doubles as the stop-flag poll interval.
     stream.set_read_timeout(Some(Duration::from_millis(25))).ok();
@@ -601,7 +399,7 @@ fn serve_conn(
             }
             Ok(n) => {
                 for line in framer.push(&buf[..n]) {
-                    match handle_line(&line, &mut out, shared, tx, n1, n2, &mut hists) {
+                    match handle_line(&line, &mut out, shared, tx, admission, &mut hists) {
                         Flow::Continue => {}
                         Flow::Close => {
                             out.flush().ok();
@@ -642,8 +440,7 @@ fn handle_line(
     out: &mut impl Write,
     shared: &Shared,
     tx: &SyncSender<WriterMsg>,
-    n1: usize,
-    n2: usize,
+    admission: Admission,
     hists: &mut HashMap<&'static str, mcm_obs::Histogram>,
 ) -> Flow {
     let cmd = match parse_command(line) {
@@ -656,20 +453,12 @@ fn handle_line(
     };
     let sw = mcm_obs::Stopwatch::new();
     let verb = verb_of(&cmd);
-    let flow = match cmd {
-        Command::Insert(r, c, _) | Command::Delete(r, c) => {
-            if r as usize >= n1 || c as usize >= n2 {
-                writeln!(out, "error vertex out of range ({r}, {c})").ok();
-                return finish_request(out, hists, verb, sw, Flow::Continue);
-            }
-            let u = match cmd {
-                Command::Insert(_, _, Some(w)) if !shared.weighted && w != 1.0 => {
-                    writeln!(out, "error weighted insert needs a --weighted daemon").ok();
-                    return finish_request(out, hists, verb, sw, Flow::Continue);
-                }
-                Command::Insert(_, _, w) => WUpdate::Insert(r, c, w.unwrap_or(1.0)),
-                _ => WUpdate::Delete(r, c),
-            };
+    let flow = match (admission.admit(&cmd), &cmd) {
+        (Some(Err(e)), _) => {
+            writeln!(out, "error {e}").ok();
+            Flow::Continue
+        }
+        (Some(Ok(u)), _) => {
             // Count the admission *before* sending: the writer may
             // absorb (and decrement) the instant the send lands.
             let d = shared.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
@@ -690,45 +479,12 @@ fn handle_line(
             }
             Flow::Continue
         }
-        Command::Query => {
-            let p = shared.published();
-            match p.snap.weight() {
-                Some(w) => writeln!(out, "matching {} weight {}", p.snap.cardinality(), w).ok(),
-                None => writeln!(out, "matching {}", p.snap.cardinality()).ok(),
-            };
-            Flow::Continue
-        }
-        Command::State => {
-            let p = shared.published();
-            match p.snap.weight() {
-                Some(w) => writeln!(
-                    out,
-                    "state seq {} epoch {} cardinality {} nnz {} weight {}",
-                    p.seq,
-                    p.snap.epoch(),
-                    p.snap.cardinality(),
-                    p.snap.nnz(),
-                    w
-                )
-                .ok(),
-                None => writeln!(
-                    out,
-                    "state seq {} epoch {} cardinality {} nnz {}",
-                    p.seq,
-                    p.snap.epoch(),
-                    p.snap.cardinality(),
-                    p.snap.nnz()
-                )
-                .ok(),
-            };
-            Flow::Continue
-        }
-        Command::Sync => {
+        (None, Command::Sync) => {
             let (ack_tx, ack_rx) = mpsc::channel();
             match tx.try_send(WriterMsg::Sync(ack_tx)) {
                 Ok(()) => match ack_rx.recv() {
-                    Ok(a) => {
-                        writeln!(out, "synced seq {} cardinality {}", a.seq, a.cardinality).ok();
+                    Ok(p) => {
+                        answer_read(&cmd, p.seq, p.snap.state(), out).ok();
                     }
                     Err(_) => {
                         writeln!(out, "error daemon shutting down").ok();
@@ -744,64 +500,22 @@ fn handle_line(
             }
             Flow::Continue
         }
-        Command::Stats => {
-            let p = shared.published();
-            let line = match &p.snap {
-                Snap::Card(s) => {
-                    format_stats_line(&s.stats, s.cardinality, s.nnz(), s.epoch(), shared.algo_name)
-                }
-                Snap::Weighted(s) => {
-                    format_wstats_line(&s.stats, s.cardinality, s.weight, s.nnz(), s.epoch())
-                }
-            };
-            writeln!(out, "{line}").ok();
-            Flow::Continue
-        }
-        Command::Metrics => {
-            out.write_all(mcm_obs::prom::expose(mcm_obs::registry()).as_bytes()).ok();
-            writeln!(out, "# EOF").ok();
-            Flow::Continue
-        }
-        Command::Snapshot(path) => {
-            let p = shared.published();
-            let written = match &p.snap {
-                Snap::Card(s) => write_matrix_market_file(&s.graph.to_triples(), &path),
-                Snap::Weighted(s) => write_matrix_market_weighted_file(
-                    s.graph.nrows(),
-                    s.graph.ncols(),
-                    &s.graph.to_weighted_triples(),
-                    &path,
-                ),
-            };
-            match written {
-                Ok(()) => {
-                    writeln!(out, "snapshot {} nnz {}", path, p.snap.nnz()).ok();
-                }
-                Err(e) => {
-                    writeln!(out, "error {path}: {e}").ok();
-                }
-            }
-            Flow::Continue
-        }
-        Command::Quit => {
+        (None, Command::Quit) => {
             writeln!(out, "bye").ok();
             Flow::Close
         }
-        Command::Shutdown => {
+        (None, Command::Shutdown) => {
             writeln!(out, "bye").ok();
             Flow::Shutdown
         }
+        (None, _) => {
+            let p = shared.published();
+            if let Err(e) = answer_read(&cmd, p.seq, p.snap.state(), out) {
+                writeln!(out, "error {e}").ok();
+            }
+            Flow::Continue
+        }
     };
-    finish_request(out, hists, verb, sw, flow)
-}
-
-fn finish_request(
-    _out: &mut impl Write,
-    hists: &mut HashMap<&'static str, mcm_obs::Histogram>,
-    verb: &'static str,
-    sw: mcm_obs::Stopwatch,
-    flow: Flow,
-) -> Flow {
     hists
         .entry(verb)
         .or_insert_with(|| mcm_obs::registry().histogram("mcmd_request_seconds", &[("verb", verb)]))

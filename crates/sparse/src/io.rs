@@ -5,8 +5,10 @@
 //! collection is not available offline in this environment (see DESIGN.md for
 //! the synthetic stand-ins), but the reader/writer lets downstream users run
 //! the library on the *actual* UF matrices: matching only needs the pattern,
-//! so `pattern`, `real`, `integer`, and `complex` fields are all accepted and
-//! numerical values are ignored.
+//! so `pattern`, `real`, `integer`, and `complex` fields are all accepted.
+//! Values are kept only by the weighted readers, but every reader requires
+//! them to be finite. The header and entry parsers are public so the
+//! streaming MCSB converter (`mcm-store`) parses exactly the same way.
 
 use crate::{Triples, Vidx};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
@@ -19,6 +21,14 @@ pub enum MmError {
     Io(std::io::Error),
     /// Structural problem with the file, with a human-readable explanation.
     Parse(String),
+    /// An entry whose value is infinite or NaN. Matching weights must be
+    /// finite: an infinite one makes the auction bid forever.
+    NonFinite {
+        /// The value field as written.
+        value: String,
+        /// The entry line it appeared on.
+        entry: String,
+    },
 }
 
 impl std::fmt::Display for MmError {
@@ -26,6 +36,9 @@ impl std::fmt::Display for MmError {
         match self {
             MmError::Io(e) => write!(f, "I/O error: {e}"),
             MmError::Parse(msg) => write!(f, "Matrix Market parse error: {msg}"),
+            MmError::NonFinite { value, entry } => {
+                write!(f, "Matrix Market parse error: non-finite value {value} in entry: {entry}")
+            }
         }
     }
 }
@@ -88,13 +101,44 @@ const UNSIZED_PREALLOC: usize = 1 << 16;
 /// Parsed Matrix Market body: dimensions plus 0-based weighted entries.
 type MmBody = (usize, usize, Vec<(Vidx, Vidx, f64)>);
 
-/// The shared parser: dimensions plus 0-based `(row, col, value)` entries
-/// with symmetry already expanded. `input_len` is the input's byte length
-/// when known; it bounds the entries a header may make the parser
-/// preallocate.
-fn parse_mm<R: Read>(reader: R, input_len: Option<u64>) -> Result<MmBody, MmError> {
-    let mut lines = BufReader::new(reader).lines();
+/// What the banner and size line of a `coordinate` file declare.
+#[derive(Clone, Copy, Debug)]
+pub struct MmHeader {
+    /// Row count.
+    pub nrows: usize,
+    /// Column count.
+    pub ncols: usize,
+    /// Entry lines the size line declares.
+    pub nnz: usize,
+    /// Whether entries carry a value field (the field is not `pattern`).
+    pub has_value: bool,
+    /// Whether off-diagonal entries are mirrored (`symmetric` and
+    /// `skew-symmetric`).
+    pub mirror: bool,
+    /// The factor a mirrored value takes (`-1` for `skew-symmetric`).
+    pub mirror_sign: f64,
+}
 
+impl MmHeader {
+    /// The mirror image of an entry, when the symmetry asks for one.
+    pub fn mirrored(&self, (i, j, w): (Vidx, Vidx, f64)) -> Option<(Vidx, Vidx, f64)> {
+        (self.mirror && i != j).then_some((j, i, w * self.mirror_sign))
+    }
+}
+
+/// `true` for the lines a Matrix Market body skips: blank and `%` comments.
+pub fn is_mm_comment(line: &str) -> bool {
+    let trimmed = line.trim();
+    trimmed.is_empty() || trimmed.starts_with('%')
+}
+
+/// Reads the banner and the size line from `lines`, leaving it at the
+/// first entry line. Only `coordinate` files with `general`, `symmetric`
+/// or `skew-symmetric` symmetry are accepted, and dimensions must fit the
+/// vertex index type.
+pub fn parse_mm_header(
+    lines: &mut impl Iterator<Item = std::io::Result<String>>,
+) -> Result<MmHeader, MmError> {
     let header = lines.next().ok_or_else(|| parse_err("empty file"))??;
     let head_l = header.to_ascii_lowercase();
     let fields: Vec<&str> = head_l.split_whitespace().collect();
@@ -104,8 +148,7 @@ fn parse_mm<R: Read>(reader: R, input_len: Option<u64>) -> Result<MmBody, MmErro
     if fields[2] != "coordinate" {
         return Err(parse_err("only coordinate (sparse) format is supported"));
     }
-    let symmetry = fields[4];
-    let (mirror, mirror_sign) = match symmetry {
+    let (mirror, mirror_sign) = match fields[4] {
         "general" => (false, 1.0),
         "symmetric" => (true, 1.0),
         "skew-symmetric" => (true, -1.0),
@@ -117,28 +160,62 @@ fn parse_mm<R: Read>(reader: R, input_len: Option<u64>) -> Result<MmBody, MmErro
     let mut size_line = None;
     for line in lines.by_ref() {
         let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('%') {
-            continue;
+        if !is_mm_comment(&line) {
+            size_line = Some(line);
+            break;
         }
-        size_line = Some(line);
-        break;
     }
     let size_line = size_line.ok_or_else(|| parse_err("missing size line"))?;
     let mut it = size_line.split_whitespace();
-    let nrows: usize =
-        it.next().and_then(|s| s.parse().ok()).ok_or_else(|| parse_err("bad size line"))?;
-    let ncols: usize =
-        it.next().and_then(|s| s.parse().ok()).ok_or_else(|| parse_err("bad size line"))?;
-    let declared_nnz: usize =
-        it.next().and_then(|s| s.parse().ok()).ok_or_else(|| parse_err("bad size line"))?;
-
+    let mut dim = || -> Result<usize, MmError> {
+        it.next().and_then(|s| s.parse().ok()).ok_or_else(|| parse_err("bad size line"))
+    };
+    let (nrows, ncols, nnz) = (dim()?, dim()?, dim()?);
     if nrows >= Vidx::MAX as usize || ncols >= Vidx::MAX as usize {
         return Err(parse_err(format!(
             "matrix dimensions {nrows}x{ncols} exceed the vertex index limit {}",
             Vidx::MAX - 1
         )));
     }
+    Ok(MmHeader { nrows, ncols, nnz, has_value, mirror, mirror_sign })
+}
+
+/// Parses one entry line (not a comment) into a 0-based `(row, col,
+/// value)`; `pattern` entries get value 1.0. Coordinates must lie inside
+/// the declared shape and values must be finite.
+pub fn parse_mm_entry(line: &str, h: &MmHeader) -> Result<(Vidx, Vidx, f64), MmError> {
+    let trimmed = line.trim();
+    let mut it = trimmed.split_whitespace();
+    let mut index = || -> Result<usize, MmError> {
+        it.next()
+            .and_then(|s| s.parse().ok())
+            .ok_or_else(|| parse_err(format!("bad entry line: {trimmed}")))
+    };
+    let (i, j) = (index()?, index()?);
+    let w = if h.has_value {
+        let tok = it.next().unwrap_or_default();
+        let w: f64 =
+            tok.parse().map_err(|_| parse_err(format!("missing value field: {trimmed}")))?;
+        if !w.is_finite() {
+            return Err(MmError::NonFinite { value: tok.to_string(), entry: trimmed.to_string() });
+        }
+        w
+    } else {
+        1.0
+    };
+    if i == 0 || j == 0 || i > h.nrows || j > h.ncols {
+        return Err(parse_err(format!("entry ({i}, {j}) out of bounds (1-based)")));
+    }
+    Ok(((i - 1) as Vidx, (j - 1) as Vidx, w))
+}
+
+/// The shared parser: dimensions plus 0-based `(row, col, value)` entries
+/// with symmetry already expanded. `input_len` is the input's byte length
+/// when known; it bounds the entries a header may make the parser
+/// preallocate.
+fn parse_mm<R: Read>(reader: R, input_len: Option<u64>) -> Result<MmBody, MmError> {
+    let mut lines = BufReader::new(reader).lines();
+    let h = parse_mm_header(&mut lines)?;
     // The header is untrusted: never preallocate more entry lines than the
     // input can hold (the shortest, `1 1\n`, takes four bytes).
     let holdable = match input_len {
@@ -146,44 +223,22 @@ fn parse_mm<R: Read>(reader: R, input_len: Option<u64>) -> Result<MmBody, MmErro
         None => UNSIZED_PREALLOC,
     };
     let mut entries: Vec<(Vidx, Vidx, f64)> =
-        Vec::with_capacity(declared_nnz.min(holdable).saturating_mul(if mirror { 2 } else { 1 }));
+        Vec::with_capacity(h.nnz.min(holdable).saturating_mul(if h.mirror { 2 } else { 1 }));
     let mut seen = 0usize;
     for line in lines {
         let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('%') {
+        if is_mm_comment(&line) {
             continue;
         }
-        let mut it = trimmed.split_whitespace();
-        let i: usize = it
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| parse_err(format!("bad entry line: {trimmed}")))?;
-        let j: usize = it
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| parse_err(format!("bad entry line: {trimmed}")))?;
-        let w: f64 = if has_value {
-            it.next()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| parse_err(format!("missing value field: {trimmed}")))?
-        } else {
-            1.0
-        };
-        if i == 0 || j == 0 || i > nrows || j > ncols {
-            return Err(parse_err(format!("entry ({i}, {j}) out of bounds (1-based)")));
-        }
-        let (i0, j0) = ((i - 1) as Vidx, (j - 1) as Vidx);
-        entries.push((i0, j0, w));
-        if mirror && i0 != j0 {
-            entries.push((j0, i0, w * mirror_sign));
-        }
+        let e = parse_mm_entry(&line, &h)?;
+        entries.push(e);
+        entries.extend(h.mirrored(e));
         seen += 1;
     }
-    if seen != declared_nnz {
-        return Err(parse_err(format!("expected {declared_nnz} entries, found {seen}")));
+    if seen != h.nnz {
+        return Err(parse_err(format!("expected {} entries, found {seen}", h.nnz)));
     }
-    Ok((nrows, ncols, entries))
+    Ok((h.nrows, h.ncols, entries))
 }
 
 /// Reads a Matrix Market file from disk.
@@ -214,7 +269,7 @@ pub fn write_matrix_market_file(t: &Triples, path: impl AsRef<Path>) -> std::io:
 /// Writes a weighted matrix in Matrix Market `coordinate real general`
 /// format (sorted, 1-based). Entries must already be unique — the
 /// weighted containers ([`WCsc`](crate::WCsc),
-/// [`WCscOverlay`](crate::WCscOverlay)) guarantee that.
+/// [`CscOverlay<f64>`](crate::CscOverlay)) guarantee that.
 pub fn write_matrix_market_weighted<W: Write>(
     nrows: usize,
     ncols: usize,
@@ -319,6 +374,24 @@ mod tests {
             let err = read_matrix_market(src.as_bytes()).unwrap_err();
             assert!(matches!(err, MmError::Parse(ref m) if m.contains("vertex index")), "{err}");
             assert!(read_matrix_market_weighted(src.as_bytes()).is_err());
+        }
+    }
+
+    #[test]
+    fn non_finite_values_are_typed_errors() {
+        for value in ["inf", "-inf", "NaN", "nan", "infinity"] {
+            let src =
+                format!("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2 {value}\n");
+            for err in [
+                read_matrix_market_weighted(src.as_bytes()).map(|_| ()).unwrap_err(),
+                read_matrix_market(src.as_bytes()).map(|_| ()).unwrap_err(),
+            ] {
+                assert!(
+                    matches!(err, MmError::NonFinite { value: ref v, .. } if v == value),
+                    "{err}"
+                );
+                assert!(err.to_string().contains(value), "{err}");
+            }
         }
     }
 

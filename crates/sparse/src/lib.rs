@@ -17,11 +17,11 @@
 //! * semiring sparse-matrix × sparse-vector products ([`spmspv`]) used for
 //!   frontier expansion in multi-source BFS,
 //! * [`CscOverlay`] — an insert/delete edge overlay over a CSC base with
-//!   epoch-based compaction, the storage layer of the dynamic matching
-//!   engine (`mcm-dyn`),
-//! * [`WCsc`] / [`WCscOverlay`] — the weighted value layer: the same CSC
-//!   pattern machinery carrying an `f64` per nonzero, statically and under
-//!   insert/delete/reweight churn, for the weighted (assignment) domain.
+//!   epoch-based compaction, generic over a value per edge (`()` for a
+//!   pattern, `f64` for weights, which inserts re-weight): the storage
+//!   layer of both dynamic matching engines (`mcm-dyn`),
+//! * [`WCsc`] — the weighted value layer: the same CSC pattern machinery
+//!   carrying an `f64` per nonzero, for the weighted (assignment) domain.
 //!
 //! Bipartite graphs `G = (R, C, E)` are represented as an `n1 × n2` binary
 //! matrix `A` where `A[i][j] != 0` iff row vertex `i` is adjacent to column
@@ -42,7 +42,6 @@ pub mod triples;
 pub mod view;
 pub mod wcsc;
 pub mod workspace;
-pub mod woverlay;
 
 pub use csc::Csc;
 pub use dcsc::Dcsc;
@@ -55,7 +54,6 @@ pub use triples::Triples;
 pub use view::CscView;
 pub use wcsc::WCsc;
 pub use workspace::{SpmvWorkspace, WorkspaceStats};
-pub use woverlay::WCscOverlay;
 
 /// Vertex/column index type.
 ///

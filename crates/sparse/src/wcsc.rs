@@ -106,6 +106,11 @@ impl WCsc {
         &self.values
     }
 
+    /// Splits into the pattern and the values aligned with its nonzeros.
+    pub fn into_parts(self) -> (Csc, Vec<f64>) {
+        (self.pattern, self.values)
+    }
+
     /// Back to `(row, col, weight)` triples, column-major.
     pub fn to_weighted_triples(&self) -> Vec<(Vidx, Vidx, f64)> {
         let mut out = Vec::with_capacity(self.nnz());

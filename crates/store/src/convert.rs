@@ -4,13 +4,15 @@
 //! parsed in parallel (`mcm-par`), and pushed straight into a
 //! [`McsbStreamWriter`](crate::McsbStreamWriter), so memory is bounded by
 //! the chunk size plus the stream writer's bucket budget regardless of the
-//! input size. Semantics match `mcm_sparse::io::parse_mm` exactly: 1-based
-//! coordinates, `general`/`symmetric`/`skew-symmetric` symmetry with mirror
-//! expansion, values kept iff the field is not `pattern` (`complex` keeps
-//! the real part), and a declared-count check at EOF.
+//! input size. Header and entries go through the `mcm_sparse::io` parsers
+//! the in-memory readers use: 1-based coordinates,
+//! `general`/`symmetric`/`skew-symmetric` symmetry with mirror expansion,
+//! finite values kept iff the field is not `pattern` (`complex` keeps the
+//! real part), and a declared-count check at EOF.
 
 use crate::format::StoreError;
 use crate::stream::McsbStreamWriter;
+use mcm_sparse::io::{is_mm_comment, parse_mm_entry, parse_mm_header, MmError};
 use mcm_sparse::Vidx;
 use std::io::{BufRead, BufReader};
 use std::path::Path;
@@ -52,46 +54,8 @@ pub fn convert_matrix_market_with(
     let src = src.as_ref();
     let mut lines = BufReader::new(std::fs::File::open(src)?).lines();
 
-    let header = lines.next().ok_or_else(|| StoreError::Format("empty file".to_string()))??;
-    let head_l = header.to_ascii_lowercase();
-    let fields: Vec<&str> = head_l.split_whitespace().collect();
-    if fields.len() < 5 || fields[0] != "%%matrixmarket" || fields[1] != "matrix" {
-        return Err(StoreError::Format(format!("bad Matrix Market header: {header}")));
-    }
-    if fields[2] != "coordinate" {
-        return Err(StoreError::Format(
-            "only coordinate (sparse) Matrix Market files can be converted".to_string(),
-        ));
-    }
-    let (mirror, mirror_sign) = match fields[4] {
-        "general" => (false, 1.0),
-        "symmetric" => (true, 1.0),
-        "skew-symmetric" => (true, -1.0),
-        other => return Err(StoreError::Format(format!("unsupported symmetry: {other}"))),
-    };
-    let has_value = fields[3] != "pattern";
-
-    // Skip comments; first non-comment line is the size line.
-    let mut size_line = None;
-    for line in lines.by_ref() {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('%') {
-            continue;
-        }
-        size_line = Some(line);
-        break;
-    }
-    let size_line = size_line.ok_or_else(|| StoreError::Format("missing size line".to_string()))?;
-    let mut it = size_line.split_whitespace();
-    let mut dim = || {
-        it.next()
-            .and_then(|s| s.parse::<usize>().ok())
-            .ok_or_else(|| StoreError::Format("bad size line".to_string()))
-    };
-    let nrows = dim()?;
-    let ncols = dim()?;
-    let declared_nnz = dim()?;
+    let h = parse_mm_header(&mut lines).map_err(mm_error)?;
+    let (nrows, ncols, has_value) = (h.nrows, h.ncols, h.has_value);
 
     let mut writer = McsbStreamWriter::create(&dst, nrows, ncols, has_value)?;
     let threads = threads.max(1);
@@ -104,18 +68,14 @@ pub fn convert_matrix_market_with(
         if chunk.is_empty() {
             return Ok(());
         }
-        let parsed: Vec<Result<(Vidx, Vidx, f64), String>> =
-            mcm_par::par_map_range(chunk.len(), threads, |k| {
-                parse_entry(&chunk[k], nrows, ncols, has_value)
-            });
+        let parsed: Vec<Result<(Vidx, Vidx, f64), MmError>> =
+            mcm_par::par_map_range(chunk.len(), threads, |k| parse_mm_entry(&chunk[k], &h));
         let mut out: Vec<(Vidx, Vidx, f64)> =
-            Vec::with_capacity(chunk.len() * if mirror { 2 } else { 1 });
+            Vec::with_capacity(chunk.len() * if h.mirror { 2 } else { 1 });
         for r in parsed {
-            let (i, j, w) = r.map_err(StoreError::Format)?;
-            out.push((i, j, w));
-            if mirror && i != j {
-                out.push((j, i, w * mirror_sign));
-            }
+            let e = r.map_err(mm_error)?;
+            out.push(e);
+            out.extend(h.mirrored(e));
         }
         *seen += chunk.len();
         if has_value {
@@ -130,8 +90,7 @@ pub fn convert_matrix_market_with(
 
     for line in lines {
         let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('%') {
+        if is_mm_comment(&line) {
             continue;
         }
         chunk.push(line);
@@ -140,39 +99,17 @@ pub fn convert_matrix_market_with(
         }
     }
     flush_chunk(&mut chunk, &mut writer, &mut seen)?;
-    if seen != declared_nnz {
-        return Err(StoreError::Format(format!("expected {declared_nnz} entries, found {seen}")));
+    if seen != h.nnz {
+        return Err(StoreError::Format(format!("expected {} entries, found {seen}", h.nnz)));
     }
     let summary = writer.finish(threads)?;
     Ok(ConvertSummary { nrows, ncols, nnz: summary.nnz, weighted: has_value, bytes: summary.bytes })
 }
 
-/// Parses one Matrix Market entry line (already known to be non-comment).
-fn parse_entry(
-    line: &str,
-    nrows: usize,
-    ncols: usize,
-    has_value: bool,
-) -> Result<(Vidx, Vidx, f64), String> {
-    let trimmed = line.trim();
-    let mut it = trimmed.split_whitespace();
-    let i: usize = it
-        .next()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("bad entry line: {trimmed}"))?;
-    let j: usize = it
-        .next()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("bad entry line: {trimmed}"))?;
-    let w: f64 = if has_value {
-        it.next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("missing value field: {trimmed}"))?
-    } else {
-        1.0
-    };
-    if i == 0 || j == 0 || i > nrows || j > ncols {
-        return Err(format!("entry ({i}, {j}) out of bounds (1-based)"));
+/// Parse failures keep their text; I/O failures stay I/O errors.
+fn mm_error(e: MmError) -> StoreError {
+    match e {
+        MmError::Io(e) => StoreError::Io(e),
+        e => StoreError::Format(e.to_string()),
     }
-    Ok(((i - 1) as Vidx, (j - 1) as Vidx, w))
 }

@@ -101,6 +101,13 @@ pub enum StoreError {
     },
     /// A structural problem in data being converted or written.
     Format(String),
+    /// A weighted file's values section holds an infinite or NaN value.
+    NonFiniteValue {
+        /// Position of the value among the nonzeros.
+        index: u64,
+        /// The value.
+        value: f64,
+    },
 }
 
 impl std::fmt::Display for StoreError {
@@ -120,6 +127,9 @@ impl std::fmt::Display for StoreError {
                 "MCSB payload checksum mismatch: header says {stored:#018x}, payload hashes to {computed:#018x}"
             ),
             StoreError::Format(msg) => write!(f, "{msg}"),
+            StoreError::NonFiniteValue { index, value } => {
+                write!(f, "MCSB value {value} at nonzero {index} is not finite")
+            }
         }
     }
 }

@@ -139,6 +139,25 @@ mod tests {
     }
 
     #[test]
+    fn nan_in_the_values_section_is_a_typed_error() {
+        let a = mcm_sparse::WCsc::from_weighted_triples(
+            2,
+            2,
+            vec![(0, 0, 1.0), (1, 0, f64::NAN), (1, 1, 2.0)],
+        );
+        let p = tmp("nan.mcsb");
+        write_wcsc_file(&p, &a).unwrap();
+        let err = McsbFile::open_heap(&p).err().expect("heap open must reject a NaN value");
+        assert!(matches!(err, StoreError::NonFiniteValue { index: 1, .. }), "{err}");
+        assert!(err.to_string().contains("NaN"), "{err}");
+        // The mmap path defers payload checks to verify_payload.
+        let mapped = McsbFile::open(&p).unwrap();
+        let err = mapped.verify_payload().unwrap_err();
+        assert!(matches!(err, StoreError::NonFiniteValue { index: 1, .. }), "{err}");
+        std::fs::remove_file(p).ok();
+    }
+
+    #[test]
     fn stream_writer_matches_one_shot_writer() {
         // Unsorted, duplicated edges through 3 buckets must produce the
         // same file contents as sorting in RAM and writing one-shot.

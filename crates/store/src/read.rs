@@ -91,7 +91,7 @@ impl McsbFile {
         } else {
             Vec::new()
         };
-        validate_payload(&header, &colptr, &rowind)?;
+        validate_payload(&header, &colptr, &rowind, &values)?;
         Ok(McsbFile { header, backing: Backing::Heap { colptr, rowind, values } })
     }
 
@@ -186,9 +186,11 @@ impl McsbFile {
                     });
                 }
                 let v = self.view();
-                validate_payload(&self.header, v.colptr(), v.rowind())
+                validate_payload(&self.header, v.colptr(), v.rowind(), self.values().unwrap_or(&[]))
             }
-            Backing::Heap { colptr, rowind, .. } => validate_payload(&self.header, colptr, rowind),
+            Backing::Heap { colptr, rowind, values } => {
+                validate_payload(&self.header, colptr, rowind, values)
+            }
         }
     }
 
@@ -219,16 +221,25 @@ fn check_colptr(h: &Header, colptr: &[u64]) -> Result<(), StoreError> {
     Ok(())
 }
 
-/// Full structural validation: colptr monotonicity plus row indices in
-/// range. Used on the heap path (which holds all sections anyway) and by
+/// Full payload validation: colptr monotonicity, row indices in range,
+/// and finite values (empty for an unweighted file). Used on the heap
+/// path (which holds all sections anyway) and by
 /// [`McsbFile::verify_payload`].
-fn validate_payload(h: &Header, colptr: &[u64], rowind: &[Vidx]) -> Result<(), StoreError> {
+fn validate_payload(
+    h: &Header,
+    colptr: &[u64],
+    rowind: &[Vidx],
+    values: &[f64],
+) -> Result<(), StoreError> {
     check_colptr(h, colptr)?;
     if let Some(&bad) = rowind.iter().find(|&&i| i as u64 >= h.nrows) {
         return Err(StoreError::HeaderCorrupt(format!(
             "row index {bad} out of range for {} rows",
             h.nrows
         )));
+    }
+    if let Some((k, &value)) = values.iter().enumerate().find(|(_, w)| !w.is_finite()) {
+        return Err(StoreError::NonFiniteValue { index: k as u64, value });
     }
     Ok(())
 }

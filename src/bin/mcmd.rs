@@ -3,12 +3,12 @@
 //! Two modes share one protocol (`mcm_serve::proto`, plain text or
 //! JSONL):
 //!
-//! * **stdin** (default, also `--input <file>`): the classic serial
-//!   loop. Updates are *batched*: nothing is repaired until a `query`,
-//!   `state`, `sync`, `stats`, `snapshot`, or `quit` forces a flush, so
-//!   a burst of inserts costs one repair pass. Each flush prints a
-//!   `batch ...` line with the per-batch repair report — the running
-//!   Berge certificate described in DESIGN.md §11.
+//! * **stdin** (default, also `--input <file>`): the serial session of
+//!   `mcm_serve::session`. Updates are *batched*: nothing is repaired
+//!   until a `query`, `state`, `sync`, `stats`, `snapshot`, or `quit`
+//!   forces a flush, so a burst of inserts costs one repair pass. Each
+//!   flush prints a `batch ...` line with the per-batch repair report —
+//!   the running Berge certificate described in DESIGN.md §11.
 //! * **socket** (`--listen <addr>`): the concurrent daemon from
 //!   `mcm-serve` (DESIGN.md §16). A worker thread per connection admits
 //!   updates through a bounded queue (`busy` backpressure) into a single
@@ -16,6 +16,10 @@
 //!   `query`/`state`/`stats`/`snapshot` answer from an epoch-published
 //!   snapshot and never block behind a repair. `quit` closes one
 //!   connection; `shutdown` drains and stops the daemon.
+//!
+//! Both modes admit updates and answer read verbs through the same
+//! `mcm_serve::engine` functions; this binary only parses flags and
+//! builds the engine.
 //!
 //! ```text
 //! insert <row> <col>      stage (stdin) / admit (socket) an edge insertion
@@ -45,14 +49,10 @@
 //! session and writes a `chrome://tracing` JSON file at exit.
 
 use mcm_core::MatchingAlgo;
-use mcm_dyn::{DynMatching, DynOptions, FallbackBackend, WDynMatching, WDynOptions, WUpdate};
-use mcm_serve::proto::{parse_command, verb_of, Command, LineFramer};
-use mcm_serve::{format_stats_line, format_wstats_line, Server, ServerConfig};
-use mcm_sparse::io::{
-    read_matrix_market_file, read_matrix_market_weighted_file, write_matrix_market_file,
-    write_matrix_market_weighted_file,
-};
-use std::io::{BufRead, Write};
+use mcm_dyn::{DynMatching, DynOptions, FallbackBackend, WDynMatching, WDynOptions};
+use mcm_serve::{run_session, Engine, Server, ServerConfig};
+use mcm_sparse::io::{read_matrix_market_file, read_matrix_market_weighted_file};
+use std::io::Write;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -228,97 +228,64 @@ fn run(args: &[String]) -> Result<(), String> {
         })
     };
 
-    let served = if args.iter().any(|a| a == "--weighted") {
-        let wopts = WDynOptions {
+    let weighted = args.iter().any(|a| a == "--weighted");
+    let wopts = || -> Result<WDynOptions, String> {
+        Ok(WDynOptions {
             threads: parse_usize(opt(args, "--threads"), "--threads", 1)?,
             full_verify: args.iter().any(|a| a == "--full-verify"),
             ..WDynOptions::default()
-        };
-        let mut wm = match opt(args, "--load") {
+        })
+    };
+    let mut engine = match opt(args, "--load") {
+        Some(path) if weighted => {
+            Engine::Weighted(Box::new(WDynMatching::from_wcsc(load_weighted(path)?, wopts()?)))
+        }
+        Some(path) => Engine::Card(Box::new(load_card(path, opts)?)),
+        None => {
+            let n1 = parse_usize(opt(args, "--rows"), "--rows", 1024)?;
+            let n2 = parse_usize(opt(args, "--cols"), "--cols", 1024)?;
+            if weighted {
+                Engine::Weighted(Box::new(WDynMatching::new(n1, n2, wopts()?)))
+            } else {
+                Engine::Card(Box::new(DynMatching::new(n1, n2, opts)))
+            }
+        }
+    };
+    if let Some(path) = opt(args, "--load") {
+        let (s, (n1, n2)) = (engine.state().summary(), engine.admission().dims());
+        println!(
+            "loaded {path} {n1}x{n2} nnz {} matching {}{}",
+            s.nnz,
+            s.cardinality,
+            s.weight_field()
+        );
+    }
+    let served = match opt(args, "--listen") {
+        Some(addr) => {
+            let server = Server::start_engine(engine, listen_cfg(addr)?)
+                .map_err(|e| format!("{addr}: {e}"))?;
+            println!("listening {}", server.local_addr());
+            std::io::stdout().flush().ok();
+            // Blocks until a client sends `shutdown`; admitted updates
+            // are drained before the engine comes back.
+            let s = server.join().state().summary();
+            println!("shutdown cardinality {}{} nnz {}", s.cardinality, s.weight_field(), s.nnz);
+            Ok(())
+        }
+        None => match opt(args, "--input") {
             Some(path) => {
-                let a = load_weighted(path)?;
-                let (n1, n2) = (a.nrows(), a.ncols());
-                let wm = WDynMatching::from_wcsc(a, wopts);
-                println!(
-                    "loaded {} {}x{} nnz {} matching {} weight {}",
-                    path,
-                    n1,
-                    n2,
-                    wm.nnz(),
-                    wm.cardinality(),
-                    wm.weight()
-                );
-                wm
+                let f = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
+                run_session(
+                    &mut engine,
+                    std::io::BufReader::new(f),
+                    std::io::stdout().lock(),
+                    quiet,
+                )
             }
             None => {
-                let n1 = parse_usize(opt(args, "--rows"), "--rows", 1024)?;
-                let n2 = parse_usize(opt(args, "--cols"), "--cols", 1024)?;
-                WDynMatching::new(n1, n2, wopts)
+                run_session(&mut engine, std::io::stdin().lock(), std::io::stdout().lock(), quiet)
             }
-        };
-        match opt(args, "--listen") {
-            Some(addr) => {
-                let server = Server::start_weighted(wm, listen_cfg(addr)?)
-                    .map_err(|e| format!("{addr}: {e}"))?;
-                println!("listening {}", server.local_addr());
-                std::io::stdout().flush().ok();
-                let wm = server.join().expect_weighted();
-                println!(
-                    "shutdown cardinality {} weight {} nnz {}",
-                    wm.cardinality(),
-                    wm.weight(),
-                    wm.nnz()
-                );
-                Ok(())
-            }
-            None => match opt(args, "--input") {
-                Some(path) => {
-                    let f = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
-                    serve_weighted(&mut wm, std::io::BufReader::new(f), quiet)
-                }
-                None => serve_weighted(&mut wm, std::io::stdin().lock(), quiet),
-            },
-        }
-    } else {
-        let mut dm = match opt(args, "--load") {
-            Some(path) => {
-                let dm = load_card(path, opts)?;
-                println!(
-                    "loaded {} {}x{} nnz {} matching {}",
-                    path,
-                    dm.graph().n1(),
-                    dm.graph().n2(),
-                    dm.graph().nnz(),
-                    dm.cardinality()
-                );
-                dm
-            }
-            None => {
-                let n1 = parse_usize(opt(args, "--rows"), "--rows", 1024)?;
-                let n2 = parse_usize(opt(args, "--cols"), "--cols", 1024)?;
-                DynMatching::new(n1, n2, opts)
-            }
-        };
-        match opt(args, "--listen") {
-            Some(addr) => {
-                let server =
-                    Server::start(dm, listen_cfg(addr)?).map_err(|e| format!("{addr}: {e}"))?;
-                println!("listening {}", server.local_addr());
-                std::io::stdout().flush().ok();
-                // Blocks until a client sends `shutdown`; admitted updates
-                // are drained before the engine comes back.
-                let dm = server.join().expect_card();
-                println!("shutdown cardinality {} nnz {}", dm.cardinality(), dm.graph().nnz());
-                Ok(())
-            }
-            None => match opt(args, "--input") {
-                Some(path) => {
-                    let f = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
-                    serve(&mut dm, std::io::BufReader::new(f), quiet)
-                }
-                None => serve(&mut dm, std::io::stdin().lock(), quiet),
-            },
-        }
+        },
     };
     if let Some(path) = trace_out {
         mcm_obs::enable_tracing(false);
@@ -327,326 +294,4 @@ fn run(args: &[String]) -> Result<(), String> {
         eprintln!("wrote chrome://tracing JSON ({} events) to {path}", trace.events.len());
     }
     served
-}
-
-fn serve(dm: &mut DynMatching, mut input: impl BufRead, quiet: bool) -> Result<(), String> {
-    let stdout = std::io::stdout();
-    let mut out = std::io::BufWriter::new(stdout.lock());
-    let mut staged: Vec<mcm_dyn::Update> = Vec::new();
-    let (n1, n2) = (dm.graph().n1(), dm.graph().n2());
-    let mut framer = LineFramer::new();
-
-    'session: loop {
-        let chunk = input.fill_buf().map_err(|e| format!("read error: {e}"))?;
-        if chunk.is_empty() {
-            // EOF. A half-received final command is reported, never run.
-            if let Err(e) = framer.finish() {
-                writeln!(out, "error line {}: {e}", framer.lines_seen() + 1).ok();
-            }
-            break;
-        }
-        let n = chunk.len();
-        let lines = framer.push(chunk);
-        input.consume(n);
-        let mut lineno = framer.lines_seen() - lines.len() as u64;
-        for line in lines {
-            lineno += 1;
-            if handle_stdin_line(dm, &line, lineno, &mut staged, &mut out, quiet, n1, n2) {
-                break 'session;
-            }
-            out.flush().ok();
-        }
-    }
-    // EOF flushes too, so piped traces that end in updates still repair.
-    flush(dm, &mut staged, &mut out, quiet);
-    out.flush().ok();
-    Ok(())
-}
-
-/// Handles one stdin-mode line; returns `true` when the session ends.
-#[allow(clippy::too_many_arguments)]
-fn handle_stdin_line(
-    dm: &mut DynMatching,
-    line: &str,
-    lineno: u64,
-    staged: &mut Vec<mcm_dyn::Update>,
-    out: &mut impl Write,
-    quiet: bool,
-    n1: usize,
-    n2: usize,
-) -> bool {
-    let cmd = match parse_command(line) {
-        Ok(Some(cmd)) => cmd,
-        Ok(None) => return false,
-        Err(e) => {
-            writeln!(out, "error line {lineno}: {e}").ok();
-            return false;
-        }
-    };
-    let sw = mcm_obs::Stopwatch::new();
-    let verb = verb_of(&cmd);
-    // Range-check updates here so the engine can keep dense scratch.
-    if let Command::Insert(r, c, w) = cmd {
-        if r as usize >= n1 || c as usize >= n2 {
-            writeln!(out, "error line {lineno}: vertex out of range ({r}, {c})").ok();
-        } else if w.is_some_and(|w| w != 1.0) {
-            writeln!(out, "error line {lineno}: weighted insert needs a --weighted daemon").ok();
-        } else {
-            staged.push(mcm_dyn::Update::Insert(r, c));
-        }
-        mcm_obs::observe_ns("mcmd_request_seconds", &[("verb", verb)], sw.elapsed_ns());
-        return false;
-    }
-    if let Command::Delete(r, c) = cmd {
-        if r as usize >= n1 || c as usize >= n2 {
-            writeln!(out, "error line {lineno}: vertex out of range ({r}, {c})").ok();
-        } else {
-            staged.push(mcm_dyn::Update::Delete(r, c));
-        }
-        mcm_obs::observe_ns("mcmd_request_seconds", &[("verb", verb)], sw.elapsed_ns());
-        return false;
-    }
-    flush(dm, staged, out, quiet);
-    let ends = matches!(cmd, Command::Quit | Command::Shutdown);
-    match cmd {
-        Command::Query => {
-            writeln!(out, "matching {}", dm.cardinality()).ok();
-        }
-        Command::State => {
-            // The stdin loop is serial, so the batch counter doubles as
-            // the writer sequence number of the socket mode.
-            writeln!(
-                out,
-                "state seq {} epoch {} cardinality {} nnz {}",
-                dm.stats().batches,
-                dm.graph().epoch(),
-                dm.cardinality(),
-                dm.graph().nnz()
-            )
-            .ok();
-        }
-        Command::Sync => {
-            writeln!(out, "synced seq {} cardinality {}", dm.stats().batches, dm.cardinality())
-                .ok();
-        }
-        Command::Stats => {
-            let line = format_stats_line(
-                dm.stats(),
-                dm.cardinality(),
-                dm.graph().nnz(),
-                dm.graph().epoch(),
-                dm.opts().algo.name(),
-            );
-            writeln!(out, "{line}").ok();
-        }
-        Command::Metrics => {
-            out.write_all(mcm_obs::prom::expose(mcm_obs::registry()).as_bytes()).ok();
-            writeln!(out, "# EOF").ok();
-        }
-        Command::Snapshot(path) => {
-            match write_matrix_market_file(&dm.graph().to_triples(), &path) {
-                Ok(()) => {
-                    writeln!(out, "snapshot {} nnz {}", path, dm.graph().nnz()).ok();
-                }
-                Err(e) => {
-                    writeln!(out, "error line {lineno}: {path}: {e}").ok();
-                }
-            }
-        }
-        Command::Quit | Command::Shutdown => {}
-        Command::Insert(..) | Command::Delete(..) => unreachable!("staged above"),
-    }
-    mcm_obs::observe_ns("mcmd_request_seconds", &[("verb", verb)], sw.elapsed_ns());
-    ends
-}
-
-fn flush(
-    dm: &mut DynMatching,
-    staged: &mut Vec<mcm_dyn::Update>,
-    out: &mut impl Write,
-    quiet: bool,
-) {
-    if staged.is_empty() {
-        return;
-    }
-    let rep = dm.apply_batch(staged);
-    staged.clear();
-    if !quiet {
-        writeln!(
-            out,
-            "batch applied {} dirty {} repaired {} path_edges {} sweeps {} fallback {} \
-             cert {:?} seeds {} cardinality {}",
-            rep.applied,
-            rep.dirty,
-            rep.repaired,
-            rep.repair_path_edges,
-            rep.global_sweeps,
-            rep.fallback,
-            rep.cert_scope,
-            rep.cert_seeds,
-            rep.cardinality,
-        )
-        .ok();
-    }
-}
-
-/// The stdin loop of `mcmd --weighted`: same batching discipline as
-/// [`serve`], repairs via the price-carrying weighted engine.
-fn serve_weighted(
-    wm: &mut WDynMatching,
-    mut input: impl BufRead,
-    quiet: bool,
-) -> Result<(), String> {
-    let stdout = std::io::stdout();
-    let mut out = std::io::BufWriter::new(stdout.lock());
-    let mut staged: Vec<WUpdate> = Vec::new();
-    let (n1, n2) = (wm.graph().nrows(), wm.graph().ncols());
-    let mut framer = LineFramer::new();
-
-    'session: loop {
-        let chunk = input.fill_buf().map_err(|e| format!("read error: {e}"))?;
-        if chunk.is_empty() {
-            if let Err(e) = framer.finish() {
-                writeln!(out, "error line {}: {e}", framer.lines_seen() + 1).ok();
-            }
-            break;
-        }
-        let n = chunk.len();
-        let lines = framer.push(chunk);
-        input.consume(n);
-        let mut lineno = framer.lines_seen() - lines.len() as u64;
-        for line in lines {
-            lineno += 1;
-            if handle_weighted_line(wm, &line, lineno, &mut staged, &mut out, quiet, n1, n2) {
-                break 'session;
-            }
-            out.flush().ok();
-        }
-    }
-    flush_weighted(wm, &mut staged, &mut out, quiet);
-    out.flush().ok();
-    Ok(())
-}
-
-/// Handles one weighted stdin-mode line; returns `true` at session end.
-#[allow(clippy::too_many_arguments)]
-fn handle_weighted_line(
-    wm: &mut WDynMatching,
-    line: &str,
-    lineno: u64,
-    staged: &mut Vec<WUpdate>,
-    out: &mut impl Write,
-    quiet: bool,
-    n1: usize,
-    n2: usize,
-) -> bool {
-    let cmd = match parse_command(line) {
-        Ok(Some(cmd)) => cmd,
-        Ok(None) => return false,
-        Err(e) => {
-            writeln!(out, "error line {lineno}: {e}").ok();
-            return false;
-        }
-    };
-    let sw = mcm_obs::Stopwatch::new();
-    let verb = verb_of(&cmd);
-    match cmd {
-        Command::Insert(r, c, w) => {
-            if r as usize >= n1 || c as usize >= n2 {
-                writeln!(out, "error line {lineno}: vertex out of range ({r}, {c})").ok();
-            } else {
-                staged.push(WUpdate::Insert(r, c, w.unwrap_or(1.0)));
-            }
-            mcm_obs::observe_ns("mcmd_request_seconds", &[("verb", verb)], sw.elapsed_ns());
-            return false;
-        }
-        Command::Delete(r, c) => {
-            if r as usize >= n1 || c as usize >= n2 {
-                writeln!(out, "error line {lineno}: vertex out of range ({r}, {c})").ok();
-            } else {
-                staged.push(WUpdate::Delete(r, c));
-            }
-            mcm_obs::observe_ns("mcmd_request_seconds", &[("verb", verb)], sw.elapsed_ns());
-            return false;
-        }
-        _ => {}
-    }
-    flush_weighted(wm, staged, out, quiet);
-    let ends = matches!(cmd, Command::Quit | Command::Shutdown);
-    match cmd {
-        Command::Query => {
-            writeln!(out, "matching {} weight {}", wm.cardinality(), wm.weight()).ok();
-        }
-        Command::State => {
-            writeln!(
-                out,
-                "state seq {} epoch {} cardinality {} nnz {} weight {}",
-                wm.stats().batches,
-                wm.epoch(),
-                wm.cardinality(),
-                wm.nnz(),
-                wm.weight()
-            )
-            .ok();
-        }
-        Command::Sync => {
-            writeln!(out, "synced seq {} cardinality {}", wm.stats().batches, wm.cardinality())
-                .ok();
-        }
-        Command::Stats => {
-            let line =
-                format_wstats_line(wm.stats(), wm.cardinality(), wm.weight(), wm.nnz(), wm.epoch());
-            writeln!(out, "{line}").ok();
-        }
-        Command::Metrics => {
-            out.write_all(mcm_obs::prom::expose(mcm_obs::registry()).as_bytes()).ok();
-            writeln!(out, "# EOF").ok();
-        }
-        Command::Snapshot(path) => {
-            let written =
-                write_matrix_market_weighted_file(n1, n2, &wm.graph().to_weighted_triples(), &path);
-            match written {
-                Ok(()) => {
-                    writeln!(out, "snapshot {} nnz {}", path, wm.nnz()).ok();
-                }
-                Err(e) => {
-                    writeln!(out, "error line {lineno}: {path}: {e}").ok();
-                }
-            }
-        }
-        Command::Quit | Command::Shutdown => {}
-        Command::Insert(..) | Command::Delete(..) => unreachable!("staged above"),
-    }
-    mcm_obs::observe_ns("mcmd_request_seconds", &[("verb", verb)], sw.elapsed_ns());
-    ends
-}
-
-fn flush_weighted(
-    wm: &mut WDynMatching,
-    staged: &mut Vec<WUpdate>,
-    out: &mut impl Write,
-    quiet: bool,
-) {
-    if staged.is_empty() {
-        return;
-    }
-    let rep = wm.apply_batch(staged);
-    staged.clear();
-    if !quiet {
-        writeln!(
-            out,
-            "batch applied {} dirty {} repaired {} rebids {} budget {} cold {} weight_delta {} \
-             weight {} cardinality {}",
-            rep.applied,
-            rep.dirty,
-            rep.repaired,
-            rep.rebids,
-            rep.budget,
-            rep.cold,
-            rep.weight_delta,
-            rep.weight,
-            rep.cardinality,
-        )
-        .ok();
-    }
 }

@@ -152,6 +152,36 @@ fn hostile_matrix_market_headers_fail_cleanly() {
     }
 }
 
+#[test]
+fn non_finite_weights_fail_cleanly() {
+    // An `inf` weight made `mcm match --weighted` bid forever and a `nan`
+    // one gave a wrong answer. The Matrix Market parser, the converter and
+    // the MCSB loader must each refuse them with an error naming the value.
+    let refuses = |out: std::process::Output, value: &str| {
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "accepted a {value} weight: {err}");
+        assert!(err.contains(value), "error does not name {value}: {err}");
+    };
+    for value in ["inf", "nan", "-inf"] {
+        let mtx = tmp(&format!("weight_{value}.mtx"));
+        std::fs::write(
+            &mtx,
+            format!("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 {value}\n2 2 1\n"),
+        )
+        .unwrap();
+        refuses(mcm().args(["match", "--weighted"]).arg(&mtx).output().unwrap(), value);
+        let mcsb = tmp(&format!("weight_{value}.mcsb"));
+        refuses(mcm().arg("convert").arg(&mtx).arg("--out").arg(&mcsb).output().unwrap(), value);
+        refuses(mcmd().args(["--weighted", "--load"]).arg(&mtx).output().unwrap(), value);
+    }
+    // A weighted MCSB file written with an infinite value.
+    let mcsb = tmp("weight_inf_written.mcsb");
+    let a = mcm_sparse::WCsc::from_weighted_triples(2, 2, vec![(0, 0, f64::INFINITY), (1, 1, 1.0)]);
+    mcm_store::write_wcsc_file(&mcsb, &a).unwrap();
+    refuses(mcmd().args(["--weighted", "--load"]).arg(&mcsb).output().unwrap(), "inf");
+    refuses(mcm().args(["match", "--weighted"]).arg(&mcsb).output().unwrap(), "inf");
+}
+
 fn mcmd() -> Command {
     Command::new(env!("CARGO_BIN_EXE_mcmd"))
 }
@@ -632,4 +662,103 @@ fn mcmd_loads_a_matrix_and_repairs_on_top() {
     let card: usize = loaded.rsplit(' ').next().unwrap().parse().unwrap();
     assert!(card > 0, "{loaded}");
     assert!(text.contains(&format!("matching {card}")), "{text}");
+}
+
+/// Responses of one `mcmd --listen` session over `script`, one per line
+/// (`metrics` is not sent: its latency histograms differ run to run).
+fn mcmd_socket_session(args: &[&str], script: &[String]) -> Vec<String> {
+    use std::io::{BufRead, BufReader, Write};
+    let mut child = mcmd()
+        .args(args)
+        .args(["--listen", "127.0.0.1:0", "--max-batch", "100000", "--max-delay-ms", "60000"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let mut line = String::new();
+    stdout.read_line(&mut line).unwrap();
+    let addr = line.trim().strip_prefix("listening ").unwrap_or_else(|| panic!("{line}"));
+    let mut conn = std::net::TcpStream::connect(addr).unwrap();
+    conn.set_nodelay(true).unwrap();
+    let mut responses = BufReader::new(conn.try_clone().unwrap());
+    let mut out = Vec::new();
+    for cmd in script.iter().map(String::as_str).chain(["shutdown"]) {
+        conn.write_all(format!("{cmd}\n").as_bytes()).unwrap();
+        let mut resp = String::new();
+        responses.read_line(&mut resp).unwrap();
+        out.push(resp.trim_end().to_string());
+    }
+    assert!(child.wait().unwrap().success());
+    out
+}
+
+#[test]
+fn mcmd_stdin_and_socket_modes_agree() {
+    // One script through `--input` and through `--listen`, for both
+    // engines. Reads follow a `sync`, so both modes answer from the same
+    // applied state: every response must match, and so must the snapshot
+    // files. Only the socket's `ok`/`bye` and the stdin `line N:` error
+    // prefix may differ.
+    for weighted in [false, true] {
+        let kind = if weighted { "weighted" } else { "card" };
+        let mut x = 0x5EEDu64;
+        let mut next = |n: u64| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (x >> 33) % n
+        };
+        let mut script = vec!["insert 99 0".to_string()]; // refused: out of range
+        for _ in 0..4 {
+            for _ in 0..60 {
+                let (r, c) = (next(8), next(8));
+                script.push(match next(3) {
+                    0 => format!("delete {r} {c}"),
+                    // Weighted: re-inserting a live edge re-weights it.
+                    _ if weighted => format!("insert {r} {c} {}", 1 + next(20)),
+                    _ => format!("insert {r} {c}"),
+                });
+            }
+            script.extend(["sync", "query", "state", "stats"].map(String::from));
+        }
+        script.push("snapshot SNAP".to_string());
+        script.push("sync".to_string());
+        let engine: &[&str] = if weighted {
+            &["--weighted", "--rows", "8", "--cols", "8"]
+        } else {
+            &["--rows", "8", "--cols", "8"]
+        };
+
+        let stdin_snap = tmp(&format!("agree_{kind}_stdin.mtx"));
+        let input = tmp(&format!("agree_{kind}.txt"));
+        let text: String =
+            script.iter().map(|l| l.replace("SNAP", stdin_snap.to_str().unwrap()) + "\n").collect();
+        std::fs::write(&input, text + "quit\n").unwrap();
+        let out = mcmd().args(engine).args(["--quiet", "--input"]).arg(&input).output().unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let stdin_lines: Vec<String> = String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .map(|l| match l.strip_prefix("error line ") {
+                Some(rest) => format!("error {}", rest.split_once(": ").unwrap().1),
+                None => l.to_string(),
+            })
+            .collect();
+
+        let socket_snap = tmp(&format!("agree_{kind}_socket.mtx"));
+        let socket_script: Vec<String> =
+            script.iter().map(|l| l.replace("SNAP", socket_snap.to_str().unwrap())).collect();
+        let socket_lines: Vec<String> = mcmd_socket_session(engine, &socket_script)
+            .into_iter()
+            .filter(|l| l != "ok" && l != "bye")
+            .map(|l| l.replace(socket_snap.to_str().unwrap(), stdin_snap.to_str().unwrap()))
+            .collect();
+
+        assert_eq!(stdin_lines, socket_lines, "{kind}: the modes answered differently");
+        assert!(stdin_lines[0].starts_with("error vertex out of range"), "{stdin_lines:?}");
+        assert_eq!(stdin_lines.iter().filter(|l| l.starts_with("synced seq")).count(), 5);
+        assert_eq!(
+            std::fs::read(&stdin_snap).unwrap(),
+            std::fs::read(&socket_snap).unwrap(),
+            "{kind}: snapshot files differ"
+        );
+    }
 }

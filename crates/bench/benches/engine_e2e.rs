@@ -1,13 +1,13 @@
 //! End-to-end wall-clock of the execution backends: full MCM-DIST on the
-//! real thread-per-rank `EngineComm` mesh and on the fused shared-memory
-//! `SharedComm` arena across a core sweep (1/2/4/8), against the serial
-//! cost-model simulator and serial Hopcroft–Karp on the same graph. The
-//! modeled-time story lives in the figure binaries; this bench answers
-//! the sharded-serving question — what a warm recompute actually costs
-//! on real cores (`mcmd --backend engine|shared`, DESIGN.md §12, §14).
+//! real thread-per-rank `EngineComm` mesh across a core sweep (1/2/4/8),
+//! against the cost-model simulator (single-block fused execution) and
+//! serial Hopcroft–Karp on the same graph. The modeled-time story lives in
+//! the figure binaries; this bench answers the sharded-serving question —
+//! what a warm recompute actually costs on real cores
+//! (`mcmd --backend engine|sim`, DESIGN.md §12, §14).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mcm_bsp::{Communicator, DistCtx, EngineComm, MachineConfig, SharedComm};
+use mcm_bsp::{Communicator, DistCtx, EngineComm, MachineConfig};
 use mcm_core::serial::hopcroft_karp;
 use mcm_core::{maximum_matching, McmOptions, SolverPool, Start};
 use mcm_gen::rmat::{rmat, RmatParams};
@@ -46,16 +46,6 @@ fn bench_engine_e2e(c: &mut Criterion) {
     for &(cores, p, threads) in &CORES {
         group.bench_function(BenchmarkId::new("engine", cores), |b| {
             b.iter(|| black_box(solve(&mut EngineComm::new(p, threads), &csc, &opts)))
-        });
-    }
-
-    // SharedComm executes fused in one address space; the relabeling
-    // permutation only hurts locality there, so the shared rows run the
-    // same configuration `mcmd --backend shared` uses for recomputes.
-    let shared_opts = McmOptions { permute_seed: None, ..McmOptions::default() };
-    for &(cores, p, threads) in &CORES {
-        group.bench_function(BenchmarkId::new("shared", cores), |b| {
-            b.iter(|| black_box(solve(&mut SharedComm::new(p, threads), &csc, &shared_opts)))
         });
     }
     group.finish();

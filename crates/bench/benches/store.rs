@@ -8,7 +8,7 @@
 //! * `load` — `McsbFile::open` (mmap + header/colptr validation only);
 //! * `rss_delta` — resident-set growth across open + full view
 //!   construction, the number the format exists to keep small;
-//! * `solve` — `maximum_matching` on the shared-memory backend, end-to-end
+//! * `solve` — `maximum_matching` on the simulator (4 logical ranks), end-to-end
 //!   on the borrowed view, Berge-certified at the smallest scale.
 //!
 //! Custom harness (not the criterion stand-in): the record carries RSS and
@@ -17,7 +17,7 @@
 //! `15,18,20`; override with `MCM_STORE_SCALES=s1,s2,...` (CI uses a
 //! smaller list — see .github/workflows/ci.yml).
 
-use mcm_bsp::SharedComm;
+use mcm_bsp::{DistCtx, MachineConfig};
 use mcm_core::verify::is_maximum;
 use mcm_core::{maximum_matching, McmOptions, McmResult, SolverPool, Start};
 use mcm_gen::RmatParams;
@@ -25,9 +25,9 @@ use mcm_sparse::CscView;
 use mcm_store::{McsbFile, McsbStreamWriter};
 use std::time::Instant;
 
-/// One cold solve of `v` on the shared-memory backend with 4 logical ranks.
-fn solve_shared(v: &CscView<'_>, threads: usize) -> McmResult {
-    let mut comm = SharedComm::new(4, threads);
+/// One cold solve of `v` on the simulator with 4 logical ranks.
+fn solve_sim(v: &CscView<'_>, threads: usize) -> McmResult {
+    let mut comm = DistCtx::new(MachineConfig::hybrid(2, threads));
     maximum_matching(&mut comm, v, Start::Cold, &McmOptions::default(), &mut SolverPool::new())
 }
 
@@ -80,7 +80,7 @@ fn run_scale(scale: u32, dir: &std::path::Path) -> ScaleRecord {
     };
 
     let t2 = Instant::now();
-    let res = solve_shared(&v, mcm_par::max_threads());
+    let res = solve_sim(&v, mcm_par::max_threads());
     let solve_secs = t2.elapsed().as_secs_f64();
 
     std::fs::remove_file(&path).ok();
@@ -115,7 +115,7 @@ fn main() {
         w.finish(mcm_par::max_threads()).unwrap();
         let f = McsbFile::open(&path).unwrap();
         let v = f.view();
-        let res = solve_shared(&v, 2);
+        let res = solve_sim(&v, 2);
         assert!(is_maximum(v, &res.matching), "Berge certificate failed");
         std::fs::remove_file(&path).ok();
         eprintln!("certified: scale {} matching is maximum (Berge)", smallest.min(12));

@@ -1,12 +1,12 @@
 //! `store_smoke` — the CI acceptance check for the out-of-core chain
 //! (DESIGN.md §18): stream-generate a scale-16 G500 RMAT graph into MCSB,
 //! mmap it, assert the load stayed out-of-core (resident-set growth a
-//! small fraction of the on-disk size), solve through the shared-memory
-//! backend from the borrowed view, and Berge-certify the result.
+//! small fraction of the on-disk size), solve on the simulator from the
+//! borrowed view, and Berge-certify the result.
 //!
 //! Exits non-zero on any failed step. `--scale n` overrides the size.
 
-use mcm_bsp::SharedComm;
+use mcm_bsp::{DistCtx, MachineConfig};
 use mcm_core::verify::is_maximum;
 use mcm_core::{maximum_matching, McmOptions, SolverPool, Start};
 use mcm_gen::RmatParams;
@@ -74,7 +74,7 @@ fn main() -> ExitCode {
     }
 
     // Solve from the borrowed view and certify maximality.
-    let mut comm = SharedComm::new(4, mcm_par::max_threads());
+    let mut comm = DistCtx::new(MachineConfig::hybrid(2, mcm_par::max_threads()));
     let opts = McmOptions::default();
     let res = maximum_matching(&mut comm, &v, Start::Cold, &opts, &mut SolverPool::new());
     if !is_maximum(v, &res.matching) {

@@ -6,10 +6,12 @@
 //! abstracts that surface into the [`Communicator`] trait so the whole
 //! pipeline in `mcm-core` is written once and executes on either backend:
 //!
-//! * **Simulator** ([`DistCtx`]) — the cost-model backend. Collectives
-//!   route data locally and charge the α–β–γ model exactly as the
-//!   hard-wired kernels always did, so figure harnesses reproduce their
-//!   modeled-time output bit for bit.
+//! * **Simulator** ([`DistCtx`]) — the cost-model backend. It executes in
+//!   one address space: collectives route data locally, matrices live in a
+//!   single physical block ([`Communicator::exec_grid`] is `1 × 1`), and
+//!   SpMSpV is one fused product. Every operation charges the α–β–γ model
+//!   for the logical `p_r × p_c` grid of its machine, so figure harnesses
+//!   reproduce their modeled-time output bit for bit.
 //! * **Engine** ([`EngineComm`]) — `p` real ranks (OS threads) over the
 //!   [`crate::engine::RankComm`] channel mesh, promoted from a per-kernel
 //!   validation harness to a first-class execution backend. Every
@@ -44,19 +46,6 @@ use crate::machine::MachineConfig;
 use crate::sched::{FaultPlan, Schedule, SimWindow};
 use crate::timers::Kernel;
 use mcm_sparse::{DenseVec, SpVec, Vidx, NIL};
-
-/// Which execution backend a [`Communicator`] is.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BackendKind {
-    /// Cost-model simulator: local data routing + modeled time.
-    Simulator,
-    /// Thread-per-rank channel-mesh engine: real message passing.
-    Engine,
-    /// Shared-memory backend: one address space, collectives as shared-arena
-    /// exchanges, SpMSpV fused with the communication epoch
-    /// ([`crate::shared::SharedComm`]).
-    Shared,
-}
 
 /// Reduction operator for [`Communicator::allreduce`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -155,11 +144,11 @@ impl RmaWin for AtomicWin<'_> {
 }
 
 /// Wraps an [`RmaWin`], counting the one-sided calls issued through it —
-/// the per-epoch RMA op metric on the simulator and shared backends
-/// ([`AtomicWin`] counts natively on the engine).
-pub(crate) struct CountingWin<'w, W: RmaWin> {
-    pub(crate) inner: &'w mut W,
-    pub(crate) ops: u64,
+/// the per-epoch RMA op metric on the simulator ([`AtomicWin`] counts
+/// natively on the engine).
+struct CountingWin<'w, W: RmaWin> {
+    inner: &'w mut W,
+    ops: u64,
 }
 
 impl<W: RmaWin> RmaWin for CountingWin<'_, W> {
@@ -179,7 +168,7 @@ impl<W: RmaWin> RmaWin for CountingWin<'_, W> {
 
 /// Records one completed RMA exposure epoch and its one-sided op count.
 #[inline]
-pub(crate) fn record_rma_epoch(backend: &'static str, ops: u64) {
+fn record_rma_epoch(backend: &'static str, ops: u64) {
     if mcm_obs::metrics_enabled() {
         let labels = [("backend", backend)];
         mcm_obs::counter_add("mcm_rma_epochs_total", &labels, 1);
@@ -190,7 +179,7 @@ pub(crate) fn record_rma_epoch(backend: &'static str, ops: u64) {
 /// Interleaves RMA task streams under a schedule-chosen service order —
 /// the [`RmaTask`] twin of [`crate::sched::run_interleaved`], consuming
 /// picks from the same decision stream.
-pub(crate) fn interleave_tasks<W: RmaWin, T: RmaTask>(
+fn interleave_tasks<W: RmaWin, T: RmaTask>(
     win: &mut W,
     sched: &mut Schedule,
     tasks: &mut [T],
@@ -216,9 +205,6 @@ pub(crate) fn interleave_tasks<W: RmaWin, T: RmaTask>(
 /// `words_per_elem` converts element counts to the 8-byte words the cost
 /// model charges (2 for `(index, value)` pairs, 1 for bare indices).
 pub trait Communicator {
-    /// Which backend this is.
-    fn kind(&self) -> BackendKind;
-
     /// The accounting context (grid, cost model, timers, schedule).
     fn ctx(&self) -> &DistCtx;
 
@@ -235,15 +221,11 @@ pub trait Communicator {
         self.ctx().threads()
     }
 
-    /// The **physical** grid this backend executes matrix blocks on —
-    /// usually the accounting grid itself, but the shared-memory backend
-    /// executes everything on a single `1 × 1` block while still charging
-    /// the logical `√p × √p` decomposition. Matrix assembly must use this
-    /// grid so blocks match the execution layout.
-    fn exec_grid(&self) -> (usize, usize) {
-        let g = &self.ctx().machine.grid;
-        (g.pr, g.pc)
-    }
+    /// The **physical** grid this backend executes matrix blocks on: the
+    /// accounting grid itself on the engine, a single `1 × 1` block on the
+    /// simulator (which still charges the logical grid). Matrix assembly
+    /// must use this grid so blocks match the execution layout.
+    fn exec_grid(&self) -> (usize, usize);
 
     /// Personalized all-to-all: routes `sends[src][dst]` to
     /// `recvd[dst][src]`, charging the bottleneck rank's volume.
@@ -280,7 +262,7 @@ pub trait Communicator {
         &mut self,
         a: &DistMatrix,
         kernel: Kernel,
-        plan: &mut SpmvPlan<T, U>,
+        plan: &mut SpmvPlan<U>,
         x: &SpVec<T>,
         mul: impl Fn(Vidx, &T) -> U + Sync,
         take_incoming: impl Fn(&U, &U) -> bool + Sync,
@@ -295,7 +277,7 @@ pub trait Communicator {
         &mut self,
         a: &DistMatrix,
         kernel: Kernel,
-        plan: &mut SpmvPlan<T, U>,
+        plan: &mut SpmvPlan<U>,
         x: &SpVec<T>,
         mul: impl Fn(Vidx, &T) -> U + Sync,
         combine: impl Fn(&mut U, U) + Sync,
@@ -321,16 +303,16 @@ pub trait Communicator {
 // ---------------------------------------------------------------------------
 
 impl Communicator for DistCtx {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Simulator
-    }
-
     fn ctx(&self) -> &DistCtx {
         self
     }
 
     fn ctx_mut(&mut self) -> &mut DistCtx {
         self
+    }
+
+    fn exec_grid(&self) -> (usize, usize) {
+        (1, 1)
     }
 
     fn alltoallv<T: Send + Clone>(
@@ -395,7 +377,7 @@ impl Communicator for DistCtx {
         &mut self,
         a: &DistMatrix,
         kernel: Kernel,
-        plan: &mut SpmvPlan<T, U>,
+        plan: &mut SpmvPlan<U>,
         x: &SpVec<T>,
         mul: impl Fn(Vidx, &T) -> U + Sync,
         take_incoming: impl Fn(&U, &U) -> bool + Sync,
@@ -405,14 +387,14 @@ impl Communicator for DistCtx {
         U: Copy + Send + Sync,
     {
         let _span = mcm_obs::kernel_span("spmspv", kernel.name());
-        a.spmspv_with_plan(self, kernel, plan, x, mul, take_incoming)
+        a.spmspv_fused(self, kernel, plan, x, mul, take_incoming)
     }
 
     fn spmspv_monoid<T, U>(
         &mut self,
         a: &DistMatrix,
         kernel: Kernel,
-        plan: &mut SpmvPlan<T, U>,
+        plan: &mut SpmvPlan<U>,
         x: &SpVec<T>,
         mul: impl Fn(Vidx, &T) -> U + Sync,
         combine: impl Fn(&mut U, U) + Sync,
@@ -422,7 +404,7 @@ impl Communicator for DistCtx {
         U: Copy + Send + Sync,
     {
         let _span = mcm_obs::kernel_span("spmspv_monoid", kernel.name());
-        a.spmspv_monoid_with_plan(self, kernel, plan, x, mul, combine)
+        a.spmspv_monoid_fused(self, kernel, plan, x, mul, combine)
     }
 
     fn rma_epoch<W: RmaTask + Send>(
@@ -497,10 +479,7 @@ impl EngineComm {
     /// An engine over `p` ranks (must be a perfect square — the 2D
     /// SpMV grid) with `threads` workers per rank.
     pub fn new(p: usize, threads: usize) -> Self {
-        let dim = (p as f64).sqrt().round() as usize;
-        assert!(dim * dim == p && p >= 1, "engine backend needs a square rank count, got {p}");
-        assert!(threads >= 1, "at least one worker thread per rank");
-        Self { ctx: DistCtx::new(MachineConfig::hybrid(dim, threads)), epoch: 0 }
+        Self { ctx: DistCtx::new(MachineConfig::square_ranks(p, threads)), epoch: 0 }
     }
 
     /// Installs a simtest schedule: every subsequent collective and RMA
@@ -530,16 +509,17 @@ impl EngineComm {
 }
 
 impl Communicator for EngineComm {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Engine
-    }
-
     fn ctx(&self) -> &DistCtx {
         &self.ctx
     }
 
     fn ctx_mut(&mut self) -> &mut DistCtx {
         &mut self.ctx
+    }
+
+    fn exec_grid(&self) -> (usize, usize) {
+        let g = &self.ctx.machine.grid;
+        (g.pr, g.pc)
     }
 
     fn alltoallv<T: Send + Clone>(
@@ -643,7 +623,7 @@ impl Communicator for EngineComm {
         &mut self,
         a: &DistMatrix,
         kernel: Kernel,
-        plan: &mut SpmvPlan<T, U>,
+        plan: &mut SpmvPlan<U>,
         x: &SpVec<T>,
         mul: impl Fn(Vidx, &T) -> U + Sync,
         take_incoming: impl Fn(&U, &U) -> bool + Sync,
@@ -660,7 +640,7 @@ impl Communicator for EngineComm {
         &mut self,
         a: &DistMatrix,
         kernel: Kernel,
-        plan: &mut SpmvPlan<T, U>,
+        plan: &mut SpmvPlan<U>,
         x: &SpVec<T>,
         mul: impl Fn(Vidx, &T) -> U + Sync,
         combine: impl Fn(&mut U, U) + Sync,

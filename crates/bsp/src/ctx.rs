@@ -22,6 +22,17 @@ fn record_collective(op: &'static str, kernel: Kernel, words: u64) {
     }
 }
 
+/// Former name of the simulator, kept for the benchmark probe; ROADMAP item 1 deletes it.
+pub struct SharedComm;
+
+impl SharedComm {
+    /// [`DistCtx`] on a `√p × √p` grid with `threads` threads per process.
+    #[allow(clippy::new_ret_no_self)] // an alias constructor of `DistCtx`
+    pub fn new(p: usize, threads: usize) -> DistCtx {
+        DistCtx::new(MachineConfig::square_ranks(p, threads))
+    }
+}
+
 /// Everything a distributed kernel needs to execute and account for itself:
 /// the simulated machine, the α–β–γ cost model, and per-kernel timers.
 ///

@@ -6,36 +6,42 @@
 //! frontier slices along each process *column*) and **fold** (personalized
 //! all-to-all of partial products along each process *row*).
 //!
-//! The simulator executes the same plan: the frontier is sliced per block
-//! column, each block runs the local semiring product — threads from
-//! `mcm-par` stand in for both process-level and OpenMP parallelism — and
-//! each block row merges its partials with the semiring "addition".
-//! Communication is charged from the actual per-rank volumes.
+//! The plan has two executions, one per [`Communicator`]:
+//!
+//! * **Simulator** ([`DistCtx`]): the whole matrix is one physical DCSC
+//!   block and each product is one *fused* traversal
+//!   ([`SpmvWorkspace::spmspv_fused_into`]). Its sparse accumulator stands
+//!   in for the expand and fold buffers: a contribution is written straight
+//!   into its destination row's slot, so no slice is copied and no partial
+//!   is merge-sorted. The kernel counts, in the same traversal, the
+//!   per-block volumes the logical `p_r × p_c` grid of `ctx.machine.grid`
+//!   would ship, and the α–β–γ model charges those.
+//! * **Engine** ([`EngineComm`]): the matrix is split into the grid's
+//!   blocks and rank `(i, j)` runs block `(i, j)`. Frontier slices really
+//!   are allgathered along grid columns and partials really fold along
+//!   grid rows over the channel mesh, and the observed volumes are charged.
+//!   This split execution is the reference the fused charges are tested
+//!   against, to the bit.
+//!
+//! Both return identical vectors: per-row candidates fold in ascending
+//! global column order, exactly like the serial kernel.
 //!
 //! ## SpMSpV plans
 //!
 //! The MS-BFS hot loop calls the distributed product once per iteration per
-//! phase. A [`SpmvPlan`] keeps one
-//! [`SpmvWorkspace`](mcm_sparse::workspace::SpmvWorkspace) and one output
-//! [`SpVec`] per block, plus the per-block-column frontier-slice buffers, so
-//! every allocation made by the expand and local-multiply stages is reused
-//! across iterations: in steady state an iteration's SpMSpV performs no
-//! sparse-accumulator or slice allocation at all. [`DistMatrix::spmspv`]
-//! and [`DistMatrix::spmspv_monoid`] remain as one-shot wrappers that build
-//! a throwaway plan.
-//!
-//! Block-level and intra-block parallelism compose adaptively: with at
-//! least as many blocks as worker threads the blocks themselves run in
-//! parallel (serial kernel inside each); on small grids the blocks run in
-//! sequence and each product uses the chunked intra-block parallel kernel,
-//! whose output is bit-identical to the serial one.
+//! phase. A [`SpmvPlan`] keeps one [`SpmvWorkspace`] and one output
+//! [`SpVec`] per physical block, so every sparse-accumulator allocation is
+//! reused across iterations. [`DistMatrix::spmspv`] and
+//! [`DistMatrix::spmspv_monoid`] remain as one-shot wrappers that build a
+//! throwaway plan.
 
+use crate::collectives::balanced_owner;
 use crate::comm::{Communicator, EngineComm};
 use crate::ctx::DistCtx;
 use crate::timers::Kernel;
 use mcm_sparse::permute::Permutation;
 use mcm_sparse::triples::{block_offsets, block_owner};
-use mcm_sparse::workspace::{SpmvWorkspace, WorkspaceStats};
+use mcm_sparse::workspace::{FusedVolumes, SpmvWorkspace, WorkspaceStats};
 use mcm_sparse::{CscView, Dcsc, SpVec, Triples, Vidx};
 use std::sync::Mutex;
 
@@ -78,36 +84,32 @@ impl<U: Copy> PlanBlock<U> {
     }
 }
 
-/// Reusable buffers for [`DistMatrix::spmspv_with_plan`] /
-/// [`DistMatrix::spmspv_monoid_with_plan`]: one SpMSpV workspace and output
-/// vector per grid block, plus the frontier-slice buffers of the expand
-/// phase. Create once, pass to every distributed product against matrices
-/// on the same grid — buffers grow to the high-water mark and are then
-/// reused, so steady-state iterations allocate nothing in the kernel layer.
+/// Reusable buffers for [`Communicator::spmspv`] /
+/// [`Communicator::spmspv_monoid`]: one SpMSpV workspace and output vector
+/// per physical block. Create once, pass to every distributed product
+/// against matrices on the same grid — buffers grow to the high-water mark
+/// and are then reused, so steady-state iterations allocate nothing in the
+/// kernel layer.
 #[derive(Debug)]
-pub struct SpmvPlan<T, U: Copy> {
+pub struct SpmvPlan<U: Copy> {
     blocks: Vec<PlanBlock<U>>,
-    slices: Vec<SpVec<T>>,
 }
 
-impl<T, U: Copy> Default for SpmvPlan<T, U> {
+impl<U: Copy> Default for SpmvPlan<U> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T, U: Copy> SpmvPlan<T, U> {
+impl<U: Copy> SpmvPlan<U> {
     /// An empty plan; buffers materialize on first use.
     pub fn new() -> Self {
-        Self { blocks: Vec::new(), slices: Vec::new() }
+        Self { blocks: Vec::new() }
     }
 
-    fn ensure(&mut self, nblocks: usize, pc: usize) {
+    fn ensure(&mut self, nblocks: usize) {
         if self.blocks.len() < nblocks {
             self.blocks.resize_with(nblocks, PlanBlock::new);
-        }
-        if self.slices.len() < pc {
-            self.slices.resize_with(pc, || SpVec::new(0));
         }
     }
 
@@ -121,6 +123,43 @@ impl<T, U: Copy> SpmvPlan<T, U> {
     }
 }
 
+/// The logical `pr × pc` grid a simulator kernel is charged at: block
+/// offsets of one matrix over `ctx.machine.grid`.
+struct LogicalGrid {
+    pc: usize,
+    row_off: Vec<usize>,
+    col_off: Vec<usize>,
+}
+
+impl LogicalGrid {
+    fn of(ctx: &DistCtx, nrows: usize, ncols: usize) -> Self {
+        let g = &ctx.machine.grid;
+        Self { pc: g.pc, row_off: block_offsets(nrows, g.pr), col_off: block_offsets(ncols, g.pc) }
+    }
+
+    fn pr(&self) -> usize {
+        self.row_off.len() - 1
+    }
+
+    /// The fold destination of block-local row `li` of block row `bi`: the
+    /// rank of that grid row owning it in the balanced row distribution.
+    fn fold_owner(&self) -> impl Fn(usize, usize) -> usize + '_ {
+        move |bi, li| balanced_owner((self.row_off[bi + 1] - self.row_off[bi]).max(1), self.pc, li)
+    }
+
+    /// Bottleneck expand volume of a frontier: `max_bj 2 · |{entries in
+    /// column block bj}|`.
+    fn expand_max<T>(&self, xs: &[(Vidx, T)]) -> u64 {
+        let mut expand_max = 0u64;
+        for w in self.col_off.windows(2) {
+            let lo = xs.partition_point(|&(j, _)| (j as usize) < w[0]);
+            let hi = xs.partition_point(|&(j, _)| (j as usize) < w[1]);
+            expand_max = expand_max.max(2 * (hi - lo) as u64);
+        }
+        expand_max
+    }
+}
+
 /// A sparse matrix distributed over a 2D process grid in DCSC blocks.
 ///
 /// # Example
@@ -130,8 +169,8 @@ impl<T, U: Copy> SpmvPlan<T, U> {
 /// use mcm_sparse::{SpVec, Triples};
 ///
 /// let t = Triples::from_edges(4, 4, vec![(0, 0), (1, 1), (2, 2), (3, 3)]);
-/// let mut ctx = DistCtx::new(MachineConfig::hybrid(2, 1)); // 2x2 grid
-/// let a = DistMatrix::from_triples(&ctx, &t);
+/// let mut ctx = DistCtx::new(MachineConfig::hybrid(2, 1)); // 2x2 accounting
+/// let a = DistMatrix::from_triples(&ctx, &t); // one block
 /// let x = SpVec::from_pairs(4, vec![(0, 0u32), (2, 2)]);
 /// let y = a.spmspv(&mut ctx, Kernel::SpMV, &x, |j, _| j, |acc, inc| inc < acc);
 /// assert_eq!(y.entries(), &[(0, 0), (2, 2)]);
@@ -153,10 +192,12 @@ pub struct DistMatrix {
 }
 
 impl DistMatrix {
-    /// Distributes `t` over the grid of `ctx` (balanced block distribution
-    /// in both dimensions, as CombBLAS does).
-    pub fn from_triples(ctx: &DistCtx, t: &Triples) -> Self {
-        Self::with_grid(t, ctx.machine.grid.pr, ctx.machine.grid.pc)
+    /// Distributes `t` over the grid `comm` executes on
+    /// ([`Communicator::exec_grid`]): one block for the simulator, the
+    /// rank grid for the engine.
+    pub fn from_triples(comm: &impl Communicator, t: &Triples) -> Self {
+        let (pr, pc) = comm.exec_grid();
+        Self::with_grid(t, pr, pc)
     }
 
     /// Distributes `t` over an explicit `pr × pc` grid.
@@ -171,7 +212,7 @@ impl DistMatrix {
     /// by the matching pipeline, which needs the transpose for every
     /// row-proposing initializer and for bottom-up BFS.
     ///
-    /// On a 1×1 grid (the shared-memory backend) no pair list ever exists:
+    /// On a 1×1 grid (the simulator's execution grid) no pair list ever exists:
     /// the unpermuted case compacts the view straight into DCSC
     /// ([`Dcsc::from_csc_view`]), the permuted case streams mapped pairs
     /// through the two-pass counting builder ([`Dcsc::from_pair_iter`]),
@@ -325,30 +366,11 @@ impl DistMatrix {
         h as f64 / self.blocks.len() as f64
     }
 
-    /// Expand phase: slices the frontier into the plan's per-block-column
-    /// buffers (reused across calls) and returns the modeled allgather
-    /// bottleneck volume.
-    fn expand_into_slices<T: Copy>(&self, xs: &[(Vidx, T)], slices: &mut [SpVec<T>]) -> u64 {
-        let mut expand_max = 0u64;
-        for bj in 0..self.pc {
-            let lo = xs.partition_point(|&(j, _)| (j as usize) < self.col_off[bj]);
-            let hi = xs.partition_point(|&(j, _)| (j as usize) < self.col_off[bj + 1]);
-            let off = self.col_off[bj] as Vidx;
-            expand_max = expand_max.max(2 * (hi - lo) as u64);
-            let slice = &mut slices[bj];
-            slice.reset(self.col_off[bj + 1] - self.col_off[bj]);
-            for &(j, v) in &xs[lo..hi] {
-                slice.push(j - off, v);
-            }
-        }
-        expand_max
-    }
-
     /// Distributed semiring SpMSpV: `y = A ⊗ x` where `x` is a sparse vector
     /// over the columns and `y` over the rows.
     ///
-    /// One-shot wrapper over [`DistMatrix::spmspv_with_plan`] with a
-    /// throwaway plan; iteration loops should hold their own [`SpmvPlan`].
+    /// One-shot wrapper over [`Communicator::spmspv`] with a throwaway plan;
+    /// iteration loops should hold their own [`SpmvPlan`].
     ///
     /// * `mul(j, xj)` — semiring multiply, receives the **global** column
     ///   index (BFS rewrites the parent to `j` here). Evaluated once per
@@ -371,133 +393,28 @@ impl DistMatrix {
         T: Copy + Send + Sync,
         U: Copy + Send + Sync,
     {
-        let mut plan = SpmvPlan::new();
-        self.spmspv_with_plan(ctx, kernel, &mut plan, x, mul, take_incoming)
+        ctx.spmspv(self, kernel, &mut SpmvPlan::new(), x, mul, take_incoming)
     }
 
-    /// [`DistMatrix::spmspv`] with caller-owned reusable buffers: the plan's
-    /// per-block workspaces, output vectors, and frontier slices persist
-    /// across calls, so repeated products (the MS-BFS iteration loop)
-    /// allocate nothing in the kernel layer once warm.
-    pub fn spmspv_with_plan<T, U>(
+    /// Distributed SpMSpV over a general *monoid* addition (`combine`
+    /// folds a candidate into the accumulator — must be commutative and
+    /// associative, e.g. `+` for the counting semirings the maximal-matching
+    /// initializers use for dynamic degree updates). Same communication plan
+    /// and charging as [`DistMatrix::spmspv`]; one-shot wrapper over
+    /// [`Communicator::spmspv_monoid`].
+    pub fn spmspv_monoid<T, U>(
         &self,
         ctx: &mut DistCtx,
         kernel: Kernel,
-        plan: &mut SpmvPlan<T, U>,
         x: &SpVec<T>,
         mul: impl Fn(Vidx, &T) -> U + Sync,
-        take_incoming: impl Fn(&U, &U) -> bool + Sync,
+        combine: impl Fn(&mut U, U) + Sync,
     ) -> SpVec<U>
     where
         T: Copy + Send + Sync,
         U: Copy + Send + Sync,
     {
-        assert_eq!(x.len(), self.ncols, "frontier length must match ncols");
-        let nblocks = self.pr * self.pc;
-        plan.ensure(nblocks, self.pc);
-        let SpmvPlan { blocks: states, slices } = plan;
-
-        // ---- Expand: slice the frontier per block column. ----------------
-        let expand_max = self.expand_into_slices(x.entries(), slices);
-        ctx.charge_allgather(kernel, self.pr, expand_max);
-
-        // ---- Local multiply: every block, reusing its workspace. ----------
-        // With enough blocks to occupy the machine, parallelize across
-        // blocks (serial kernel inside each). On small grids, run blocks in
-        // sequence and let each product use the intra-block chunked kernel —
-        // bit-identical output either way.
-        let workers = mcm_par::max_threads();
-        let slices = &*slices;
-        let flops_per_block: Vec<u64> = if nblocks >= workers {
-            mcm_par::par_for_each_mut(&mut states[..nblocks], workers, |b, st| {
-                let bj = b % self.pc;
-                let off = self.col_off[bj] as Vidx;
-                st.ws.spmspv_into(
-                    &self.blocks[b],
-                    &slices[bj],
-                    |lj, v| mul(lj + off, v),
-                    |acc, inc| take_incoming(acc, inc),
-                    &mut st.out,
-                )
-            })
-        } else {
-            states[..nblocks]
-                .iter_mut()
-                .enumerate()
-                .map(|(b, st)| {
-                    let bj = b % self.pc;
-                    let off = self.col_off[bj] as Vidx;
-                    st.ws.spmspv_parallel_into(
-                        &self.blocks[b],
-                        &slices[bj],
-                        workers,
-                        |lj, v| mul(lj + off, v),
-                        |acc, inc| take_incoming(acc, inc),
-                        &mut st.out,
-                    )
-                })
-                .collect()
-        };
-        let max_flops = flops_per_block.iter().copied().max().unwrap_or(0);
-        ctx.charge_compute(kernel, max_flops);
-
-        // ---- Fold: merge partials along each block row. -------------------
-        // Per-row candidates must arrive in ascending global column order
-        // (matching serial semantics for order-sensitive combiners): extend
-        // in ascending bj order, then a stable by-row sort.
-        struct FoldOut<U> {
-            entries: Vec<(Vidx, U)>,
-            max_send: u64,
-            max_recv: u64,
-        }
-
-        let states = &states[..nblocks];
-        let folded: Vec<FoldOut<U>> = mcm_par::par_map_range(self.pr, workers, |bi| {
-            let parts = &states[bi * self.pc..(bi + 1) * self.pc];
-            let block_rows = self.row_off[bi + 1] - self.row_off[bi];
-            let max_send = parts.iter().map(|st| 2 * st.out.nnz() as u64).max().unwrap_or(0);
-            let mut merged: Vec<(Vidx, U)> =
-                Vec::with_capacity(parts.iter().map(|st| st.out.nnz()).sum());
-            for st in parts {
-                merged.extend(st.out.iter().map(|(i, v)| (i, *v)));
-            }
-            // Stable by-row sort keeps ascending-bj (hence ascending
-            // global column) arrival order per row.
-            merged.sort_by_key(|&(i, _)| i);
-            // Receiver volumes come from the PRE-merge partials: the
-            // wire carries every block's candidate, and the receiving
-            // rank folds duplicates only after they arrive.
-            let mut recv = vec![0u64; self.pc];
-            for &(i, _) in &merged {
-                recv[crate::collectives::balanced_owner(block_rows.max(1), self.pc, i as usize)] +=
-                    2;
-            }
-            let max_recv = recv.into_iter().max().unwrap_or(0);
-            let mut out: Vec<(Vidx, U)> = Vec::with_capacity(merged.len());
-            for (i, v) in merged {
-                match out.last_mut() {
-                    Some((last, acc)) if *last == i => {
-                        if take_incoming(acc, &v) {
-                            *acc = v;
-                        }
-                    }
-                    _ => out.push((i, v)),
-                }
-            }
-            // Globalize row indices.
-            let off = self.row_off[bi] as Vidx;
-            let entries = out.into_iter().map(|(i, v)| (i + off, v)).collect();
-            FoldOut { entries, max_send, max_recv }
-        });
-
-        let fold_bottleneck = folded.iter().map(|f| f.max_send.max(f.max_recv)).max().unwrap_or(0);
-        ctx.charge_alltoallv(kernel, self.pc, fold_bottleneck);
-
-        let mut entries = Vec::with_capacity(folded.iter().map(|f| f.entries.len()).sum());
-        for f in folded {
-            entries.extend(f.entries);
-        }
-        SpVec::from_sorted_pairs(self.nrows, entries)
+        ctx.spmspv_monoid(self, kernel, &mut SpmvPlan::new(), x, mul, combine)
     }
 
     /// Bottom-up ("pull") frontier expansion — the direction-optimizing
@@ -512,24 +429,26 @@ impl DistMatrix {
     /// the frontier covers much of the graph, because most rows stop after
     /// O(1) probes.
     ///
-    /// Within a block, adjacency is scanned in ascending column order, and
-    /// blocks merge in ascending block-row order, so with the `minParent`
-    /// semiring the early exit is *exact*: the result is bit-identical to
-    /// the top-down product. (Randomized semirings get a valid but possibly
-    /// different parent choice; MCM correctness does not depend on which.)
+    /// The scan runs per block of the **logical** grid `ctx.machine.grid`,
+    /// whatever blocks `self` is physically stored in: each logical block
+    /// row keeps its own early exit, and a candidate's hits fold in
+    /// ascending block-row order. Adjacency is scanned in ascending column
+    /// order, so with the `minParent` semiring the result is bit-identical
+    /// to the top-down product. (Randomized semirings get a valid but
+    /// possibly different parent choice; MCM correctness does not depend on
+    /// which.) Result and charges are the same on one physical block as on
+    /// the logical grid's blocks.
     ///
     /// Charges to `kernel`: an allgather of the frontier slice along each
     /// grid column (bitmap + values — the frontier is dense here, which is
     /// precisely when bottom-up is chosen), the scanned-edge compute at the
     /// bottleneck block, and the candidate-merge alltoallv along grid rows.
-    #[allow(clippy::too_many_arguments)] // mirrors the kernel's real parameter surface
     pub fn bottom_up_spmspv<T, U>(
         &self,
         ctx: &mut DistCtx,
         kernel: Kernel,
         candidates: &[Vidx],
         frontier: &[Option<T>],
-        frontier_nnz: usize,
         mul: impl Fn(Vidx, &T) -> U + Sync,
         take_incoming: impl Fn(&U, &U) -> bool + Sync,
     ) -> SpVec<U>
@@ -541,212 +460,103 @@ impl DistMatrix {
         // ncols = n1 (A's rows = candidate side).
         assert_eq!(frontier.len(), self.nrows, "frontier must cover A's columns");
         debug_assert!(candidates.windows(2).all(|w| w[0] < w[1]));
+        let lg = LogicalGrid::of(ctx, self.nrows, self.ncols);
+        let lpr = lg.pr();
 
         // ---- Frontier replication along each grid column. -----------------
         // Every process needs the frontier slice matching its block's
         // A-column range: a bitmap word per 64 columns plus the values.
         let mut expand_max = 0u64;
-        for bi in 0..self.pr {
-            let range = self.row_off[bi + 1] - self.row_off[bi];
-            let slice_nnz = frontier[self.row_off[bi]..self.row_off[bi + 1]]
-                .iter()
-                .filter(|v| v.is_some())
-                .count() as u64;
-            expand_max = expand_max.max(range as u64 / 64 + 2 * slice_nnz);
+        for w in lg.row_off.windows(2) {
+            let slice_nnz = frontier[w[0]..w[1]].iter().filter(|v| v.is_some()).count() as u64;
+            expand_max = expand_max.max((w[1] - w[0]) as u64 / 64 + 2 * slice_nnz);
         }
         // The slice for block row bi is replicated across that grid row's
         // pc ranks (on the square grids the paper uses, pr == pc).
-        ctx.charge_allgather(kernel, self.pc, expand_max);
-        let _ = frontier_nnz;
+        ctx.charge_allgather(kernel, lg.pc, expand_max);
 
-        // ---- Per-block candidate scans with early exit. --------------------
-        struct BlockOut<U> {
-            bi: usize,
-            /// (global candidate index, chosen value)
+        // ---- Candidate scans, one task per logical block column. ----------
+        struct ColOut<U> {
+            /// (global candidate index, folded value), ascending.
             hits: Vec<(Vidx, U)>,
-            flops: u64,
+            /// Probes and hits per logical block row of this block column.
+            flops: Vec<u64>,
+            nhits: Vec<u64>,
         }
-        let outs: Vec<BlockOut<U>> =
-            mcm_par::par_map_range(self.pr * self.pc, mcm_par::max_threads(), |b| {
-                let (bi, bj) = (b / self.pc, b % self.pc);
-                let block = &self.blocks[b];
-                let col_lo = self.col_off[bj];
-                let col_hi = self.col_off[bj + 1];
-                let lo = candidates.partition_point(|&r| (r as usize) < col_lo);
-                let hi = candidates.partition_point(|&r| (r as usize) < col_hi);
-                let row_base = self.row_off[bi] as Vidx;
-                let mut hits = Vec::new();
-                let mut flops = 0u64;
-                for &r in &candidates[lo..hi] {
-                    let local = (r as usize - col_lo) as Vidx;
-                    for &li in block.col(local as usize) {
-                        flops += 1;
-                        let gcol = li + row_base; // a column of A
-                        if let Some(v) = &frontier[gcol as usize] {
-                            hits.push((r, mul(gcol, v)));
-                            break; // early exit: first frontier neighbour
+        let outs: Vec<ColOut<U>> = mcm_par::par_map_range(lg.pc, mcm_par::max_threads(), |bj| {
+            let lo = candidates.partition_point(|&r| (r as usize) < lg.col_off[bj]);
+            let hi = candidates.partition_point(|&r| (r as usize) < lg.col_off[bj + 1]);
+            let mut out = ColOut { hits: Vec::new(), flops: vec![0; lpr], nhits: vec![0; lpr] };
+            for &r in &candidates[lo..hi] {
+                let pbj = block_owner(&self.col_off, r as usize);
+                let local = r as usize - self.col_off[pbj];
+                let mut acc: Option<U> = None;
+                let mut bi = 0; // logical block row: ascending with the scan
+                for pbi in 0..self.pr {
+                    let rows = self.block(pbi, pbj).col(local);
+                    let base = self.row_off[pbi];
+                    let mut k = 0;
+                    while k < rows.len() {
+                        let gcol = rows[k] as usize + base; // a column of A
+                        while gcol >= lg.row_off[bi + 1] {
+                            bi += 1;
                         }
+                        out.flops[bi] += 1;
+                        let Some(v) = &frontier[gcol] else {
+                            k += 1;
+                            continue;
+                        };
+                        out.nhits[bi] += 1;
+                        let inc = mul(gcol as Vidx, v);
+                        match acc.as_mut() {
+                            Some(a) => {
+                                if take_incoming(a, &inc) {
+                                    *a = inc;
+                                }
+                            }
+                            None => acc = Some(inc),
+                        }
+                        // Early exit: skip the rest of this logical block.
+                        let end = lg.row_off[bi + 1];
+                        k += rows[k..].partition_point(|&li| li as usize + base < end);
                     }
                 }
-                BlockOut { bi, hits, flops }
-            });
-        let max_flops = outs.iter().map(|o| o.flops).max().unwrap_or(0);
+                if let Some(a) = acc {
+                    out.hits.push((r, a));
+                }
+            }
+            out
+        });
+        let max_flops = outs.iter().flat_map(|o| &o.flops).copied().max().unwrap_or(0);
         ctx.charge_compute(kernel, max_flops);
 
         // ---- Merge candidate hits across block rows (grid-row reduce). ----
-        let max_hits = outs.iter().map(|o| 2 * o.hits.len() as u64).max().unwrap_or(0);
-        ctx.charge_alltoallv(kernel, self.pr, max_hits);
-        let mut ordered: Vec<BlockOut<U>> = outs;
-        ordered.sort_by_key(|o| o.bi); // ascending A-column ranges
-        let mut merged: Vec<(Vidx, U)> = Vec::new();
-        for out in ordered {
-            for (r, v) in out.hits {
-                merged.push((r, v));
-            }
-        }
-        merged.sort_by_key(|&(r, _)| r); // stable: keeps ascending-bi arrival
-        let mut result: Vec<(Vidx, U)> = Vec::with_capacity(merged.len());
-        for (r, v) in merged {
-            match result.last_mut() {
-                Some((last, acc)) if *last == r => {
-                    if take_incoming(acc, &v) {
-                        *acc = v;
-                    }
-                }
-                _ => result.push((r, v)),
-            }
+        let max_hits = outs.iter().flat_map(|o| &o.nhits).map(|&h| 2 * h).max().unwrap_or(0);
+        ctx.charge_alltoallv(kernel, lpr, max_hits);
+        // Block columns cover ascending candidate ranges.
+        let mut result = Vec::with_capacity(outs.iter().map(|o| o.hits.len()).sum());
+        for o in outs {
+            result.extend(o.hits);
         }
         SpVec::from_sorted_pairs(self.ncols, result)
     }
 
-    /// Distributed SpMSpV over a general *monoid* addition (`combine`
-    /// folds a candidate into the accumulator — must be commutative and
-    /// associative, e.g. `+` for the counting semirings the maximal-matching
-    /// initializers use for dynamic degree updates). Same communication plan
-    /// and charging as [`DistMatrix::spmspv`]; one-shot wrapper over
-    /// [`DistMatrix::spmspv_monoid_with_plan`].
-    pub fn spmspv_monoid<T, U>(
-        &self,
-        ctx: &mut DistCtx,
-        kernel: Kernel,
-        x: &SpVec<T>,
-        mul: impl Fn(Vidx, &T) -> U + Sync,
-        combine: impl Fn(&mut U, U) + Sync,
-    ) -> SpVec<U>
-    where
-        T: Copy + Send + Sync,
-        U: Copy + Send + Sync,
-    {
-        let mut plan = SpmvPlan::new();
-        self.spmspv_monoid_with_plan(ctx, kernel, &mut plan, x, mul, combine)
-    }
-
-    /// [`DistMatrix::spmspv_monoid`] with caller-owned reusable buffers
-    /// (see [`DistMatrix::spmspv_with_plan`]).
-    pub fn spmspv_monoid_with_plan<T, U>(
-        &self,
-        ctx: &mut DistCtx,
-        kernel: Kernel,
-        plan: &mut SpmvPlan<T, U>,
-        x: &SpVec<T>,
-        mul: impl Fn(Vidx, &T) -> U + Sync,
-        combine: impl Fn(&mut U, U) + Sync,
-    ) -> SpVec<U>
-    where
-        T: Copy + Send + Sync,
-        U: Copy + Send + Sync,
-    {
-        assert_eq!(x.len(), self.ncols, "frontier length must match ncols");
-        let nblocks = self.pr * self.pc;
-        plan.ensure(nblocks, self.pc);
-        let SpmvPlan { blocks: states, slices } = plan;
-
-        let expand_max = self.expand_into_slices(x.entries(), slices);
-        ctx.charge_allgather(kernel, self.pr, expand_max);
-
-        let workers = mcm_par::max_threads();
-        let slices = &*slices;
-        let flops_per_block: Vec<u64> =
-            mcm_par::par_for_each_mut(&mut states[..nblocks], workers, |b, st| {
-                let bj = b % self.pc;
-                let off = self.col_off[bj] as Vidx;
-                st.ws.spmspv_monoid_into(
-                    &self.blocks[b],
-                    &slices[bj],
-                    |lj, v| mul(lj + off, v),
-                    |acc, inc| combine(acc, inc),
-                    &mut st.out,
-                )
-            });
-        let max_flops = flops_per_block.iter().copied().max().unwrap_or(0);
-        ctx.charge_compute(kernel, max_flops);
-
-        let states = &states[..nblocks];
-        let folded: Vec<(Vec<(Vidx, U)>, u64)> = mcm_par::par_map_range(self.pr, workers, |bi| {
-            let parts = &states[bi * self.pc..(bi + 1) * self.pc];
-            let block_rows = self.row_off[bi + 1] - self.row_off[bi];
-            let max_send = parts.iter().map(|st| 2 * st.out.nnz() as u64).max().unwrap_or(0);
-            let mut merged: Vec<(Vidx, U)> =
-                Vec::with_capacity(parts.iter().map(|st| st.out.nnz()).sum());
-            for st in parts {
-                merged.extend(st.out.iter().map(|(i, v)| (i, *v)));
-            }
-            merged.sort_by_key(|&(i, _)| i);
-            // Pre-merge receive volumes, as in `spmspv`'s fold.
-            let mut recv = vec![0u64; self.pc];
-            for &(i, _) in &merged {
-                recv[crate::collectives::balanced_owner(block_rows.max(1), self.pc, i as usize)] +=
-                    2;
-            }
-            let max_recv = recv.into_iter().max().unwrap_or(0);
-            let mut out: Vec<(Vidx, U)> = Vec::with_capacity(merged.len());
-            for (i, v) in merged {
-                match out.last_mut() {
-                    Some((last, acc)) if *last == i => combine(acc, v),
-                    _ => out.push((i, v)),
-                }
-            }
-            let off = self.row_off[bi] as Vidx;
-            let entries: Vec<(Vidx, U)> = out.into_iter().map(|(i, v)| (i + off, v)).collect();
-            (entries, max_send.max(max_recv))
-        });
-
-        let fold_bottleneck = folded.iter().map(|(_, s)| *s).max().unwrap_or(0);
-        ctx.charge_alltoallv(kernel, self.pc, fold_bottleneck);
-
-        let mut entries = Vec::with_capacity(folded.iter().map(|(e, _)| e.len()).sum());
-        for (e, _) in folded {
-            entries.extend(e);
-        }
-        SpVec::from_sorted_pairs(self.nrows, entries)
-    }
-
-    /// Shared-memory-backend SpMSpV: one **fused** product over the single
-    /// physical block, with expand/fold volumes accounted at the logical
-    /// `lpr × lpc` grid.
+    /// Simulator SpMSpV: one **fused** product over the single physical
+    /// block, charged at the logical grid of `ctx.machine.grid`.
     ///
-    /// Where [`DistMatrix::spmspv_with_plan`] materializes per-block-column
-    /// frontier slices (expand) and per-block partial vectors that are
-    /// concatenated, sorted, and deduplicated (fold), this path writes every
-    /// contribution **directly into the destination's region of one shared
-    /// sparse accumulator** — the fused expand/fold of the shared backend:
-    /// no slice copies, no partial buffers, no merge sort. The α–β–γ
-    /// charges are identical to the distributed execution's because the
-    /// fused kernel counts, in-line, exactly the per-logical-block volumes
-    /// the split execution would ship (see
-    /// [`SpmvWorkspace::spmspv_fused_into`]); results are bit-identical by
-    /// grid independence (per-row candidates fold in ascending global
-    /// column order in both).
-    ///
-    /// `self` must live on a 1×1 (single physical block) grid.
-    #[allow(clippy::too_many_arguments)] // mirrors spmspv_with_plan + the logical grid
-    pub(crate) fn spmspv_shared<T, U>(
+    /// Where the engine's split execution slices the frontier per block
+    /// column (expand) and ships per-block partials that each block row
+    /// merges and sorts (fold), this writes every contribution **directly
+    /// into the destination's region of one sparse accumulator**: no slice
+    /// copies, no partial buffers, no merge sort. The fused kernel counts,
+    /// in-line, exactly the per-logical-block volumes the split execution
+    /// ships (see [`SpmvWorkspace::spmspv_fused_into`]), so the charges
+    /// equal [`EngineComm`]'s on the same grid.
+    pub(crate) fn spmspv_fused<T, U>(
         &self,
         ctx: &mut DistCtx,
         kernel: Kernel,
-        lpr: usize,
-        lpc: usize,
-        plan: &mut SpmvPlan<T, U>,
+        plan: &mut SpmvPlan<U>,
         x: &SpVec<T>,
         mul: impl Fn(Vidx, &T) -> U + Sync,
         take_incoming: impl Fn(&U, &U) -> bool + Sync,
@@ -755,45 +565,26 @@ impl DistMatrix {
         T: Copy + Send + Sync,
         U: Copy + Send + Sync,
     {
-        assert_eq!(x.len(), self.ncols, "frontier length must match ncols");
-        assert_eq!((self.pr, self.pc), (1, 1), "shared kernel needs a single physical block");
-        plan.ensure(1, 1);
-        let lrow_off = block_offsets(self.nrows, lpr);
-        let lcol_off = block_offsets(self.ncols, lpc);
-
-        // Logical expand: the bottleneck frontier slice along a grid column
-        // (no slice is materialized — the fused kernel reads `x` in place).
-        ctx.charge_allgather(kernel, lpr, logical_expand_max(x.entries(), &lcol_off));
-
-        let mut y = SpVec::new(0);
-        let vols = plan.blocks[0].ws.spmspv_fused_into(
-            &self.blocks[0],
-            x,
-            &lrow_off,
-            &lcol_off,
-            |bi, li| {
-                let rows = (lrow_off[bi + 1] - lrow_off[bi]).max(1);
-                crate::collectives::balanced_owner(rows, lpc, li)
-            },
-            |j, v| mul(j, v),
-            |acc, inc| take_incoming(acc, inc),
-            &mut y,
-        );
-        ctx.charge_compute(kernel, vols.max_flops);
-        ctx.charge_alltoallv(kernel, lpc, vols.fold_bottleneck);
-        y
+        self.fused(ctx, kernel, plan, x, |ws, lg, y| {
+            ws.spmspv_fused_into(
+                &self.blocks[0],
+                x,
+                &lg.row_off,
+                &lg.col_off,
+                lg.fold_owner(),
+                |j, v| mul(j, v),
+                |acc, inc| take_incoming(acc, inc),
+                y,
+            )
+        })
     }
 
-    /// Monoid counterpart of [`DistMatrix::spmspv_shared`] (mirrors
-    /// [`DistMatrix::spmspv_monoid_with_plan`]'s charges).
-    #[allow(clippy::too_many_arguments)] // mirrors spmspv_monoid_with_plan + the logical grid
-    pub(crate) fn spmspv_monoid_shared<T, U>(
+    /// Monoid counterpart of [`DistMatrix::spmspv_fused`].
+    pub(crate) fn spmspv_monoid_fused<T, U>(
         &self,
         ctx: &mut DistCtx,
         kernel: Kernel,
-        lpr: usize,
-        lpc: usize,
-        plan: &mut SpmvPlan<T, U>,
+        plan: &mut SpmvPlan<U>,
         x: &SpVec<T>,
         mul: impl Fn(Vidx, &T) -> U + Sync,
         combine: impl Fn(&mut U, U) + Sync,
@@ -802,46 +593,57 @@ impl DistMatrix {
         T: Copy + Send + Sync,
         U: Copy + Send + Sync,
     {
+        self.fused(ctx, kernel, plan, x, |ws, lg, y| {
+            ws.spmspv_monoid_fused_into(
+                &self.blocks[0],
+                x,
+                &lg.row_off,
+                &lg.col_off,
+                lg.fold_owner(),
+                |j, v| mul(j, v),
+                |acc, inc| combine(acc, inc),
+                y,
+            )
+        })
+    }
+
+    /// The charging frame of a fused product: the logical expand, then
+    /// `run`'s traversal, then its counted compute and fold volumes.
+    fn fused<T, U: Copy>(
+        &self,
+        ctx: &mut DistCtx,
+        kernel: Kernel,
+        plan: &mut SpmvPlan<U>,
+        x: &SpVec<T>,
+        run: impl FnOnce(&mut SpmvWorkspace<U>, &LogicalGrid, &mut SpVec<U>) -> FusedVolumes,
+    ) -> SpVec<U> {
         assert_eq!(x.len(), self.ncols, "frontier length must match ncols");
-        assert_eq!((self.pr, self.pc), (1, 1), "shared kernel needs a single physical block");
-        plan.ensure(1, 1);
-        let lrow_off = block_offsets(self.nrows, lpr);
-        let lcol_off = block_offsets(self.ncols, lpc);
-
-        ctx.charge_allgather(kernel, lpr, logical_expand_max(x.entries(), &lcol_off));
-
+        assert_eq!((self.pr, self.pc), (1, 1), "the simulator executes a single physical block");
+        plan.ensure(1);
+        let lg = LogicalGrid::of(ctx, self.nrows, self.ncols);
+        // Logical expand: the bottleneck frontier slice along a grid column
+        // (no slice is materialized — the fused kernel reads `x` in place).
+        ctx.charge_allgather(kernel, lg.pr(), lg.expand_max(x.entries()));
         let mut y = SpVec::new(0);
-        let vols = plan.blocks[0].ws.spmspv_monoid_fused_into(
-            &self.blocks[0],
-            x,
-            &lrow_off,
-            &lcol_off,
-            |bi, li| {
-                let rows = (lrow_off[bi + 1] - lrow_off[bi]).max(1);
-                crate::collectives::balanced_owner(rows, lpc, li)
-            },
-            |j, v| mul(j, v),
-            |acc, inc| combine(acc, inc),
-            &mut y,
-        );
+        let vols = run(&mut plan.blocks[0].ws, &lg, &mut y);
         ctx.charge_compute(kernel, vols.max_flops);
-        ctx.charge_alltoallv(kernel, lpc, vols.fold_bottleneck);
+        ctx.charge_alltoallv(kernel, lg.pc, vols.fold_bottleneck);
         y
     }
 
-    /// Engine-backend SpMSpV: the same expand → multiply → fold plan as
-    /// [`DistMatrix::spmspv_with_plan`], executed as one real session on
-    /// the [`EngineComm`] channel mesh with rank `(bi, bj)` owning plan
-    /// block `(bi, bj)` — the frontier allgathers along each grid column
-    /// and partials fold along each grid row, exactly the CombBLAS 2D
-    /// pattern the simulator models. Bit-identical to the simulator
-    /// (candidates fold per row in ascending global column order) and
-    /// charge-mirrored from the observed per-rank volumes.
+    /// Engine-backend SpMSpV: the split expand → multiply → fold plan,
+    /// executed as one real session on the [`EngineComm`] channel mesh with
+    /// rank `(bi, bj)` owning plan block `(bi, bj)` — the frontier
+    /// allgathers along each grid column and partials fold along each grid
+    /// row, exactly the CombBLAS 2D pattern the simulator models.
+    /// Bit-identical to the simulator's fused product (candidates fold per
+    /// row in ascending global column order) and charged from the observed
+    /// per-rank volumes.
     pub(crate) fn spmspv_mesh<T, U>(
         &self,
         eng: &mut EngineComm,
         kernel: Kernel,
-        plan: &mut SpmvPlan<T, U>,
+        plan: &mut SpmvPlan<U>,
         x: &SpVec<T>,
         mul: impl Fn(Vidx, &T) -> U + Sync,
         take_incoming: impl Fn(&U, &U) -> bool + Sync,
@@ -853,13 +655,12 @@ impl DistMatrix {
         self.mesh_product(eng, kernel, plan, x, &mul, MeshFold::Select(&take_incoming))
     }
 
-    /// Engine-backend counterpart of [`DistMatrix::spmspv_monoid_with_plan`]
-    /// (see [`DistMatrix::spmspv_mesh`]).
+    /// Monoid counterpart of [`DistMatrix::spmspv_mesh`].
     pub(crate) fn spmspv_monoid_mesh<T, U>(
         &self,
         eng: &mut EngineComm,
         kernel: Kernel,
-        plan: &mut SpmvPlan<T, U>,
+        plan: &mut SpmvPlan<U>,
         x: &SpVec<T>,
         mul: impl Fn(Vidx, &T) -> U + Sync,
         combine: impl Fn(&mut U, U) + Sync,
@@ -875,7 +676,7 @@ impl DistMatrix {
         &self,
         eng: &mut EngineComm,
         kernel: Kernel,
-        plan: &mut SpmvPlan<T, U>,
+        plan: &mut SpmvPlan<U>,
         x: &SpVec<T>,
         mul: &(dyn Fn(Vidx, &T) -> U + Sync),
         fold: MeshFold<'_, U>,
@@ -890,7 +691,7 @@ impl DistMatrix {
         assert_eq!((grid.pr, grid.pc), (pr, pc), "matrix grid must match the engine mesh");
         let nblocks = pr * pc;
         let p = nblocks;
-        plan.ensure(nblocks, pc);
+        plan.ensure(nblocks);
 
         // Owner distribution of the frontier: block column bj's x-range is
         // sub-split across that grid column's pr ranks, so the expand
@@ -1022,9 +823,9 @@ impl DistMatrix {
             MeshOut { entries, flops, slice_nnz, sent_pairs, recv_pairs }
         });
 
-        // Mirror the simulator's charges from the observed volumes (the
-        // exact formulas of `spmspv_with_plan`, computed per rank here:
-        // send/recv pairs are 2 words each, slices 2 words per entry).
+        // Charge the observed volumes with the formulas the fused kernel
+        // counts in-line (send/recv pairs are 2 words each, slices 2 words
+        // per entry).
         let expand_max = results.iter().map(|r| 2 * r.slice_nnz).max().unwrap_or(0);
         let max_flops = results.iter().map(|r| r.flops).max().unwrap_or(0);
         let fold_bottleneck =
@@ -1042,19 +843,6 @@ impl DistMatrix {
         }
         SpVec::from_sorted_pairs(self.nrows, entries)
     }
-}
-
-/// Bottleneck expand volume of a frontier against logical column-block
-/// offsets: `max_bj 2 · |{entries in block bj}|`, identical to what
-/// `expand_into_slices` reports without building the slices.
-fn logical_expand_max<T>(xs: &[(Vidx, T)], lcol_off: &[usize]) -> u64 {
-    let mut expand_max = 0u64;
-    for w in lcol_off.windows(2) {
-        let lo = xs.partition_point(|&(j, _)| (j as usize) < w[0]);
-        let hi = xs.partition_point(|&(j, _)| (j as usize) < w[1]);
-        expand_max = expand_max.max(2 * (hi - lo) as u64);
-    }
-    expand_max
 }
 
 #[cfg(test)]
@@ -1096,15 +884,15 @@ mod tests {
         let t = fig2_triples();
         let mut ctx = DistCtx::new(MachineConfig::hybrid(2, 1));
         let a = DistMatrix::from_triples(&ctx, &t);
-        let mut plan: SpmvPlan<(Vidx, Vidx), (Vidx, Vidx)> = SpmvPlan::new();
+        let mut plan: SpmvPlan<(Vidx, Vidx)> = SpmvPlan::new();
         let frontiers = [
             SpVec::from_pairs(5, vec![(0, (0u32, 0u32)), (1, (1, 1)), (4, (4, 4))]),
             SpVec::from_pairs(5, vec![(2, (2, 2))]),
             SpVec::from_pairs(5, vec![(0, (0, 0)), (3, (3, 3))]),
         ];
         for x in &frontiers {
-            let via_plan = a.spmspv_with_plan(
-                &mut ctx,
+            let via_plan = ctx.spmspv(
+                &a,
                 Kernel::SpMV,
                 &mut plan,
                 x,
@@ -1178,7 +966,6 @@ mod tests {
                 Kernel::SpMV,
                 &candidates,
                 &fmap,
-                x.nnz(),
                 |j, &(_, r)| (j, r),
                 |acc: &(Vidx, Vidx), inc| inc.0 < acc.0,
             );
@@ -1199,7 +986,6 @@ mod tests {
             Kernel::SpMV,
             &[1, 2],
             &fmap,
-            1,
             |j, &v| (j, v),
             |_, _| false,
         );
@@ -1220,7 +1006,6 @@ mod tests {
             Kernel::SpMV,
             &[0, 1, 2, 3],
             &fmap,
-            5,
             |j, &v| (j, v),
             |_, _| false,
         );
@@ -1270,6 +1055,7 @@ mod tests {
                 a.spmspv(&mut ctx, Kernel::SpMV, &x, |j, &(_, r)| (j, r), |acc, inc| inc.0 < acc.0);
             let want_cnt =
                 a.spmspv_monoid(&mut ctx, Kernel::Init, &cnt, |_, _| 1u32, |a, b| *a += b);
+            let a = DistMatrix::with_grid(&t, dim, dim);
             for threads in [1usize, 2] {
                 let mut eng = EngineComm::new(dim * dim, threads);
                 let mut plan = SpmvPlan::new();
@@ -1308,35 +1094,82 @@ mod tests {
     }
 
     #[test]
-    fn mesh_product_mirrors_simulator_charges() {
-        // Same volumes → same modeled charges: the engine backend's SpMV
-        // accounting must agree with the simulator's per kernel call.
-        let t = fig2_triples();
-        let x: SpVec<(Vidx, Vidx)> =
-            SpVec::from_pairs(5, vec![(0, (0, 0)), (2, (2, 2)), (4, (4, 4))]);
-        for dim in [2usize, 3] {
-            let mut ctx = DistCtx::new(MachineConfig::hybrid(dim, 1));
-            let a = DistMatrix::from_triples(&ctx, &t);
-            let before = ctx.timers.seconds(Kernel::SpMV);
-            let _ =
-                a.spmspv(&mut ctx, Kernel::SpMV, &x, |j, &(_, r)| (j, r), |acc, inc| inc.0 < acc.0);
-            let sim_cost = ctx.timers.seconds(Kernel::SpMV) - before;
+    fn fused_charges_equal_the_split_mesh_execution() {
+        // Same logical grid, different physical execution: the simulator's
+        // fused single-block product must return the identical vector AND
+        // charge the identical modeled time and call count as the engine's
+        // block-split product over real ranks, for both folds.
+        let nine = Triples::from_edges(
+            9,
+            9,
+            vec![
+                (0, 0),
+                (1, 0),
+                (2, 4),
+                (3, 2),
+                (4, 4),
+                (4, 7),
+                (5, 1),
+                (6, 8),
+                (7, 5),
+                (8, 8),
+                (8, 0),
+                (2, 2),
+            ],
+        );
+        for t in [fig2_triples(), nine] {
+            let x: SpVec<Vidx> = SpVec::from_pairs(
+                t.ncols(),
+                (0..t.ncols() as Vidx).step_by(2).map(|j| (j, j)).collect(),
+            );
+            let cnt =
+                SpVec::from_pairs(t.ncols(), (0..t.ncols() as Vidx).map(|j| (j, ())).collect());
+            for dim in 1..=3usize {
+                let mut sim = DistCtx::new(MachineConfig::hybrid(dim, 1));
+                let mut eng = EngineComm::new(dim * dim, 1);
+                let fused = DistMatrix::from_triples(&sim, &t);
+                let split = DistMatrix::from_triples(&eng, &t);
+                assert_eq!((fused.grid(), split.grid()), ((1, 1), (dim, dim)));
+                let (mut ps, mut pe) = (SpmvPlan::new(), SpmvPlan::new());
+                let take = |acc: &Vidx, inc: &Vidx| inc < acc;
+                let ys = sim.spmspv(&fused, Kernel::SpMV, &mut ps, &x, |j, _| j, take);
+                let ye = eng.spmspv(&split, Kernel::SpMV, &mut pe, &x, |j, _| j, take);
+                assert_eq!(ys, ye, "grid {dim}x{dim}");
+                let (mut ps, mut pe) = (SpmvPlan::new(), SpmvPlan::new());
+                let count = |acc: &mut u32, inc: u32| *acc += inc;
+                let cs = sim.spmspv_monoid(&fused, Kernel::Init, &mut ps, &cnt, |_, _| 1, count);
+                let ce = eng.spmspv_monoid(&split, Kernel::Init, &mut pe, &cnt, |_, _| 1, count);
+                assert_eq!(cs, ce, "monoid grid {dim}x{dim}");
+                for k in [Kernel::SpMV, Kernel::Init] {
+                    let (a, b) = (&sim.timers, &eng.ctx().timers);
+                    assert_eq!(a.seconds(k), b.seconds(k), "grid {dim}x{dim}: {k:?} seconds");
+                    assert_eq!(a.calls(k), b.calls(k), "grid {dim}x{dim}: {k:?} calls");
+                }
+            }
+        }
+    }
 
-            let mut eng = EngineComm::new(dim * dim, 1);
-            let mut plan = SpmvPlan::new();
-            let _ = a.spmspv_mesh(
-                &mut eng,
-                Kernel::SpMV,
-                &mut plan,
-                &x,
-                |j, &(_, r)| (j, r),
-                |acc, inc| inc.0 < acc.0,
-            );
-            let eng_cost = eng.ctx().timers.seconds(Kernel::SpMV);
-            assert!(
-                (sim_cost - eng_cost).abs() < 1e-15,
-                "grid {dim}x{dim}: sim {sim_cost} vs engine {eng_cost}"
-            );
+    #[test]
+    fn bottom_up_charges_the_logical_grid_on_any_physical_layout() {
+        // A single physical block must scan, exit early and charge per
+        // logical block exactly like the logical grid's own blocks.
+        let t = fig2_triples().transposed();
+        let fmap: Vec<Option<Vidx>> = vec![Some(0), None, Some(2), Some(3), Some(4)];
+        for dim in 1..=3usize {
+            let run = |physical: usize| {
+                let mut ctx = DistCtx::new(MachineConfig::hybrid(dim, 1));
+                let at = DistMatrix::with_grid(&t, physical, physical);
+                let y = at.bottom_up_spmspv(
+                    &mut ctx,
+                    Kernel::SpMV,
+                    &[0, 1, 2, 3],
+                    &fmap,
+                    |j, &v| (j, v),
+                    |acc: &(Vidx, Vidx), inc| inc.0 < acc.0,
+                );
+                (y, ctx.timers.seconds(Kernel::SpMV), ctx.timers.calls(Kernel::SpMV))
+            };
+            assert_eq!(run(1), run(dim), "grid {dim}x{dim}");
         }
     }
 }

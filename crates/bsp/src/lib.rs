@@ -7,12 +7,13 @@
 //!
 //! Three ideas (see DESIGN.md §2 and §7):
 //!
-//! 1. **Real data, simulated placement.** Matrices are physically split into
-//!    the same 2D blocks CombBLAS would use ([`DistMatrix`]), and every
-//!    kernel executes per-block exactly the local computation a real rank
-//!    would run (parallelized with mcm-par for wall-clock speed, standing in
-//!    for the paper's per-socket OpenMP threading). Results are bit-real, so
-//!    correctness of the matching algorithms is fully testable.
+//! 1. **Real data, modeled placement.** Every kernel computes real results,
+//!    so correctness of the matching algorithms is fully testable. The
+//!    simulator executes in one address space — a matrix is a single DCSC
+//!    block and SpMSpV one fused traversal — while counting the per-rank
+//!    volumes of the 2D blocks CombBLAS would use ([`DistMatrix`]). The
+//!    engine ([`EngineComm`]) really splits the blocks over thread-per-rank
+//!    ranks and is the reference the simulator's counts are tested against.
 //! 2. **α–β–γ cost model.** Every communication step charges modeled time
 //!    from the same latency/bandwidth formulas the paper's §IV-B analysis
 //!    uses (ring allgather, personalized all-to-all, RMA triplets), and every
@@ -34,16 +35,14 @@ pub mod engine;
 pub mod machine;
 pub mod rma;
 pub mod sched;
-pub mod shared;
 pub mod timers;
 
 pub use collectives::{balanced_owner, per_rank_counts};
-pub use comm::{AtomicWin, BackendKind, Communicator, EngineComm, ReduceOp, RmaTask, RmaWin};
+pub use comm::{AtomicWin, Communicator, EngineComm, ReduceOp, RmaTask, RmaWin};
 pub use cost::CostModel;
-pub use ctx::DistCtx;
+pub use ctx::{DistCtx, SharedComm};
 pub use distmat::{DistMatrix, SpmvPlan};
 pub use machine::{MachineConfig, ProcGrid};
 pub use rma::{RmaTally, RmaWindow, TalliedWin};
 pub use sched::{FaultPlan, SchedConfig, Schedule, SimWindow};
-pub use shared::SharedComm;
 pub use timers::{Kernel, Timers};

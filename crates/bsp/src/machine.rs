@@ -68,6 +68,16 @@ impl MachineConfig {
         Self { grid: ProcGrid::square(dim), threads_per_process: threads }
     }
 
+    /// `p` processes on a `√p × √p` grid, each with `threads` threads.
+    ///
+    /// # Panics
+    /// When `p` is not a positive perfect square.
+    pub fn square_ranks(p: usize, threads: usize) -> Self {
+        let dim = (p as f64).sqrt().round() as usize;
+        assert!(dim * dim == p && p >= 1, "the 2D grid needs a square rank count, got {p}");
+        Self::hybrid(dim, threads)
+    }
+
     /// Flat MPI: one thread per process (Fig. 7's non-threaded baseline).
     pub fn flat(dim: usize) -> Self {
         Self::hybrid(dim, 1)

@@ -18,7 +18,7 @@ pub fn greedy<C: Communicator>(comm: &mut C, a: &DistMatrix) -> Matching {
     let (n1, n2) = (a.nrows(), a.ncols());
     let mut m = Matching::empty(n1, n2);
     // Per-rank workspaces reused across every proposal round.
-    let mut plan: SpmvPlan<Vidx, Vidx> = SpmvPlan::new();
+    let mut plan: SpmvPlan<Vidx> = SpmvPlan::new();
 
     loop {
         // Frontier: all unmatched columns, proposing themselves.

@@ -36,8 +36,8 @@ pub fn karp_sipser<C: Communicator>(
     assert_eq!((at.nrows(), at.ncols()), (n2, n1), "at must be the transpose of a");
     let mut m = Matching::empty(n1, n2);
     // Per-rank workspaces reused across the cascade rounds.
-    let mut count_plan: SpmvPlan<(), u32> = SpmvPlan::new();
-    let mut cand_plan: SpmvPlan<Vidx, Vidx> = SpmvPlan::new();
+    let mut count_plan: SpmvPlan<u32> = SpmvPlan::new();
+    let mut cand_plan: SpmvPlan<Vidx> = SpmvPlan::new();
 
     // deg_c[j] = # adjacent unmatched rows (dynamic). Initialized by a
     // counting SpMSpV over all rows.

@@ -27,8 +27,8 @@ pub fn dynamic_mindegree<C: Communicator>(
     let mut m = Matching::empty(n1, n2);
     // Per-rank workspaces: one plan per (matrix, value-type) pair, reused
     // across every degree-count and proposal round.
-    let mut deg_plan: SpmvPlan<(), u32> = SpmvPlan::new();
-    let mut cand_plan: SpmvPlan<(Vidx, u32), (Vidx, u32)> = SpmvPlan::new();
+    let mut deg_plan: SpmvPlan<u32> = SpmvPlan::new();
+    let mut cand_plan: SpmvPlan<(Vidx, u32)> = SpmvPlan::new();
 
     // Current degree of each row = # adjacent unmatched columns. The initial
     // value is the static row degree (one counting SpMSpV over all columns).

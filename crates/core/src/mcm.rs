@@ -125,11 +125,11 @@ pub enum Start {
 }
 
 /// Computes a maximum cardinality matching of the bipartite graph `a` on
-/// the machine behind `comm`: the cost-model simulator ([`mcm_bsp::DistCtx`]),
-/// the thread-per-rank engine ([`mcm_bsp::EngineComm`]) or the fused
-/// shared-memory backend ([`mcm_bsp::SharedComm`]). Modeled time accrues
-/// into the backend's timers either way, and every backend returns the
-/// identical matching (the `backend_differential` suite asserts this).
+/// the machine behind `comm`: the cost-model simulator ([`mcm_bsp::DistCtx`])
+/// or the thread-per-rank engine ([`mcm_bsp::EngineComm`]). Modeled time
+/// accrues into the backend's timers either way, and both backends return
+/// the identical matching and charges (the `backend_differential` suite
+/// asserts this).
 ///
 /// `a` is read in place: the load-balancing relabeling (§IV-A) is fused
 /// into the block scatter of matrix assembly, so no permuted or transposed
@@ -169,8 +169,8 @@ pub fn maximum_matching<C: Communicator>(
     // The transpose is needed by the row-proposing initializers and by the
     // bottom-up direction; when anything wants it, build both orientations
     // from a single fused scatter pass. Blocks live on the backend's
-    // *physical* execution grid (1×1 for the shared backend, the
-    // accounting grid otherwise).
+    // *physical* execution grid (1×1 for the simulator, the rank grid for
+    // the engine).
     let (epr, epc) = comm.exec_grid();
     let run_init = matches!(start, Start::Cold) && !matches!(opts.init, Initializer::None);
     let (da, dat) = if run_init || opts.direction_optimizing {
@@ -212,7 +212,7 @@ pub fn maximum_matching<C: Communicator>(
 /// warm workspaces as long as the grid shape is stable (buffers regrow
 /// transparently when the graph outgrows them).
 pub struct SolverPool {
-    plan: SpmvPlan<Vertex, Vertex>,
+    plan: SpmvPlan<Vertex>,
     parent_r: DenseVec,
     path_c: DenseVec,
     /// Solves serviced through this pool.
@@ -377,7 +377,6 @@ fn run_phases_pooled<C: Communicator>(
                     Kernel::SpMV,
                     &candidates,
                     &fmap,
-                    f_c.nnz(),
                     |j, v: &Vertex| Vertex::new(j, v.root),
                     |acc, inc| semiring.take_incoming(acc, inc),
                 )

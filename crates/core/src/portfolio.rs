@@ -21,7 +21,7 @@ use crate::auction::{auction, AuctionOptions};
 use crate::mcm::{maximum_matching, McmOptions, McmResult, McmStats, SolverPool, Start};
 use crate::ppf::{ppf, PpfOptions};
 use crate::weighted::{auction_mwm_par, WeightedResult};
-use mcm_bsp::{DistCtx, EngineComm, MachineConfig, SharedComm};
+use mcm_bsp::{DistCtx, EngineComm, MachineConfig};
 use mcm_sparse::{CscView, Triples, WCsc};
 use std::fmt;
 use std::str::FromStr;
@@ -200,13 +200,6 @@ pub enum PortfolioBackend {
         /// Worker threads per rank.
         threads: usize,
     },
-    /// Fused shared-memory backend with simulator-identical accounting.
-    Shared {
-        /// Logical ranks (perfect square).
-        p: usize,
-        /// Worker threads.
-        threads: usize,
-    },
 }
 
 impl Default for PortfolioBackend {
@@ -276,9 +269,6 @@ pub fn solve(a: &CscView<'_>, opts: &PortfolioOptions) -> McmResult {
                 }
                 PortfolioBackend::Engine { p, threads } => {
                     maximum_matching(&mut EngineComm::new(p, threads), a, Start::Cold, mcm, pool)
-                }
-                PortfolioBackend::Shared { p, threads } => {
-                    maximum_matching(&mut SharedComm::new(p, threads), a, Start::Cold, mcm, pool)
                 }
             }
         }

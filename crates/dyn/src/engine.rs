@@ -45,7 +45,7 @@
 //! from-scratch Hopcroft–Karp.
 
 use crate::graph::DynGraph;
-use mcm_bsp::{DistCtx, EngineComm, SharedComm};
+use mcm_bsp::{DistCtx, EngineComm, MachineConfig};
 use mcm_core::auction::{auction, AuctionOptions};
 use mcm_core::mcm::{maximum_matching, SolverPool, Start};
 use mcm_core::ppf::{ppf, PpfOptions};
@@ -66,24 +66,21 @@ pub enum Update {
 /// Which communication backend services the warm-started MS-BFS fallback.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FallbackBackend {
-    /// Serial cost-model simulator (`DistCtx::serial()`): modeled time
-    /// only, zero threads — the historical default.
-    Simulator,
+    /// Cost-model simulator accounting `p` ranks (perfect square) ×
+    /// `threads`, executed in one address space. `{ p: 1, threads: 1 }`
+    /// is the serial, cost-free `DistCtx::serial()` — the default.
+    Simulator {
+        /// Rank count the cost model accounts (must be a perfect square).
+        p: usize,
+        /// Modeled threads per rank.
+        threads: usize,
+    },
     /// Real `EngineComm` mesh: `p` ranks (perfect square) × `threads`
     /// worker threads per rank, so large recomputes use all cores.
     Engine {
         /// Rank count (must be a perfect square).
         p: usize,
         /// Worker threads per rank.
-        threads: usize,
-    },
-    /// Shared-memory `SharedComm` arena: `p` logical ranks (perfect
-    /// square) accounted on the cost model, executed fused in one
-    /// address space — the fastest wall-clock option for recomputes.
-    Shared {
-        /// Logical rank count (must be a perfect square).
-        p: usize,
-        /// Modeled threads per logical rank.
         threads: usize,
     },
 }
@@ -120,7 +117,7 @@ impl Default for DynOptions {
             // Warm starts carry their own structure; skip the relabeling
             // permutation so small repair solves stay allocation-light.
             fallback_opts: McmOptions { permute_seed: None, ..Default::default() },
-            backend: FallbackBackend::Simulator,
+            backend: FallbackBackend::Simulator { p: 1, threads: 1 },
             algo: MatchingAlgo::MsBfs,
         }
     }
@@ -550,23 +547,23 @@ impl DynMatching {
         // Shared-memory engines take a flat worker count; map the
         // backend's rank×thread shape onto it.
         let threads = match self.opts.backend {
-            FallbackBackend::Simulator => 1,
+            FallbackBackend::Simulator { threads, .. } => threads,
             FallbackBackend::Engine { p, threads } => p * threads,
-            FallbackBackend::Shared { threads, .. } => threads,
         };
         self.m = match algo {
             MatchingAlgo::MsBfs | MatchingAlgo::Auto => {
                 let (pool, opts, warm) =
                     (&mut self.pool, &self.opts.fallback_opts, Start::Warm(stale));
                 let r = match self.opts.backend {
-                    FallbackBackend::Simulator => {
-                        maximum_matching(&mut DistCtx::serial(), &a, warm, opts, pool)
+                    FallbackBackend::Simulator { p, threads } => {
+                        let mut ctx = match (p, threads) {
+                            (1, 1) => DistCtx::serial(),
+                            _ => DistCtx::new(MachineConfig::square_ranks(p, threads)),
+                        };
+                        maximum_matching(&mut ctx, &a, warm, opts, pool)
                     }
                     FallbackBackend::Engine { p, threads } => {
                         maximum_matching(&mut EngineComm::new(p, threads), &a, warm, opts, pool)
-                    }
-                    FallbackBackend::Shared { p, threads } => {
-                        maximum_matching(&mut SharedComm::new(p, threads), &a, warm, opts, pool)
                     }
                 };
                 self.stats.fallback_spmv_calls += r.stats.spmv_workspace_calls;
@@ -895,11 +892,11 @@ mod tests {
         // must track each other (both are maximum, certified per batch).
         let (n1, n2) = (10usize, 10usize);
         for backend in [
-            FallbackBackend::Simulator,
+            FallbackBackend::Simulator { p: 1, threads: 1 },
+            FallbackBackend::Simulator { p: 4, threads: 1 },
+            FallbackBackend::Simulator { p: 1, threads: 2 },
             FallbackBackend::Engine { p: 4, threads: 1 },
             FallbackBackend::Engine { p: 1, threads: 2 },
-            FallbackBackend::Shared { p: 4, threads: 1 },
-            FallbackBackend::Shared { p: 1, threads: 2 },
         ] {
             let mut rng = SplitMix64::new(0xD15C);
             let mut dm = DynMatching::new(

@@ -39,14 +39,14 @@
 //!   to the serial kernel's — `MinParent`, `RandParent`/`RandRoot`, and
 //!   first-arrival combiners all included — and `flops` is exactly the
 //!   serial count.
-//! * [`SpmvWorkspace::spmspv_fused_into`] is the shared-memory backend's
-//!   kernel: one physical product over the whole (single-block) matrix
-//!   whose SPA doubles as the communication arena — logical ranks'
-//!   "messages" are writes into their destination's SPA region, the epoch
-//!   stamp is the exchange barrier, and the per-logical-block volumes the
-//!   α–β–γ model charges (expand, flops, fold send/recv) are counted
-//!   in-line from the same traversal via an owner-stamp array. See
-//!   `mcm-bsp`'s `SharedComm` for the epoch protocol this plugs into.
+//! * [`SpmvWorkspace::spmspv_fused_into`] is the simulator's kernel: one
+//!   physical product over the whole (single-block) matrix whose SPA
+//!   doubles as the communication arena — logical ranks' "messages" are
+//!   writes into their destination's SPA region, the epoch stamp is the
+//!   exchange barrier, and the per-logical-block volumes the α–β–γ model
+//!   charges (expand, flops, fold send/recv) are counted in-line from the
+//!   same traversal via an owner-stamp array. See `mcm-bsp`'s
+//!   `DistMatrix::spmspv_fused` for the charging this plugs into.
 //!
 //! ### Combiner contract
 //!
@@ -226,9 +226,9 @@ impl WorkspaceStats {
 }
 
 /// Communication volumes of one fused (single-physical-block) product,
-/// accounted at the **logical** grid the shared-memory backend charges for:
-/// exactly the quantities `DistMatrix::spmspv_with_plan` derives from its
-/// physically-split execution, recovered here from one traversal.
+/// accounted at the **logical** grid the simulator charges for: exactly the
+/// quantities the engine's physically-split execution observes, recovered
+/// here from one traversal.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FusedVolumes {
     /// Traversed edges in the busiest logical block (`γ` term).
@@ -463,7 +463,7 @@ impl<U: Copy> SpmvWorkspace<U> {
         FusedVolumes { max_flops, fold_bottleneck }
     }
 
-    /// Fused single-block SpMSpV for the shared-memory backend: one physical
+    /// Fused single-block SpMSpV for the simulator: one physical
     /// product over the whole matrix (`a` spans all rows and columns) whose
     /// SPA serves as the communication arena of a **logical** `pr × pc`
     /// grid. Every "remote contribution" a distributed execution would ship
@@ -484,7 +484,7 @@ impl<U: Copy> SpmvWorkspace<U> {
     ///
     /// Results are bit-identical to the serial kernel (candidates fold per
     /// row in ascending global column order), hence — by grid independence —
-    /// to `DistMatrix::spmspv_with_plan` on any grid, and the returned
+    /// to the engine's split execution on any grid, and the returned
     /// [`FusedVolumes`] match that execution's charges exactly.
     #[allow(clippy::too_many_arguments)] // mirrors the distributed kernel's surface
     pub fn spmspv_fused_into<T>(

@@ -13,9 +13,9 @@
 //!                                      parallel Pothen–Fan, `auction` the
 //!                                      ε-scaled auction, `auto` measures
 //!                                      the graph and picks an engine
-//!   --backend sim|engine|shared        cost-model simulator (default), real
-//!                                      thread-per-rank mesh, or fused
-//!                                      shared-memory arena (dist only)
+//!   --backend sim|engine|shared        cost-model simulator (default) or real
+//!                                      thread-per-rank mesh; `shared` is the
+//!                                      simulator on a √p×√p grid (--ranks p)
 //!   --grid <d>                         simulated d×d process grid (sim)
 //!   --ranks <p>                        engine/shared rank count, a perfect square
 //!   --threads <t>                      threads per process/rank (dist)
@@ -29,7 +29,7 @@
 //!
 //! Matrices are Matrix Market files; values are ignored (pattern matching).
 
-use mcm_bsp::{Communicator, DistCtx, EngineComm, MachineConfig, SharedComm};
+use mcm_bsp::{Communicator, DistCtx, EngineComm, MachineConfig};
 use mcm_core::dm::{dulmage_mendelsohn, DmBlock};
 // btf used via full path in cmd_btf
 use mcm_core::serial::{hopcroft_karp, ms_bfs_graft, ms_bfs_serial, pothen_fan, push_relabel};
@@ -95,7 +95,8 @@ mcm — maximum cardinality matching in bipartite graphs (Azad & Buluc, IPDPS 20
 usage:
   mcm stats   <file.mtx>
   mcm match   <file.mtx> [--algo dist|hk|pf|pr|msbfs|graft|ppf|auction|auto]
-              [--backend sim|engine|shared]
+              [--backend sim|engine|shared]  shared = sim on a sqrt(p) x sqrt(p)
+                                           grid, p from --ranks
               [--grid d] [--ranks p] [--threads t] [--breakdown] [--trace-out file] [--out file]
               [--weighted]                 maximum weight matching (values used,
                                            parallel eps-scaled auction, eps-CS certified)
@@ -226,12 +227,6 @@ fn compute_dist(
             eprint!("engine: {ranks} ranks x {threads} threads");
             (run, comm.ctx().timers.total())
         }
-        "shared" => {
-            let mut comm = SharedComm::new(ranks, threads);
-            let run = solve(&mut comm, g);
-            eprint!("shared: {ranks} logical ranks x {threads} threads (fused arena)");
-            (run, comm.ctx().timers.total())
-        }
         other => return Err(format!("bad --backend value: {other} (want sim|engine|shared)")),
     };
     eprintln!("; modeled time {:.3} ms", total * 1e3);
@@ -251,7 +246,6 @@ fn compute(
         let pbackend = match backend {
             "sim" => PortfolioBackend::Sim { grid, threads },
             "engine" => PortfolioBackend::Engine { p: ranks, threads },
-            "shared" => PortfolioBackend::Shared { p: ranks, threads },
             other => return Err(format!("bad --backend value: {other} (want sim|engine|shared)")),
         };
         let opts =
@@ -343,7 +337,7 @@ fn cmd_match(args: &[String]) -> Result<(), String> {
     };
     let algo = opt(args, "--algo").unwrap_or("dist");
     let backend = opt(args, "--backend").unwrap_or("sim");
-    let grid: usize = opt(args, "--grid").unwrap_or("2").parse().map_err(|_| "bad --grid")?;
+    let mut grid: usize = opt(args, "--grid").unwrap_or("2").parse().map_err(|_| "bad --grid")?;
     let ranks: usize = opt(args, "--ranks").unwrap_or("4").parse().map_err(|_| "bad --ranks")?;
     let threads: usize =
         opt(args, "--threads").unwrap_or("4").parse().map_err(|_| "bad --threads")?;
@@ -356,6 +350,13 @@ fn cmd_match(args: &[String]) -> Result<(), String> {
     if matches!(backend, "engine" | "shared") && (ranks == 0 || dim * dim != ranks) {
         return Err(format!("--ranks must be a positive perfect square, got {ranks}"));
     }
+    // `shared` spells the simulator on the √p × √p grid of `--ranks p`.
+    let backend = if backend == "shared" {
+        grid = dim;
+        "sim"
+    } else {
+        backend
+    };
     let breakdown = args.iter().any(|a| a == "--breakdown");
     let trace_out = opt(args, "--trace-out");
     if (breakdown || trace_out.is_some()) && algo != "dist" {

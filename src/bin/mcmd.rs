@@ -37,9 +37,9 @@
 //! With `--backend engine`, large-dirty-set fallback recomputes run on
 //! the real thread-per-rank `EngineComm` mesh (`--ranks × --threads`
 //! cores) instead of the serial cost-model simulator — warm-started
-//! recomputes actually use all cores. `--backend shared` routes them
-//! through the fused shared-memory arena instead: same logical-rank
-//! accounting, lowest wall-clock cost per recompute.
+//! recomputes actually use all cores. `--backend shared` keeps them on
+//! the simulator, accounted for `--ranks × --threads` instead of one
+//! serial process.
 //!
 //! The `mcm-obs` metrics registry is always live in `mcmd`: per-request
 //! latency histograms (`mcmd_request_seconds{verb}`), per-batch repair
@@ -93,8 +93,9 @@ usage:
                         eps-scaled auction (auction), or a per-fallback
                         measured pick (auto)
   --backend b           run fallback recomputes on the serial cost-model
-                        simulator (sim, default), the real thread-per-rank
-                        mesh (engine), or the shared-memory arena (shared)
+                        simulator (sim, default) or the real thread-per-rank
+                        mesh (engine); shared = the simulator accounting
+                        --ranks p x --threads t
   --ranks p             engine/shared: rank count, a perfect square (default 4)
   --threads t           engine/shared: worker threads per rank (default 1)
   --trace-out file      record spans; write chrome://tracing JSON at exit
@@ -170,7 +171,7 @@ fn run(args: &[String]) -> Result<(), String> {
         }
     };
     let backend = match opt(args, "--backend") {
-        None | Some("sim") => FallbackBackend::Simulator,
+        None | Some("sim") => FallbackBackend::Simulator { p: 1, threads: 1 },
         Some(kind @ ("engine" | "shared")) => {
             let p = parse_usize(opt(args, "--ranks"), "--ranks", 4)?;
             let dim = (p as f64).sqrt().round() as usize;
@@ -184,7 +185,7 @@ fn run(args: &[String]) -> Result<(), String> {
             if kind == "engine" {
                 FallbackBackend::Engine { p, threads }
             } else {
-                FallbackBackend::Shared { p, threads }
+                FallbackBackend::Simulator { p, threads }
             }
         }
         Some(other) => {

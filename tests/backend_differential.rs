@@ -1,15 +1,18 @@
-//! Backend differential: full MCM-DIST on the cost-model simulator vs the
-//! real thread-per-rank mesh engine vs the fused shared-memory arena,
-//! across the `mcm-gen` suite — all initializers × both augmentation
-//! kernels × p ∈ {1, 4, 9}.
+//! Backend differential: full MCM-DIST on the cost-model simulator (one
+//! physical block, fused SpMSpV) vs the real thread-per-rank mesh engine
+//! (the grid's blocks split over ranks), across the `mcm-gen` suite — all
+//! initializers × both augmentation kernels × p ∈ {1, 4, 9}, plus the
+//! direction-optimizing BFS.
 //!
 //! The comm trait layer (`mcm_bsp::comm`, DESIGN.md §12) promises that one
-//! generic pipeline runs identically on every backend: same cardinality,
+//! generic pipeline runs identically on both backends: same cardinality,
 //! and in fact the *identical matching*, since every collective is
-//! deterministic, the engine's RMA epochs service vertex-disjoint paths,
-//! and SharedComm replays the simulator's decision stream (DESIGN.md
-//! §14). All sides are additionally Berge-certified and checked maximum
-//! against serial Hopcroft–Karp.
+//! deterministic and the engine's RMA epochs service vertex-disjoint
+//! paths. It also promises identical modeled charges: the simulator counts
+//! in one traversal the per-block volumes the engine really ships
+//! (DESIGN.md §14), so per-kernel modeled seconds and call counts must
+//! agree exactly. Both sides are additionally Berge-certified and checked
+//! maximum against serial Hopcroft–Karp.
 //!
 //! `MCM_TEST_SEED=<seed>` (decimal or `0x` hex) replays a sweep exactly;
 //! `MCM_ENGINE_TEST_THREADS=<t>` sets the engine's per-rank thread count
@@ -17,7 +20,7 @@
 //! cross-algorithm matrix to a comma-separated subset (the CI algo
 //! dimension).
 
-use mcm_bsp::{DistCtx, EngineComm, MachineConfig, SharedComm};
+use mcm_bsp::{Communicator, DistCtx, EngineComm, MachineConfig};
 use mcm_core::augment::AugmentMode;
 use mcm_core::maximal::Initializer;
 use mcm_core::mcm::{maximum_matching, McmOptions, SolverPool, Start};
@@ -42,7 +45,7 @@ fn engine_threads() -> usize {
 }
 
 #[test]
-fn all_three_backends_produce_identical_matchings_across_the_suite() {
+fn both_backends_produce_identical_matchings_and_charges_across_the_suite() {
     let cases = simtest_suite(seed(0xD1FF_BACC));
     let threads = engine_threads();
     let inits = [
@@ -52,6 +55,20 @@ fn all_three_backends_produce_identical_matchings_across_the_suite() {
         Initializer::DynamicMindegree,
     ];
     let augments = [AugmentMode::LevelParallel, AugmentMode::PathParallel];
+    // Every initializer × augmentation kernel, plus the direction-optimizing
+    // BFS from an empty start (dense first frontiers, so bottom-up runs).
+    let mut configs: Vec<McmOptions> = inits
+        .iter()
+        .flat_map(|&init| {
+            augments.map(|augment| McmOptions { init, augment, ..McmOptions::default() })
+        })
+        .collect();
+    configs.extend(augments.map(|augment| McmOptions {
+        init: Initializer::None,
+        augment,
+        direction_optimizing: true,
+        ..McmOptions::default()
+    }));
     let mut runs = 0usize;
     for (name, t) in &cases {
         let a = t.to_csc();
@@ -59,39 +76,36 @@ fn all_three_backends_produce_identical_matchings_across_the_suite() {
         let want = hopcroft_karp(&a, None).cardinality();
         for dim in [1usize, 2, 3] {
             let p = dim * dim;
-            for init in inits {
-                for augment in augments {
-                    let opts = McmOptions { init, augment, ..McmOptions::default() };
-                    let mut ctx = DistCtx::new(MachineConfig::hybrid(dim, 1));
-                    let mut eng_comm = EngineComm::new(p, threads);
-                    let mut shr_comm = SharedComm::new(p, threads);
-                    let pool = &mut SolverPool::new();
-                    let sim = maximum_matching(&mut ctx, &v, Start::Cold, &opts, pool);
-                    let eng = maximum_matching(&mut eng_comm, &v, Start::Cold, &opts, pool);
-                    let shr = maximum_matching(&mut shr_comm, &v, Start::Cold, &opts, pool);
-                    let tag =
-                        format!("{name} p={p} threads={threads} init={init:?} augment={augment:?}");
-                    assert_eq!(
-                        sim.matching.cardinality(),
-                        eng.matching.cardinality(),
-                        "cardinality diverged: {tag}"
-                    );
-                    assert_eq!(sim.matching, eng.matching, "sim/engine matching diverged: {tag}");
-                    assert_eq!(sim.matching, shr.matching, "sim/shared matching diverged: {tag}");
-                    assert_eq!(eng.matching.cardinality(), want, "not maximum: {tag}");
-                    verify::verify(&a, &sim.matching)
-                        .unwrap_or_else(|e| panic!("simulator Berge failed: {tag}: {e}"));
-                    verify::verify(&a, &eng.matching)
-                        .unwrap_or_else(|e| panic!("engine Berge failed: {tag}: {e}"));
-                    verify::verify(&a, &shr.matching)
-                        .unwrap_or_else(|e| panic!("shared Berge failed: {tag}: {e}"));
-                    runs += 1;
+            for opts in &configs {
+                let mut ctx = DistCtx::new(MachineConfig::hybrid(dim, threads));
+                let mut eng_comm = EngineComm::new(p, threads);
+                let pool = &mut SolverPool::new();
+                let sim = maximum_matching(&mut ctx, &v, Start::Cold, opts, pool);
+                let eng = maximum_matching(&mut eng_comm, &v, Start::Cold, opts, pool);
+                let tag = format!(
+                    "{name} p={p} threads={threads} init={:?} augment={:?} diropt={}",
+                    opts.init, opts.augment, opts.direction_optimizing
+                );
+                assert_eq!(sim.matching, eng.matching, "sim/engine matching diverged: {tag}");
+                assert_eq!(eng.matching.cardinality(), want, "not maximum: {tag}");
+                assert_eq!(
+                    ctx.timers,
+                    eng_comm.ctx().timers,
+                    "per-kernel modeled seconds or calls diverged: {tag}"
+                );
+                verify::verify(&a, &sim.matching)
+                    .unwrap_or_else(|e| panic!("simulator Berge failed: {tag}: {e}"));
+                verify::verify(&a, &eng.matching)
+                    .unwrap_or_else(|e| panic!("engine Berge failed: {tag}: {e}"));
+                if opts.direction_optimizing {
+                    assert!(sim.stats.bottom_up_iterations > 0, "bottom-up never ran: {tag}");
                 }
+                runs += 1;
             }
         }
     }
-    // 9 cases × 3 grids × 4 initializers × 2 kernels, each run three times.
-    assert_eq!(runs, cases.len() * 3 * inits.len() * augments.len());
+    // 9 cases × 3 grids × (4 initializers × 2 kernels + 2 diropt configs).
+    assert_eq!(runs, cases.len() * 3 * configs.len());
 }
 
 /// Algorithms the cross-algorithm matrix sweeps, overridable via
@@ -112,9 +126,9 @@ fn matrix_algos() -> Vec<MatchingAlgo> {
 fn cross_algorithm_matrix_agrees_with_the_oracle() {
     // The full algo × backend × p matrix of the portfolio (DESIGN.md §15):
     //
-    //  - `msbfs` runs on all three comm backends (sim | engine | shared);
-    //    the trait-layer contract says all three produce the *identical*
-    //    matching, which the sim row certifies against.
+    //  - `msbfs` runs on both comm backends (sim | engine); the
+    //    trait-layer contract says both produce the *identical* matching,
+    //    which the sim row certifies against.
     //  - `ppf` and `auction` are shared-memory engines, so the backend
     //    dimension maps to their worker-thread count: t ∈ {1, p}. The
     //    auction resolves ties in a deterministic resolution order, so its
@@ -143,7 +157,6 @@ fn cross_algorithm_matrix_agrees_with_the_oracle() {
                         let backends = [
                             PortfolioBackend::Sim { grid: dim, threads: 1 },
                             PortfolioBackend::Engine { p, threads: 1 },
-                            PortfolioBackend::Shared { p, threads: 1 },
                         ];
                         let results: Vec<_> = backends
                             .iter()
@@ -212,9 +225,9 @@ fn cross_algorithm_matrix_agrees_with_the_oracle() {
             }
         }
     }
-    let per_algo_cells: usize =
-        algos.iter().map(|a| if *a == MatchingAlgo::MsBfs { 3 } else { 2 }).sum();
-    assert_eq!(runs, cases.len() * 3 * per_algo_cells);
+    // Two cells per algorithm: two backends for MS-BFS, two thread counts
+    // for the shared-memory engines.
+    assert_eq!(runs, cases.len() * 3 * 2 * algos.len());
 }
 
 #[test]
@@ -244,20 +257,17 @@ fn engine_backend_warm_start_matches_simulator() {
         ("greedy+diropt", diropt, &stale),
         ("empty+diropt", diropt, &empty),
     ] {
-        let mut ctx = DistCtx::new(MachineConfig::hybrid(2, 1));
+        let mut ctx = DistCtx::new(MachineConfig::hybrid(2, threads));
         let mut eng_comm = EngineComm::new(4, threads);
-        let mut shr_comm = SharedComm::new(4, threads);
         let v = a.view();
         let pool = &mut SolverPool::new();
         let sim = maximum_matching(&mut ctx, &v, Start::Warm(warm.clone()), &opts, pool);
         let eng = maximum_matching(&mut eng_comm, &v, Start::Warm(warm.clone()), &opts, pool);
-        let shr = maximum_matching(&mut shr_comm, &v, Start::Warm(warm.clone()), &opts, pool);
         let tag = format!("warm-started {name} ({label})");
         assert_eq!(sim.matching, eng.matching, "{tag} diverged (engine)");
-        assert_eq!(sim.matching, shr.matching, "{tag} diverged (shared)");
+        assert_eq!(ctx.timers, eng_comm.ctx().timers, "{tag} charges diverged (engine)");
         verify::verify(&a, &sim.matching).unwrap_or_else(|e| panic!("{tag}: {e}"));
         verify::verify(&a, &eng.matching).unwrap_or_else(|e| panic!("{tag}: {e}"));
-        verify::verify(&a, &shr.matching).unwrap_or_else(|e| panic!("{tag}: {e}"));
         assert_eq!(eng.matching.cardinality(), want, "{tag}");
         if label == "empty+diropt" {
             assert!(sim.stats.bottom_up_iterations > 0, "{tag}: bottom-up never ran");

@@ -343,8 +343,9 @@ fn mcmd_engine_backend_agrees_with_simulator() {
 
 #[test]
 fn mcmd_shared_backend_agrees_with_simulator() {
-    // Same forced-fallback trace on the fused shared-memory arena: query
-    // answers must match the simulator's, and fallbacks must really run.
+    // Same forced-fallback trace with `--backend shared`, the simulator
+    // accounting 4 ranks × 2 threads: query answers must match the serial
+    // simulator's, and fallbacks must really run.
     let script = "insert 0 0\ninsert 0 1\ninsert 1 0\ninsert 2 2\nquery\n\
                   delete 0 0\ninsert 3 2\ninsert 2 3\nquery\nstats\nquit\n";
     let sim = mcmd_session(
@@ -376,6 +377,31 @@ fn mcmd_shared_backend_agrees_with_simulator() {
     assert_eq!(cards(&sim), cards(&shr), "sim:\n{sim}\nshared:\n{shr}");
     let stats = shr.lines().find(|l| l.starts_with("stats ")).unwrap_or_else(|| panic!("{shr}"));
     assert!(!stats.contains("fallbacks 0"), "shared run never fell back: {stats}");
+}
+
+#[test]
+fn match_backend_shared_is_the_simulator_on_the_ranks_grid() {
+    // `--backend shared --ranks p` spells `--backend sim --grid √p`: the
+    // same matching and the same modeled time.
+    let file = tmp("shared_alias.mtx");
+    assert!(mcm()
+        .args(["gen", "g500", "--scale", "9", "--seed", "5", "--out"])
+        .arg(&file)
+        .status()
+        .unwrap()
+        .success());
+    let run = |args: &[&str]| {
+        let out = mcm().arg("match").arg(&file).args(args).output().unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        let modeled = err.lines().find(|l| l.contains("modeled time")).map(str::to_owned);
+        (String::from_utf8_lossy(&out.stdout).into_owned(), modeled.unwrap_or(err))
+    };
+    for (ranks, grid) in [("1", "1"), ("4", "2"), ("9", "3")] {
+        let shared = run(&["--backend", "shared", "--ranks", ranks, "--threads", "2"]);
+        let sim = run(&["--backend", "sim", "--grid", grid, "--threads", "2"]);
+        assert_eq!(shared, sim, "--ranks {ranks} vs --grid {grid}");
+    }
 }
 
 #[test]

@@ -334,17 +334,23 @@ fn engine_broken_window_is_caught_by_the_same_checks() {
 }
 
 // ---------------------------------------------------------------------------
-// SharedComm: epoch barriers under adversarial arrival orders.
+// The simulator's single-address-space epochs under adversarial arrival
+// orders (the execution `--backend shared` names).
 // ---------------------------------------------------------------------------
+
+/// The simulator on a 2×2 grid, as `--backend shared --ranks 4` runs it.
+fn shared_ctx() -> DistCtx {
+    DistCtx::new(MachineConfig::hybrid(2, 1))
+}
 
 #[test]
 fn shared_epoch_swap_chain_holds_under_adversarial_arrival_orders() {
-    // SharedComm's collectives synchronize on an epoch stamp instead of a
-    // channel mesh; the schedule perturbs the order origins arrive at the
-    // epoch. The swap chain must stay exact under every arrival order.
+    // The simulator's windows are plain vectors in one address space; the
+    // schedule perturbs the order origins arrive at the epoch. The swap
+    // chain must stay exact under every arrival order.
     for n in [2 as Vidx, 6, 9] {
         for seed in 0..24u64 {
-            let mut shc = mcm_bsp::SharedComm::new(4, 1).with_schedule(Schedule::new(seed));
+            let mut shc = shared_ctx().with_schedule(Schedule::new(seed));
             let mut slot = DenseVec::nil(1);
             let mut racers: Vec<Racer> =
                 (0..n).map(|id| Racer { id, slot: 0, saw: None }).collect();
@@ -368,7 +374,7 @@ fn shared_epoch_swap_chain_holds_under_adversarial_arrival_orders() {
 
 #[test]
 fn shared_matching_and_trace_hash_are_stable_under_epoch_perturbation() {
-    // End to end through MCM-DIST on SharedComm: adversarial arrival
+    // End to end through MCM-DIST on the simulator: adversarial arrival
     // orders at the epoch barrier must not change the matching, and the
     // schedule's trace-hash certificate must replay exactly — the same
     // seed yields the same decision stream, byte for byte.
@@ -378,13 +384,13 @@ fn shared_matching_and_trace_hash_are_stable_under_epoch_perturbation() {
         let a = g.to_csc();
         let oracle = hopcroft_karp(&a, None).cardinality();
         let friendly = {
-            let mut shc = mcm_bsp::SharedComm::new(4, 1);
+            let mut shc = shared_ctx();
             maximum_matching(&mut shc, &a.view(), Start::Cold, &opts, &mut SolverPool::new())
         };
         assert_eq!(friendly.matching.cardinality(), oracle, "{name}: friendly shared run wrong");
         for seed in 0..12u64 {
             let run = |seed: u64| {
-                let mut shc = mcm_bsp::SharedComm::new(4, 1).with_schedule(Schedule::new(seed));
+                let mut shc = shared_ctx().with_schedule(Schedule::new(seed));
                 let r = maximum_matching(
                     &mut shc,
                     &a.view(),

@@ -5,7 +5,7 @@
 //! `maximum_matching` produces the *identical* matching the view of an
 //! owned `Csc` (built from the generator's triples) produces.
 
-use mcm_bsp::{Communicator, EngineComm, SharedComm};
+use mcm_bsp::{Communicator, DistCtx, EngineComm, MachineConfig};
 use mcm_core::verify::{is_maximum, verify};
 use mcm_core::{maximum_matching, McmOptions, McmResult, SolverPool, Start};
 use mcm_gen::{assign_weights, simtest_suite};
@@ -222,7 +222,7 @@ fn bad_magic_version_flags_and_header_bytes_are_typed_errors() {
 /// The promise `mcm match --load <mcsb>` relies on: solving from a borrowed
 /// view (mmap or heap backing) yields the *identical* matching as solving
 /// from an owned `Csc` assembled from the triples, across the whole simtest
-/// generator suite and both multi-threaded backends.
+/// generator suite and both backends.
 #[test]
 fn view_solves_match_triples_solves_across_the_suite() {
     fn solve(comm: &mut impl Communicator, v: &CscView<'_>) -> McmResult {
@@ -230,7 +230,8 @@ fn view_solves_match_triples_solves_across_the_suite() {
     }
     for (name, mut t) in simtest_suite(0xCA11) {
         t.sort_dedup();
-        let want = solve(&mut SharedComm::new(4, 2), &t.to_csc().view());
+        let sim = || DistCtx::new(MachineConfig::hybrid(2, 2));
+        let want = solve(&mut sim(), &t.to_csc().view());
         let p = tmp(&format!("diff_{name}"));
         write_csc_file(&p, &t.to_csc()).unwrap();
 
@@ -242,10 +243,10 @@ fn view_solves_match_triples_solves_across_the_suite() {
 
         for (backing, file) in [("mmap", &mapped), ("heap", &heap)] {
             let v = file.view();
-            let shared = solve(&mut SharedComm::new(4, 2), &v);
+            let shared = solve(&mut sim(), &v);
             assert_eq!(
                 shared.matching, want.matching,
-                "{name}/{backing}: shared view != owned triples"
+                "{name}/{backing}: sim view != owned triples"
             );
             let engine = solve(&mut EngineComm::new(4, 2), &v);
             assert_eq!(

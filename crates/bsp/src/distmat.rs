@@ -141,10 +141,16 @@ impl LogicalGrid {
         self.row_off.len() - 1
     }
 
-    /// The fold destination of block-local row `li` of block row `bi`: the
-    /// rank of that grid row owning it in the balanced row distribution.
-    fn fold_owner(&self) -> impl Fn(usize, usize) -> usize + '_ {
-        move |bi, li| balanced_owner((self.row_off[bi + 1] - self.row_off[bi]).max(1), self.pc, li)
+    /// Row boundaries of the fold destinations: each block row's rows split
+    /// into `pc` balanced ranges, so segment `bi · pc + d` is the rows grid
+    /// rank `(bi, d)` owns in the balanced fold distribution
+    /// ([`balanced_owner`]).
+    fn fold_offsets(&self) -> Vec<usize> {
+        let mut off = vec![0];
+        for w in self.row_off.windows(2) {
+            off.extend(block_offsets(w[1] - w[0], self.pc)[1..].iter().map(|&o| w[0] + o));
+        }
+        off
     }
 
     /// Bottleneck expand volume of a frontier: `max_bj 2 · |{entries in
@@ -212,12 +218,14 @@ impl DistMatrix {
     /// by the matching pipeline, which needs the transpose for every
     /// row-proposing initializer and for bottom-up BFS.
     ///
-    /// On a 1×1 grid (the simulator's execution grid) no pair list ever exists:
-    /// the unpermuted case compacts the view straight into DCSC
-    /// ([`Dcsc::from_csc_view`]), the permuted case streams mapped pairs
-    /// through the two-pass counting builder ([`Dcsc::from_pair_iter`]),
-    /// and `Aᵀ` is a counting transpose of the compacted block.
-    /// Multi-block grids scatter into per-block pair buffers.
+    /// On a 1×1 grid (the simulator's execution grid) no pair list ever
+    /// exists and nothing is comparison-sorted. The unpermuted case
+    /// compacts the view straight into DCSC ([`Dcsc::from_csc_view`]) and
+    /// transposes it. The permuted case builds `Aᵀ` first
+    /// ([`Dcsc::relabeled_transpose`]: walk the target columns in relabeled
+    /// order and scatter by relabeled row, so entries arrive sorted), and
+    /// `A` is its counting transpose. Multi-block grids scatter into
+    /// per-block pair buffers.
     pub fn with_grid_csc_pair(
         v: &CscView<'_>,
         pr: usize,
@@ -226,10 +234,15 @@ impl DistMatrix {
         colp: Option<&Permutation>,
     ) -> (Self, Self) {
         if pr == 1 && pc == 1 {
-            let a = Self::with_grid_csc(v, 1, 1, rowp, colp);
-            let at_block = a.blocks[0].transposed();
-            let at = Self::single_block(at_block);
-            return (a, at);
+            let (a, at) = if rowp.is_none() && colp.is_none() {
+                let a = Dcsc::from_csc_view(v);
+                let at = a.transposed();
+                (a, at)
+            } else {
+                let at = Dcsc::relabeled_transpose(v, rowp, colp);
+                (at.transposed(), at)
+            };
+            return (Self::single_block(a), Self::single_block(at));
         }
         let row_off = block_offsets(v.nrows(), pr);
         let col_off = block_offsets(v.ncols(), pc);
@@ -269,11 +282,7 @@ impl DistMatrix {
             let block = if rowp.is_none() && colp.is_none() {
                 Dcsc::from_csc_view(v)
             } else {
-                Dcsc::from_pair_iter(v.nrows(), v.ncols(), || {
-                    v.iter().map(|(i, j)| {
-                        (rowp.map_or(i, |p| p.apply(i)), colp.map_or(j, |p| p.apply(j)))
-                    })
-                })
+                Dcsc::relabeled_transpose(v, rowp, colp).transposed()
             };
             return Self::single_block(block);
         }
@@ -569,9 +578,8 @@ impl DistMatrix {
             ws.spmspv_fused_into(
                 &self.blocks[0],
                 x,
-                &lg.row_off,
                 &lg.col_off,
-                lg.fold_owner(),
+                &lg.fold_offsets(),
                 |j, v| mul(j, v),
                 |acc, inc| take_incoming(acc, inc),
                 y,
@@ -597,9 +605,8 @@ impl DistMatrix {
             ws.spmspv_monoid_fused_into(
                 &self.blocks[0],
                 x,
-                &lg.row_off,
                 &lg.col_off,
-                lg.fold_owner(),
+                &lg.fold_offsets(),
                 |j, v| mul(j, v),
                 |acc, inc| combine(acc, inc),
                 y,
@@ -786,7 +793,7 @@ impl DistMatrix {
             let block_rows = (row_off[bi + 1] - row_off[bi]).max(1);
             let mut sends: Vec<Vec<Wire<T, U>>> = (0..pc).map(|_| Vec::new()).collect();
             for (i, v) in st.out.iter() {
-                let owner = crate::collectives::balanced_owner(block_rows, pc, i as usize);
+                let owner = balanced_owner(block_rows, pc, i as usize);
                 sends[owner].push(Wire::Y(i, *v));
             }
             let sent_pairs = st.out.nnz() as u64;
@@ -874,6 +881,45 @@ mod tests {
             let y =
                 a.spmspv(&mut ctx, Kernel::SpMV, &x, |j, &(_, r)| (j, r), |acc, inc| inc.0 < acc.0);
             assert_eq!(y, want, "grid {dim}x{dim}");
+        }
+    }
+
+    #[test]
+    fn single_block_assembly_matches_the_pair_scatter_builder() {
+        // The 1×1 path builds both orientations by linear passes only; the
+        // blocks must equal, byte for byte, what scattering the relabeled
+        // pairs through the sorting builder gives.
+        use mcm_sparse::permute::{relabel_permutations, SplitMix64};
+        let mut rng = SplitMix64::new(0xB10C);
+        let mut shapes = vec![fig2_triples()];
+        for (n1, n2) in [(30usize, 50usize), (50, 30), (1, 7)] {
+            let mut t = Triples::new(n1, n2);
+            for _ in 0..3 * n1.max(n2) {
+                t.push(rng.below(n1 as u64) as Vidx, rng.below(n2 as u64) as Vidx);
+            }
+            t.sort_dedup();
+            shapes.push(t);
+        }
+        for t in &shapes {
+            let csc = t.to_csc();
+            let v = csc.view();
+            let (n1, n2) = (v.nrows(), v.ncols());
+            let (rp, cp) = relabel_permutations(n1, n2, 0x5EED);
+            for (rowp, colp) in [(None, None), (Some(&rp), Some(&cp)), (Some(&rp), None)] {
+                let pairs: Vec<(Vidx, Vidx)> = v
+                    .iter()
+                    .map(|(i, j)| (rowp.map_or(i, |p| p.apply(i)), colp.map_or(j, |p| p.apply(j))))
+                    .collect();
+                let swapped: Vec<(Vidx, Vidx)> = pairs.iter().map(|&(i, j)| (j, i)).collect();
+                let want_a = Dcsc::from_unsorted_pairs(n1, n2, &pairs);
+                let want_at = Dcsc::from_unsorted_pairs(n2, n1, &swapped);
+                let (a, at) = DistMatrix::with_grid_csc_pair(&v, 1, 1, rowp, colp);
+                let tag = format!("{n1}x{n2} rowp={} colp={}", rowp.is_some(), colp.is_some());
+                assert_eq!(a.block(0, 0), &want_a, "{tag}: A");
+                assert_eq!(at.block(0, 0), &want_at, "{tag}: Aᵀ");
+                let alone = DistMatrix::with_grid_csc(&v, 1, 1, rowp, colp);
+                assert_eq!(alone.block(0, 0), &want_a, "{tag}: A alone");
+            }
         }
     }
 

@@ -66,7 +66,9 @@ pub fn dynamic_mindegree<C: Communicator>(
             &f_r,
             |_, &(r, d)| (r, d),
             |acc: &mut (Vidx, u32), inc| {
-                if (inc.1, inc.0) < (acc.1, acc.0) {
+                // `(degree, row)` order, compared as one u64 key.
+                let key = |&(r, d): &(Vidx, u32)| (u64::from(d) << 32) | u64::from(r);
+                if key(&inc) < key(acc) {
                     *acc = inc;
                 }
             },

@@ -12,6 +12,7 @@
 //! `ablation_storage` in `mcm-bench` measures the CSC-vs-DCSC difference in
 //! the hypersparse regime.
 
+use crate::permute::Permutation;
 use crate::{Csc, Triples, Vidx};
 
 /// A pattern-only sparse matrix in doubly-compressed-sparse-column layout.
@@ -205,80 +206,91 @@ impl Dcsc {
         Self { nrows: v.nrows(), ncols: v.ncols(), jc, cp, ir }
     }
 
-    /// Builds from a *re-iterable* stream of (possibly unsorted, possibly
-    /// duplicated) `(row, col)` pairs without ever materializing them: one
-    /// pass counts the column histogram, a second pass scatters each row
-    /// index into its column's segment, then segments are sorted and
-    /// deduplicated exactly as in [`Dcsc::from_unsorted_pairs`].
+    /// The transpose of `v` relabeled by `rowp`/`colp` (entry `(i, j)` of
+    /// `v` lands at `(colp(j), rowp(i))`), built without a comparison sort.
     ///
-    /// This is what lets `DistMatrix` assembly apply a relabeling
-    /// permutation to an mmap'ed [`CscView`](crate::CscView) — the permuted
-    /// pairs exist only inside the iterator — at the cost of iterating the
-    /// source twice.
-    pub fn from_pair_iter<I, F>(nrows: usize, ncols: usize, pairs: F) -> Self
-    where
-        I: Iterator<Item = (Vidx, Vidx)>,
-        F: Fn() -> I,
-    {
-        // Column histogram → running cursors (pass 1).
-        let mut cursor = vec![0u32; ncols + 1];
-        let mut nnz = 0usize;
-        for (_, j) in pairs() {
-            cursor[j as usize + 1] += 1;
-            nnz += 1;
+    /// One pass histograms the source row degrees into cursors laid out in
+    /// relabeled row order. A second pass walks the *target* columns of `A`,
+    /// `j' = 0..ncols`, reads source column `colp⁻¹(j')` and scatters `j'`
+    /// into column `rowp(i)` of the result for each of its rows `i`. Entries
+    /// therefore arrive in ascending `j'` in every output column, and the
+    /// duplicates of an unsorted or duplicated source column land next to
+    /// each other, so one linear compaction removes them. The result is the
+    /// canonical DCSC of the relabeled `Aᵀ`; [`Dcsc::transposed`] of it is
+    /// `A`, so the matching pipeline gets both orientations from two linear
+    /// passes each.
+    pub fn relabeled_transpose(
+        v: &crate::CscView<'_>,
+        rowp: Option<&Permutation>,
+        colp: Option<&Permutation>,
+    ) -> Dcsc {
+        let (n1, n2) = (v.nrows(), v.ncols());
+        if v.nnz() == 0 {
+            return Self::empty(n2, n1);
         }
-        if nnz == 0 {
-            return Self::empty(nrows, ncols);
+        let ident_r;
+        let rmap = match rowp {
+            Some(p) => p.as_slice(),
+            None => {
+                ident_r = Permutation::identity(n1);
+                ident_r.as_slice()
+            }
+        };
+        let cinv = colp.map_or_else(|| Permutation::identity(n2), Permutation::inverse);
+        let cinv = cinv.as_slice();
+
+        // Row-degree histogram (sequential read of rowind) → cursors in
+        // relabeled order. After the scatter, `cursor[c]` is the *end* of
+        // output column c's segment.
+        let mut deg = vec![0usize; n1];
+        for &i in v.rowind() {
+            deg[i as usize] += 1;
         }
-        for k in 0..ncols {
-            cursor[k + 1] += cursor[k];
+        let mut cursor = vec![0usize; n1 + 1];
+        for (i, &d) in deg.iter().enumerate() {
+            cursor[rmap[i] as usize + 1] = d;
         }
-        // Scatter (pass 2), then the same per-column sort + in-place dedup
-        // compaction as `from_unsorted_pairs`.
-        let mut ir = vec![0 as Vidx; nnz];
-        for (i, j) in pairs() {
-            let slot = &mut cursor[j as usize];
-            ir[*slot as usize] = i;
-            *slot += 1;
+        drop(deg);
+        for c in 0..n1 {
+            cursor[c + 1] += cursor[c];
         }
+        let mut ir = vec![0 as Vidx; v.nnz()];
+        for (jp, &j) in cinv.iter().enumerate() {
+            for &i in v.col(j as usize) {
+                let slot = &mut cursor[rmap[i as usize] as usize];
+                ir[*slot] = jp as Vidx;
+                *slot += 1;
+            }
+        }
+
+        // Compaction: drop adjacent duplicates and empty columns. The write
+        // cursor never passes a column's read start, so one forward pass is
+        // safe in place.
         let mut jc = Vec::new();
         let mut cp = vec![0usize];
         let mut w = 0usize;
         let mut seg_start = 0usize;
         #[allow(clippy::needless_range_loop)] // parallel-array cursor walk
-        for j in 0..ncols {
-            let seg_end = cursor[j] as usize;
+        for c in 0..n1 {
+            let seg_end = cursor[c];
             if seg_end == seg_start {
                 continue;
             }
-            if seg_end - seg_start <= 24 {
-                for k in seg_start + 1..seg_end {
-                    let v = ir[k];
-                    let mut m = k;
-                    while m > seg_start && ir[m - 1] > v {
-                        ir[m] = ir[m - 1];
-                        m -= 1;
-                    }
-                    ir[m] = v;
-                }
-            } else {
-                ir[seg_start..seg_end].sort_unstable();
-            }
-            jc.push(j as Vidx);
+            jc.push(c as Vidx);
             let mut last = Vidx::MAX;
             for k in seg_start..seg_end {
-                let i = ir[k];
-                if i != last {
-                    ir[w] = i;
+                let r = ir[k];
+                if r != last {
+                    ir[w] = r;
                     w += 1;
-                    last = i;
+                    last = r;
                 }
             }
             cp.push(w);
             seg_start = seg_end;
         }
         ir.truncate(w);
-        Self { nrows, ncols, jc, cp, ir }
+        Dcsc { nrows: n2, ncols: n1, jc, cp, ir }
     }
 
     /// An empty matrix.
@@ -471,23 +483,6 @@ mod tests {
     }
 
     #[test]
-    fn pair_iter_build_matches_slice_build() {
-        #[allow(clippy::type_complexity)]
-        let cases: Vec<(usize, usize, Vec<(Vidx, Vidx)>)> = vec![
-            (1, 1, vec![(0, 0), (0, 0), (0, 0)]),
-            (4, 6, vec![(3, 5), (0, 0), (3, 5), (1, 2), (2, 4), (0, 4), (0, 0)]),
-            (10, 1000, vec![(9, 999), (0, 999), (9, 0), (0, 0), (5, 500)]),
-            (8, 8, (0..8).flat_map(|i| (0..8).map(move |j| (7 - i, 7 - j))).collect()),
-            (3, 3, vec![]),
-        ];
-        for (nrows, ncols, pairs) in cases {
-            let want = Dcsc::from_unsorted_pairs(nrows, ncols, &pairs);
-            let got = Dcsc::from_pair_iter(nrows, ncols, || pairs.iter().copied());
-            assert_eq!(got, want, "{nrows}x{ncols} {pairs:?}");
-        }
-    }
-
-    #[test]
     fn from_csc_view_matches_from_unsorted_pairs() {
         let t = Triples::from_edges(5, 7, vec![(4, 6), (0, 0), (2, 3), (1, 3), (4, 0)]);
         let csc = t.to_csc();
@@ -510,6 +505,69 @@ mod tests {
             let swapped: Vec<(Vidx, Vidx)> = pairs.iter().map(|&(i, j)| (j, i)).collect();
             let want = Dcsc::from_unsorted_pairs(ncols, nrows, &swapped);
             assert_eq!(a.transposed(), want, "{nrows}x{ncols} {pairs:?}");
+        }
+    }
+
+    /// Sort-based oracle for [`Dcsc::relabeled_transpose`]: relabel every
+    /// entry, comparison-sort and deduplicate; returns `(A, Aᵀ)`.
+    fn relabeled_oracle(
+        v: &crate::CscView<'_>,
+        rowp: Option<&Permutation>,
+        colp: Option<&Permutation>,
+    ) -> (Dcsc, Dcsc) {
+        let mut t = Triples::new(v.nrows(), v.ncols());
+        for (i, j) in v.iter() {
+            t.push(rowp.map_or(i, |p| p.apply(i)), colp.map_or(j, |p| p.apply(j)));
+        }
+        let mut tt = t.transposed();
+        t.sort_dedup();
+        tt.sort_dedup();
+        (Dcsc::from_sorted_triples(&t), Dcsc::from_sorted_triples(&tt))
+    }
+
+    #[test]
+    fn relabeled_transpose_matches_sort_based_oracle() {
+        use crate::permute::SplitMix64;
+        // Raw CSC arrays, so columns may hold unsorted and duplicated rows.
+        #[allow(clippy::type_complexity)]
+        let mut cases: Vec<(usize, usize, Vec<u64>, Vec<Vidx>)> = vec![
+            // Unsorted and duplicated rows; empty column 1; empty row 2.
+            (4, 3, vec![0, 4, 4, 7], vec![3, 0, 3, 1, 1, 0, 1]),
+            // n1 != n2, hypersparse: most rows and columns empty.
+            (6, 10, vec![0, 0, 2, 2, 2, 2, 2, 2, 2, 3, 5], vec![5, 5, 0, 4, 0]),
+            (9, 2, vec![0, 3, 6], vec![8, 0, 4, 4, 8, 0]),
+            (3, 3, vec![0, 0, 0, 0], vec![]),
+            (1, 1, vec![0, 3], vec![0, 0, 0]),
+        ];
+        let mut rng = SplitMix64::new(0xA55E);
+        for (n1, n2) in [(40usize, 25usize), (25, 40), (64, 64)] {
+            let mut colptr = vec![0u64];
+            let mut rowind = Vec::new();
+            for _ in 0..n2 {
+                for _ in 0..rng.below(7) {
+                    rowind.push(rng.below(n1 as u64) as Vidx);
+                }
+                colptr.push(rowind.len() as u64);
+            }
+            cases.push((n1, n2, colptr, rowind));
+        }
+        for (n1, n2, colptr, rowind) in &cases {
+            let v = crate::CscView::new(*n1, *n2, colptr, rowind);
+            let perms = [
+                (None, None),
+                (Some(Permutation::identity(*n1)), Some(Permutation::identity(*n2))),
+                (Some(Permutation::random(*n1, 7)), Some(Permutation::random(*n2, 8))),
+                (Some(Permutation::random(*n1, 9)), None),
+                (None, Some(Permutation::random(*n2, 10))),
+            ];
+            for (rowp, colp) in &perms {
+                let (rowp, colp) = (rowp.as_ref(), colp.as_ref());
+                let (want_a, want_at) = relabeled_oracle(&v, rowp, colp);
+                let got = Dcsc::relabeled_transpose(&v, rowp, colp);
+                let tag = format!("{n1}x{n2} rowp={} colp={}", rowp.is_some(), colp.is_some());
+                assert_eq!(got, want_at, "{tag}: Aᵀ");
+                assert_eq!(got.transposed(), want_a, "{tag}: A");
+            }
         }
     }
 

@@ -7,11 +7,14 @@
 //! memory-bound). This module amortizes it the way CombBLAS-style
 //! implementations do:
 //!
-//! * [`SpmvWorkspace`] owns a **generation-stamped SPA**: a `u32` epoch is
-//!   bumped per call and a slot is live only when `stamp[i] == epoch`, so
-//!   "resetting" the accumulator costs one integer increment instead of an
-//!   `O(nrows)` sweep or a fresh allocation. Epoch wraparound (every 2³²
-//!   calls) triggers the one hard reset.
+//! * [`SpmvWorkspace`] owns a **generation-stamped SPA**: each call
+//!   reserves fresh `u32` stamp values above every stamp written before and
+//!   a slot is live only when its stamp is at least the call's first value,
+//!   so "resetting" the accumulator costs one integer increment instead of
+//!   an `O(nrows)` sweep or a fresh allocation. A plain product reserves one
+//!   value (`stamp[i] == epoch`); the fused product reserves one per logical
+//!   block column. Wraparound (after 2³² values) triggers the one hard
+//!   reset.
 //! * The SPA keeps **split index/value streams**: a bare `stamp: Vec<u32>`
 //!   array scanned by the hot loops and a parallel value array with no
 //!   per-slot discriminant (`MaybeUninit<U>`; a slot is initialized exactly
@@ -44,8 +47,11 @@
 //!   doubles as the communication arena — logical ranks' "messages" are
 //!   writes into their destination's SPA region, the epoch stamp is the
 //!   exchange barrier, and the per-logical-block volumes the α–β–γ model
-//!   charges (expand, flops, fold send/recv) are counted in-line from the
-//!   same traversal via an owner-stamp array. See `mcm-bsp`'s
+//!   charges (flops, fold send/recv) are counted in-line from the same
+//!   traversal: one stamp per row records both the generation and the
+//!   logical block column that last touched it, flops are added once per
+//!   block-row run of a column, and fold pairs only at first touches —
+//!   nothing is counted per edge. See `mcm-bsp`'s
 //!   `DistMatrix::spmspv_fused` for the charging this plugs into.
 //!
 //! ### Combiner contract
@@ -70,11 +76,15 @@ use crate::{Csc, Dcsc, SpVec, Vidx};
 use std::mem::MaybeUninit;
 
 /// A generation-stamped sparse accumulator: values are live only when their
-/// stamp equals the current epoch, so reset is O(1). Index and value
-/// streams are split — `stamp` is the only array the membership test
-/// touches, and `vals` carries bare `U` slots (initialized iff stamped).
+/// stamp lies in the current generation `base..=epoch`, so reset is O(1).
+/// Index and value streams are split — `stamp` is the only array the
+/// membership test touches, and `vals` carries bare `U` slots (initialized
+/// iff stamped in this generation).
 #[derive(Debug)]
 struct SpaBuf<U> {
+    /// First stamp value of the current generation.
+    base: u32,
+    /// Last stamp value reserved so far; every stamp in `stamp` is `<= epoch`.
     epoch: u32,
     /// Rows covered by the current generation (`begin`'s `nrows`); the
     /// buffers themselves only ever grow.
@@ -87,6 +97,7 @@ struct SpaBuf<U> {
 impl<U: Copy> Clone for SpaBuf<U> {
     fn clone(&self) -> Self {
         Self {
+            base: self.base,
             epoch: self.epoch,
             active: self.active,
             stamp: self.stamp.clone(),
@@ -98,24 +109,42 @@ impl<U: Copy> Clone for SpaBuf<U> {
 
 impl<U> SpaBuf<U> {
     fn new() -> Self {
-        Self { epoch: 0, active: 0, stamp: Vec::new(), vals: Vec::new(), touched: Vec::new() }
+        Self {
+            base: 0,
+            epoch: 0,
+            active: 0,
+            stamp: Vec::new(),
+            vals: Vec::new(),
+            touched: Vec::new(),
+        }
     }
 
-    /// Opens a new generation over `nrows` rows. Grows the buffers on first
-    /// use (or when a larger matrix arrives); otherwise allocation-free.
+    /// Opens a new one-value generation over `nrows` rows: live slots are
+    /// exactly those with `stamp == epoch`.
     fn begin(&mut self, nrows: usize) {
+        self.begin_span(nrows, 1);
+    }
+
+    /// Opens a new generation over `nrows` rows that reserves `width` fresh
+    /// stamp values `base..base + width`, all above any stamp written
+    /// before, and returns `base`. Grows the buffers on first use (or when
+    /// a larger matrix arrives); otherwise allocation-free.
+    fn begin_span(&mut self, nrows: usize, width: u32) -> u32 {
+        debug_assert!(width >= 1);
         if self.stamp.len() < nrows {
             self.stamp.resize(nrows, 0);
             self.vals.resize_with(nrows, MaybeUninit::uninit);
         }
         self.active = nrows;
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // u32 wraparound: stale stamps could collide with the new epoch.
+        if self.epoch > u32::MAX - width {
+            // u32 wraparound: stale stamps could collide with the new values.
             self.stamp.fill(0);
-            self.epoch = 1;
+            self.epoch = 0;
         }
+        self.base = self.epoch + 1;
+        self.epoch += width;
         self.touched.clear();
+        self.base
     }
 
     /// Folds `cand` into row `i` under a selection combiner.
@@ -164,7 +193,7 @@ impl<U> SpaBuf<U> {
     where
         U: Copy,
     {
-        debug_assert_eq!(self.stamp[i as usize], self.epoch, "untouched row drained");
+        debug_assert!(self.stamp[i as usize] >= self.base, "untouched row drained");
         // SAFETY: stamped ⇒ initialized this generation.
         unsafe { self.vals[i as usize].assume_init_read() }
     }
@@ -178,9 +207,9 @@ impl<U> SpaBuf<U> {
         U: Copy,
     {
         if 8 * self.touched.len() >= self.active {
-            let epoch = self.epoch;
+            let base = self.base;
             for (iu, &s) in self.stamp[..self.active].iter().enumerate() {
-                if s == epoch {
+                if s >= base {
                     y.push(iu as Vidx, self.take(iu as Vidx));
                 }
             }
@@ -254,16 +283,11 @@ pub struct SpmvWorkspace<U: Copy> {
     heads: Vec<usize>,
     /// Per-chunk pair-range boundaries (`chunk c` owns `bounds[c]..bounds[c+1]`).
     bounds: Vec<usize>,
-    /// Fused-kernel scratch: last logical block column to touch each row
-    /// (valid only where the SPA stamp matches the epoch).
-    owner: Vec<u32>,
-    /// Fused-kernel scratch: distinct `(row, block-col)` contributions per
-    /// logical block — the pre-merge fold *send* volume.
-    fsend: Vec<u64>,
     /// Fused-kernel scratch: traversed edges per logical block.
-    fflops: Vec<u64>,
-    /// Fused-kernel scratch: pre-merge fold words per `(block-row, dest)`.
-    frecv: Vec<u64>,
+    blk_flops: Vec<u64>,
+    /// Fused-kernel scratch: distinct `(row, block column)` contributions
+    /// per (fold segment, logical block column) — pre-merge fold pairs.
+    seg_pairs: Vec<u64>,
     /// Reuse counters.
     pub stats: WorkspaceStats,
 }
@@ -283,10 +307,8 @@ impl<U: Copy> SpmvWorkspace<U> {
             pairs: Vec::new(),
             heads: Vec::new(),
             bounds: Vec::new(),
-            owner: Vec::new(),
-            fsend: Vec::new(),
-            fflops: Vec::new(),
-            frecv: Vec::new(),
+            blk_flops: Vec::new(),
+            seg_pairs: Vec::new(),
             stats: WorkspaceStats::default(),
         }
     }
@@ -427,37 +449,26 @@ impl<U: Copy> SpmvWorkspace<U> {
         flops
     }
 
-    /// Opens a fused product: sizes the per-logical-block volume counters
-    /// and the owner-stamp array, and begins a fresh SPA generation.
-    fn fused_begin(&mut self, nrows: usize, pr: usize, pc: usize) {
-        self.note_call(nrows, 0);
-        let nb = pr * pc;
-        self.fsend.clear();
-        self.fsend.resize(nb, 0);
-        self.fflops.clear();
-        self.fflops.resize(nb, 0);
-        self.frecv.clear();
-        self.frecv.resize(nb, 0);
-        if self.owner.len() < nrows {
-            self.owner.resize(nrows, 0);
-        }
-        self.spa.begin(nrows);
-    }
-
-    /// Reduces the per-logical-block counters to the two bottleneck volumes
-    /// the cost model charges.
+    /// Reduces the per-block and per-segment counters to the two bottleneck
+    /// volumes the cost model charges: block `(bi, bj)` sends the pairs its
+    /// `pc` fold segments counted from block column `bj`, and fold
+    /// destination `(bi, d)` receives two words per pair of segment
+    /// `bi · pc + d` from every block column.
     fn fused_volumes(&self, pr: usize, pc: usize) -> FusedVolumes {
         let mut max_flops = 0u64;
         let mut fold_bottleneck = 0u64;
         for bi in 0..pr {
+            let segs = bi * pc..(bi + 1) * pc;
             let mut send = 0u64;
-            let mut recv = 0u64;
             for bj in 0..pc {
-                let blk = bi * pc + bj;
-                max_flops = max_flops.max(self.fflops[blk]);
-                send = send.max(2 * self.fsend[blk]);
-                recv = recv.max(self.frecv[blk]);
+                let pairs: u64 = segs.clone().map(|seg| self.seg_pairs[seg * pc + bj]).sum();
+                max_flops = max_flops.max(self.blk_flops[bi * pc + bj]);
+                send = send.max(2 * pairs);
             }
+            let recv = segs
+                .map(|seg| 2 * self.seg_pairs[seg * pc..(seg + 1) * pc].iter().sum::<u64>())
+                .max()
+                .unwrap_or(0);
             fold_bottleneck = fold_bottleneck.max(send.max(recv));
         }
         FusedVolumes { max_flops, fold_bottleneck }
@@ -469,18 +480,30 @@ impl<U: Copy> SpmvWorkspace<U> {
     /// grid. Every "remote contribution" a distributed execution would ship
     /// through expand/fold buffers is instead written directly into the
     /// destination's SPA region — zero copies, zero per-message allocation —
-    /// while the α–β–γ volumes of the logical execution are counted in-line:
+    /// while the α–β–γ volumes of the logical execution are counted in-line.
     ///
-    /// * `fflops[bi][bj]` — edges traversed inside logical block `(bi,bj)`
-    ///   (the row/column block cursors advance monotonically with the sorted
-    ///   traversal, so no per-edge owner arithmetic is needed);
-    /// * `fsend[bi][bj]` — distinct `(row, bj)` contributions, i.e. the
-    ///   nnz of the partial product block `(bi,bj)` would send into the
-    ///   fold (counted via the owner-stamp array: a row's visits arrive in
-    ///   ascending `bj`, so each transition is one distinct pair);
-    /// * `frecv[bi][dest]` — pre-merge pairs received per fold destination
-    ///   (`recv_owner(bi, local_row)` is the logical rank that owns the row
-    ///   in the balanced fold distribution).
+    /// `col_off` holds the `pc + 1` logical block-column boundaries.
+    /// `fold_off` holds the `pr · pc + 1` row boundaries of the fold
+    /// destinations: segment `bi · pc + d` is the rows of logical block row
+    /// `bi` that grid-row rank `d` owns in the balanced fold distribution,
+    /// so block row `bi` starts at `fold_off[bi · pc]`.
+    ///
+    /// The product reserves `pc` SPA stamp values and a row's stamp is
+    /// `base + bj` for the last logical block column `bj` that touched it.
+    /// Block columns are visited in ascending order, so `stamp < base` is
+    /// the row's first touch in this product and `stamp != base + bj` is
+    /// the first touch from block column `bj`: one distinct pre-merge fold
+    /// pair. Nothing is counted per edge:
+    ///
+    /// * edges per logical block `(bi, bj)` — each column's sorted rows are
+    ///   split at the `pr - 1` block-row boundaries by binary search and
+    ///   the run lengths added once per column;
+    /// * fold pairs per `(segment, bj)` — counted only at a first touch from
+    ///   `bj`, whose segment a forward-moving cursor over `fold_off` finds
+    ///   (rows ascend within a column).
+    ///
+    /// A block's fold send is its pairs; a destination's receive is its
+    /// segment's pairs over all block columns (see [`FusedVolumes`]).
     ///
     /// Results are bit-identical to the serial kernel (candidates fold per
     /// row in ascending global column order), hence — by grid independence —
@@ -491,15 +514,63 @@ impl<U: Copy> SpmvWorkspace<U> {
         &mut self,
         a: &Dcsc,
         x: &SpVec<T>,
-        row_off: &[usize],
         col_off: &[usize],
-        mut recv_owner: impl FnMut(usize, usize) -> usize,
-        mut mul: impl FnMut(Vidx, &T) -> U,
+        fold_off: &[usize],
+        mul: impl FnMut(Vidx, &T) -> U,
         mut take_incoming: impl FnMut(&U, &U) -> bool,
         y: &mut SpVec<U>,
     ) -> FusedVolumes {
-        let (pr, pc) = (row_off.len() - 1, col_off.len() - 1);
-        self.fused_begin(a.nrows(), pr, pc);
+        let fold = |acc: &mut U, inc: U| {
+            if take_incoming(acc, &inc) {
+                *acc = inc;
+            }
+        };
+        self.fused_into(a, x, col_off, fold_off, mul, fold, y)
+    }
+
+    /// Monoid counterpart of [`SpmvWorkspace::spmspv_fused_into`] (same
+    /// arena/accounting scheme, commutative-associative `combine` fold).
+    #[allow(clippy::too_many_arguments)] // mirrors the distributed kernel's surface
+    pub fn spmspv_monoid_fused_into<T>(
+        &mut self,
+        a: &Dcsc,
+        x: &SpVec<T>,
+        col_off: &[usize],
+        fold_off: &[usize],
+        mul: impl FnMut(Vidx, &T) -> U,
+        combine: impl FnMut(&mut U, U),
+        y: &mut SpVec<U>,
+    ) -> FusedVolumes {
+        self.fused_into(a, x, col_off, fold_off, mul, combine, y)
+    }
+
+    /// The fused traversal both public kernels share; `fold` merges a
+    /// candidate into a row's live accumulator.
+    #[allow(clippy::too_many_arguments)] // mirrors the distributed kernel's surface
+    fn fused_into<T>(
+        &mut self,
+        a: &Dcsc,
+        x: &SpVec<T>,
+        col_off: &[usize],
+        fold_off: &[usize],
+        mut mul: impl FnMut(Vidx, &T) -> U,
+        mut fold: impl FnMut(&mut U, U),
+        y: &mut SpVec<U>,
+    ) -> FusedVolumes {
+        let pc = col_off.len() - 1;
+        let pr = (fold_off.len() - 1) / pc;
+        debug_assert_eq!(pr * pc + 1, fold_off.len(), "fold_off must hold pr · pc segments");
+        self.note_call(a.nrows(), 0);
+        self.blk_flops.clear();
+        self.blk_flops.resize(pr * pc, 0);
+        self.seg_pairs.clear();
+        self.seg_pairs.resize(pr * pc * pc, 0);
+        let base = self.spa.begin_span(a.nrows(), pc as u32);
+        // Split borrows into slices: the hot loop holds every array in a
+        // local, so a `touched` push cannot force the others to be reloaded.
+        let SpaBuf { stamp, vals, touched, .. } = &mut self.spa;
+        let (stamp, vals) = (&mut stamp[..], &mut vals[..]);
+        let (blk_flops, seg_pairs) = (&mut self.blk_flops[..], &mut self.seg_pairs[..]);
 
         let cols = a.nonzero_cols();
         let xs = x.entries();
@@ -510,116 +581,58 @@ impl<U: Copy> SpmvWorkspace<U> {
                 std::cmp::Ordering::Less => q += 1,
                 std::cmp::Ordering::Greater => p += 1,
                 std::cmp::Ordering::Equal => {
+                    // DCSC stores nonempty columns only.
                     let (rows, _) = a.nth_col(q);
-                    if !rows.is_empty() {
-                        let j = xs[p].0;
-                        while (j as usize) >= col_off[bj + 1] {
-                            bj += 1;
-                        }
-                        let colv = mul(j, &xs[p].1);
-                        let epoch = self.spa.epoch;
-                        let mut bi = 0usize; // rows ascend within a column
-                        for &i in rows {
-                            let iu = i as usize;
-                            while iu >= row_off[bi + 1] {
-                                bi += 1;
-                            }
-                            let blk = bi * pc + bj;
-                            self.fflops[blk] += 1;
-                            if self.spa.stamp[iu] != epoch {
-                                self.spa.stamp[iu] = epoch;
-                                self.spa.vals[iu].write(colv);
-                                self.spa.touched.push(i);
-                                self.owner[iu] = bj as u32;
-                                self.fsend[blk] += 1;
-                                self.frecv[bi * pc + recv_owner(bi, iu - row_off[bi])] += 2;
-                            } else {
-                                if self.owner[iu] != bj as u32 {
-                                    // First touch from this logical block:
-                                    // one more pre-merge fold pair.
-                                    self.owner[iu] = bj as u32;
-                                    self.fsend[blk] += 1;
-                                    self.frecv[bi * pc + recv_owner(bi, iu - row_off[bi])] += 2;
-                                }
-                                // SAFETY: stamped ⇒ initialized this epoch.
-                                let acc = unsafe { self.spa.vals[iu].assume_init_mut() };
-                                if take_incoming(acc, &colv) {
-                                    *acc = colv;
-                                }
-                            }
-                        }
+                    let j = xs[p].0;
+                    while (j as usize) >= col_off[bj + 1] {
+                        bj += 1;
                     }
-                    p += 1;
-                    q += 1;
-                }
-            }
-        }
-
-        y.reset(a.nrows());
-        self.spa.drain_into(y);
-        self.fused_volumes(pr, pc)
-    }
-
-    /// Monoid counterpart of [`SpmvWorkspace::spmspv_fused_into`] (same
-    /// arena/accounting scheme, commutative-associative `combine` fold).
-    #[allow(clippy::too_many_arguments)] // mirrors the distributed kernel's surface
-    pub fn spmspv_monoid_fused_into<T>(
-        &mut self,
-        a: &Dcsc,
-        x: &SpVec<T>,
-        row_off: &[usize],
-        col_off: &[usize],
-        mut recv_owner: impl FnMut(usize, usize) -> usize,
-        mut mul: impl FnMut(Vidx, &T) -> U,
-        mut combine: impl FnMut(&mut U, U),
-        y: &mut SpVec<U>,
-    ) -> FusedVolumes {
-        let (pr, pc) = (row_off.len() - 1, col_off.len() - 1);
-        self.fused_begin(a.nrows(), pr, pc);
-
-        let cols = a.nonzero_cols();
-        let xs = x.entries();
-        let (mut p, mut q) = (0usize, 0usize);
-        let mut bj = 0usize;
-        while p < xs.len() && q < cols.len() {
-            match cols[q].cmp(&xs[p].0) {
-                std::cmp::Ordering::Less => q += 1,
-                std::cmp::Ordering::Greater => p += 1,
-                std::cmp::Ordering::Equal => {
-                    let (rows, _) = a.nth_col(q);
-                    if !rows.is_empty() {
-                        let j = xs[p].0;
-                        while (j as usize) >= col_off[bj + 1] {
-                            bj += 1;
+                    let colv = mul(j, &xs[p].1);
+                    let tag = base + bj as u32;
+                    // Rows ascend within a column: edges per logical block
+                    // are the runs between the block-row boundaries. Empty
+                    // block rows are stepped over, not searched.
+                    let (mut lo, mut bi) = (0usize, 0usize);
+                    while lo < rows.len() {
+                        while rows[lo] as usize >= fold_off[(bi + 1) * pc] {
+                            bi += 1;
                         }
-                        let colv = mul(j, &xs[p].1);
-                        let epoch = self.spa.epoch;
-                        let mut bi = 0usize;
-                        for &i in rows {
-                            let iu = i as usize;
-                            while iu >= row_off[bi + 1] {
-                                bi += 1;
-                            }
-                            let blk = bi * pc + bj;
-                            self.fflops[blk] += 1;
-                            if self.spa.stamp[iu] != epoch {
-                                self.spa.stamp[iu] = epoch;
-                                self.spa.vals[iu].write(colv);
-                                self.spa.touched.push(i);
-                                self.owner[iu] = bj as u32;
-                                self.fsend[blk] += 1;
-                                self.frecv[bi * pc + recv_owner(bi, iu - row_off[bi])] += 2;
-                            } else {
-                                if self.owner[iu] != bj as u32 {
-                                    self.owner[iu] = bj as u32;
-                                    self.fsend[blk] += 1;
-                                    self.frecv[bi * pc + recv_owner(bi, iu - row_off[bi])] += 2;
+                        let hi = if bi + 1 == pr {
+                            rows.len()
+                        } else {
+                            let b = fold_off[(bi + 1) * pc];
+                            lo + 1 + rows[lo + 1..].partition_point(|&i| (i as usize) < b)
+                        };
+                        blk_flops[bi * pc + bj] += (hi - lo) as u64;
+                        lo = hi;
+                    }
+                    // Fold pairs: a stamp other than `tag` is a first touch
+                    // from this block column; only those look up their
+                    // segment, with cursors that move forward over block
+                    // rows, then over the segments of one block row.
+                    let (mut seg, mut seg_bi) = (0usize, 0usize);
+                    for &i in rows {
+                        let iu = i as usize;
+                        let st = stamp[iu];
+                        if st != tag {
+                            if iu >= fold_off[seg + 1] {
+                                while iu >= fold_off[(seg_bi + 1) * pc] {
+                                    seg_bi += 1;
+                                    seg = seg_bi * pc;
                                 }
-                                // SAFETY: stamped ⇒ initialized this epoch.
-                                let acc = unsafe { self.spa.vals[iu].assume_init_mut() };
-                                combine(acc, colv);
+                                let ends = &fold_off[seg + 1..(seg_bi + 1) * pc];
+                                seg += ends.partition_point(|&b| b <= iu);
+                            }
+                            seg_pairs[seg * pc + bj] += 1;
+                            stamp[iu] = tag;
+                            if st < base {
+                                vals[iu].write(colv);
+                                touched.push(i);
+                                continue;
                             }
                         }
+                        // SAFETY: stamped in this generation ⇒ initialized.
+                        fold(unsafe { vals[iu].assume_init_mut() }, colv);
                     }
                     p += 1;
                     q += 1;
@@ -894,9 +907,8 @@ mod tests {
         let vols = ws.spmspv_fused_into(
             &a,
             &x,
-            &[0, 4],
             &[0, 5],
-            |_, _| 0,
+            &[0, 4],
             |j, &(_, r)| (j, r),
             |acc, inc| inc.0 < acc.0,
             &mut y,
@@ -904,5 +916,36 @@ mod tests {
         assert_eq!(y, seed.y);
         assert_eq!(vols.max_flops, seed.flops);
         assert_eq!(vols.fold_bottleneck, 2 * seed.y.nnz() as u64);
+    }
+
+    #[test]
+    fn fused_stamps_survive_wraparound() {
+        // A logical 2×2 grid reserves two stamp values per product. Starting
+        // the counter just below u32::MAX makes products end at or next to
+        // the top, and a later one wrap: the stale top stamps must not read
+        // as live rows afterwards.
+        let a = fig2_matrix();
+        let (col_off, fold_off) = ([0, 3, 5], [0, 1, 2, 3, 4]);
+        let full = SpVec::from_pairs(5, (0..5).map(|j| (j, j)).collect());
+        let tiny = SpVec::from_pairs(5, vec![(1, 1u32)]);
+        type Out = (SpVec<u32>, FusedVolumes, SpVec<u32>, FusedVolumes);
+        let run = |ws: &mut SpmvWorkspace<u32>, x: &SpVec<u32>| -> Out {
+            let (mut yc, mut ys) = (SpVec::new(0), SpVec::new(0));
+            let count = |acc: &mut u32, inc: u32| *acc += inc;
+            let vc =
+                ws.spmspv_monoid_fused_into(&a, x, &col_off, &fold_off, |_, _| 1, count, &mut yc);
+            let take = |acc: &u32, inc: &u32| inc < acc;
+            let vs = ws.spmspv_fused_into(&a, x, &col_off, &fold_off, |j, _| j, take, &mut ys);
+            (yc, vc, ys, vs)
+        };
+        for start in (0..=6).map(|k| u32::MAX - k) {
+            let (mut ws, mut fresh) = (SpmvWorkspace::new(), SpmvWorkspace::new());
+            run(&mut ws, &full);
+            ws.spa.epoch = start;
+            for x in [&full, &tiny, &full, &tiny, &full] {
+                assert_eq!(run(&mut ws, x), run(&mut fresh, x), "counter started at {start}");
+            }
+            assert!(ws.spa.epoch < start, "the counter must have wrapped");
+        }
     }
 }

@@ -101,6 +101,16 @@ pub enum StoreError {
     },
     /// A structural problem in data being converted or written.
     Format(String),
+    /// A row index in the rowind section is not below the header's row
+    /// count.
+    RowOutOfRange {
+        /// Position of the row index among the nonzeros.
+        index: u64,
+        /// The row index.
+        row: u64,
+        /// Row count the header declares.
+        nrows: u64,
+    },
     /// A weighted file's values section holds an infinite or NaN value.
     NonFiniteValue {
         /// Position of the value among the nonzeros.
@@ -127,6 +137,9 @@ impl std::fmt::Display for StoreError {
                 "MCSB payload checksum mismatch: header says {stored:#018x}, payload hashes to {computed:#018x}"
             ),
             StoreError::Format(msg) => write!(f, "{msg}"),
+            StoreError::RowOutOfRange { index, row, nrows } => {
+                write!(f, "MCSB row index {row} at nonzero {index} is out of range for {nrows} rows")
+            }
             StoreError::NonFiniteValue { index, value } => {
                 write!(f, "MCSB value {value} at nonzero {index} is not finite")
             }

@@ -33,8 +33,9 @@ pub struct McsbFile {
 impl McsbFile {
     /// Opens an MCSB file via `mmap` (falling back to the heap path on
     /// platforms without the mapping wrapper). Validates magic, version,
-    /// header checksum, and that every section fits in the file; does
-    /// **not** hash the payload.
+    /// header checksum, that every section fits in the file, the colptr
+    /// section, and that every row index is below `nrows`; does **not**
+    /// hash the payload.
     pub fn open(path: impl AsRef<Path>) -> Result<McsbFile, StoreError> {
         let path = path.as_ref();
         // The in-place view reinterprets little-endian file bytes as native
@@ -54,6 +55,7 @@ impl McsbFile {
         // fraction of the file); the rowind/values pages stay untouched.
         let colptr = section_as::<u64>(map.bytes(), header.colptr_off, header.ncols as usize + 1);
         check_colptr(&header, colptr)?;
+        check_rowind_stream(&mut f, &header)?;
         Ok(McsbFile { header, backing: Backing::Mapped(map) })
     }
 
@@ -221,6 +223,48 @@ fn check_colptr(h: &Header, colptr: &[u64]) -> Result<(), StoreError> {
     Ok(())
 }
 
+/// Fails with the first row index in `rowind` that is not below the
+/// header's row count; `first` is the nonzero position of `rowind`'s first
+/// entry.
+fn check_rows(
+    h: &Header,
+    first: u64,
+    rowind: impl IntoIterator<Item = Vidx>,
+) -> Result<(), StoreError> {
+    match rowind.into_iter().enumerate().find(|&(_, i)| u64::from(i) >= h.nrows) {
+        Some((k, row)) => Err(StoreError::RowOutOfRange {
+            index: first + k as u64,
+            row: u64::from(row),
+            nrows: h.nrows,
+        }),
+        None => Ok(()),
+    }
+}
+
+/// Range-checks the rowind section with one sequential pass of ordinary
+/// reads rather than through the mapping: the bytes come from the page
+/// cache, so the open stays out-of-core (the mapped rowind pages are
+/// faulted in only when the solver walks them), yet no solver ever indexes
+/// with an out-of-range row.
+fn check_rowind_stream(f: &mut std::fs::File, h: &Header) -> Result<(), StoreError> {
+    use std::io::{Seek, SeekFrom};
+    const CHUNK: usize = 1 << 16;
+    f.seek(SeekFrom::Start(h.rowind_off))?;
+    let mut buf = vec![0u8; CHUNK];
+    let (mut done, total) = (0u64, h.rowind_len);
+    while done < total {
+        let n = (total - done).min(CHUNK as u64) as usize;
+        f.read_exact(&mut buf[..n])?;
+        let rows = buf[..n].chunks_exact(4).map(|c| Vidx::from_le_bytes(c.try_into().unwrap()));
+        // A max-scan is branch-free; only a chunk that fails it is searched.
+        if rows.clone().max().is_some_and(|m| u64::from(m) >= h.nrows) {
+            check_rows(h, done / 4, rows)?;
+        }
+        done += n as u64;
+    }
+    Ok(())
+}
+
 /// Full payload validation: colptr monotonicity, row indices in range,
 /// and finite values (empty for an unweighted file). Used on the heap
 /// path (which holds all sections anyway) and by
@@ -232,12 +276,7 @@ fn validate_payload(
     values: &[f64],
 ) -> Result<(), StoreError> {
     check_colptr(h, colptr)?;
-    if let Some(&bad) = rowind.iter().find(|&&i| i as u64 >= h.nrows) {
-        return Err(StoreError::HeaderCorrupt(format!(
-            "row index {bad} out of range for {} rows",
-            h.nrows
-        )));
-    }
+    check_rows(h, 0, rowind.iter().copied())?;
     if let Some((k, &value)) = values.iter().enumerate().find(|(_, w)| !w.is_finite()) {
         return Err(StoreError::NonFiniteValue { index: k as u64, value });
     }

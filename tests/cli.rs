@@ -182,6 +182,31 @@ fn non_finite_weights_fail_cleanly() {
     refuses(mcm().args(["match", "--weighted"]).arg(&mcsb).output().unwrap(), "inf");
 }
 
+#[test]
+fn out_of_range_mcsb_row_index_fails_cleanly() {
+    // A mapped MCSB file whose rowind holds one index >= nrows made
+    // `mcm match` panic (exit 101) in the solver under every algorithm.
+    let mcsb = tmp("rowind_corrupt.mcsb");
+    let gen = mcm()
+        .args(["gen", "er", "--scale", "10", "--format", "mcsb", "--out"])
+        .arg(&mcsb)
+        .output()
+        .unwrap();
+    assert!(gen.status.success());
+    let mut bytes = std::fs::read(&mcsb).unwrap();
+    let h = mcm_store::Header::decode(&bytes).unwrap();
+    let at = (h.rowind_off + 4 * 100) as usize;
+    bytes[at..at + 4].copy_from_slice(&0x7FFF_FF00u32.to_le_bytes());
+    std::fs::write(&mcsb, &bytes).unwrap();
+    for algo in ["dist", "hk"] {
+        let out = mcm().args(["match", "--algo", algo]).arg(&mcsb).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "--algo {algo}: {err}");
+        assert!(!err.contains("panicked"), "--algo {algo}: {err}");
+        assert!(err.contains("out of range"), "--algo {algo}: {err}");
+    }
+}
+
 fn mcmd() -> Command {
     Command::new(env!("CARGO_BIN_EXE_mcmd"))
 }

@@ -217,6 +217,35 @@ fn bad_magic_version_flags_and_header_bytes_are_typed_errors() {
     std::fs::remove_file(p).ok();
 }
 
+#[test]
+fn out_of_range_row_index_is_a_typed_error_on_both_backings() {
+    // One row index far past `nrows`, with both checksums re-sealed so the
+    // range check is the only line of defence. The mapped open used to
+    // accept this and let the solver index out of bounds.
+    use mcm_store::format::{fnv1a, FNV_OFFSET};
+    let (bytes, p) = reference_file("rowrange");
+    let h = mcm_store::Header::decode(&bytes).unwrap();
+    let mut bad = bytes.clone();
+    let at = (h.rowind_off + 4 * 7) as usize;
+    bad[at..at + 4].copy_from_slice(&0x7FFF_FF00u32.to_le_bytes());
+    let section = |off: u64, len: u64| off as usize..(off + len) as usize;
+    let mut ph = fnv1a(FNV_OFFSET, &bad[section(h.colptr_off, h.colptr_len)]);
+    ph = fnv1a(ph, &bad[section(h.rowind_off, h.rowind_len)]);
+    ph = fnv1a(ph, &bad[section(h.values_off, h.values_len)]);
+    bad[88..96].copy_from_slice(&ph.to_le_bytes());
+    let hc = fnv1a(FNV_OFFSET, &bad[0..96]);
+    bad[96..104].copy_from_slice(&hc.to_le_bytes());
+    std::fs::write(&p, &bad).unwrap();
+    for (backing, r) in ["mmap", "heap"].into_iter().zip(open_both(&p)) {
+        match r {
+            Err(StoreError::RowOutOfRange { index: 7, row: 0x7FFF_FF00, nrows: 12 }) => {}
+            Ok(_) => panic!("{backing}: out-of-range row index opened"),
+            Err(other) => panic!("{backing}: expected RowOutOfRange, got {other:?}"),
+        }
+    }
+    std::fs::remove_file(p).ok();
+}
+
 // ---------------------------------------------- mmap-vs-heap differential
 
 /// The promise `mcm match --load <mcsb>` relies on: solving from a borrowed

@@ -5,8 +5,7 @@
 //! (`MCM_BENCH_JSON=BENCH_mwm.json` records the numbers).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mcm_core::auction::AuctionOptions;
-use mcm_core::weighted::auction_mwm_par;
+use mcm_core::weighted::{auction_mwm_par, AuctionOptions};
 use mcm_dyn::{WDynMatching, WDynOptions, WUpdate};
 use mcm_gen::hard::{crown, star};
 use mcm_gen::rmat::{rmat, RmatParams};

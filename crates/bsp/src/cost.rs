@@ -7,8 +7,8 @@
 //!
 //! All times are in seconds; a *word* is 8 bytes (one `Vidx` index plus
 //! padding, or one `(parent, root)` half). Collective formulas follow the
-//! algorithms the paper cites: ring allgather [28] and personalized
-//! all-to-all (alltoallv) [27].
+//! algorithms the paper cites: ring allgather \[28\] and personalized
+//! all-to-all (alltoallv) \[27\].
 
 /// Machine cost parameters.
 ///
@@ -78,7 +78,7 @@ impl CostModel {
     ///
     /// Latency is logarithmic (recursive doubling / Bruck): the paper's
     /// asymptotic analysis uses the linear-latency ring bound `(g−1)α`
-    /// [28], but Cray MPI's combining algorithms deliver log-depth
+    /// \[28\], but Cray MPI's combining algorithms deliver log-depth
     /// latency for the small frontier messages matching actually sends —
     /// using the worst-case bound would make latency dominate two orders
     /// of magnitude earlier than the paper's measured scaling shows.

@@ -2,7 +2,7 @@
 //!
 //! §IV-A of the paper: CombBLAS distributes an `n1 × n2` matrix over a
 //! `p_r × p_c` grid; process `P(i,j)` stores submatrix `A_{i,j}` in DCSC.
-//! The 2D SpMV has two communication phases [26]: **expand** (allgather of
+//! The 2D SpMV has two communication phases \[26\]: **expand** (allgather of
 //! frontier slices along each process *column*) and **fold** (personalized
 //! all-to-all of partial products along each process *row*).
 //!

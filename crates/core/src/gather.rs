@@ -7,7 +7,7 @@
 //!
 //! This module models exactly that pipeline: gather `m` edges (two words
 //! each) onto rank 0, run the best *serial* MCM there (Hopcroft–Karp as the
-//! stand-in for the shared-memory MS-BFS-Graft code of [7]), then scatter
+//! stand-in for the shared-memory MS-BFS-Graft code of \[7\]), then scatter
 //! the two mate vectors. Fig. 9 plots the gather+scatter time against the
 //! edge count; §VI-E's argument is that this communication alone exceeds
 //! running MCM-DIST in place.

@@ -3,7 +3,7 @@
 //! Implements Azad & Buluç (IPDPS 2016): the matrix-algebraic MS-BFS
 //! maximum-cardinality-matching algorithm (`MCM-DIST`, Algorithm 2), its
 //! primitives (Table I), both augmentation kernels (Algorithms 3 and 4),
-//! the maximal-matching initializers of their companion work [21], and the
+//! the maximal-matching initializers of their companion work \[21\], and the
 //! serial baselines used for correctness and context (§VI-E).
 //!
 //! Quick start:
@@ -24,7 +24,6 @@
 
 // Index loops over parallel arrays are the clearest style in these kernels.
 #![allow(clippy::needless_range_loop)]
-pub mod auction;
 pub mod augment;
 pub mod btf;
 pub mod cover;
@@ -48,4 +47,6 @@ pub use mcm::{maximum_matching, McmOptions, McmResult, McmStats, SolverPool, Sta
 pub use portfolio::{MatchingAlgo, PortfolioBackend, PortfolioOptions, SelectorStats};
 pub use semirings::SemiringKind;
 pub use vertex::Vertex;
-pub use weighted::{auction_mwm, auction_mwm_par, matching_weight, WeightedResult};
+pub use weighted::{
+    auction_mwm, auction_mwm_par, matching_weight, AuctionOptions, AuctionStats, WeightedResult,
+};

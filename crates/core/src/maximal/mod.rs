@@ -2,7 +2,7 @@
 //!
 //! §VI-A: *"The total runtime of an MCM algorithm often decreases when it is
 //! initialized by a maximal matching with high approximation ratio. In our
-//! prior work [21], we developed distributed-memory Karp-Sipser, dynamic
+//! prior work \[21\], we developed distributed-memory Karp-Sipser, dynamic
 //! mindegree and greedy algorithms using a subset of the matrix-algebraic
 //! primitives."*
 //!

@@ -90,9 +90,9 @@ pub struct McmStats {
     /// One-sided calls serviced under perturbed interleavings, summed over
     /// all path-parallel augmentation epochs.
     pub sched_interleave_steps: u64,
-    /// Which engine produced the result (`"msbfs"`, `"ppf"`,
-    /// `"auction"`; see `portfolio::MatchingAlgo`). Empty only on
-    /// default-constructed stats.
+    /// Which engine produced the result (`"msbfs"` or `"ppf"`; see
+    /// `portfolio::MatchingAlgo`). Empty only on default-constructed
+    /// stats.
     pub algo: &'static str,
     /// `true` when `--algo auto` picked the engine from measured graph
     /// stats rather than an explicit request.

@@ -1,26 +1,23 @@
-//! The algorithm portfolio: one front door over the three first-class
-//! engines — MS-BFS (the paper's MCM-DIST), parallel Pothen–Fan
-//! ([`crate::ppf`]) and the ε-scaled auction ([`crate::auction`]) — plus
-//! the `auto` selector that picks an engine from cheap measured graph
-//! statistics (DESIGN.md §15).
+//! The algorithm portfolio: one front door over the two first-class
+//! cardinality engines — MS-BFS (the paper's MCM-DIST) and parallel
+//! Pothen–Fan ([`crate::ppf`]) — plus the `auto` selector that picks one
+//! from cheap measured graph statistics (DESIGN.md §15), and the weighted
+//! front door over the parallel auction ([`solve_weighted`]).
 //!
 //! The selector reads three numbers off one O(nnz) pass over the
 //! deduplicated graph: density, side ratio and degree skew. All three are
 //! label-permutation-invariant (they depend only on the degree multisets
 //! and the dimensions), so `auto` is deterministic and cannot be steered
 //! by vertex relabeling — properties pinned by `tests/algo_portfolio.rs`.
-//! The placement heuristic: dense blocks go to the auction (per-bidder
-//! parallelism and Naparstek–Leshem's expected-time analysis favour
-//! crowded random instances), heavy degree skew or a strongly rectangular
-//! shape goes to Pothen–Fan (lookahead DFS drains hub-dominated and
-//! deficient instances in few phases), and everything else takes MS-BFS,
-//! the paper's engine. Every run is differential-tested against the
-//! serial oracles regardless of the pick.
+//! The placement heuristic: heavy degree skew, a strongly rectangular
+//! shape or a dense block goes to Pothen–Fan (lookahead DFS drains
+//! hub-dominated, deficient and crowded instances in few phases), and
+//! everything else takes MS-BFS, the paper's engine. Every run is
+//! differential-tested against the serial oracles regardless of the pick.
 
-use crate::auction::{auction, AuctionOptions};
 use crate::mcm::{maximum_matching, McmOptions, McmResult, McmStats, SolverPool, Start};
 use crate::ppf::{ppf, PpfOptions};
-use crate::weighted::{auction_mwm_par, WeightedResult};
+use crate::weighted::{auction_mwm_par, AuctionOptions, WeightedResult};
 use mcm_bsp::{DistCtx, EngineComm, MachineConfig};
 use mcm_sparse::{CscView, Triples, WCsc};
 use std::fmt;
@@ -33,23 +30,19 @@ pub enum MatchingAlgo {
     MsBfs,
     /// Parallel Pothen–Fan lookahead-DFS ([`crate::ppf`]).
     Ppf,
-    /// ε-scaled per-bidder auction ([`crate::auction`]).
-    Auction,
     /// Pick one of the above from measured graph stats.
     Auto,
 }
 
 impl MatchingAlgo {
     /// Every concrete engine (excludes `Auto`).
-    pub const CONCRETE: [MatchingAlgo; 3] =
-        [MatchingAlgo::MsBfs, MatchingAlgo::Ppf, MatchingAlgo::Auction];
+    pub const CONCRETE: [MatchingAlgo; 2] = [MatchingAlgo::MsBfs, MatchingAlgo::Ppf];
 
     /// The CLI / metrics-label name.
     pub fn name(self) -> &'static str {
         match self {
             MatchingAlgo::MsBfs => "msbfs",
             MatchingAlgo::Ppf => "ppf",
-            MatchingAlgo::Auction => "auction",
             MatchingAlgo::Auto => "auto",
         }
     }
@@ -68,9 +61,8 @@ impl FromStr for MatchingAlgo {
         match s {
             "msbfs" => Ok(MatchingAlgo::MsBfs),
             "ppf" => Ok(MatchingAlgo::Ppf),
-            "auction" => Ok(MatchingAlgo::Auction),
             "auto" => Ok(MatchingAlgo::Auto),
-            other => Err(format!("unknown algorithm '{other}' (expected msbfs|ppf|auction|auto)")),
+            other => Err(format!("unknown algorithm '{other}' (expected msbfs|ppf|auto)")),
         }
     }
 }
@@ -96,22 +88,12 @@ pub struct SelectorStats {
 }
 
 impl SelectorStats {
-    /// Density above which the auction engine is preferred.
+    /// Density above which Pothen–Fan is preferred.
     pub const DENSE: f64 = 0.05;
     /// Degree skew above which Pothen–Fan is preferred.
     pub const SKEWED: f64 = 8.0;
     /// Side ratio above which Pothen–Fan is preferred.
     pub const RECTANGULAR: f64 = 4.0;
-    /// Degree skew **below** which a dense instance is routed to PPF
-    /// instead of the auction. Crown-like shapes — dense, square, and
-    /// degree-uniform (crown(n) has every degree n−1, skew exactly 1) —
-    /// are drained by PPF's greedy + lookahead in one `O(nnz)` phase,
-    /// while the auction runs price dynamics over all n² edges:
-    /// BENCH_algo.json has the density rule losing ~40× on crown_256.
-    /// The auction's home turf, crowded *random* instances, sits well
-    /// above this bound (a binomial degree distribution puts the max
-    /// degree at ≥ 2× the mean at these sizes).
-    pub const UNIFORM: f64 = 1.25;
 
     /// Measures the selector inputs of an edge list (deduplicates via CSC
     /// assembly).
@@ -157,33 +139,25 @@ impl SelectorStats {
     }
 
     /// The selector decision; always a concrete engine, never `Auto`.
-    /// Shape rules run before the density rule: a strongly rectangular
-    /// graph has a high `nnz/(n1·n2)` purely because its small side is
-    /// small, and skewed-degree instances are PPF's home turf even when
-    /// crowded. The density rule itself carries a uniformity guard
-    /// ([`Self::UNIFORM`]): dense but degree-uniform instances (crowns,
-    /// complete blocks) are price-war fuel for the auction and trivial
-    /// for PPF, so only dense instances with genuine degree variance go
-    /// to the auction.
+    /// Skewed, strongly rectangular and dense graphs go to PPF, whose
+    /// greedy + lookahead DFS drains them in few phases; balanced sparse
+    /// graphs go to MS-BFS.
     pub fn choose(&self) -> MatchingAlgo {
         if self.nnz == 0 {
             MatchingAlgo::MsBfs
-        } else if self.degree_skew >= Self::SKEWED || self.side_ratio >= Self::RECTANGULAR {
+        } else if self.degree_skew >= Self::SKEWED
+            || self.side_ratio >= Self::RECTANGULAR
+            || self.density >= Self::DENSE
+        {
             MatchingAlgo::Ppf
-        } else if self.density >= Self::DENSE {
-            if self.degree_skew <= Self::UNIFORM {
-                MatchingAlgo::Ppf // crown guard: dense + uniform
-            } else {
-                MatchingAlgo::Auction
-            }
         } else {
             MatchingAlgo::MsBfs
         }
     }
 }
 
-/// Which machine MS-BFS runs on when the portfolio picks it. PPF and the
-/// auction are shared-memory engines — they take `threads` directly.
+/// Which machine MS-BFS runs on when the portfolio picks it. PPF is a
+/// shared-memory engine — it takes `threads` directly.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PortfolioBackend {
     /// Cost-model simulator on a `grid × grid` process grid.
@@ -215,12 +189,12 @@ pub struct PortfolioOptions {
     pub algo: MatchingAlgo,
     /// Machine for the MS-BFS engine.
     pub backend: PortfolioBackend,
-    /// Worker threads for the PPF / auction engines.
+    /// Worker threads for PPF and the weighted auction.
     pub threads: usize,
-    /// MS-BFS tunables (ignored by PPF / auction).
+    /// MS-BFS tunables (ignored by PPF and the weighted auction).
     pub mcm: McmOptions,
-    /// Deterministic order-perturbation seed for PPF / auction (the
-    /// simtest schedule analogue); `0` keeps natural order.
+    /// Deterministic order-perturbation seed for PPF and the weighted
+    /// auction (the simtest schedule analogue); `0` keeps natural order.
     pub seed: u64,
 }
 
@@ -285,22 +259,6 @@ pub fn solve(a: &CscView<'_>, opts: &PortfolioOptions) -> McmResult {
                 },
             }
         }
-        MatchingAlgo::Auction => {
-            let auction_opts = AuctionOptions {
-                threads: opts.threads,
-                seed: opts.seed,
-                ..AuctionOptions::default()
-            };
-            let r = auction(a, &auction_opts);
-            let stats = McmStats {
-                algo: "auction",
-                phases: r.stats.scales,
-                iterations: r.stats.rounds,
-                augmentations: r.matching.cardinality(),
-                ..Default::default()
-            };
-            McmResult { matching: r.matching, stats }
-        }
         MatchingAlgo::Auto => unreachable!("resolve_algo returns concrete engines"),
     };
     result.stats.algo_auto = was_auto;
@@ -311,7 +269,7 @@ pub fn solve(a: &CscView<'_>, opts: &PortfolioOptions) -> McmResult {
 /// portfolio. The weighted domain has one engine today — the parallel
 /// ε-scaled auction ([`crate::weighted::auction_mwm_par`]) — so no
 /// selector runs; `opts.threads` and `opts.seed` carry over exactly as
-/// for the cardinality auction. Stamps the shared
+/// for PPF. Stamps the shared
 /// `mcm_algo_runs_total{algo="wauction"}` counter and the
 /// `mcm_matching_weight` gauge.
 pub fn solve_weighted(a: &WCsc, opts: &PortfolioOptions) -> WeightedResult {
@@ -337,21 +295,20 @@ mod tests {
 
     #[test]
     fn parse_and_display_round_trip() {
-        for algo in
-            [MatchingAlgo::MsBfs, MatchingAlgo::Ppf, MatchingAlgo::Auction, MatchingAlgo::Auto]
-        {
+        for algo in [MatchingAlgo::MsBfs, MatchingAlgo::Ppf, MatchingAlgo::Auto] {
             assert_eq!(algo.name().parse::<MatchingAlgo>().unwrap(), algo);
             assert_eq!(format!("{algo}"), algo.name());
         }
         assert!("frobnicate".parse::<MatchingAlgo>().is_err());
         assert!("MSBFS".parse::<MatchingAlgo>().is_err(), "names are case-sensitive");
+        assert!("auction".parse::<MatchingAlgo>().is_err(), "the cardinality auction is gone");
     }
 
     #[test]
     fn selector_routes_the_intended_shapes() {
-        // Dense with genuine degree variance → auction. A 10-cycle of
+        // Dense with genuine degree variance → ppf. A 10-cycle of
         // degree-2 columns plus one degree-5 hub column: density 0.23,
-        // skew ≈ 2.2 — above UNIFORM, below SKEWED.
+        // skew ≈ 2.2, below SKEWED.
         let mut dense = Triples::new(10, 10);
         for j in 0..10u32 {
             dense.push(j, j);
@@ -362,15 +319,11 @@ mod tests {
         }
         let s = SelectorStats::measure(&dense);
         assert!(s.density >= SelectorStats::DENSE, "density {}", s.density);
-        assert!(
-            s.degree_skew > SelectorStats::UNIFORM && s.degree_skew < SelectorStats::SKEWED,
-            "skew {}",
-            s.degree_skew
-        );
-        assert_eq!(s.choose(), MatchingAlgo::Auction);
+        assert!(s.degree_skew < SelectorStats::SKEWED, "skew {}", s.degree_skew);
+        assert!(s.side_ratio < SelectorStats::RECTANGULAR);
+        assert_eq!(s.choose(), MatchingAlgo::Ppf);
 
-        // Dense but degree-uniform (complete block, skew exactly 1) →
-        // ppf via the crown guard.
+        // Dense and degree-uniform (complete block, skew exactly 1) → ppf.
         let mut block = Triples::new(8, 8);
         for r in 0..8u32 {
             for c in 0..8u32 {
@@ -378,7 +331,7 @@ mod tests {
             }
         }
         let s = SelectorStats::measure(&block);
-        assert!(s.degree_skew <= SelectorStats::UNIFORM);
+        assert_eq!(s.degree_skew, 1.0);
         assert_eq!(s.choose(), MatchingAlgo::Ppf);
 
         // Hub-dominated sparse graph → ppf.

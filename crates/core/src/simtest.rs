@@ -20,9 +20,9 @@
 //! "Reproducing a failing schedule"). [`detect_injected_fault`] arms the
 //! deliberate `fetch_and_put` bug of [`FaultPlan::broken_fetch_and_put`]
 //! and reports the first seed on which the same checks catch it — the
-//! harness's own acceptance test.
+//! harness's own acceptance test; [`detect_injected_auction_fault`] does
+//! the same for the parallel auction's lost-bidder bug.
 
-use crate::auction::{auction, AuctionOptions};
 use crate::augment::AugmentMode;
 use crate::maximal::Initializer;
 use crate::mcm::{maximum_matching, McmOptions, SolverPool, Start};
@@ -31,12 +31,13 @@ use crate::primitives::invert;
 use crate::semirings::SemiringKind;
 use crate::serial::{hopcroft_karp, pothen_fan};
 use crate::verify;
+use crate::weighted::{auction_mwm, auction_mwm_par, AuctionOptions};
 use mcm_bsp::collectives::{balanced_owner, per_rank_counts, per_rank_index_counts};
 use mcm_bsp::engine::run_ranks_sched;
 use mcm_bsp::sched::{FaultPlan, SchedConfig, Schedule};
 use mcm_bsp::{DistCtx, Kernel, MachineConfig};
 use mcm_sparse::permute::SplitMix64;
-use mcm_sparse::{Csc, SpVec, Triples, Vidx};
+use mcm_sparse::{Csc, SpVec, Triples, Vidx, WCsc};
 use std::fmt;
 
 /// The configuration matrix of one sweep.
@@ -74,7 +75,7 @@ impl SweepConfig {
             augments: vec![AugmentMode::LevelParallel, AugmentMode::PathParallel],
             sched_seeds: vec![0xA11CE, 0xB0B5EED, 0xC0FFEE],
             engine_check: true,
-            algos: vec![MatchingAlgo::Ppf, MatchingAlgo::Auction],
+            algos: vec![MatchingAlgo::Ppf],
         }
     }
 
@@ -99,7 +100,7 @@ pub struct SweepReport {
     pub interleave_steps: u64,
     /// Channel-engine accounting differentials executed.
     pub engine_checks: usize,
-    /// Portfolio-engine (ppf/auction) runs, each individually checked.
+    /// Portfolio-engine (ppf) runs, each individually checked.
     pub portfolio_runs: usize,
 }
 
@@ -120,7 +121,7 @@ pub struct SweepFailure {
     pub augment: AugmentMode,
     /// The seed that replays the failing schedule.
     pub sched_seed: u64,
-    /// Engine of the failing run (`"msbfs"`, `"ppf"`, `"auction"`).
+    /// Engine of the failing run (`"msbfs"`, `"ppf"`, `"wauction"`).
     pub algo: &'static str,
     /// Which check tripped, with its diagnostic.
     pub detail: String,
@@ -433,49 +434,67 @@ pub fn detect_injected_fault(
     None
 }
 
-/// The auction-engine analogue of [`detect_injected_fault`]: arms the
-/// deliberate "lost bidder" bid-update bug
-/// ([`AuctionOptions::fault_lost_bidder`] — evicted owners are dropped
-/// instead of re-enqueued) and runs the same per-run checks the portfolio
-/// sweep applies. Returns the first seed on which the harness catches the
-/// bug; `None` means it escaped the whole seed budget (a harness
-/// regression, pinned by tests on eviction-heavy instances).
+/// The auction analogue of [`detect_injected_fault`]: arms the deliberate
+/// "lost bidder" bid-update bug ([`AuctionOptions::fault_lost_bidder`] —
+/// evicted owners are dropped instead of re-enqueued) in the parallel
+/// auction [`auction_mwm_par`], run on `graph` with unit weights, and
+/// checks every run against the serial oracle's weight ([`auction_mwm`])
+/// and the ε-CS certificate. Returns the first seed on which the harness
+/// catches the bug; `None` means it escaped the whole seed budget (a
+/// harness regression, pinned by tests on eviction-heavy instances).
 pub fn detect_injected_auction_fault(
     graph: &Triples,
     sched_seeds: &[u64],
 ) -> Option<(u64, Box<SweepFailure>)> {
-    let a = graph.to_csc();
-    let want = oracle_cardinality(&a).expect("oracle failed on fault-injection input");
+    let a = unit_weights(graph);
+    let want = auction_oracle_weight(&a);
     for &seed in sched_seeds {
         let opts = AuctionOptions { seed, fault_lost_bidder: true, ..AuctionOptions::default() };
-        let r = auction(&a, &opts);
-        let detail = if r.matching.cardinality() != want {
-            format!(
-                "cardinality {} diverged from serial oracles ({want})",
-                r.matching.cardinality()
-            )
-        } else if let Err(e) = verify::verify(&a, &r.matching) {
-            e.to_string()
-        } else if !verify::is_maximum_from(&a, &r.matching, &r.matching.unmatched_cols()) {
-            "seeded is_maximum_from certificate rejected the matching".to_string()
-        } else {
-            continue;
-        };
-        return Some((
-            seed,
-            Box::new(SweepFailure {
-                case: "auction-fault-injection".into(),
-                dim: 1,
-                semiring: SemiringKind::MinParent,
-                init: Initializer::None,
-                augment: AugmentMode::Auto,
-                sched_seed: seed,
-                algo: "auction",
-                detail,
-            }),
-        ));
+        if let Err(detail) = run_auction_one(&a, want, &opts) {
+            return Some((
+                seed,
+                Box::new(SweepFailure {
+                    case: "auction-fault-injection".into(),
+                    dim: 1,
+                    semiring: SemiringKind::MinParent,
+                    init: Initializer::None,
+                    augment: AugmentMode::Auto,
+                    sched_seed: seed,
+                    algo: "wauction",
+                    detail,
+                }),
+            ));
+        }
     }
     None
+}
+
+/// `graph` with every edge weighted 1: its maximum weight is its maximum
+/// cardinality.
+fn unit_weights(graph: &Triples) -> WCsc {
+    let entries = graph.entries().iter().map(|&(r, c)| (r, c, 1.0)).collect();
+    WCsc::from_weighted_triples(graph.nrows(), graph.ncols(), entries)
+}
+
+/// The serial auction's weight at an ε inside the integer exactness bound.
+fn auction_oracle_weight(a: &WCsc) -> f64 {
+    auction_mwm(a, 0.5 / (a.nrows().max(a.ncols()) as f64 + 1.0)).weight
+}
+
+/// One checked parallel-auction run on a unit-weight graph: its weight
+/// against the serial oracle's, the Berge certificate (unit weights make
+/// a maximum weight matching a maximum cardinality one), then the ε-CS
+/// certificate on its own prices.
+fn run_auction_one(a: &WCsc, want: f64, opts: &AuctionOptions) -> Result<(), String> {
+    let r = auction_mwm_par(a, opts);
+    if (r.weight - want).abs() > 1e-9 {
+        return Err(format!(
+            "weight {} diverged from the serial auction oracle ({want})",
+            r.weight
+        ));
+    }
+    verify::verify(a.pattern(), &r.matching).map_err(|e| e.to_string())?;
+    verify::verify_eps_cs(a, &r.matching, &r.prices, r.eps).map_err(|e| e.to_string())
 }
 
 #[cfg(test)]
@@ -525,23 +544,23 @@ mod tests {
             augments: vec![AugmentMode::PathParallel],
             sched_seeds: vec![1, 2],
             engine_check: false,
-            algos: vec![MatchingAlgo::Ppf, MatchingAlgo::Auction],
+            algos: vec![MatchingAlgo::Ppf],
         };
         let report = differential_sweep(&cases, &cfg).unwrap_or_else(|e| panic!("{e}"));
-        // 2 dims × 2 algos × 2 seeds.
-        assert_eq!(report.portfolio_runs, 8);
+        // 2 dims × 1 algo × 2 seeds.
+        assert_eq!(report.portfolio_runs, 4);
     }
 
     #[test]
     fn injected_auction_fault_is_caught_and_replays() {
-        // chain(6) forces an eviction cascade (see auction.rs tests), so
-        // the lost-bidder bug strands the tail row.
+        // chain(6) forces an eviction cascade (see the weighted.rs
+        // tests), so the lost-bidder bug strands the tail row.
         let g = chain_graph(6);
         let budget: Vec<u64> = (0..3).collect();
         let (seed, failure) = detect_injected_auction_fault(&g, &budget)
             .expect("lost-bidder auction bug escaped the harness");
         let msg = failure.to_string();
-        assert_eq!(failure.algo, "auction");
+        assert_eq!(failure.algo, "wauction");
         assert!(
             msg.contains(&format!("{seed:#x}")),
             "failure report must print the replay seed: {msg}"
@@ -550,11 +569,14 @@ mod tests {
             detect_injected_auction_fault(&g, &[seed]).expect("replay lost the bug");
         assert_eq!(seed2, seed);
         assert_eq!(failure2.detail, failure.detail, "replay diverged from original failure");
-        // Clean auction runs pass the identical checks on the same seeds.
-        let a = g.to_csc();
-        let want = oracle_cardinality(&a).unwrap();
+        // Clean auction runs pass the identical checks on the same seeds,
+        // and the oracle weight is the graph's maximum cardinality.
+        let a = unit_weights(&g);
+        let want = auction_oracle_weight(&a);
+        assert_eq!(want, oracle_cardinality(&g.to_csc()).unwrap() as f64);
         for seed in budget {
-            run_portfolio_one(&a, want, MatchingAlgo::Auction, 1, seed)
+            let opts = AuctionOptions { seed, ..AuctionOptions::default() };
+            run_auction_one(&a, want, &opts)
                 .unwrap_or_else(|e| panic!("clean auction run failed under seed {seed}: {e}"));
         }
     }

@@ -1,6 +1,6 @@
 //! Maximum weight bipartite matching by auction (ε-scaling).
 //!
-//! The paper's motivating application chain (§I, citation [2] = Duff &
+//! The paper's motivating application chain (§I, citation \[2\] = Duff &
 //! Koster) continues past structural matching: direct solvers also want
 //! *numerically large* diagonals, i.e. a matching maximizing the sum of
 //! (log-)magnitudes — the MC64 step. This module provides that companion
@@ -17,12 +17,14 @@
 //!
 //! * [`auction_mwm`] — the single-scale serial oracle: a queue of bidders,
 //!   unconditionally correct, the differential reference.
-//! * [`auction_mwm_par`] — the production engine on the cardinality
-//!   auction's bidding skeleton ([`crate::auction`], DESIGN.md §15/§17):
-//!   Jacobi-synchronous parallel bid rounds against round-frozen prices,
-//!   deterministic serial resolution (thread-count-invariant matchings by
-//!   construction), and ε-scaling with edge-ε-CS repair at scale
-//!   transitions, exactly as in the unit engine.
+//! * [`auction_mwm_par`] — the production engine (DESIGN.md §17), the
+//!   library's one parallel auction: Jacobi-synchronous bid rounds
+//!   against round-frozen prices, bids computed in parallel, deterministic
+//!   serial resolution (thread-count-invariant matchings by construction),
+//!   and ε-scaling with edge-ε-CS repair at scale transitions. With unit
+//!   weights it computes a maximum cardinality matching; the portfolio
+//!   sends cardinality problems to MS-BFS or Pothen–Fan instead
+//!   (EXPERIMENTS.md, "One auction").
 //!
 //! Keep-the-matching scaling needs one weighted-only ingredient to stay
 //! correct for *non-perfect* MWM without Bertsekas' λ-mechanism: besides
@@ -40,12 +42,68 @@
 //!
 //! Both return the final price vector so callers can check the
 //! certificate independently ([`crate::verify::verify_eps_cs`]).
+//!
+//! `AuctionOptions::fault_lost_bidder` deliberately drops evicted owners
+//! instead of re-enqueueing them — the simtest fault plan uses it to prove
+//! the differential harness catches bid-update bugs in the parallel engine
+//! (`simtest::detect_injected_auction_fault`).
 
-use crate::auction::{AuctionOptions, AuctionStats};
 use crate::matching::Matching;
 use mcm_sparse::permute::SplitMix64;
 use mcm_sparse::{Vidx, WCsc, NIL};
 use std::collections::VecDeque;
+
+/// Tunables of the parallel auction engine ([`auction_mwm_par`]).
+#[derive(Clone, Copy, Debug)]
+pub struct AuctionOptions {
+    /// Worker threads for the per-bidder bid computation (`mcm-par`).
+    /// Results are identical for every thread count by construction.
+    pub threads: usize,
+    /// First scale's ε, relative to the value range. Clamped up to the
+    /// final ε when smaller.
+    pub eps_start: f64,
+    /// Divisor applied to ε between scales (> 1).
+    pub eps_scale: f64,
+    /// Final ε; `None` uses `1 / (2·(nrows+1))`, strictly inside the
+    /// exactness bound `1/(nrows+1)` for integer weights.
+    pub eps_final: Option<f64>,
+    /// Deterministic perturbation of the bid-resolution order (the
+    /// simtest schedule analogue); `0` keeps the natural order.
+    pub seed: u64,
+    /// Harness-only bug injection: evicted owners are dropped instead of
+    /// re-enqueued ("lost bidder"), leaving augmenting paths behind.
+    pub fault_lost_bidder: bool,
+}
+
+impl Default for AuctionOptions {
+    fn default() -> Self {
+        Self {
+            threads: 1,
+            eps_start: 0.25,
+            eps_scale: 4.0,
+            eps_final: None,
+            seed: 0,
+            fault_lost_bidder: false,
+        }
+    }
+}
+
+/// Counters describing one auction run.
+#[derive(Clone, Debug, Default)]
+pub struct AuctionStats {
+    /// ε-scales executed.
+    pub scales: usize,
+    /// Jacobi rounds across all scales.
+    pub rounds: usize,
+    /// Bids computed (one per active bidder per round).
+    pub bids: usize,
+    /// Owners evicted by a higher bid.
+    pub evictions: usize,
+    /// Retirements (per scale; a bidder may retire once per scale).
+    pub retired: usize,
+    /// Columns un-matched by ε-CS repair at scale transitions.
+    pub rescaled: usize,
+}
 
 /// Result of [`auction_mwm`] / [`auction_mwm_par`].
 #[derive(Clone, Debug)]
@@ -148,22 +206,20 @@ const TOL: f64 = 1e-12;
 
 /// Maximum weight bipartite matching by parallel ε-scaled forward auction.
 ///
-/// The weighted generalization of [`crate::auction::auction`]: columns bid
-/// for their best net-value row (`w − price`) in Jacobi-synchronous rounds
-/// — bids computed in parallel via `mcm-par` against the round-frozen
-/// price vector, then resolved serially in a deterministic order — so the
-/// matching is identical for every thread count. `opts.eps_start` is
-/// interpreted relative to the value range (`· max(1, max|w|)`), which
-/// reduces to the cardinality engine's start for unit weights;
-/// `opts.eps_final = None` uses `1/(2·(nrows+1))`, strictly inside the
-/// integer-weight exactness bound `1/(nrows+1)`.
+/// Columns bid for their best net-value row (`w − price`) in
+/// Jacobi-synchronous rounds — bids computed in parallel via `mcm-par`
+/// against the round-frozen price vector, then resolved serially in a
+/// deterministic order — so the matching is identical for every thread
+/// count. `opts.eps_start` is interpreted relative to the value range
+/// (`· max(1, max|w|)`); `opts.eps_final = None` uses `1/(2·(nrows+1))`,
+/// strictly inside the integer-weight exactness bound `1/(nrows+1)`.
 pub fn auction_mwm_par(a: &WCsc, opts: &AuctionOptions) -> WeightedResult {
     let (n1, n2) = (a.nrows(), a.ncols());
     let mut m = Matching::empty(n1, n2);
     let mut stats = AuctionStats::default();
     let mut prices = vec![0.0f64; n1];
-    // Columns dropped by the injected fault never re-enter the auction
-    // (harness seam, same as the cardinality engine).
+    // Columns dropped by the injected fault never re-enter the auction —
+    // that is the bug being modelled.
     let mut lost = vec![false; n2];
 
     let eps_final = opts.eps_final.unwrap_or_else(|| 1.0 / (2.0 * (n1 as f64 + 1.0)));
@@ -247,9 +303,8 @@ pub fn auction_mwm_par(a: &WCsc, opts: &AuctionOptions) -> WeightedResult {
     WeightedResult { matching: m, weight, bids, prices, eps, stats }
 }
 
-/// Runs Jacobi rounds at a fixed ε until no active bidder remains — the
-/// weighted twin of the cardinality engine's `run_scale`, with net value
-/// `w(r, c) − price[r]` in place of `1 − price[r]`.
+/// Runs Jacobi rounds at a fixed ε until no active bidder remains; a
+/// bidder's net value for row `r` is `w(r, c) − price[r]`.
 #[allow(clippy::too_many_arguments)]
 fn run_weighted_scale(
     a: &WCsc,
@@ -621,6 +676,38 @@ mod tests {
             assert_eq!(mwm.matching.cardinality(), mcm);
             assert!((mwm.weight - mcm as f64).abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn lost_bidder_fault_loses_cardinality_on_alternating_chain() {
+        // chain(k) with unit weights: col i adjacent to rows {i-1, i}.
+        // Round one leaves c1 beaten on r0; its recovery bid evicts c2 from
+        // r1 and a rematch cascade walks the chain. Dropping any evicted
+        // owner strands the tail row even though its augmenting path
+        // survives.
+        use crate::serial::hopcroft_karp;
+        let k = 8usize;
+        let mut entries = Vec::new();
+        for c in 0..k as Vidx {
+            entries.push((c, c, 1.0));
+            if c > 0 {
+                entries.push((c - 1, c, 1.0));
+            }
+        }
+        let a = WCsc::from_weighted_triples(k, k, entries);
+        let want = hopcroft_karp(a.pattern(), None).cardinality();
+        assert_eq!(want, k);
+        let good = auction_mwm_par(&a, &AuctionOptions::default());
+        assert_eq!(good.matching.cardinality(), want);
+        assert!(good.stats.evictions > 0, "instance must actually evict");
+        let bad = auction_mwm_par(
+            &a,
+            &AuctionOptions { fault_lost_bidder: true, ..AuctionOptions::default() },
+        );
+        assert!(
+            bad.matching.cardinality() < want,
+            "lost-bidder fault was not observable on this instance"
+        );
     }
 
     #[test]

@@ -46,7 +46,6 @@
 
 use crate::graph::DynGraph;
 use mcm_bsp::{DistCtx, EngineComm, MachineConfig};
-use mcm_core::auction::{auction, AuctionOptions};
 use mcm_core::mcm::{maximum_matching, SolverPool, Start};
 use mcm_core::ppf::{ppf, PpfOptions};
 use mcm_core::serial::hopcroft_karp;
@@ -103,9 +102,8 @@ pub struct DynOptions {
     pub backend: FallbackBackend,
     /// Which engine services the fallback solve. `MsBfs` warm-starts the
     /// distributed driver on `backend` (the historical default); `Ppf`
-    /// warm-starts parallel Pothen–Fan; `Auction` re-solves cold (the
-    /// auction cannot reuse a stale matching); `Auto` measures the
-    /// current graph's [`SelectorStats`] per fallback and picks.
+    /// warm-starts parallel Pothen–Fan; `Auto` measures the current
+    /// graph's [`SelectorStats`] per fallback and picks.
     pub algo: MatchingAlgo,
 }
 
@@ -544,12 +542,6 @@ impl DynMatching {
             &[("algo", algo.name()), ("selector", if was_auto { "auto" } else { "explicit" })],
             1,
         );
-        // Shared-memory engines take a flat worker count; map the
-        // backend's rank×thread shape onto it.
-        let threads = match self.opts.backend {
-            FallbackBackend::Simulator { threads, .. } => threads,
-            FallbackBackend::Engine { p, threads } => p * threads,
-        };
         self.m = match algo {
             MatchingAlgo::MsBfs | MatchingAlgo::Auto => {
                 let (pool, opts, warm) =
@@ -571,12 +563,14 @@ impl DynMatching {
                 r.matching
             }
             MatchingAlgo::Ppf => {
+                // PPF takes a flat worker count; map the backend's
+                // rank×thread shape onto it.
+                let threads = match self.opts.backend {
+                    FallbackBackend::Simulator { threads, .. } => threads,
+                    FallbackBackend::Engine { p, threads } => p * threads,
+                };
                 let opts = PpfOptions { threads, fairness: true, seed: 0 };
                 ppf(a, Some(stale), &opts).matching
-            }
-            MatchingAlgo::Auction => {
-                let opts = AuctionOptions { threads, ..AuctionOptions::default() };
-                auction(a, &opts).matching
             }
         };
     }
@@ -936,9 +930,7 @@ mod tests {
         // all must stay maximum (full_verify certifies every batch) and
         // report which engine serviced the solve.
         let (n1, n2) = (12usize, 12usize);
-        for algo in
-            [MatchingAlgo::MsBfs, MatchingAlgo::Ppf, MatchingAlgo::Auction, MatchingAlgo::Auto]
-        {
+        for algo in [MatchingAlgo::MsBfs, MatchingAlgo::Ppf, MatchingAlgo::Auto] {
             let mut rng = SplitMix64::new(0xA160);
             let mut dm = DynMatching::new(
                 n1,

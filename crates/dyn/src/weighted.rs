@@ -36,9 +36,8 @@
 //! exactly optimal across arbitrary update histories.
 
 use crate::graph::DynGraph;
-use mcm_core::auction::AuctionOptions;
 use mcm_core::verify::{verify_eps_cs, VerifyError};
-use mcm_core::weighted::auction_mwm_par;
+use mcm_core::weighted::{auction_mwm_par, AuctionOptions};
 use mcm_core::Matching;
 use mcm_sparse::{CscOverlay, Vidx, WCsc, NIL};
 use std::collections::VecDeque;

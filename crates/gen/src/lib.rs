@@ -5,7 +5,7 @@
 //! 1. **Synthetic RMAT matrices** (§V-B): Graph500 (`a=.57, b=c=.19,
 //!    d=.05`, 32 nonzeros/row), SSCA#2 (`a=.6, b=c=d=.4/3`, 16/row) and
 //!    Erdős–Rényi (`a=b=c=d=.25`, 32/row) — implemented bit-faithfully in
-//!    [`rmat`].
+//!    [`rmat`](mod@rmat).
 //! 2. **Real matrices from the UF/SuiteSparse collection** (Table II). The
 //!    collection is not available offline, so [`realistic`] provides
 //!    structure-class stand-ins — planar meshes for `delaunay_n24`, lattice

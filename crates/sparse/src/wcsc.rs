@@ -1,7 +1,7 @@
 //! Weighted CSC: the pattern plus per-nonzero values.
 //!
 //! The structural matching this crate is built for is step one of solver
-//! preprocessing; step two (Duff & Koster's MC64, the paper's citation [2])
+//! preprocessing; step two (Duff & Koster's MC64, the paper's citation \[2\])
 //! matches on *numerical* weights to bring large entries onto the diagonal.
 //! [`WCsc`] carries the values needed for that weighted matching
 //! (`mcm-core::weighted`) while reusing the CSC pattern machinery.

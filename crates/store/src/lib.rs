@@ -5,7 +5,7 @@
 //! line-by-line Matrix Market parser; this crate makes the on-disk layout
 //! *be* the in-memory layout so graphs 10–100× larger load in O(1) work.
 //!
-//! * [`format`] — **MCSB**, a compact versioned binary format whose payload
+//! * [`format`](mod@format) — **MCSB**, a compact versioned binary format whose payload
 //!   is exactly the CSC arrays (`colptr`/`rowind`, optional `f64` values)
 //!   in fixed little-endian layout with 64-byte section alignment.
 //! * [`McsbFile`] — an mmap-backed reader exposing a borrowed

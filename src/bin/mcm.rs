@@ -8,10 +8,9 @@
 //! mcm gen     <family> --scale <s> --out <f> generate a test matrix
 //!
 //! match options:
-//!   --algo dist|hk|pf|pr|msbfs|graft|ppf|auction|auto
+//!   --algo dist|hk|pf|pr|msbfs|graft|ppf|auto
 //!                                      algorithm (default dist); `ppf` is
-//!                                      parallel Pothen–Fan, `auction` the
-//!                                      ε-scaled auction, `auto` measures
+//!                                      parallel Pothen–Fan, `auto` measures
 //!                                      the graph and picks an engine
 //!   --backend sim|engine|shared        cost-model simulator (default) or real
 //!                                      thread-per-rank mesh; `shared` is the
@@ -24,10 +23,16 @@
 //!                                      modeled α–β–γ one (dist)
 //!   --trace-out <file>                 write a chrome://tracing JSON trace
 //!   --out <file>                       write "row col" pairs
+//!   --weighted                         maximum *weight* matching instead:
+//!                                      values are weights, the parallel
+//!                                      ε-scaled auction solves it and its
+//!                                      ε-CS certificate is checked; takes
+//!                                      --threads and --out only
 //! gen families: g500, ssca, er (RMAT presets); road, mesh (2D meshes)
 //! ```
 //!
-//! Matrices are Matrix Market files; values are ignored (pattern matching).
+//! Matrices are Matrix Market files; values are ignored except with
+//! `match --weighted`.
 
 use mcm_bsp::{Communicator, DistCtx, EngineComm, MachineConfig};
 use mcm_core::dm::{dulmage_mendelsohn, DmBlock};
@@ -78,7 +83,6 @@ fn run(args: &[String]) -> Result<(), String> {
         Some("permute") => cmd_permute(&args[1..]),
         Some("dm") => cmd_dm(&args[1..]),
         Some("btf") => cmd_btf(&args[1..]),
-        Some("mwm") => cmd_mwm(&args[1..]),
         Some("gen") => cmd_gen(&args[1..]),
         Some("convert") => cmd_convert(&args[1..]),
         Some("help") | None => {
@@ -94,16 +98,16 @@ mcm — maximum cardinality matching in bipartite graphs (Azad & Buluc, IPDPS 20
 
 usage:
   mcm stats   <file.mtx>
-  mcm match   <file.mtx> [--algo dist|hk|pf|pr|msbfs|graft|ppf|auction|auto]
+  mcm match   <file.mtx> [--algo dist|hk|pf|pr|msbfs|graft|ppf|auto]
               [--backend sim|engine|shared]  shared = sim on a sqrt(p) x sqrt(p)
                                            grid, p from --ranks
               [--grid d] [--ranks p] [--threads t] [--breakdown] [--trace-out file] [--out file]
-              [--weighted]                 maximum weight matching (values used,
+  mcm match   <file.mtx> --weighted [--threads t] [--out file]
+                                           maximum weight matching (values used,
                                            parallel eps-scaled auction, eps-CS certified)
   mcm permute <file.mtx> --out <out.mtx>
   mcm dm      <file.mtx>
   mcm btf     <file.mtx>
-  mcm mwm     <file.mtx> [--eps e]     maximum weight matching (values used)
   mcm gen     <g500|ssca|er|road|mesh> --scale <s> --out <file> [--seed n]
               [--format mtx|mcsb]      mcsb streams RMAT edges straight to the
                                        binary store (bounded memory at any scale)
@@ -111,13 +115,16 @@ usage:
 
 Graph inputs are sniffed by content: Matrix Market text or the MCSB binary
 store (mcm-store). MCSB files are mmap'ed and matched zero-copy with
---algo dist|ppf|auction|auto; the serial algorithms materialize an in-RAM copy.
+--algo dist|ppf|auto; the serial algorithms materialize an in-RAM copy.
 ";
 
 /// Pulls `--flag value` out of an argument list.
 fn opt<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::as_str)
 }
+
+/// Flags that take no value.
+const SWITCHES: [&str; 2] = ["--breakdown", "--weighted"];
 
 fn positional(args: &[String]) -> Option<&str> {
     // First token that is not a flag and not a flag's value.
@@ -128,7 +135,7 @@ fn positional(args: &[String]) -> Option<&str> {
             continue;
         }
         if a.starts_with("--") {
-            skip = true;
+            skip = !SWITCHES.contains(&a.as_str());
             continue;
         }
         return Some(a);
@@ -241,7 +248,7 @@ fn compute(
     ranks: usize,
     threads: usize,
 ) -> Result<DistRun, String> {
-    if let "ppf" | "auction" | "auto" = algo {
+    if let "ppf" | "auto" = algo {
         let palgo: MatchingAlgo = algo.parse()?;
         let pbackend = match backend {
             "sim" => PortfolioBackend::Sim { grid, threads },
@@ -273,14 +280,18 @@ fn compute(
     Ok(DistRun { matching, modeled: Vec::new(), algo: label, auto: false })
 }
 
+/// `match` flags that choose or instrument a cardinality engine; the
+/// weighted path has one engine and rejects them rather than ignore them.
+const CARDINALITY_ONLY: [&str; 6] =
+    ["--algo", "--backend", "--grid", "--ranks", "--breakdown", "--trace-out"];
+
 /// `mcm match --weighted`: maximum *weight* matching through the
 /// portfolio's parallel eps-scaled auction, with the eps-complementary-
 /// slackness certificate checked before anything is printed.
 fn cmd_match_weighted(args: &[String]) -> Result<(), String> {
-    // `--weighted` takes no value; drop it so `positional` does not skip
-    // the path that follows it.
-    let args: Vec<String> = args.iter().filter(|a| *a != "--weighted").cloned().collect();
-    let args = &args[..];
+    if let Some(flag) = args.iter().find(|a| CARDINALITY_ONLY.contains(&a.as_str())) {
+        return Err(format!("{flag} does not apply to --weighted (it takes --threads and --out)"));
+    }
     let path = positional(args).ok_or("missing input file")?;
     let a = load_weighted(path)?;
     let threads: usize =
@@ -472,7 +483,7 @@ fn cmd_btf(args: &[String]) -> Result<(), String> {
 }
 
 /// Loads a weighted graph (`WCsc`): Matrix Market with values, or a
-/// weighted MCSB file (decoded on the heap; the auction engines mutate
+/// weighted MCSB file (decoded on the heap; the auction mutates
 /// prices next to the weights, so there is no zero-copy weighted path).
 fn load_weighted(path: &str) -> Result<mcm_sparse::WCsc, String> {
     match mcm_store::sniff_format(path).map_err(|e| format!("{path}: {e}"))? {
@@ -485,33 +496,6 @@ fn load_weighted(path: &str) -> Result<mcm_sparse::WCsc, String> {
             })
         }
     }
-}
-
-fn cmd_mwm(args: &[String]) -> Result<(), String> {
-    let path = positional(args).ok_or("missing input file")?;
-    let a = load_weighted(path)?;
-    let n = a.nrows().max(a.ncols()).max(1);
-    let default_eps = 0.5 / (n as f64 + 1.0);
-    let eps: f64 = match opt(args, "--eps") {
-        Some(s) => s.parse().map_err(|_| "bad --eps")?,
-        None => default_eps,
-    };
-    if eps.is_nan() || eps <= 0.0 {
-        return Err("--eps must be a positive number".into());
-    }
-    let r = mcm_core::weighted::auction_mwm(&a, eps);
-    r.matching
-        .validate(a.pattern())
-        .map_err(|e| format!("internal error, invalid matching: {e}"))?;
-    println!(
-        "maximum weight matching: |M| = {} of {} columns, total weight {:.6} ({} bids, eps {:.2e})",
-        r.matching.cardinality(),
-        a.ncols(),
-        r.weight,
-        r.bids,
-        eps
-    );
-    Ok(())
 }
 
 fn cmd_gen(args: &[String]) -> Result<(), String> {

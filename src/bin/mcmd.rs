@@ -62,7 +62,7 @@ mcmd — streaming update service for dynamic maximum matching
 usage:
   mcmd [--weighted] [--rows n] [--cols n] [--load file.mtx] [--input file]
        [--listen addr] [--max-batch n] [--max-delay-ms ms] [--queue-cap n]
-       [--fallback f] [--algo msbfs|ppf|auction|auto]
+       [--fallback f] [--algo msbfs|ppf|auto]
        [--backend sim|engine|shared] [--ranks p] [--threads t]
        [--trace-out file] [--full-verify] [--quiet]
 
@@ -89,9 +89,8 @@ usage:
                         repair falls back to the warm-started MS-BFS driver
                         (default 0.25); ignored with --weighted
   --algo a              engine servicing fallback solves: warm-started MS-BFS
-                        (msbfs, default), parallel Pothen-Fan (ppf), the
-                        eps-scaled auction (auction), or a per-fallback
-                        measured pick (auto)
+                        (msbfs, default), warm-started parallel Pothen-Fan
+                        (ppf), or a per-fallback measured pick (auto)
   --backend b           run fallback recomputes on the serial cost-model
                         simulator (sim, default) or the real thread-per-rank
                         mesh (engine); shared = the simulator accounting

@@ -1,17 +1,19 @@
 //! Portfolio lockdown (DESIGN.md §15): the `auto` selector's measured
 //! stats are deterministic and relabeling-invariant, its pick is exactly
-//! one concrete engine's result, the ε-scaled auction converges on the
-//! price-war adversaries, and every engine is Berge-certified through
+//! one concrete engine's result, dense graphs go to PPF, the ε-scaled
+//! parallel auction converges on the price-war adversaries at unit
+//! weights, and every engine is Berge-certified through
 //! `verify::is_maximum_from`.
 
-use mcm_core::auction::{auction, AuctionOptions};
 use mcm_core::portfolio::{resolve_algo, solve, MatchingAlgo, PortfolioOptions, SelectorStats};
 use mcm_core::serial::hopcroft_karp;
 use mcm_core::verify;
+use mcm_core::weighted::{auction_mwm_par, AuctionOptions};
+use mcm_gen::er::gnm_bipartite;
 use mcm_gen::hard::{chain, star};
 use mcm_gen::simtest_suite;
 use mcm_sparse::permute::{random_relabel, SplitMix64};
-use mcm_sparse::{Triples, Vidx};
+use mcm_sparse::{Triples, Vidx, WCsc};
 
 fn random_bipartite(n1: usize, n2: usize, edges: usize, seed: u64) -> Triples {
     let mut rng = SplitMix64::new(seed);
@@ -20,6 +22,18 @@ fn random_bipartite(n1: usize, n2: usize, edges: usize, seed: u64) -> Triples {
         t.push(rng.below(n1 as u64) as Vidx, rng.below(n2 as u64) as Vidx);
     }
     t
+}
+
+/// A crowded random square graph, the class the density rule is for:
+/// `7000` uniform draws on `256 × 256` leave density ≈ 0.1.
+fn dense_random(seed: u64) -> Triples {
+    gnm_bipartite(256, 256, 7000, seed)
+}
+
+/// `t` with every edge weighted 1, so maximum weight = maximum cardinality.
+fn unit_weights(t: &Triples) -> WCsc {
+    let entries = t.entries().iter().map(|&(r, c)| (r, c, 1.0)).collect();
+    WCsc::from_weighted_triples(t.nrows(), t.ncols(), entries)
 }
 
 #[test]
@@ -45,7 +59,7 @@ fn selector_stats_are_deterministic_and_permutation_invariant() {
 
 /// A dense square band (uniform degrees) plus one hub column touching
 /// every row: density ≈ 0.24, degree skew ≈ 4 — dense and genuinely
-/// skewed, the shape the density rule still sends to the auction.
+/// skewed, but below the skew rule, so the density rule decides it.
 fn banded_hub(n: usize) -> Triples {
     let mut t = Triples::new(n, n);
     for i in 0..n {
@@ -66,8 +80,9 @@ fn auto_pick_is_exactly_one_concrete_engines_result() {
     let cases = [
         random_bipartite(24, 24, 60, 0xA0), // balanced sparse → msbfs
         star(4, 64),                        // skew/rectangular → ppf
-        banded_hub(24),                     // dense + skewed → auction
-        mcm_gen::hard::crown(16),           // dense + uniform → ppf (crown guard)
+        banded_hub(24),                     // dense + skewed → ppf
+        mcm_gen::hard::crown(16),           // dense + uniform → ppf
+        dense_random(0xDE),                 // dense random → ppf
     ];
     for (i, t) in cases.iter().enumerate() {
         let a = t.to_csc();
@@ -86,34 +101,44 @@ fn auto_pick_is_exactly_one_concrete_engines_result() {
 #[test]
 fn crown_blind_spot_stays_fixed() {
     // Regression for the selector's crown blind spot: crowns are dense
-    // *and* degree-uniform, so the plain density rule routed them to the
-    // auction, whose price wars lost ~40x wall clock on crown_256
-    // (BENCH_algo.json). The uniformity guard must send every crown to
-    // PPF while leaving genuinely skewed dense instances on the auction.
-    for n in [8, 16, 64, 128] {
-        let t = mcm_gen::hard::crown(n);
+    // *and* degree-uniform, and the old density rule routed them to the
+    // cardinality auction, whose price wars lost ~40x wall clock on
+    // crown_256. Every dense graph now goes to PPF: degree-uniform
+    // crowns, the skewed banded hub, and the dense random graphs
+    // Naparstek–Leshem predict favour an auction, where PPF measured
+    // 8–18x faster (EXPERIMENTS.md, "One auction").
+    let mut dense: Vec<(String, Triples)> = [8, 16, 64, 128]
+        .iter()
+        .map(|&n| (format!("crown({n})"), mcm_gen::hard::crown(n)))
+        .collect();
+    dense.push(("banded_hub(24)".into(), banded_hub(24)));
+    dense.extend([1u64, 2, 3].map(|seed| (format!("dense_random({seed})"), dense_random(seed))));
+    for (name, t) in &dense {
         let (picked, stats) = resolve_algo(&t.to_csc().view(), MatchingAlgo::Auto);
         let s = stats.expect("auto must measure");
-        assert!(s.density >= SelectorStats::DENSE, "crown({n}) density {}", s.density);
-        assert!(s.degree_skew <= SelectorStats::UNIFORM, "crown({n}) skew {}", s.degree_skew);
-        assert_eq!(picked, MatchingAlgo::Ppf, "crown({n}) fell back into the auction price war");
+        assert!(s.density >= SelectorStats::DENSE, "{name} density {}", s.density);
+        assert_eq!(picked, MatchingAlgo::Ppf, "{name} left PPF");
     }
-    let (picked, stats) = resolve_algo(&banded_hub(24).to_csc().view(), MatchingAlgo::Auto);
-    let s = stats.expect("auto must measure");
-    assert!(
-        s.degree_skew > SelectorStats::UNIFORM && s.degree_skew < SelectorStats::SKEWED,
-        "banded_hub skew {} left the guarded band — rebuild the fixture",
-        s.degree_skew
-    );
-    assert_eq!(picked, MatchingAlgo::Auction, "dense + skewed must still use the auction");
+    // The banded hub and the random graphs reach the density rule itself,
+    // not the skew or shape rules before it.
+    for (name, t) in &dense[4..] {
+        let s = SelectorStats::measure(t);
+        assert!(
+            s.degree_skew < SelectorStats::SKEWED && s.side_ratio < SelectorStats::RECTANGULAR,
+            "{name} (skew {}, side ratio {}) no longer exercises the density rule",
+            s.degree_skew,
+            s.side_ratio
+        );
+    }
 }
 
 #[test]
 fn eps_scaling_converges_on_price_war_instances() {
-    // The auction's adversaries: stars make every alternative equally
-    // good (price wars), long alternating chains make eviction cascades
-    // ripple end to end. Scaled ε must still land on the HK cardinality
-    // with a Berge certificate, and must beat a fixed fine ε on rounds.
+    // The auction's adversaries at unit weights: stars make every
+    // alternative equally good (price wars), long alternating chains make
+    // eviction cascades ripple end to end. Scaled ε must still land on the
+    // HK cardinality with a Berge certificate, and must beat a fixed fine
+    // ε on rounds.
     for (name, t) in [
         ("star(1,16)", star(1, 16)),
         ("star(4,32)", star(4, 32)),
@@ -122,7 +147,7 @@ fn eps_scaling_converges_on_price_war_instances() {
     ] {
         let a = t.to_csc();
         let want = hopcroft_karp(&a, None).cardinality();
-        let r = auction(&a, &AuctionOptions::default());
+        let r = auction_mwm_par(&unit_weights(&t), &AuctionOptions::default());
         assert_eq!(r.matching.cardinality(), want, "{name}: auction not maximum");
         verify::verify(&a, &r.matching).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(
@@ -133,10 +158,10 @@ fn eps_scaling_converges_on_price_war_instances() {
 
     // The crowded star is the Θ(1/ε) war: fixed fine ε creeps one bid
     // per round, scaling resolves the war coarsely first.
-    let a = star(4, 32).to_csc();
-    let scaled = auction(&a, &AuctionOptions::default());
+    let a = unit_weights(&star(4, 32));
+    let scaled = auction_mwm_par(&a, &AuctionOptions::default());
     let fine = 1.0 / 128.0;
-    let fixed = auction(
+    let fixed = auction_mwm_par(
         &a,
         &AuctionOptions { eps_start: fine, eps_final: Some(fine), ..AuctionOptions::default() },
     );
@@ -186,12 +211,14 @@ fn broken_auction_bid_update_loses_cardinality() {
     // bearing, so the fault must strand the tail — and the clean engine
     // must not. `detect_injected_auction_fault` in simtest_sweep.rs
     // drives the same fault through the seeded-schedule harness.
-    let a = chain(8).to_csc();
-    let clean = auction(&a, &AuctionOptions::default());
+    let a = unit_weights(&chain(8));
+    let clean = auction_mwm_par(&a, &AuctionOptions::default());
     assert_eq!(clean.matching.cardinality(), 8);
     assert!(clean.stats.evictions > 0, "chain must exercise the eviction path");
-    let broken =
-        auction(&a, &AuctionOptions { fault_lost_bidder: true, ..AuctionOptions::default() });
+    let broken = auction_mwm_par(
+        &a,
+        &AuctionOptions { fault_lost_bidder: true, ..AuctionOptions::default() },
+    );
     assert!(
         broken.matching.cardinality() < 8,
         "lost-bidder fault was not observable on the eviction cascade"

@@ -30,7 +30,7 @@ fn gen_stats_match_roundtrip() {
 
     // Every algorithm agrees on the cardinality.
     let mut cards = std::collections::BTreeSet::new();
-    for algo in ["dist", "hk", "pf", "pr", "msbfs", "graft", "ppf", "auction", "auto"] {
+    for algo in ["dist", "hk", "pf", "pr", "msbfs", "graft", "ppf", "auto"] {
         let out = mcm().args(["match"]).arg(&file).args(["--algo", algo]).output().unwrap();
         assert!(out.status.success(), "algo {algo}: {}", String::from_utf8_lossy(&out.stderr));
         let text = String::from_utf8_lossy(&out.stdout);
@@ -113,9 +113,14 @@ fn helpful_errors() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("error"));
 
-    let out = mcm().arg("frobnicate").output().unwrap();
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
+    // `mwm` was folded into `match --weighted`.
+    for command in ["frobnicate", "mwm"] {
+        let out = mcm().arg(command).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{command}: {err}");
+        assert!(err.contains("unknown command"), "{command}: {err}");
+        assert!(!err.contains("panicked"), "{command}: {err}");
+    }
 
     let out = mcm().arg("help").output().unwrap();
     assert!(out.status.success());
@@ -477,6 +482,56 @@ fn match_breakdown_prints_measured_vs_modeled() {
 }
 
 #[test]
+fn value_less_flags_before_the_path_do_not_swallow_it() {
+    // `--breakdown` and `--weighted` take no value, so the path after them
+    // is the input file, not their argument.
+    let file = tmp("switch_first.mtx");
+    assert!(mcm()
+        .args(["gen", "g500", "--scale", "6", "--out"])
+        .arg(&file)
+        .status()
+        .unwrap()
+        .success());
+    let out = mcm().args(["match", "--breakdown"]).arg(&file).output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("measured_s"));
+    let out =
+        mcm().args(["match", "--weighted"]).arg(&file).args(["--threads", "1"]).output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("algo: wauction"));
+}
+
+#[test]
+fn match_weighted_rejects_cardinality_only_flags() {
+    // The weighted path has one engine; a flag that picks or instruments a
+    // cardinality engine is an error naming it, not silently ignored.
+    let file = tmp("weighted_flags.mtx");
+    std::fs::write(
+        &file,
+        "%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 4\n2 1 1\n2 2 2\n",
+    )
+    .unwrap();
+    for args in [
+        &["--algo", "dist"][..],
+        &["--backend", "engine"][..],
+        &["--grid", "2"][..],
+        &["--ranks", "3"][..],
+        &["--breakdown"][..],
+        &["--trace-out", "t.json"][..],
+    ] {
+        let out = mcm().args(["match", "--weighted"]).arg(&file).args(args).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.contains(&format!("{} does not apply to --weighted", args[0])), "{err}");
+    }
+    // The benchmark's weighted re-solve shape stays valid.
+    let out =
+        mcm().args(["match"]).arg(&file).args(["--weighted", "--threads", "1"]).output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("total weight 6.000000"));
+}
+
+#[test]
 fn match_breakdown_requires_dist() {
     let file = tmp("breakdown_hk.mtx");
     assert!(mcm()
@@ -500,9 +555,7 @@ fn match_algo_line_reports_which_engine_ran() {
         .status()
         .unwrap()
         .success());
-    for (algo, want) in
-        [("dist", "algo: msbfs"), ("ppf", "algo: ppf"), ("auction", "algo: auction")]
-    {
+    for (algo, want) in [("dist", "algo: msbfs"), ("ppf", "algo: ppf")] {
         let out = mcm().args(["match"]).arg(&file).args(["--algo", algo]).output().unwrap();
         assert!(out.status.success(), "algo {algo}: {}", String::from_utf8_lossy(&out.stderr));
         let text = String::from_utf8_lossy(&out.stdout);
@@ -520,7 +573,7 @@ fn match_algo_line_reports_which_engine_ran() {
         .unwrap_or_else(|| panic!("no algo line: {text}"));
     assert!(line.contains("(selected by auto)"), "{line}");
     assert!(
-        ["msbfs", "ppf", "auction"].iter().any(|name| line.contains(name)),
+        ["msbfs", "ppf"].iter().any(|name| line.contains(name)),
         "auto must resolve to a concrete engine: {line}"
     );
 }
@@ -534,9 +587,14 @@ fn match_rejects_unknown_algo_names() {
         .status()
         .unwrap()
         .success());
-    let out = mcm().args(["match"]).arg(&file).args(["--algo", "frobnicate"]).output().unwrap();
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown algorithm"));
+    // `auction` named the deleted cardinality auction engine.
+    for algo in ["frobnicate", "auction"] {
+        let out = mcm().args(["match"]).arg(&file).args(["--algo", algo]).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{algo}: {err}");
+        assert!(err.contains("unknown algorithm"), "{algo}: {err}");
+        assert!(!err.contains("panicked"), "{algo}: {err}");
+    }
 }
 
 #[test]
@@ -581,7 +639,7 @@ fn mcmd_algo_flag_routes_fallbacks_and_reports_the_engine() {
     let cards = |t: &str| -> Vec<String> {
         t.lines().filter(|l| l.starts_with("matching ")).map(str::to_owned).collect()
     };
-    for algo in ["ppf", "auction"] {
+    for algo in ["msbfs", "ppf"] {
         let mut args = base.to_vec();
         args.extend(["--algo", algo]);
         let text = mcmd_session(&args, script);
@@ -621,15 +679,18 @@ fn mcmd_algo_auto_resolves_to_a_concrete_engine() {
         .nth(1)
         .map(str::trim)
         .unwrap_or_else(|| panic!("no algo token: {stats}"));
-    assert!(["msbfs", "ppf", "auction"].contains(&algo), "auto leaked through: {stats}");
+    assert!(["msbfs", "ppf"].contains(&algo), "auto leaked through: {stats}");
 }
 
 #[test]
 fn mcmd_rejects_unknown_algo_names() {
-    let out = mcmd().args(["--algo", "frobnicate"]).output().unwrap();
-    assert!(!out.status.success());
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("unknown algorithm"), "{err}");
+    for algo in ["frobnicate", "auction"] {
+        let out = mcmd().args(["--algo", algo]).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{algo}: {err}");
+        assert!(err.contains("unknown algorithm"), "{algo}: {err}");
+        assert!(!err.contains("panicked"), "{algo}: {err}");
+    }
 }
 
 #[test]

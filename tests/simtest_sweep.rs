@@ -36,8 +36,8 @@ fn differential_sweep_passes_on_the_generator_suite() {
     assert_eq!(report.cases, cases.len());
     assert_eq!(report.runs, cases.len() * per_case);
     assert_eq!(report.engine_checks, cases.len() * cfg.dims.len() * cfg.sched_seeds.len());
-    // ...including the portfolio engines (PPF + auction under every
-    // thread shape and schedule seed, Berge-certified in run_portfolio_one).
+    // ...including the portfolio engines (PPF under every thread shape
+    // and schedule seed, Berge-certified in run_portfolio_one).
     assert_eq!(
         report.portfolio_runs,
         cases.len() * cfg.dims.len() * cfg.algos.len() * cfg.sched_seeds.len()
@@ -92,15 +92,15 @@ fn sweep_failures_format_machine_findable_seeds() {
 
 #[test]
 fn injected_auction_fault_is_caught_within_the_ci_seed_budget() {
-    // Same acceptance shape as the fetch_and_put fault, for the portfolio:
-    // arming the lost-bidder bug in the auction's eviction path must be
+    // Same acceptance shape as the fetch_and_put fault, for the parallel
+    // auction: arming the lost-bidder bug in its eviction path must be
     // detected within the CI seed budget and replay from the printed seed.
     use mcm_core::simtest::detect_injected_auction_fault;
     let budget = SweepConfig::ci().sched_seeds;
     let g = chain(8);
     let (seed, failure) = detect_injected_auction_fault(&g, &budget)
         .expect("broken auction bid update escaped the seed budget");
-    assert_eq!(failure.algo, "auction");
+    assert_eq!(failure.algo, "wauction");
     let msg = failure.to_string();
     assert!(msg.contains(&format!("{seed:#x}")), "report must print the replay seed: {msg}");
 

@@ -10,9 +10,8 @@
 //!
 //! Failures print the suite seed; replay with `MCM_TEST_SEED=<seed>`.
 
-use mcm_core::auction::AuctionOptions;
 use mcm_core::verify::verify_eps_cs;
-use mcm_core::weighted::{auction_mwm, auction_mwm_par};
+use mcm_core::weighted::{auction_mwm, auction_mwm_par, AuctionOptions};
 use mcm_dyn::{WDynMatching, WDynOptions, WUpdate};
 use mcm_gen::{
     assign_weights, materialize_weighted, simtest_suite, weighted_update_trace, WTraceOp,

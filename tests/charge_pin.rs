@@ -41,6 +41,28 @@ const DIROPT_GOLDEN: &[(Kernel, f64, u64)] = &[
     (Kernel::Other, 0.0003915599999999997, 65),
 ];
 
+/// The default pipeline with the greedy initializer instead of mindegree.
+const GREEDY_GOLDEN: &[(Kernel, f64, u64)] = &[
+    (Kernel::SpMV, 0.0014717080000000002, 243),
+    (Kernel::Invert, 0.0008543340000000006, 220),
+    (Kernel::Prune, 0.000108588, 58),
+    (Kernel::Select, 2.8518000000000027e-5, 434),
+    (Kernel::Augment, 0.0007116030000000003, 184),
+    (Kernel::Init, 0.0009563589999999999, 42),
+    (Kernel::Other, 0.0004879439999999994, 81),
+];
+
+/// The default pipeline with the Karp–Sipser initializer.
+const KARP_SIPSER_GOLDEN: &[(Kernel, f64, u64)] = &[
+    (Kernel::SpMV, 0.0005696639999999998, 78),
+    (Kernel::Invert, 0.0002798039999999999, 70),
+    (Kernel::Prune, 3.3407999999999996e-5, 18),
+    (Kernel::Select, 1.3055000000000006e-5, 139),
+    (Kernel::Augment, 0.00018237100000000002, 38),
+    (Kernel::Init, 0.003853547999999997, 338),
+    (Kernel::Other, 0.000156624, 26),
+];
+
 /// Maximum matching cardinality of the instance.
 const CARDINALITY: usize = 2610;
 
@@ -73,4 +95,16 @@ fn direction_optimizing_charges_are_pinned() {
     let opts =
         McmOptions { init: Initializer::None, direction_optimizing: true, ..McmOptions::default() };
     assert!(assert_pinned("diropt", &opts, DIROPT_GOLDEN) > 0, "bottom-up never ran");
+}
+
+#[test]
+fn greedy_initializer_charges_are_pinned() {
+    let opts = McmOptions { init: Initializer::Greedy, ..McmOptions::default() };
+    assert_pinned("greedy", &opts, GREEDY_GOLDEN);
+}
+
+#[test]
+fn karp_sipser_initializer_charges_are_pinned() {
+    let opts = McmOptions { init: Initializer::KarpSipser, ..McmOptions::default() };
+    assert_pinned("karp-sipser", &opts, KARP_SIPSER_GOLDEN);
 }

@@ -37,12 +37,22 @@ fn bench_storage(c: &mut Criterion) {
 
         group.bench_with_input(BenchmarkId::new("dcsc", grid * grid), &frontier, |b, x| {
             b.iter(|| {
-                black_box(mcm_sparse::spmspv(&dcsc, x, |j, _| j, |acc: &Vidx, inc| inc < acc))
+                black_box(mcm_sparse::spmspv(
+                    &dcsc,
+                    x,
+                    |j, _| j,
+                    |acc: &mut Vidx, inc| *acc = inc.min(*acc),
+                ))
             });
         });
         group.bench_with_input(BenchmarkId::new("csc", grid * grid), &frontier, |b, x| {
             b.iter(|| {
-                black_box(mcm_sparse::spmspv_csc(&csc, x, |j, _| j, |acc: &Vidx, inc| inc < acc))
+                black_box(mcm_sparse::spmspv_csc(
+                    &csc,
+                    x,
+                    |j, _| j,
+                    |acc: &mut Vidx, inc| *acc = inc.min(*acc),
+                ))
             });
         });
     }

@@ -7,6 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mcm_bsp::{DistCtx, Kernel, MachineConfig};
 use mcm_core::primitives::{invert, prune, select, set_dense};
+use mcm_core::semirings::SemiringKind::MinParent;
 use mcm_core::vertex::Vertex;
 use mcm_gen::rmat::{rmat, RmatParams};
 use mcm_sparse::permute::SplitMix64;
@@ -84,7 +85,7 @@ fn bench_spmv_workspace(c: &mut Criterion) {
             &a,
             &x,
             |j, v: &Vertex| Vertex::new(j, v.root),
-            |acc, inc| inc.parent < acc.parent,
+            |acc, inc| MinParent.fold(acc, inc),
         )
         .flops;
         group.throughput(Throughput::Elements(flops));
@@ -95,7 +96,7 @@ fn bench_spmv_workspace(c: &mut Criterion) {
                     &a,
                     x,
                     |j, v: &Vertex| Vertex::new(j, v.root),
-                    |acc, inc| inc.parent < acc.parent,
+                    |acc, inc| MinParent.fold(acc, inc),
                 ))
             });
         });
@@ -107,7 +108,7 @@ fn bench_spmv_workspace(c: &mut Criterion) {
                     &a,
                     x,
                     |j, v: &Vertex| Vertex::new(j, v.root),
-                    |acc, inc| inc.parent < acc.parent,
+                    |acc, inc| MinParent.fold(acc, inc),
                     &mut y,
                 );
                 black_box((f, y.nnz()));
@@ -122,7 +123,7 @@ fn bench_spmv_workspace(c: &mut Criterion) {
                     x,
                     threads,
                     |j, v: &Vertex| Vertex::new(j, v.root),
-                    |acc, inc| inc.parent < acc.parent,
+                    |acc, inc| MinParent.fold(acc, inc),
                     &mut y,
                 );
                 black_box((f, y.nnz()));

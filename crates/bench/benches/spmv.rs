@@ -16,6 +16,12 @@ fn frontier(n: usize, every: usize) -> SpVec<(Vidx, Vidx)> {
     )
 }
 
+fn min_parent(acc: &mut (Vidx, Vidx), inc: (Vidx, Vidx)) {
+    if inc.0 < acc.0 {
+        *acc = inc;
+    }
+}
+
 fn bench_serial_spmspv(c: &mut Criterion) {
     let t = rmat(RmatParams::g500(14), 7);
     let a = Dcsc::from_triples(&t);
@@ -25,14 +31,7 @@ fn bench_serial_spmspv(c: &mut Criterion) {
         let x = frontier(n, every);
         group.throughput(Throughput::Elements(x.nnz() as u64));
         group.bench_with_input(BenchmarkId::new("g500_s14", x.nnz()), &x, |b, x| {
-            b.iter(|| {
-                black_box(mcm_sparse::spmspv(
-                    &a,
-                    x,
-                    |j, &(_, r)| (j, r),
-                    |acc: &(Vidx, Vidx), inc| inc.0 < acc.0,
-                ))
-            });
+            b.iter(|| black_box(mcm_sparse::spmspv(&a, x, |j, &(_, r)| (j, r), min_parent)));
         });
     }
     group.finish();
@@ -48,13 +47,7 @@ fn bench_distributed_spmspv(c: &mut Criterion) {
         let a = DistMatrix::from_triples(&ctx, &t);
         group.bench_with_input(BenchmarkId::new("grid", dim * dim), &x, |b, x| {
             b.iter(|| {
-                black_box(a.spmspv(
-                    &mut ctx,
-                    Kernel::SpMV,
-                    x,
-                    |j, &(_, r)| (j, r),
-                    |acc: &(Vidx, Vidx), inc| inc.0 < acc.0,
-                ))
+                black_box(a.spmspv(&mut ctx, Kernel::SpMV, x, |j, &(_, r)| (j, r), min_parent))
             });
         });
     }

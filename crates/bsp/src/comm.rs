@@ -20,6 +20,12 @@
 //!   formulas are still charged (from the same observed volumes), so the
 //!   two backends stay account-comparable.
 //!
+//! The distributed SpMSpV is one method on both backends,
+//! [`Communicator::spmspv`]`(a, kernel, plan, x, mul, fold)`: `fold` is the
+//! semiring addition, any associative `Fn(&mut U, U)` — the matching
+//! semirings' selections, the initializers' picks and their degree counts
+//! alike.
+//!
 //! RMA is abstracted the same way: origins implement [`RmaTask`] against
 //! the [`RmaWin`] one-sided surface (get/put/fetch_and_put), and
 //! [`Communicator::rma_epoch`] runs an exposure epoch — through the
@@ -143,29 +149,6 @@ impl RmaWin for AtomicWin<'_> {
     }
 }
 
-/// Wraps an [`RmaWin`], counting the one-sided calls issued through it —
-/// the per-epoch RMA op metric on the simulator ([`AtomicWin`] counts
-/// natively on the engine).
-struct CountingWin<'w, W: RmaWin> {
-    inner: &'w mut W,
-    ops: u64,
-}
-
-impl<W: RmaWin> RmaWin for CountingWin<'_, W> {
-    fn get(&mut self, win: usize, idx: Vidx) -> Vidx {
-        self.ops += 1;
-        self.inner.get(win, idx)
-    }
-    fn put(&mut self, win: usize, idx: Vidx, v: Vidx) {
-        self.ops += 1;
-        self.inner.put(win, idx, v)
-    }
-    fn fetch_and_put(&mut self, win: usize, idx: Vidx, v: Vidx) -> Vidx {
-        self.ops += 1;
-        self.inner.fetch_and_put(win, idx, v)
-    }
-}
-
 /// Records one completed RMA exposure epoch and its one-sided op count.
 #[inline]
 fn record_rma_epoch(backend: &'static str, ops: u64) {
@@ -256,8 +239,10 @@ pub trait Communicator {
 
     /// Distributed semiring SpMSpV `y = A ⊗ x` (expand allgather → local
     /// multiply → fold alltoallv), reusing `plan`'s per-block buffers.
-    /// Deterministic on both backends: per-row candidates fold in
-    /// ascending global column order.
+    /// `fold(acc, inc)` is the semiring addition and must be associative
+    /// (a selection, a first- or last-arrival pick, a count). Deterministic
+    /// on both backends: per-row candidates fold in ascending global column
+    /// order.
     fn spmspv<T, U>(
         &mut self,
         a: &DistMatrix,
@@ -265,22 +250,7 @@ pub trait Communicator {
         plan: &mut SpmvPlan<U>,
         x: &SpVec<T>,
         mul: impl Fn(Vidx, &T) -> U + Sync,
-        take_incoming: impl Fn(&U, &U) -> bool + Sync,
-    ) -> SpVec<U>
-    where
-        T: Copy + Send + Sync,
-        U: Copy + Send + Sync;
-
-    /// [`Communicator::spmspv`] with a commutative-monoid accumulator
-    /// (`combine`) instead of a selection.
-    fn spmspv_monoid<T, U>(
-        &mut self,
-        a: &DistMatrix,
-        kernel: Kernel,
-        plan: &mut SpmvPlan<U>,
-        x: &SpVec<T>,
-        mul: impl Fn(Vidx, &T) -> U + Sync,
-        combine: impl Fn(&mut U, U) + Sync,
+        fold: impl Fn(&mut U, U) + Sync,
     ) -> SpVec<U>
     where
         T: Copy + Send + Sync,
@@ -380,31 +350,14 @@ impl Communicator for DistCtx {
         plan: &mut SpmvPlan<U>,
         x: &SpVec<T>,
         mul: impl Fn(Vidx, &T) -> U + Sync,
-        take_incoming: impl Fn(&U, &U) -> bool + Sync,
+        fold: impl Fn(&mut U, U) + Sync,
     ) -> SpVec<U>
     where
         T: Copy + Send + Sync,
         U: Copy + Send + Sync,
     {
         let _span = mcm_obs::kernel_span("spmspv", kernel.name());
-        a.spmspv_fused(self, kernel, plan, x, mul, take_incoming)
-    }
-
-    fn spmspv_monoid<T, U>(
-        &mut self,
-        a: &DistMatrix,
-        kernel: Kernel,
-        plan: &mut SpmvPlan<U>,
-        x: &SpVec<T>,
-        mul: impl Fn(Vidx, &T) -> U + Sync,
-        combine: impl Fn(&mut U, U) + Sync,
-    ) -> SpVec<U>
-    where
-        T: Copy + Send + Sync,
-        U: Copy + Send + Sync,
-    {
-        let _span = mcm_obs::kernel_span("spmspv_monoid", kernel.name());
-        a.spmspv_monoid_fused(self, kernel, plan, x, mul, combine)
+        a.spmspv_fused(self, kernel, plan, x, mul, fold)
     }
 
     fn rma_epoch<W: RmaTask + Send>(
@@ -421,9 +374,8 @@ impl Communicator for DistCtx {
                 // seeds and trace hashes stay valid.
                 let (steps, ops) = {
                     let mut win = SimWindow::new(wins, sched.fault());
-                    let mut cwin = CountingWin { inner: &mut win, ops: 0 };
-                    let steps = interleave_tasks(&mut cwin, &mut sched, tasks);
-                    (steps, cwin.ops)
+                    let steps = interleave_tasks(&mut win, &mut sched, tasks);
+                    (steps, win.ops())
                 };
                 self.sched = Some(sched);
                 record_rma_epoch("sim", ops);
@@ -432,11 +384,10 @@ impl Communicator for DistCtx {
             None => {
                 // Friendly schedule: origins complete in program order.
                 let mut win = SimWindow::new(wins, FaultPlan::default());
-                let mut cwin = CountingWin { inner: &mut win, ops: 0 };
                 for t in tasks.iter_mut() {
-                    while t.step(&mut cwin) {}
+                    while t.step(&mut win) {}
                 }
-                record_rma_epoch("sim", cwin.ops);
+                record_rma_epoch("sim", win.ops());
                 0
             }
         }
@@ -626,31 +577,14 @@ impl Communicator for EngineComm {
         plan: &mut SpmvPlan<U>,
         x: &SpVec<T>,
         mul: impl Fn(Vidx, &T) -> U + Sync,
-        take_incoming: impl Fn(&U, &U) -> bool + Sync,
+        fold: impl Fn(&mut U, U) + Sync,
     ) -> SpVec<U>
     where
         T: Copy + Send + Sync,
         U: Copy + Send + Sync,
     {
         let _span = mcm_obs::kernel_span("spmspv", kernel.name());
-        a.spmspv_mesh(self, kernel, plan, x, mul, take_incoming)
-    }
-
-    fn spmspv_monoid<T, U>(
-        &mut self,
-        a: &DistMatrix,
-        kernel: Kernel,
-        plan: &mut SpmvPlan<U>,
-        x: &SpVec<T>,
-        mul: impl Fn(Vidx, &T) -> U + Sync,
-        combine: impl Fn(&mut U, U) + Sync,
-    ) -> SpVec<U>
-    where
-        T: Copy + Send + Sync,
-        U: Copy + Send + Sync,
-    {
-        let _span = mcm_obs::kernel_span("spmspv_monoid", kernel.name());
-        a.spmspv_monoid_mesh(self, kernel, plan, x, mul, combine)
+        a.spmspv_mesh(self, kernel, plan, x, mul, fold)
     }
 
     fn rma_epoch<W: RmaTask + Send>(

@@ -23,17 +23,18 @@
 //!   This split execution is the reference the fused charges are tested
 //!   against, to the bit.
 //!
-//! Both return identical vectors: per-row candidates fold in ascending
-//! global column order, exactly like the serial kernel.
+//! Both take the semiring addition as one associative fold,
+//! `fold(&mut acc, inc)`, and return identical vectors: per-row candidates
+//! fold in ascending global column order, exactly like the serial kernel,
+//! and the split execution only re-parenthesizes that sequence.
 //!
 //! ## SpMSpV plans
 //!
 //! The MS-BFS hot loop calls the distributed product once per iteration per
 //! phase. A [`SpmvPlan`] keeps one [`SpmvWorkspace`] and one output
 //! [`SpVec`] per physical block, so every sparse-accumulator allocation is
-//! reused across iterations. [`DistMatrix::spmspv`] and
-//! [`DistMatrix::spmspv_monoid`] remain as one-shot wrappers that build a
-//! throwaway plan.
+//! reused across iterations. [`DistMatrix::spmspv`] remains as a one-shot
+//! wrapper that builds a throwaway plan.
 
 use crate::collectives::balanced_owner;
 use crate::comm::{Communicator, EngineComm};
@@ -41,16 +42,9 @@ use crate::ctx::DistCtx;
 use crate::timers::Kernel;
 use mcm_sparse::permute::Permutation;
 use mcm_sparse::triples::{block_offsets, block_owner};
-use mcm_sparse::workspace::{FusedVolumes, SpmvWorkspace, WorkspaceStats};
+use mcm_sparse::workspace::{SpmvWorkspace, WorkspaceStats};
 use mcm_sparse::{CscView, Dcsc, SpVec, Triples, Vidx};
 use std::sync::Mutex;
-
-/// Fold semantics of the engine-mesh product: semiring selection
-/// (`spmspv`) or commutative-monoid accumulation (`spmspv_monoid`).
-enum MeshFold<'f, U> {
-    Select(&'f (dyn Fn(&U, &U) -> bool + Sync)),
-    Monoid(&'f (dyn Fn(&mut U, U) + Sync)),
-}
 
 /// Wire format of the engine-mesh SpMSpV: expand payloads (block-local
 /// column index + frontier value) and fold payloads (block-local row
@@ -84,9 +78,8 @@ impl<U: Copy> PlanBlock<U> {
     }
 }
 
-/// Reusable buffers for [`Communicator::spmspv`] /
-/// [`Communicator::spmspv_monoid`]: one SpMSpV workspace and output vector
-/// per physical block. Create once, pass to every distributed product
+/// Reusable buffers for [`Communicator::spmspv`]: one SpMSpV workspace and
+/// output vector per physical block. Create once, pass to every distributed product
 /// against matrices on the same grid — buffers grow to the high-water mark
 /// and are then reused, so steady-state iterations allocate nothing in the
 /// kernel layer.
@@ -178,7 +171,7 @@ impl LogicalGrid {
 /// let mut ctx = DistCtx::new(MachineConfig::hybrid(2, 1)); // 2x2 accounting
 /// let a = DistMatrix::from_triples(&ctx, &t); // one block
 /// let x = SpVec::from_pairs(4, vec![(0, 0u32), (2, 2)]);
-/// let y = a.spmspv(&mut ctx, Kernel::SpMV, &x, |j, _| j, |acc, inc| inc < acc);
+/// let y = a.spmspv(&mut ctx, Kernel::SpMV, &x, |j, _| j, |acc, inc| *acc = inc.min(*acc));
 /// assert_eq!(y.entries(), &[(0, 0), (2, 2)]);
 /// assert!(ctx.timers.seconds(Kernel::SpMV) > 0.0); // modeled time accrued
 /// ```
@@ -384,7 +377,9 @@ impl DistMatrix {
     /// * `mul(j, xj)` — semiring multiply, receives the **global** column
     ///   index (BFS rewrites the parent to `j` here). Evaluated once per
     ///   matched column; its value is cloned per traversed edge.
-    /// * `take_incoming(acc, inc)` — semiring addition as a selection.
+    /// * `fold(acc, inc)` — semiring addition, folding an incoming candidate
+    ///   into the row's accumulator; must be associative (a selection, a
+    ///   first- or last-arrival pick, or a count).
     ///
     /// Charges to `kernel`: expand allgather (bottleneck grid column), local
     /// multiply (`γ · max-block-flops / t`), fold alltoallv (bottleneck grid
@@ -396,34 +391,13 @@ impl DistMatrix {
         kernel: Kernel,
         x: &SpVec<T>,
         mul: impl Fn(Vidx, &T) -> U + Sync,
-        take_incoming: impl Fn(&U, &U) -> bool + Sync,
+        fold: impl Fn(&mut U, U) + Sync,
     ) -> SpVec<U>
     where
         T: Copy + Send + Sync,
         U: Copy + Send + Sync,
     {
-        ctx.spmspv(self, kernel, &mut SpmvPlan::new(), x, mul, take_incoming)
-    }
-
-    /// Distributed SpMSpV over a general *monoid* addition (`combine`
-    /// folds a candidate into the accumulator — must be commutative and
-    /// associative, e.g. `+` for the counting semirings the maximal-matching
-    /// initializers use for dynamic degree updates). Same communication plan
-    /// and charging as [`DistMatrix::spmspv`]; one-shot wrapper over
-    /// [`Communicator::spmspv_monoid`].
-    pub fn spmspv_monoid<T, U>(
-        &self,
-        ctx: &mut DistCtx,
-        kernel: Kernel,
-        x: &SpVec<T>,
-        mul: impl Fn(Vidx, &T) -> U + Sync,
-        combine: impl Fn(&mut U, U) + Sync,
-    ) -> SpVec<U>
-    where
-        T: Copy + Send + Sync,
-        U: Copy + Send + Sync,
-    {
-        ctx.spmspv_monoid(self, kernel, &mut SpmvPlan::new(), x, mul, combine)
+        ctx.spmspv(self, kernel, &mut SpmvPlan::new(), x, mul, fold)
     }
 
     /// Bottom-up ("pull") frontier expansion — the direction-optimizing
@@ -459,7 +433,7 @@ impl DistMatrix {
         candidates: &[Vidx],
         frontier: &[Option<T>],
         mul: impl Fn(Vidx, &T) -> U + Sync,
-        take_incoming: impl Fn(&U, &U) -> bool + Sync,
+        fold: impl Fn(&mut U, U) + Sync,
     ) -> SpVec<U>
     where
         T: Sync,
@@ -518,11 +492,7 @@ impl DistMatrix {
                         out.nhits[bi] += 1;
                         let inc = mul(gcol as Vidx, v);
                         match acc.as_mut() {
-                            Some(a) => {
-                                if take_incoming(a, &inc) {
-                                    *a = inc;
-                                }
-                            }
+                            Some(a) => fold(a, inc),
                             None => acc = Some(inc),
                         }
                         // Early exit: skip the rest of this logical block.
@@ -568,62 +538,12 @@ impl DistMatrix {
         plan: &mut SpmvPlan<U>,
         x: &SpVec<T>,
         mul: impl Fn(Vidx, &T) -> U + Sync,
-        take_incoming: impl Fn(&U, &U) -> bool + Sync,
+        fold: impl Fn(&mut U, U) + Sync,
     ) -> SpVec<U>
     where
         T: Copy + Send + Sync,
         U: Copy + Send + Sync,
     {
-        self.fused(ctx, kernel, plan, x, |ws, lg, y| {
-            ws.spmspv_fused_into(
-                &self.blocks[0],
-                x,
-                &lg.col_off,
-                &lg.fold_offsets(),
-                |j, v| mul(j, v),
-                |acc, inc| take_incoming(acc, inc),
-                y,
-            )
-        })
-    }
-
-    /// Monoid counterpart of [`DistMatrix::spmspv_fused`].
-    pub(crate) fn spmspv_monoid_fused<T, U>(
-        &self,
-        ctx: &mut DistCtx,
-        kernel: Kernel,
-        plan: &mut SpmvPlan<U>,
-        x: &SpVec<T>,
-        mul: impl Fn(Vidx, &T) -> U + Sync,
-        combine: impl Fn(&mut U, U) + Sync,
-    ) -> SpVec<U>
-    where
-        T: Copy + Send + Sync,
-        U: Copy + Send + Sync,
-    {
-        self.fused(ctx, kernel, plan, x, |ws, lg, y| {
-            ws.spmspv_monoid_fused_into(
-                &self.blocks[0],
-                x,
-                &lg.col_off,
-                &lg.fold_offsets(),
-                |j, v| mul(j, v),
-                |acc, inc| combine(acc, inc),
-                y,
-            )
-        })
-    }
-
-    /// The charging frame of a fused product: the logical expand, then
-    /// `run`'s traversal, then its counted compute and fold volumes.
-    fn fused<T, U: Copy>(
-        &self,
-        ctx: &mut DistCtx,
-        kernel: Kernel,
-        plan: &mut SpmvPlan<U>,
-        x: &SpVec<T>,
-        run: impl FnOnce(&mut SpmvWorkspace<U>, &LogicalGrid, &mut SpVec<U>) -> FusedVolumes,
-    ) -> SpVec<U> {
         assert_eq!(x.len(), self.ncols, "frontier length must match ncols");
         assert_eq!((self.pr, self.pc), (1, 1), "the simulator executes a single physical block");
         plan.ensure(1);
@@ -632,7 +552,15 @@ impl DistMatrix {
         // (no slice is materialized — the fused kernel reads `x` in place).
         ctx.charge_allgather(kernel, lg.pr(), lg.expand_max(x.entries()));
         let mut y = SpVec::new(0);
-        let vols = run(&mut plan.blocks[0].ws, &lg, &mut y);
+        let vols = plan.blocks[0].ws.spmspv_fused_into(
+            &self.blocks[0],
+            x,
+            &lg.col_off,
+            &lg.fold_offsets(),
+            mul,
+            fold,
+            &mut y,
+        );
         ctx.charge_compute(kernel, vols.max_flops);
         ctx.charge_alltoallv(kernel, lg.pc, vols.fold_bottleneck);
         y
@@ -653,40 +581,7 @@ impl DistMatrix {
         plan: &mut SpmvPlan<U>,
         x: &SpVec<T>,
         mul: impl Fn(Vidx, &T) -> U + Sync,
-        take_incoming: impl Fn(&U, &U) -> bool + Sync,
-    ) -> SpVec<U>
-    where
-        T: Copy + Send + Sync,
-        U: Copy + Send + Sync,
-    {
-        self.mesh_product(eng, kernel, plan, x, &mul, MeshFold::Select(&take_incoming))
-    }
-
-    /// Monoid counterpart of [`DistMatrix::spmspv_mesh`].
-    pub(crate) fn spmspv_monoid_mesh<T, U>(
-        &self,
-        eng: &mut EngineComm,
-        kernel: Kernel,
-        plan: &mut SpmvPlan<U>,
-        x: &SpVec<T>,
-        mul: impl Fn(Vidx, &T) -> U + Sync,
-        combine: impl Fn(&mut U, U) + Sync,
-    ) -> SpVec<U>
-    where
-        T: Copy + Send + Sync,
-        U: Copy + Send + Sync,
-    {
-        self.mesh_product(eng, kernel, plan, x, &mul, MeshFold::Monoid(&combine))
-    }
-
-    fn mesh_product<T, U>(
-        &self,
-        eng: &mut EngineComm,
-        kernel: Kernel,
-        plan: &mut SpmvPlan<U>,
-        x: &SpVec<T>,
-        mul: &(dyn Fn(Vidx, &T) -> U + Sync),
-        fold: MeshFold<'_, U>,
+        fold: impl Fn(&mut U, U) + Sync,
     ) -> SpVec<U>
     where
         T: Copy + Send + Sync,
@@ -728,7 +623,7 @@ impl DistMatrix {
         let row_off = &self.row_off;
         let col_off = &self.col_off;
         let blocks = &self.blocks;
-        let fold = &fold;
+        let (mul, fold) = (&mul, &fold);
 
         let results: Vec<MeshOut<U>> = eng.session::<Wire<T, U>, _, _>(|mut comm| {
             let q = comm.rank();
@@ -757,34 +652,11 @@ impl DistMatrix {
             let st = &mut **guard;
             let off = col_off[bj] as Vidx;
             let block = &blocks[q];
-            let flops = match fold {
-                MeshFold::Select(take) => {
-                    if threads > 1 {
-                        st.ws.spmspv_parallel_into(
-                            block,
-                            &slice,
-                            threads,
-                            |lj, v| mul(lj + off, v),
-                            |acc, inc| take(acc, inc),
-                            &mut st.out,
-                        )
-                    } else {
-                        st.ws.spmspv_into(
-                            block,
-                            &slice,
-                            |lj, v| mul(lj + off, v),
-                            |acc, inc| take(acc, inc),
-                            &mut st.out,
-                        )
-                    }
-                }
-                MeshFold::Monoid(comb) => st.ws.spmspv_monoid_into(
-                    block,
-                    &slice,
-                    |lj, v| mul(lj + off, v),
-                    |acc, inc| comb(acc, inc),
-                    &mut st.out,
-                ),
+            let local_mul = |lj, v: &T| mul(lj + off, v);
+            let flops = if threads > 1 {
+                st.ws.spmspv_parallel_into(block, &slice, threads, local_mul, fold, &mut st.out)
+            } else {
+                st.ws.spmspv_into(block, &slice, local_mul, fold, &mut st.out)
             };
 
             // -- Fold: route partials to their row owners along this grid
@@ -814,14 +686,7 @@ impl DistMatrix {
             let mut folded: Vec<(Vidx, U)> = Vec::with_capacity(merged.len());
             for (i, v) in merged {
                 match folded.last_mut() {
-                    Some((last, acc)) if *last == i => match fold {
-                        MeshFold::Select(take) => {
-                            if take(acc, &v) {
-                                *acc = v;
-                            }
-                        }
-                        MeshFold::Monoid(comb) => comb(acc, v),
-                    },
+                    Some((last, acc)) if *last == i => fold(acc, v),
                     _ => folded.push((i, v)),
                 }
             }
@@ -865,9 +730,29 @@ mod tests {
         )
     }
 
+    fn min_parent(acc: &mut (Vidx, Vidx), inc: (Vidx, Vidx)) {
+        if inc.0 < acc.0 {
+            *acc = inc;
+        }
+    }
+
+    fn min(acc: &mut Vidx, inc: Vidx) {
+        *acc = inc.min(*acc);
+    }
+
+    fn first<U>(_: &mut U, _: U) {}
+
+    fn last<U>(acc: &mut U, inc: U) {
+        *acc = inc;
+    }
+
+    fn count(acc: &mut u32, inc: u32) {
+        *acc += inc;
+    }
+
     fn serial_reference(t: &Triples, x: &SpVec<(Vidx, Vidx)>) -> SpVec<(Vidx, Vidx)> {
         let a = Dcsc::from_triples(t);
-        mcm_sparse::spmspv(&a, x, |j, &(_, r)| (j, r), |acc, inc| inc.0 < acc.0).y
+        mcm_sparse::spmspv(&a, x, |j, &(_, r)| (j, r), min_parent).y
     }
 
     #[test]
@@ -878,8 +763,7 @@ mod tests {
         for dim in 1..=4 {
             let mut ctx = DistCtx::new(MachineConfig::hybrid(dim, 1));
             let a = DistMatrix::from_triples(&ctx, &t);
-            let y =
-                a.spmspv(&mut ctx, Kernel::SpMV, &x, |j, &(_, r)| (j, r), |acc, inc| inc.0 < acc.0);
+            let y = a.spmspv(&mut ctx, Kernel::SpMV, &x, |j, &(_, r)| (j, r), min_parent);
             assert_eq!(y, want, "grid {dim}x{dim}");
         }
     }
@@ -937,16 +821,9 @@ mod tests {
             SpVec::from_pairs(5, vec![(0, (0, 0)), (3, (3, 3))]),
         ];
         for x in &frontiers {
-            let via_plan = ctx.spmspv(
-                &a,
-                Kernel::SpMV,
-                &mut plan,
-                x,
-                |j, &(_, r)| (j, r),
-                |acc, inc| inc.0 < acc.0,
-            );
-            let one_shot =
-                a.spmspv(&mut ctx, Kernel::SpMV, x, |j, &(_, r)| (j, r), |acc, inc| inc.0 < acc.0);
+            let via_plan =
+                ctx.spmspv(&a, Kernel::SpMV, &mut plan, x, |j, &(_, r)| (j, r), min_parent);
+            let one_shot = a.spmspv(&mut ctx, Kernel::SpMV, x, |j, &(_, r)| (j, r), min_parent);
             assert_eq!(via_plan, one_shot);
         }
         let stats = plan.stats();
@@ -973,7 +850,7 @@ mod tests {
         let run = |dim: usize| {
             let mut ctx = DistCtx::new(MachineConfig::hybrid(dim, 1));
             let a = DistMatrix::from_triples(&ctx, &t);
-            let _ = a.spmspv(&mut ctx, Kernel::SpMV, &x, |j, _| j, |acc, inc| inc < acc);
+            let _ = a.spmspv(&mut ctx, Kernel::SpMV, &x, |j, _| j, min);
             ctx.timers.seconds(Kernel::SpMV)
         };
         // On one process the latency terms vanish; on a 2x2 grid they don't.
@@ -986,7 +863,7 @@ mod tests {
         let mut ctx = DistCtx::new(MachineConfig::hybrid(2, 1));
         let a = DistMatrix::from_triples(&ctx, &t);
         let x: SpVec<u32> = SpVec::new(5);
-        let y = a.spmspv(&mut ctx, Kernel::SpMV, &x, |j, _| j, |_, _| false);
+        let y = a.spmspv(&mut ctx, Kernel::SpMV, &x, |j, _| j, first);
         assert!(y.is_empty());
         assert_eq!(y.len(), 4);
     }
@@ -1003,8 +880,7 @@ mod tests {
         for dim in 1..=3 {
             let mut ctx = DistCtx::new(MachineConfig::hybrid(dim, 1));
             let a = DistMatrix::from_triples(&ctx, &t);
-            let top =
-                a.spmspv(&mut ctx, Kernel::SpMV, &x, |j, &(_, r)| (j, r), |acc, inc| inc.0 < acc.0);
+            let top = a.spmspv(&mut ctx, Kernel::SpMV, &x, |j, &(_, r)| (j, r), min_parent);
             let at = DistMatrix::from_triples(&ctx, &t.transposed());
             let candidates: Vec<Vidx> = (0..4).collect(); // all rows unvisited
             let bottom = at.bottom_up_spmspv(
@@ -1013,7 +889,7 @@ mod tests {
                 &candidates,
                 &fmap,
                 |j, &(_, r)| (j, r),
-                |acc: &(Vidx, Vidx), inc| inc.0 < acc.0,
+                min_parent,
             );
             assert_eq!(bottom, top, "grid {dim}x{dim}");
         }
@@ -1027,14 +903,7 @@ mod tests {
         let mut ctx = DistCtx::new(MachineConfig::hybrid(2, 1));
         let at = DistMatrix::from_triples(&ctx, &t.transposed());
         // Only rows r2 (adjacent to c1) and r3 (not adjacent) are candidates.
-        let y = at.bottom_up_spmspv(
-            &mut ctx,
-            Kernel::SpMV,
-            &[1, 2],
-            &fmap,
-            |j, &v| (j, v),
-            |_, _| false,
-        );
+        let y = at.bottom_up_spmspv(&mut ctx, Kernel::SpMV, &[1, 2], &fmap, |j, &v| (j, v), first);
         assert_eq!(y.entries(), &[(1, (0, 7))]);
     }
 
@@ -1053,7 +922,7 @@ mod tests {
             &[0, 1, 2, 3],
             &fmap,
             |j, &v| (j, v),
-            |_, _| false,
+            first,
         );
         // With gamma = 8 ns and 4 single-probe candidates on one process:
         // exactly 4 probes charged (p = 1: no comm terms).
@@ -1062,15 +931,15 @@ mod tests {
     }
 
     #[test]
-    fn monoid_matches_serial_counting() {
+    fn counting_fold_matches_serial_counting() {
         let t = fig2_triples();
         let x = SpVec::from_pairs(5, vec![(0, ()), (1, ()), (4, ())]);
         let a_serial = Dcsc::from_triples(&t);
-        let want = mcm_sparse::spmspv_monoid(&a_serial, &x, |_, _| 1u32, |a, b| *a += b).y;
+        let want = mcm_sparse::spmspv(&a_serial, &x, |_, _| 1u32, count).y;
         for dim in 1..=3 {
             let mut ctx = DistCtx::new(MachineConfig::hybrid(dim, 1));
             let a = DistMatrix::from_triples(&ctx, &t);
-            let y = a.spmspv_monoid(&mut ctx, Kernel::Init, &x, |_, _| 1u32, |a, b| *a += b);
+            let y = a.spmspv(&mut ctx, Kernel::Init, &x, |_, _| 1u32, count);
             assert_eq!(y, want, "grid {dim}x{dim}");
         }
     }
@@ -1084,57 +953,72 @@ mod tests {
         assert!(large.hypersparse_fraction() >= small.hypersparse_fraction());
     }
 
+    /// A 512 × 512 matrix with 200 random draws per column: a full
+    /// frontier traverses at least 8192 edges in every block of the 3×3
+    /// grid, so two intra-rank threads run the chunked parallel path.
+    fn dense_triples() -> Triples {
+        use mcm_sparse::permute::SplitMix64;
+        let mut rng = SplitMix64::new(0xF01D);
+        let mut t = Triples::new(512, 512);
+        for j in 0..512 {
+            for _ in 0..200 {
+                t.push(rng.below(512) as Vidx, j);
+            }
+        }
+        t.sort_dedup();
+        t
+    }
+
     #[test]
     fn mesh_product_matches_simulator_bit_for_bit() {
         // The engine mesh runs real ranks over real channels; the result —
-        // including tie-breaks of the order-sensitive min-column semiring —
-        // must equal the simulator's on every square grid, for both the
-        // select and monoid folds, at 1 and 2 intra-rank threads.
-        let t = fig2_triples();
-        let x: SpVec<(Vidx, Vidx)> =
+        // including tie-breaks of the order-sensitive min-column selection
+        // and the last-arrival fold — must equal the simulator's on every
+        // square grid for every fold, at 1 and 2 intra-rank threads.
+        let fig2 = fig2_triples();
+        let fig2_x: SpVec<(Vidx, Vidx)> =
             SpVec::from_pairs(5, vec![(0, (0, 0)), (2, (2, 2)), (3, (3, 3)), (4, (4, 4))]);
-        let cnt = SpVec::from_pairs(5, vec![(0, ()), (1, ()), (3, ()), (4, ())]);
-        for dim in 1..=3usize {
-            let mut ctx = DistCtx::new(MachineConfig::hybrid(dim, 1));
-            let a = DistMatrix::from_triples(&ctx, &t);
-            let want =
-                a.spmspv(&mut ctx, Kernel::SpMV, &x, |j, &(_, r)| (j, r), |acc, inc| inc.0 < acc.0);
-            let want_cnt =
-                a.spmspv_monoid(&mut ctx, Kernel::Init, &cnt, |_, _| 1u32, |a, b| *a += b);
-            let a = DistMatrix::with_grid(&t, dim, dim);
-            for threads in [1usize, 2] {
-                let mut eng = EngineComm::new(dim * dim, threads);
-                let mut plan = SpmvPlan::new();
-                let got = a.spmspv_mesh(
-                    &mut eng,
-                    Kernel::SpMV,
-                    &mut plan,
-                    &x,
-                    |j, &(_, r)| (j, r),
-                    |acc, inc| inc.0 < acc.0,
-                );
-                assert_eq!(got, want, "grid {dim}x{dim} threads {threads}");
-                // Plan buffers reused across engine calls, still identical.
-                let again = a.spmspv_mesh(
-                    &mut eng,
-                    Kernel::SpMV,
-                    &mut plan,
-                    &x,
-                    |j, &(_, r)| (j, r),
-                    |acc, inc| inc.0 < acc.0,
-                );
-                assert_eq!(again, want, "grid {dim}x{dim} threads {threads} (reused plan)");
+        let dense = dense_triples();
+        let dense_x = SpVec::from_pairs(512, (0..512).map(|j| (j, (j, 511 - j))).collect());
+        for (t, x) in [(fig2, fig2_x), (dense, dense_x)] {
+            let cnt = SpVec::from_pairs(x.len(), x.iter().map(|(j, _)| (j, ())).collect());
+            for dim in 1..=3usize {
+                let mut ctx = DistCtx::new(MachineConfig::hybrid(dim, 1));
+                let a = DistMatrix::from_triples(&ctx, &t);
+                let mul = |j, &(_, r): &(Vidx, Vidx)| (j, r);
+                let want = a.spmspv(&mut ctx, Kernel::SpMV, &x, mul, min_parent);
+                let want_last = a.spmspv(&mut ctx, Kernel::SpMV, &x, mul, last);
+                let want_cnt = a.spmspv(&mut ctx, Kernel::Init, &cnt, |_, _| 1u32, count);
+                let a = DistMatrix::with_grid(&t, dim, dim);
+                if t.ncols() == 512 {
+                    let least = (0..dim * dim).map(|b| a.block(b / dim, b % dim).nnz()).min();
+                    assert!(least >= Some(8192), "grid {dim}x{dim}: every block must go parallel");
+                }
+                for threads in [1usize, 2] {
+                    let tag =
+                        format!("{}x{} grid {dim}x{dim} threads {threads}", t.nrows(), t.ncols());
+                    let mut eng = EngineComm::new(dim * dim, threads);
+                    let mut plan = SpmvPlan::new();
+                    let got = a.spmspv_mesh(&mut eng, Kernel::SpMV, &mut plan, &x, mul, min_parent);
+                    assert_eq!(got, want, "{tag}");
+                    // Plan buffers reused across engine calls, still identical.
+                    let again =
+                        a.spmspv_mesh(&mut eng, Kernel::SpMV, &mut plan, &x, mul, min_parent);
+                    assert_eq!(again, want, "{tag} (reused plan)");
+                    let got_last = a.spmspv_mesh(&mut eng, Kernel::SpMV, &mut plan, &x, mul, last);
+                    assert_eq!(got_last, want_last, "last-arrival {tag}");
 
-                let mut cnt_plan = SpmvPlan::new();
-                let got_cnt = a.spmspv_monoid_mesh(
-                    &mut eng,
-                    Kernel::Init,
-                    &mut cnt_plan,
-                    &cnt,
-                    |_, _| 1u32,
-                    |a, b| *a += b,
-                );
-                assert_eq!(got_cnt, want_cnt, "monoid grid {dim}x{dim} threads {threads}");
+                    let mut cnt_plan = SpmvPlan::new();
+                    let got_cnt = a.spmspv_mesh(
+                        &mut eng,
+                        Kernel::Init,
+                        &mut cnt_plan,
+                        &cnt,
+                        |_, _| 1u32,
+                        count,
+                    );
+                    assert_eq!(got_cnt, want_cnt, "counting {tag}");
+                }
             }
         }
     }
@@ -1144,7 +1028,7 @@ mod tests {
         // Same logical grid, different physical execution: the simulator's
         // fused single-block product must return the identical vector AND
         // charge the identical modeled time and call count as the engine's
-        // block-split product over real ranks, for both folds.
+        // block-split product over real ranks, for a selection and a count.
         let nine = Triples::from_edges(
             9,
             9,
@@ -1177,15 +1061,13 @@ mod tests {
                 let split = DistMatrix::from_triples(&eng, &t);
                 assert_eq!((fused.grid(), split.grid()), ((1, 1), (dim, dim)));
                 let (mut ps, mut pe) = (SpmvPlan::new(), SpmvPlan::new());
-                let take = |acc: &Vidx, inc: &Vidx| inc < acc;
-                let ys = sim.spmspv(&fused, Kernel::SpMV, &mut ps, &x, |j, _| j, take);
-                let ye = eng.spmspv(&split, Kernel::SpMV, &mut pe, &x, |j, _| j, take);
+                let ys = sim.spmspv(&fused, Kernel::SpMV, &mut ps, &x, |j, _| j, min);
+                let ye = eng.spmspv(&split, Kernel::SpMV, &mut pe, &x, |j, _| j, min);
                 assert_eq!(ys, ye, "grid {dim}x{dim}");
                 let (mut ps, mut pe) = (SpmvPlan::new(), SpmvPlan::new());
-                let count = |acc: &mut u32, inc: u32| *acc += inc;
-                let cs = sim.spmspv_monoid(&fused, Kernel::Init, &mut ps, &cnt, |_, _| 1, count);
-                let ce = eng.spmspv_monoid(&split, Kernel::Init, &mut pe, &cnt, |_, _| 1, count);
-                assert_eq!(cs, ce, "monoid grid {dim}x{dim}");
+                let cs = sim.spmspv(&fused, Kernel::Init, &mut ps, &cnt, |_, _| 1, count);
+                let ce = eng.spmspv(&split, Kernel::Init, &mut pe, &cnt, |_, _| 1, count);
+                assert_eq!(cs, ce, "counting grid {dim}x{dim}");
                 for k in [Kernel::SpMV, Kernel::Init] {
                     let (a, b) = (&sim.timers, &eng.ctx().timers);
                     assert_eq!(a.seconds(k), b.seconds(k), "grid {dim}x{dim}: {k:?} seconds");
@@ -1211,7 +1093,7 @@ mod tests {
                     &[0, 1, 2, 3],
                     &fmap,
                     |j, &v| (j, v),
-                    |acc: &(Vidx, Vidx), inc| inc.0 < acc.0,
+                    min_parent,
                 );
                 (y, ctx.timers.seconds(Kernel::SpMV), ctx.timers.calls(Kernel::SpMV))
             };

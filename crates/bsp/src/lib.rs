@@ -33,7 +33,6 @@ pub mod ctx;
 pub mod distmat;
 pub mod engine;
 pub mod machine;
-pub mod rma;
 pub mod sched;
 pub mod timers;
 
@@ -43,6 +42,5 @@ pub use cost::CostModel;
 pub use ctx::{DistCtx, SharedComm};
 pub use distmat::{DistMatrix, SpmvPlan};
 pub use machine::{MachineConfig, ProcGrid};
-pub use rma::{RmaTally, RmaWindow, TalliedWin};
 pub use sched::{FaultPlan, SchedConfig, Schedule, SimWindow};
 pub use timers::{Kernel, Timers};

@@ -1,7 +1,8 @@
 //! Deterministic schedule perturbation & fault injection (the `simtest`
 //! substrate).
 //!
-//! The channel engine ([`crate::engine`]) and the RMA shim ([`crate::rma`])
+//! The channel engine ([`crate::engine`]) and the RMA epochs of
+//! [`Communicator::rma_epoch`](crate::comm::Communicator::rma_epoch)
 //! normally execute one fixed, friendly schedule: collectives send in group
 //! order, and path-parallel augmentation services every one-sided op in
 //! program order. Real MPI gives no such guarantee — message delivery
@@ -264,15 +265,17 @@ impl RankSched {
     }
 }
 
-/// A serviced one-sided window over a set of dense vectors (`MPI_Win`
-/// stand-in for the simtest harness).
+/// A serviced one-sided window over a set of dense vectors: the `MPI_Win`
+/// of the simulator's RMA epochs.
 ///
-/// Unlike [`crate::rma::RmaWindow`] — which charges modeled time but
-/// executes ops immediately in program order — `SimWindow` is driven by
-/// [`run_interleaved`], which lets a [`Schedule`] permute the *service
+/// Under the friendly schedule an epoch services its origins in program
+/// order; under a [`Schedule`] an interleaver (the epoch's own, or
+/// [`run_interleaved`] over [`OriginTask`] streams) permutes the *service
 /// order* of concurrent origins. Each `get`/`put`/`fetch_and_put` is one
-/// atomic service step; `fetch_and_put` is the read-modify-write the
-/// disjointness arguments of Algorithm 4 rely on.
+/// atomic service step and counts as one op ([`SimWindow::ops`]);
+/// `fetch_and_put` is the read-modify-write the disjointness arguments of
+/// Algorithm 4 rely on. The window charges no modeled time: the caller
+/// charges the epoch.
 pub struct SimWindow<'a> {
     vecs: Vec<&'a mut DenseVec>,
     fault: FaultPlan,

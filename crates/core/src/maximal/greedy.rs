@@ -31,7 +31,18 @@ pub fn greedy<C: Communicator>(comm: &mut C, a: &DistMatrix) -> Matching {
         debug_assert_eq!(total as usize, f_c.nnz());
 
         // Each row receives its minimum proposing column.
-        let cand_r = comm.spmspv(a, Kernel::Init, &mut plan, &f_c, |j, _| j, |acc, inc| inc < acc);
+        let cand_r = comm.spmspv(
+            a,
+            Kernel::Init,
+            &mut plan,
+            &f_c,
+            |j, _| j,
+            |acc, inc| {
+                if inc < *acc {
+                    *acc = inc
+                }
+            },
+        );
         // Only unmatched rows can accept.
         let cand_r = select(comm, Kernel::Init, &cand_r, &m.mate_r, |v| v == NIL);
         // Resolve column conflicts: each column keeps its first accepting row.
@@ -73,7 +84,7 @@ mod tests {
 
     #[test]
     fn grid_independent_result() {
-        // MinCombiner-based greedy is fully deterministic, so every grid
+        // Greedy's min-column fold is fully deterministic, so every grid
         // shape must produce the identical matching.
         let t = Triples::from_edges(
             5,

@@ -42,7 +42,7 @@ pub fn karp_sipser<C: Communicator>(
     // deg_c[j] = # adjacent unmatched rows (dynamic). Initialized by a
     // counting SpMSpV over all rows.
     let all_rows = SpVec::from_sorted_pairs(n1, (0..n1 as Vidx).map(|r| (r, ())).collect());
-    let deg0 = comm.spmspv_monoid(
+    let deg0 = comm.spmspv(
         at,
         Kernel::Init,
         &mut count_plan,
@@ -76,7 +76,11 @@ pub fn karp_sipser<C: Communicator>(
             &mut cand_plan,
             &f_r,
             |_, &r| r,
-            |acc, inc| (mix(rs, *inc), *inc) < (mix(rs, *acc), *acc),
+            |acc: &mut Vidx, inc| {
+                if (mix(rs, inc), inc) < (mix(rs, *acc), *acc) {
+                    *acc = inc;
+                }
+            },
         );
         let cand_c = select(comm, Kernel::Init, &cand_c, &m.mate_c, |v| v == NIL);
         if cand_c.is_empty() {
@@ -100,7 +104,7 @@ pub fn karp_sipser<C: Communicator>(
 
         // Degree update: columns adjacent to newly matched rows lose one
         // unmatched neighbour each (counting SpMSpV over the transpose).
-        let dec = comm.spmspv_monoid(
+        let dec = comm.spmspv(
             at,
             Kernel::Init,
             &mut count_plan,

@@ -33,14 +33,8 @@ pub fn dynamic_mindegree<C: Communicator>(
     // Current degree of each row = # adjacent unmatched columns. The initial
     // value is the static row degree (one counting SpMSpV over all columns).
     let all_cols = SpVec::from_sorted_pairs(n2, (0..n2 as Vidx).map(|c| (c, ())).collect());
-    let deg0 = comm.spmspv_monoid(
-        a,
-        Kernel::Init,
-        &mut deg_plan,
-        &all_cols,
-        |_, _| 1u32,
-        |acc, inc| *acc += inc,
-    );
+    let deg0 =
+        comm.spmspv(a, Kernel::Init, &mut deg_plan, &all_cols, |_, _| 1u32, |acc, inc| *acc += inc);
     let mut deg_r = vec![0u32; n1];
     for (i, &d) in deg0.iter() {
         deg_r[i as usize] = d;
@@ -59,7 +53,7 @@ pub fn dynamic_mindegree<C: Communicator>(
         debug_assert_eq!(total as usize, f_r.nnz());
 
         // Each column keeps the (degree, index)-minimal unmatched row.
-        let cand_c = comm.spmspv_monoid(
+        let cand_c = comm.spmspv(
             at,
             Kernel::Init,
             &mut cand_plan,
@@ -89,7 +83,7 @@ pub fn dynamic_mindegree<C: Communicator>(
         }
         new_cols.sort_unstable_by_key(|&(c, _)| c);
         let new_cols = SpVec::from_sorted_pairs(n2, new_cols);
-        let dec = comm.spmspv_monoid(
+        let dec = comm.spmspv(
             a,
             Kernel::Init,
             &mut deg_plan,

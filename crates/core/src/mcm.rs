@@ -378,7 +378,7 @@ fn run_phases_pooled<C: Communicator>(
                     &candidates,
                     &fmap,
                     |j, v: &Vertex| Vertex::new(j, v.root),
-                    |acc, inc| semiring.take_incoming(acc, inc),
+                    |acc, inc| semiring.fold(acc, inc),
                 )
             } else {
                 // One measurement path: the always-on stopwatch feeds both
@@ -391,7 +391,7 @@ fn run_phases_pooled<C: Communicator>(
                     &mut *plan,
                     &f_c,
                     |j, v: &Vertex| Vertex::new(j, v.root),
-                    |acc, inc| semiring.take_incoming(acc, inc),
+                    |acc, inc| semiring.fold(acc, inc),
                 );
                 let ns = sw.elapsed_ns();
                 stats.spmv_iteration_ns.push(ns);

@@ -41,11 +41,21 @@ fn mix(seed: u64, v: Vidx) -> u64 {
 }
 
 impl SemiringKind {
-    /// The semiring "addition" as a selection: `true` keeps the incoming
-    /// candidate. Total order on candidates ⇒ associative, commutative, and
-    /// arrival-order independent.
+    /// The semiring addition as the SpMSpV fold: `inc` replaces `acc` when
+    /// it wins the selection. Every selection is a total order on
+    /// candidates, so the fold is associative (the one property the kernels
+    /// require) and also arrival-order independent.
     #[inline]
-    pub fn take_incoming(&self, acc: &Vertex, inc: &Vertex) -> bool {
+    pub fn fold(&self, acc: &mut Vertex, inc: Vertex) {
+        if self.take_incoming(acc, &inc) {
+            *acc = inc;
+        }
+    }
+
+    /// The selection behind [`SemiringKind::fold`]: `true` keeps the
+    /// incoming candidate.
+    #[inline]
+    fn take_incoming(&self, acc: &Vertex, inc: &Vertex) -> bool {
         match *self {
             SemiringKind::MinParent => inc.parent < acc.parent,
             SemiringKind::RandParent(seed) => {

@@ -15,7 +15,8 @@
 //! * [`DenseVec`] — a dense vector with the paper's `-1`-means-missing
 //!   convention expressed through the [`NIL`] sentinel,
 //! * semiring sparse-matrix × sparse-vector products ([`spmspv`]) used for
-//!   frontier expansion in multi-source BFS,
+//!   frontier expansion in multi-source BFS, whose addition is one
+//!   associative fold,
 //! * [`CscOverlay`] — an insert/delete edge overlay over a CSC base with
 //!   epoch-based compaction, generic over a value per edge (`()` for a
 //!   pattern, `f64` for weights, which inserts re-weight): the storage
@@ -34,7 +35,6 @@ pub mod densevec;
 pub mod io;
 pub mod overlay;
 pub mod permute;
-pub mod semiring;
 pub mod spmv;
 pub mod spvec;
 pub mod stats;
@@ -47,8 +47,7 @@ pub use csc::Csc;
 pub use dcsc::Dcsc;
 pub use densevec::DenseVec;
 pub use overlay::CscOverlay;
-pub use semiring::{Combiner, MaxWeightCombiner, MinCombiner, Select2nd};
-pub use spmv::{spmspv, spmspv_csc, spmspv_monoid, spmv_dense};
+pub use spmv::{spmspv, spmspv_csc};
 pub use spvec::SpVec;
 pub use triples::Triples;
 pub use view::CscView;

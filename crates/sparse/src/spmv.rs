@@ -6,6 +6,10 @@
 //! run on each process's submatrix; `mcm-bsp` composes them with the
 //! expand/fold communication phases of the 2D distributed algorithm.
 //!
+//! The semiring addition `⊕` is one associative fold, `fold(&mut acc, inc)`,
+//! at every layer: a selection (`minParent`, first arrival) overwrites
+//! `acc` when `inc` wins, a counting semiring adds `inc` to it.
+//!
 //! All kernels report the number of traversed edges (`flops`) so the cost
 //! model can charge `γ · flops / t` of modeled compute per rank.
 //!
@@ -35,19 +39,21 @@ pub struct SpmvOut<U> {
     pub flops: u64,
 }
 
-///
 /// Local SpMSpV over a DCSC matrix.
 ///
 /// * `mul(j, xj)` is the semiring multiply for column `j` carrying frontier
 ///   value `xj` (for BFS: return `xj` with its parent rewritten to `j` —
 ///   `select2nd` plus parent bookkeeping).
-/// * `take_incoming(acc, inc)` is the semiring add as a selection (see
-///   [`Combiner`](crate::semiring::Combiner)): `true` keeps `inc`.
+/// * `fold(acc, inc)` is the semiring addition: it merges the incoming
+///   candidate into the row's accumulator (a selection overwrites `acc`, a
+///   counting semiring adds to it). It must be associative (see
+///   [`crate::workspace`]).
 ///
 /// Columns are processed in ascending index order and rows accumulate into a
-/// sparse accumulator, so results and combiner decisions are deterministic.
-/// Runs in `O(nnz(x) + nzc(A) + flops)` time thanks to a merge-join between
-/// the sorted frontier and the sorted nonzero-column list of the DCSC.
+/// sparse accumulator, so every row folds its candidates in ascending column
+/// order and results are deterministic. Runs in `O(nnz(x) + nzc(A) + flops)`
+/// time thanks to a merge-join between the sorted frontier and the sorted
+/// nonzero-column list of the DCSC.
 ///
 /// # Example
 ///
@@ -59,7 +65,7 @@ pub struct SpmvOut<U> {
 ///
 /// let a = Dcsc::from_triples(&Triples::from_edges(2, 2, vec![(0, 0), (0, 1), (1, 1)]));
 /// let frontier = SpVec::from_pairs(2, vec![(0, 0u32), (1, 1)]);
-/// let out = spmspv(&a, &frontier, |j, _| j, |acc, inc| inc < acc);
+/// let out = spmspv(&a, &frontier, |j, _| j, |acc, inc| *acc = inc.min(*acc));
 /// assert_eq!(out.y.entries(), &[(0, 0), (1, 1)]);
 /// assert_eq!(out.flops, 3); // edges traversed
 /// ```
@@ -67,11 +73,11 @@ pub fn spmspv<T, U: Copy>(
     a: &Dcsc,
     x: &SpVec<T>,
     mul: impl FnMut(Vidx, &T) -> U,
-    take_incoming: impl FnMut(&U, &U) -> bool,
+    fold: impl FnMut(&mut U, U),
 ) -> SpmvOut<U> {
     let mut ws = SpmvWorkspace::new();
     let mut y = SpVec::new(a.nrows());
-    let flops = ws.spmspv_into(a, x, mul, take_incoming, &mut y);
+    let flops = ws.spmspv_into(a, x, mul, fold, &mut y);
     SpmvOut { y, flops }
 }
 
@@ -83,56 +89,12 @@ pub fn spmspv_csc<T, U: Copy>(
     a: &Csc,
     x: &SpVec<T>,
     mul: impl FnMut(Vidx, &T) -> U,
-    take_incoming: impl FnMut(&U, &U) -> bool,
+    fold: impl FnMut(&mut U, U),
 ) -> SpmvOut<U> {
     let mut ws = SpmvWorkspace::new();
     let mut y = SpVec::new(a.nrows());
-    let flops = ws.spmspv_csc_into(a, x, mul, take_incoming, &mut y);
+    let flops = ws.spmspv_csc_into(a, x, mul, fold, &mut y);
     SpmvOut { y, flops }
-}
-
-/// Local SpMSpV over a general *monoid* "addition": `combine(&mut acc, inc)`
-/// folds every candidate into the accumulator (e.g. `+` for counting
-/// semirings). Must be commutative and associative — the distributed fold
-/// combines partials from different blocks in unspecified order.
-pub fn spmspv_monoid<T, U: Copy>(
-    a: &Dcsc,
-    x: &SpVec<T>,
-    mul: impl FnMut(Vidx, &T) -> U,
-    combine: impl FnMut(&mut U, U),
-) -> SpmvOut<U> {
-    let mut ws = SpmvWorkspace::new();
-    let mut y = SpVec::new(a.nrows());
-    let flops = ws.spmspv_monoid_into(a, x, mul, combine, &mut y);
-    SpmvOut { y, flops }
-}
-
-/// Dense-vector SpMV over an additive monoid: `y[i] = ⊕_j A(i,j) ⊗ x[j]`,
-/// materialized as `Option<U>` per row.
-///
-/// Useful for whole-graph sweeps such as counting each row vertex's
-/// unmatched-neighbour total in the maximal-matching initializers.
-pub fn spmv_dense<T, U>(
-    a: &Dcsc,
-    x: &[T],
-    mut mul: impl FnMut(Vidx, &T) -> U,
-    mut add: impl FnMut(U, U) -> U,
-) -> Vec<Option<U>> {
-    assert_eq!(x.len(), a.ncols());
-    let mut y: Vec<Option<U>> = Vec::new();
-    y.resize_with(a.nrows(), || None);
-    for k in 0..a.nzc() {
-        let (rows, j) = a.nth_col(k);
-        for &i in rows {
-            let cand = mul(j, &x[j as usize]);
-            let slot = &mut y[i as usize];
-            *slot = Some(match slot.take() {
-                None => cand,
-                Some(acc) => add(acc, cand),
-            });
-        }
-    }
-    y
 }
 
 #[cfg(test)]
@@ -156,8 +118,12 @@ mod tests {
         // (parent=self, root=self); semiring (select2nd, minParent).
         let a = fig2_matrix();
         let x = SpVec::from_pairs(5, vec![(0, (0u32, 0u32)), (1, (1, 1)), (4, (4, 4))]);
-        let out =
-            spmspv(&a, &x, |j, &(_, root)| (j, root), |acc: &(Vidx, Vidx), inc| inc.0 < acc.0);
+        let min_parent = |acc: &mut (Vidx, Vidx), inc: (Vidx, Vidx)| {
+            if inc.0 < acc.0 {
+                *acc = inc
+            }
+        };
+        let out = spmspv(&a, &x, |j, &(_, root)| (j, root), min_parent);
         // r1 reached from c1 only → (0,0); r2 from c1 and c2, minParent keeps c1;
         // r3 from c5 → (4,4); r4 from c5 → (4,4).
         assert_eq!(out.y.entries(), &[(0, (0, 0)), (1, (0, 0)), (2, (4, 4)), (3, (4, 4))]);
@@ -170,8 +136,9 @@ mod tests {
         let d = fig2_matrix();
         let c = d.to_csc();
         let x = SpVec::from_pairs(5, vec![(1, 10u32), (3, 30)]);
-        let od = spmspv(&d, &x, |j, &v| (j, v), |a: &(Vidx, u32), b| b < a);
-        let oc = spmspv_csc(&c, &x, |j, &v| (j, v), |a: &(Vidx, u32), b| b < a);
+        let min = |a: &mut (Vidx, u32), b: (Vidx, u32)| *a = b.min(*a);
+        let od = spmspv(&d, &x, |j, &v| (j, v), min);
+        let oc = spmspv_csc(&c, &x, |j, &v| (j, v), min);
         assert_eq!(od.y, oc.y);
         assert_eq!(od.flops, oc.flops);
     }
@@ -180,41 +147,34 @@ mod tests {
     fn empty_frontier_is_empty_result() {
         let a = fig2_matrix();
         let x: SpVec<u32> = SpVec::new(5);
-        let out = spmspv(&a, &x, |j, &v| (j, v), |_: &(Vidx, u32), _| false);
+        let out = spmspv(&a, &x, |j, &v| (j, v), |_: &mut (Vidx, u32), _| {});
         assert!(out.y.is_empty());
         assert_eq!(out.flops, 0);
     }
 
     #[test]
-    fn monoid_spmspv_counts() {
+    fn counting_spmspv_counts() {
         // Counting semiring over a sparse frontier: how many frontier
         // columns touch each row?
         let a = fig2_matrix();
         let x = SpVec::from_pairs(5, vec![(0, ()), (1, ()), (4, ())]);
-        let out = spmspv_monoid(&a, &x, |_, _| 1u32, |acc, inc| *acc += inc);
+        let out = spmspv(&a, &x, |_, _| 1u32, |acc, inc| *acc += inc);
         // r1: c1 → 1; r2: c1,c2 → 2; r3: c5 → 1; r4: c5 → 1.
         assert_eq!(out.y.entries(), &[(0, 1), (1, 2), (2, 1), (3, 1)]);
         assert_eq!(out.flops, 5);
     }
 
     #[test]
-    fn dense_spmv_counts_degrees() {
-        // Counting semiring: x = all ones, mul = 1, add = +  → row degrees.
-        let a = fig2_matrix();
-        let ones = vec![1u32; 5];
-        let y = spmv_dense(&a, &ones, |_, &v| v, |a, b| a + b);
-        let degs: Vec<u32> = y.into_iter().map(|o| o.unwrap_or(0)).collect();
-        assert_eq!(degs, vec![2, 3, 2, 2]);
-    }
-
-    #[test]
-    fn combiner_sees_ascending_columns() {
-        // FirstCombiner semantics: with ascending column processing, the
-        // smallest column index wins by arrival order.
+    fn fold_sees_ascending_columns() {
+        // First- and last-arrival folds: with ascending column processing,
+        // the smallest column index arrives first and the largest last.
         let a = fig2_matrix();
         let x = SpVec::from_pairs(5, vec![(0, 0u32), (1, 1), (3, 3)]);
-        let out = spmspv(&a, &x, |j, _| j, |_, _| false);
-        // r2 (row 1) is adjacent to c1, c2, c4 — first arrival is c1 = 0.
-        assert_eq!(out.y.get(1), Some(&0));
+        let first = spmspv(&a, &x, |j, _| j, |_, _| {});
+        let last = spmspv(&a, &x, |j, _| j, |acc, inc| *acc = inc);
+        // r2 (row 1) is adjacent to c1, c2, c4: first arrival is c1 = 0,
+        // last is c4 = 3.
+        assert_eq!(first.y.get(1), Some(&0));
+        assert_eq!(last.y.get(1), Some(&3));
     }
 }

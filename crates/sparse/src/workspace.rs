@@ -37,11 +37,11 @@
 //!   split into contiguous chunks by traversed-edge count, each chunk runs
 //!   against its own stamped SPA on its own thread, and the chunk results
 //!   merge in **ascending chunk (hence ascending column) order** through an
-//!   allocation-free k-way merge. Because every supported combiner is an
-//!   associative selection (see below), the merged result is bit-identical
-//!   to the serial kernel's — `MinParent`, `RandParent`/`RandRoot`, and
-//!   first-arrival combiners all included — and `flops` is exactly the
-//!   serial count.
+//!   allocation-free k-way merge. Because the fold is associative (see
+//!   below), the merged result is bit-identical to the serial kernel's —
+//!   `MinParent`, `RandParent`/`RandRoot`, first- and last-arrival
+//!   selections and counting folds all included — and `flops` is exactly
+//!   the serial count.
 //! * [`SpmvWorkspace::spmspv_fused_into`] is the simulator's kernel: one
 //!   physical product over the whole (single-block) matrix whose SPA
 //!   doubles as the communication arena — logical ranks' "messages" are
@@ -54,18 +54,17 @@
 //!   nothing is counted per edge. See `mcm-bsp`'s
 //!   `DistMatrix::spmspv_fused` for the charging this plugs into.
 //!
-//! ### Combiner contract
+//! ### Fold contract
 //!
-//! `take_incoming(acc, inc) -> bool` must implement an **associative
-//! selection**: `fold(a, b) = if take_incoming(a, b) { b } else { a }` must
-//! be associative (every total-order "keep the minimum key" selection is,
-//! as is first-arrival `|_, _| false`). The serial kernel folds candidates
-//! per row in ascending column order; the chunked kernel folds each chunk's
-//! sub-range in that same order and then folds the per-chunk survivors in
-//! ascending chunk order — associativity makes the two parenthesizations
-//! equal, value for value. Monoid `combine(&mut acc, inc)` must be
-//! commutative and associative, as [`crate::spmv::spmspv_monoid`] already
-//! requires.
+//! The semiring addition is one fold, `fold(&mut acc, inc)`, and it must be
+//! **associative**: every kernel folds a row's candidates in ascending
+//! global column order, and the chunked and distributed kernels only
+//! re-parenthesize that sequence (each chunk or block folds its own
+//! sub-range, then the partials fold in ascending chunk or block order), so
+//! associativity makes every execution equal to the serial one, value for
+//! value. Commutativity is not needed, because the arrival order never
+//! changes: a last-arrival `|acc, inc| *acc = inc` is as valid as a
+//! `minParent` selection or a counting `+`.
 //!
 //! The column-level semiring multiply `mul(j, xj)` is invoked **once per
 //! matched column** and its value copied per traversed edge (the multiply
@@ -147,9 +146,9 @@ impl<U> SpaBuf<U> {
         self.base
     }
 
-    /// Folds `cand` into row `i` under a selection combiner.
+    /// Folds `cand` into row `i`; a row's first candidate is stored as is.
     #[inline]
-    fn accum_select(&mut self, i: Vidx, cand: U, take_incoming: &mut impl FnMut(&U, &U) -> bool)
+    fn accum(&mut self, i: Vidx, cand: U, fold: &mut impl FnMut(&mut U, U))
     where
         U: Copy,
     {
@@ -161,28 +160,7 @@ impl<U> SpaBuf<U> {
         } else {
             // SAFETY: `stamp[iu] == epoch` implies the slot was written in
             // this generation.
-            let acc = unsafe { self.vals[iu].assume_init_mut() };
-            if take_incoming(acc, &cand) {
-                *acc = cand;
-            }
-        }
-    }
-
-    /// Folds `cand` into row `i` under a monoid combiner.
-    #[inline]
-    fn accum_monoid(&mut self, i: Vidx, cand: U, combine: &mut impl FnMut(&mut U, U))
-    where
-        U: Copy,
-    {
-        let iu = i as usize;
-        if self.stamp[iu] != self.epoch {
-            self.stamp[iu] = self.epoch;
-            self.vals[iu].write(cand);
-            self.touched.push(i);
-        } else {
-            // SAFETY: stamped ⇒ initialized this generation.
-            let acc = unsafe { self.vals[iu].assume_init_mut() };
-            combine(acc, cand);
+            fold(unsafe { self.vals[iu].assume_init_mut() }, cand);
         }
     }
 
@@ -337,7 +315,7 @@ impl<U: Copy> SpmvWorkspace<U> {
         a: &Dcsc,
         x: &SpVec<T>,
         mut mul: impl FnMut(Vidx, &T) -> U,
-        mut take_incoming: impl FnMut(&U, &U) -> bool,
+        mut fold: impl FnMut(&mut U, U),
         y: &mut SpVec<U>,
     ) -> u64 {
         self.note_call(a.nrows(), 0);
@@ -360,7 +338,7 @@ impl<U: Copy> SpmvWorkspace<U> {
                         let colv = mul(*j, xj);
                         flops += rows.len() as u64;
                         for &i in rows {
-                            self.spa.accum_select(i, colv, &mut take_incoming);
+                            self.spa.accum(i, colv, &mut fold);
                         }
                     }
                     p += 1;
@@ -382,7 +360,7 @@ impl<U: Copy> SpmvWorkspace<U> {
         a: &Csc,
         x: &SpVec<T>,
         mut mul: impl FnMut(Vidx, &T) -> U,
-        mut take_incoming: impl FnMut(&U, &U) -> bool,
+        mut fold: impl FnMut(&mut U, U),
         y: &mut SpVec<U>,
     ) -> u64 {
         self.note_call(a.nrows(), 0);
@@ -397,50 +375,7 @@ impl<U: Copy> SpmvWorkspace<U> {
             let colv = mul(j, xj);
             flops += rows.len() as u64;
             for &i in rows {
-                self.spa.accum_select(i, colv, &mut take_incoming);
-            }
-        }
-
-        y.reset(a.nrows());
-        self.spa.drain_into(y);
-        flops
-    }
-
-    /// DCSC SpMSpV over a monoid "addition" into a caller-owned output
-    /// vector (the workspace counterpart of
-    /// [`crate::spmv::spmspv_monoid`]).
-    pub fn spmspv_monoid_into<T>(
-        &mut self,
-        a: &Dcsc,
-        x: &SpVec<T>,
-        mut mul: impl FnMut(Vidx, &T) -> U,
-        mut combine: impl FnMut(&mut U, U),
-        y: &mut SpVec<U>,
-    ) -> u64 {
-        self.note_call(a.nrows(), 0);
-        self.spa.begin(a.nrows());
-        let mut flops = 0u64;
-
-        let cols = a.nonzero_cols();
-        let xs = x.entries();
-        let (mut p, mut q) = (0usize, 0usize);
-        while p < xs.len() && q < cols.len() {
-            let (j, xj) = (&xs[p].0, &xs[p].1);
-            match cols[q].cmp(j) {
-                std::cmp::Ordering::Less => q += 1,
-                std::cmp::Ordering::Greater => p += 1,
-                std::cmp::Ordering::Equal => {
-                    let (rows, _) = a.nth_col(q);
-                    if !rows.is_empty() {
-                        let colv = mul(*j, xj);
-                        flops += rows.len() as u64;
-                        for &i in rows {
-                            self.spa.accum_monoid(i, colv, &mut combine);
-                        }
-                    }
-                    p += 1;
-                    q += 1;
-                }
+                self.spa.accum(i, colv, &mut fold);
             }
         }
 
@@ -511,43 +446,6 @@ impl<U: Copy> SpmvWorkspace<U> {
     /// [`FusedVolumes`] match that execution's charges exactly.
     #[allow(clippy::too_many_arguments)] // mirrors the distributed kernel's surface
     pub fn spmspv_fused_into<T>(
-        &mut self,
-        a: &Dcsc,
-        x: &SpVec<T>,
-        col_off: &[usize],
-        fold_off: &[usize],
-        mul: impl FnMut(Vidx, &T) -> U,
-        mut take_incoming: impl FnMut(&U, &U) -> bool,
-        y: &mut SpVec<U>,
-    ) -> FusedVolumes {
-        let fold = |acc: &mut U, inc: U| {
-            if take_incoming(acc, &inc) {
-                *acc = inc;
-            }
-        };
-        self.fused_into(a, x, col_off, fold_off, mul, fold, y)
-    }
-
-    /// Monoid counterpart of [`SpmvWorkspace::spmspv_fused_into`] (same
-    /// arena/accounting scheme, commutative-associative `combine` fold).
-    #[allow(clippy::too_many_arguments)] // mirrors the distributed kernel's surface
-    pub fn spmspv_monoid_fused_into<T>(
-        &mut self,
-        a: &Dcsc,
-        x: &SpVec<T>,
-        col_off: &[usize],
-        fold_off: &[usize],
-        mul: impl FnMut(Vidx, &T) -> U,
-        combine: impl FnMut(&mut U, U),
-        y: &mut SpVec<U>,
-    ) -> FusedVolumes {
-        self.fused_into(a, x, col_off, fold_off, mul, combine, y)
-    }
-
-    /// The fused traversal both public kernels share; `fold` merges a
-    /// candidate into a row's live accumulator.
-    #[allow(clippy::too_many_arguments)] // mirrors the distributed kernel's surface
-    fn fused_into<T>(
         &mut self,
         a: &Dcsc,
         x: &SpVec<T>,
@@ -652,16 +550,16 @@ impl<U: Copy> SpmvWorkspace<U> {
     /// chunk order through an allocation-free k-way merge.
     ///
     /// Output and `flops` are **bit-identical** to
-    /// [`SpmvWorkspace::spmspv_into`] (see the module docs for the combiner
-    /// associativity contract). `threads <= 1` — or a frontier too small to
-    /// be worth splitting — falls through to the serial path.
+    /// [`SpmvWorkspace::spmspv_into`] (see the module docs for the fold
+    /// contract). `threads <= 1` — or a frontier too small to be worth
+    /// splitting — falls through to the serial path.
     pub fn spmspv_parallel_into<T>(
         &mut self,
         a: &Dcsc,
         x: &SpVec<T>,
         threads: usize,
         mul: impl Fn(Vidx, &T) -> U + Sync,
-        take_incoming: impl Fn(&U, &U) -> bool + Sync,
+        fold: impl Fn(&mut U, U) + Sync,
         y: &mut SpVec<U>,
     ) -> u64
     where
@@ -708,8 +606,7 @@ impl<U: Copy> SpmvWorkspace<U> {
                 let colv = mul(*j, xj);
                 flops += rows.len() as u64;
                 for &i in rows {
-                    let mut take = |acc: &U, inc: &U| take_incoming(acc, inc);
-                    self.spa.accum_select(i, colv, &mut take);
+                    self.spa.accum(i, colv, &mut &fold);
                 }
             }
             y.reset(a.nrows());
@@ -756,8 +653,7 @@ impl<U: Copy> SpmvWorkspace<U> {
                     let colv = mul(*j, xj);
                     flops += rows.len() as u64;
                     for &i in rows {
-                        let mut take = |acc: &U, inc: &U| take_incoming(acc, inc);
-                        spa.accum_select(i, colv, &mut take);
+                        spa.accum(i, colv, &mut &fold);
                     }
                 }
                 spa.touched.sort_unstable();
@@ -767,8 +663,8 @@ impl<U: Copy> SpmvWorkspace<U> {
 
         // Deterministic fold: k-way merge of the per-chunk sorted rows,
         // ties resolved toward the lower chunk (= earlier columns), values
-        // folded left-to-right with the combiner — exactly the serial
-        // arrival order, re-parenthesized per chunk.
+        // folded left-to-right — exactly the serial arrival order,
+        // re-parenthesized per chunk.
         y.reset(a.nrows());
         self.heads.clear();
         self.heads.resize(used, 0);
@@ -787,11 +683,7 @@ impl<U: Copy> SpmvWorkspace<U> {
             self.heads[c] += 1;
             let v = self.chunk_spas[c].take(r);
             match y.entries_mut().last_mut() {
-                Some((last, acc)) if *last == r => {
-                    if take_incoming(acc, &v) {
-                        *acc = v;
-                    }
-                }
+                Some((last, acc)) if *last == r => fold(acc, v),
                 _ => y.push(r, v),
             }
         }
@@ -805,6 +697,16 @@ mod tests {
     use crate::spmv::spmspv;
     use crate::Triples;
 
+    fn min_parent(acc: &mut (Vidx, Vidx), inc: (Vidx, Vidx)) {
+        if inc.0 < acc.0 {
+            *acc = inc;
+        }
+    }
+
+    fn min(acc: &mut Vidx, inc: Vidx) {
+        *acc = inc.min(*acc);
+    }
+
     fn fig2_matrix() -> Dcsc {
         Dcsc::from_triples(&Triples::from_edges(
             4,
@@ -817,10 +719,10 @@ mod tests {
     fn into_matches_seed_kernel() {
         let a = fig2_matrix();
         let x = SpVec::from_pairs(5, vec![(0, (0u32, 0u32)), (1, (1, 1)), (4, (4, 4))]);
-        let seed = spmspv(&a, &x, |j, &(_, r)| (j, r), |acc: &(Vidx, Vidx), inc| inc.0 < acc.0);
+        let seed = spmspv(&a, &x, |j, &(_, r)| (j, r), min_parent);
         let mut ws = SpmvWorkspace::new();
         let mut y = SpVec::new(0);
-        let flops = ws.spmspv_into(&a, &x, |j, &(_, r)| (j, r), |acc, inc| inc.0 < acc.0, &mut y);
+        let flops = ws.spmspv_into(&a, &x, |j, &(_, r)| (j, r), min_parent, &mut y);
         assert_eq!(y, seed.y);
         assert_eq!(flops, seed.flops);
     }
@@ -832,11 +734,11 @@ mod tests {
         let mut y = SpVec::new(0);
         // First call touches rows 0..4.
         let full = SpVec::from_pairs(5, vec![(0, 0u32), (1, 1), (3, 3), (4, 4)]);
-        ws.spmspv_into(&a, &full, |j, _| j, |acc, inc| inc < acc, &mut y);
+        ws.spmspv_into(&a, &full, |j, _| j, min, &mut y);
         assert_eq!(y.nnz(), 4);
         // Second call with a tiny frontier: rows from call 1 must be gone.
         let tiny = SpVec::from_pairs(5, vec![(1, 1u32)]);
-        ws.spmspv_into(&a, &tiny, |j, _| j, |acc, inc| inc < acc, &mut y);
+        ws.spmspv_into(&a, &tiny, |j, _| j, min, &mut y);
         assert_eq!(y.entries(), &[(1, 1)]);
     }
 
@@ -844,17 +746,10 @@ mod tests {
     fn parallel_matches_serial_on_fig2() {
         let a = fig2_matrix();
         let x = SpVec::from_pairs(5, vec![(0, (0u32, 0u32)), (1, (1, 1)), (4, (4, 4))]);
-        let seed = spmspv(&a, &x, |j, &(_, r)| (j, r), |acc: &(Vidx, Vidx), inc| inc.0 < acc.0);
+        let seed = spmspv(&a, &x, |j, &(_, r)| (j, r), min_parent);
         let mut ws = SpmvWorkspace::new();
         let mut y = SpVec::new(0);
-        let flops = ws.spmspv_parallel_into(
-            &a,
-            &x,
-            4,
-            |j, &(_, r)| (j, r),
-            |acc, inc| inc.0 < acc.0,
-            &mut y,
-        );
+        let flops = ws.spmspv_parallel_into(&a, &x, 4, |j, &(_, r)| (j, r), min_parent, &mut y);
         assert_eq!(y, seed.y);
         assert_eq!(flops, seed.flops);
     }
@@ -866,7 +761,7 @@ mod tests {
         let mut ws: SpmvWorkspace<Vidx> = SpmvWorkspace::new();
         let mut y = SpVec::new(0);
         for _ in 0..3 {
-            ws.spmspv_into(&a, &x, |j, _| j, |acc, inc| inc < acc, &mut y);
+            ws.spmspv_into(&a, &x, |j, _| j, min, &mut y);
         }
         assert_eq!(ws.stats.calls, 3);
         assert_eq!(ws.stats.reuse_hits, 2); // first call is the cold miss
@@ -887,10 +782,10 @@ mod tests {
         }
         let a = Dcsc::from_triples(&Triples::from_edges(n, n, edges));
         let full: SpVec<Vidx> = SpVec::from_pairs(n, (0..n as Vidx).map(|j| (j, j)).collect());
-        let seed = spmspv(&a, &full, |j, _| j, |acc: &Vidx, inc| inc < acc);
+        let seed = spmspv(&a, &full, |j, _| j, min);
         let mut ws = SpmvWorkspace::new();
         let mut y = SpVec::new(0);
-        let flops = ws.spmspv_into(&a, &full, |j, _| j, |acc, inc| inc < acc, &mut y);
+        let flops = ws.spmspv_into(&a, &full, |j, _| j, min, &mut y);
         assert_eq!(y, seed.y);
         assert_eq!(flops, seed.flops);
         assert!(8 * y.nnz() >= n, "test must exercise the dense-sweep drain");
@@ -900,19 +795,12 @@ mod tests {
     fn fused_matches_serial_and_counts_single_block_volumes() {
         let a = fig2_matrix();
         let x = SpVec::from_pairs(5, vec![(0, (0u32, 0u32)), (1, (1, 1)), (4, (4, 4))]);
-        let seed = spmspv(&a, &x, |j, &(_, r)| (j, r), |acc: &(Vidx, Vidx), inc| inc.0 < acc.0);
+        let seed = spmspv(&a, &x, |j, &(_, r)| (j, r), min_parent);
         let mut ws = SpmvWorkspace::new();
         let mut y = SpVec::new(0);
         // Logical 1×1: flops = serial flops, fold send = 2 · nnz(y).
-        let vols = ws.spmspv_fused_into(
-            &a,
-            &x,
-            &[0, 5],
-            &[0, 4],
-            |j, &(_, r)| (j, r),
-            |acc, inc| inc.0 < acc.0,
-            &mut y,
-        );
+        let vols =
+            ws.spmspv_fused_into(&a, &x, &[0, 5], &[0, 4], |j, &(_, r)| (j, r), min_parent, &mut y);
         assert_eq!(y, seed.y);
         assert_eq!(vols.max_flops, seed.flops);
         assert_eq!(vols.fold_bottleneck, 2 * seed.y.nnz() as u64);
@@ -932,10 +820,8 @@ mod tests {
         let run = |ws: &mut SpmvWorkspace<u32>, x: &SpVec<u32>| -> Out {
             let (mut yc, mut ys) = (SpVec::new(0), SpVec::new(0));
             let count = |acc: &mut u32, inc: u32| *acc += inc;
-            let vc =
-                ws.spmspv_monoid_fused_into(&a, x, &col_off, &fold_off, |_, _| 1, count, &mut yc);
-            let take = |acc: &u32, inc: &u32| inc < acc;
-            let vs = ws.spmspv_fused_into(&a, x, &col_off, &fold_off, |j, _| j, take, &mut ys);
+            let vc = ws.spmspv_fused_into(&a, x, &col_off, &fold_off, |_, _| 1, count, &mut yc);
+            let vs = ws.spmspv_fused_into(&a, x, &col_off, &fold_off, |j, _| j, min, &mut ys);
             (yc, vc, ys, vs)
         };
         for start in (0..=6).map(|k| u32::MAX - k) {

@@ -59,7 +59,7 @@ fn rank_parallel_spmspv(t: &Triples, x: &SpVec<Vidx>, pr: usize, pc: usize) -> S
             block,
             &local_x,
             |lj, _v| lj + coff, // record the global parent column
-            |acc: &Vidx, inc| inc < acc,
+            |acc: &mut Vidx, inc| *acc = inc.min(*acc),
         );
 
         // --- Fold: gather partials (global rows) onto rank (bi, 0). --------
@@ -106,7 +106,8 @@ fn rank_parallel_spmspv_matches_simulator() {
 
         let mut ctx = DistCtx::new(MachineConfig::hybrid(pr, 1));
         let a = DistMatrix::from_triples(&ctx, &t);
-        let simulated = a.spmspv(&mut ctx, Kernel::SpMV, &x, |j, _| j, |acc, inc| inc < acc);
+        let simulated =
+            a.spmspv(&mut ctx, Kernel::SpMV, &x, |j, _| j, |acc, inc| *acc = inc.min(*acc));
         assert_eq!(real, simulated, "grid {pr}x{pc}");
     }
 }

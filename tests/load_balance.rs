@@ -90,7 +90,7 @@ fn bottleneck_accounting_sees_imbalance() {
     let x: SpVec<Vidx> =
         SpVec::from_sorted_pairs(n, (0..(n / 2) as Vidx).map(|j| (j, j)).collect());
     let before = ctx.timers.seconds(Kernel::SpMV);
-    let _ = a.spmspv(&mut ctx, Kernel::SpMV, &x, |j, _| j, |acc, inc| inc < acc);
+    let _ = a.spmspv(&mut ctx, Kernel::SpMV, &x, |j, _| j, |acc, inc| *acc = inc.min(*acc));
     let compute_part = ctx.timers.seconds(Kernel::SpMV) - before;
     // The bottleneck block processed all n edges: modeled compute must be
     // at least gamma * n (not gamma * n / p).

@@ -56,7 +56,7 @@ fn first_iteration_reproduces_fig1_step_by_step() {
         Kernel::SpMV,
         &f_c,
         |j, v: &Vertex| Vertex::new(j, v.root),
-        |acc, inc| semiring.take_incoming(acc, inc),
+        |acc, inc| semiring.fold(acc, inc),
     );
     assert_eq!(
         f_r.entries(),

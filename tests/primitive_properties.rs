@@ -126,12 +126,16 @@ fn distributed_spmspv_equals_serial() {
             t.ncols(),
             (0..t.ncols()).step_by(every).map(|j| (j as Vidx, j as Vidx)).collect(),
         );
-        let serial =
-            mcm_sparse::spmspv(&Dcsc::from_triples(&t), &x, |j, _| j, |acc: &Vidx, inc| inc < acc)
-                .y;
+        let serial = mcm_sparse::spmspv(
+            &Dcsc::from_triples(&t),
+            &x,
+            |j, _| j,
+            |acc: &mut Vidx, inc| *acc = inc.min(*acc),
+        )
+        .y;
         let mut ctx = DistCtx::new(MachineConfig::hybrid(dim, 1));
         let a = DistMatrix::from_triples(&ctx, &t);
-        let dist = a.spmspv(&mut ctx, Kernel::SpMV, &x, |j, _| j, |acc, inc| inc < acc);
+        let dist = a.spmspv(&mut ctx, Kernel::SpMV, &x, |j, _| j, |acc, inc| *acc = inc.min(*acc));
         assert_eq!(dist, serial, "trial {trial} dim {dim}");
     }
 }
@@ -144,11 +148,10 @@ fn distributed_monoid_equals_serial() {
         let dim = 1 + rng.below(4) as usize;
         let x: SpVec<()> =
             SpVec::from_sorted_pairs(t.ncols(), (0..t.ncols() as Vidx).map(|j| (j, ())).collect());
-        let serial =
-            mcm_sparse::spmspv_monoid(&Dcsc::from_triples(&t), &x, |_, _| 1u32, |a, b| *a += b).y;
+        let serial = mcm_sparse::spmspv(&Dcsc::from_triples(&t), &x, |_, _| 1u32, |a, b| *a += b).y;
         let mut ctx = DistCtx::new(MachineConfig::hybrid(dim, 1));
         let a = DistMatrix::from_triples(&ctx, &t);
-        let dist = a.spmspv_monoid(&mut ctx, Kernel::Init, &x, |_, _| 1u32, |a, b| *a += b);
+        let dist = a.spmspv(&mut ctx, Kernel::Init, &x, |_, _| 1u32, |a, b| *a += b);
         assert_eq!(dist, serial, "trial {trial} dim {dim}");
     }
 }

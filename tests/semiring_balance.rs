@@ -27,7 +27,7 @@ fn max_tree_size(t: &Triples, semiring: SemiringKind) -> usize {
         Kernel::SpMV,
         &f_c,
         |j, v: &Vertex| Vertex::new(j, v.root),
-        |acc, inc| semiring.take_incoming(acc, inc),
+        |acc, inc| semiring.fold(acc, inc),
     );
     let mut per_root = vec![0usize; t.ncols()];
     for (_, v) in f_r.iter() {

@@ -2,8 +2,8 @@
 //!
 //! The `*_into` kernels and the intra-block parallel path must be
 //! **bit-identical** to the seed kernels — same output entries, same flops —
-//! across semirings (MinParent, RandParent, counting monoid) on random
-//! R-MAT and Erdős–Rényi blocks. On top of that, the workspace must reach a
+//! across folds (MinParent, RandParent, RandRoot, last arrival, counting) on
+//! random R-MAT and Erdős–Rényi blocks. On top of that, the workspace must reach a
 //! zero-allocation steady state: after the first (cold) call, the output
 //! vector's buffer pointer and capacity stay put and the workspace reports
 //! reuse hits. All randomness is seeded SplitMix64 — deterministic runs.
@@ -13,7 +13,7 @@ use mcm_core::vertex::Vertex;
 use mcm_gen::rmat::{rmat, RmatParams};
 use mcm_sparse::permute::SplitMix64;
 use mcm_sparse::workspace::SpmvWorkspace;
-use mcm_sparse::{spmspv, spmspv_monoid, Dcsc, SpVec, Vidx};
+use mcm_sparse::{spmspv, Dcsc, SpVec, Vidx};
 
 /// A frontier over `ncols` columns containing roughly `ncols / every`
 /// entries, each carrying a seed Vertex.
@@ -30,82 +30,67 @@ fn test_blocks() -> Vec<Dcsc> {
         Dcsc::from_triples(&rmat(RmatParams::g500(9), 42)),
         Dcsc::from_triples(&rmat(RmatParams::er(9), 7)),
         Dcsc::from_triples(&rmat(RmatParams::ssca(8), 11)),
+        // Large enough that a full frontier traverses well over twice
+        // `MIN_PARALLEL_EDGES` (4096): the chunked path really splits.
+        Dcsc::from_triples(&rmat(RmatParams::g500(11), 5)),
     ]
+}
+
+/// Runs the seed kernel, the workspace kernel and the parallel kernel at
+/// 2, 3 and 8 threads under one fold, asserting identical outputs and
+/// flops; returns the flops.
+fn assert_kernels_agree<U>(
+    a: &Dcsc,
+    x: &SpVec<Vertex>,
+    mul: impl Fn(Vidx, &Vertex) -> U + Sync,
+    fold: impl Fn(&mut U, U) + Sync,
+    tag: &str,
+) -> u64
+where
+    U: Copy + PartialEq + std::fmt::Debug + Send,
+{
+    let seed = spmspv(a, x, &mul, &fold);
+    let mut ws = SpmvWorkspace::new();
+    let mut y = SpVec::new(0);
+    let flops = ws.spmspv_into(a, x, &mul, &fold, &mut y);
+    assert_eq!(y, seed.y, "{tag}: into");
+    assert_eq!(flops, seed.flops, "{tag}: into flops");
+    for threads in [2usize, 3, 8] {
+        let mut wsp = SpmvWorkspace::new();
+        let mut yp = SpVec::new(0);
+        let pflops = wsp.spmspv_parallel_into(a, x, threads, &mul, &fold, &mut yp);
+        assert_eq!(yp, seed.y, "{tag} threads {threads}: parallel");
+        assert_eq!(pflops, seed.flops, "{tag} threads {threads}: parallel flops");
+    }
+    seed.flops
 }
 
 #[test]
 fn workspace_and_parallel_match_seed_kernel_across_semirings() {
+    // Every fold the kernels accept: the three selection semirings, a
+    // last-arrival pick (associative, not commutative) and a count.
     let blocks = test_blocks();
     let mut rng = SplitMix64::new(0xD0C5);
+    let mut most_flops = 0;
     for (bi, a) in blocks.iter().enumerate() {
-        for semiring in
-            [SemiringKind::MinParent, SemiringKind::RandParent(3), SemiringKind::RandRoot(17)]
-        {
-            for every in [1usize, 4, 64] {
-                let x = frontier(a.ncols(), every, &mut rng);
-                let seed = spmspv(
-                    a,
-                    &x,
-                    |j, v: &Vertex| Vertex::new(j, v.root),
-                    |acc, inc| semiring.take_incoming(acc, inc),
-                );
-
-                let mut ws = SpmvWorkspace::new();
-                let mut y = SpVec::new(0);
-                let flops = ws.spmspv_into(
-                    a,
-                    &x,
-                    |j, v: &Vertex| Vertex::new(j, v.root),
-                    |acc, inc| semiring.take_incoming(acc, inc),
-                    &mut y,
-                );
-                assert_eq!(y, seed.y, "block {bi} {semiring:?} every {every}: into");
-                assert_eq!(flops, seed.flops, "block {bi} {semiring:?}: into flops");
-
-                for threads in [2usize, 3, 8] {
-                    let mut wsp = SpmvWorkspace::new();
-                    let mut yp = SpVec::new(0);
-                    let pflops = wsp.spmspv_parallel_into(
-                        a,
-                        &x,
-                        threads,
-                        |j, v: &Vertex| Vertex::new(j, v.root),
-                        |acc, inc| semiring.take_incoming(acc, inc),
-                        &mut yp,
-                    );
-                    assert_eq!(
-                        yp, seed.y,
-                        "block {bi} {semiring:?} every {every} threads {threads}: parallel"
-                    );
-                    assert_eq!(
-                        pflops, seed.flops,
-                        "block {bi} {semiring:?} threads {threads}: parallel flops"
-                    );
-                }
+        for every in [1usize, 4, 64] {
+            let x = frontier(a.ncols(), every, &mut rng);
+            let to_vertex = |j, v: &Vertex| Vertex::new(j, v.root);
+            for semiring in
+                [SemiringKind::MinParent, SemiringKind::RandParent(3), SemiringKind::RandRoot(17)]
+            {
+                let fold = |acc: &mut Vertex, inc| semiring.fold(acc, inc);
+                let tag = format!("block {bi} every {every} {semiring:?}");
+                most_flops = most_flops.max(assert_kernels_agree(a, &x, to_vertex, fold, &tag));
             }
+            let last = |acc: &mut Vertex, inc| *acc = inc;
+            assert_kernels_agree(a, &x, to_vertex, last, &format!("block {bi} every {every} last"));
+            let count = |acc: &mut u32, inc| *acc += inc;
+            let tag = format!("block {bi} every {every} count");
+            assert_kernels_agree(a, &x, |_, _| 1u32, count, &tag);
         }
     }
-}
-
-#[test]
-fn monoid_workspace_matches_seed_kernel() {
-    let blocks = test_blocks();
-    let mut rng = SplitMix64::new(0xC027);
-    for (bi, a) in blocks.iter().enumerate() {
-        for every in [1usize, 8] {
-            let pairs = (0..a.ncols() as Vidx)
-                .filter(|_| rng.below(every as u64) == 0)
-                .map(|j| (j, ()))
-                .collect();
-            let x: SpVec<()> = SpVec::from_sorted_pairs(a.ncols(), pairs);
-            let seed = spmspv_monoid(a, &x, |_, _| 1u32, |acc, inc| *acc += inc);
-            let mut ws = SpmvWorkspace::new();
-            let mut y = SpVec::new(0);
-            let flops = ws.spmspv_monoid_into(a, &x, |_, _| 1u32, |acc, inc| *acc += inc, &mut y);
-            assert_eq!(y, seed.y, "block {bi} every {every}");
-            assert_eq!(flops, seed.flops, "block {bi} every {every}");
-        }
-    }
+    assert!(most_flops >= 2 * 4096, "no input was large enough to split into chunks");
 }
 
 #[test]
@@ -125,7 +110,7 @@ fn steady_state_performs_zero_heap_allocation() {
             &a,
             &x,
             |j, v: &Vertex| Vertex::new(j, v.root),
-            |acc, inc| inc.parent < acc.parent,
+            |acc, inc| SemiringKind::MinParent.fold(acc, inc),
             y,
         )
     };
@@ -160,7 +145,7 @@ fn steady_state_zero_allocation_holds_for_parallel_path() {
             &x,
             4,
             |j, v: &Vertex| Vertex::new(j, v.root),
-            |acc, inc| inc.parent < acc.parent,
+            |acc, inc| SemiringKind::MinParent.fold(acc, inc),
             y,
         )
     };
@@ -194,13 +179,13 @@ fn generation_bump_does_not_leak_across_calls() {
                 &a,
                 x,
                 |j, v: &Vertex| Vertex::new(j, v.root),
-                |acc, inc| inc.parent < acc.parent,
+                |acc, inc| SemiringKind::MinParent.fold(acc, inc),
             );
             let flops = ws.spmspv_into(
                 &a,
                 x,
                 |j, v: &Vertex| Vertex::new(j, v.root),
-                |acc, inc| inc.parent < acc.parent,
+                |acc, inc| SemiringKind::MinParent.fold(acc, inc),
                 &mut y,
             );
             assert_eq!(y, seed.y, "round {round}: stale SPA state leaked");

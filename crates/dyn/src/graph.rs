@@ -3,17 +3,18 @@
 //! The repair engines need two scan directions the static pipeline never
 //! mixes: column → rows (the matrix `A`, for augmenting searches and bids
 //! rooted at columns) and row → columns (`Aᵀ`, for searches rooted at rows
-//! freed by matched-edge deletions, and for the weighted engine's
-//! price-reset fan-out). `DynGraph` keeps one
+//! freed by matched-edge deletions, and for the weighted engine's reverse
+//! bids). `DynGraph` keeps one
 //! [`CscOverlay`](mcm_sparse::CscOverlay) per direction, applies every
 //! update to both, and compacts them together once the overlay outgrows a
 //! fraction of the base — the epoch bump is the cache-invalidation signal
 //! for anything keyed on the frozen base (the warm-start fallback
 //! redistributes per epoch, mirroring how `DistMatrix` freezes `Triples`).
 //!
-//! The column direction carries the edge value `V` (`()` for the
-//! cardinality engine, the weight `f64` for the weighted one); the row
-//! direction is always a pattern, since no reader of `Aᵀ` needs values.
+//! Both directions carry the edge value `V` (`()` for the cardinality
+//! engine, the weight `f64` for the weighted one): a reverse bid scans a
+//! row's `(column, weight)` entries, where a per-entry lookup into the
+//! column direction would cost several cache misses.
 
 use mcm_sparse::{Csc, CscOverlay, Triples, Vidx, WCsc};
 
@@ -23,8 +24,8 @@ use mcm_sparse::{Csc, CscOverlay, Triples, Vidx, WCsc};
 const COMPACT_DIVISOR: usize = 4;
 const COMPACT_SLACK: usize = 64;
 
-/// A dynamic `n1 × n2` bipartite graph: column adjacency (`A`, carrying a
-/// value `V` per edge) and row adjacency (`Aᵀ`, pattern only) kept in
+/// A dynamic `n1 × n2` bipartite graph: column adjacency (`A`) and row
+/// adjacency (`Aᵀ`), each carrying a value `V` per edge, kept in
 /// lock-step through insert/delete overlays.
 ///
 /// # Example
@@ -53,7 +54,7 @@ pub struct DynGraph<V = ()> {
     /// `n1 × n2`: rows adjacent to each column (the matrix `A`).
     cols: CscOverlay<V>,
     /// `n2 × n1`: columns adjacent to each row (`Aᵀ`).
-    rows: CscOverlay,
+    rows: CscOverlay<V>,
 }
 
 impl DynGraph {
@@ -73,7 +74,7 @@ impl DynGraph {
 
 impl DynGraph<f64> {
     /// Builds from a weighted CSC base: its values become the column
-    /// direction's weights, and the row adjacency is the pattern's
+    /// direction's weights, and the row adjacency is the weighted
     /// transpose.
     pub fn from_wcsc(a: WCsc) -> Self {
         let (pattern, values) = a.into_parts();
@@ -88,9 +89,15 @@ impl<V: Copy + PartialEq> DynGraph<V> {
     }
 
     /// Builds from a CSC base and values aligned with its nonzeros.
-    fn with_values(a: Csc, values: Vec<V>) -> Self {
-        let at = a.transpose();
-        Self { cols: CscOverlay::with_values(a, values), rows: CscOverlay::new(at) }
+    fn with_values(a: Csc, values: Vec<V>) -> Self
+    where
+        V: Default,
+    {
+        let (at, at_values) = a.transpose_with(&values);
+        Self {
+            cols: CscOverlay::with_values(a, values),
+            rows: CscOverlay::with_values(at, at_values),
+        }
     }
 
     /// Row vertices.
@@ -128,11 +135,9 @@ impl<V: Copy + PartialEq> DynGraph<V> {
     /// compaction of both adjacency directions.
     pub fn insert(&mut self, r: Vidx, c: Vidx, v: V) -> bool {
         let added = self.cols.insert(r, c, v);
-        if added {
-            let also = self.rows.insert(c, r, ());
-            debug_assert!(also, "row/col adjacency diverged on insert ({r}, {c})");
-        }
-        // A re-valued edge grows the column overlay too.
+        let also = self.rows.insert(c, r, v);
+        debug_assert_eq!(added, also, "row/col adjacency diverged on insert ({r}, {c})");
+        // A re-valued edge grows both overlays too.
         self.maybe_compact();
         added
     }
@@ -167,10 +172,10 @@ impl<V: Copy + PartialEq> DynGraph<V> {
         &self.cols
     }
 
-    /// The row adjacency (`Aᵀ`, `n2 × n1`): the columns of each row in
-    /// sorted order.
+    /// The row adjacency (`Aᵀ`, `n2 × n1`): the `(column, value)`
+    /// entries of each row in column order.
     #[inline]
-    pub fn rows(&self) -> &CscOverlay {
+    pub fn rows(&self) -> &CscOverlay<V> {
         &self.rows
     }
 
@@ -269,7 +274,10 @@ mod tests {
         assert!(g.epoch() > epoch0, "re-weight churn never compacted");
         let mut from_rows = Triples::new(n1, n2);
         for r in 0..n1 as Vidx {
-            g.rows().for_each_in_col(r, |c, ()| from_rows.push(r, c));
+            g.rows().for_each_in_col(r, |c, w| {
+                assert_eq!(Some(w), g.cols().value(r, c), "row-side weight of ({r}, {c})");
+                from_rows.push(r, c);
+            });
         }
         assert_eq!(from_rows.to_csc(), g.to_csc());
         for r in 0..n1 {

@@ -3,28 +3,56 @@
 //! The weighted sibling of [`crate::engine::DynMatching`]. Where the
 //! cardinality engine repairs with alternating BFS from dirty vertices,
 //! this engine exploits the auction's dual structure: the row **prices**
-//! are a certificate that survives most updates untouched. A batch only
-//! invalidates ε-complementary-slackness locally —
+//! are a certificate that survives most updates untouched. Columns bid
+//! for rows; a matched column's profit is `π_c = w(r_c, c) − p_{r_c}`,
+//! an unmatched column's is 0. The engine caches each column's matched
+//! weight and profit, so `π_c` is O(1) and the matching weight stays
+//! current without a rescan. A batch only invalidates ε-complementary-slackness
+//! locally —
 //!
 //! * an inserted or re-weighted edge `(r, c, w)` changes column `c`'s
-//!   candidate set, so only `c`'s ε-CS needs re-checking;
-//! * deleting a *matched* edge frees its row, whose price must drop to 0
-//!   (dual feasibility for unmatched rows), which in turn can tempt every
-//!   column adjacent to that row;
+//!   candidate set. On a matched column a new candidate is tested in
+//!   O(1) as `w − p_r > π_c + ε`; only a lighter matched edge forces a
+//!   rescan of the column;
+//! * deleting a *matched* edge unmatches both ends. The freed row keeps
+//!   its price for now, so no other column's condition changes, but an
+//!   unmatched row must end the batch at price 0 (dual feasibility);
 //! * deleting an unmatched edge only shrinks a column's candidate set,
 //!   which cannot violate any ε-CS condition — no work at all.
 //!
-//! [`WDynMatching::apply_batch`] therefore walks a dirty-column worklist:
-//! violators are unmatched (cascading price resets through their freed
-//! rows), and the resulting unmatched dirty columns re-enter a serial
-//! auction that starts from the *current* prices — typically a handful of
-//! bids, however many columns the batch dirtied.
+//! [`WDynMatching::apply_batch`] repairs in five phases:
 //!
-//! Every batch tries that re-auction first, under a **bid budget** the
-//! engine measures itself: the bid count of its most recent cold solve
+//! 1. **Apply** the updates, collecting dirty columns and freed rows.
+//! 2. **Check** ε-CS on the dirty columns. A violating matched column is
+//!    unmatched and its row joins the freed rows *at its current price*.
+//!    Nothing resets to 0 and nothing fans out.
+//! 3. **Forward 1.** A serial forward auction from the unmatched dirty
+//!    columns at the current prices. Freed rows can be won back here.
+//! 4. **Reverse.** Each freed row still unmatched at a positive price
+//!    makes a reverse bid (Bertsekas & Castañon's forward/reverse
+//!    auction): with `β` and `ω` its best and second-best `w(r, c) − π_c`
+//!    (`ω` floored at 0, the unmatched option), it takes the arg-max
+//!    column at price `max(0, ω − ε)`, displacing that column's row into
+//!    the freed queue; with `β ≤ 0` it retires at price 0. Unmatched
+//!    neighbours that the lower price tempts become forward seeds.
+//! 5. **Forward 2** from those seeds. Forward bids only raise prices and
+//!    never free a row, so the repair ends here.
+//!
+//! The order matters. A reverse bid reads every `π_c` as a true profit,
+//! which holds only once the forward auction has restored ε-CS on every
+//! column. Then each neighbour `c` of a freed row `r` satisfies
+//! `w(r, c) − π_c ≤ p_r + ε`, so `ω − ε ≤ p_r` and a reverse bid never
+//! raises a price. A lower price only makes `r` more attractive, and `ω`
+//! bounds how much, so every matched neighbour keeps its ε-CS; only
+//! unmatched neighbours (profit 0 with no slack) can be tempted, and
+//! they are exactly the forward seeds.
+//!
+//! Every batch runs this repair under one **bid budget**, shared by
+//! forward and reverse bids, that the engine measures itself: the bid
+//! count of its most recent cold solve
 //! ([`mcm_core::weighted::WeightedResult::bids`]), floored at one bid per
-//! column. The re-auction runs at the final ε only, so an adversarial
-//! batch (a price war among near-equal bids) can cost far more than the
+//! column. The repair bids at the final ε only, so an adversarial batch
+//! (a price war among near-equal bids) can cost far more than the
 //! ε-scaled cold solve; once it spends the budget it stops, its partial
 //! state is discarded, and the batch cold-solves with
 //! [`mcm_core::weighted::auction_mwm_par`] ([`WBatchReport::cold`],
@@ -56,7 +84,7 @@ pub enum WUpdate {
 pub struct WDynOptions {
     /// Ignored by the weighted engine, which always repairs
     /// incrementally first and falls back to a cold solve only when the
-    /// re-auction exhausts its measured bid budget. Kept so existing
+    /// repair exhausts its measured bid budget. Kept so existing
     /// struct literals still compile.
     pub fallback_threshold: f64,
     /// Worker threads for cold solves (incremental repair is serial).
@@ -87,14 +115,16 @@ pub struct WBatchReport {
     pub matched_deletes: usize,
     /// Columns whose ε-CS was re-checked.
     pub dirty: usize,
-    /// Columns unmatched by the ε-CS cascade (violators).
+    /// Matched columns unmatched by the ε-CS check (violators).
     pub repaired: usize,
-    /// Bids processed by the incremental re-auction.
+    /// Bids of the incremental repair, forward and reverse together.
     pub rebids: usize,
-    /// Bid budget the re-auction ran under (the last cold solve's bid
+    /// The reverse bids among `rebids` (freed rows lowering their price).
+    pub reverse_bids: usize,
+    /// Bid budget the repair ran under (the last cold solve's bid
     /// count, at least one bid per column).
     pub budget: usize,
-    /// `true` when the re-auction spent its whole budget and the batch
+    /// `true` when the repair spent its whole budget and the batch
     /// fell back to a cold parallel solve.
     pub cold: bool,
     /// Matching weight change produced by this batch.
@@ -120,13 +150,15 @@ pub struct WDynStats {
     pub matched_deletes: u64,
     /// Dirty columns examined across all batches.
     pub dirty_bidders: u64,
-    /// Incremental re-auction bids across all batches.
+    /// Incremental repair bids (forward and reverse) across all batches.
     pub rebids: u64,
+    /// Reverse bids among `rebids`.
+    pub reverse_bids: u64,
     /// Batches repaired incrementally.
     pub incremental_batches: u64,
     /// Batches that cold-solved.
     pub cold_solves: u64,
-    /// Batches whose re-auction exhausted its bid budget.
+    /// Batches whose repair exhausted its bid budget.
     pub budget_exhausted: u64,
     /// Sum of positive per-batch weight deltas.
     pub weight_gained: f64,
@@ -164,6 +196,28 @@ impl WStateSnapshot {
 
 const TOL: f64 = 1e-12;
 
+/// Bids spent against one batch's budget, shared by forward and reverse
+/// bids.
+struct Bids {
+    spent: usize,
+    reverse: usize,
+    limit: usize,
+}
+
+/// The repair spent its whole budget; its partial state must be replaced
+/// by a cold solve.
+struct Exhausted;
+
+impl Bids {
+    fn take(&mut self) -> Result<(), Exhausted> {
+        if self.spent == self.limit {
+            return Err(Exhausted);
+        }
+        self.spent += 1;
+        Ok(())
+    }
+}
+
 /// Incrementally maintained maximum *weight* matching over a mutable
 /// weighted bipartite graph.
 ///
@@ -184,17 +238,37 @@ const TOL: f64 = 1e-12;
 /// ```
 pub struct WDynMatching {
     /// The weighted graph: `g.cols()` walks a column's `(row, weight)`
-    /// candidates (the bidding direction), `g.rows()` a row's adjacent
-    /// columns (the price-reset fan-out direction).
+    /// candidates (the forward-bid direction), `g.rows()` a row's
+    /// `(column, weight)` entries (the reverse-bid direction).
     g: DynGraph<f64>,
     m: Matching,
     prices: Vec<f64>,
+    /// Weight of each column's matched edge (valid where matched).
+    mate_w: Vec<f64>,
+    /// Each column's profit `π_c`: `mate_w[c] − p_{r_c}` when matched, 0
+    /// when not. Set wherever a match or a matched row's price changes,
+    /// so a reverse bid reads one entry per neighbour.
+    profit: Vec<f64>,
     eps: f64,
     opts: WDynOptions,
     stats: WDynStats,
+    /// Matching weight, kept current on every match and unmatch.
     weight: f64,
     /// Bids of the most recent cold solve (0 before the first one).
     cold_bids: usize,
+    // Generation-stamped per-batch scratch: a column is dirty in the
+    // current batch when `col_stamp[c] == stamp`, and `new_best[c]` is
+    // then the best net value `w − p_r` among the edges the batch
+    // inserted or re-weighted into it (−∞ for none, +∞ when the column
+    // must be rescanned). The reverse step starts a second generation in
+    // which the stamps mark queued forward seeds. Nothing is cleared
+    // between batches.
+    stamp: u32,
+    col_stamp: Vec<u32>,
+    new_best: Vec<f64>,
+    /// Neighbours `(c, w(r, c))` at profit 0 (the unmatched ones among
+    /// them) of the row making a reverse bid; reused across bids.
+    open: Vec<(Vidx, f64)>,
 }
 
 impl WDynMatching {
@@ -209,11 +283,17 @@ impl WDynMatching {
             g,
             m: Matching::empty(n1, n2),
             prices: vec![0.0; n1],
+            mate_w: vec![0.0; n2],
+            profit: vec![0.0; n2],
             eps: 1.0 / (2.0 * (n1 as f64 + 1.0)),
             opts,
             stats: WDynStats::default(),
             weight: 0.0,
             cold_bids: 0,
+            stamp: 0,
+            col_stamp: vec![0; n2],
+            new_best: vec![0.0; n2],
+            open: Vec::new(),
         }
     }
 
@@ -235,7 +315,6 @@ impl WDynMatching {
     pub fn from_wcsc(a: WCsc, opts: WDynOptions) -> Self {
         let mut wm = Self::with_graph(DynGraph::from_wcsc(a), opts);
         wm.cold_solve();
-        wm.weight = wm.recompute_weight();
         wm
     }
 
@@ -305,22 +384,13 @@ impl WDynMatching {
         let sw = mcm_obs::Stopwatch::new();
         let weight_before = self.weight;
         let mut rep = WBatchReport::default();
-        let n2 = self.g.n2();
+        self.bump_stamp();
 
-        // Worklist of columns whose ε-CS must be (re-)checked. A column
-        // may legitimately re-enter after a later price reset changes its
-        // best alternative, so membership is tracked per-entry, not
-        // per-lifetime.
-        let mut dirty: VecDeque<Vidx> = VecDeque::new();
-        let mut in_dirty = vec![false; n2];
-        let push_dirty = |q: &mut VecDeque<Vidx>, flags: &mut Vec<bool>, c: Vidx| {
-            if !flags[c as usize] {
-                flags[c as usize] = true;
-                q.push_back(c);
-            }
-        };
-
-        // --- Phase 1: apply updates, seed the dirty set. ----------------
+        // --- Apply: update the graph, collect dirty columns and freed
+        // rows. No price moves before the repair, so a new candidate's
+        // net value is final when it arrives.
+        let mut dirty: Vec<Vidx> = Vec::new();
+        let mut freed: VecDeque<Vidx> = VecDeque::new();
         for &u in batch {
             match u {
                 WUpdate::Insert(r, c, w) => {
@@ -330,7 +400,21 @@ impl WDynMatching {
                     self.g.insert(r, c, w);
                     rep.applied += 1;
                     rep.inserts += 1;
-                    push_dirty(&mut dirty, &mut in_dirty, c);
+                    self.mark_dirty(&mut dirty, c);
+                    let j = c as usize;
+                    if self.m.mate_c.get(c) == r {
+                        // Re-weighting the matched edge moves π_c itself:
+                        // heavier only strengthens c's ε-CS, lighter needs
+                        // a rescan.
+                        if w < self.mate_w[j] {
+                            self.new_best[j] = f64::INFINITY;
+                        }
+                        self.weight += w - self.mate_w[j];
+                        self.mate_w[j] = w;
+                        self.profit[j] = w - self.prices[r as usize];
+                    } else {
+                        self.new_best[j] = self.new_best[j].max(w - self.prices[r as usize]);
+                    }
                 }
                 WUpdate::Delete(r, c) => {
                     if !self.g.delete(r, c) {
@@ -340,13 +424,10 @@ impl WDynMatching {
                     rep.deletes += 1;
                     if self.m.mate_c.get(c) == r {
                         rep.matched_deletes += 1;
-                        self.m.mate_c.set(c, NIL);
-                        self.m.mate_r.set(r, NIL);
-                        self.prices[r as usize] = 0.0;
-                        push_dirty(&mut dirty, &mut in_dirty, c);
-                        self.g.rows().for_each_in_col(r, |c2, ()| {
-                            push_dirty(&mut dirty, &mut in_dirty, c2);
-                        });
+                        self.unmatch(c, r);
+                        freed.push_back(r);
+                        self.mark_dirty(&mut dirty, c);
+                        self.new_best[c as usize] = f64::INFINITY;
                     }
                     // Deleting an unmatched edge only shrinks a candidate
                     // set — every ε-CS condition gets weaker. No work.
@@ -354,69 +435,59 @@ impl WDynMatching {
             }
         }
 
-        // --- Phase 2: ε-CS cascade. -------------------------------------
-        // Unmatch violators; each unmatch frees a row whose price resets
-        // to 0 (dual feasibility), which can invalidate neighbours — they
-        // re-enter the worklist. A column is unmatched at most once, so
-        // the total work is bounded by the touched neighbourhoods.
-        let mut ever: Vec<Vidx> = Vec::new();
-        let mut ever_flag = vec![false; n2];
-        while let Some(c) = dirty.pop_front() {
-            in_dirty[c as usize] = false;
-            if !ever_flag[c as usize] {
-                ever_flag[c as usize] = true;
-                ever.push(c);
-            }
-            rep.dirty += 1;
+        // --- Check: ε-CS on the dirty columns. A violator is unmatched
+        // and its row freed at its current price, so no other column's
+        // condition changes and nothing fans out.
+        let mut seeds: Vec<Vidx> = Vec::new();
+        rep.dirty = dirty.len();
+        for c in dirty {
+            let j = c as usize;
             let r = self.m.mate_c.get(c);
             if r == NIL {
-                continue; // unmatched candidates go to the re-auction below
-            }
-            let mut best = f64::NEG_INFINITY;
-            self.g.cols().for_each_in_col(c, |r2, w| {
-                best = best.max(w - self.prices[r2 as usize]);
-            });
-            let net = self.g.cols().value(r, c).expect("matched edge must be live")
-                - self.prices[r as usize];
-            if net + self.eps < best.max(0.0) - TOL {
-                self.m.mate_c.set(c, NIL);
-                self.m.mate_r.set(r, NIL);
-                self.prices[r as usize] = 0.0;
-                rep.repaired += 1;
-                push_dirty(&mut dirty, &mut in_dirty, c);
-                self.g.rows().for_each_in_col(r, |c2, ()| {
-                    push_dirty(&mut dirty, &mut in_dirty, c2);
-                });
-            }
-        }
-
-        // --- Phase 3: repair. -------------------------------------------
-        let bidders: Vec<Vidx> = ever
-            .iter()
-            .copied()
-            .filter(|&c| self.m.mate_c.get(c) == NIL && self.g.col_degree(c) > 0)
-            .collect();
-        rep.budget = self.bid_budget();
-        if !bidders.is_empty() {
-            match self.reauction(bidders, rep.budget) {
-                Ok(rebids) => rep.rebids = rebids,
-                Err(rebids) => {
-                    // The re-auction's partial matching and prices are
-                    // overwritten wholesale by the cold solve.
-                    rep.rebids = rebids;
-                    rep.cold = true;
-                    self.cold_solve();
+                // Every old candidate of an unmatched column was already
+                // unprofitable; only the batch's new ones can tempt it.
+                if self.new_best[j] > TOL && self.g.col_degree(c) > 0 {
+                    seeds.push(c);
                 }
+                continue;
+            }
+            let best = if self.new_best[j] == f64::INFINITY {
+                let mut best = f64::NEG_INFINITY;
+                self.g.cols().for_each_in_col(c, |r2, w| {
+                    best = best.max(w - self.prices[r2 as usize]);
+                });
+                best
+            } else {
+                self.new_best[j]
+            };
+            if self.profit[j] + self.eps < best.max(0.0) - TOL {
+                self.unmatch(c, r);
+                freed.push_back(r);
+                seeds.push(c);
+                rep.repaired += 1;
             }
         }
 
-        // --- Phase 4: account + certify. --------------------------------
-        self.weight = self.recompute_weight();
+        // --- Forward 1, reverse, forward 2 under one bid budget.
+        rep.budget = self.bid_budget();
+        let mut bids = Bids { spent: 0, reverse: 0, limit: rep.budget };
+        let exhausted = self.repair(seeds, freed, &mut bids).is_err();
+        rep.rebids = bids.spent;
+        rep.reverse_bids = bids.reverse;
+        if exhausted {
+            // The repair's partial matching and prices are overwritten
+            // wholesale by the cold solve.
+            rep.cold = true;
+            self.cold_solve();
+        }
+
+        // --- Account + certify. -----------------------------------------
         rep.weight = self.weight;
         rep.weight_delta = self.weight - weight_before;
         rep.cardinality = self.m.cardinality();
         if self.opts.full_verify {
             self.verify_full().expect("post-batch eps-CS certificate");
+            self.assert_cached_weights();
         }
 
         self.stats.batches += 1;
@@ -426,6 +497,7 @@ impl WDynMatching {
         self.stats.matched_deletes += rep.matched_deletes as u64;
         self.stats.dirty_bidders += rep.dirty as u64;
         self.stats.rebids += rep.rebids as u64;
+        self.stats.reverse_bids += rep.reverse_bids as u64;
         if rep.cold {
             // Budget exhaustion is the only road to a cold batch.
             self.stats.cold_solves += 1;
@@ -445,6 +517,7 @@ impl WDynMatching {
             mcm_obs::counter_add("mcm_wdyn_budget_exhausted_total", &[], rep.cold as u64);
             mcm_obs::counter_add("mcm_wdyn_updates_total", &labels, rep.applied as u64);
             mcm_obs::counter_add("mcm_wdyn_rebids_total", &labels, rep.rebids as u64);
+            mcm_obs::counter_add("mcm_wdyn_reverse_bids_total", &labels, rep.reverse_bids as u64);
             mcm_obs::observe_ns("mcm_wdyn_batch_seconds", &labels, sw.elapsed_ns());
             mcm_obs::gauge_set("mcm_matching_weight", &[], self.weight);
         }
@@ -452,57 +525,172 @@ impl WDynMatching {
         rep
     }
 
-    /// The re-auction's bid budget: what the last cold solve spent, and
-    /// at least one bid per column (an engine built empty has no cold
-    /// solve to measure yet).
+    /// The repair's bid budget: what the last cold solve spent, and at
+    /// least one bid per column (an engine built empty has no cold solve
+    /// to measure yet).
     fn bid_budget(&self) -> usize {
         self.cold_bids.max(self.g.n2())
     }
 
-    /// Serial forward auction from the current prices, seeded with the
-    /// dirty bidders. Evicted owners re-enter the queue; a bidder whose
-    /// best net value is negative retires (prices only rise, so its
-    /// retirement stays certified). Returns the bids made, or `Err` with
-    /// the bids spent when the auction hit `budget` with bidders still
-    /// queued — the matching and prices are then mid-auction and must be
-    /// replaced by a cold solve.
-    fn reauction(&mut self, bidders: Vec<Vidx>, budget: usize) -> Result<usize, usize> {
+    /// The three bidding phases, in the order the module doc argues for:
+    /// the forward pass restores ε-CS on every column before any reverse
+    /// bid reads a profit.
+    fn repair(
+        &mut self,
+        seeds: Vec<Vidx>,
+        freed: VecDeque<Vidx>,
+        bids: &mut Bids,
+    ) -> Result<(), Exhausted> {
+        self.forward(seeds, bids)?;
+        let seeds = self.reverse(freed, bids)?;
+        self.forward(seeds, bids)
+    }
+
+    /// Serial forward auction from the current prices, seeded with
+    /// unmatched columns. Evicted owners re-enter the queue; a bidder
+    /// whose best net value is negative retires (prices only rise, so its
+    /// retirement stays certified). A seed that is already matched when
+    /// it comes up (queued twice) makes no bid.
+    fn forward(&mut self, seeds: Vec<Vidx>, bids: &mut Bids) -> Result<(), Exhausted> {
         let _span = mcm_obs::span("wdyn_reauction");
-        let mut queue: VecDeque<Vidx> = bidders.into();
-        let mut rebids = 0usize;
+        let mut queue: VecDeque<Vidx> = seeds.into();
         while let Some(c) = queue.pop_front() {
-            if rebids == budget {
-                return Err(rebids);
+            if self.m.mate_c.get(c) != NIL {
+                continue;
             }
-            rebids += 1;
-            let mut best: Option<(f64, Vidx)> = None;
+            bids.take()?;
+            let mut best: Option<(f64, Vidx, f64)> = None;
             let mut second = f64::NEG_INFINITY;
             self.g.cols().for_each_in_col(c, |r, w| {
                 let net = w - self.prices[r as usize];
                 match best {
-                    None => best = Some((net, r)),
-                    Some((bn, _)) if net > bn => {
+                    None => best = Some((net, r, w)),
+                    Some((bn, _, _)) if net > bn => {
                         second = bn;
-                        best = Some((net, r));
+                        best = Some((net, r, w));
                     }
                     Some(_) => second = second.max(net),
                 }
             });
-            let Some((best_net, r)) = best else { continue };
+            let Some((best_net, r, w)) = best else { continue };
             if best_net < 0.0 {
                 continue; // retire
             }
+            let price = self.prices[r as usize] + (best_net - second.max(0.0)) + self.eps;
             let prev = self.m.mate_r.get(r);
             if prev != NIL {
-                self.m.mate_c.set(prev, NIL);
+                self.unmatch(prev, r);
                 queue.push_back(prev);
             }
-            self.m.mate_r.set(r, c);
-            self.m.mate_c.set(c, r);
-            let floor = second.max(0.0);
-            self.prices[r as usize] += (best_net - floor) + self.eps;
+            self.set_match(c, r, w, price);
         }
-        Ok(rebids)
+        Ok(())
+    }
+
+    /// Reverse bids for the freed rows still unmatched at a positive
+    /// price. Row `r` takes the column `c` with the best
+    /// `β = w(r, c) − π_c` at price `max(0, ω − ε)` (`ω` the second best,
+    /// floored at 0), or retires at price 0 when `β ≤ 0`. A displaced row
+    /// re-enters the queue. Returns the unmatched columns that the lower
+    /// prices made profitable: the seeds of the second forward pass.
+    fn reverse(
+        &mut self,
+        mut freed: VecDeque<Vidx>,
+        bids: &mut Bids,
+    ) -> Result<Vec<Vidx>, Exhausted> {
+        let _span = mcm_obs::span("wdyn_reverse");
+        // A fresh generation: the column stamps now mark queued seeds.
+        self.bump_stamp();
+        let mut seeds = Vec::new();
+        while let Some(r) = freed.pop_front() {
+            let p = self.prices[r as usize];
+            if self.m.mate_r.get(r) != NIL || p <= 0.0 {
+                continue; // won back by a forward bid, or already feasible
+            }
+            bids.take()?;
+            bids.reverse += 1;
+            let mut best: Option<(f64, Vidx, f64)> = None;
+            let mut second = 0.0f64;
+            let Self { g, profit, open, .. } = self;
+            open.clear();
+            g.rows().for_each_in_col(r, |c, w| {
+                let pi = profit[c as usize];
+                if pi == 0.0 {
+                    open.push((c, w)); // possibly unmatched: a seed candidate
+                }
+                let v = w - pi;
+                match best {
+                    None => best = Some((v, c, w)),
+                    Some((bv, _, _)) if v > bv => {
+                        second = second.max(bv);
+                        best = Some((v, c, w));
+                    }
+                    Some(_) => second = second.max(v),
+                }
+            });
+            match best {
+                Some((beta, c, w)) if beta > TOL => {
+                    let price = (second - self.eps).max(0.0);
+                    debug_assert!(
+                        price <= p + 1e-9 * (1.0 + second.abs()),
+                        "a reverse bid raised row {r}'s price: {p} -> {price}"
+                    );
+                    let prev = self.m.mate_c.get(c);
+                    if prev != NIL {
+                        self.unmatch(c, prev);
+                        freed.push_back(prev);
+                    }
+                    self.set_match(c, r, w, price);
+                    let Self { m, open, col_stamp, stamp, .. } = self;
+                    for &(c2, w2) in open.iter() {
+                        let j = c2 as usize;
+                        if w2 - price > TOL && m.mate_c.get(c2) == NIL && col_stamp[j] != *stamp {
+                            col_stamp[j] = *stamp;
+                            seeds.push(c2);
+                        }
+                    }
+                }
+                _ => self.prices[r as usize] = 0.0, // retire
+            }
+        }
+        Ok(seeds)
+    }
+
+    /// Matches column `c` to row `r` over an edge of weight `w`, with
+    /// `r` priced at `price`.
+    fn set_match(&mut self, c: Vidx, r: Vidx, w: f64, price: f64) {
+        self.m.mate_c.set(c, r);
+        self.m.mate_r.set(r, c);
+        self.prices[r as usize] = price;
+        self.mate_w[c as usize] = w;
+        self.profit[c as usize] = w - price;
+        self.weight += w;
+    }
+
+    fn unmatch(&mut self, c: Vidx, r: Vidx) {
+        self.m.mate_c.set(c, NIL);
+        self.m.mate_r.set(r, NIL);
+        self.profit[c as usize] = 0.0;
+        self.weight -= self.mate_w[c as usize];
+    }
+
+    /// Starts a batch's scratch generation; on wraparound the stamps are
+    /// cleared so no stale entry reads as current.
+    fn bump_stamp(&mut self) {
+        if self.stamp == u32::MAX {
+            self.col_stamp.fill(0);
+            self.stamp = 0;
+        }
+        self.stamp += 1;
+    }
+
+    fn mark_dirty(&mut self, dirty: &mut Vec<Vidx>, c: Vidx) {
+        let j = c as usize;
+        if self.col_stamp[j] != self.stamp {
+            self.col_stamp[j] = self.stamp;
+            self.new_best[j] = f64::NEG_INFINITY;
+            dirty.push(c);
+        }
     }
 
     /// Throws the certificate away and re-solves from scratch with the
@@ -522,15 +710,38 @@ impl WDynMatching {
         self.m = r.matching;
         self.prices = r.prices;
         self.cold_bids = r.bids as usize;
+        self.weight = 0.0;
+        for c in 0..self.g.n2() as Vidx {
+            let (j, r) = (c as usize, self.m.mate_c.get(c));
+            self.profit[j] = 0.0;
+            if r != NIL {
+                self.mate_w[j] = self.g.cols().value(r, c).expect("matched edge must be live");
+                self.profit[j] = self.mate_w[j] - self.prices[r as usize];
+                self.weight += self.mate_w[j];
+            }
+        }
     }
 
-    fn recompute_weight(&self) -> f64 {
-        (0..self.g.n2() as Vidx)
-            .filter_map(|c| {
-                let r = self.m.mate_c.get(c);
-                (r != NIL).then(|| self.g.cols().value(r, c).expect("matched edge must be live"))
-            })
-            .sum()
+    /// Panics unless the cached matched weights, profits and total agree
+    /// with the graph and prices (`full_verify` only: O(n2) lookups).
+    fn assert_cached_weights(&self) {
+        let mut fresh = 0.0;
+        for c in 0..self.g.n2() as Vidx {
+            let (j, r) = (c as usize, self.m.mate_c.get(c));
+            if r == NIL {
+                assert_eq!(self.profit[j], 0.0, "profit of unmatched column {c}");
+                continue;
+            }
+            let w = self.g.cols().value(r, c).expect("matched edge must be live");
+            fresh += w;
+            assert_eq!(self.mate_w[j], w, "cached weight of column {c}'s matched edge");
+            assert_eq!(self.profit[j], w - self.prices[r as usize], "cached profit of column {c}");
+        }
+        assert!(
+            (self.weight - fresh).abs() <= 1e-9 * fresh.abs().max(1.0),
+            "cached matching weight {} drifted from {fresh}",
+            self.weight
+        );
     }
 }
 
@@ -635,7 +846,7 @@ mod tests {
     }
 
     #[test]
-    fn hub_deletes_dirtying_a_quarter_of_the_columns_stay_incremental() {
+    fn hub_deletes_repair_without_a_cascade() {
         // RMAT-like skew: row r is drawn as n1·u³, so the low rows are hubs
         // adjacent to most columns, and there are more columns than rows,
         // so many columns sit retired (unmatched) at the load-time prices.
@@ -661,8 +872,8 @@ mod tests {
             entries,
             WDynOptions { full_verify: true, ..Default::default() },
         );
-        // Free every matched hub: each freed row's price resets to 0 and
-        // re-dirties its whole neighbourhood.
+        // Free every matched hub. A freed row keeps its price until a
+        // reverse bid lowers it, so no neighbourhood is re-dirtied.
         let batch: Vec<WUpdate> = (0..4)
             .filter_map(|r| {
                 let c = wm.matching().mate_r.get(r);
@@ -671,10 +882,9 @@ mod tests {
             .collect();
         let rep = wm.apply_batch(&batch);
         assert!(rep.matched_deletes >= 3, "{rep:?}");
-        assert!(
-            4 * rep.dirty > n2,
-            "hub deletes must dirty over a quarter of the columns: {rep:?}"
-        );
+        assert!(4 * rep.dirty <= n2, "hub deletes must not cascade: {rep:?}");
+        assert_eq!(rep.repaired, 0, "a delete-only batch has no ε-CS violators: {rep:?}");
+        assert!(rep.rebids < n2 / 4, "{rep:?}");
         assert!(!rep.cold, "cheap repair must not cold-solve: {rep:?}");
         assert!(rep.rebids < rep.budget, "{rep:?}");
         assert_eq!(rep.weight, oracle_weight(&wm));
@@ -682,8 +892,8 @@ mod tests {
 
     #[test]
     fn price_war_exhausts_the_bid_budget_and_cold_solves() {
-        // Many columns, few rows, equal weights: a re-auction at the
-        // final ε raises a price ε per bid, ~rows·w/ε bids in all, while
+        // Many columns, few rows, equal weights: each forward bid at the
+        // final ε raises a price by ε, ~rows·w/ε bids in all, while
         // the ε-scaled cold solve settles the same instance in far fewer.
         // An engine built empty budgets one bid per column.
         let (n1, n2, w) = (5usize, 65usize, 10.0);
@@ -697,7 +907,7 @@ mod tests {
         }
         let rep = wm.apply_batch(&batch);
         assert_eq!(rep.budget, n2);
-        assert_eq!(rep.rebids, n2, "the re-auction stops exactly at its budget");
+        assert_eq!(rep.rebids, n2, "the repair stops exactly at its budget");
         assert!(rep.cold, "{rep:?}");
         assert_eq!(wm.stats().budget_exhausted, 1);
         assert_eq!(wm.stats().cold_solves, 1);
@@ -712,6 +922,103 @@ mod tests {
         assert_eq!(rep.weight, 4.0 * w + 4.0);
         assert_eq!(wm.stats().budget_exhausted, 1);
         assert!(wm.stats().incremental_batches >= 1);
+    }
+
+    #[test]
+    fn reverse_bids_chain_through_a_displaced_row() {
+        // c0–r0 (10) and c1–r1 (5) are matched and c2 sits unmatched:
+        // r1 must price itself out of c2 (p1 ≥ 3), and c1 must prefer r1,
+        // so r0's price is positive too.
+        let mut wm = WDynMatching::from_weighted_triples(
+            2,
+            3,
+            vec![(0, 0, 10.0), (0, 1, 8.0), (1, 1, 5.0), (1, 2, 3.0)],
+            WDynOptions { full_verify: true, ..Default::default() },
+        );
+        assert_eq!(wm.weight(), 15.0);
+        assert!(wm.prices()[0] > 0.0 && wm.prices()[1] > 0.0, "{:?}", wm.prices());
+        // c0 loses its only edge, so no forward bid can win r0 back: r0
+        // bids in reverse for c1, displacing r1, which takes c2.
+        let rep = wm.apply_batch(&[WUpdate::Delete(0, 0)]);
+        assert_eq!(rep.reverse_bids, 2, "{rep:?}");
+        assert_eq!(rep.rebids, 2, "{rep:?}");
+        assert_eq!(wm.matching().mate_c.get(1), 0);
+        assert_eq!(wm.matching().mate_c.get(2), 1);
+        assert_eq!(rep.weight, 11.0);
+        assert_eq!(rep.weight, oracle_weight(&wm));
+    }
+
+    #[test]
+    fn a_freed_row_with_no_profitable_column_retires_at_price_zero() {
+        let mut wm = WDynMatching::from_weighted_triples(
+            2,
+            2,
+            vec![(0, 0, 10.0), (0, 1, 4.0), (1, 1, 6.0)],
+            WDynOptions { full_verify: true, ..Default::default() },
+        );
+        assert_eq!(wm.weight(), 16.0);
+        assert!(wm.prices()[0] > 0.0);
+        // Making c1's matched edge heavy lifts π_c1 above w(r0, c1), so
+        // once r0 is freed no column is worth a reverse bid.
+        let rep = wm.apply_batch(&[WUpdate::Insert(1, 1, 100.0), WUpdate::Delete(0, 0)]);
+        assert_eq!(rep.repaired, 0, "a heavier matched edge needs no repair: {rep:?}");
+        assert_eq!(rep.reverse_bids, 1, "{rep:?}");
+        assert_eq!(rep.rebids, 1, "{rep:?}");
+        assert!(!wm.matching().row_matched(0));
+        assert_eq!(wm.prices()[0], 0.0);
+        assert_eq!(wm.matching().mate_c.get(1), 1);
+        assert_eq!(rep.weight, 100.0);
+        assert_eq!(rep.weight, oracle_weight(&wm));
+    }
+
+    #[test]
+    fn a_lighter_matched_edge_is_won_back_by_its_freed_row() {
+        let mut wm = WDynMatching::from_weighted_triples(
+            2,
+            2,
+            vec![(0, 0, 10.0), (1, 0, 7.0), (1, 1, 8.0)],
+            WDynOptions { full_verify: true, ..Default::default() },
+        );
+        assert_eq!(wm.weight(), 18.0);
+        assert!(wm.prices()[0] > 1.0, "{:?}", wm.prices());
+        // At weight 1 the matched edge is under water: c0 is unmatched
+        // and bids nowhere, so r0 lowers its price and takes c0 back.
+        let rep = wm.apply_batch(&[WUpdate::Insert(0, 0, 1.0)]);
+        assert_eq!(rep.repaired, 1, "{rep:?}");
+        assert!(rep.reverse_bids >= 1, "{rep:?}");
+        assert_eq!(wm.matching().mate_c.get(0), 0);
+        assert_eq!(wm.matching().mate_c.get(1), 1);
+        assert_eq!(rep.weight, 9.0);
+        assert_eq!(rep.weight, oracle_weight(&wm));
+    }
+
+    #[test]
+    fn a_reverse_price_war_exhausts_the_budget_and_cold_solves() {
+        // Three rows hold private columns at price 20 + ε; two shared
+        // columns of weight 10 stay unmatched beneath those prices. An
+        // engine built empty budgets one bid per column: 5.
+        let mut wm =
+            WDynMatching::new(3, 5, WDynOptions { full_verify: true, ..Default::default() });
+        let private: Vec<WUpdate> = (0..3).map(|r| WUpdate::Insert(r, 2 + r, 20.0)).collect();
+        let rep = wm.apply_batch(&private);
+        assert!(!rep.cold, "{rep:?}");
+        let shared: Vec<WUpdate> = (0..3)
+            .flat_map(|r| [WUpdate::Insert(r, 0, 10.0), WUpdate::Insert(r, 1, 10.0)])
+            .collect();
+        let rep = wm.apply_batch(&shared);
+        assert_eq!(rep.rebids, 0, "{rep:?}");
+        // Freeing all three rows starts a reverse war over two columns:
+        // each bid lowers a price by about ε, far past the budget.
+        let frees: Vec<WUpdate> = (0..3).map(|r| WUpdate::Delete(r, 2 + r)).collect();
+        let rep = wm.apply_batch(&frees);
+        assert_eq!(rep.budget, 5);
+        assert_eq!(rep.rebids, rep.budget, "{rep:?}");
+        assert_eq!(rep.reverse_bids, rep.rebids, "the budget ran out inside the reverse step");
+        assert!(rep.cold, "{rep:?}");
+        assert_eq!(wm.stats().budget_exhausted, 1);
+        assert_eq!(rep.weight, 20.0);
+        assert_eq!(rep.weight, oracle_weight(&wm));
+        wm.verify_full().expect("eps-CS certificate after the cold solve");
     }
 
     #[test]

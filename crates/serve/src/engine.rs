@@ -61,7 +61,7 @@ impl Engine {
                 let rep = wm.apply_batch(batch);
                 format!(
                     "batch applied {} dirty {} repaired {} rebids {} budget {} cold {} \
-                     weight_delta {} weight {} cardinality {}",
+                     weight_delta {} weight {} cardinality {} reverse_bids {}",
                     rep.applied,
                     rep.dirty,
                     rep.repaired,
@@ -71,6 +71,7 @@ impl Engine {
                     rep.weight_delta,
                     rep.weight,
                     rep.cardinality,
+                    rep.reverse_bids,
                 )
             }
         }
@@ -388,7 +389,7 @@ pub fn format_wstats_line(
     format!(
         "stats batches {} updates {} inserts {} deletes {} matched_deletes {} \
          dirty {} rebids {} incremental {} cold {} budget_exhausted {} weight_gained {} \
-         weight_lost {} cardinality {} weight {} nnz {} epoch {} algo wauction",
+         weight_lost {} cardinality {} weight {} nnz {} epoch {} reverse_bids {} algo wauction",
         s.batches,
         s.updates,
         s.inserts,
@@ -405,6 +406,7 @@ pub fn format_wstats_line(
         weight,
         nnz,
         epoch,
+        s.reverse_bids,
     )
 }
 
@@ -488,6 +490,21 @@ mod tests {
         assert!(text.starts_with("matching 2 weight 6.5\nstate seq 1 epoch 0 "), "{text}");
         assert!(text.contains(" nnz 2 weight 6.5\n"), "{text}");
         assert!(text.trim_end().ends_with("algo wauction"), "{text}");
+    }
+
+    #[test]
+    fn weighted_batch_and_stats_lines_end_with_the_reverse_bids() {
+        let mut engine = weighted();
+        engine.apply_batch(&[
+            WUpdate::Insert(0, 0, 10.0),
+            WUpdate::Insert(0, 1, 8.0),
+            WUpdate::Insert(1, 1, 5.0),
+        ]);
+        // Freed r0 takes c1 by a reverse bid; the displaced r1 retires.
+        let line = engine.apply_batch(&[WUpdate::Delete(0, 0)]);
+        assert!(line.ends_with(" weight 8 cardinality 1 reverse_bids 2"), "{line}");
+        let text = answers(engine.state(), 1);
+        assert!(text.trim_end().ends_with(" reverse_bids 2 algo wauction"), "{text}");
     }
 
     #[test]

@@ -124,9 +124,7 @@ impl WCsc {
 
     /// The weighted transpose: entry `(i, j, w)` becomes `(j, i, w)`.
     ///
-    /// The weighted analogue of [`Triples::transposed`]; the dynamic weighted
-    /// engine keeps both orientations so price resets can walk a row's
-    /// column neighbourhood.
+    /// The weighted analogue of [`Triples::transposed`].
     pub fn transposed(&self) -> WCsc {
         let flipped = self.to_weighted_triples().into_iter().map(|(i, j, w)| (j, i, w)).collect();
         WCsc::from_weighted_triples(self.ncols(), self.nrows(), flipped)

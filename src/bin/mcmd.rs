@@ -68,10 +68,11 @@ usage:
 
   --weighted            serve maximum *weight* matching: `insert u v [w]`
                         (missing weight = 1.0), `query` answers
-                        \"matching <n> weight <w>\", repairs re-auction only
-                        the eps-CS-violated columns from persistent prices,
-                        cold-solving only when a re-auction spends the bid
-                        count of the last cold solve
+                        \"matching <n> weight <w>\", repairs bid from
+                        persistent prices (forward from eps-CS-violated
+                        columns, reverse from freed rows), cold-solving
+                        only when a repair spends the bid count of the last
+                        cold solve
   --rows n / --cols n   vertex counts of an initially empty graph (default 1024)
   --load file           start from a graph file instead (solves it first; the
                         format — Matrix Market text or MCSB binary — is sniffed

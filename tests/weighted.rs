@@ -14,10 +14,11 @@ use mcm_core::verify::verify_eps_cs;
 use mcm_core::weighted::{auction_mwm, auction_mwm_par, AuctionOptions};
 use mcm_dyn::{WDynMatching, WDynOptions, WUpdate};
 use mcm_gen::{
-    assign_weights, materialize_weighted, simtest_suite, weighted_update_trace, WTraceOp,
-    WTraceParams,
+    assign_weights, materialize_weighted, rmat, simtest_suite, weighted_update_trace, RmatParams,
+    WTraceOp, WTraceParams,
 };
-use mcm_sparse::WCsc;
+use mcm_sparse::permute::SplitMix64;
+use mcm_sparse::{Vidx, WCsc, NIL};
 
 /// Deterministic sweep seed; override with `MCM_TEST_SEED`.
 fn test_seed() -> u64 {
@@ -120,4 +121,71 @@ fn weighted_trace_checkpoints_agree_with_the_cold_oracle() {
     }
     assert_eq!(checkpoints, p.base.batches + 1, "trace structure changed");
     assert!(wm.stats().incremental_batches > 0, "sweep never exercised incremental repair");
+}
+
+#[test]
+fn rmat_hub_churn_repairs_to_the_cold_optimum_every_batch() {
+    // The served regime in miniature: a Graph500-skewed 2048 × 2048 graph
+    // whose batches free the matched edges of hub rows, the case where
+    // freed rows' prices matter most. Every batch is certified (full
+    // verify) and must reach a cold solve's weight exactly.
+    let seed = test_seed();
+    let p = RmatParams { edge_factor: 8, ..RmatParams::g500(11) };
+    let n = p.n();
+    let base = assign_weights(rmat(p, seed).entries(), seed, 50);
+    let pool = assign_weights(rmat(p, seed ^ 0xC0FFEE).entries(), seed ^ 0xC0FFEE, 50);
+    let mut degree = vec![0usize; n];
+    for &(r, _, _) in &base {
+        degree[r as usize] += 1;
+    }
+    let mut hubs: Vec<Vidx> = (0..n as Vidx).collect();
+    hubs.sort_by_key(|&r| std::cmp::Reverse(degree[r as usize]));
+    hubs.truncate(32);
+
+    let mut wm = WDynMatching::from_weighted_triples(
+        n,
+        n,
+        base.clone(),
+        WDynOptions { full_verify: true, ..WDynOptions::default() },
+    );
+    let mut rng = SplitMix64::new(seed);
+    let mut next_insert = 0usize;
+    for step in 0..16 {
+        let mut batch = Vec::new();
+        for &r in hubs.iter().skip(step % 4 * 8).take(8) {
+            let c = wm.matching().mate_r.get(r);
+            if c != NIL {
+                batch.push(WUpdate::Delete(r, c));
+            }
+        }
+        for _ in 0..8 {
+            let c = rng.below(n as u64) as Vidx;
+            let r = wm.matching().mate_c.get(c);
+            if r != NIL {
+                batch.push(WUpdate::Insert(r, c, (1 + rng.below(50)) as f64));
+            }
+        }
+        for _ in 0..24 {
+            let (r, c, _) = base[rng.below(base.len() as u64) as usize];
+            batch.push(WUpdate::Delete(r, c));
+        }
+        for &(r, c, w) in pool.iter().skip(next_insert).take(48) {
+            batch.push(WUpdate::Insert(r, c, w));
+        }
+        next_insert += 48;
+
+        let rep = wm.apply_batch(&batch);
+        let cold = auction_mwm_par(
+            &wm.graph().cols().to_wcsc(),
+            &AuctionOptions { eps_final: Some(wm.eps()), ..AuctionOptions::default() },
+        );
+        assert_eq!(
+            wm.weight(),
+            cold.weight,
+            "batch {step} (seed {seed:#x}): incremental weight diverged: {rep:?}"
+        );
+    }
+    let stats = wm.stats();
+    assert!(stats.matched_deletes > 0 && stats.reverse_bids > 0, "{stats:?}");
+    assert!(stats.incremental_batches > 0, "{stats:?}");
 }

@@ -3,8 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mcm_core::serial::{
-    greedy_serial, hopcroft_karp, karp_sipser_serial, ms_bfs_graft, ms_bfs_serial, pothen_fan,
-    push_relabel,
+    greedy_serial, hopcroft_karp, karp_sipser_serial, ms_bfs_serial, pothen_fan,
 };
 use mcm_gen::mesh::road_grid;
 use mcm_gen::rmat::{rmat, RmatParams};
@@ -26,12 +25,6 @@ fn bench_serial(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("ms_bfs", name), a, |b, a| {
             b.iter(|| black_box(ms_bfs_serial(a, None)));
-        });
-        group.bench_with_input(BenchmarkId::new("ms_bfs_graft", name), a, |b, a| {
-            b.iter(|| black_box(ms_bfs_graft(a, None)));
-        });
-        group.bench_with_input(BenchmarkId::new("push_relabel", name), a, |b, a| {
-            b.iter(|| black_box(push_relabel(a)));
         });
         // Warm-started variants: the §VI-A claim that initialization pays.
         group.bench_with_input(BenchmarkId::new("hk_warm_greedy", name), a, |b, a| {

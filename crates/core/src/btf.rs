@@ -14,7 +14,7 @@
 //! provides the coarse one.
 
 use crate::matching::Matching;
-use mcm_sparse::{Csc, Vidx};
+use mcm_sparse::{CscView, Vidx};
 
 /// A block-triangular permutation of a square, structurally nonsingular
 /// matrix.
@@ -64,7 +64,8 @@ impl Btf {
 /// assert_eq!(btf.num_blocks(), 3);
 /// assert_eq!(btf.max_block(), 1);
 /// ```
-pub fn block_triangular_form(a: &Csc, m: &Matching) -> Btf {
+pub fn block_triangular_form<'a>(a: impl Into<CscView<'a>>, m: &Matching) -> Btf {
+    let a = a.into();
     let n = a.ncols();
     assert_eq!(a.nrows(), n, "BTF requires a square matrix");
     assert_eq!(m.cardinality(), n, "BTF requires a perfect matching");
@@ -159,7 +160,7 @@ pub fn block_triangular_form(a: &Csc, m: &Matching) -> Btf {
 mod tests {
     use super::*;
     use crate::serial::hopcroft_karp;
-    use mcm_sparse::Triples;
+    use mcm_sparse::{Csc, Triples};
 
     fn btf_of(t: &Triples) -> (Csc, Matching, Btf) {
         let a = t.to_csc();

@@ -10,7 +10,7 @@
 //! Dulmage–Mendelsohn decomposition ([`crate::dm`]).
 
 use crate::matching::Matching;
-use mcm_sparse::{Csc, Vidx, NIL};
+use mcm_sparse::{Csc, CscView, Vidx, NIL};
 
 /// A vertex cover of a bipartite graph: a set of rows and columns touching
 /// every edge.
@@ -44,7 +44,7 @@ impl VertexCover {
 
 /// Rows/columns reachable from the unmatched columns by alternating paths
 /// (column → any edge → row → matched edge → column …).
-pub(crate) fn alternating_reach_from_cols(a: &Csc, m: &Matching) -> (Vec<bool>, Vec<bool>) {
+pub(crate) fn alternating_reach_from_cols(a: CscView<'_>, m: &Matching) -> (Vec<bool>, Vec<bool>) {
     let mut col_z = vec![false; a.ncols()];
     let mut row_z = vec![false; a.nrows()];
     let mut queue: Vec<Vidx> = Vec::new();
@@ -94,7 +94,7 @@ pub(crate) fn alternating_reach_from_cols(a: &Csc, m: &Matching) -> (Vec<bool>, 
 /// assert!(cover_certifies(&a, &m));
 /// ```
 pub fn koenig_cover(a: &Csc, m: &Matching) -> VertexCover {
-    let (row_z, col_z) = alternating_reach_from_cols(a, m);
+    let (row_z, col_z) = alternating_reach_from_cols(a.view(), m);
     VertexCover {
         rows: (0..a.nrows() as Vidx).filter(|&r| row_z[r as usize]).collect(),
         cols: (0..a.ncols() as Vidx).filter(|&c| !col_z[c as usize]).collect(),

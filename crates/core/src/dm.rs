@@ -19,7 +19,7 @@
 
 use crate::cover::alternating_reach_from_cols;
 use crate::matching::Matching;
-use mcm_sparse::{Csc, Vidx, NIL};
+use mcm_sparse::{Csc, CscView, Vidx, NIL};
 
 /// Which coarse block a vertex belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -70,7 +70,7 @@ impl DmDecomposition {
 
 /// Rows/columns alternating-reachable from the unmatched **rows**
 /// (row → any edge → column → matched edge → row …).
-fn alternating_reach_from_rows(a: &Csc, at: &Csc, m: &Matching) -> (Vec<bool>, Vec<bool>) {
+fn alternating_reach_from_rows(a: CscView<'_>, at: &Csc, m: &Matching) -> (Vec<bool>, Vec<bool>) {
     debug_assert_eq!(at.nrows(), a.ncols());
     let mut row_z = vec![false; a.nrows()];
     let mut col_z = vec![false; a.ncols()];
@@ -100,7 +100,8 @@ fn alternating_reach_from_rows(a: &Csc, at: &Csc, m: &Matching) -> (Vec<bool>, V
     (row_z, col_z)
 }
 
-/// Computes the coarse DM decomposition from a **maximum** matching.
+/// Computes the coarse DM decomposition of `a` (an owned `Csc` or a
+/// borrowed [`CscView`]) from a **maximum** matching.
 ///
 /// # Panics
 /// Debug-panics when `m` is not a valid matching of `a` (the decomposition
@@ -121,7 +122,8 @@ fn alternating_reach_from_rows(a: &Csc, at: &Csc, m: &Matching) -> (Vec<bool>, V
 /// assert_eq!(dm.row_block[0], DmBlock::Horizontal);
 /// assert!(!dm.is_structurally_nonsingular());
 /// ```
-pub fn dulmage_mendelsohn(a: &Csc, m: &Matching) -> DmDecomposition {
+pub fn dulmage_mendelsohn<'a>(a: impl Into<CscView<'a>>, m: &Matching) -> DmDecomposition {
+    let a = a.into();
     debug_assert!(m.validate(a).is_ok());
     let at = a.transpose();
     let (h_rows, h_cols) = alternating_reach_from_cols(a, m);

@@ -4,10 +4,11 @@
 //! neighbour — `O(m)`, approximation ratio ≥ 1/2 (§II-A, flavour (a)).
 
 use crate::matching::Matching;
-use mcm_sparse::{Csc, Vidx};
+use mcm_sparse::{CscView, Vidx};
 
 /// Greedy maximal matching by column order.
-pub fn greedy_serial(a: &Csc) -> Matching {
+pub fn greedy_serial<'a>(a: impl Into<CscView<'a>>) -> Matching {
+    let a = a.into();
     let mut m = Matching::empty(a.nrows(), a.ncols());
     for c in 0..a.ncols() {
         for &r in a.col(c) {

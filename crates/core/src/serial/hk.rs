@@ -7,12 +7,13 @@
 //! correctness oracle for every distributed run in the test suite.
 
 use crate::matching::Matching;
-use mcm_sparse::{Csc, Vidx, NIL};
+use mcm_sparse::{CscView, Vidx, NIL};
 
 const INF: u32 = u32::MAX;
 
 /// Computes a maximum cardinality matching of the bipartite graph whose
-/// column-to-row adjacency is `a`, optionally warm-started from `init`.
+/// column-to-row adjacency is `a` (an owned `Csc` or a borrowed
+/// [`CscView`]), optionally warm-started from `init`.
 ///
 /// # Example
 ///
@@ -25,7 +26,8 @@ const INF: u32 = u32::MAX;
 /// let m = hopcroft_karp(&a, None);
 /// assert_eq!(m.cardinality(), 2);
 /// ```
-pub fn hopcroft_karp(a: &Csc, init: Option<Matching>) -> Matching {
+pub fn hopcroft_karp<'a>(a: impl Into<CscView<'a>>, init: Option<Matching>) -> Matching {
+    let a = a.into();
     let (n1, n2) = (a.nrows(), a.ncols());
     let mut m = init.unwrap_or_else(|| Matching::empty(n1, n2));
     debug_assert!(m.validate(a).is_ok());
@@ -78,7 +80,7 @@ pub fn hopcroft_karp(a: &Csc, init: Option<Matching>) -> Matching {
 
 /// Layered DFS from column `c`; returns `true` when an augmenting path was
 /// found and flipped.
-fn dfs(a: &Csc, m: &mut Matching, dist: &mut [u32], row_used: &mut [bool], c: Vidx) -> bool {
+fn dfs(a: CscView<'_>, m: &mut Matching, dist: &mut [u32], row_used: &mut [bool], c: Vidx) -> bool {
     for &r in a.col(c as usize) {
         if row_used[r as usize] {
             continue;

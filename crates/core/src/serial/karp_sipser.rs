@@ -9,19 +9,20 @@
 
 use crate::matching::Matching;
 use mcm_sparse::permute::SplitMix64;
-use mcm_sparse::{Csc, Vidx};
+use mcm_sparse::{Csc, CscView, Vidx};
 use std::collections::VecDeque;
 
 /// Karp–Sipser maximal matching; `seed` drives the random-edge fallback.
-pub fn karp_sipser_serial(a: &Csc, seed: u64) -> Matching {
+pub fn karp_sipser_serial<'a>(a: impl Into<CscView<'a>>, seed: u64) -> Matching {
+    let a = a.into();
     let at = a.transpose(); // row → columns adjacency
     let (n1, n2) = (a.nrows(), a.ncols());
     let mut m = Matching::empty(n1, n2);
     let mut rng = SplitMix64::new(seed);
 
     // Dynamic degrees = number of *unmatched* neighbours.
-    let mut deg_r: Vec<u32> = at.col_degrees().to_vec();
-    let mut deg_c: Vec<u32> = a.col_degrees().to_vec();
+    let mut deg_r: Vec<u32> = at.col_degrees();
+    let mut deg_c: Vec<u32> = (0..n2).map(|c| a.col_nnz(c) as u32).collect();
 
     // Queues of (possibly stale) degree-1 vertices; staleness is re-checked
     // on pop, keeping the whole pass O(m).
@@ -108,7 +109,7 @@ pub fn karp_sipser_serial(a: &Csc, seed: u64) -> Matching {
 #[allow(clippy::too_many_arguments)]
 fn do_match(
     m: &mut Matching,
-    a: &Csc,
+    a: CscView<'_>,
     at: &Csc,
     r: Vidx,
     c: Vidx,

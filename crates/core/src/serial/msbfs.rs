@@ -9,7 +9,7 @@
 //! cardinalities between the two.
 
 use crate::matching::Matching;
-use mcm_sparse::{Csc, Vidx, NIL};
+use mcm_sparse::{CscView, Vidx, NIL};
 
 /// Statistics of one `ms_bfs_serial` run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -22,9 +22,13 @@ pub struct MsBfsStats {
     pub augmentations: usize,
 }
 
-/// Maximum matching by serial MS-BFS (Algorithm 1), warm-started from
-/// `init` when given.
-pub fn ms_bfs_serial(a: &Csc, init: Option<Matching>) -> (Matching, MsBfsStats) {
+/// Maximum matching by serial MS-BFS (Algorithm 1) on `a` (an owned `Csc`
+/// or a borrowed [`CscView`]), warm-started from `init` when given.
+pub fn ms_bfs_serial<'a>(
+    a: impl Into<CscView<'a>>,
+    init: Option<Matching>,
+) -> (Matching, MsBfsStats) {
+    let a = a.into();
     let (n1, n2) = (a.nrows(), a.ncols());
     let mut m = init.unwrap_or_else(|| Matching::empty(n1, n2));
     let mut stats = MsBfsStats::default();

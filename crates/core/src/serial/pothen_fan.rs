@@ -9,11 +9,13 @@
 //! vertex-disjoint. Phases repeat until one finds no augmenting path.
 
 use crate::matching::Matching;
-use mcm_sparse::{Csc, Vidx, NIL};
+use mcm_sparse::{CscView, Vidx, NIL};
 
 /// Computes a maximum cardinality matching by repeated multi-source DFS
-/// with lookahead, optionally warm-started from `init`.
-pub fn pothen_fan(a: &Csc, init: Option<Matching>) -> Matching {
+/// with lookahead on `a` (an owned `Csc` or a borrowed [`CscView`]),
+/// optionally warm-started from `init`.
+pub fn pothen_fan<'a>(a: impl Into<CscView<'a>>, init: Option<Matching>) -> Matching {
+    let a = a.into();
     let (n1, n2) = (a.nrows(), a.ncols());
     let mut m = init.unwrap_or_else(|| Matching::empty(n1, n2));
     debug_assert!(m.validate(a).is_ok());
@@ -50,7 +52,7 @@ pub fn pothen_fan(a: &Csc, init: Option<Matching>) -> Matching {
 /// Iterative DFS from unmatched column `c0`. Returns `true` (and flips the
 /// path) when an unmatched row is reached.
 fn dfs_lookahead(
-    a: &Csc,
+    a: CscView<'_>,
     m: &mut Matching,
     lookahead: &mut [usize],
     visited_row: &mut [u32],

@@ -19,7 +19,7 @@
 //!   of the price-carrying dynamic repair (`mcm-dyn`).
 
 use crate::matching::Matching;
-use mcm_sparse::{Csc, CscView, Vidx, WCsc, NIL};
+use mcm_sparse::{CscView, Vidx, WCsc, NIL};
 use std::fmt;
 
 /// Why a matching failed verification. `Display` gives the same diagnostic
@@ -55,8 +55,8 @@ impl fmt::Display for VerifyError {
 impl std::error::Error for VerifyError {}
 
 /// Full verification as a `Result`: structural validity plus the Berge
-/// maximality certificate. Takes an owned [`Csc`] or a borrowed
-/// [`CscView`] (MCSB-backed runs verify against the mapped pages
+/// maximality certificate. Takes an owned [`Csc`](mcm_sparse::Csc) or a
+/// borrowed [`CscView`] (MCSB-backed runs verify against the mapped pages
 /// themselves). The panicking [`assert_maximum`] wraps this for benches
 /// and examples.
 pub fn verify<'a>(a: impl Into<CscView<'a>>, m: &Matching) -> Result<(), VerifyError> {
@@ -75,7 +75,8 @@ pub fn verify_view(v: &CscView<'_>, m: &Matching) -> Result<(), VerifyError> {
 }
 
 /// `true` when no edge connects an unmatched row to an unmatched column.
-pub fn is_maximal(a: &Csc, m: &Matching) -> bool {
+pub fn is_maximal<'a>(a: impl Into<CscView<'a>>, m: &Matching) -> bool {
+    let a = a.into();
     for c in 0..a.ncols() {
         if m.col_matched(c as Vidx) {
             continue;
@@ -224,7 +225,7 @@ pub fn assert_maximum<'a>(a: impl Into<CscView<'a>>, m: &Matching) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcm_sparse::Triples;
+    use mcm_sparse::{Csc, Triples};
 
     fn z_graph() -> Csc {
         // r0-c0, r0-c1, r1-c0: maximum = 2.

@@ -295,7 +295,8 @@ impl DynMatching {
     /// matching (Hopcroft–Karp; subsequent batches repair incrementally).
     pub fn from_triples(t: &Triples, opts: DynOptions) -> Self {
         let g = DynGraph::from_triples(t);
-        let m = hopcroft_karp(&g.to_csc(), None);
+        // The overlay is empty at construction: its base is the whole graph.
+        let m = hopcroft_karp(g.cols().base(), None);
         Self::with_graph(g, m, opts)
     }
 
@@ -303,7 +304,8 @@ impl DynMatching {
     /// `mcmd --load`) and solves the initial maximum matching.
     pub fn from_csc(a: mcm_sparse::Csc, opts: DynOptions) -> Self {
         let g = DynGraph::from_csc(a);
-        let m = hopcroft_karp(&g.to_csc(), None);
+        // The overlay is empty at construction: its base is the whole graph.
+        let m = hopcroft_karp(g.cols().base(), None);
         Self::with_graph(g, m, opts)
     }
 

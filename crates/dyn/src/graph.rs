@@ -93,7 +93,7 @@ impl<V: Copy + PartialEq> DynGraph<V> {
     where
         V: Default,
     {
-        let (at, at_values) = a.transpose_with(&values);
+        let (at, at_values) = a.view().transpose_with(&values);
         Self {
             cols: CscOverlay::with_values(a, values),
             rows: CscOverlay::with_values(at, at_values),

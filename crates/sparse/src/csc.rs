@@ -146,36 +146,10 @@ impl Csc {
         deg
     }
 
-    /// Explicit transpose (CSC of `Aᵀ`, i.e. CSR of `A`). O(nnz + n).
+    /// Explicit transpose (CSC of `Aᵀ`, i.e. CSR of `A`); see
+    /// [`CscView::transpose`]. O(nnz + n).
     pub fn transpose(&self) -> Csc {
-        self.transpose_with(&vec![(); self.nnz()]).0
-    }
-
-    /// [`Csc::transpose`] carrying one value per nonzero: `values` is
-    /// aligned with this matrix's nonzeros, and the returned values with
-    /// the transpose's. O(nnz + n).
-    pub fn transpose_with<V: Copy + Default>(&self, values: &[V]) -> (Csc, Vec<V>) {
-        assert_eq!(values.len(), self.nnz(), "one value per nonzero");
-        let mut colptr = vec![0u64; self.nrows + 1];
-        for &i in &self.rowind {
-            colptr[i as usize + 1] += 1;
-        }
-        for i in 0..self.nrows {
-            colptr[i + 1] += colptr[i];
-        }
-        let mut cursor = colptr.clone();
-        let mut rowind = vec![0 as Vidx; self.nnz()];
-        let mut tvalues = vec![V::default(); self.nnz()];
-        for j in 0..self.ncols {
-            let lo = self.colptr[j] as usize;
-            for (k, &i) in self.col(j).iter().enumerate() {
-                let at = cursor[i as usize] as usize;
-                rowind[at] = j as Vidx;
-                tvalues[at] = values[lo + k];
-                cursor[i as usize] += 1;
-            }
-        }
-        (Csc { nrows: self.ncols, ncols: self.nrows, colptr, rowind }, tvalues)
+        self.view().transpose()
     }
 
     /// Converts back to (sorted) triples.

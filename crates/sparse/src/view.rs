@@ -126,6 +126,39 @@ impl<'a> CscView<'a> {
         (0..v.ncols).flat_map(move |j| v.col(j).iter().map(move |&i| (i, j as Vidx)))
     }
 
+    /// Explicit transpose (CSC of `Aᵀ`, i.e. CSR of `A`): the row
+    /// adjacency the two-sided serial routines need. O(nnz + n).
+    pub fn transpose(&self) -> Csc {
+        self.transpose_with(&vec![(); self.nnz()]).0
+    }
+
+    /// [`CscView::transpose`] carrying one value per nonzero: `values` is
+    /// aligned with this matrix's nonzeros, and the returned values with
+    /// the transpose's. O(nnz + n).
+    pub fn transpose_with<V: Copy + Default>(&self, values: &[V]) -> (Csc, Vec<V>) {
+        assert_eq!(values.len(), self.nnz(), "one value per nonzero");
+        let mut colptr = vec![0u64; self.nrows + 1];
+        for &i in self.rowind {
+            colptr[i as usize + 1] += 1;
+        }
+        for i in 0..self.nrows {
+            colptr[i + 1] += colptr[i];
+        }
+        let mut cursor = colptr.clone();
+        let mut rowind = vec![0 as Vidx; self.nnz()];
+        let mut tvalues = vec![V::default(); self.nnz()];
+        for j in 0..self.ncols {
+            let lo = self.colptr[j] as usize;
+            for (k, &i) in self.col(j).iter().enumerate() {
+                let at = cursor[i as usize] as usize;
+                rowind[at] = j as Vidx;
+                tvalues[at] = values[lo + k];
+                cursor[i as usize] += 1;
+            }
+        }
+        (Csc::from_parts(self.ncols, self.nrows, colptr, rowind), tvalues)
+    }
+
     /// Materializes an owned [`Csc`] (copies both arrays; the view itself
     /// stays zero-copy — this is for consumers that need ownership, like the
     /// dynamic overlay base).

@@ -5,10 +5,11 @@
 //! mcm match   <file.mtx> [options]           maximum cardinality matching
 //! mcm permute <file.mtx> --out <out.mtx>     zero-free diagonal permutation
 //! mcm dm      <file.mtx>                     Dulmage–Mendelsohn block sizes
+//! mcm btf     <file.mtx>                     block triangular form
 //! mcm gen     <family> --scale <s> --out <f> generate a test matrix
 //!
 //! match options:
-//!   --algo dist|hk|pf|pr|msbfs|graft|ppf|auto
+//!   --algo dist|hk|pf|msbfs|ppf|auto
 //!                                      algorithm (default dist); `ppf` is
 //!                                      parallel Pothen–Fan, `auto` measures
 //!                                      the graph and picks an engine
@@ -31,13 +32,14 @@
 //! gen families: g500, ssca, er (RMAT presets); road, mesh (2D meshes)
 //! ```
 //!
-//! Matrices are Matrix Market files; values are ignored except with
-//! `match --weighted`.
+//! Matrices are Matrix Market files or MCSB stores; values are ignored
+//! except with `match --weighted`. `match`, `dm` and `btf` read one graph
+//! view: MCSB stays on its mmap'ed pages, Matrix Market is compressed once.
 
 use mcm_bsp::{Communicator, DistCtx, EngineComm, MachineConfig};
+use mcm_core::btf::block_triangular_form;
 use mcm_core::dm::{dulmage_mendelsohn, DmBlock};
-// btf used via full path in cmd_btf
-use mcm_core::serial::{hopcroft_karp, ms_bfs_graft, ms_bfs_serial, pothen_fan, push_relabel};
+use mcm_core::serial::{hopcroft_karp, ms_bfs_serial, pothen_fan};
 use mcm_core::verify::verify;
 use mcm_core::{
     maximum_matching, Matching, MatchingAlgo, McmOptions, PortfolioBackend, PortfolioOptions,
@@ -46,7 +48,7 @@ use mcm_core::{
 use mcm_sparse::io::{read_matrix_market_file, write_matrix_market_file};
 use mcm_sparse::permute::{permute_triples, Permutation};
 use mcm_sparse::stats::MatrixStats;
-use mcm_sparse::{CscView, Triples, Vidx, NIL};
+use mcm_sparse::{Csc, CscView, Triples, Vidx, NIL};
 use mcm_store::{GraphFormat, McsbFile, McsbStreamWriter};
 use std::process::ExitCode;
 
@@ -98,7 +100,7 @@ mcm — maximum cardinality matching in bipartite graphs (Azad & Buluc, IPDPS 20
 
 usage:
   mcm stats   <file.mtx>
-  mcm match   <file.mtx> [--algo dist|hk|pf|pr|msbfs|graft|ppf|auto]
+  mcm match   <file.mtx> [--algo dist|hk|pf|msbfs|ppf|auto]
               [--backend sim|engine|shared]  shared = sim on a sqrt(p) x sqrt(p)
                                            grid, p from --ranks
               [--grid d] [--ranks p] [--threads t] [--breakdown] [--trace-out file] [--out file]
@@ -114,8 +116,8 @@ usage:
   mcm convert <in.mtx> --out <out.mcsb>  stream a Matrix Market file into MCSB
 
 Graph inputs are sniffed by content: Matrix Market text or the MCSB binary
-store (mcm-store). MCSB files are mmap'ed and matched zero-copy with
---algo dist|ppf|auto; the serial algorithms materialize an in-RAM copy.
+store (mcm-store). match, dm and btf read MCSB files zero-copy from their
+mmap'ed pages.
 ";
 
 /// Pulls `--flag value` out of an argument list.
@@ -168,13 +170,38 @@ fn load(args: &[String]) -> Result<Triples, String> {
     let path = positional(args).ok_or("missing input file")?;
     match load_input(path)? {
         Input::Mtx(t) => Ok(t),
-        // Commands that need triples (stats, permute, dm, btf) materialize
-        // the edge list; `match` reads the mapped view instead.
+        // Commands that need triples (stats, permute) materialize the edge
+        // list; the solver commands read the mapped view instead.
         Input::Mcsb(f) => {
             let v = f.view();
             Ok(Triples::from_edges(v.nrows(), v.ncols(), v.iter().collect()))
         }
     }
+}
+
+/// A graph opened for the solvers: Matrix Market text compressed once into
+/// an owned CSC (the triples drop), or MCSB left on its mmap'ed pages.
+/// Both lend one [`CscView`].
+enum Graph {
+    Owned(Csc),
+    Mapped(McsbFile),
+}
+
+impl Graph {
+    fn view(&self) -> CscView<'_> {
+        match self {
+            Graph::Owned(a) => a.view(),
+            Graph::Mapped(f) => f.view(),
+        }
+    }
+}
+
+fn load_graph(args: &[String]) -> Result<Graph, String> {
+    let path = positional(args).ok_or("missing input file")?;
+    Ok(match load_input(path)? {
+        Input::Mtx(t) => Graph::Owned(t.to_csc()),
+        Input::Mcsb(f) => Graph::Mapped(f),
+    })
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
@@ -268,13 +295,10 @@ fn compute(
     if algo == "dist" {
         return compute_dist(g, backend, grid, ranks, threads);
     }
-    let a = g.to_csc();
     let (matching, label) = match algo {
-        "hk" => (hopcroft_karp(&a, None), "hk"),
-        "pf" => (pothen_fan(&a, None), "pf"),
-        "pr" => (push_relabel(&a), "pr"),
-        "msbfs" => (ms_bfs_serial(&a, None).0, "msbfs-serial"),
-        "graft" => (ms_bfs_graft(&a, None).0, "graft"),
+        "hk" => (hopcroft_karp(g, None), "hk"),
+        "pf" => (pothen_fan(g, None), "pf"),
+        "msbfs" => (ms_bfs_serial(g, None).0, "msbfs-serial"),
         other => return Err(format!("unknown algorithm: {other}")),
     };
     Ok(DistRun { matching, modeled: Vec::new(), algo: label, auto: false })
@@ -332,20 +356,8 @@ fn cmd_match(args: &[String]) -> Result<(), String> {
     if args.iter().any(|a| a == "--weighted") {
         return cmd_match_weighted(args);
     }
-    let path = positional(args).ok_or("missing input file")?;
-    // Matrix Market text is compressed once into an owned CSC (the triples
-    // drop here); MCSB stays on its mmap'ed pages. Both lend one view.
-    let (owned, file);
-    let g = match load_input(path)? {
-        Input::Mtx(t) => {
-            owned = t.to_csc();
-            owned.view()
-        }
-        Input::Mcsb(f) => {
-            file = f;
-            file.view()
-        }
-    };
+    let graph = load_graph(args)?;
+    let g = graph.view();
     let algo = opt(args, "--algo").unwrap_or("dist");
     let backend = opt(args, "--backend").unwrap_or("sim");
     let mut grid: usize = opt(args, "--grid").unwrap_or("2").parse().map_err(|_| "bad --grid")?;
@@ -440,10 +452,10 @@ fn cmd_permute(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_dm(args: &[String]) -> Result<(), String> {
-    let t = load(args)?;
-    let a = t.to_csc();
-    let m = hopcroft_karp(&a, None);
-    let dm = dulmage_mendelsohn(&a, &m);
+    let graph = load_graph(args)?;
+    let a = graph.view();
+    let m = hopcroft_karp(a, None);
+    let dm = dulmage_mendelsohn(a, &m);
     println!("maximum matching: {}", m.cardinality());
     for block in [DmBlock::Horizontal, DmBlock::Square, DmBlock::Vertical] {
         println!(
@@ -460,20 +472,20 @@ fn cmd_dm(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_btf(args: &[String]) -> Result<(), String> {
-    let t = load(args)?;
-    if t.nrows() != t.ncols() {
+    let graph = load_graph(args)?;
+    let a = graph.view();
+    if a.nrows() != a.ncols() {
         return Err("btf requires a square matrix".into());
     }
-    let a = t.to_csc();
-    let m = hopcroft_karp(&a, None);
-    if m.cardinality() != t.ncols() {
+    let m = hopcroft_karp(a, None);
+    if m.cardinality() != a.ncols() {
         return Err(format!(
             "structurally singular: rank {} of {} (try `mcm dm`)",
             m.cardinality(),
-            t.ncols()
+            a.ncols()
         ));
     }
-    let btf = mcm_core::btf::block_triangular_form(&a, &m);
+    let btf = block_triangular_form(a, &m);
     println!("diagonal blocks: {}", btf.num_blocks());
     println!("largest block:   {}", btf.max_block());
     let singletons =

@@ -30,7 +30,7 @@ fn gen_stats_match_roundtrip() {
 
     // Every algorithm agrees on the cardinality.
     let mut cards = std::collections::BTreeSet::new();
-    for algo in ["dist", "hk", "pf", "pr", "msbfs", "graft", "ppf", "auto"] {
+    for algo in ["dist", "hk", "pf", "msbfs", "ppf", "auto"] {
         let out = mcm().args(["match"]).arg(&file).args(["--algo", algo]).output().unwrap();
         assert!(out.status.success(), "algo {algo}: {}", String::from_utf8_lossy(&out.stderr));
         let text = String::from_utf8_lossy(&out.stdout);
@@ -105,6 +105,42 @@ fn dm_reports_blocks() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("Horizontal"));
     assert!(text.contains("Vertical"));
+}
+
+#[test]
+fn dm_and_btf_read_mcsb_like_matrix_market() {
+    // `dm` and `btf` open MCSB through the same mapped view as `match`;
+    // their reports must not depend on the input format.
+    let rmat = tmp("dm_format.mtx");
+    assert!(mcm()
+        .args(["gen", "g500", "--scale", "7", "--out"])
+        .arg(&rmat)
+        .status()
+        .unwrap()
+        .success());
+    // Diagonal plus two 2-cycles and upper couplings: four diagonal blocks.
+    let blocks = tmp("btf_format.mtx");
+    std::fs::write(
+        &blocks,
+        "%%MatrixMarket matrix coordinate pattern general\n6 6 11\n\
+         1 1\n2 2\n3 3\n4 4\n5 5\n6 6\n2 3\n3 2\n4 5\n5 4\n1 6\n",
+    )
+    .unwrap();
+    for (command, mtx) in [("dm", &rmat), ("btf", &blocks)] {
+        let mcsb = mtx.with_extension("mcsb");
+        let out = mcm().arg("convert").arg(mtx).arg("--out").arg(&mcsb).output().unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let run = |file: &std::path::Path| {
+            let out = mcm().arg(command).arg(file).output().unwrap();
+            assert!(out.status.success(), "{command}: {}", String::from_utf8_lossy(&out.stderr));
+            String::from_utf8_lossy(&out.stdout).into_owned()
+        };
+        let text = run(mtx);
+        assert_eq!(run(&mcsb), text, "{command}: MCSB and Matrix Market reports differ");
+        if command == "btf" {
+            assert!(text.contains("diagonal blocks: 4"), "{text}");
+        }
+    }
 }
 
 #[test]
@@ -191,6 +227,8 @@ fn non_finite_weights_fail_cleanly() {
 fn out_of_range_mcsb_row_index_fails_cleanly() {
     // A mapped MCSB file whose rowind holds one index >= nrows made
     // `mcm match` panic (exit 101) in the solver under every algorithm.
+    // The serial engines read the mapped pages directly, so the open-time
+    // range check is all that guards them.
     let mcsb = tmp("rowind_corrupt.mcsb");
     let gen = mcm()
         .args(["gen", "er", "--scale", "10", "--format", "mcsb", "--out"])
@@ -203,12 +241,19 @@ fn out_of_range_mcsb_row_index_fails_cleanly() {
     let at = (h.rowind_off + 4 * 100) as usize;
     bytes[at..at + 4].copy_from_slice(&0x7FFF_FF00u32.to_le_bytes());
     std::fs::write(&mcsb, &bytes).unwrap();
-    for algo in ["dist", "hk"] {
-        let out = mcm().args(["match", "--algo", algo]).arg(&mcsb).output().unwrap();
+    for args in [
+        &["match", "--algo", "dist"][..],
+        &["match", "--algo", "hk"],
+        &["match", "--algo", "pf"],
+        &["match", "--algo", "msbfs"],
+        &["dm"],
+        &["btf"],
+    ] {
+        let out = mcm().args(args).arg(&mcsb).output().unwrap();
         let err = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "--algo {algo}: {err}");
-        assert!(!err.contains("panicked"), "--algo {algo}: {err}");
-        assert!(err.contains("out of range"), "--algo {algo}: {err}");
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert!(err.contains("out of range"), "{args:?}: {err}");
     }
 }
 
@@ -587,8 +632,9 @@ fn match_rejects_unknown_algo_names() {
         .status()
         .unwrap()
         .success());
-    // `auction` named the deleted cardinality auction engine.
-    for algo in ["frobnicate", "auction"] {
+    // `auction`, `pr` and `graft` named deleted engines (the cardinality
+    // auction, push-relabel and MS-BFS-Graft).
+    for algo in ["frobnicate", "auction", "pr", "graft"] {
         let out = mcm().args(["match"]).arg(&file).args(["--algo", algo]).output().unwrap();
         let err = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{algo}: {err}");

@@ -17,7 +17,9 @@
 //!
 //! Exits non-zero if any response was corrupted, any read was dropped,
 //! or the daemon's histogram disagrees with the client's ledger —
-//! `BENCH_serve.json` is only written by a clean run.
+//! `BENCH_serve.json` is only written by a clean run. The file records
+//! the host (cores, CPU model), the commit (`git describe --dirty`) and
+//! the command line.
 
 use mcm_dyn::{DynMatching, DynOptions, WDynMatching, WDynOptions};
 use mcm_serve::{run_load, Engine, LoadConfig, LoadMode, Server, ServerConfig};
@@ -37,6 +39,37 @@ fn num<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
 fn server_view(verb: &str) -> (u64, f64, f64) {
     let h = mcm_obs::registry().histogram("mcmd_request_seconds", &[("verb", verb)]);
     (h.count(), h.quantile_ns(0.50) as f64 / 1_000.0, h.quantile_ns(0.99) as f64 / 1_000.0)
+}
+
+/// `"<cores> cores, <CPU model>, <OS>"`.
+fn host() -> String {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            s.lines().find_map(|l| {
+                let (key, value) = l.split_once(':')?;
+                (key.trim() == "model name").then(|| value.trim().to_string())
+            })
+        })
+        .unwrap_or_else(|| "unknown CPU".to_string());
+    format!("{cores} cores, {model}, {}", std::env::consts::OS)
+}
+
+/// The checkout's commit, `-dirty` when the tree has local edits.
+fn commit() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// A JSON string literal.
+fn quoted(s: &str) -> String {
+    format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
 }
 
 fn main() -> ExitCode {
@@ -164,6 +197,17 @@ fn main() -> ExitCode {
 
     let mut json = String::new();
     json.push_str("{\n  \"bench\": \"serve\",\n");
+    let command = ["cargo run --release -p mcm-bench --bin serve_load --"]
+        .into_iter()
+        .chain(args.iter().map(String::as_str))
+        .collect::<Vec<_>>()
+        .join(" ");
+    json.push_str(&format!(
+        "  \"command\": {},\n  \"host\": {},\n  \"commit\": {},\n",
+        quoted(&command),
+        quoted(&host()),
+        quoted(&commit())
+    ));
     json.push_str(&format!(
         "  \"engine\": \"{}\",\n",
         if weighted { "weighted" } else { "cardinality" }

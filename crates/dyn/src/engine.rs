@@ -51,7 +51,7 @@ use mcm_core::ppf::{ppf, PpfOptions};
 use mcm_core::serial::hopcroft_karp;
 use mcm_core::verify::VerifyError;
 use mcm_core::{Matching, MatchingAlgo, McmOptions, SelectorStats};
-use mcm_sparse::{CscOverlay, Triples, Vidx, NIL};
+use mcm_sparse::{Triples, Vidx, NIL};
 
 /// One edge update.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -214,38 +214,25 @@ pub struct DynStats {
     pub last: BatchReport,
 }
 
-/// An immutable, self-contained copy of the engine's state — what the
-/// `mcm-serve` daemon publishes after each applied batch so reads
-/// (`query`/`stats`/`snapshot`) are served without blocking behind the
-/// writer. Only the column adjacency is copied: one per-column insert and
-/// delete list per column plus the frozen CSC, O(n2 + nnz). The row
-/// direction exists for repair searches, which readers never run. The
-/// matching itself is not carried — `cardinality` is the serving-relevant
-/// scalar, and the full mate vectors stay private to the writer.
+/// The scalars of the engine's state that reads answer from — what the
+/// `mcm-serve` daemon publishes after each applied batch so `query`,
+/// `state` and `stats` are served without blocking behind the writer.
+/// Publishing costs O(1): no graph and no matching is copied. A reader
+/// that needs the edges themselves (`snapshot <path>`) asks the writer
+/// for them instead.
 #[derive(Clone, Debug)]
 pub struct StateSnapshot {
-    /// The edge set as of publication, column adjacency (`A`; epoch
-    /// queryable via `graph.epoch()`).
-    pub graph: CscOverlay,
     /// Cumulative engine counters as of publication.
     pub stats: DynStats,
     /// Matching cardinality as of publication.
     pub cardinality: usize,
+    /// Live edge count as of publication.
+    pub nnz: usize,
+    /// Overlay-compaction epoch as of publication.
+    pub epoch: u64,
     /// The configured fallback engine (`mcmd stats` reports it until a
     /// fallback runs).
     pub algo: MatchingAlgo,
-}
-
-impl StateSnapshot {
-    /// Overlay-compaction epoch at publication.
-    pub fn epoch(&self) -> u64 {
-        self.graph.epoch()
-    }
-
-    /// Live edge count at publication.
-    pub fn nnz(&self) -> usize {
-        self.graph.nnz()
-    }
 }
 
 /// A dynamic bipartite graph with an always-maximum matching.
@@ -356,12 +343,13 @@ impl DynMatching {
         &self.stats
     }
 
-    /// An immutable copy of the published state (see [`StateSnapshot`]).
+    /// The published state's scalars (see [`StateSnapshot`]); O(1).
     pub fn snapshot_state(&self) -> StateSnapshot {
         StateSnapshot {
-            graph: self.g.cols().clone(),
             stats: self.stats.clone(),
             cardinality: self.m.cardinality(),
+            nnz: self.g.nnz(),
+            epoch: self.g.epoch(),
             algo: self.opts.algo,
         }
     }

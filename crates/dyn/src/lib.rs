@@ -17,9 +17,9 @@
 //!   batch only re-auctions the columns whose ε-complementary-slackness
 //!   it actually violated (cold parallel ε-scaled solve above a dirty
 //!   threshold);
-//! * [`StateSnapshot`] — an immutable copy of the engine's published
-//!   state, the unit of snapshot isolation in the `mcm-serve` daemon
-//!   (which also owns the `mcmd` line protocol, in `mcm_serve::proto`).
+//! * [`StateSnapshot`] — the O(1) scalars of the engine's state, the unit
+//!   of snapshot isolation in the `mcm-serve` daemon (which also owns the
+//!   `mcmd` line protocol, in `mcm_serve::proto`).
 //!
 //! Every batch ends certified: a Berge check seeded at the batch's dirty
 //! region (or a full sweep when the repair itself had to go global).

@@ -67,7 +67,7 @@ use crate::graph::DynGraph;
 use mcm_core::verify::{verify_eps_cs, VerifyError};
 use mcm_core::weighted::{auction_mwm_par, AuctionOptions};
 use mcm_core::Matching;
-use mcm_sparse::{CscOverlay, Vidx, WCsc, NIL};
+use mcm_sparse::{Vidx, WCsc, NIL};
 use std::collections::VecDeque;
 
 /// One weighted point update. `Insert` on a live edge re-weights it.
@@ -168,30 +168,21 @@ pub struct WDynStats {
     pub last: WBatchReport,
 }
 
-/// A consistent copy of the weighted engine state (graph + matching
-/// weight + counters), cheap enough to publish per batch from a server.
+/// The scalars of the weighted engine state that reads answer from
+/// (matching weight and cardinality, edge count, epoch, counters): what a
+/// server publishes per batch, in O(1). No graph is copied.
 #[derive(Clone, Debug)]
 pub struct WStateSnapshot {
-    /// The weighted graph at snapshot time (column adjacency only).
-    pub graph: CscOverlay<f64>,
     /// Counters at snapshot time.
     pub stats: WDynStats,
     /// Matching cardinality at snapshot time.
     pub cardinality: usize,
     /// Matching weight at snapshot time.
     pub weight: f64,
-}
-
-impl WStateSnapshot {
-    /// Compaction epoch of the snapshotted graph.
-    pub fn epoch(&self) -> u64 {
-        self.graph.epoch()
-    }
-
-    /// Live edge count of the snapshotted graph.
-    pub fn nnz(&self) -> usize {
-        self.graph.nnz()
-    }
+    /// Live edge count at snapshot time.
+    pub nnz: usize,
+    /// Compaction epoch at snapshot time.
+    pub epoch: u64,
 }
 
 const TOL: f64 = 1e-12;
@@ -363,13 +354,15 @@ impl WDynMatching {
         self.g.epoch()
     }
 
-    /// A consistent copy of the engine state for publication.
+    /// The engine state's scalars for publication (see
+    /// [`WStateSnapshot`]); O(1).
     pub fn snapshot_state(&self) -> WStateSnapshot {
         WStateSnapshot {
-            graph: self.g.cols().clone(),
             stats: self.stats.clone(),
             cardinality: self.m.cardinality(),
             weight: self.weight,
+            nnz: self.nnz(),
+            epoch: self.epoch(),
         }
     }
 
@@ -1059,7 +1052,7 @@ mod tests {
         let snap = wm.snapshot_state();
         wm.apply_batch(&[WUpdate::Insert(1, 1, 9.0)]);
         assert_eq!(snap.weight, 4.0);
-        assert_eq!(snap.nnz(), 1);
+        assert_eq!(snap.nnz, 1);
         assert_eq!(wm.weight(), 13.0);
     }
 }

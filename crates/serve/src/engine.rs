@@ -1,23 +1,26 @@
 //! The engine behind `mcmd`, and the protocol answers both modes share.
 //!
-//! [`Engine`] (the live engine) and [`Snap`] (a published copy of its
-//! state) are the only two places that ask which engine is running. All
-//! else goes through what they hand out:
+//! [`Engine`] (the live engine), [`Snap`] (the O(1) scalars of its state)
+//! and `EdgeSet` (an owned copy of its edges) are the only places that
+//! ask which engine is running. All else goes through what they hand out:
 //!
 //! * [`Admission`] — the one check an update line passes before it is
 //!   staged (stdin) or queued (socket): vertices in range, and a weight
 //!   other than 1.0 only for an engine that keeps weights;
-//! * [`ReadState`] + [`answer_read`] — the one answer to each read verb
-//!   (`query`, `state`, `sync`, `stats`, `metrics`, `snapshot`), given
-//!   either the live engine (stdin loop, no graph copy) or a published
-//!   snapshot (socket readers, snapshot-isolated).
+//! * [`answer_read`] — the one answer to each scalar read verb (`query`,
+//!   `state`, `sync`, `stats`, `metrics`) from a [`Snap`]: taken on
+//!   demand from the live engine (stdin loop) or published by the writer
+//!   (socket readers, snapshot-isolated);
+//! * `answer_snapshot` — the one answer to `snapshot <path>`, from an
+//!   `EdgeSet` the live engine copies on demand (in the daemon, at a
+//!   writer barrier).
 
 use crate::proto::Command;
 use mcm_dyn::{
     DynMatching, DynStats, StateSnapshot, Update, WDynMatching, WDynStats, WStateSnapshot, WUpdate,
 };
 use mcm_sparse::io::{write_matrix_market_file, write_matrix_market_weighted_file};
-use mcm_sparse::CscOverlay;
+use mcm_sparse::{Triples, Vidx};
 use std::io::Write;
 
 /// The engine behind a daemon: cardinality or weighted, one protocol.
@@ -77,7 +80,7 @@ impl Engine {
         }
     }
 
-    /// An immutable copy of the current state, for publication.
+    /// The scalars of the current state, for publication; O(1).
     pub fn snapshot(&self) -> Snap {
         match self {
             Engine::Card(dm) => Snap::Card(dm.snapshot_state()),
@@ -85,12 +88,24 @@ impl Engine {
         }
     }
 
-    /// The live state, read in place.
-    pub fn state(&self) -> &dyn ReadState {
-        match self {
-            Engine::Card(dm) => &**dm,
-            Engine::Weighted(wm) => &**wm,
-        }
+    /// An owned copy of the live edge set, O(n2 + nnz): what `snapshot`
+    /// writes. Timed into `mcmd_snapshot_seconds`.
+    pub(crate) fn edges(&self) -> EdgeSet {
+        let _span = mcm_obs::span("mcmd_snapshot");
+        let sw = mcm_obs::Stopwatch::new();
+        let edges = match self {
+            Engine::Card(dm) => EdgeSet::Card(dm.graph().to_triples()),
+            Engine::Weighted(wm) => {
+                let g = wm.graph().cols();
+                EdgeSet::Weighted {
+                    nrows: g.nrows(),
+                    ncols: g.ncols(),
+                    edges: g.to_weighted_triples(),
+                }
+            }
+        };
+        mcm_obs::observe_ns("mcmd_snapshot_seconds", &[], sw.elapsed_ns());
+        edges
     }
 
     /// The admission check for updates to this engine.
@@ -122,7 +137,7 @@ impl Engine {
     }
 }
 
-/// An engine snapshot as published to readers.
+/// The scalars of an engine's state that the read verbs answer from.
 pub enum Snap {
     /// Cardinality engine state.
     Card(StateSnapshot),
@@ -131,11 +146,67 @@ pub enum Snap {
 }
 
 impl Snap {
-    /// The published state.
-    pub fn state(&self) -> &dyn ReadState {
+    /// Cardinality, weight, edge count and epoch.
+    pub fn summary(&self) -> Summary {
         match self {
-            Snap::Card(s) => s,
-            Snap::Weighted(s) => s,
+            Snap::Card(s) => {
+                Summary { cardinality: s.cardinality, weight: None, nnz: s.nnz, epoch: s.epoch }
+            }
+            Snap::Weighted(s) => Summary {
+                cardinality: s.cardinality,
+                weight: Some(s.weight),
+                nnz: s.nnz,
+                epoch: s.epoch,
+            },
+        }
+    }
+
+    /// The `stats` response line.
+    pub fn stats_line(&self) -> String {
+        match self {
+            Snap::Card(s) => {
+                format_stats_line(&s.stats, s.cardinality, s.nnz, s.epoch, s.algo.name())
+            }
+            Snap::Weighted(s) => {
+                format_wstats_line(&s.stats, s.cardinality, s.weight, s.nnz, s.epoch)
+            }
+        }
+    }
+}
+
+/// An owned copy of an engine's live edge set: what `snapshot <path>`
+/// writes. The daemon's writer hands one to the connection that asked,
+/// which writes the file off the writer thread.
+pub(crate) enum EdgeSet {
+    /// The cardinality engine's edges.
+    Card(Triples),
+    /// The weighted engine's shape and `(row, col, weight)` edges.
+    Weighted {
+        /// Row count.
+        nrows: usize,
+        /// Column count.
+        ncols: usize,
+        /// The live edges, column-major.
+        edges: Vec<(Vidx, Vidx, f64)>,
+    },
+}
+
+impl EdgeSet {
+    /// Number of edges.
+    pub(crate) fn nnz(&self) -> usize {
+        match self {
+            EdgeSet::Card(t) => t.len(),
+            EdgeSet::Weighted { edges, .. } => edges.len(),
+        }
+    }
+
+    /// Writes the edges as Matrix Market (pattern, or real when weighted).
+    pub(crate) fn write(&self, path: &str) -> std::io::Result<()> {
+        match self {
+            EdgeSet::Card(t) => write_matrix_market_file(t, path),
+            EdgeSet::Weighted { nrows, ncols, edges } => {
+                write_matrix_market_weighted_file(*nrows, *ncols, edges, path)
+            }
         }
     }
 }
@@ -206,112 +277,12 @@ impl Summary {
     }
 }
 
-/// Engine state a read verb answers from: implemented by both live
-/// engines and both snapshot types.
-pub trait ReadState {
-    /// Cardinality, weight, edge count and epoch.
-    fn summary(&self) -> Summary;
-    /// The `stats` response line.
-    fn stats_line(&self) -> String;
-    /// Writes the graph as Matrix Market.
-    fn write_snapshot(&self, path: &str) -> std::io::Result<()>;
-}
-
-impl ReadState for DynMatching {
-    fn summary(&self) -> Summary {
-        let g = self.graph();
-        Summary { cardinality: self.cardinality(), weight: None, nnz: g.nnz(), epoch: g.epoch() }
-    }
-
-    fn stats_line(&self) -> String {
-        let s = self.summary();
-        format_stats_line(self.stats(), s.cardinality, s.nnz, s.epoch, self.opts().algo.name())
-    }
-
-    fn write_snapshot(&self, path: &str) -> std::io::Result<()> {
-        write_matrix_market_file(&self.graph().to_triples(), path)
-    }
-}
-
-impl ReadState for StateSnapshot {
-    fn summary(&self) -> Summary {
-        Summary {
-            cardinality: self.cardinality,
-            weight: None,
-            nnz: self.nnz(),
-            epoch: self.epoch(),
-        }
-    }
-
-    fn stats_line(&self) -> String {
-        format_stats_line(&self.stats, self.cardinality, self.nnz(), self.epoch(), self.algo.name())
-    }
-
-    fn write_snapshot(&self, path: &str) -> std::io::Result<()> {
-        write_matrix_market_file(&self.graph.to_triples(), path)
-    }
-}
-
-impl ReadState for WDynMatching {
-    fn summary(&self) -> Summary {
-        Summary {
-            cardinality: self.cardinality(),
-            weight: Some(self.weight()),
-            nnz: self.nnz(),
-            epoch: self.epoch(),
-        }
-    }
-
-    fn stats_line(&self) -> String {
-        format_wstats_line(
-            self.stats(),
-            self.cardinality(),
-            self.weight(),
-            self.nnz(),
-            self.epoch(),
-        )
-    }
-
-    fn write_snapshot(&self, path: &str) -> std::io::Result<()> {
-        write_weighted(self.graph().cols(), path)
-    }
-}
-
-impl ReadState for WStateSnapshot {
-    fn summary(&self) -> Summary {
-        Summary {
-            cardinality: self.cardinality,
-            weight: Some(self.weight),
-            nnz: self.nnz(),
-            epoch: self.epoch(),
-        }
-    }
-
-    fn stats_line(&self) -> String {
-        format_wstats_line(&self.stats, self.cardinality, self.weight, self.nnz(), self.epoch())
-    }
-
-    fn write_snapshot(&self, path: &str) -> std::io::Result<()> {
-        write_weighted(&self.graph, path)
-    }
-}
-
-fn write_weighted(g: &CscOverlay<f64>, path: &str) -> std::io::Result<()> {
-    write_matrix_market_weighted_file(g.nrows(), g.ncols(), &g.to_weighted_triples(), path)
-}
-
-/// Answers a read verb (`query`, `state`, `sync`, `stats`, `metrics`,
-/// `snapshot`) from `state` as of writer sequence `seq`. Updates and the
-/// session verbs (`quit`, `shutdown`) write nothing: the caller owns
-/// them. A failed snapshot write returns its error text, which the caller
-/// reports in its mode's error form.
-pub fn answer_read(
-    cmd: &Command,
-    seq: u64,
-    state: &dyn ReadState,
-    out: &mut dyn Write,
-) -> Result<(), String> {
-    let s = state.summary();
+/// Answers a scalar read verb (`query`, `state`, `sync`, `stats`,
+/// `metrics`) from `snap` as of writer sequence `seq`. Updates, `snapshot`
+/// (see `answer_snapshot`) and the session verbs (`quit`, `shutdown`)
+/// write nothing: the caller owns them.
+pub fn answer_read(cmd: &Command, seq: u64, snap: &Snap, out: &mut dyn Write) {
+    let s = snap.summary();
     match cmd {
         Command::Query => writeln!(out, "matching {}{}", s.cardinality, s.weight_field()),
         Command::State => writeln!(
@@ -323,17 +294,29 @@ pub fn answer_read(
             s.weight_field()
         ),
         Command::Sync => writeln!(out, "synced seq {seq} cardinality {}", s.cardinality),
-        Command::Stats => writeln!(out, "{}", state.stats_line()),
+        Command::Stats => writeln!(out, "{}", snap.stats_line()),
         Command::Metrics => out
             .write_all(mcm_obs::prom::expose(mcm_obs::registry()).as_bytes())
             .and_then(|()| writeln!(out, "# EOF")),
-        Command::Snapshot(path) => {
-            state.write_snapshot(path).map_err(|e| format!("{path}: {e}"))?;
-            writeln!(out, "snapshot {path} nnz {}", s.nnz)
-        }
-        Command::Insert(..) | Command::Delete(..) | Command::Quit | Command::Shutdown => Ok(()),
+        Command::Insert(..)
+        | Command::Delete(..)
+        | Command::Snapshot(_)
+        | Command::Quit
+        | Command::Shutdown => Ok(()),
     }
     .ok();
+}
+
+/// Writes `edges` to `path` and answers `snapshot <path> nnz <N>`. A
+/// failed write returns its error text, which the caller reports in its
+/// mode's error form.
+pub(crate) fn answer_snapshot(
+    path: &str,
+    edges: &EdgeSet,
+    out: &mut dyn Write,
+) -> Result<(), String> {
+    edges.write(path).map_err(|e| format!("{path}: {e}"))?;
+    writeln!(out, "snapshot {path} nnz {}", edges.nnz()).ok();
     Ok(())
 }
 
@@ -454,16 +437,20 @@ mod tests {
         assert_eq!(w.admit(&Command::Insert(0, 0, None)), Some(Ok(WUpdate::Insert(0, 0, 1.0))));
     }
 
-    fn answers(state: &dyn ReadState, seq: u64) -> String {
+    fn answers(engine: &Engine, seq: u64) -> String {
+        answers_from(&engine.snapshot(), seq)
+    }
+
+    fn answers_from(snap: &Snap, seq: u64) -> String {
         let mut out = Vec::new();
         for cmd in [Command::Query, Command::State, Command::Sync, Command::Stats] {
-            answer_read(&cmd, seq, state, &mut out).unwrap();
+            answer_read(&cmd, seq, snap, &mut out);
         }
         String::from_utf8(out).unwrap()
     }
 
     #[test]
-    fn live_engine_and_published_snapshot_answer_alike() {
+    fn published_snapshot_is_isolated_from_later_batches() {
         for mut engine in [card(), weighted()] {
             let line = engine.apply_batch(&[
                 WUpdate::Insert(0, 0, 4.0),
@@ -472,13 +459,35 @@ mod tests {
             ]);
             assert!(line.starts_with("batch applied 3 "), "{line}");
             let snap = engine.snapshot();
-            let live = answers(engine.state(), 1);
-            assert_eq!(live, answers(snap.state(), 1));
-            assert!(live.starts_with("matching 2"), "{live}");
-            assert!(live.contains("synced seq 1 cardinality 2\n"), "{live}");
+            let text = answers_from(&snap, 1);
+            assert!(text.starts_with("matching 2"), "{text}");
+            assert!(text.contains("synced seq 1 cardinality 2\n"), "{text}");
+            assert!(text.contains(" nnz 3"), "{text}");
             // A later batch moves the engine but not the published copy.
             engine.apply_batch(&[WUpdate::Delete(0, 0)]);
-            assert_ne!(answers(engine.state(), 1), answers(snap.state(), 1));
+            assert_ne!(answers(&engine, 1), text);
+            assert_eq!(answers_from(&snap, 1), text);
+        }
+    }
+
+    #[test]
+    fn snapshot_writes_the_live_edges_of_either_engine() {
+        let dir = std::env::temp_dir();
+        for (kind, mut engine) in [("card", card()), ("weighted", weighted())] {
+            engine.apply_batch(&[WUpdate::Insert(2, 1, 3.0), WUpdate::Insert(0, 0, 1.0)]);
+            let edges = engine.edges();
+            assert_eq!(edges.nnz(), engine.snapshot().summary().nnz);
+            let path = dir.join(format!("mcm-serve-edges-{kind}-{}.mtx", std::process::id()));
+            let path = path.to_str().unwrap();
+            let mut out = Vec::new();
+            answer_snapshot(path, &edges, &mut out).unwrap();
+            assert_eq!(String::from_utf8(out).unwrap(), format!("snapshot {path} nnz 2\n"));
+            let text = std::fs::read_to_string(path).unwrap();
+            std::fs::remove_file(path).ok();
+            let body: Vec<&str> = text.lines().skip(1).collect();
+            let want =
+                if kind == "card" { ["3 2 2", "1 1", "3 2"] } else { ["3 2 2", "1 1 1", "3 2 3"] };
+            assert_eq!(body, want, "{kind}: {text}");
         }
     }
 
@@ -486,7 +495,7 @@ mod tests {
     fn weighted_answers_carry_the_weight_field() {
         let mut engine = weighted();
         engine.apply_batch(&[WUpdate::Insert(0, 0, 4.0), WUpdate::Insert(1, 1, 2.5)]);
-        let text = answers(engine.state(), 1);
+        let text = answers(&engine, 1);
         assert!(text.starts_with("matching 2 weight 6.5\nstate seq 1 epoch 0 "), "{text}");
         assert!(text.contains(" nnz 2 weight 6.5\n"), "{text}");
         assert!(text.trim_end().ends_with("algo wauction"), "{text}");
@@ -503,7 +512,7 @@ mod tests {
         // Freed r0 takes c1 by a reverse bid; the displaced r1 retires.
         let line = engine.apply_batch(&[WUpdate::Delete(0, 0)]);
         assert!(line.ends_with(" weight 8 cardinality 1 reverse_bids 2"), "{line}");
-        let text = answers(engine.state(), 1);
+        let text = answers(&engine, 1);
         assert!(text.trim_end().ends_with(" reverse_bids 2 algo wauction"), "{text}");
     }
 
@@ -511,7 +520,8 @@ mod tests {
     fn failed_snapshot_write_returns_the_error_text() {
         let mut out = Vec::new();
         let cmd = Command::Snapshot("/nonexistent-dir/x.mtx".to_string());
-        let err = answer_read(&cmd, 0, card().state(), &mut out).unwrap_err();
+        let Command::Snapshot(path) = &cmd else { unreachable!() };
+        let err = answer_snapshot(path, &card().edges(), &mut out).unwrap_err();
         assert!(err.starts_with("/nonexistent-dir/x.mtx: "), "{err}");
         assert!(out.is_empty());
     }

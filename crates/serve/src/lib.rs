@@ -7,18 +7,22 @@
 //!   [`proto::LineFramer`], the partial-line/pipelining-tolerant
 //!   byte-to-line layer whose EOF check reports a truncated tail as a
 //!   structured error;
-//! * [`engine`] — the protocol handler both modes share: [`Engine`] and
-//!   [`Snap`] (the only code that asks which engine runs), the update
-//!   [`Admission`] check, and [`answer_read`], the one answer to each read
-//!   verb, from the live engine or a published snapshot;
+//! * [`engine`] — the protocol handler both modes share: [`Engine`],
+//!   [`Snap`] and `EdgeSet` (the only code that asks which engine
+//!   runs), the update [`Admission`] check, [`answer_read`], the one
+//!   answer to each scalar read verb from an O(1) [`Snap`], and
+//!   `answer_snapshot`, the one answer to `snapshot` from an on-demand
+//!   copy of the live edges;
 //! * [`session`] — `mcmd` without `--listen`: the serial stdin loop,
 //!   batching updates until the next read verb;
 //! * [`server`] — `mcmd --listen`: a non-blocking acceptor, a worker
 //!   thread per connection, a single writer thread applying admitted
 //!   updates in bounded batches (size + latency watermarks, `busy`
-//!   backpressure), and **lock-free-published snapshots** so
-//!   `query`/`state`/`stats`/`snapshot` never block behind a repair (or
-//!   each other). Serves either engine: maximum cardinality or, with
+//!   backpressure), **lock-free-published O(1) snapshots** so
+//!   `query`/`state`/`stats` never block behind a repair (or each
+//!   other), and `sync`/`snapshot` barriers that answer once everything
+//!   admitted before them is applied. Serves either engine: maximum
+//!   cardinality or, with
 //!   `mcmd --weighted`, maximum weight (`insert u v [w]`, weight-carrying
 //!   `query`/`stats`);
 //! * [`swap`] — [`SwapCell`], the wait-free-read `Arc` publication cell
@@ -38,8 +42,7 @@ pub mod session;
 pub mod swap;
 
 pub use engine::{
-    answer_read, format_stats_line, format_wstats_line, Admission, Engine, Published, ReadState,
-    Snap, Summary,
+    answer_read, format_stats_line, format_wstats_line, Admission, Engine, Published, Snap, Summary,
 };
 pub use load::{run_load, LoadConfig, LoadMode, LoadReport, VerbReport};
 pub use proto::{parse_command, verb_of, Command, FrameError, LineFramer};

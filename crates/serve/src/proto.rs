@@ -52,7 +52,8 @@ pub enum Command {
     /// Dump the metrics registry in Prometheus text exposition,
     /// terminated by a `# EOF` line.
     Metrics,
-    /// Write the (published) graph as Matrix Market to the path.
+    /// Barrier like [`Command::Sync`], then write the live graph as
+    /// Matrix Market to the path.
     Snapshot(String),
     /// Close this session (stdin: flush and exit; socket: this
     /// connection only — the daemon keeps serving).

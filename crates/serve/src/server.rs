@@ -6,13 +6,13 @@
 //!
 //! The writer is the only thread that touches the engine. After every
 //! applied batch it publishes `Arc<Published>` — a writer sequence
-//! number plus an engine snapshot (graph clone + counters + cardinality,
-//! and in weighted mode the matching weight) — through a [`SwapCell`].
-//! `query`/`state`/`stats`/`snapshot` readers grab the current `Arc`
-//! wait-free and answer from it: a read issued mid-repair sees the
-//! pre-batch snapshot, never waits for the repair to finish, and — since
-//! the swap cell replaced the old mutex-guarded `Arc` — never contends
-//! on a lock with other readers either.
+//! number plus the scalars the read verbs answer from (cardinality, edge
+//! count, epoch, counters, and in weighted mode the matching weight), an
+//! O(1) copy with no graph in it — through a [`SwapCell`].
+//! `query`/`state`/`stats` readers grab the current `Arc` wait-free and
+//! answer from it: a read issued mid-repair sees the pre-batch snapshot,
+//! never waits for the repair to finish, and never contends on a lock
+//! with other readers either.
 //!
 //! ## Engines
 //!
@@ -42,9 +42,13 @@
 //! [`ServerConfig::max_delay`] since the batch opened (latency). When
 //! the queue is full the connection worker answers `busy` immediately —
 //! explicit backpressure instead of unbounded buffering — and the client
-//! retries. `sync` is a barrier: it rides the same queue, closes the
-//! open batch, and is acked only after everything admitted before it has
-//! been applied *and published*.
+//! retries. `sync` and `snapshot <path>` are barriers: they ride the
+//! same queue (a full queue answers `busy`), close the open batch, and
+//! are answered only after everything admitted before them has been
+//! applied *and published*. For `snapshot` the writer then copies the
+//! live edge set (`Engine::edges`) and hands it to the connection,
+//! whose thread writes the file: the writer does no file I/O, and the
+//! file holds every update the connection sent before it.
 //!
 //! ## Shutdown
 //!
@@ -53,7 +57,7 @@
 //! current frames, then drains every admitted update through the writer
 //! before returning the engine — admitted work is never dropped.
 
-use crate::engine::{answer_read, Admission, Engine, Published};
+use crate::engine::{answer_read, answer_snapshot, Admission, EdgeSet, Engine, Published};
 use crate::proto::{parse_command, verb_of, Command, LineFramer};
 use crate::swap::SwapCell;
 use mcm_dyn::{DynMatching, WDynMatching, WUpdate};
@@ -103,9 +107,16 @@ impl Default for ServerConfig {
 
 enum WriterMsg {
     Update(WUpdate),
-    /// Barrier: acked with the state published once everything admitted
-    /// before it has been applied.
+    /// Closes the open batch; acked once everything admitted before it has
+    /// been applied and published.
+    Barrier(Barrier),
+}
+
+enum Barrier {
+    /// `sync`: acked with the published state.
     Sync(mpsc::Sender<Arc<Published>>),
+    /// `snapshot`: acked with a copy of the live edge set.
+    Snapshot(mpsc::Sender<EdgeSet>),
 }
 
 struct Shared {
@@ -241,21 +252,21 @@ fn writer_loop(
 ) -> Engine {
     let mut seq = 0u64;
     let mut batch: Vec<WUpdate> = Vec::new();
-    let mut syncs: Vec<mpsc::Sender<Arc<Published>>> = Vec::new();
+    let mut barriers: Vec<Barrier> = Vec::new();
     loop {
         let Ok(first) = rx.recv() else { break };
         let opened = Instant::now();
-        absorb(first, &mut batch, &mut syncs, &shared);
-        // A sync closes the batch immediately: its ack must cover exactly
-        // what was admitted before it.
-        if syncs.is_empty() {
+        absorb(first, &mut batch, &mut barriers, &shared);
+        // A barrier closes the batch immediately: its ack must cover
+        // exactly what was admitted before it.
+        if barriers.is_empty() {
             let deadline = opened + cfg.max_delay;
             while batch.len() < cfg.max_batch {
                 let Some(left) = deadline.checked_duration_since(Instant::now()) else { break };
                 match rx.recv_timeout(left) {
                     Ok(msg) => {
-                        absorb(msg, &mut batch, &mut syncs, &shared);
-                        if !syncs.is_empty() {
+                        absorb(msg, &mut batch, &mut barriers, &shared);
+                        if !barriers.is_empty() {
                             break;
                         }
                     }
@@ -264,34 +275,29 @@ fn writer_loop(
                 }
             }
         }
-        seq = apply_and_publish(&mut engine, &mut batch, &mut syncs, seq, &shared, &cfg);
+        seq = apply_and_publish(&mut engine, &mut batch, &mut barriers, seq, &shared, &cfg);
     }
     // Senders are gone; everything queued was already delivered by the
     // draining recv() above. Apply any final partial batch.
-    apply_and_publish(&mut engine, &mut batch, &mut syncs, seq, &shared, &cfg);
+    apply_and_publish(&mut engine, &mut batch, &mut barriers, seq, &shared, &cfg);
     engine
 }
 
-fn absorb(
-    msg: WriterMsg,
-    batch: &mut Vec<WUpdate>,
-    syncs: &mut Vec<mpsc::Sender<Arc<Published>>>,
-    shared: &Shared,
-) {
+fn absorb(msg: WriterMsg, batch: &mut Vec<WUpdate>, barriers: &mut Vec<Barrier>, shared: &Shared) {
     match msg {
         WriterMsg::Update(u) => {
             batch.push(u);
             let d = shared.queue_depth.fetch_sub(1, Ordering::Relaxed).saturating_sub(1);
             mcm_obs::gauge_set("mcmd_queue_depth", &[], d as f64);
         }
-        WriterMsg::Sync(ack) => syncs.push(ack),
+        WriterMsg::Barrier(b) => barriers.push(b),
     }
 }
 
 fn apply_and_publish(
     engine: &mut Engine,
     batch: &mut Vec<WUpdate>,
-    syncs: &mut Vec<mpsc::Sender<Arc<Published>>>,
+    barriers: &mut Vec<Barrier>,
     mut seq: u64,
     shared: &Shared,
     cfg: &ServerConfig,
@@ -305,11 +311,17 @@ fn apply_and_publish(
         mcm_obs::observe_ns("mcmd_batch_apply_seconds", &[], sw.elapsed_ns());
         mcm_obs::observe_ns("mcmd_batch_size", &[], batch.len() as u64);
         seq += 1;
+        let _span = mcm_obs::span("mcmd_publish");
+        let sw = mcm_obs::Stopwatch::new();
         shared.published.store(Arc::new(Published { seq, snap: engine.snapshot() }));
+        mcm_obs::observe_ns("mcmd_publish_seconds", &[], sw.elapsed_ns());
         batch.clear();
     }
-    for ack in syncs.drain(..) {
-        ack.send(shared.published()).ok();
+    for barrier in barriers.drain(..) {
+        match barrier {
+            Barrier::Sync(ack) => ack.send(shared.published()).ok(),
+            Barrier::Snapshot(ack) => ack.send(engine.edges()).ok(),
+        };
     }
     seq
 }
@@ -480,22 +492,15 @@ fn handle_line(
             Flow::Continue
         }
         (None, Command::Sync) => {
-            let (ack_tx, ack_rx) = mpsc::channel();
-            match tx.try_send(WriterMsg::Sync(ack_tx)) {
-                Ok(()) => match ack_rx.recv() {
-                    Ok(p) => {
-                        answer_read(&cmd, p.seq, p.snap.state(), out).ok();
-                    }
-                    Err(_) => {
-                        writeln!(out, "error daemon shutting down").ok();
-                    }
-                },
-                Err(TrySendError::Full(_)) => {
-                    mcm_obs::counter_add("mcmd_busy_total", &[("verb", verb)], 1);
-                    writeln!(out, "busy").ok();
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    writeln!(out, "error daemon shutting down").ok();
+            if let Some(p) = barrier(tx, Barrier::Sync, verb, out) {
+                answer_read(&cmd, p.seq, &p.snap, out);
+            }
+            Flow::Continue
+        }
+        (None, Command::Snapshot(path)) => {
+            if let Some(edges) = barrier(tx, Barrier::Snapshot, verb, out) {
+                if let Err(e) = answer_snapshot(path, &edges, out) {
+                    writeln!(out, "error {e}").ok();
                 }
             }
             Flow::Continue
@@ -510,9 +515,7 @@ fn handle_line(
         }
         (None, _) => {
             let p = shared.published();
-            if let Err(e) = answer_read(&cmd, p.seq, p.snap.state(), out) {
-                writeln!(out, "error {e}").ok();
-            }
+            answer_read(&cmd, p.seq, &p.snap, out);
             Flow::Continue
         }
     };
@@ -521,4 +524,29 @@ fn handle_line(
         .or_insert_with(|| mcm_obs::registry().histogram("mcmd_request_seconds", &[("verb", verb)]))
         .observe_ns(sw.elapsed_ns());
     flow
+}
+
+/// Sends a barrier through the admission queue and waits for the writer's
+/// ack. Answers `busy` (full queue) or a shutdown error itself and returns
+/// `None` then.
+fn barrier<T>(
+    tx: &SyncSender<WriterMsg>,
+    make: impl FnOnce(mpsc::Sender<T>) -> Barrier,
+    verb: &'static str,
+    out: &mut impl Write,
+) -> Option<T> {
+    let (ack_tx, ack_rx) = mpsc::channel();
+    match tx.try_send(WriterMsg::Barrier(make(ack_tx))) {
+        Ok(()) => match ack_rx.recv() {
+            Ok(ack) => return Some(ack),
+            Err(_) => writeln!(out, "error daemon shutting down"),
+        },
+        Err(TrySendError::Full(_)) => {
+            mcm_obs::counter_add("mcmd_busy_total", &[("verb", verb)], 1);
+            writeln!(out, "busy")
+        }
+        Err(TrySendError::Disconnected(_)) => writeln!(out, "error daemon shutting down"),
+    }
+    .ok();
+    None
 }

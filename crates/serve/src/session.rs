@@ -5,10 +5,10 @@
 //! `quit` forces a flush, so a burst of inserts costs one repair pass.
 //! Each flush prints the engine's `batch ...` report line (unless
 //! `quiet`), and read verbs answer from the live engine through the same
-//! [`answer_read`] the socket daemon uses. Errors are reported as
-//! `error line <n>: ...` and never end the session.
+//! [`answer_read`] and `answer_snapshot` the socket daemon uses. Errors
+//! are reported as `error line <n>: ...` and never end the session.
 
-use crate::engine::{answer_read, Admission, Engine};
+use crate::engine::{answer_read, answer_snapshot, Admission, Engine};
 use crate::proto::{parse_command, verb_of, Command, LineFramer};
 use mcm_dyn::WUpdate;
 use std::io::{BufRead, Write};
@@ -91,8 +91,12 @@ impl<W: Write> Session<'_, W> {
             }
             None => {
                 self.flush();
-                if let Err(e) = answer_read(&cmd, self.seq, self.engine.state(), &mut self.out) {
-                    writeln!(self.out, "error line {lineno}: {e}").ok();
+                if let Command::Snapshot(path) = &cmd {
+                    if let Err(e) = answer_snapshot(path, &self.engine.edges(), &mut self.out) {
+                        writeln!(self.out, "error line {lineno}: {e}").ok();
+                    }
+                } else {
+                    answer_read(&cmd, self.seq, &self.engine.snapshot(), &mut self.out);
                 }
                 matches!(cmd, Command::Quit | Command::Shutdown)
             }
@@ -150,13 +154,13 @@ mod tests {
     fn eof_applies_staged_updates_and_reports_a_truncated_tail() {
         let (text, engine) = session("insert 0 0\ninsert 1 1\nque", true);
         assert!(text.starts_with("error line 3: "), "{text}");
-        assert_eq!(engine.state().summary().cardinality, 2);
+        assert_eq!(engine.snapshot().summary().cardinality, 2);
     }
 
     #[test]
     fn quit_ends_the_session_before_later_lines() {
         let (text, engine) = session("insert 0 0\nquit\ninsert 1 1\nquery\n", true);
         assert_eq!(text, "");
-        assert_eq!(engine.state().summary().nnz, 1);
+        assert_eq!(engine.snapshot().summary().nnz, 1);
     }
 }

@@ -111,6 +111,18 @@ pub enum StoreError {
         /// Row count the header declares.
         nrows: u64,
     },
+    /// A column's row indices are not strictly increasing: unsorted, or
+    /// the same row stored twice.
+    UnsortedColumn {
+        /// The column.
+        col: u64,
+        /// Position of the offending row index among the nonzeros.
+        index: u64,
+        /// The offending row index.
+        row: u64,
+        /// The row index before it in the same column.
+        prev: u64,
+    },
     /// A weighted file's values section holds an infinite or NaN value.
     NonFiniteValue {
         /// Position of the value among the nonzeros.
@@ -140,6 +152,10 @@ impl std::fmt::Display for StoreError {
             StoreError::RowOutOfRange { index, row, nrows } => {
                 write!(f, "MCSB row index {row} at nonzero {index} is out of range for {nrows} rows")
             }
+            StoreError::UnsortedColumn { col, index, row, prev } => write!(
+                f,
+                "MCSB column {col} is not sorted: row {row} at nonzero {index} follows row {prev}"
+            ),
             StoreError::NonFiniteValue { index, value } => {
                 write!(f, "MCSB value {value} at nonzero {index} is not finite")
             }

@@ -34,8 +34,8 @@ impl McsbFile {
     /// Opens an MCSB file via `mmap` (falling back to the heap path on
     /// platforms without the mapping wrapper). Validates magic, version,
     /// header checksum, that every section fits in the file, the colptr
-    /// section, and that every row index is below `nrows`; does **not**
-    /// hash the payload.
+    /// section, and that every row index is below `nrows` and above its
+    /// predecessor in the same column; does **not** hash the payload.
     pub fn open(path: impl AsRef<Path>) -> Result<McsbFile, StoreError> {
         let path = path.as_ref();
         // The in-place view reinterprets little-endian file bytes as native
@@ -55,7 +55,7 @@ impl McsbFile {
         // fraction of the file); the rowind/values pages stay untouched.
         let colptr = section_as::<u64>(map.bytes(), header.colptr_off, header.ncols as usize + 1);
         check_colptr(&header, colptr)?;
-        check_rowind_stream(&mut f, &header)?;
+        check_rowind_stream(&mut f, &header, colptr)?;
         Ok(McsbFile { header, backing: Backing::Mapped(map) })
     }
 
@@ -223,50 +223,119 @@ fn check_colptr(h: &Header, colptr: &[u64]) -> Result<(), StoreError> {
     Ok(())
 }
 
-/// Fails with the first row index in `rowind` that is not below the
-/// header's row count; `first` is the nonzero position of `rowind`'s first
-/// entry.
+/// Fails on a bad row index among `rows`, the nonzeros at positions
+/// `first..`: one not below the header's row count, or one not above its
+/// predecessor in the same column (`CscView`'s rows are sorted and
+/// deduplicated within each column). `prev` is the row of nonzero
+/// `first - 1`, if any.
+///
+/// The fast path is branch-free: every descent must sit where a column
+/// starts, and then each column's highest row is its last, so only the
+/// rows that end a column are range-checked. Rows that fail it are
+/// searched in order, and the first bad one (or `prev`, which only its
+/// own column's end bounds) is reported.
 fn check_rows(
     h: &Header,
+    colptr: &[u64],
     first: u64,
-    rowind: impl IntoIterator<Item = Vidx>,
+    prev: Option<Vidx>,
+    rows: &[Vidx],
 ) -> Result<(), StoreError> {
-    match rowind.into_iter().enumerate().find(|&(_, i)| u64::from(i) >= h.nrows) {
-        Some((k, row)) => Err(StoreError::RowOutOfRange {
-            index: first + k as u64,
-            row: u64::from(row),
-            nrows: h.nrows,
-        }),
-        None => Ok(()),
+    let Some(&head) = rows.first() else { return Ok(()) };
+    let end = first + rows.len() as u64;
+    // Counted in `u32` lanes, which vectorize twice as wide as `u64`, over
+    // blocks too short to overflow them.
+    const BLOCK: usize = 1 << 20;
+    let descents = rows[..rows.len() - 1]
+        .chunks(BLOCK)
+        .zip(rows[1..].chunks(BLOCK))
+        .map(|(a, b)| u64::from(a.iter().zip(b).map(|(x, y)| u32::from(x >= y)).sum::<u32>()))
+        .sum::<u64>()
+        + u64::from(prev.is_some_and(|p| p >= head));
+    // Column starts in `first..=end`: the row before each ends a column.
+    let from = colptr.partition_point(|&p| p < first);
+    let to = from + colptr[from..].partition_point(|&p| p <= end);
+    let (mut at_starts, mut high, mut last) = (0, 0, None);
+    for &p in &colptr[from..to] {
+        if last != Some(p) {
+            let k = (p - first) as usize;
+            let before = if k == 0 { prev } else { Some(rows[k - 1]) };
+            if k > 0 {
+                high = high.max(rows[k - 1]);
+            }
+            if p < end && before.is_some_and(|r| r >= rows[k]) {
+                at_starts += 1;
+            }
+        }
+        last = Some(p);
     }
+    if descents == at_starts && u64::from(high) < h.nrows {
+        return Ok(());
+    }
+    let out_of_range = |index: u64, row: Vidx| StoreError::RowOutOfRange {
+        index,
+        row: u64::from(row),
+        nrows: h.nrows,
+    };
+    if let Some(r) = prev.filter(|&r| u64::from(r) >= h.nrows) {
+        return Err(out_of_range(first - 1, r));
+    }
+    let mut col = colptr.partition_point(|&p| p <= first) - 1;
+    let mut before = prev;
+    for (k, &row) in rows.iter().enumerate() {
+        let p = first + k as u64;
+        if u64::from(row) >= h.nrows {
+            return Err(out_of_range(p, row));
+        }
+        while colptr[col + 1] <= p {
+            col += 1;
+        }
+        match before {
+            Some(r) if p > colptr[col] && r >= row => {
+                return Err(StoreError::UnsortedColumn {
+                    col: col as u64,
+                    index: p,
+                    row: u64::from(row),
+                    prev: u64::from(r),
+                });
+            }
+            _ => before = Some(row),
+        }
+    }
+    unreachable!("the branch-free scans flagged rows the search found sound")
 }
 
-/// Range-checks the rowind section with one sequential pass of ordinary
-/// reads rather than through the mapping: the bytes come from the page
-/// cache, so the open stays out-of-core (the mapped rowind pages are
-/// faulted in only when the solver walks them), yet no solver ever indexes
-/// with an out-of-range row.
-fn check_rowind_stream(f: &mut std::fs::File, h: &Header) -> Result<(), StoreError> {
+/// Checks the rowind section (see [`check_rows`]) with one sequential
+/// pass of ordinary reads rather than through the mapping: the bytes come
+/// from the page cache, so the open stays out-of-core (the mapped rowind
+/// pages are faulted in only when the solver walks them), yet no solver
+/// ever indexes with an out-of-range row or walks an unsorted column.
+fn check_rowind_stream(
+    f: &mut std::fs::File,
+    h: &Header,
+    colptr: &[u64],
+) -> Result<(), StoreError> {
     use std::io::{Seek, SeekFrom};
     const CHUNK: usize = 1 << 16;
     f.seek(SeekFrom::Start(h.rowind_off))?;
     let mut buf = vec![0u8; CHUNK];
+    let mut rows: Vec<Vidx> = Vec::with_capacity(CHUNK / 4);
     let (mut done, total) = (0u64, h.rowind_len);
     while done < total {
         let n = (total - done).min(CHUNK as u64) as usize;
         f.read_exact(&mut buf[..n])?;
-        let rows = buf[..n].chunks_exact(4).map(|c| Vidx::from_le_bytes(c.try_into().unwrap()));
-        // A max-scan is branch-free; only a chunk that fails it is searched.
-        if rows.clone().max().is_some_and(|m| u64::from(m) >= h.nrows) {
-            check_rows(h, done / 4, rows)?;
-        }
+        let prev = rows.last().copied();
+        rows.clear();
+        rows.extend(buf[..n].chunks_exact(4).map(|c| Vidx::from_le_bytes(c.try_into().unwrap())));
+        check_rows(h, colptr, done / 4, prev, &rows)?;
         done += n as u64;
     }
     Ok(())
 }
 
-/// Full payload validation: colptr monotonicity, row indices in range,
-/// and finite values (empty for an unweighted file). Used on the heap
+/// Full payload validation: colptr monotonicity, row indices in range
+/// and strictly increasing within each column, and finite values (empty
+/// for an unweighted file). Used on the heap
 /// path (which holds all sections anyway) and by
 /// [`McsbFile::verify_payload`].
 fn validate_payload(
@@ -276,7 +345,7 @@ fn validate_payload(
     values: &[f64],
 ) -> Result<(), StoreError> {
     check_colptr(h, colptr)?;
-    check_rows(h, 0, rowind.iter().copied())?;
+    check_rows(h, colptr, 0, None, rowind)?;
     if let Some((k, &value)) = values.iter().enumerate().find(|(_, w)| !w.is_finite()) {
         return Err(StoreError::NonFiniteValue { index: k as u64, value });
     }
@@ -313,4 +382,78 @@ fn read_up_to(f: &mut std::fs::File, buf: &mut [u8]) -> std::io::Result<usize> {
         got += n;
     }
     Ok(got)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The first order violation by a plain per-column walk, or `(ncols,
+    /// 0)` when the only violations are out-of-range rows.
+    fn naive(colptr: &[u64], rows: &[Vidx]) -> Option<(u64, u64)> {
+        let unsorted = (0..colptr.len() - 1).find_map(|j| {
+            let col = &rows[colptr[j] as usize..colptr[j + 1] as usize];
+            let k = col.windows(2).position(|w| w[0] >= w[1])?;
+            Some((j as u64, colptr[j] + k as u64 + 1))
+        });
+        let ncols = colptr.len() as u64 - 1;
+        unsorted.or(rows.iter().any(|&r| r >= 6).then_some((ncols, 0)))
+    }
+
+    #[test]
+    fn chunked_order_check_matches_a_per_column_walk() {
+        let mut x = 0x0DDu64;
+        let mut next = |n: u64| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (x >> 33) % n
+        };
+        for _ in 0..300 {
+            // Columns of 0..4 distinct sorted rows (empty columns included),
+            // then sometimes one row overwritten.
+            let ncols = 1 + next(8) as usize;
+            let mut colptr = vec![0u64];
+            let mut rows: Vec<Vidx> = Vec::new();
+            for _ in 0..ncols {
+                let mut col: Vec<Vidx> = (0..next(5)).map(|_| next(6) as Vidx).collect();
+                col.sort_unstable();
+                col.dedup();
+                rows.extend(&col);
+                colptr.push(rows.len() as u64);
+            }
+            // Rows 6..9 are out of range for the 6-row header.
+            let range = if next(4) == 0 { 10 } else { 6 };
+            if !rows.is_empty() && next(2) == 0 {
+                let k = next(rows.len() as u64) as usize;
+                rows[k] = next(range) as Vidx;
+            }
+            let h = Header::layout(6, ncols as u64, rows.len() as u64, false);
+            let want = naive(&colptr, &rows);
+            // Every chunking of the same rows finds the same first violation.
+            for chunk in 1..=rows.len().max(1) {
+                let mut got = None;
+                let mut prev = None;
+                for (i, part) in rows.chunks(chunk).enumerate() {
+                    match check_rows(&h, &colptr, (i * chunk) as u64, prev, part) {
+                        Ok(()) => prev = part.last().copied(),
+                        Err(e) => {
+                            got = Some(e);
+                            break;
+                        }
+                    }
+                }
+                let ctx = format!("colptr {colptr:?} rows {rows:?} chunk {chunk}");
+                match (got, want) {
+                    (None, None) => {}
+                    // Out-of-range rows are reported where they are.
+                    (Some(StoreError::RowOutOfRange { index, row, .. }), Some(_)) => {
+                        assert!(row >= 6 && u64::from(rows[index as usize]) == row, "{ctx}")
+                    }
+                    (Some(StoreError::UnsortedColumn { col, index, .. }), Some(w)) => {
+                        assert_eq!((col, index), w, "{ctx}")
+                    }
+                    (got, want) => panic!("got {got:?}, want {want:?}: {ctx}"),
+                }
+            }
+        }
+    }
 }

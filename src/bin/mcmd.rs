@@ -13,9 +13,11 @@
 //!   `mcm-serve` (DESIGN.md §16). A worker thread per connection admits
 //!   updates through a bounded queue (`busy` backpressure) into a single
 //!   writer thread that batches at size/latency watermarks, while
-//!   `query`/`state`/`stats`/`snapshot` answer from an epoch-published
-//!   snapshot and never block behind a repair. `quit` closes one
-//!   connection; `shutdown` drains and stops the daemon.
+//!   `query`/`state`/`stats` answer from an epoch-published snapshot
+//!   and never block behind a repair. `sync` and `snapshot` are
+//!   barriers: they answer once everything admitted before them is
+//!   applied. `quit` closes one connection; `shutdown` drains and stops
+//!   the daemon.
 //!
 //! Both modes admit updates and answer read verbs through the same
 //! `mcm_serve::engine` functions; this binary only parses flags and
@@ -29,7 +31,7 @@
 //! sync                    barrier; print "synced seq <s> cardinality <c>"
 //! stats                   print cumulative engine counters
 //! metrics                 dump the Prometheus registry ("# EOF" ends it)
-//! snapshot <path>         write the graph as Matrix Market
+//! snapshot <path>         barrier; write the graph as Matrix Market
 //! quit                    end the session (stdin: exit; socket: this connection)
 //! shutdown                stop the daemon after draining admitted updates
 //! ```
@@ -253,7 +255,7 @@ fn run(args: &[String]) -> Result<(), String> {
         }
     };
     if let Some(path) = opt(args, "--load") {
-        let (s, (n1, n2)) = (engine.state().summary(), engine.admission().dims());
+        let (s, (n1, n2)) = (engine.snapshot().summary(), engine.admission().dims());
         println!(
             "loaded {path} {n1}x{n2} nnz {} matching {}{}",
             s.nnz,
@@ -269,7 +271,7 @@ fn run(args: &[String]) -> Result<(), String> {
             std::io::stdout().flush().ok();
             // Blocks until a client sends `shutdown`; admitted updates
             // are drained before the engine comes back.
-            let s = server.join().state().summary();
+            let s = server.join().snapshot().summary();
             println!("shutdown cardinality {}{} nnz {}", s.cardinality, s.weight_field(), s.nnz);
             Ok(())
         }

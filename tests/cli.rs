@@ -257,6 +257,57 @@ fn out_of_range_mcsb_row_index_fails_cleanly() {
     }
 }
 
+#[test]
+fn unsorted_mcsb_column_fails_cleanly() {
+    // Two rows of one column swapped, checksums re-sealed. Every engine
+    // used to accept the file: the solvers then failed their own matching
+    // check ("matched edge ... is not in the graph") and `mcmd --load`
+    // counted a live edge twice on re-insert.
+    use mcm_store::format::{fnv1a, FNV_OFFSET};
+    let mcsb = tmp("unsorted_column.mcsb");
+    let gen = mcm()
+        .args(["gen", "er", "--scale", "10", "--format", "mcsb", "--out"])
+        .arg(&mcsb)
+        .output()
+        .unwrap();
+    assert!(gen.status.success());
+    let mut bytes = std::fs::read(&mcsb).unwrap();
+    let h = mcm_store::Header::decode(&bytes).unwrap();
+    let word = |b: &[u8], at: u64, len: usize| {
+        let at = at as usize;
+        b[at..at + len].iter().rev().fold(0u64, |x, &y| x << 8 | u64::from(y))
+    };
+    let col = (0..h.ncols)
+        .find(|&j| {
+            word(&bytes, h.colptr_off + 8 * (j + 1), 8) - word(&bytes, h.colptr_off + 8 * j, 8) >= 2
+        })
+        .unwrap();
+    let at = (h.rowind_off + 4 * word(&bytes, h.colptr_off + 8 * col, 8)) as usize;
+    let (a, b) = (bytes[at..at + 4].to_vec(), bytes[at + 4..at + 8].to_vec());
+    bytes[at..at + 4].copy_from_slice(&b);
+    bytes[at + 4..at + 8].copy_from_slice(&a);
+    let section = |off: u64, len: u64| off as usize..(off + len) as usize;
+    let ph = fnv1a(
+        fnv1a(FNV_OFFSET, &bytes[section(h.colptr_off, h.colptr_len)]),
+        &bytes[section(h.rowind_off, h.rowind_len)],
+    );
+    bytes[88..96].copy_from_slice(&ph.to_le_bytes());
+    let hc = fnv1a(FNV_OFFSET, &bytes[0..96]);
+    bytes[96..104].copy_from_slice(&hc.to_le_bytes());
+    std::fs::write(&mcsb, &bytes).unwrap();
+    let want = format!("column {col} is not sorted");
+    let algos = ["dist", "hk", "pf", "msbfs", "ppf", "auto"];
+    let runs = algos.iter().map(|&a| (mcm(), vec!["match", "--algo", a]));
+    let runs = runs.chain([(mcm(), vec!["dm"]), (mcm(), vec!["btf"])]);
+    for (mut cmd, args) in runs.chain([(mcmd(), vec!["--quiet", "--load"])]) {
+        let out = cmd.args(&args).arg(&mcsb).stdin(std::process::Stdio::null()).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert!(err.contains(&want), "{args:?}: {err}");
+    }
+}
+
 fn mcmd() -> Command {
     Command::new(env!("CARGO_BIN_EXE_mcmd"))
 }
@@ -805,6 +856,22 @@ fn mcmd_trace_out_writes_chrome_json() {
 }
 
 #[test]
+fn mcmd_socket_trace_shows_publish_and_snapshot_spans() {
+    let (trace, snap) = (tmp("mcmd_socket_trace.json"), tmp("mcmd_socket_trace_snap.mtx"));
+    let script =
+        ["insert 0 0".to_string(), "sync".to_string(), format!("snapshot {}", snap.display())];
+    let out = mcmd_socket_session(
+        &["--rows", "8", "--cols", "8", "--trace-out", trace.to_str().unwrap()],
+        &script,
+    );
+    assert_eq!(out[..2], ["ok", "synced seq 1 cardinality 1"], "{out:?}");
+    assert_eq!(out[2], format!("snapshot {} nnz 1", snap.display()));
+    let json = std::fs::read_to_string(&trace).unwrap();
+    assert!(json.contains("\"name\":\"mcmd_publish\""), "{json}");
+    assert!(json.contains("\"name\":\"mcmd_snapshot\""), "{json}");
+}
+
+#[test]
 fn mcmd_loads_a_matrix_and_repairs_on_top() {
     let file = tmp("mcmd_load.mtx");
     assert!(mcm()
@@ -854,9 +921,10 @@ fn mcmd_socket_session(args: &[&str], script: &[String]) -> Vec<String> {
 #[test]
 fn mcmd_stdin_and_socket_modes_agree() {
     // One script through `--input` and through `--listen`, for both
-    // engines. Reads follow a `sync`, so both modes answer from the same
-    // applied state: every response must match, and so must the snapshot
-    // files. Only the socket's `ok`/`bye` and the stdin `line N:` error
+    // engines. Scalar reads follow a barrier (`sync` or `snapshot`), so
+    // both modes answer from the same applied state: every response must
+    // match, and so must the snapshot files, including one no `sync`
+    // precedes. Only the socket's `ok`/`bye` and the stdin `line N:` error
     // prefix may differ.
     for weighted in [false, true] {
         let kind = if weighted { "weighted" } else { "card" };
@@ -866,7 +934,7 @@ fn mcmd_stdin_and_socket_modes_agree() {
             (x >> 33) % n
         };
         let mut script = vec!["insert 99 0".to_string()]; // refused: out of range
-        for _ in 0..4 {
+        for window in 0..5 {
             for _ in 0..60 {
                 let (r, c) = (next(8), next(8));
                 script.push(match next(3) {
@@ -876,17 +944,22 @@ fn mcmd_stdin_and_socket_modes_agree() {
                     _ => format!("insert {r} {c}"),
                 });
             }
-            script.extend(["sync", "query", "state", "stats"].map(String::from));
+            if window < 4 {
+                script.extend(["sync", "query", "state", "stats"].map(String::from));
+            }
+            if window == 3 {
+                script.push("snapshot SNAP_synced.mtx".to_string());
+            }
         }
-        script.push("snapshot SNAP".to_string());
-        script.push("sync".to_string());
+        // The last window is closed by the snapshot barrier alone.
+        script.extend(["snapshot SNAP_unsynced.mtx", "state", "sync"].map(String::from));
         let engine: &[&str] = if weighted {
             &["--weighted", "--rows", "8", "--cols", "8"]
         } else {
             &["--rows", "8", "--cols", "8"]
         };
 
-        let stdin_snap = tmp(&format!("agree_{kind}_stdin.mtx"));
+        let stdin_snap = tmp(&format!("agree_{kind}_stdin"));
         let input = tmp(&format!("agree_{kind}.txt"));
         let text: String =
             script.iter().map(|l| l.replace("SNAP", stdin_snap.to_str().unwrap()) + "\n").collect();
@@ -901,7 +974,7 @@ fn mcmd_stdin_and_socket_modes_agree() {
             })
             .collect();
 
-        let socket_snap = tmp(&format!("agree_{kind}_socket.mtx"));
+        let socket_snap = tmp(&format!("agree_{kind}_socket"));
         let socket_script: Vec<String> =
             script.iter().map(|l| l.replace("SNAP", socket_snap.to_str().unwrap())).collect();
         let socket_lines: Vec<String> = mcmd_socket_session(engine, &socket_script)
@@ -913,10 +986,11 @@ fn mcmd_stdin_and_socket_modes_agree() {
         assert_eq!(stdin_lines, socket_lines, "{kind}: the modes answered differently");
         assert!(stdin_lines[0].starts_with("error vertex out of range"), "{stdin_lines:?}");
         assert_eq!(stdin_lines.iter().filter(|l| l.starts_with("synced seq")).count(), 5);
-        assert_eq!(
-            std::fs::read(&stdin_snap).unwrap(),
-            std::fs::read(&socket_snap).unwrap(),
-            "{kind}: snapshot files differ"
-        );
+        assert!(stdin_lines.iter().any(|l| l.starts_with("state seq 5 ")), "{stdin_lines:?}");
+        for which in ["synced", "unsynced"] {
+            let file =
+                |base: &PathBuf| std::fs::read(format!("{}_{which}.mtx", base.display())).unwrap();
+            assert_eq!(file(&stdin_snap), file(&socket_snap), "{kind}: {which} snapshots differ");
+        }
     }
 }

@@ -176,6 +176,121 @@ fn query_mid_batch_is_snapshot_isolated_and_nonblocking() {
     server.shutdown();
 }
 
+/// A scratch path for a snapshot file, unique per test and process.
+fn snap_path(name: &str) -> String {
+    let dir = std::env::temp_dir().join("mcm-serve-tests");
+    std::fs::create_dir_all(&dir).unwrap();
+    dir.join(format!("{name}-{}.mtx", std::process::id())).to_str().unwrap().to_string()
+}
+
+/// The `(row, col)` entries (0-based) of a Matrix Market snapshot file.
+fn snapshot_edges(path: &str) -> Vec<(u32, u32)> {
+    let text = std::fs::read_to_string(path).expect("snapshot file");
+    std::fs::remove_file(path).ok();
+    text.lines()
+        .filter(|l| !l.starts_with('%'))
+        .skip(1)
+        .map(|l| {
+            let w: Vec<u32> = l.split_whitespace().take(2).map(|x| x.parse().unwrap()).collect();
+            (w[0] - 1, w[1] - 1)
+        })
+        .collect()
+}
+
+/// `snapshot` is a barrier: sent right after updates on the same
+/// connection, with no `sync` and watermarks that would never close the
+/// batch, the file holds those updates (read-your-writes).
+#[test]
+fn snapshot_reads_its_own_writes_without_sync() {
+    let cfg = ServerConfig {
+        max_batch: 1 << 20,
+        max_delay: Duration::from_secs(600),
+        ..ServerConfig::default()
+    };
+    let server = start(8, cfg);
+    let mut c = Client::connect(server.local_addr());
+    for (r, col) in [(0, 1), (1, 0), (2, 2)] {
+        assert_eq!(c.update_retrying(&format!("insert {r} {col}")), "ok");
+    }
+    assert_eq!(c.update_retrying("delete 2 2"), "ok");
+    let path = snap_path("own-writes");
+    assert_eq!(c.roundtrip(&format!("snapshot {path}")), format!("snapshot {path} nnz 2"));
+    assert_eq!(snapshot_edges(&path), [(1, 0), (0, 1)]);
+    // The barrier published the batch it closed.
+    assert!(c.roundtrip("state").starts_with("state seq 1 epoch 0 cardinality 2 nnz 2"));
+    let dm = server.shutdown().expect_card();
+    assert_eq!(dm.graph().nnz(), 2);
+}
+
+/// A `snapshot` issued while a repair batch is held mid-apply waits for
+/// it (timed channel), then writes the state that batch produced.
+#[test]
+fn snapshot_waits_for_a_held_batch_then_reflects_it() {
+    let (applying_tx, applying_rx) = mpsc::channel::<usize>();
+    let (gate_tx, gate_rx) = mpsc::channel::<()>();
+    let applying_tx = Mutex::new(applying_tx);
+    let gate_rx = Mutex::new(gate_rx);
+    let hook: ApplyHook = Arc::new(move |batch: &[WUpdate]| {
+        applying_tx.lock().unwrap().send(batch.len()).ok();
+        gate_rx.lock().unwrap().recv().ok();
+    });
+    let cfg = ServerConfig { on_apply: Some(hook), ..ServerConfig::default() };
+    let server = start(16, cfg);
+    let addr = server.local_addr();
+
+    let mut writer_conn = Client::connect(addr);
+    assert_eq!(writer_conn.roundtrip("insert 3 5"), "ok");
+    let held =
+        applying_rx.recv_timeout(Duration::from_secs(5)).expect("writer never opened the batch");
+    assert_eq!(held, 1);
+
+    let path = snap_path("held-batch");
+    let (res_tx, res_rx) = mpsc::channel::<String>();
+    let line = format!("snapshot {path}");
+    std::thread::spawn(move || {
+        res_tx.send(Client::connect(addr).roundtrip(&line)).ok();
+    });
+    // Scalar reads still answer from the pre-batch state meanwhile.
+    assert_eq!(writer_conn.roundtrip("query"), "matching 0");
+    assert!(
+        res_rx.recv_timeout(Duration::from_millis(200)).is_err(),
+        "snapshot answered while the batch before it was still held"
+    );
+    drop(gate_tx);
+    let resp = res_rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("snapshot never answered after the batch was released");
+    assert_eq!(resp, format!("snapshot {path} nnz 1"));
+    assert_eq!(snapshot_edges(&path), [(3, 5)]);
+    server.shutdown();
+}
+
+/// The daemon's own `metrics` times the per-batch publish and the
+/// on-demand edge copy behind `snapshot`.
+#[test]
+fn metrics_time_the_publish_and_the_snapshot_copy() {
+    let server = start(8, ServerConfig::default());
+    let mut c = Client::connect(server.local_addr());
+    assert_eq!(c.update_retrying("insert 0 0"), "ok");
+    assert!(c.update_retrying("sync").starts_with("synced seq 1 "));
+    let path = snap_path("metrics");
+    assert_eq!(c.update_retrying(&format!("snapshot {path}")), format!("snapshot {path} nnz 1"));
+    std::fs::remove_file(&path).ok();
+    c.stream.write_all(b"metrics\n").expect("write");
+    let mut text = String::new();
+    while !text.ends_with("# EOF\n") {
+        assert!(c.reader.read_line(&mut text).expect("read") > 0, "metrics cut short: {text}");
+    }
+    for name in ["mcmd_publish_seconds", "mcmd_snapshot_seconds"] {
+        let count = text
+            .lines()
+            .find_map(|l| l.strip_prefix(&format!("{name}_count ")))
+            .unwrap_or_else(|| panic!("no {name} histogram: {text}"));
+        assert!(count.parse::<u64>().unwrap() >= 1, "{name}: {text}");
+    }
+    server.shutdown();
+}
+
 /// With a held writer and a 1-slot admission queue the daemon must
 /// answer `busy` (bounded backpressure), then recover and apply every
 /// acknowledged update once released.

@@ -217,17 +217,10 @@ fn bad_magic_version_flags_and_header_bytes_are_typed_errors() {
     std::fs::remove_file(p).ok();
 }
 
-#[test]
-fn out_of_range_row_index_is_a_typed_error_on_both_backings() {
-    // One row index far past `nrows`, with both checksums re-sealed so the
-    // range check is the only line of defence. The mapped open used to
-    // accept this and let the solver index out of bounds.
+/// Recomputes both checksums of an edited weighted MCSB image, so that
+/// only the structural checks stand between the edit and the solver.
+fn reseal(bad: &mut [u8], h: &mcm_store::Header) {
     use mcm_store::format::{fnv1a, FNV_OFFSET};
-    let (bytes, p) = reference_file("rowrange");
-    let h = mcm_store::Header::decode(&bytes).unwrap();
-    let mut bad = bytes.clone();
-    let at = (h.rowind_off + 4 * 7) as usize;
-    bad[at..at + 4].copy_from_slice(&0x7FFF_FF00u32.to_le_bytes());
     let section = |off: u64, len: u64| off as usize..(off + len) as usize;
     let mut ph = fnv1a(FNV_OFFSET, &bad[section(h.colptr_off, h.colptr_len)]);
     ph = fnv1a(ph, &bad[section(h.rowind_off, h.rowind_len)]);
@@ -235,12 +228,66 @@ fn out_of_range_row_index_is_a_typed_error_on_both_backings() {
     bad[88..96].copy_from_slice(&ph.to_le_bytes());
     let hc = fnv1a(FNV_OFFSET, &bad[0..96]);
     bad[96..104].copy_from_slice(&hc.to_le_bytes());
+}
+
+#[test]
+fn out_of_range_row_index_is_a_typed_error_on_both_backings() {
+    // One row index far past `nrows`, with both checksums re-sealed so the
+    // range check is the only line of defence. The mapped open used to
+    // accept this and let the solver index out of bounds.
+    let (bytes, p) = reference_file("rowrange");
+    let h = mcm_store::Header::decode(&bytes).unwrap();
+    let mut bad = bytes.clone();
+    let at = (h.rowind_off + 4 * 7) as usize;
+    bad[at..at + 4].copy_from_slice(&0x7FFF_FF00u32.to_le_bytes());
+    reseal(&mut bad, &h);
     std::fs::write(&p, &bad).unwrap();
     for (backing, r) in ["mmap", "heap"].into_iter().zip(open_both(&p)) {
         match r {
             Err(StoreError::RowOutOfRange { index: 7, row: 0x7FFF_FF00, nrows: 12 }) => {}
             Ok(_) => panic!("{backing}: out-of-range row index opened"),
             Err(other) => panic!("{backing}: expected RowOutOfRange, got {other:?}"),
+        }
+    }
+    std::fs::remove_file(p).ok();
+}
+
+#[test]
+fn unsorted_or_duplicated_column_rows_are_a_typed_error_on_both_backings() {
+    // Rows swapped (then repeated) inside one column, checksums re-sealed.
+    // Both used to open: the solvers then certified edges the graph does
+    // not have, and the dynamic overlay counted a live edge twice.
+    let (bytes, p) = reference_file("unsorted");
+    let h = mcm_store::Header::decode(&bytes).unwrap();
+    let word = |b: &[u8], off: u64, k: u64, w: u64| {
+        let at = (off + w * k) as usize;
+        u64::from_le_bytes(b[at..at + 8].try_into().unwrap()) & (u64::MAX >> (64 - 8 * w))
+    };
+    // The first column with at least two nonzeros.
+    let col = (0..h.ncols)
+        .find(|&j| word(&bytes, h.colptr_off, j + 1, 8) - word(&bytes, h.colptr_off, j, 8) >= 2)
+        .unwrap();
+    let k = word(&bytes, h.colptr_off, col, 8);
+    let (r0, r1) = (word(&bytes, h.rowind_off, k, 4), word(&bytes, h.rowind_off, k + 1, 4));
+    assert!(r0 < r1);
+    let at = (h.rowind_off + 4 * k) as usize;
+    for (second, prev) in [(r0, r1), (r0, r0)] {
+        let mut bad = bytes.clone();
+        bad[at..at + 4].copy_from_slice(&(prev as u32).to_le_bytes());
+        bad[at + 4..at + 8].copy_from_slice(&(second as u32).to_le_bytes());
+        reseal(&mut bad, &h);
+        std::fs::write(&p, &bad).unwrap();
+        for (backing, r) in ["mmap", "heap"].into_iter().zip(open_both(&p)) {
+            match r {
+                Err(StoreError::UnsortedColumn { col: c, index, row, prev: pr })
+                    if (c, index, row, pr) == (col, k + 1, second, prev) =>
+                {
+                    let msg = StoreError::UnsortedColumn { col: c, index, row, prev: pr };
+                    assert!(msg.to_string().contains(&format!("column {col} is not sorted")));
+                }
+                Ok(_) => panic!("{backing}: column {col} stored as [{prev}, {second}] opened"),
+                Err(other) => panic!("{backing}: expected UnsortedColumn, got {other:?}"),
+            }
         }
     }
     std::fs::remove_file(p).ok();

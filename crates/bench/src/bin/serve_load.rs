@@ -22,7 +22,7 @@
 //! the command line.
 
 use mcm_dyn::{DynMatching, DynOptions, WDynMatching, WDynOptions};
-use mcm_serve::{run_load, Engine, LoadConfig, LoadMode, Server, ServerConfig};
+use mcm_serve::{report_summary, run_load, Engine, LoadConfig, LoadMode, Server, ServerConfig};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -157,16 +157,7 @@ fn main() -> ExitCode {
             eprintln!("serve_load: {} mode: {} corrupted responses", mode.name(), report.corrupted);
             failed = true;
         }
-        eprintln!(
-            "serve_load: {:>6} loop: {:.0} updates/sec, {} responses, {} busy, \
-             {} corrupted, {} unanswered",
-            report.mode,
-            report.updates_per_sec,
-            report.verbs.iter().map(|v| v.count).sum::<u64>(),
-            report.verbs.iter().map(|v| v.busy).sum::<u64>(),
-            report.corrupted,
-            report.unanswered,
-        );
+        eprintln!("serve_load: {}", report_summary(&report));
         for v in &report.verbs {
             eprintln!(
                 "serve_load:   {:>6}: n {:>7}  p50 {:>8.1}us  p99 {:>8.1}us  p999 {:>8.1}us",

@@ -15,7 +15,13 @@
 //!   into its destination row's slot, so no slice is copied and no partial
 //!   is merge-sorted. The kernel counts, in the same traversal, the
 //!   per-block volumes the logical `p_r × p_c` grid of `ctx.machine.grid`
-//!   would ship, and the α–β–γ model charges those.
+//!   would ship, and the α–β–γ model charges those. `A` is assembled by
+//!   one sequential pass that copies each column of the view into its
+//!   relabeled slot ([`Dcsc::relabeled`], rows kept in source order) and
+//!   `Aᵀ` by one counting scatter of `A`.
+//!   The kernel does not need sorted rows: it looks each row's fold
+//!   segment up in a [`FoldGrid`] the plan caches per matrix shape and
+//!   grid, and counts flops and fold pairs per (block column, segment).
 //! * **Engine** ([`EngineComm`]): the matrix is split into the grid's
 //!   blocks and rank `(i, j)` runs block `(i, j)`. Frontier slices really
 //!   are allgathered along grid columns and partials really fold along
@@ -42,7 +48,7 @@ use crate::ctx::DistCtx;
 use crate::timers::Kernel;
 use mcm_sparse::permute::Permutation;
 use mcm_sparse::triples::{block_offsets, block_owner};
-use mcm_sparse::workspace::{SpmvWorkspace, WorkspaceStats};
+use mcm_sparse::workspace::{FoldGrid, SpmvWorkspace, WorkspaceStats};
 use mcm_sparse::{CscView, Dcsc, SpVec, Triples, Vidx};
 use std::sync::Mutex;
 
@@ -86,6 +92,9 @@ impl<U: Copy> PlanBlock<U> {
 #[derive(Debug)]
 pub struct SpmvPlan<U: Copy> {
     blocks: Vec<PlanBlock<U>>,
+    /// Simulator only: the fold geometry of the last fused product,
+    /// rebuilt when the matrix shape or the logical grid changes.
+    fold: Option<FoldGrid>,
 }
 
 impl<U: Copy> Default for SpmvPlan<U> {
@@ -97,7 +106,7 @@ impl<U: Copy> Default for SpmvPlan<U> {
 impl<U: Copy> SpmvPlan<U> {
     /// An empty plan; buffers materialize on first use.
     pub fn new() -> Self {
-        Self { blocks: Vec::new() }
+        Self { blocks: Vec::new(), fold: None }
     }
 
     fn ensure(&mut self, nblocks: usize) {
@@ -116,47 +125,16 @@ impl<U: Copy> SpmvPlan<U> {
     }
 }
 
-/// The logical `pr × pc` grid a simulator kernel is charged at: block
-/// offsets of one matrix over `ctx.machine.grid`.
-struct LogicalGrid {
-    pc: usize,
-    row_off: Vec<usize>,
-    col_off: Vec<usize>,
-}
-
-impl LogicalGrid {
-    fn of(ctx: &DistCtx, nrows: usize, ncols: usize) -> Self {
-        let g = &ctx.machine.grid;
-        Self { pc: g.pc, row_off: block_offsets(nrows, g.pr), col_off: block_offsets(ncols, g.pc) }
+/// Bottleneck expand volume of a frontier over the logical block columns
+/// `col_off`: `max_bj 2 · |{entries in column block bj}|`.
+fn expand_max<T>(col_off: &[usize], xs: &[(Vidx, T)]) -> u64 {
+    let mut expand_max = 0u64;
+    for w in col_off.windows(2) {
+        let lo = xs.partition_point(|&(j, _)| (j as usize) < w[0]);
+        let hi = xs.partition_point(|&(j, _)| (j as usize) < w[1]);
+        expand_max = expand_max.max(2 * (hi - lo) as u64);
     }
-
-    fn pr(&self) -> usize {
-        self.row_off.len() - 1
-    }
-
-    /// Row boundaries of the fold destinations: each block row's rows split
-    /// into `pc` balanced ranges, so segment `bi · pc + d` is the rows grid
-    /// rank `(bi, d)` owns in the balanced fold distribution
-    /// ([`balanced_owner`]).
-    fn fold_offsets(&self) -> Vec<usize> {
-        let mut off = vec![0];
-        for w in self.row_off.windows(2) {
-            off.extend(block_offsets(w[1] - w[0], self.pc)[1..].iter().map(|&o| w[0] + o));
-        }
-        off
-    }
-
-    /// Bottleneck expand volume of a frontier: `max_bj 2 · |{entries in
-    /// column block bj}|`.
-    fn expand_max<T>(&self, xs: &[(Vidx, T)]) -> u64 {
-        let mut expand_max = 0u64;
-        for w in self.col_off.windows(2) {
-            let lo = xs.partition_point(|&(j, _)| (j as usize) < w[0]);
-            let hi = xs.partition_point(|&(j, _)| (j as usize) < w[1]);
-            expand_max = expand_max.max(2 * (hi - lo) as u64);
-        }
-        expand_max
-    }
+    expand_max
 }
 
 /// A sparse matrix distributed over a 2D process grid in DCSC blocks.
@@ -212,12 +190,13 @@ impl DistMatrix {
     /// row-proposing initializer and for bottom-up BFS.
     ///
     /// On a 1×1 grid (the simulator's execution grid) no pair list ever
-    /// exists and nothing is comparison-sorted. The unpermuted case
-    /// compacts the view straight into DCSC ([`Dcsc::from_csc_view`]) and
-    /// transposes it. The permuted case builds `Aᵀ` first
-    /// ([`Dcsc::relabeled_transpose`]: walk the target columns in relabeled
-    /// order and scatter by relabeled row, so entries arrive sorted), and
-    /// `A` is its counting transpose. Multi-block grids scatter into
+    /// exists and nothing is sorted. `A` is one sequential pass over the
+    /// view ([`Dcsc::relabeled`]: target column `j'` holds source column
+    /// `colp⁻¹(j')` with its rows mapped through `rowp`, in source order),
+    /// and `Aᵀ` is one counting scatter of `A` ([`Dcsc::transposed`]),
+    /// canonical because `A`'s columns are walked in ascending `j'`. `A`'s
+    /// rows are unsorted within a column when `rowp` is given; the fused
+    /// product does not need them sorted. Multi-block grids scatter into
     /// per-block pair buffers.
     pub fn with_grid_csc_pair(
         v: &CscView<'_>,
@@ -227,14 +206,8 @@ impl DistMatrix {
         colp: Option<&Permutation>,
     ) -> (Self, Self) {
         if pr == 1 && pc == 1 {
-            let (a, at) = if rowp.is_none() && colp.is_none() {
-                let a = Dcsc::from_csc_view(v);
-                let at = a.transposed();
-                (a, at)
-            } else {
-                let at = Dcsc::relabeled_transpose(v, rowp, colp);
-                (at.transposed(), at)
-            };
+            let a = Dcsc::relabeled(v, rowp, colp);
+            let at = a.transposed();
             return (Self::single_block(a), Self::single_block(at));
         }
         let row_off = block_offsets(v.nrows(), pr);
@@ -272,12 +245,7 @@ impl DistMatrix {
         colp: Option<&Permutation>,
     ) -> Self {
         if pr == 1 && pc == 1 {
-            let block = if rowp.is_none() && colp.is_none() {
-                Dcsc::from_csc_view(v)
-            } else {
-                Dcsc::relabeled_transpose(v, rowp, colp).transposed()
-            };
-            return Self::single_block(block);
+            return Self::single_block(Dcsc::relabeled(v, rowp, colp));
         }
         let row_off = block_offsets(v.nrows(), pr);
         let col_off = block_offsets(v.ncols(), pc);
@@ -443,20 +411,21 @@ impl DistMatrix {
         // ncols = n1 (A's rows = candidate side).
         assert_eq!(frontier.len(), self.nrows, "frontier must cover A's columns");
         debug_assert!(candidates.windows(2).all(|w| w[0] < w[1]));
-        let lg = LogicalGrid::of(ctx, self.nrows, self.ncols);
-        let lpr = lg.pr();
+        // The logical grid's blocks of Aᵀ.
+        let (lpr, lpc) = (ctx.machine.grid.pr, ctx.machine.grid.pc);
+        let (row_off, col_off) = (block_offsets(self.nrows, lpr), block_offsets(self.ncols, lpc));
 
         // ---- Frontier replication along each grid column. -----------------
         // Every process needs the frontier slice matching its block's
         // A-column range: a bitmap word per 64 columns plus the values.
         let mut expand_max = 0u64;
-        for w in lg.row_off.windows(2) {
+        for w in row_off.windows(2) {
             let slice_nnz = frontier[w[0]..w[1]].iter().filter(|v| v.is_some()).count() as u64;
             expand_max = expand_max.max((w[1] - w[0]) as u64 / 64 + 2 * slice_nnz);
         }
         // The slice for block row bi is replicated across that grid row's
         // pc ranks (on the square grids the paper uses, pr == pc).
-        ctx.charge_allgather(kernel, lg.pc, expand_max);
+        ctx.charge_allgather(kernel, lpc, expand_max);
 
         // ---- Candidate scans, one task per logical block column. ----------
         struct ColOut<U> {
@@ -466,9 +435,9 @@ impl DistMatrix {
             flops: Vec<u64>,
             nhits: Vec<u64>,
         }
-        let outs: Vec<ColOut<U>> = mcm_par::par_map_range(lg.pc, mcm_par::max_threads(), |bj| {
-            let lo = candidates.partition_point(|&r| (r as usize) < lg.col_off[bj]);
-            let hi = candidates.partition_point(|&r| (r as usize) < lg.col_off[bj + 1]);
+        let outs: Vec<ColOut<U>> = mcm_par::par_map_range(lpc, mcm_par::max_threads(), |bj| {
+            let lo = candidates.partition_point(|&r| (r as usize) < col_off[bj]);
+            let hi = candidates.partition_point(|&r| (r as usize) < col_off[bj + 1]);
             let mut out = ColOut { hits: Vec::new(), flops: vec![0; lpr], nhits: vec![0; lpr] };
             for &r in &candidates[lo..hi] {
                 let pbj = block_owner(&self.col_off, r as usize);
@@ -481,7 +450,7 @@ impl DistMatrix {
                     let mut k = 0;
                     while k < rows.len() {
                         let gcol = rows[k] as usize + base; // a column of A
-                        while gcol >= lg.row_off[bi + 1] {
+                        while gcol >= row_off[bi + 1] {
                             bi += 1;
                         }
                         out.flops[bi] += 1;
@@ -496,7 +465,7 @@ impl DistMatrix {
                             None => acc = Some(inc),
                         }
                         // Early exit: skip the rest of this logical block.
-                        let end = lg.row_off[bi + 1];
+                        let end = row_off[bi + 1];
                         k += rows[k..].partition_point(|&li| li as usize + base < end);
                     }
                 }
@@ -547,22 +516,19 @@ impl DistMatrix {
         assert_eq!(x.len(), self.ncols, "frontier length must match ncols");
         assert_eq!((self.pr, self.pc), (1, 1), "the simulator executes a single physical block");
         plan.ensure(1);
-        let lg = LogicalGrid::of(ctx, self.nrows, self.ncols);
+        let (pr, pc) = (ctx.machine.grid.pr, ctx.machine.grid.pc);
+        let SpmvPlan { blocks, fold: grid } = plan;
+        let grid = match grid {
+            Some(g) if g.fits(self.nrows, self.ncols, pr, pc) => g,
+            _ => grid.insert(FoldGrid::new(self.nrows, self.ncols, pr, pc)),
+        };
         // Logical expand: the bottleneck frontier slice along a grid column
         // (no slice is materialized — the fused kernel reads `x` in place).
-        ctx.charge_allgather(kernel, lg.pr(), lg.expand_max(x.entries()));
+        ctx.charge_allgather(kernel, pr, expand_max(grid.col_off(), x.entries()));
         let mut y = SpVec::new(0);
-        let vols = plan.blocks[0].ws.spmspv_fused_into(
-            &self.blocks[0],
-            x,
-            &lg.col_off,
-            &lg.fold_offsets(),
-            mul,
-            fold,
-            &mut y,
-        );
+        let vols = blocks[0].ws.spmspv_fused_into(&self.blocks[0], x, grid, mul, fold, &mut y);
         ctx.charge_compute(kernel, vols.max_flops);
-        ctx.charge_alltoallv(kernel, lg.pc, vols.fold_bottleneck);
+        ctx.charge_alltoallv(kernel, pc, vols.fold_bottleneck);
         y
     }
 
@@ -769,10 +735,12 @@ mod tests {
     }
 
     #[test]
-    fn single_block_assembly_matches_the_pair_scatter_builder() {
-        // The 1×1 path builds both orientations by linear passes only; the
-        // blocks must equal, byte for byte, what scattering the relabeled
-        // pairs through the sorting builder gives.
+    fn single_block_assembly_gathers_a_and_scatters_a_canonical_transpose() {
+        // The 1×1 path builds A by one gather and Aᵀ by one scatter of A.
+        // A's column j' must be source column colp⁻¹(j') with its rows
+        // mapped through rowp, in source order; Aᵀ must equal, byte for
+        // byte, what scattering the relabeled pairs through the sorting
+        // builder gives.
         use mcm_sparse::permute::{relabel_permutations, SplitMix64};
         let mut rng = SplitMix64::new(0xB10C);
         let mut shapes = vec![fig2_triples()];
@@ -784,27 +752,44 @@ mod tests {
             t.sort_dedup();
             shapes.push(t);
         }
+        let columns = |d: &Dcsc| -> Vec<(Vidx, Vec<Vidx>)> {
+            (0..d.nzc()).map(|k| d.nth_col(k)).map(|(rows, j)| (j, rows.to_vec())).collect()
+        };
+        let mut unsorted_seen = false;
         for t in &shapes {
             let csc = t.to_csc();
             let v = csc.view();
             let (n1, n2) = (v.nrows(), v.ncols());
             let (rp, cp) = relabel_permutations(n1, n2, 0x5EED);
-            for (rowp, colp) in [(None, None), (Some(&rp), Some(&cp)), (Some(&rp), None)] {
-                let pairs: Vec<(Vidx, Vidx)> = v
-                    .iter()
-                    .map(|(i, j)| (rowp.map_or(i, |p| p.apply(i)), colp.map_or(j, |p| p.apply(j))))
+            for (rowp, colp) in
+                [(None, None), (Some(&rp), Some(&cp)), (Some(&rp), None), (None, Some(&cp))]
+            {
+                let tag = format!("{n1}x{n2} rowp={} colp={}", rowp.is_some(), colp.is_some());
+                let cinv = colp.map(Permutation::inverse);
+                let want_a: Vec<(Vidx, Vec<Vidx>)> = (0..n2 as Vidx)
+                    .map(|jp| (jp, cinv.as_ref().map_or(jp, |c| c.apply(jp))))
+                    .map(|(jp, j)| {
+                        let rows = v.col(j as usize).iter();
+                        (jp, rows.map(|&i| rowp.map_or(i, |p| p.apply(i))).collect::<Vec<_>>())
+                    })
+                    .filter(|(_, rows)| !rows.is_empty())
                     .collect();
-                let swapped: Vec<(Vidx, Vidx)> = pairs.iter().map(|&(i, j)| (j, i)).collect();
-                let want_a = Dcsc::from_unsorted_pairs(n1, n2, &pairs);
+                let swapped: Vec<(Vidx, Vidx)> = want_a
+                    .iter()
+                    .flat_map(|(j, rows)| rows.iter().map(move |&i| (*j, i)))
+                    .collect();
                 let want_at = Dcsc::from_unsorted_pairs(n2, n1, &swapped);
                 let (a, at) = DistMatrix::with_grid_csc_pair(&v, 1, 1, rowp, colp);
-                let tag = format!("{n1}x{n2} rowp={} colp={}", rowp.is_some(), colp.is_some());
-                assert_eq!(a.block(0, 0), &want_a, "{tag}: A");
+                assert_eq!(columns(a.block(0, 0)), want_a, "{tag}: A");
+                assert_eq!((a.nrows(), a.ncols(), a.nnz()), (n1, n2, t.len()), "{tag}: A shape");
                 assert_eq!(at.block(0, 0), &want_at, "{tag}: Aᵀ");
                 let alone = DistMatrix::with_grid_csc(&v, 1, 1, rowp, colp);
-                assert_eq!(alone.block(0, 0), &want_a, "{tag}: A alone");
+                assert_eq!(alone.block(0, 0), a.block(0, 0), "{tag}: A alone");
+                unsorted_seen |=
+                    want_a.iter().any(|(_, rows)| rows.windows(2).any(|w| w[0] > w[1]));
             }
         }
+        assert!(unsorted_seen, "some relabeled column must keep its rows unsorted");
     }
 
     #[test]

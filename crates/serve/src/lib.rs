@@ -44,7 +44,7 @@ pub mod swap;
 pub use engine::{
     answer_read, format_stats_line, format_wstats_line, Admission, Engine, Published, Snap, Summary,
 };
-pub use load::{run_load, LoadConfig, LoadMode, LoadReport, VerbReport};
+pub use load::{report_summary, run_load, LoadConfig, LoadMode, LoadReport, VerbReport};
 pub use proto::{parse_command, verb_of, Command, FrameError, LineFramer};
 pub use server::{ApplyHook, Server, ServerConfig};
 pub use session::run_session;

@@ -104,6 +104,9 @@ pub struct LoadReport {
     pub unanswered: u64,
     /// Accepted (non-busy) updates per second over the run.
     pub updates_per_sec: f64,
+    /// Open loop only: the longest any request waited past its scheduled
+    /// send time before it was written, i.e. how late the generator ran.
+    pub schedule_slip_secs: f64,
     pub verbs: Vec<VerbReport>,
 }
 
@@ -194,6 +197,8 @@ struct ConnOutcome {
     ok_updates: u64,
     corrupted: u64,
     unanswered: u64,
+    /// Largest delay from a scheduled send time to the actual write.
+    slip: Duration,
 }
 
 /// Runs the configured load against a daemon already listening at
@@ -225,6 +230,7 @@ pub fn run_load(cfg: &LoadConfig) -> std::io::Result<LoadReport> {
         merged.ok_updates += o.ok_updates;
         merged.corrupted += o.corrupted;
         merged.unanswered += o.unanswered;
+        merged.slip = merged.slip.max(o.slip);
     }
 
     let mut verbs = Vec::new();
@@ -255,6 +261,7 @@ pub fn run_load(cfg: &LoadConfig) -> std::io::Result<LoadReport> {
         corrupted: merged.corrupted,
         unanswered: merged.unanswered,
         updates_per_sec: merged.ok_updates as f64 / elapsed.max(1e-9),
+        schedule_slip_secs: merged.slip.as_secs_f64(),
         verbs,
     })
 }
@@ -322,6 +329,7 @@ fn open_loop_conn(cfg: &LoadConfig, conn_id: u64) -> std::io::Result<ConnOutcome
             let (verb_idx, line) = next_request(&mut rng, i, cfg);
             i += 1;
             stream.write_all(line.as_bytes())?;
+            out.slip = out.slip.max(now - next_send);
             pending.push_back((verb_idx, next_send));
             next_send += interval;
         }
@@ -392,6 +400,21 @@ fn pop_pending(pending: &mut VecDeque<(usize, Instant)>, out: &mut ConnOutcome, 
     }
 }
 
+/// The one-line text summary of a run.
+pub fn report_summary(r: &LoadReport) -> String {
+    format!(
+        "{:>6} loop: {:.0} updates/sec, {} responses, {} busy, {} corrupted, {} unanswered, \
+         schedule slip {:.3}s",
+        r.mode,
+        r.updates_per_sec,
+        r.verbs.iter().map(|v| v.count).sum::<u64>(),
+        r.verbs.iter().map(|v| v.busy).sum::<u64>(),
+        r.corrupted,
+        r.unanswered,
+        r.schedule_slip_secs,
+    )
+}
+
 /// Serializes a report as one JSON object (hand-rolled: the workspace is
 /// std-only). `extra` lets the caller append cross-check fields.
 pub fn report_to_json(r: &LoadReport, extra: &str) -> String {
@@ -403,6 +426,7 @@ pub fn report_to_json(r: &LoadReport, extra: &str) -> String {
     s.push_str(&format!("      \"corrupted\": {},\n", r.corrupted));
     s.push_str(&format!("      \"unanswered\": {},\n", r.unanswered));
     s.push_str(&format!("      \"updates_per_sec\": {:.1},\n", r.updates_per_sec));
+    s.push_str(&format!("      \"schedule_slip_secs\": {:.3},\n", r.schedule_slip_secs));
     s.push_str("      \"verbs\": [\n");
     for (i, v) in r.verbs.iter().enumerate() {
         s.push_str(&format!(
@@ -428,4 +452,42 @@ pub fn report_to_json(r: &LoadReport, extra: &str) -> String {
     }
     s.push_str("    }");
     s
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Server, ServerConfig};
+    use mcm_dyn::{DynMatching, DynOptions};
+
+    #[test]
+    fn open_loop_reports_how_late_its_generator_ran() {
+        let dm = DynMatching::new(64, 64, DynOptions::default());
+        let server = Server::start(dm, ServerConfig::default()).unwrap();
+        let tiny = LoadConfig {
+            addr: server.local_addr(),
+            connections: 2,
+            duration: Duration::from_millis(100),
+            rows: 64,
+            cols: 64,
+            ..LoadConfig::default()
+        };
+        // One request per microsecond per connection: no generator keeps
+        // that schedule, so the run must report a slip, bounded by the run.
+        let open =
+            run_load(&LoadConfig { mode: LoadMode::Open, rate_per_conn: 1e6, ..tiny.clone() })
+                .unwrap();
+        assert!(open.schedule_slip_secs > 0.0, "{open:?}");
+        assert!(open.schedule_slip_secs <= open.elapsed_secs, "{open:?}");
+        let json = report_to_json(&open, "");
+        let field = format!("\"schedule_slip_secs\": {:.3},", open.schedule_slip_secs);
+        assert!(json.contains(&field), "{json}");
+        let line = report_summary(&open);
+        assert!(line.contains(&format!("schedule slip {:.3}s", open.schedule_slip_secs)), "{line}");
+        // A closed loop has no schedule to slip from.
+        let closed = run_load(&LoadConfig { mode: LoadMode::Closed, ..tiny }).unwrap();
+        assert_eq!(closed.schedule_slip_secs, 0.0);
+        assert!(report_summary(&closed).ends_with("schedule slip 0.000s"));
+        server.shutdown();
+    }
 }

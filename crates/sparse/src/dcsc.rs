@@ -39,7 +39,8 @@ pub struct Dcsc {
     /// `cp.len() == jc.len() + 1`; nonempty column `k` (with index `jc[k]`)
     /// occupies `ir[cp[k]..cp[k+1]]`.
     cp: Vec<usize>,
-    /// Row indices, sorted within each column.
+    /// Row indices, sorted within each column except in
+    /// [`Dcsc::relabeled`] output, which keeps source order.
     ir: Vec<Vidx>,
 }
 
@@ -150,34 +151,48 @@ impl Dcsc {
     /// new column's row list sorted (and, the input being deduplicated,
     /// deduplicated) for free. O(nnz + nrows), no sorts.
     ///
-    /// `DistMatrix` assembly on a 1×1 execution grid uses this to derive
-    /// `Aᵀ` from `A` instead of running a second scatter over the raw edge
-    /// list — the transpose reads the already-compacted `nnz` entries with
-    /// sequential writes per row segment.
+    /// The rows within a column may come in any order, so `DistMatrix`
+    /// assembly on a 1×1 execution grid derives the canonical `Aᵀ` from
+    /// the gathered [`Dcsc::relabeled`] `A` with this one scatter.
     pub fn transposed(&self) -> Dcsc {
-        let mut cursor = vec![0usize; self.nrows + 1];
+        // `u32` cursors halve the footprint of the array the scatter
+        // reads at random; `usize` ones cover more than 2³² nonzeros.
+        if u32::try_from(self.nnz()).is_ok() {
+            self.transposed_with::<u32>()
+        } else {
+            self.transposed_with::<usize>()
+        }
+    }
+
+    fn transposed_with<C>(&self) -> Dcsc
+    where
+        C: Copy + Default + std::ops::AddAssign + TryFrom<usize> + TryInto<usize>,
+    {
+        let idx = |c: C| c.try_into().ok().expect("cursor fits usize");
+        let one = C::try_from(1).ok().expect("one fits the cursor");
+        let mut cursor = vec![C::default(); self.nrows + 1];
         for &i in &self.ir {
-            cursor[i as usize + 1] += 1;
+            cursor[i as usize + 1] += one;
         }
         for k in 0..self.nrows {
-            cursor[k + 1] += cursor[k];
+            let prev = cursor[k];
+            cursor[k + 1] += prev;
         }
         let mut t_ir = vec![0 as Vidx; self.ir.len()];
         for k in 0..self.jc.len() {
             let j = self.jc[k];
             for &i in &self.ir[self.cp[k]..self.cp[k + 1]] {
                 let slot = &mut cursor[i as usize];
-                t_ir[*slot] = j;
-                *slot += 1;
+                t_ir[idx(*slot)] = j;
+                *slot += one;
             }
         }
         // `cursor[i]` is now the end of new-column i's segment.
         let mut jc = Vec::new();
         let mut cp = vec![0usize];
         let mut seg_start = 0usize;
-        #[allow(clippy::needless_range_loop)] // parallel-array cursor walk
-        for i in 0..self.nrows {
-            let seg_end = cursor[i];
+        for (i, &end) in cursor[..self.nrows].iter().enumerate() {
+            let seg_end = idx(end);
             if seg_end != seg_start {
                 jc.push(i as Vidx);
                 cp.push(seg_end);
@@ -187,110 +202,64 @@ impl Dcsc {
         Dcsc { nrows: self.ncols, ncols: self.nrows, jc, cp, ir: t_ir }
     }
 
-    /// Converts from a borrowed CSC view, dropping empty columns. A view
-    /// over mmap'ed MCSB pages (or an owned [`Csc`]'s arrays, via
-    /// [`Csc::view`]) compacts straight into DCSC with one sequential read
-    /// and no intermediate triple list.
-    pub fn from_csc_view(v: &crate::CscView<'_>) -> Self {
-        let mut jc = Vec::new();
-        let mut cp = vec![0usize];
-        let mut ir = Vec::with_capacity(v.nnz());
-        for j in 0..v.ncols() {
-            let col = v.col(j);
-            if !col.is_empty() {
-                jc.push(j as Vidx);
-                ir.extend_from_slice(col);
-                cp.push(ir.len());
-            }
-        }
-        Self { nrows: v.nrows(), ncols: v.ncols(), jc, cp, ir }
-    }
-
-    /// The transpose of `v` relabeled by `rowp`/`colp` (entry `(i, j)` of
-    /// `v` lands at `(colp(j), rowp(i))`), built without a comparison sort.
+    /// `v` relabeled by `rowp`/`colp` (entry `(i, j)` lands at
+    /// `(rowp(i), colp(j))`), built by one sequential pass over the view:
+    /// source column `j` is copied, its rows mapped through `rowp`, into the
+    /// slot of target column `colp(j)`, so target column `j'` holds source
+    /// column `colp⁻¹(j')`. The slots come from one pass over the column
+    /// degrees. Empty columns are dropped; no pair list exists and nothing
+    /// is sorted.
     ///
-    /// One pass histograms the source row degrees into cursors laid out in
-    /// relabeled row order. A second pass walks the *target* columns of `A`,
-    /// `j' = 0..ncols`, reads source column `colp⁻¹(j')` and scatters `j'`
-    /// into column `rowp(i)` of the result for each of its rows `i`. Entries
-    /// therefore arrive in ascending `j'` in every output column, and the
-    /// duplicates of an unsorted or duplicated source column land next to
-    /// each other, so one linear compaction removes them. The result is the
-    /// canonical DCSC of the relabeled `Aᵀ`; [`Dcsc::transposed`] of it is
-    /// `A`, so the matching pipeline gets both orientations from two linear
-    /// passes each.
-    pub fn relabeled_transpose(
+    /// Rows keep their **source order** within each column, so with a row
+    /// permutation they are not ascending: [`Dcsc::col`]'s callers get
+    /// every entry, but [`Dcsc::contains`] needs sorted rows. With no row
+    /// permutation the view's sorted columns are copied as they are (a
+    /// view over mmap'ed MCSB pages compacts straight into DCSC).
+    /// [`Dcsc::transposed`] of the result is canonical either way: it
+    /// walks the columns in ascending `j'`.
+    pub fn relabeled(
         v: &crate::CscView<'_>,
         rowp: Option<&Permutation>,
         colp: Option<&Permutation>,
-    ) -> Dcsc {
-        let (n1, n2) = (v.nrows(), v.ncols());
-        if v.nnz() == 0 {
-            return Self::empty(n2, n1);
+    ) -> Self {
+        let n2 = v.ncols();
+        let target = |j: usize| colp.map_or(j, |p| p.as_slice()[j] as usize);
+        // `cp[j' + 1]` = degree of target column j', then prefix sums.
+        let mut cp = vec![0usize; n2 + 1];
+        for j in 0..n2 {
+            cp[target(j) + 1] = v.col(j).len();
         }
-        let ident_r;
-        let rmap = match rowp {
-            Some(p) => p.as_slice(),
-            None => {
-                ident_r = Permutation::identity(n1);
-                ident_r.as_slice()
-            }
-        };
-        let cinv = colp.map_or_else(|| Permutation::identity(n2), Permutation::inverse);
-        let cinv = cinv.as_slice();
-
-        // Row-degree histogram (sequential read of rowind) → cursors in
-        // relabeled order. After the scatter, `cursor[c]` is the *end* of
-        // output column c's segment.
-        let mut deg = vec![0usize; n1];
-        for &i in v.rowind() {
-            deg[i as usize] += 1;
+        for k in 0..n2 {
+            cp[k + 1] += cp[k];
         }
-        let mut cursor = vec![0usize; n1 + 1];
-        for (i, &d) in deg.iter().enumerate() {
-            cursor[rmap[i] as usize + 1] = d;
-        }
-        drop(deg);
-        for c in 0..n1 {
-            cursor[c + 1] += cursor[c];
-        }
+        // Reading the view in order and writing whole columns to their
+        // slots beats reading it in target order: the stores do not stall.
         let mut ir = vec![0 as Vidx; v.nnz()];
-        for (jp, &j) in cinv.iter().enumerate() {
-            for &i in v.col(j as usize) {
-                let slot = &mut cursor[rmap[i as usize] as usize];
-                ir[*slot] = jp as Vidx;
-                *slot += 1;
-            }
-        }
-
-        // Compaction: drop adjacent duplicates and empty columns. The write
-        // cursor never passes a column's read start, so one forward pass is
-        // safe in place.
-        let mut jc = Vec::new();
-        let mut cp = vec![0usize];
-        let mut w = 0usize;
-        let mut seg_start = 0usize;
-        #[allow(clippy::needless_range_loop)] // parallel-array cursor walk
-        for c in 0..n1 {
-            let seg_end = cursor[c];
-            if seg_end == seg_start {
-                continue;
-            }
-            jc.push(c as Vidx);
-            let mut last = Vidx::MAX;
-            for k in seg_start..seg_end {
-                let r = ir[k];
-                if r != last {
-                    ir[w] = r;
-                    w += 1;
-                    last = r;
+        for j in 0..n2 {
+            let col = v.col(j);
+            let at = cp[target(j)];
+            let slot = &mut ir[at..at + col.len()];
+            match rowp {
+                Some(p) => {
+                    slot.iter_mut().zip(col).for_each(|(d, &i)| *d = p.as_slice()[i as usize])
                 }
+                None => slot.copy_from_slice(col),
             }
-            cp.push(w);
-            seg_start = seg_end;
         }
-        ir.truncate(w);
-        Dcsc { nrows: n2, ncols: n1, jc, cp, ir }
+        // Drop the empty columns, compacting `cp` in place: slot `w + 1` is
+        // written only after `cp[j' + 1] >= cp[w + 1]` has been read.
+        let mut jc = Vec::new();
+        let mut w = 0usize;
+        for jp in 0..n2 {
+            let end = cp[jp + 1];
+            if end != cp[w] {
+                jc.push(jp as Vidx);
+                w += 1;
+                cp[w] = end;
+            }
+        }
+        cp.truncate(w + 1);
+        Self { nrows: v.nrows(), ncols: n2, jc, cp, ir }
     }
 
     /// An empty matrix.
@@ -350,7 +319,8 @@ impl Dcsc {
         }
     }
 
-    /// `true` when the entry `(i, j)` is a stored nonzero.
+    /// `true` when the entry `(i, j)` is a stored nonzero. Binary search:
+    /// column `j`'s rows must be sorted (see [`Dcsc::relabeled`]).
     pub fn contains(&self, i: Vidx, j: usize) -> bool {
         self.col(j).binary_search(&i).is_ok()
     }
@@ -435,7 +405,7 @@ mod tests {
         let a = example();
         let csc = a.to_csc();
         assert_eq!(csc.nnz(), a.nnz());
-        assert_eq!(Dcsc::from_csc_view(&csc.view()), a);
+        assert_eq!(Dcsc::relabeled(&csc.view(), None, None), a);
     }
 
     #[test]
@@ -483,11 +453,14 @@ mod tests {
     }
 
     #[test]
-    fn from_csc_view_matches_from_unsorted_pairs() {
+    fn unrelabeled_view_matches_from_unsorted_pairs() {
         let t = Triples::from_edges(5, 7, vec![(4, 6), (0, 0), (2, 3), (1, 3), (4, 0)]);
         let csc = t.to_csc();
         let view = crate::CscView::new(csc.nrows(), csc.ncols(), csc.colptr(), csc.rowind());
-        assert_eq!(Dcsc::from_csc_view(&view), Dcsc::from_unsorted_pairs(5, 7, t.entries()));
+        assert_eq!(
+            Dcsc::relabeled(&view, None, None),
+            Dcsc::from_unsorted_pairs(5, 7, t.entries())
+        );
     }
 
     #[test]
@@ -505,68 +478,49 @@ mod tests {
             let swapped: Vec<(Vidx, Vidx)> = pairs.iter().map(|&(i, j)| (j, i)).collect();
             let want = Dcsc::from_unsorted_pairs(ncols, nrows, &swapped);
             assert_eq!(a.transposed(), want, "{nrows}x{ncols} {pairs:?}");
+            // The `usize` cursors serve past 2³² nonzeros; same result.
+            assert_eq!(a.transposed_with::<usize>(), want, "{nrows}x{ncols} {pairs:?}");
         }
-    }
-
-    /// Sort-based oracle for [`Dcsc::relabeled_transpose`]: relabel every
-    /// entry, comparison-sort and deduplicate; returns `(A, Aᵀ)`.
-    fn relabeled_oracle(
-        v: &crate::CscView<'_>,
-        rowp: Option<&Permutation>,
-        colp: Option<&Permutation>,
-    ) -> (Dcsc, Dcsc) {
-        let mut t = Triples::new(v.nrows(), v.ncols());
-        for (i, j) in v.iter() {
-            t.push(rowp.map_or(i, |p| p.apply(i)), colp.map_or(j, |p| p.apply(j)));
-        }
-        let mut tt = t.transposed();
-        t.sort_dedup();
-        tt.sort_dedup();
-        (Dcsc::from_sorted_triples(&t), Dcsc::from_sorted_triples(&tt))
     }
 
     #[test]
-    fn relabeled_transpose_matches_sort_based_oracle() {
+    fn relabeled_gather_keeps_source_order_and_transposes_canonically() {
         use crate::permute::SplitMix64;
-        // Raw CSC arrays, so columns may hold unsorted and duplicated rows.
-        #[allow(clippy::type_complexity)]
-        let mut cases: Vec<(usize, usize, Vec<u64>, Vec<Vidx>)> = vec![
-            // Unsorted and duplicated rows; empty column 1; empty row 2.
-            (4, 3, vec![0, 4, 4, 7], vec![3, 0, 3, 1, 1, 0, 1]),
-            // n1 != n2, hypersparse: most rows and columns empty.
-            (6, 10, vec![0, 0, 2, 2, 2, 2, 2, 2, 2, 3, 5], vec![5, 5, 0, 4, 0]),
-            (9, 2, vec![0, 3, 6], vec![8, 0, 4, 4, 8, 0]),
-            (3, 3, vec![0, 0, 0, 0], vec![]),
-            (1, 1, vec![0, 3], vec![0, 0, 0]),
-        ];
         let mut rng = SplitMix64::new(0xA55E);
-        for (n1, n2) in [(40usize, 25usize), (25, 40), (64, 64)] {
-            let mut colptr = vec![0u64];
-            let mut rowind = Vec::new();
-            for _ in 0..n2 {
-                for _ in 0..rng.below(7) {
-                    rowind.push(rng.below(n1 as u64) as Vidx);
-                }
-                colptr.push(rowind.len() as u64);
+        let mut shapes = vec![Triples::new(3, 3), Triples::from_edges(1, 1, vec![(0, 0)])];
+        for (n1, n2) in [(40usize, 25usize), (25, 40), (64, 64), (6, 10)] {
+            let mut t = Triples::new(n1, n2);
+            for _ in 0..3 * n2 {
+                t.push(rng.below(n1 as u64) as Vidx, rng.below(n2 as u64) as Vidx);
             }
-            cases.push((n1, n2, colptr, rowind));
+            t.sort_dedup();
+            shapes.push(t);
         }
-        for (n1, n2, colptr, rowind) in &cases {
-            let v = crate::CscView::new(*n1, *n2, colptr, rowind);
+        for t in &shapes {
+            let (n1, n2) = (t.nrows(), t.ncols());
+            let csc = t.to_csc();
+            let v = csc.view();
             let perms = [
                 (None, None),
-                (Some(Permutation::identity(*n1)), Some(Permutation::identity(*n2))),
-                (Some(Permutation::random(*n1, 7)), Some(Permutation::random(*n2, 8))),
-                (Some(Permutation::random(*n1, 9)), None),
-                (None, Some(Permutation::random(*n2, 10))),
+                (Some(Permutation::random(n1, 7)), Some(Permutation::random(n2, 8))),
+                (Some(Permutation::random(n1, 9)), None),
+                (None, Some(Permutation::random(n2, 10))),
             ];
             for (rowp, colp) in &perms {
                 let (rowp, colp) = (rowp.as_ref(), colp.as_ref());
-                let (want_a, want_at) = relabeled_oracle(&v, rowp, colp);
-                let got = Dcsc::relabeled_transpose(&v, rowp, colp);
                 let tag = format!("{n1}x{n2} rowp={} colp={}", rowp.is_some(), colp.is_some());
-                assert_eq!(got, want_at, "{tag}: Aᵀ");
-                assert_eq!(got.transposed(), want_a, "{tag}: A");
+                let got = Dcsc::relabeled(&v, rowp, colp);
+                let cinv = colp.map(Permutation::inverse);
+                for jp in 0..n2 {
+                    let j = cinv.as_ref().map_or(jp as Vidx, |c| c.apply(jp as Vidx));
+                    let want: Vec<Vidx> =
+                        v.col(j as usize).iter().map(|&i| rowp.map_or(i, |p| p.apply(i))).collect();
+                    assert_eq!(got.col(jp), &want[..], "{tag}: column {jp}");
+                }
+                let pairs: Vec<(Vidx, Vidx)> = got.iter().collect();
+                let swapped: Vec<(Vidx, Vidx)> = pairs.iter().map(|&(i, j)| (j, i)).collect();
+                assert_eq!(got.transposed(), Dcsc::from_unsorted_pairs(n2, n1, &swapped), "{tag}");
+                assert_eq!(got.nnz(), t.len(), "{tag}");
             }
         }
     }

@@ -247,15 +247,29 @@ pub fn read_matrix_market_file(path: impl AsRef<Path>) -> Result<Triples, MmErro
     read_pattern(file, Some(len))
 }
 
+/// `true` when `entries` are strictly ascending in `(column, row)` order:
+/// column-major sorted with no duplicate coordinates.
+fn strictly_column_major<E>(entries: &[E], key: impl Fn(&E) -> (Vidx, Vidx)) -> bool {
+    entries.windows(2).all(|w| key(&w[0]) < key(&w[1]))
+}
+
 /// Writes a pattern matrix in Matrix Market `coordinate pattern general`
-/// format (sorted, deduplicated, 1-based).
+/// format (sorted, deduplicated, 1-based). Entries already in that order
+/// (every overlay snapshot's are) are written as they are, with no copy.
 pub fn write_matrix_market<W: Write>(t: &Triples, writer: W) -> std::io::Result<()> {
-    let mut sorted = t.clone();
-    sorted.sort_dedup();
+    let sorted;
+    let t = if strictly_column_major(t.entries(), |&(i, j)| (j, i)) {
+        t
+    } else {
+        let mut s = t.clone();
+        s.sort_dedup();
+        sorted = s;
+        &sorted
+    };
     let mut w = BufWriter::new(writer);
     writeln!(w, "%%MatrixMarket matrix coordinate pattern general")?;
-    writeln!(w, "{} {} {}", sorted.nrows(), sorted.ncols(), sorted.len())?;
-    for &(i, j) in sorted.entries() {
+    writeln!(w, "{} {} {}", t.nrows(), t.ncols(), t.len())?;
+    for &(i, j) in t.entries() {
         writeln!(w, "{} {}", i + 1, j + 1)?;
     }
     w.flush()
@@ -267,7 +281,8 @@ pub fn write_matrix_market_file(t: &Triples, path: impl AsRef<Path>) -> std::io:
 }
 
 /// Writes a weighted matrix in Matrix Market `coordinate real general`
-/// format (sorted, 1-based). Entries must already be unique — the
+/// format (sorted, 1-based; already sorted entries are not copied).
+/// Entries must already be unique — the
 /// weighted containers ([`WCsc`](crate::WCsc),
 /// [`CscOverlay<f64>`](crate::CscOverlay)) guarantee that.
 pub fn write_matrix_market_weighted<W: Write>(
@@ -276,12 +291,18 @@ pub fn write_matrix_market_weighted<W: Write>(
     entries: &[(Vidx, Vidx, f64)],
     writer: W,
 ) -> std::io::Result<()> {
-    let mut sorted = entries.to_vec();
-    sorted.sort_unstable_by_key(|&(i, j, _)| (j, i));
+    let mut sorted = Vec::new();
+    let entries = if strictly_column_major(entries, |&(i, j, _)| (j, i)) {
+        entries
+    } else {
+        sorted.extend_from_slice(entries);
+        sorted.sort_unstable_by_key(|&(i, j, _)| (j, i));
+        &sorted
+    };
     let mut w = BufWriter::new(writer);
     writeln!(w, "%%MatrixMarket matrix coordinate real general")?;
-    writeln!(w, "{} {} {}", nrows, ncols, sorted.len())?;
-    for &(i, j, v) in &sorted {
+    writeln!(w, "{} {} {}", nrows, ncols, entries.len())?;
+    for &(i, j, v) in entries {
         writeln!(w, "{} {} {}", i + 1, j + 1, v)?;
     }
     w.flush()
@@ -423,6 +444,33 @@ mod tests {
         let a = read_matrix_market_weighted(src.as_bytes()).unwrap();
         assert_eq!(a.weight(1, 0), Some(3.0));
         assert_eq!(a.weight(0, 1), Some(-3.0));
+    }
+
+    #[test]
+    fn sorted_and_shuffled_inputs_write_identical_bytes() {
+        // The sorted fast path writes exactly what the sorting path writes,
+        // for both formats; the shuffled pattern input also carries a
+        // duplicate, which the sorting path drops.
+        let sorted = vec![(0, 0), (2, 0), (1, 1), (0, 3), (3, 3)];
+        let mut shuffled = vec![(3, 3), (1, 1), (0, 0), (0, 3), (2, 0), (1, 1)];
+        let bytes = |t: &Triples| {
+            let mut out = Vec::new();
+            write_matrix_market(t, &mut out).unwrap();
+            out
+        };
+        let want = bytes(&Triples::from_edges(4, 5, sorted.clone()));
+        assert_eq!(bytes(&Triples::from_edges(4, 5, shuffled.clone())), want);
+        assert!(String::from_utf8(want).unwrap().contains("\n4 5 5\n"));
+        shuffled.pop();
+        let weigh = |e: &[(Vidx, Vidx)]| -> Vec<(Vidx, Vidx, f64)> {
+            e.iter().map(|&(i, j)| (i, j, f64::from(i * 10 + j) + 0.5)).collect()
+        };
+        let wbytes = |e: &[(Vidx, Vidx, f64)]| {
+            let mut out = Vec::new();
+            write_matrix_market_weighted(4, 5, e, &mut out).unwrap();
+            out
+        };
+        assert_eq!(wbytes(&weigh(&shuffled)), wbytes(&weigh(&sorted)));
     }
 
     #[test]

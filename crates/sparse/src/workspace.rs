@@ -49,10 +49,11 @@
 //!   exchange barrier, and the per-logical-block volumes the α–β–γ model
 //!   charges (flops, fold send/recv) are counted in-line from the same
 //!   traversal: one stamp per row records both the generation and the
-//!   logical block column that last touched it, flops are added once per
-//!   block-row run of a column, and fold pairs only at first touches —
-//!   nothing is counted per edge. See `mcm-bsp`'s
-//!   `DistMatrix::spmspv_fused` for the charging this plugs into.
+//!   logical block column that last touched it, and a [`FoldGrid`] table
+//!   gives each row's fold segment, so flops and first-touch fold pairs
+//!   are plain increments per (segment, block column). Rows need not be
+//!   sorted within a column. See `mcm-bsp`'s `DistMatrix::spmspv_fused`
+//!   for the charging this plugs into.
 //!
 //! ### Fold contract
 //!
@@ -71,6 +72,7 @@
 //! depends only on `(j, xj)`, never on the row), which the seed kernels
 //! re-evaluated per nonzero.
 
+use crate::triples::block_offsets;
 use crate::{Csc, Dcsc, SpVec, Vidx};
 use std::mem::MaybeUninit;
 
@@ -246,6 +248,85 @@ pub struct FusedVolumes {
     pub fold_bottleneck: u64,
 }
 
+/// Charging geometry of [`SpmvWorkspace::spmspv_fused_into`]: the logical
+/// `pr × pc` grid over one `nrows × ncols` matrix, held as its block-column
+/// boundaries and the fold segment of every row. Segment `bi · pc + d` is
+/// the rows of logical block row `bi` that grid-row rank `d` owns in the
+/// balanced fold distribution. It depends only on the shape and the grid,
+/// so callers build it once and reuse it across products.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct FoldGrid {
+    /// `(nrows, ncols, pr, pc)`.
+    shape: (usize, usize, usize, usize),
+    col_off: Vec<usize>,
+    seg: Vec<u16>,
+}
+
+impl FoldGrid {
+    /// The most ranks a logical grid may have: segment ids are `u16`.
+    pub const MAX_RANKS: usize = 1 << 16;
+
+    /// The fold geometry of an `nrows × ncols` matrix on a logical
+    /// `pr × pc` grid.
+    ///
+    /// # Panics
+    ///
+    /// When the grid has more than [`FoldGrid::MAX_RANKS`] ranks.
+    pub fn new(nrows: usize, ncols: usize, pr: usize, pc: usize) -> Self {
+        assert!(pr * pc <= Self::MAX_RANKS, "a {pr}x{pc} logical grid has too many ranks");
+        let mut seg = Vec::with_capacity(nrows);
+        for (bi, w) in block_offsets(nrows, pr).windows(2).enumerate() {
+            for (d, s) in block_offsets(w[1] - w[0], pc).windows(2).enumerate() {
+                seg.resize(seg.len() + s[1] - s[0], (bi * pc + d) as u16);
+            }
+        }
+        Self { shape: (nrows, ncols, pr, pc), col_off: block_offsets(ncols, pc), seg }
+    }
+
+    /// `true` when this is the geometry of `nrows × ncols` on `pr × pc`.
+    pub fn fits(&self, nrows: usize, ncols: usize, pr: usize, pc: usize) -> bool {
+        self.shape == (nrows, ncols, pr, pc)
+    }
+
+    /// The `pc + 1` logical block-column boundaries.
+    pub fn col_off(&self) -> &[usize] {
+        &self.col_off
+    }
+}
+
+/// First position at or after `from` whose column is `>= j` in the sorted
+/// `cols`: exponential probes, then a binary search of the last bracket.
+/// A frontier far sparser than `cols` skips each gap in O(log gap) steps
+/// instead of walking it; a dense one finds its column at the first probe.
+#[inline]
+fn gallop(cols: &[Vidx], from: usize, j: Vidx) -> usize {
+    let (mut lo, mut hi, mut step) = (from, from, 1);
+    while hi < cols.len() && cols[hi] < j {
+        lo = hi + 1;
+        hi += step;
+        step *= 2;
+    }
+    lo + cols[lo..hi.min(cols.len())].partition_point(|&c| c < j)
+}
+
+/// Calls `f(p, q)`, in ascending order, for each frontier entry `xs[p]`
+/// whose column is the `q`-th of the sorted nonzero columns `cols`,
+/// galloping from one match to the next.
+#[inline]
+fn join<T>(cols: &[Vidx], xs: &[(Vidx, T)], mut f: impl FnMut(usize, usize)) {
+    let mut q = 0;
+    for (p, &(j, _)) in xs.iter().enumerate() {
+        q = gallop(cols, q, j);
+        if q == cols.len() {
+            return;
+        }
+        if cols[q] == j {
+            f(p, q);
+            q += 1;
+        }
+    }
+}
+
 /// Reusable state for the `*_into` SpMSpV kernels: one stamped SPA for the
 /// serial path, per-chunk SPAs for the intra-block parallel path, and the
 /// merge-join scratch shared by both.
@@ -261,10 +342,11 @@ pub struct SpmvWorkspace<U: Copy> {
     heads: Vec<usize>,
     /// Per-chunk pair-range boundaries (`chunk c` owns `bounds[c]..bounds[c+1]`).
     bounds: Vec<usize>,
-    /// Fused-kernel scratch: traversed edges per logical block.
-    blk_flops: Vec<u64>,
-    /// Fused-kernel scratch: distinct `(row, block column)` contributions
-    /// per (fold segment, logical block column) — pre-merge fold pairs.
+    /// Fused-kernel scratch, indexed `bj · segments + seg`: traversed
+    /// edges per (logical block column, fold segment).
+    seg_flops: Vec<u64>,
+    /// Fused-kernel scratch, same layout: distinct `(row, block column)`
+    /// contributions — pre-merge fold pairs.
     seg_pairs: Vec<u64>,
     /// Reuse counters.
     pub stats: WorkspaceStats,
@@ -285,7 +367,7 @@ impl<U: Copy> SpmvWorkspace<U> {
             pairs: Vec::new(),
             heads: Vec::new(),
             bounds: Vec::new(),
-            blk_flops: Vec::new(),
+            seg_flops: Vec::new(),
             seg_pairs: Vec::new(),
             stats: WorkspaceStats::default(),
         }
@@ -322,30 +404,19 @@ impl<U: Copy> SpmvWorkspace<U> {
         self.spa.begin(a.nrows());
         let mut flops = 0u64;
 
-        let cols = a.nonzero_cols();
         let xs = x.entries();
-        let (mut p, mut q) = (0usize, 0usize);
-        while p < xs.len() && q < cols.len() {
-            let (j, xj) = (&xs[p].0, &xs[p].1);
-            match cols[q].cmp(j) {
-                std::cmp::Ordering::Less => q += 1,
-                std::cmp::Ordering::Greater => p += 1,
-                std::cmp::Ordering::Equal => {
-                    let (rows, _) = a.nth_col(q);
-                    if !rows.is_empty() {
-                        // The multiply depends only on (j, xj): hoist it out
-                        // of the row loop and copy per edge.
-                        let colv = mul(*j, xj);
-                        flops += rows.len() as u64;
-                        for &i in rows {
-                            self.spa.accum(i, colv, &mut fold);
-                        }
-                    }
-                    p += 1;
-                    q += 1;
+        join(a.nonzero_cols(), xs, |p, q| {
+            let (rows, _) = a.nth_col(q);
+            if !rows.is_empty() {
+                // The multiply depends only on (j, xj): hoist it out of the
+                // row loop and copy per edge.
+                let colv = mul(xs[p].0, &xs[p].1);
+                flops += rows.len() as u64;
+                for &i in rows {
+                    self.spa.accum(i, colv, &mut fold);
                 }
             }
-        }
+        });
 
         y.reset(a.nrows());
         self.spa.drain_into(y);
@@ -384,27 +455,28 @@ impl<U: Copy> SpmvWorkspace<U> {
         flops
     }
 
-    /// Reduces the per-block and per-segment counters to the two bottleneck
-    /// volumes the cost model charges: block `(bi, bj)` sends the pairs its
-    /// `pc` fold segments counted from block column `bj`, and fold
-    /// destination `(bi, d)` receives two words per pair of segment
-    /// `bi · pc + d` from every block column.
+    /// Reduces the per-(block column, segment) counters to the two
+    /// bottleneck volumes the cost model charges: block `(bi, bj)`
+    /// traverses the edges and sends the pairs its `pc` fold segments
+    /// counted from block column `bj`, and the fold destination owning
+    /// segment `seg` receives two words per pair of `seg` from every block
+    /// column.
     fn fused_volumes(&self, pr: usize, pc: usize) -> FusedVolumes {
+        let nseg = pr * pc;
         let mut max_flops = 0u64;
         let mut fold_bottleneck = 0u64;
-        for bi in 0..pr {
-            let segs = bi * pc..(bi + 1) * pc;
-            let mut send = 0u64;
-            for bj in 0..pc {
-                let pairs: u64 = segs.clone().map(|seg| self.seg_pairs[seg * pc + bj]).sum();
-                max_flops = max_flops.max(self.blk_flops[bi * pc + bj]);
-                send = send.max(2 * pairs);
+        for bj in 0..pc {
+            let at = bj * nseg..(bj + 1) * nseg;
+            let (flops, pairs) = (&self.seg_flops[at.clone()], &self.seg_pairs[at]);
+            for blk in 0..pr {
+                let segs = blk * pc..(blk + 1) * pc;
+                max_flops = max_flops.max(flops[segs.clone()].iter().sum());
+                fold_bottleneck = fold_bottleneck.max(2 * pairs[segs].iter().sum::<u64>());
             }
-            let recv = segs
-                .map(|seg| 2 * self.seg_pairs[seg * pc..(seg + 1) * pc].iter().sum::<u64>())
-                .max()
-                .unwrap_or(0);
-            fold_bottleneck = fold_bottleneck.max(send.max(recv));
+        }
+        for seg in 0..nseg {
+            let recv: u64 = (0..pc).map(|bj| self.seg_pairs[bj * nseg + seg]).sum();
+            fold_bottleneck = fold_bottleneck.max(2 * recv);
         }
         FusedVolumes { max_flops, fold_bottleneck }
     }
@@ -412,133 +484,101 @@ impl<U: Copy> SpmvWorkspace<U> {
     /// Fused single-block SpMSpV for the simulator: one physical
     /// product over the whole matrix (`a` spans all rows and columns) whose
     /// SPA serves as the communication arena of a **logical** `pr × pc`
-    /// grid. Every "remote contribution" a distributed execution would ship
-    /// through expand/fold buffers is instead written directly into the
-    /// destination's SPA region — zero copies, zero per-message allocation —
-    /// while the α–β–γ volumes of the logical execution are counted in-line.
-    ///
-    /// `col_off` holds the `pc + 1` logical block-column boundaries.
-    /// `fold_off` holds the `pr · pc + 1` row boundaries of the fold
-    /// destinations: segment `bi · pc + d` is the rows of logical block row
-    /// `bi` that grid-row rank `d` owns in the balanced fold distribution,
-    /// so block row `bi` starts at `fold_off[bi · pc]`.
+    /// grid, given by `grid`. Every "remote contribution" a distributed
+    /// execution would ship through expand/fold buffers is instead written
+    /// directly into the destination's SPA region — zero copies, zero
+    /// per-message allocation — while the α–β–γ volumes of the logical
+    /// execution are counted in-line.
     ///
     /// The product reserves `pc` SPA stamp values and a row's stamp is
     /// `base + bj` for the last logical block column `bj` that touched it.
     /// Block columns are visited in ascending order, so `stamp < base` is
     /// the row's first touch in this product and `stamp != base + bj` is
     /// the first touch from block column `bj`: one distinct pre-merge fold
-    /// pair. Nothing is counted per edge:
+    /// pair. Each edge looks its row's fold segment up in `grid` and adds
+    /// one flop to that (block column, segment) counter; each first touch
+    /// adds one fold pair the same way. Nothing depends on the order of the
+    /// rows within a column, so `a` may hold them unsorted
+    /// ([`Dcsc::relabeled`]). The frontier is merge-joined with the
+    /// nonzero columns by galloping, so a sparse frontier does not walk
+    /// every nonzero column.
     ///
-    /// * edges per logical block `(bi, bj)` — each column's sorted rows are
-    ///   split at the `pr - 1` block-row boundaries by binary search and
-    ///   the run lengths added once per column;
-    /// * fold pairs per `(segment, bj)` — counted only at a first touch from
-    ///   `bj`, whose segment a forward-moving cursor over `fold_off` finds
-    ///   (rows ascend within a column).
-    ///
-    /// A block's fold send is its pairs; a destination's receive is its
-    /// segment's pairs over all block columns (see [`FusedVolumes`]).
+    /// A block's flops and fold send are the sums over its block row's `pc`
+    /// segments; a destination's receive is its segment's pairs over all
+    /// block columns (see [`FusedVolumes`]).
     ///
     /// Results are bit-identical to the serial kernel (candidates fold per
-    /// row in ascending global column order), hence — by grid independence —
-    /// to the engine's split execution on any grid, and the returned
-    /// [`FusedVolumes`] match that execution's charges exactly.
-    #[allow(clippy::too_many_arguments)] // mirrors the distributed kernel's surface
+    /// row in ascending global column order, and the drain sorts rows),
+    /// hence — by grid independence — to the engine's split execution on
+    /// any grid, and the returned [`FusedVolumes`] match that execution's
+    /// charges exactly.
     pub fn spmspv_fused_into<T>(
         &mut self,
         a: &Dcsc,
         x: &SpVec<T>,
-        col_off: &[usize],
-        fold_off: &[usize],
+        grid: &FoldGrid,
         mut mul: impl FnMut(Vidx, &T) -> U,
         mut fold: impl FnMut(&mut U, U),
         y: &mut SpVec<U>,
     ) -> FusedVolumes {
-        let pc = col_off.len() - 1;
-        let pr = (fold_off.len() - 1) / pc;
-        debug_assert_eq!(pr * pc + 1, fold_off.len(), "fold_off must hold pr · pc segments");
-        self.note_call(a.nrows(), 0);
-        self.blk_flops.clear();
-        self.blk_flops.resize(pr * pc, 0);
+        let (nrows, ncols, pr, pc) = grid.shape;
+        assert_eq!((a.nrows(), a.ncols()), (nrows, ncols), "fold grid of another shape");
+        let nseg = pr * pc;
+        self.note_call(nrows, 0);
+        self.seg_flops.clear();
+        self.seg_flops.resize(pc * nseg, 0);
         self.seg_pairs.clear();
-        self.seg_pairs.resize(pr * pc * pc, 0);
-        let base = self.spa.begin_span(a.nrows(), pc as u32);
+        self.seg_pairs.resize(pc * nseg, 0);
+        let base = self.spa.begin_span(nrows, pc as u32);
         // Split borrows into slices: the hot loop holds every array in a
         // local, so a `touched` push cannot force the others to be reloaded.
         let SpaBuf { stamp, vals, touched, .. } = &mut self.spa;
-        let (stamp, vals) = (&mut stamp[..], &mut vals[..]);
-        let (blk_flops, seg_pairs) = (&mut self.blk_flops[..], &mut self.seg_pairs[..]);
+        let (stamp, vals) = (&mut stamp[..nrows], &mut vals[..nrows]);
+        let seg_of = &grid.seg[..];
 
+        // An explicit loop, not `join`: the hot arrays stay locals, which
+        // measured faster than capturing them in a closure.
         let cols = a.nonzero_cols();
-        let xs = x.entries();
-        let (mut p, mut q) = (0usize, 0usize);
+        let mut q = 0usize;
         let mut bj = 0usize; // logical column block: ascending with j
-        while p < xs.len() && q < cols.len() {
-            match cols[q].cmp(&xs[p].0) {
-                std::cmp::Ordering::Less => q += 1,
-                std::cmp::Ordering::Greater => p += 1,
-                std::cmp::Ordering::Equal => {
-                    // DCSC stores nonempty columns only.
-                    let (rows, _) = a.nth_col(q);
-                    let j = xs[p].0;
-                    while (j as usize) >= col_off[bj + 1] {
-                        bj += 1;
+        for (j, xj) in x.iter() {
+            q = gallop(cols, q, j);
+            if q == cols.len() {
+                break;
+            }
+            if cols[q] != j {
+                continue;
+            }
+            // DCSC stores nonempty columns only.
+            let (rows, _) = a.nth_col(q);
+            q += 1;
+            while (j as usize) >= grid.col_off[bj + 1] {
+                bj += 1;
+            }
+            let colv = mul(j, xj);
+            let tag = base + bj as u32;
+            let at = bj * nseg..(bj + 1) * nseg;
+            let (flops, pairs) = (&mut self.seg_flops[at.clone()], &mut self.seg_pairs[at]);
+            for &i in rows {
+                let iu = i as usize;
+                let seg = seg_of[iu] as usize;
+                flops[seg] += 1;
+                let st = stamp[iu];
+                if st != tag {
+                    pairs[seg] += 1;
+                    stamp[iu] = tag;
+                    if st < base {
+                        vals[iu].write(colv);
+                        touched.push(i);
+                        continue;
                     }
-                    let colv = mul(j, &xs[p].1);
-                    let tag = base + bj as u32;
-                    // Rows ascend within a column: edges per logical block
-                    // are the runs between the block-row boundaries. Empty
-                    // block rows are stepped over, not searched.
-                    let (mut lo, mut bi) = (0usize, 0usize);
-                    while lo < rows.len() {
-                        while rows[lo] as usize >= fold_off[(bi + 1) * pc] {
-                            bi += 1;
-                        }
-                        let hi = if bi + 1 == pr {
-                            rows.len()
-                        } else {
-                            let b = fold_off[(bi + 1) * pc];
-                            lo + 1 + rows[lo + 1..].partition_point(|&i| (i as usize) < b)
-                        };
-                        blk_flops[bi * pc + bj] += (hi - lo) as u64;
-                        lo = hi;
-                    }
-                    // Fold pairs: a stamp other than `tag` is a first touch
-                    // from this block column; only those look up their
-                    // segment, with cursors that move forward over block
-                    // rows, then over the segments of one block row.
-                    let (mut seg, mut seg_bi) = (0usize, 0usize);
-                    for &i in rows {
-                        let iu = i as usize;
-                        let st = stamp[iu];
-                        if st != tag {
-                            if iu >= fold_off[seg + 1] {
-                                while iu >= fold_off[(seg_bi + 1) * pc] {
-                                    seg_bi += 1;
-                                    seg = seg_bi * pc;
-                                }
-                                let ends = &fold_off[seg + 1..(seg_bi + 1) * pc];
-                                seg += ends.partition_point(|&b| b <= iu);
-                            }
-                            seg_pairs[seg * pc + bj] += 1;
-                            stamp[iu] = tag;
-                            if st < base {
-                                vals[iu].write(colv);
-                                touched.push(i);
-                                continue;
-                            }
-                        }
-                        // SAFETY: stamped in this generation ⇒ initialized.
-                        fold(unsafe { vals[iu].assume_init_mut() }, colv);
-                    }
-                    p += 1;
-                    q += 1;
                 }
+                // SAFETY: stamped in this generation ⇒ initialized.
+                fold(unsafe { vals[iu].assume_init_mut() }, colv);
             }
         }
 
-        y.reset(a.nrows());
+        y.reset(nrows);
         self.spa.drain_into(y);
         self.fused_volumes(pr, pc)
     }
@@ -568,25 +608,15 @@ impl<U: Copy> SpmvWorkspace<U> {
     {
         // Merge-join once, into the reusable pair list.
         self.pairs.clear();
-        let cols = a.nonzero_cols();
         let xs = x.entries();
-        let (mut p, mut q) = (0usize, 0usize);
         let mut total_edges = 0u64;
-        while p < xs.len() && q < cols.len() {
-            match cols[q].cmp(&xs[p].0) {
-                std::cmp::Ordering::Less => q += 1,
-                std::cmp::Ordering::Greater => p += 1,
-                std::cmp::Ordering::Equal => {
-                    let (rows, _) = a.nth_col(q);
-                    if !rows.is_empty() {
-                        self.pairs.push((p as u32, q as u32));
-                        total_edges += rows.len() as u64;
-                    }
-                    p += 1;
-                    q += 1;
-                }
+        join(a.nonzero_cols(), xs, |p, q| {
+            let (rows, _) = a.nth_col(q);
+            if !rows.is_empty() {
+                self.pairs.push((p as u32, q as u32));
+                total_edges += rows.len() as u64;
             }
-        }
+        });
 
         /// Below this many traversed edges, thread spawn costs more than it
         /// saves; run serial.
@@ -595,23 +625,7 @@ impl<U: Copy> SpmvWorkspace<U> {
             .min(self.pairs.len())
             .min((total_edges / MIN_PARALLEL_EDGES.max(1)).max(1) as usize);
         if chunks <= 1 {
-            // Reuse the already-computed merge-join: run the serial SPA over
-            // the pair list directly.
-            self.note_call(a.nrows(), 0);
-            self.spa.begin(a.nrows());
-            let mut flops = 0u64;
-            for &(p, q) in &self.pairs {
-                let (j, xj) = (&xs[p as usize].0, &xs[p as usize].1);
-                let (rows, _) = a.nth_col(q as usize);
-                let colv = mul(*j, xj);
-                flops += rows.len() as u64;
-                for &i in rows {
-                    self.spa.accum(i, colv, &mut &fold);
-                }
-            }
-            y.reset(a.nrows());
-            self.spa.drain_into(y);
-            return flops;
+            return self.spmspv_into(a, x, &mul, &fold, y);
         }
 
         // Chunk boundaries balanced by edge count (deterministic in the
@@ -799,11 +813,107 @@ mod tests {
         let mut ws = SpmvWorkspace::new();
         let mut y = SpVec::new(0);
         // Logical 1×1: flops = serial flops, fold send = 2 · nnz(y).
-        let vols =
-            ws.spmspv_fused_into(&a, &x, &[0, 5], &[0, 4], |j, &(_, r)| (j, r), min_parent, &mut y);
+        let grid = FoldGrid::new(4, 5, 1, 1);
+        let vols = ws.spmspv_fused_into(&a, &x, &grid, |j, &(_, r)| (j, r), min_parent, &mut y);
         assert_eq!(y, seed.y);
         assert_eq!(vols.max_flops, seed.flops);
         assert_eq!(vols.fold_bottleneck, 2 * seed.y.nnz() as u64);
+    }
+
+    /// The fused kernel's volumes recounted per edge from first principles:
+    /// block `(bi, bj)` traverses the frontier columns of `bj` in its row
+    /// range, and every distinct `(row, bj)` is one fold pair sent by
+    /// `(bi, bj)` and received by the owner of the row's fold segment.
+    fn recounted_volumes(a: &Dcsc, x: &SpVec<u32>, pr: usize, pc: usize) -> FusedVolumes {
+        use crate::triples::block_owner;
+        let row_off = block_offsets(a.nrows(), pr);
+        let col_off = block_offsets(a.ncols(), pc);
+        let mut flops = vec![0u64; pr * pc];
+        let mut pairs = std::collections::BTreeSet::new();
+        for (j, _) in x.iter() {
+            let bj = block_owner(&col_off, j as usize);
+            for &i in a.col(j as usize) {
+                let bi = block_owner(&row_off, i as usize);
+                let sub = block_offsets(row_off[bi + 1] - row_off[bi], pc);
+                let d = block_owner(&sub, i as usize - row_off[bi]);
+                flops[bi * pc + bj] += 1;
+                pairs.insert((bi, d, bj, i));
+            }
+        }
+        let (mut send, mut recv) = (vec![0u64; pr * pc], vec![0u64; pr * pc]);
+        for (bi, d, bj, _) in pairs {
+            send[bi * pc + bj] += 2;
+            recv[bi * pc + d] += 2;
+        }
+        let fold_bottleneck = send.into_iter().chain(recv).max().unwrap_or(0);
+        FusedVolumes { max_flops: flops.into_iter().max().unwrap_or(0), fold_bottleneck }
+    }
+
+    #[test]
+    fn unsorted_rows_give_the_canonical_product_and_volumes_on_every_grid() {
+        // One seeded random matrix stored twice: with each column's rows in
+        // the source order a relabeled gather keeps (unsorted) and
+        // canonically (ascending). On every logical grid from 1×1 to 16×16
+        // (the 64–256-rank shapes included) and a few rectangular ones,
+        // both layouts must give the same vector for order-sensitive and
+        // counting folds, and the same volumes, equal to a per-edge recount.
+        use crate::permute::{Permutation, SplitMix64};
+        for seed in [0x5EED_u64, 7, 23] {
+            let mut rng = SplitMix64::new(seed);
+            let (n1, n2) = (300usize, 200usize);
+            let mut t = Triples::new(n1, n2);
+            for j in 0..n2 {
+                // Skewed degrees: a few heavy columns, many light ones.
+                let deg = if rng.below(10) == 0 { 40 + rng.below(60) } else { rng.below(6) };
+                for _ in 0..deg {
+                    t.push(rng.below(n1 as u64) as Vidx, j as Vidx);
+                }
+            }
+            t.sort_dedup();
+            let csc = t.to_csc();
+            let (rowp, colp) =
+                (Permutation::random(n1, seed ^ 1), Permutation::random(n2, seed ^ 2));
+            let unsorted = Dcsc::relabeled(&csc.view(), Some(&rowp), Some(&colp));
+            let pairs: Vec<(Vidx, Vidx)> = unsorted.iter().collect();
+            let canonical = Dcsc::from_unsorted_pairs(n1, n2, &pairs);
+            assert_ne!(unsorted, canonical, "seed {seed:#x}: the layouts must differ");
+            let frontiers: Vec<SpVec<u32>> = [1u64, 3, 40]
+                .iter()
+                .map(|&keep| {
+                    let js = (0..n2 as Vidx).filter(|_| rng.below(keep) == 0);
+                    SpVec::from_sorted_pairs(n2, js.map(|j| (j, j ^ 0x55)).collect())
+                })
+                .collect();
+            let mut grids: Vec<(usize, usize)> = (1..=16).map(|d| (d, d)).collect();
+            grids.extend([(1, 16), (16, 1), (3, 5), (5, 3)]);
+            let (mut wu, mut wc) = (SpmvWorkspace::new(), SpmvWorkspace::new());
+            for &(pr, pc) in &grids {
+                let grid = FoldGrid::new(n1, n2, pr, pc);
+                for x in &frontiers {
+                    let tag = format!("seed {seed:#x} grid {pr}x{pc} nnz(x) {}", x.nnz());
+                    let want = spmspv(&canonical, x, |j, &v| j ^ v, min).y;
+                    let run = |ws: &mut SpmvWorkspace<u32>, a: &Dcsc| {
+                        let (mut ym, mut yl, mut yc) =
+                            (SpVec::new(0), SpVec::new(0), SpVec::new(0));
+                        let last = |acc: &mut u32, inc: u32| *acc = inc;
+                        let count = |acc: &mut u32, inc: u32| *acc += inc;
+                        let vm = ws.spmspv_fused_into(a, x, &grid, |j, &v| j ^ v, min, &mut ym);
+                        let vl = ws.spmspv_fused_into(a, x, &grid, |j, _| j, last, &mut yl);
+                        let vc = ws.spmspv_fused_into(a, x, &grid, |_, _| 1, count, &mut yc);
+                        assert_eq!(
+                            (vm, vl),
+                            (vc, vc),
+                            "{tag}: volumes must not depend on the fold"
+                        );
+                        (ym, yl, yc, vm)
+                    };
+                    let got = run(&mut wu, &unsorted);
+                    assert_eq!(got, run(&mut wc, &canonical), "{tag}");
+                    assert_eq!(got.0, want, "{tag}: serial product");
+                    assert_eq!(got.3, recounted_volumes(&canonical, x, pr, pc), "{tag}: volumes");
+                }
+            }
+        }
     }
 
     #[test]
@@ -813,15 +923,15 @@ mod tests {
         // the top, and a later one wrap: the stale top stamps must not read
         // as live rows afterwards.
         let a = fig2_matrix();
-        let (col_off, fold_off) = ([0, 3, 5], [0, 1, 2, 3, 4]);
+        let grid = FoldGrid::new(4, 5, 2, 2);
         let full = SpVec::from_pairs(5, (0..5).map(|j| (j, j)).collect());
         let tiny = SpVec::from_pairs(5, vec![(1, 1u32)]);
         type Out = (SpVec<u32>, FusedVolumes, SpVec<u32>, FusedVolumes);
         let run = |ws: &mut SpmvWorkspace<u32>, x: &SpVec<u32>| -> Out {
             let (mut yc, mut ys) = (SpVec::new(0), SpVec::new(0));
             let count = |acc: &mut u32, inc: u32| *acc += inc;
-            let vc = ws.spmspv_fused_into(&a, x, &col_off, &fold_off, |_, _| 1, count, &mut yc);
-            let vs = ws.spmspv_fused_into(&a, x, &col_off, &fold_off, |j, _| j, min, &mut ys);
+            let vc = ws.spmspv_fused_into(&a, x, &grid, |_, _| 1, count, &mut yc);
+            let vs = ws.spmspv_fused_into(&a, x, &grid, |j, _| j, min, &mut ys);
             (yc, vc, ys, vs)
         };
         for start in (0..=6).map(|k| u32::MAX - k) {

@@ -48,6 +48,7 @@ use mcm_core::{
 use mcm_sparse::io::{read_matrix_market_file, write_matrix_market_file};
 use mcm_sparse::permute::{permute_triples, Permutation};
 use mcm_sparse::stats::MatrixStats;
+use mcm_sparse::workspace::FoldGrid;
 use mcm_sparse::{Csc, CscView, Triples, Vidx, NIL};
 use mcm_store::{GraphFormat, McsbFile, McsbStreamWriter};
 use std::process::ExitCode;
@@ -380,6 +381,10 @@ fn cmd_match(args: &[String]) -> Result<(), String> {
     } else {
         backend
     };
+    if backend == "sim" && grid.saturating_mul(grid) > FoldGrid::MAX_RANKS {
+        let most = FoldGrid::MAX_RANKS;
+        return Err(format!("the simulator takes at most {most} ranks, got a {grid}x{grid} grid"));
+    }
     let breakdown = args.iter().any(|a| a == "--breakdown");
     let trace_out = opt(args, "--trace-out");
     if (breakdown || trace_out.is_some()) && algo != "dist" {

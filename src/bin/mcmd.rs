@@ -54,6 +54,7 @@ use mcm_core::MatchingAlgo;
 use mcm_dyn::{DynMatching, DynOptions, FallbackBackend, WDynMatching, WDynOptions};
 use mcm_serve::{run_session, Engine, Server, ServerConfig};
 use mcm_sparse::io::{read_matrix_market_file, read_matrix_market_weighted_file};
+use mcm_sparse::workspace::FoldGrid;
 use std::io::Write;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -183,6 +184,10 @@ fn run(args: &[String]) -> Result<(), String> {
             let threads = parse_usize(opt(args, "--threads"), "--threads", 1)?;
             if threads == 0 {
                 return Err("--threads must be positive".to_string());
+            }
+            if kind == "shared" && p > FoldGrid::MAX_RANKS {
+                let most = FoldGrid::MAX_RANKS;
+                return Err(format!("the simulator takes at most {most} ranks, got {p}"));
             }
             if kind == "engine" {
                 FallbackBackend::Engine { p, threads }

@@ -531,6 +531,46 @@ fn match_backend_shared_is_the_simulator_on_the_ranks_grid() {
 }
 
 #[test]
+fn shared_backend_output_and_modeled_time_are_pinned_across_ranks() {
+    // g500 s14 seed 7 as MCSB through the simulator at 4, 16 and 64
+    // logical ranks: the modeled-time line and the FNV-1a digest of the
+    // `--out` file were recorded before the single-gather assembly and the
+    // per-row fused accounting, and must not move.
+    use mcm_store::format::{fnv1a, FNV_OFFSET};
+    let file = tmp("pinned_g500_s14.mcsb");
+    let out = mcm()
+        .args(["gen", "g500", "--scale", "14", "--seed", "7", "--format", "mcsb", "--out"])
+        .arg(&file)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("MCSB"));
+    for (ranks, modeled) in [
+        ("4", "simulated 4 cores (2x2 grid, 1 threads/process); modeled time 8.536 ms"),
+        ("16", "simulated 16 cores (4x4 grid, 1 threads/process); modeled time 5.797 ms"),
+        ("64", "simulated 64 cores (8x8 grid, 1 threads/process); modeled time 6.485 ms"),
+    ] {
+        let pairs = tmp(&format!("pinned_g500_s14_r{ranks}.txt"));
+        let out = mcm()
+            .arg("match")
+            .arg(&file)
+            .args(["--algo", "dist", "--backend", "shared", "--ranks", ranks, "--threads", "1"])
+            .arg("--out")
+            .arg(&pairs)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.lines().any(|l| l == modeled), "--ranks {ranks}: {err}");
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.contains("maximum matching: 9045 of 16384 columns"), "{text}");
+        let bytes = std::fs::read(&pairs).unwrap();
+        assert_eq!(bytes.len(), 93_694, "--ranks {ranks}");
+        assert_eq!(fnv1a(FNV_OFFSET, &bytes), 0x5057_021f_4d25_8a41, "--ranks {ranks}");
+    }
+}
+
+#[test]
 fn mcmd_rejects_bad_backend_flags() {
     for args in [
         &["--backend", "frob"][..],
@@ -543,6 +583,32 @@ fn mcmd_rejects_bad_backend_flags() {
         assert!(!out.status.success(), "{args:?} should fail");
         assert!(String::from_utf8_lossy(&out.stderr).contains("error"), "{args:?}");
     }
+}
+
+#[test]
+fn simulator_rejects_grids_beyond_its_rank_limit() {
+    // The fused kernel's fold-segment ids are u16, so the simulator takes
+    // at most 65536 logical ranks: a larger grid is a clean error, on the
+    // `--grid` and `--ranks` spellings of `mcm match` and on `mcmd`.
+    let file = tmp("rank_limit.mtx");
+    assert!(mcm()
+        .args(["gen", "er", "--scale", "5", "--seed", "1", "--out"])
+        .arg(&file)
+        .status()
+        .unwrap()
+        .success());
+    for args in [&["--grid", "257"][..], &["--backend", "shared", "--ranks", "66049"][..]] {
+        let out = mcm().arg("match").arg(&file).args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("at most 65536 ranks") && !err.contains("panicked"),
+            "{args:?}: {err}"
+        );
+    }
+    let out = mcmd().args(["--backend", "shared", "--ranks", "66049"]).output().unwrap();
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("at most 65536 ranks"));
 }
 
 #[test]

@@ -1,8 +1,11 @@
-//! The algorithm portfolio: one front door over the two first-class
-//! cardinality engines — MS-BFS (the paper's MCM-DIST) and parallel
-//! Pothen–Fan ([`crate::ppf`]) — plus the `auto` selector that picks one
-//! from cheap measured graph statistics (DESIGN.md §15), and the weighted
-//! front door over the parallel auction ([`solve_weighted`]).
+//! The algorithm portfolio: the one solve entry point ([`solve`]) over
+//! the two first-class cardinality engines — MS-BFS (the paper's
+//! MCM-DIST) and parallel Pothen–Fan ([`crate::ppf`]) — plus the `auto`
+//! selector that picks one from cheap measured graph statistics
+//! (DESIGN.md §15). `mcm match`, the `mcmd` warm-start fallback
+//! (`mcm_dyn::DynMatching`) and the simtest sweep all solve through
+//! [`solve`], cold or warm, on one [`PortfolioBackend`] built from the
+//! command-line spellings by [`PortfolioBackend::from_cli`].
 //!
 //! The selector reads three numbers off one O(nnz) pass over the
 //! deduplicated graph: density, side ratio and degree skew. All three are
@@ -17,9 +20,9 @@
 
 use crate::mcm::{maximum_matching, McmOptions, McmResult, McmStats, SolverPool, Start};
 use crate::ppf::{ppf, PpfOptions};
-use crate::weighted::{auction_mwm_par, AuctionOptions, WeightedResult};
-use mcm_bsp::{DistCtx, EngineComm, MachineConfig};
-use mcm_sparse::{CscView, Triples, WCsc};
+use mcm_bsp::{Communicator, DistCtx, EngineComm, MachineConfig, Timers};
+use mcm_sparse::workspace::FoldGrid;
+use mcm_sparse::{CscView, Triples};
 use std::fmt;
 use std::str::FromStr;
 
@@ -157,7 +160,7 @@ impl SelectorStats {
 }
 
 /// Which machine MS-BFS runs on when the portfolio picks it. PPF is a
-/// shared-memory engine — it takes `threads` directly.
+/// shared-memory engine — it takes [`PortfolioOptions::threads`] directly.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PortfolioBackend {
     /// Cost-model simulator on a `grid × grid` process grid.
@@ -182,6 +185,40 @@ impl Default for PortfolioBackend {
     }
 }
 
+impl PortfolioBackend {
+    /// The backend the command-line spellings name: `sim` is the
+    /// simulator on a `grid × grid` grid, `engine` the mesh of `ranks`
+    /// ranks, and `shared` the simulator on the `√ranks × √ranks` grid.
+    /// Rejects zero `grid` or `threads`, a rank count that is not a
+    /// positive perfect square (`engine`, `shared`) and a simulator grid
+    /// past [`FoldGrid::MAX_RANKS`]; the error names the flag.
+    pub fn from_cli(kind: &str, grid: usize, ranks: usize, threads: usize) -> Result<Self, String> {
+        if threads == 0 {
+            return Err("--threads must be at least 1".into());
+        }
+        if grid == 0 {
+            return Err("--grid must be at least 1".into());
+        }
+        let dim = (ranks as f64).sqrt().round() as usize;
+        if matches!(kind, "engine" | "shared") && (ranks == 0 || dim * dim != ranks) {
+            return Err(format!("--ranks must be a positive perfect square, got {ranks}"));
+        }
+        let grid = match kind {
+            "sim" => grid,
+            "shared" => dim,
+            "engine" => return Ok(PortfolioBackend::Engine { p: ranks, threads }),
+            other => return Err(format!("bad --backend value: {other} (want sim|engine|shared)")),
+        };
+        if grid.saturating_mul(grid) > FoldGrid::MAX_RANKS {
+            let most = FoldGrid::MAX_RANKS;
+            return Err(format!(
+                "the simulator takes at most {most} ranks, got a {grid}x{grid} grid"
+            ));
+        }
+        Ok(PortfolioBackend::Sim { grid, threads })
+    }
+}
+
 /// Options of [`solve`].
 #[derive(Clone, Copy, Debug)]
 pub struct PortfolioOptions {
@@ -189,12 +226,12 @@ pub struct PortfolioOptions {
     pub algo: MatchingAlgo,
     /// Machine for the MS-BFS engine.
     pub backend: PortfolioBackend,
-    /// Worker threads for PPF and the weighted auction.
+    /// Worker threads for PPF.
     pub threads: usize,
-    /// MS-BFS tunables (ignored by PPF and the weighted auction).
+    /// MS-BFS tunables (ignored by PPF).
     pub mcm: McmOptions,
-    /// Deterministic order-perturbation seed for PPF and the weighted
-    /// auction (the simtest schedule analogue); `0` keeps natural order.
+    /// Deterministic order-perturbation seed for PPF (the simtest
+    /// schedule analogue); `0` keeps natural order.
     pub seed: u64,
 }
 
@@ -222,10 +259,18 @@ pub fn resolve_algo(a: &CscView<'_>, algo: MatchingAlgo) -> (MatchingAlgo, Optio
     }
 }
 
-/// Runs the portfolio on `a`: resolves `Auto`, dispatches the engine, and
-/// stamps `McmStats::algo`/`algo_auto` plus the
-/// `mcm_algo_runs_total{algo,selector}` metric.
-pub fn solve(a: &CscView<'_>, opts: &PortfolioOptions) -> McmResult {
+/// The one solve entry point: resolves `Auto`, runs the engine from
+/// `start` (cold, or warm from a valid matching as in the paper's §V),
+/// and stamps `McmStats::algo`/`algo_auto` plus the
+/// `mcm_algo_runs_total{algo,selector}` metric. MS-BFS runs on
+/// `opts.backend` with `pool`'s warm buffers and hands back the
+/// backend's modeled per-kernel [`Timers`]; PPF hands back `None`.
+pub fn solve(
+    a: &CscView<'_>,
+    start: Start,
+    opts: &PortfolioOptions,
+    pool: &mut SolverPool,
+) -> (McmResult, Option<Timers>) {
     let was_auto = opts.algo == MatchingAlgo::Auto;
     let (algo, _) = resolve_algo(a, opts.algo);
     mcm_obs::counter_add(
@@ -233,57 +278,47 @@ pub fn solve(a: &CscView<'_>, opts: &PortfolioOptions) -> McmResult {
         &[("algo", algo.name()), ("selector", if was_auto { "auto" } else { "explicit" })],
         1,
     );
-    let mut result = match algo {
+    let (mut result, timers) = match algo {
         MatchingAlgo::MsBfs => {
-            let (mcm, pool) = (&opts.mcm, &mut SolverPool::new());
+            fn run<C: Communicator>(
+                mut comm: C,
+                a: &CscView<'_>,
+                start: Start,
+                opts: &McmOptions,
+                pool: &mut SolverPool,
+            ) -> (McmResult, Option<Timers>) {
+                let r = maximum_matching(&mut comm, a, start, opts, pool);
+                (r, Some(std::mem::take(&mut comm.ctx_mut().timers)))
+            }
             match opts.backend {
                 PortfolioBackend::Sim { grid, threads } => {
-                    let mut ctx = DistCtx::new(MachineConfig::hybrid(grid, threads));
-                    maximum_matching(&mut ctx, a, Start::Cold, mcm, pool)
+                    let ctx = DistCtx::new(MachineConfig::hybrid(grid, threads));
+                    run(ctx, a, start, &opts.mcm, pool)
                 }
                 PortfolioBackend::Engine { p, threads } => {
-                    maximum_matching(&mut EngineComm::new(p, threads), a, Start::Cold, mcm, pool)
+                    run(EngineComm::new(p, threads), a, start, &opts.mcm, pool)
                 }
             }
         }
         MatchingAlgo::Ppf => {
+            let warm = match start {
+                Start::Cold => None,
+                Start::Warm(m) => Some(m),
+            };
             let ppf_opts = PpfOptions { threads: opts.threads, fairness: true, seed: opts.seed };
-            let r = ppf(a, None, &ppf_opts);
-            McmResult {
-                matching: r.matching,
-                stats: McmStats {
-                    algo: "ppf",
-                    phases: r.stats.phases,
-                    augmentations: r.stats.paths,
-                    ..Default::default()
-                },
-            }
+            let r = ppf(a, warm, &ppf_opts);
+            let stats = McmStats {
+                phases: r.stats.phases,
+                augmentations: r.stats.paths,
+                ..Default::default()
+            };
+            (McmResult { matching: r.matching, stats }, None)
         }
         MatchingAlgo::Auto => unreachable!("resolve_algo returns concrete engines"),
     };
+    result.stats.algo = algo.name();
     result.stats.algo_auto = was_auto;
-    result
-}
-
-/// The weighted front door: maximum *weight* matching through the
-/// portfolio. The weighted domain has one engine today — the parallel
-/// ε-scaled auction ([`crate::weighted::auction_mwm_par`]) — so no
-/// selector runs; `opts.threads` and `opts.seed` carry over exactly as
-/// for PPF. Stamps the shared
-/// `mcm_algo_runs_total{algo="wauction"}` counter and the
-/// `mcm_matching_weight` gauge.
-pub fn solve_weighted(a: &WCsc, opts: &PortfolioOptions) -> WeightedResult {
-    mcm_obs::counter_add(
-        "mcm_algo_runs_total",
-        &[("algo", "wauction"), ("selector", "explicit")],
-        1,
-    );
-    let r = auction_mwm_par(
-        a,
-        &AuctionOptions { threads: opts.threads, seed: opts.seed, ..AuctionOptions::default() },
-    );
-    mcm_obs::gauge_set("mcm_matching_weight", &[], r.weight);
-    r
+    (result, timers)
 }
 
 #[cfg(test)]
@@ -302,6 +337,29 @@ mod tests {
         assert!("frobnicate".parse::<MatchingAlgo>().is_err());
         assert!("MSBFS".parse::<MatchingAlgo>().is_err(), "names are case-sensitive");
         assert!("auction".parse::<MatchingAlgo>().is_err(), "the cardinality auction is gone");
+    }
+
+    #[test]
+    fn backend_from_cli_spellings() {
+        let sim = |grid, threads| PortfolioBackend::Sim { grid, threads };
+        assert_eq!(PortfolioBackend::from_cli("sim", 3, 7, 2), Ok(sim(3, 2)));
+        assert_eq!(PortfolioBackend::from_cli("shared", 3, 16, 2), Ok(sim(4, 2)));
+        assert_eq!(
+            PortfolioBackend::from_cli("engine", 3, 9, 2),
+            Ok(PortfolioBackend::Engine { p: 9, threads: 2 })
+        );
+        for (kind, grid, ranks, threads, msg) in [
+            ("sim", 1, 4, 0, "--threads must be at least 1"),
+            ("sim", 0, 4, 1, "--grid"),
+            ("engine", 1, 3, 1, "--ranks must be a positive perfect square"),
+            ("shared", 1, 0, 1, "--ranks must be a positive perfect square"),
+            ("sim", 257, 4, 1, "at most 65536 ranks"),
+            ("shared", 1, 257 * 257, 1, "at most 65536 ranks"),
+            ("frob", 1, 4, 1, "bad --backend value: frob"),
+        ] {
+            let err = PortfolioBackend::from_cli(kind, grid, ranks, threads).unwrap_err();
+            assert!(err.contains(msg), "{kind} {grid} {ranks} {threads}: {err}");
+        }
     }
 
     #[test]
@@ -376,12 +434,15 @@ mod tests {
             let a = t.to_csc();
             let want = hopcroft_karp(&a, None).cardinality();
             for algo in MatchingAlgo::CONCRETE {
-                let r = solve(&a.view(), &PortfolioOptions { algo, ..PortfolioOptions::default() });
+                let opts = PortfolioOptions { algo, ..PortfolioOptions::default() };
+                let r = solve(&a.view(), Start::Cold, &opts, &mut SolverPool::new()).0;
                 assert_eq!(r.matching.cardinality(), want, "algo {algo}");
                 assert_eq!(r.stats.algo, algo.name());
                 assert!(!r.stats.algo_auto);
             }
-            let auto = solve(&a.view(), &PortfolioOptions::default());
+            let auto =
+                solve(&a.view(), Start::Cold, &PortfolioOptions::default(), &mut SolverPool::new())
+                    .0;
             assert_eq!(auto.matching.cardinality(), want);
             assert!(auto.stats.algo_auto);
             assert_ne!(auto.stats.algo, "auto", "auto must resolve to a concrete engine");

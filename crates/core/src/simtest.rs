@@ -253,7 +253,7 @@ fn run_portfolio_one(
     seed: u64,
 ) -> Result<(), String> {
     let opts = PortfolioOptions { algo, threads, seed, ..PortfolioOptions::default() };
-    let r = solve(&a.view(), &opts);
+    let (r, _) = solve(&a.view(), Start::Cold, &opts, &mut SolverPool::new());
     if r.stats.algo != algo.name() {
         return Err(format!("stats.algo reports '{}', expected '{}'", r.stats.algo, algo.name()));
     }

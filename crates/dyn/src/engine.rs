@@ -18,10 +18,13 @@
 //! 3. **Switch** — mirroring the paper's `k < 2p²` path-vs-level
 //!    parallelism rule: if the dirty set is larger than
 //!    `fallback_threshold · (n1 + n2)`, hand the whole graph to the
-//!    multi-source MS-BFS driver warm-started from the stale matching
-//!    ([`mcm_core::mcm::maximum_matching`] with `Start::Warm`); otherwise run one
-//!    alternating BFS per dirty free vertex (column-rooted over `A`,
-//!    row-rooted over `Aᵀ`), plus one global sweep per interior insert.
+//!    portfolio's one solve entry point warm-started from the stale
+//!    matching ([`mcm_core::portfolio::solve`] with `Start::Warm`: the
+//!    multi-source MS-BFS driver on [`DynOptions::portfolio`]'s backend by
+//!    default, or warm PPF — the same door `mcm match` solves through
+//!    cold); otherwise run one alternating BFS per dirty free vertex
+//!    (column-rooted over `A`, row-rooted over `Aᵀ`), plus one global
+//!    sweep per interior insert.
 //!    A failed search marks the region it explored *dead* for the rest
 //!    of the batch, and later searches from the same side skip it.
 //! 4. **Certify** — a Berge check seeded at the still-free dirty vertices,
@@ -45,12 +48,11 @@
 //! from-scratch Hopcroft–Karp.
 
 use crate::graph::DynGraph;
-use mcm_bsp::{DistCtx, EngineComm, MachineConfig};
-use mcm_core::mcm::{maximum_matching, SolverPool, Start};
-use mcm_core::ppf::{ppf, PpfOptions};
+use mcm_core::mcm::{SolverPool, Start};
+use mcm_core::portfolio::solve;
 use mcm_core::serial::hopcroft_karp;
 use mcm_core::verify::VerifyError;
-use mcm_core::{Matching, MatchingAlgo, McmOptions, SelectorStats};
+use mcm_core::{Matching, MatchingAlgo, McmOptions, PortfolioBackend, PortfolioOptions};
 use mcm_sparse::{Triples, Vidx, NIL};
 
 /// One edge update.
@@ -62,49 +64,25 @@ pub enum Update {
     Delete(Vidx, Vidx),
 }
 
-/// Which communication backend services the warm-started MS-BFS fallback.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FallbackBackend {
-    /// Cost-model simulator accounting `p` ranks (perfect square) ×
-    /// `threads`, executed in one address space. `{ p: 1, threads: 1 }`
-    /// is the serial, cost-free `DistCtx::serial()` — the default.
-    Simulator {
-        /// Rank count the cost model accounts (must be a perfect square).
-        p: usize,
-        /// Modeled threads per rank.
-        threads: usize,
-    },
-    /// Real `EngineComm` mesh: `p` ranks (perfect square) × `threads`
-    /// worker threads per rank, so large recomputes use all cores.
-    Engine {
-        /// Rank count (must be a perfect square).
-        p: usize,
-        /// Worker threads per rank.
-        threads: usize,
-    },
-}
-
 /// Tunables of the incremental engine.
 #[derive(Clone, Copy, Debug)]
 pub struct DynOptions {
     /// Dirty-set fraction of `n1 + n2` above which the engine falls back
-    /// to the warm-started multi-source MS-BFS driver instead of
-    /// per-vertex path repair (the analogue of the paper's `k < 2p²`
-    /// switch between path- and level-parallel augmentation).
+    /// to a warm-started portfolio solve instead of per-vertex path
+    /// repair (the analogue of the paper's `k < 2p²` switch between
+    /// path- and level-parallel augmentation).
     pub fallback_threshold: f64,
     /// Re-verify the full matching (structure + global Berge) after every
     /// batch through `mcm-core::verify` on the materialized graph.
     /// Expensive; meant for harnesses and `mcmd --full-verify`.
     pub full_verify: bool,
-    /// Options handed to the MS-BFS fallback driver.
-    pub fallback_opts: McmOptions,
-    /// Backend that executes the fallback driver.
-    pub backend: FallbackBackend,
-    /// Which engine services the fallback solve. `MsBfs` warm-starts the
-    /// distributed driver on `backend` (the historical default); `Ppf`
+    /// The fallback solve: engine (`MsBfs` warm-starts the distributed
+    /// driver on `portfolio.backend`, the historical default; `Ppf`
     /// warm-starts parallel Pothen–Fan; `Auto` measures the current
-    /// graph's [`SelectorStats`] per fallback and picks.
-    pub algo: MatchingAlgo,
+    /// graph's `SelectorStats` per fallback and picks), backend, PPF
+    /// workers and MS-BFS tunables, as [`mcm_core::portfolio::solve`]
+    /// takes them.
+    pub portfolio: PortfolioOptions,
 }
 
 impl Default for DynOptions {
@@ -112,11 +90,15 @@ impl Default for DynOptions {
         Self {
             fallback_threshold: 0.25,
             full_verify: false,
-            // Warm starts carry their own structure; skip the relabeling
-            // permutation so small repair solves stay allocation-light.
-            fallback_opts: McmOptions { permute_seed: None, ..Default::default() },
-            backend: FallbackBackend::Simulator { p: 1, threads: 1 },
-            algo: MatchingAlgo::MsBfs,
+            portfolio: PortfolioOptions {
+                algo: MatchingAlgo::MsBfs,
+                backend: PortfolioBackend::Sim { grid: 1, threads: 1 },
+                threads: 1,
+                // Warm starts carry their own structure; skip the relabeling
+                // permutation so small repair solves stay allocation-light.
+                mcm: McmOptions { permute_seed: None, ..Default::default() },
+                seed: 0,
+            },
         }
     }
 }
@@ -350,7 +332,7 @@ impl DynMatching {
             cardinality: self.m.cardinality(),
             nnz: self.g.nnz(),
             epoch: self.g.epoch(),
-            algo: self.opts.algo,
+            algo: self.opts.portfolio.algo,
         }
     }
 
@@ -511,58 +493,18 @@ impl DynMatching {
         s.last = *rep;
     }
 
-    /// Large-dirty-set path: hand the stale matching to the multi-source
-    /// MS-BFS driver (§V warm start) on the configured backend — the
-    /// serial simulator by default, or the real thread-per-rank mesh
-    /// engine so big recomputes use all cores.
+    /// Large-dirty-set path: hand the stale matching to the portfolio's
+    /// one solve entry point as a warm start (§V) — MS-BFS on the
+    /// configured backend, or warm PPF — on one copy of the graph.
     fn fallback(&mut self) {
         let _span = mcm_obs::span("warm_start_fallback");
         let stale = std::mem::replace(&mut self.m, Matching::empty(0, 0));
-        // One copy of the graph serves the selector and whichever engine runs.
         let a = self.g.to_csc();
-        let a = a.view();
-        let was_auto = self.opts.algo == MatchingAlgo::Auto;
-        let algo = match self.opts.algo {
-            MatchingAlgo::Auto => SelectorStats::measure_csc(a).choose(),
-            concrete => concrete,
-        };
-        self.stats.last_algo = algo.name();
-        mcm_obs::counter_add(
-            "mcm_algo_runs_total",
-            &[("algo", algo.name()), ("selector", if was_auto { "auto" } else { "explicit" })],
-            1,
-        );
-        self.m = match algo {
-            MatchingAlgo::MsBfs | MatchingAlgo::Auto => {
-                let (pool, opts, warm) =
-                    (&mut self.pool, &self.opts.fallback_opts, Start::Warm(stale));
-                let r = match self.opts.backend {
-                    FallbackBackend::Simulator { p, threads } => {
-                        let mut ctx = match (p, threads) {
-                            (1, 1) => DistCtx::serial(),
-                            _ => DistCtx::new(MachineConfig::square_ranks(p, threads)),
-                        };
-                        maximum_matching(&mut ctx, &a, warm, opts, pool)
-                    }
-                    FallbackBackend::Engine { p, threads } => {
-                        maximum_matching(&mut EngineComm::new(p, threads), &a, warm, opts, pool)
-                    }
-                };
-                self.stats.fallback_spmv_calls += r.stats.spmv_workspace_calls;
-                self.stats.fallback_spmv_hits += r.stats.spmv_workspace_hits;
-                r.matching
-            }
-            MatchingAlgo::Ppf => {
-                // PPF takes a flat worker count; map the backend's
-                // rank×thread shape onto it.
-                let threads = match self.opts.backend {
-                    FallbackBackend::Simulator { threads, .. } => threads,
-                    FallbackBackend::Engine { p, threads } => p * threads,
-                };
-                let opts = PpfOptions { threads, fairness: true, seed: 0 };
-                ppf(a, Some(stale), &opts).matching
-            }
-        };
+        let (r, _) = solve(&a.view(), Start::Warm(stale), &self.opts.portfolio, &mut self.pool);
+        self.stats.last_algo = r.stats.algo;
+        self.stats.fallback_spmv_calls += r.stats.spmv_workspace_calls;
+        self.stats.fallback_spmv_hits += r.stats.spmv_workspace_hits;
+        self.m = r.matching;
     }
 
     fn bump_stamp(&mut self) -> u32 {
@@ -876,11 +818,11 @@ mod tests {
         // must track each other (both are maximum, certified per batch).
         let (n1, n2) = (10usize, 10usize);
         for backend in [
-            FallbackBackend::Simulator { p: 1, threads: 1 },
-            FallbackBackend::Simulator { p: 4, threads: 1 },
-            FallbackBackend::Simulator { p: 1, threads: 2 },
-            FallbackBackend::Engine { p: 4, threads: 1 },
-            FallbackBackend::Engine { p: 1, threads: 2 },
+            PortfolioBackend::Sim { grid: 1, threads: 1 },
+            PortfolioBackend::Sim { grid: 2, threads: 1 },
+            PortfolioBackend::Sim { grid: 1, threads: 2 },
+            PortfolioBackend::Engine { p: 4, threads: 1 },
+            PortfolioBackend::Engine { p: 1, threads: 2 },
         ] {
             let mut rng = SplitMix64::new(0xD15C);
             let mut dm = DynMatching::new(
@@ -889,8 +831,7 @@ mod tests {
                 DynOptions {
                     fallback_threshold: 0.0, // every non-trivial batch falls back
                     full_verify: true,
-                    backend,
-                    ..DynOptions::default()
+                    portfolio: PortfolioOptions { backend, ..DynOptions::default().portfolio },
                 },
             );
             let mut fell_back = false;
@@ -928,8 +869,7 @@ mod tests {
                 DynOptions {
                     fallback_threshold: 0.0,
                     full_verify: true,
-                    algo,
-                    ..DynOptions::default()
+                    portfolio: PortfolioOptions { algo, ..DynOptions::default().portfolio },
                 },
             );
             let mut fell_back = false;

@@ -9,8 +9,9 @@
 //!   edge value, so both engines below share it (`()` and `f64`);
 //! * [`DynMatching`] — an always-maximum matching repaired after each
 //!   update batch by single-source augmenting searches from the dirtied
-//!   vertices, falling back to the warm-started multi-source MS-BFS
-//!   driver (`mcm-core`) when the dirty set is large — the dynamic
+//!   vertices, falling back to a warm-started solve through the
+//!   portfolio's one entry point (`mcm_core::portfolio::solve`, MS-BFS
+//!   by default) when the dirty set is large — the dynamic
 //!   analogue of the paper's `k < 2p²` path-vs-level parallelism switch;
 //! * [`WDynMatching`] — the weighted sibling: an always-(ε-)optimal
 //!   weighted matching whose auction prices persist across batches, so a
@@ -31,8 +32,7 @@ pub mod graph;
 pub mod weighted;
 
 pub use engine::{
-    BatchReport, CertScope, DynMatching, DynOptions, DynStats, FallbackBackend, StateSnapshot,
-    Update,
+    BatchReport, CertScope, DynMatching, DynOptions, DynStats, StateSnapshot, Update,
 };
 pub use graph::DynGraph;
 pub use weighted::{WBatchReport, WDynMatching, WDynOptions, WDynStats, WStateSnapshot, WUpdate};

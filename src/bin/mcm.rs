@@ -29,26 +29,27 @@
 //!                                      ε-scaled auction solves it and its
 //!                                      ε-CS certificate is checked; takes
 //!                                      --threads and --out only
-//! gen families: g500, ssca, er (RMAT presets); road, mesh (2D meshes)
+//! gen families: g500, ssca, er (RMAT presets); road, mesh (2D meshes);
+//! a `.mcsb` --out gets MCSB unless --format says otherwise
 //! ```
 //!
 //! Matrices are Matrix Market files or MCSB stores; values are ignored
 //! except with `match --weighted`. `match`, `dm` and `btf` read one graph
 //! view: MCSB stays on its mmap'ed pages, Matrix Market is compressed once.
 
-use mcm_bsp::{Communicator, DistCtx, EngineComm, MachineConfig};
+use mcm_bsp::Timers;
 use mcm_core::btf::block_triangular_form;
 use mcm_core::dm::{dulmage_mendelsohn, DmBlock};
+use mcm_core::portfolio::solve;
 use mcm_core::serial::{hopcroft_karp, ms_bfs_serial, pothen_fan};
 use mcm_core::verify::verify;
+use mcm_core::weighted::{auction_mwm_par, AuctionOptions};
 use mcm_core::{
-    maximum_matching, Matching, MatchingAlgo, McmOptions, PortfolioBackend, PortfolioOptions,
-    SolverPool, Start,
+    MatchingAlgo, McmResult, McmStats, PortfolioBackend, PortfolioOptions, SolverPool, Start,
 };
 use mcm_sparse::io::{read_matrix_market_file, write_matrix_market_file};
 use mcm_sparse::permute::{permute_triples, Permutation};
 use mcm_sparse::stats::MatrixStats;
-use mcm_sparse::workspace::FoldGrid;
 use mcm_sparse::{Csc, CscView, Triples, Vidx, NIL};
 use mcm_store::{GraphFormat, McsbFile, McsbStreamWriter};
 use std::process::ExitCode;
@@ -113,7 +114,8 @@ usage:
   mcm btf     <file.mtx>
   mcm gen     <g500|ssca|er|road|mesh> --scale <s> --out <file> [--seed n]
               [--format mtx|mcsb]      mcsb streams RMAT edges straight to the
-                                       binary store (bounded memory at any scale)
+                                       binary store (bounded memory at any scale);
+                                       default: mcsb for a .mcsb --out, else mtx
   mcm convert <in.mtx> --out <out.mcsb>  stream a Matrix Market file into MCSB
 
 Graph inputs are sniffed by content: Matrix Market text or the MCSB binary
@@ -220,89 +222,28 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// The distributed driver's choice of backend plus the modeled per-kernel
-/// rows it leaves behind (for `--breakdown`).
-struct DistRun {
-    matching: Matching,
-    /// `(kernel name, modeled seconds, modeled calls)` per kernel.
-    modeled: Vec<(&'static str, f64, u64)>,
-    /// Engine that actually ran (reported in the stats line).
-    algo: &'static str,
-    /// Whether `--algo auto` picked the engine.
-    auto: bool,
-}
-
-fn compute_dist(
-    g: &CscView<'_>,
-    backend: &str,
-    grid: usize,
-    ranks: usize,
-    threads: usize,
-) -> Result<DistRun, String> {
-    fn solve<C: Communicator>(comm: &mut C, g: &CscView<'_>) -> DistRun {
-        let r =
-            maximum_matching(comm, g, Start::Cold, &McmOptions::default(), &mut SolverPool::new());
-        let modeled =
-            comm.ctx().timers.breakdown().into_iter().map(|(k, s, c)| (k.name(), s, c)).collect();
-        DistRun { matching: r.matching, modeled, algo: "msbfs", auto: false }
-    }
-    let (run, total) = match backend {
-        "sim" => {
-            let mut ctx = DistCtx::new(MachineConfig::hybrid(grid, threads));
-            let run = solve(&mut ctx, g);
-            eprint!(
-                "simulated {} cores ({grid}x{grid} grid, {threads} threads/process)",
-                ctx.machine.cores()
-            );
-            (run, ctx.timers.total())
-        }
-        "engine" => {
-            let mut comm = EngineComm::new(ranks, threads);
-            let run = solve(&mut comm, g);
-            eprint!("engine: {ranks} ranks x {threads} threads");
-            (run, comm.ctx().timers.total())
-        }
-        other => return Err(format!("bad --backend value: {other} (want sim|engine|shared)")),
-    };
-    eprintln!("; modeled time {:.3} ms", total * 1e3);
-    Ok(run)
-}
-
+/// Runs `--algo` on `g`: the serial oracles directly, everything else
+/// through the portfolio's one solve entry point (`dist` is explicit
+/// MS-BFS on `backend`, whose modeled timers come back with it).
 fn compute(
     g: &CscView<'_>,
     algo: &str,
-    backend: &str,
-    grid: usize,
-    ranks: usize,
+    backend: PortfolioBackend,
     threads: usize,
-) -> Result<DistRun, String> {
-    if let "ppf" | "auto" = algo {
-        let palgo: MatchingAlgo = algo.parse()?;
-        let pbackend = match backend {
-            "sim" => PortfolioBackend::Sim { grid, threads },
-            "engine" => PortfolioBackend::Engine { p: ranks, threads },
-            other => return Err(format!("bad --backend value: {other} (want sim|engine|shared)")),
-        };
-        let opts =
-            PortfolioOptions { algo: palgo, backend: pbackend, threads, ..Default::default() };
-        let r = mcm_core::portfolio::solve(g, &opts);
-        return Ok(DistRun {
-            matching: r.matching,
-            modeled: Vec::new(),
-            algo: r.stats.algo,
-            auto: r.stats.algo_auto,
-        });
-    }
-    if algo == "dist" {
-        return compute_dist(g, backend, grid, ranks, threads);
-    }
-    let (matching, label) = match algo {
-        "hk" => (hopcroft_karp(g, None), "hk"),
-        "pf" => (pothen_fan(g, None), "pf"),
-        "msbfs" => (ms_bfs_serial(g, None).0, "msbfs-serial"),
+) -> Result<(McmResult, Option<Timers>), String> {
+    let serial = |matching, algo| {
+        (McmResult { matching, stats: McmStats { algo, ..Default::default() } }, None)
+    };
+    let algo = match algo {
+        "dist" => MatchingAlgo::MsBfs,
+        "ppf" | "auto" => algo.parse()?,
+        "hk" => return Ok(serial(hopcroft_karp(g, None), "hk")),
+        "pf" => return Ok(serial(pothen_fan(g, None), "pf")),
+        "msbfs" => return Ok(serial(ms_bfs_serial(g, None).0, "msbfs-serial")),
         other => return Err(format!("unknown algorithm: {other}")),
     };
-    Ok(DistRun { matching, modeled: Vec::new(), algo: label, auto: false })
+    let opts = PortfolioOptions { algo, backend, threads, ..Default::default() };
+    Ok(solve(g, Start::Cold, &opts, &mut SolverPool::new()))
 }
 
 /// `match` flags that choose or instrument a cardinality engine; the
@@ -310,9 +251,9 @@ fn compute(
 const CARDINALITY_ONLY: [&str; 6] =
     ["--algo", "--backend", "--grid", "--ranks", "--breakdown", "--trace-out"];
 
-/// `mcm match --weighted`: maximum *weight* matching through the
-/// portfolio's parallel eps-scaled auction, with the eps-complementary-
-/// slackness certificate checked before anything is printed.
+/// `mcm match --weighted`: maximum *weight* matching by the parallel
+/// eps-scaled auction, with the eps-complementary-slackness certificate
+/// checked before anything is printed.
 fn cmd_match_weighted(args: &[String]) -> Result<(), String> {
     if let Some(flag) = args.iter().find(|a| CARDINALITY_ONLY.contains(&a.as_str())) {
         return Err(format!("{flag} does not apply to --weighted (it takes --threads and --out)"));
@@ -324,8 +265,7 @@ fn cmd_match_weighted(args: &[String]) -> Result<(), String> {
     if threads == 0 {
         return Err("--threads must be at least 1".into());
     }
-    let opts = PortfolioOptions { threads, ..PortfolioOptions::default() };
-    let r = mcm_core::portfolio::solve_weighted(&a, &opts);
+    let r = auction_mwm_par(&a, &AuctionOptions { threads, ..AuctionOptions::default() });
     r.matching
         .validate(a.pattern())
         .map_err(|e| format!("internal error, invalid matching: {e}"))?;
@@ -360,31 +300,14 @@ fn cmd_match(args: &[String]) -> Result<(), String> {
     let graph = load_graph(args)?;
     let g = graph.view();
     let algo = opt(args, "--algo").unwrap_or("dist");
-    let backend = opt(args, "--backend").unwrap_or("sim");
-    let mut grid: usize = opt(args, "--grid").unwrap_or("2").parse().map_err(|_| "bad --grid")?;
+    let kind = opt(args, "--backend").unwrap_or("sim");
+    let grid: usize = opt(args, "--grid").unwrap_or("2").parse().map_err(|_| "bad --grid")?;
     let ranks: usize = opt(args, "--ranks").unwrap_or("4").parse().map_err(|_| "bad --ranks")?;
     let threads: usize =
         opt(args, "--threads").unwrap_or("4").parse().map_err(|_| "bad --threads")?;
-    if grid == 0 || threads == 0 {
-        return Err("--grid and --threads must be at least 1".into());
-    }
     // Every engine can land on the rank-grid backends (`auto` may pick
-    // MS-BFS), so the rank count is checked here, whatever the `--algo`.
-    let dim = (ranks as f64).sqrt().round() as usize;
-    if matches!(backend, "engine" | "shared") && (ranks == 0 || dim * dim != ranks) {
-        return Err(format!("--ranks must be a positive perfect square, got {ranks}"));
-    }
-    // `shared` spells the simulator on the √p × √p grid of `--ranks p`.
-    let backend = if backend == "shared" {
-        grid = dim;
-        "sim"
-    } else {
-        backend
-    };
-    if backend == "sim" && grid.saturating_mul(grid) > FoldGrid::MAX_RANKS {
-        let most = FoldGrid::MAX_RANKS;
-        return Err(format!("the simulator takes at most {most} ranks, got a {grid}x{grid} grid"));
-    }
+    // MS-BFS), so the backend is checked here, whatever the `--algo`.
+    let backend = PortfolioBackend::from_cli(kind, grid, ranks, threads)?;
     let breakdown = args.iter().any(|a| a == "--breakdown");
     let trace_out = opt(args, "--trace-out");
     if (breakdown || trace_out.is_some()) && algo != "dist" {
@@ -394,8 +317,23 @@ fn cmd_match(args: &[String]) -> Result<(), String> {
         mcm_obs::enable_tracing(true);
         drop(mcm_obs::take_trace()); // start the run from an empty sink
     }
-    let DistRun { matching: m, modeled, algo: ran, auto } =
-        compute(&g, algo, backend, grid, ranks, threads)?;
+    let (McmResult { matching: m, stats }, modeled) = compute(&g, algo, backend, threads)?;
+    let modeled = match modeled {
+        Some(timers) if algo == "dist" => {
+            match backend {
+                PortfolioBackend::Sim { grid, threads } => eprint!(
+                    "simulated {} cores ({grid}x{grid} grid, {threads} threads/process)",
+                    grid * grid * threads
+                ),
+                PortfolioBackend::Engine { p, threads } => {
+                    eprint!("engine: {p} ranks x {threads} threads")
+                }
+            }
+            eprintln!("; modeled time {:.3} ms", timers.total() * 1e3);
+            timers.breakdown().into_iter().map(|(k, s, c)| (k.name(), s, c)).collect()
+        }
+        _ => Vec::new(),
+    };
     if breakdown || trace_out.is_some() {
         mcm_obs::enable_tracing(false);
         let trace = mcm_obs::take_trace();
@@ -418,7 +356,7 @@ fn cmd_match(args: &[String]) -> Result<(), String> {
         g.ncols(),
         g.nrows()
     );
-    println!("algo: {ran}{}", if auto { " (selected by auto)" } else { "" });
+    println!("algo: {}{}", stats.algo, if stats.algo_auto { " (selected by auto)" } else { "" });
     if let Some(out) = opt(args, "--out") {
         let mut body = String::new();
         for c in 0..g.ncols() as Vidx {
@@ -520,9 +458,15 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
     let scale: u32 = opt(args, "--scale").unwrap_or("10").parse().map_err(|_| "bad --scale")?;
     let seed: u64 = opt(args, "--seed").unwrap_or("1").parse().map_err(|_| "bad --seed")?;
     let out = opt(args, "--out").ok_or("missing --out")?;
-    let format = opt(args, "--format").unwrap_or("mtx");
+    // Without `--format`, the `--out` extension names the format, so a
+    // `.mcsb` path never receives Matrix Market text.
+    let mcsb_path = std::path::Path::new(out).extension().is_some_and(|e| e == "mcsb");
+    let format = opt(args, "--format").unwrap_or(if mcsb_path { "mcsb" } else { "mtx" });
     if !matches!(format, "mtx" | "mcsb") {
         return Err(format!("bad --format value: {format} (want mtx|mcsb)"));
+    }
+    if format == "mtx" && mcsb_path {
+        return Err(format!("--format mtx would write Matrix Market text into {out}"));
     }
     let rmat_params = match family {
         "g500" => Some(mcm_gen::rmat::RmatParams::g500(scale)),

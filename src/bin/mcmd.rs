@@ -36,12 +36,16 @@
 //! shutdown                stop the daemon after draining admitted updates
 //! ```
 //!
-//! With `--backend engine`, large-dirty-set fallback recomputes run on
-//! the real thread-per-rank `EngineComm` mesh (`--ranks × --threads`
-//! cores) instead of the serial cost-model simulator — warm-started
-//! recomputes actually use all cores. `--backend shared` keeps them on
-//! the simulator, accounted for `--ranks × --threads` instead of one
-//! serial process.
+//! Large-dirty-set fallback recomputes are warm-started solves through
+//! the portfolio's one entry point (`mcm_core::portfolio::solve`), on
+//! the backend `PortfolioBackend::from_cli` builds from `--backend`,
+//! `--ranks` and `--threads` — the same constructor, checks and
+//! spellings as `mcm match`. `sim` (the default) is the simulator on one
+//! rank; `--backend engine` runs MS-BFS on the real thread-per-rank
+//! `EngineComm` mesh (`--ranks × --threads` cores), so warm-started
+//! recomputes actually use all cores, and gives a warm PPF fallback
+//! (`--algo ppf|auto`) `--ranks × --threads` workers. `--backend shared`
+//! keeps them on the simulator, on the `√p × √p` grid of `--ranks p`.
 //!
 //! The `mcm-obs` metrics registry is always live in `mcmd`: per-request
 //! latency histograms (`mcmd_request_seconds{verb}`), per-batch repair
@@ -50,11 +54,10 @@
 //! command. `--trace-out` additionally records spans for the whole
 //! session and writes a `chrome://tracing` JSON file at exit.
 
-use mcm_core::MatchingAlgo;
-use mcm_dyn::{DynMatching, DynOptions, FallbackBackend, WDynMatching, WDynOptions};
+use mcm_core::{MatchingAlgo, PortfolioBackend, PortfolioOptions};
+use mcm_dyn::{DynMatching, DynOptions, WDynMatching, WDynOptions};
 use mcm_serve::{run_session, Engine, Server, ServerConfig};
 use mcm_sparse::io::{read_matrix_market_file, read_matrix_market_weighted_file};
-use mcm_sparse::workspace::FoldGrid;
 use std::io::Write;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -95,12 +98,14 @@ usage:
   --algo a              engine servicing fallback solves: warm-started MS-BFS
                         (msbfs, default), warm-started parallel Pothen-Fan
                         (ppf), or a per-fallback measured pick (auto)
-  --backend b           run fallback recomputes on the serial cost-model
+  --backend b           run fallback recomputes on the one-rank cost-model
                         simulator (sim, default) or the real thread-per-rank
-                        mesh (engine); shared = the simulator accounting
-                        --ranks p x --threads t
+                        mesh (engine); shared = the simulator on the
+                        sqrt(p) x sqrt(p) grid of --ranks p
   --ranks p             engine/shared: rank count, a perfect square (default 4)
-  --threads t           engine/shared: worker threads per rank (default 1)
+  --threads t           threads per rank (default 1); warm PPF fallbacks take
+                        ranks x threads workers on engine, threads otherwise;
+                        with --weighted, the auction's worker threads
   --trace-out file      record spans; write chrome://tracing JSON at exit
   --full-verify         re-verify the full matching after every batch
   --quiet               suppress per-batch report lines (stdin mode)
@@ -173,32 +178,13 @@ fn run(args: &[String]) -> Result<(), String> {
             None => Ok(default),
         }
     };
-    let backend = match opt(args, "--backend") {
-        None | Some("sim") => FallbackBackend::Simulator { p: 1, threads: 1 },
-        Some(kind @ ("engine" | "shared")) => {
-            let p = parse_usize(opt(args, "--ranks"), "--ranks", 4)?;
-            let dim = (p as f64).sqrt().round() as usize;
-            if p == 0 || dim * dim != p {
-                return Err(format!("--ranks must be a positive perfect square, got {p}"));
-            }
-            let threads = parse_usize(opt(args, "--threads"), "--threads", 1)?;
-            if threads == 0 {
-                return Err("--threads must be positive".to_string());
-            }
-            if kind == "shared" && p > FoldGrid::MAX_RANKS {
-                let most = FoldGrid::MAX_RANKS;
-                return Err(format!("the simulator takes at most {most} ranks, got {p}"));
-            }
-            if kind == "engine" {
-                FallbackBackend::Engine { p, threads }
-            } else {
-                FallbackBackend::Simulator { p, threads }
-            }
-        }
-        Some(other) => {
-            return Err(format!("bad --backend value: {other} (want sim|engine|shared)"))
-        }
-    };
+    let threads = parse_usize(opt(args, "--threads"), "--threads", 1)?;
+    let backend = PortfolioBackend::from_cli(
+        opt(args, "--backend").unwrap_or("sim"),
+        1,
+        parse_usize(opt(args, "--ranks"), "--ranks", 4)?,
+        threads,
+    )?;
     let algo: MatchingAlgo = match opt(args, "--algo") {
         Some(s) => s.parse()?,
         None => MatchingAlgo::MsBfs,
@@ -206,9 +192,16 @@ fn run(args: &[String]) -> Result<(), String> {
     let opts = DynOptions {
         fallback_threshold: fallback,
         full_verify: args.iter().any(|a| a == "--full-verify"),
-        backend,
-        algo,
-        ..DynOptions::default()
+        portfolio: PortfolioOptions {
+            algo,
+            backend,
+            // PPF takes a flat worker count: every core the backend runs.
+            threads: match backend {
+                PortfolioBackend::Sim { threads, .. } => threads,
+                PortfolioBackend::Engine { p, threads } => p * threads,
+            },
+            ..DynOptions::default().portfolio
+        },
     };
     let quiet = args.iter().any(|a| a == "--quiet");
 
@@ -237,23 +230,17 @@ fn run(args: &[String]) -> Result<(), String> {
     };
 
     let weighted = args.iter().any(|a| a == "--weighted");
-    let wopts = || -> Result<WDynOptions, String> {
-        Ok(WDynOptions {
-            threads: parse_usize(opt(args, "--threads"), "--threads", 1)?,
-            full_verify: args.iter().any(|a| a == "--full-verify"),
-            ..WDynOptions::default()
-        })
-    };
+    let wopts = WDynOptions { threads, full_verify: opts.full_verify, ..WDynOptions::default() };
     let mut engine = match opt(args, "--load") {
         Some(path) if weighted => {
-            Engine::Weighted(Box::new(WDynMatching::from_wcsc(load_weighted(path)?, wopts()?)))
+            Engine::Weighted(Box::new(WDynMatching::from_wcsc(load_weighted(path)?, wopts)))
         }
         Some(path) => Engine::Card(Box::new(load_card(path, opts)?)),
         None => {
             let n1 = parse_usize(opt(args, "--rows"), "--rows", 1024)?;
             let n2 = parse_usize(opt(args, "--cols"), "--cols", 1024)?;
             if weighted {
-                Engine::Weighted(Box::new(WDynMatching::new(n1, n2, wopts()?)))
+                Engine::Weighted(Box::new(WDynMatching::new(n1, n2, wopts)))
             } else {
                 Engine::Card(Box::new(DynMatching::new(n1, n2, opts)))
             }

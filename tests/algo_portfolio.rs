@@ -2,18 +2,22 @@
 //! stats are deterministic and relabeling-invariant, its pick is exactly
 //! one concrete engine's result, dense graphs go to PPF, the ε-scaled
 //! parallel auction converges on the price-war adversaries at unit
-//! weights, and every engine is Berge-certified through
-//! `verify::is_maximum_from`.
+//! weights, every engine is Berge-certified through
+//! `verify::is_maximum_from`, and warm starts reach maximum through the
+//! same `portfolio::solve` entry point as cold solves.
 
-use mcm_core::portfolio::{resolve_algo, solve, MatchingAlgo, PortfolioOptions, SelectorStats};
-use mcm_core::serial::hopcroft_karp;
+use mcm_core::mcm::{McmResult, SolverPool, Start};
+use mcm_core::portfolio::{
+    self, resolve_algo, MatchingAlgo, PortfolioBackend, PortfolioOptions, SelectorStats,
+};
+use mcm_core::serial::{greedy_serial, hopcroft_karp};
 use mcm_core::verify;
 use mcm_core::weighted::{auction_mwm_par, AuctionOptions};
 use mcm_gen::er::gnm_bipartite;
 use mcm_gen::hard::{chain, star};
 use mcm_gen::simtest_suite;
 use mcm_sparse::permute::{random_relabel, SplitMix64};
-use mcm_sparse::{Triples, Vidx, WCsc};
+use mcm_sparse::{CscView, Triples, Vidx, WCsc};
 
 fn random_bipartite(n1: usize, n2: usize, edges: usize, seed: u64) -> Triples {
     let mut rng = SplitMix64::new(seed);
@@ -28,6 +32,11 @@ fn random_bipartite(n1: usize, n2: usize, edges: usize, seed: u64) -> Triples {
 /// `7000` uniform draws on `256 × 256` leave density ≈ 0.1.
 fn dense_random(seed: u64) -> Triples {
     gnm_bipartite(256, 256, 7000, seed)
+}
+
+/// A cold one-off solve through the portfolio's entry point.
+fn solve_cold(a: &CscView<'_>, opts: &PortfolioOptions) -> McmResult {
+    portfolio::solve(a, Start::Cold, opts, &mut SolverPool::new()).0
 }
 
 /// `t` with every edge weighted 1, so maximum weight = maximum cardinality.
@@ -88,9 +97,11 @@ fn auto_pick_is_exactly_one_concrete_engines_result() {
         let a = t.to_csc();
         let (picked, stats) = resolve_algo(&a.view(), MatchingAlgo::Auto);
         assert!(stats.is_some(), "auto must measure");
-        let auto_r = solve(&a.view(), &PortfolioOptions::default());
-        let conc_r =
-            solve(&a.view(), &PortfolioOptions { algo: picked, ..PortfolioOptions::default() });
+        let auto_r = solve_cold(&a.view(), &PortfolioOptions::default());
+        let conc_r = solve_cold(
+            &a.view(),
+            &PortfolioOptions { algo: picked, ..PortfolioOptions::default() },
+        );
         assert_eq!(auto_r.stats.algo, picked.name(), "case {i}: label mismatch");
         assert!(auto_r.stats.algo_auto, "case {i}: auto flag missing");
         assert!(!conc_r.stats.algo_auto, "case {i}: explicit run flagged auto");
@@ -185,7 +196,8 @@ fn every_engine_is_berge_certified_from_its_unmatched_columns() {
         let a = t.to_csc();
         let want = hopcroft_karp(&a, None).cardinality();
         for algo in MatchingAlgo::CONCRETE {
-            let r = solve(&a.view(), &PortfolioOptions { algo, ..PortfolioOptions::default() });
+            let r =
+                solve_cold(&a.view(), &PortfolioOptions { algo, ..PortfolioOptions::default() });
             assert_eq!(r.matching.cardinality(), want, "{name}/{algo} not maximum");
             assert!(
                 verify::is_maximum_from(&a, &r.matching, &r.matching.unmatched_cols()),
@@ -200,6 +212,36 @@ fn every_engine_is_berge_certified_from_its_unmatched_columns() {
                 !verify::is_maximum_from(&a, &empty, &empty.unmatched_cols()),
                 "{name}: certificate accepted the empty matching"
             );
+        }
+    }
+}
+
+#[test]
+fn warm_starts_through_the_one_entry_point_reach_maximum() {
+    // The §V warm start goes through the same door as a cold solve: from
+    // a greedy maximal matching, MS-BFS on both backends and PPF must land
+    // on the HK cardinality, pass the Berge check and report their engine.
+    // MS-BFS runs also hand back the backend's modeled timers.
+    let runs = [
+        (MatchingAlgo::MsBfs, PortfolioBackend::Sim { grid: 2, threads: 1 }),
+        (MatchingAlgo::MsBfs, PortfolioBackend::Engine { p: 4, threads: 1 }),
+        (MatchingAlgo::Ppf, PortfolioBackend::default()),
+    ];
+    let mut pool = SolverPool::new();
+    for (name, t) in &simtest_suite(0x3A7) {
+        let a = t.to_csc();
+        let want = hopcroft_karp(&a, None).cardinality();
+        for (algo, backend) in runs {
+            let opts =
+                PortfolioOptions { algo, backend, threads: 2, ..PortfolioOptions::default() };
+            let warm = Start::Warm(greedy_serial(&a));
+            let (r, modeled) = portfolio::solve(&a.view(), warm, &opts, &mut pool);
+            let tag = format!("{name}/{algo} on {backend:?}");
+            assert_eq!(r.matching.cardinality(), want, "{tag}: not maximum");
+            verify::verify(&a, &r.matching).unwrap_or_else(|e| panic!("{tag}: {e}"));
+            assert_eq!(r.stats.algo, algo.name(), "{tag}");
+            assert!(!r.stats.algo_auto, "{tag}");
+            assert_eq!(modeled.is_some(), algo == MatchingAlgo::MsBfs, "{tag}: modeled timers");
         }
     }
 }

@@ -164,7 +164,7 @@ fn cross_algorithm_matrix_agrees_with_the_oracle() {
                                     backend,
                                     ..PortfolioOptions::default()
                                 };
-                                solve(&a.view(), &opts)
+                                solve(&a.view(), Start::Cold, &opts, &mut SolverPool::new()).0
                             })
                             .collect();
                         for (r, backend) in results.iter().zip(backends) {
@@ -192,7 +192,7 @@ fn cross_algorithm_matrix_agrees_with_the_oracle() {
                                 seed: suite_seed ^ p as u64,
                                 ..PortfolioOptions::default()
                             };
-                            let r = solve(&a.view(), &opts);
+                            let r = solve(&a.view(), Start::Cold, &opts, &mut SolverPool::new()).0;
                             assert_eq!(r.stats.algo, algo.name(), "{tag}");
                             assert_eq!(
                                 r.matching.cardinality(),

@@ -224,6 +224,31 @@ fn non_finite_weights_fail_cleanly() {
 }
 
 #[test]
+fn gen_takes_the_format_from_a_mcsb_out_path() {
+    // Without `--format`, a `.mcsb` path gets the binary store, which the
+    // strict reader opens; Matrix Market text is refused for such a path,
+    // and so is a family that cannot be streamed.
+    let mcsb = tmp("gen_by_extension.mcsb");
+    let out = mcm()
+        .args(["gen", "g500", "--scale", "6", "--seed", "7", "--out"])
+        .arg(&mcsb)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let f = mcm_store::McsbFile::open(&mcsb).unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(f.view().ncols(), 64);
+    for (args, want) in [
+        (&["gen", "mesh", "--scale", "6", "--out"][..], "streams RMAT families only"),
+        (&["gen", "er", "--scale", "6", "--format", "mtx", "--out"][..], "--format mtx"),
+    ] {
+        let out = mcm().args(args).arg(tmp("gen_refused.mcsb")).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.contains(want), "{args:?}: {err}");
+    }
+}
+
+#[test]
 fn out_of_range_mcsb_row_index_fails_cleanly() {
     // A mapped MCSB file whose rowind holds one index >= nrows made
     // `mcm match` panic (exit 101) in the solver under every algorithm.
@@ -578,6 +603,8 @@ fn mcmd_rejects_bad_backend_flags() {
         &["--backend", "engine", "--threads", "0"][..],
         &["--backend", "shared", "--ranks", "3"][..],
         &["--backend", "shared", "--threads", "0"][..],
+        &["--threads", "0"][..],
+        &["--weighted", "--threads", "0"][..],
     ] {
         let out = mcmd().args(args).output().unwrap();
         assert!(!out.status.success(), "{args:?} should fail");

@@ -1,17 +1,15 @@
 //! # mcm-bench — harness utilities for regenerating the paper's evaluation
 //!
-//! Each table/figure of Azad & Buluç (IPDPS 2016) has a binary in
-//! `src/bin/` (see DESIGN.md §4 for the index); Criterion micro-benches for
-//! the kernels and ablations live in `benches/`. This library holds the
-//! shared plumbing: running MCM-DIST on a simulated machine and collecting
-//! modeled times, aligned-table/CSV emission, and synthetic augmenting-path
-//! builders for the augmentation ablation.
+//! Shared plumbing for the `figures` binary (Table II and Figs. 3–9 of Azad
+//! & Buluç, IPDPS 2016, checked against `crates/bench/goldens/`; DESIGN.md
+//! §4) and the Criterion benches in `benches/`: simulated MCM-DIST runs with
+//! modeled times, the [`Report`] and its golden check, and synthetic
+//! augmenting paths for the augmentation ablation.
 
 use mcm_bsp::{DistCtx, Kernel, MachineConfig, Timers};
 use mcm_core::{maximum_matching, Matching, McmOptions, McmStats, SolverPool, Start};
 use mcm_sparse::{DenseVec, Triples, Vidx};
-use std::io::Write;
-use std::path::PathBuf;
+use std::path::Path;
 
 /// Outcome of one simulated MCM-DIST run.
 #[derive(Clone, Debug)]
@@ -28,14 +26,9 @@ pub struct RunOutcome {
 }
 
 /// Runs MCM-DIST on `t` over the machine `cfg` and returns modeled times.
-pub fn run_mcm(cfg: MachineConfig, t: &Triples, opts: &McmOptions) -> RunOutcome {
-    run_mcm_scaled(cfg, t, opts, 1.0)
-}
-
-/// Like [`run_mcm`] with an explicit paper-scale work multiplier: the
-/// stand-in is charged as if each edge/vertex represented `work_scale`
-/// paper-scale ones (see `DistCtx::work_scale`). Figure harnesses pass
-/// `paper_nnz / standin_nnz`.
+/// The stand-in is charged as if each edge/vertex represented `work_scale`
+/// paper-scale ones (see `DistCtx::work_scale`; 1.0 charges it at face
+/// value). Figure harnesses pass `paper_nnz / standin_nnz`.
 pub fn run_mcm_scaled(
     cfg: MachineConfig,
     t: &Triples,
@@ -58,21 +51,26 @@ pub fn standin_scale(s: &mcm_gen::StandIn, t: &Triples) -> f64 {
     (s.paper_nnz as f64 / t.len().max(1) as f64).max(1.0)
 }
 
-/// A simple aligned-text + CSV table emitter. Every figure binary prints the
-/// series it regenerates and drops a CSV under `target/figures/`.
+/// One regenerated table or figure: a title, an aligned table that is also
+/// written as CSV, and notes printed under it (summary numbers and the
+/// paper's shape to check). The table and the notes are pinned by goldens.
 pub struct Report {
     name: String,
+    title: String,
     header: Vec<String>,
     rows: Vec<Vec<String>>,
+    notes: Vec<String>,
 }
 
 impl Report {
-    /// Starts a report with the given figure name and column header.
-    pub fn new(name: &str, header: &[&str]) -> Self {
+    /// Starts a report with the given figure name, title and column header.
+    pub fn new(name: &str, title: impl Into<String>, header: &[&str]) -> Self {
         Self {
             name: name.to_string(),
+            title: title.into(),
             header: header.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
+            notes: Vec::new(),
         }
     }
 
@@ -82,8 +80,14 @@ impl Report {
         self.rows.push(cells);
     }
 
-    /// Prints the aligned table to stdout.
-    pub fn print(&self) {
+    /// Appends one line to print under the table.
+    pub fn note(&mut self, line: impl Into<String>) {
+        self.notes.push(line.into());
+    }
+
+    /// Prints the title and the aligned table to stdout.
+    fn print(&self) {
+        println!("{}\n", self.title);
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
         for row in &self.rows {
             for (w, c) in widths.iter_mut().zip(row) {
@@ -105,28 +109,70 @@ impl Report {
         }
     }
 
-    /// Writes `target/figures/<name>.csv`; returns the path.
-    pub fn write_csv(&self) -> std::io::Result<PathBuf> {
-        let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/figures");
-        std::fs::create_dir_all(&dir)?;
-        let path = dir.join(format!("{}.csv", self.name));
-        let mut f = std::io::BufWriter::new(std::fs::File::create(&path)?);
-        writeln!(f, "{}", self.header.join(","))?;
-        for row in &self.rows {
-            writeln!(f, "{}", row.join(","))?;
-        }
-        f.flush()?;
-        Ok(path)
-    }
-
-    /// Prints the table and persists the CSV, reporting where it went.
-    pub fn finish(&self) {
+    /// Prints the report, writes `<out>/<name>.csv` and `<name>.txt` (the
+    /// notes), and compares both with the goldens of the same names in
+    /// `goldens`. A difference is described by the
+    /// figure, the row (the header is row 0) and the column, or the notes
+    /// line.
+    pub fn finish(&self, out: &Path, goldens: &Path) -> Result<(), String> {
         self.print();
-        match self.write_csv() {
-            Ok(p) => println!("\n[csv] {}", p.display()),
+        let csv: String = std::iter::once(&self.header)
+            .chain(&self.rows)
+            .map(|cells| cells.join(",") + "\n")
+            .collect();
+        let notes: String = self.notes.iter().map(|l| format!("{l}\n")).collect();
+        let file = |dir: &Path, ext: &str| dir.join(format!("{}.{ext}", self.name));
+        let written = std::fs::create_dir_all(out)
+            .and_then(|()| std::fs::write(file(out, "csv"), &csv))
+            .and_then(|()| std::fs::write(file(out, "txt"), &notes));
+        match written {
+            Ok(()) => println!("\n[csv] {}", file(out, "csv").display()),
             Err(e) => eprintln!("\n[csv] write failed: {e}"),
         }
+        if !notes.is_empty() {
+            print!("\n{notes}");
+        }
+
+        let golden = |ext: &str| {
+            std::fs::read_to_string(file(goldens, ext))
+                .map_err(|e| format!("{}: {e}", file(goldens, ext).display()))
+        };
+        let want_csv = golden("csv")?;
+        if let Some((r, want, got)) = first_diff(&want_csv, &csv) {
+            let want: Vec<&str> = want.map_or(Vec::new(), |l| l.split(',').collect());
+            let got: Vec<&str> = got.map_or(Vec::new(), |l| l.split(',').collect());
+            let c =
+                (0..want.len().max(got.len())).find(|&c| want.get(c) != got.get(c)).unwrap_or(0);
+            let column = want_csv.lines().next().and_then(|h| h.split(',').nth(c)).unwrap_or("?");
+            let (w, g) = (want.get(c).unwrap_or(&"(none)"), got.get(c).unwrap_or(&"(none)"));
+            return Err(format!(
+                "{} row {r} column `{column}`: golden `{w}`, got `{g}`",
+                self.name
+            ));
+        }
+        if let Some((k, want, got)) = first_diff(&golden("txt")?, &notes) {
+            return Err(format!(
+                "{} note line {}: golden `{}`, got `{}`",
+                self.name,
+                k + 1,
+                want.unwrap_or("(none)"),
+                got.unwrap_or("(none)")
+            ));
+        }
+        Ok(())
     }
+}
+
+/// The first line where `want` and `got` differ: its index and both lines.
+fn first_diff<'a>(
+    want: &'a str,
+    got: &'a str,
+) -> Option<(usize, Option<&'a str>, Option<&'a str>)> {
+    let (mut w, mut g) = (want.lines(), got.lines());
+    (0..)
+        .map(|k| (k, w.next(), g.next()))
+        .take_while(|(_, a, b)| a.is_some() || b.is_some())
+        .find(|(_, a, b)| a != b)
 }
 
 /// Builds `k` vertex-disjoint synthetic augmenting paths, each with
@@ -159,19 +205,9 @@ pub fn synthetic_paths(k: usize, half_len: usize) -> (DenseVec, DenseVec, Matchi
     (path_c, parent_r, m)
 }
 
-/// The paper's strong-scaling machine sweep capped at `max_cores`.
-pub fn sweep(max_cores: usize) -> Vec<MachineConfig> {
-    MachineConfig::paper_sweep(max_cores)
-}
-
 /// Percentage share of `kernel` in the total modeled time.
 pub fn share(timers: &Timers, kernel: Kernel) -> f64 {
-    let total = timers.total();
-    if total <= 0.0 {
-        0.0
-    } else {
-        100.0 * timers.seconds(kernel) / total
-    }
+    percent(timers.seconds(kernel), timers.total())
 }
 
 /// Modeled MCM-phase seconds of a run: total minus initialization. The
@@ -183,11 +219,14 @@ pub fn mcm_time(out: &RunOutcome) -> f64 {
 
 /// Percentage share of `kernel` within the MCM phase (init excluded).
 pub fn share_mcm(timers: &Timers, kernel: Kernel) -> f64 {
-    let total = timers.total() - timers.seconds(Kernel::Init);
+    percent(timers.seconds(kernel), timers.total() - timers.seconds(Kernel::Init))
+}
+
+fn percent(part: f64, total: f64) -> f64 {
     if total <= 0.0 {
         0.0
     } else {
-        100.0 * timers.seconds(kernel) / total
+        100.0 * part / total
     }
 }
 
@@ -216,7 +255,7 @@ mod tests {
     #[test]
     fn run_mcm_produces_verified_maximum() {
         let t = mcm_gen::mesh::triangulated_grid(12, 12, 3);
-        let out = run_mcm(MachineConfig::hybrid(2, 2), &t, &McmOptions::default());
+        let out = run_mcm_scaled(MachineConfig::hybrid(2, 2), &t, &McmOptions::default(), 1.0);
         let a = t.to_csc();
         let serial = mcm_core::serial::hopcroft_karp(&a, None);
         assert_eq!(out.cardinality, serial.cardinality());
@@ -226,10 +265,33 @@ mod tests {
 
     #[test]
     fn report_roundtrip() {
-        let mut r = Report::new("test_report", &["a", "b"]);
-        r.row(vec!["1".into(), "2".into()]);
-        let path = r.write_csv().unwrap();
-        let body = std::fs::read_to_string(path).unwrap();
-        assert_eq!(body, "a,b\n1,2\n");
+        let dir = std::env::temp_dir().join(format!("mcm-bench-report-{}", std::process::id()));
+        let (goldens, out) = (dir.join("goldens"), dir.join("out"));
+        let report = |cells: [&str; 2], rows: usize, note: &str| {
+            let mut r = Report::new("test_report", "Test", &["a", "b"]);
+            (0..rows).for_each(|_| r.row(cells.iter().map(|c| c.to_string()).collect()));
+            r.note(note);
+            r
+        };
+        // Written files double as goldens, and match themselves.
+        assert_eq!(report(["1", "2"], 1, "sum 3").finish(&goldens, &goldens), Ok(()));
+        assert_eq!(std::fs::read_to_string(goldens.join("test_report.csv")).unwrap(), "a,b\n1,2\n");
+        assert_eq!(std::fs::read_to_string(goldens.join("test_report.txt")).unwrap(), "sum 3\n");
+
+        // Each difference names the figure and where it is.
+        for (r, want) in [
+            (report(["1", "3"], 1, "sum 3"), "test_report row 1 column `b`: golden `2`, got `3`"),
+            (
+                report(["1", "2"], 2, "sum 3"),
+                "test_report row 2 column `a`: golden `(none)`, got `1`",
+            ),
+            (
+                report(["1", "2"], 1, "sum 4"),
+                "test_report note line 1: golden `sum 3`, got `sum 4`",
+            ),
+        ] {
+            assert_eq!(r.finish(&out, &goldens), Err(want.to_string()));
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -181,12 +181,12 @@ fn interleave_tasks<W: RmaWin, T: RmaTask>(
 
 /// The backend-agnostic communication surface MCM-DIST is written against.
 ///
-/// Data layout convention: `sends[src][dst]` on input, `recvd[dst][src]`
-/// on output — every method presents the *global* exchange, with each
-/// backend deciding how to execute it (local transpose + cost charge on
-/// the simulator, a real channel-mesh collective per rank on the engine).
-/// `words_per_elem` converts element counts to the 8-byte words the cost
-/// model charges (2 for `(index, value)` pairs, 1 for bare indices).
+/// Every method presents the *global* exchange, one entry per rank, with
+/// each backend deciding how to execute it (a local routing pass and a
+/// cost charge on the simulator, a real channel-mesh collective per rank
+/// on the engine). `words_per_elem` converts element counts to the 8-byte
+/// words the cost model charges (2 for `(index, value)` pairs, 1 for bare
+/// indices).
 pub trait Communicator {
     /// The accounting context (grid, cost model, timers, schedule).
     fn ctx(&self) -> &DistCtx;
@@ -210,14 +210,16 @@ pub trait Communicator {
     /// must use this grid so blocks match the execution layout.
     fn exec_grid(&self) -> (usize, usize);
 
-    /// Personalized all-to-all: routes `sends[src][dst]` to
-    /// `recvd[dst][src]`, charging the bottleneck rank's volume.
+    /// Personalized all-to-all: `sends[src]` lists rank `src`'s outgoing
+    /// `(dst, item)` pairs; the result holds one list per destination, its
+    /// items in source-ascending, then send, order. Charges
+    /// `words_per_elem · max(sent, received)` of the bottleneck rank.
     fn alltoallv<T: Send + Clone>(
         &mut self,
         kernel: Kernel,
         words_per_elem: u64,
-        sends: Vec<Vec<Vec<T>>>,
-    ) -> Vec<Vec<Vec<T>>>;
+        sends: Vec<Vec<(usize, T)>>,
+    ) -> Vec<Vec<T>>;
 
     /// Allgather: every rank contributes `contribs[rank]`; every rank ends
     /// with all contributions in rank order (returned once — the backends
@@ -268,6 +270,31 @@ pub trait Communicator {
     ) -> u64;
 }
 
+/// The accounting both backends share for [`Communicator::alltoallv`]:
+/// counts each rank's sent and received items, charges one alltoallv over
+/// all `p` ranks at the bottleneck rank's volume, and returns the
+/// per-destination receive counts.
+fn charge_routed<T>(
+    ctx: &mut DistCtx,
+    kernel: Kernel,
+    words_per_elem: u64,
+    sends: &[Vec<(usize, T)>],
+) -> Vec<u64> {
+    let p = ctx.p();
+    assert_eq!(sends.len(), p, "one send list per rank");
+    let mut recv_tot = vec![0u64; p];
+    let mut send_max = 0u64;
+    for list in sends {
+        send_max = send_max.max(list.len() as u64);
+        for &(dst, _) in list {
+            recv_tot[dst] += 1;
+        }
+    }
+    let bottleneck = send_max.max(max_count(&recv_tot));
+    ctx.charge_alltoallv(kernel, p, words_per_elem * bottleneck);
+    recv_tot
+}
+
 // ---------------------------------------------------------------------------
 // Simulator backend
 // ---------------------------------------------------------------------------
@@ -289,28 +316,15 @@ impl Communicator for DistCtx {
         &mut self,
         kernel: Kernel,
         words_per_elem: u64,
-        sends: Vec<Vec<Vec<T>>>,
-    ) -> Vec<Vec<Vec<T>>> {
+        sends: Vec<Vec<(usize, T)>>,
+    ) -> Vec<Vec<T>> {
         let _span = mcm_obs::kernel_span("alltoallv", kernel.name());
-        let p = self.p();
-        assert_eq!(sends.len(), p, "one send row per rank");
-        let mut send_tot = vec![0u64; p];
-        let mut recv_tot = vec![0u64; p];
-        for (src, row) in sends.iter().enumerate() {
-            assert_eq!(row.len(), p, "one send slot per destination");
-            for (dst, msg) in row.iter().enumerate() {
-                send_tot[src] += msg.len() as u64;
-                recv_tot[dst] += msg.len() as u64;
-            }
-        }
-        let bottleneck = max_count(&send_tot).max(max_count(&recv_tot));
-        self.charge_alltoallv(kernel, p, words_per_elem * bottleneck);
-        // Local transpose: [src][dst] → [dst][src].
-        let mut recvd: Vec<Vec<Vec<T>>> = (0..p).map(|_| Vec::with_capacity(p)).collect();
-        for row in sends {
-            for (dst, msg) in row.into_iter().enumerate() {
-                recvd[dst].push(msg);
-            }
+        let recv_tot = charge_routed(self, kernel, words_per_elem, &sends);
+        // One pass over the pairs, sources ascending: O(p + nnz).
+        let mut recvd: Vec<Vec<T>> =
+            recv_tot.iter().map(|&n| Vec::with_capacity(n as usize)).collect();
+        for (dst, item) in sends.into_iter().flatten() {
+            recvd[dst].push(item);
         }
         recvd
     }
@@ -477,30 +491,22 @@ impl Communicator for EngineComm {
         &mut self,
         kernel: Kernel,
         words_per_elem: u64,
-        sends: Vec<Vec<Vec<T>>>,
-    ) -> Vec<Vec<Vec<T>>> {
+        sends: Vec<Vec<(usize, T)>>,
+    ) -> Vec<Vec<T>> {
         let _span = mcm_obs::kernel_span("alltoallv", kernel.name());
+        charge_routed(&mut self.ctx, kernel, words_per_elem, &sends);
         let p = self.ctx.p();
-        assert_eq!(sends.len(), p, "one send row per rank");
-        let mut send_tot = vec![0u64; p];
-        let mut recv_tot = vec![0u64; p];
-        for (src, row) in sends.iter().enumerate() {
-            assert_eq!(row.len(), p, "one send slot per destination");
-            for (dst, msg) in row.iter().enumerate() {
-                send_tot[src] += msg.len() as u64;
-                recv_tot[dst] += msg.len() as u64;
-            }
-        }
-        let bottleneck = max_count(&send_tot).max(max_count(&recv_tot));
-        self.ctx.charge_alltoallv(kernel, p, words_per_elem * bottleneck);
-
-        let slots: Vec<Mutex<Option<Vec<Vec<T>>>>> =
-            sends.into_iter().map(|row| Mutex::new(Some(row))).collect();
+        let slots: Vec<_> = sends.into_iter().map(|list| Mutex::new(Some(list))).collect();
         let group: Vec<usize> = (0..p).collect();
         self.session::<T, _, _>(|mut comm| {
             let mine =
                 slots[comm.rank()].lock().unwrap().take().expect("rank input consumed twice");
-            comm.alltoallv(&group, mine)
+            // Bucket this rank's pairs into one mesh message per destination.
+            let mut msgs: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
+            for (dst, item) in mine {
+                msgs[dst].push(item);
+            }
+            comm.alltoallv(&group, msgs).into_iter().flatten().collect()
         })
     }
 
@@ -668,9 +674,23 @@ mod tests {
         DistCtx::new(MachineConfig::hybrid(dim, 1))
     }
 
-    /// `sends[src][dst] = [src*10 + dst]`, the canonical routing probe.
-    fn probe_sends(p: usize) -> Vec<Vec<Vec<u32>>> {
-        (0..p).map(|src| (0..p).map(|dst| vec![(src * 10 + dst) as u32]).collect()).collect()
+    /// Rank `src` sends `src*10 + dst` to every `dst`, the canonical
+    /// routing probe.
+    fn probe_sends(p: usize) -> Vec<Vec<(usize, u32)>> {
+        (0..p).map(|src| (0..p).map(|dst| (dst, (src * 10 + dst) as u32)).collect()).collect()
+    }
+
+    /// Every rank sends five items to the last rank, in descending value
+    /// order, interleaved with one item to rank 0.
+    fn crowd_sends(p: usize) -> Vec<Vec<(usize, u32)>> {
+        (0..p as u32)
+            .map(|src| {
+                let mut list: Vec<(usize, u32)> =
+                    (0..5).rev().map(|k| (p - 1, 100 * src + k)).collect();
+                list.insert(2, (0, 10_000 + src));
+                list
+            })
+            .collect()
     }
 
     #[test]
@@ -680,11 +700,27 @@ mod tests {
             let a = sim(dim).alltoallv(Kernel::Invert, 2, probe_sends(p));
             let b = EngineComm::new(p, 1).alltoallv(Kernel::Invert, 2, probe_sends(p));
             assert_eq!(a, b, "p = {p}");
-            for (dst, row) in a.iter().enumerate() {
-                for (src, msg) in row.iter().enumerate() {
-                    assert_eq!(msg, &vec![(src * 10 + dst) as u32], "p = {p}");
+            for (dst, got) in a.iter().enumerate() {
+                let want: Vec<u32> = (0..p).map(|src| (src * 10 + dst) as u32).collect();
+                assert_eq!(got, &want, "p = {p}");
+            }
+
+            // A shared destination receives sources ascending, each
+            // source's items in send order (not value order).
+            let sends = crowd_sends(p);
+            let mut want: Vec<Vec<u32>> = vec![Vec::new(); p];
+            for list in &sends {
+                for &(dst, v) in list {
+                    want[dst].push(v);
                 }
             }
+            if p > 1 {
+                assert_eq!(want[p - 1][..6], [4, 3, 2, 1, 0, 104][..]);
+            }
+            let a = sim(dim).alltoallv(Kernel::Invert, 2, sends.clone());
+            let b = EngineComm::new(p, 1).alltoallv(Kernel::Invert, 2, sends);
+            assert_eq!(a, want, "simulator, p = {p}");
+            assert_eq!(b, want, "engine, p = {p}");
         }
     }
 
@@ -730,9 +766,8 @@ mod tests {
         let mut routed = sim(2);
         // Rank 0 sends 4 elements to rank 1; everyone else is idle:
         // bottleneck = 4 elements, 2 words each.
-        let mut sends: Vec<Vec<Vec<u32>>> =
-            (0..4).map(|_| (0..4).map(|_| Vec::new()).collect()).collect();
-        sends[0][1] = vec![1, 2, 3, 4];
+        let mut sends: Vec<Vec<(usize, u32)>> = vec![Vec::new(); 4];
+        sends[0] = vec![(1, 1), (1, 2), (1, 3), (1, 4)];
         let _ = routed.alltoallv(Kernel::Invert, 2, sends);
         assert_eq!(direct.timers.seconds(Kernel::Invert), routed.timers.seconds(Kernel::Invert));
         assert_eq!(direct.timers.calls(Kernel::Invert), routed.timers.calls(Kernel::Invert));

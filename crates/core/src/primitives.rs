@@ -83,10 +83,10 @@ pub fn set_sparse<C: Communicator>(
 ///
 /// Communication: every pair is routed to the rank owning its *new* index —
 /// a personalized all-to-all over all `p` ranks (§IV-B). The pairs really
-/// travel through [`Communicator::alltoallv`]; draining the received
-/// messages destination-major and source-ascending reproduces the original
-/// index order per key, so the keep-first dedup is bit-identical on both
-/// backends.
+/// travel through [`Communicator::alltoallv`], which hands each
+/// destination its pairs source-ascending; draining the destinations in
+/// order reproduces the original index order per key, so the keep-first
+/// dedup is bit-identical on both backends.
 pub fn invert_by<C: Communicator, T, U: Send + Clone>(
     comm: &mut C,
     kernel: Kernel,
@@ -98,32 +98,23 @@ pub fn invert_by<C: Communicator, T, U: Send + Clone>(
     let _span = mcm_obs::kernel_span("invert", kernel.name());
     let p = comm.p();
     let n = x.len();
-    let mut sends: Vec<Vec<Vec<(Vidx, U)>>> =
-        (0..p).map(|_| (0..p).map(|_| Vec::new()).collect()).collect();
+    let mut sends: Vec<Vec<(usize, (Vidx, U))>> = (0..p).map(|_| Vec::new()).collect();
     for (i, v) in x.iter() {
         let src = balanced_owner(n.max(1), p, i as usize);
         let k = key(v);
         let dst = balanced_owner(result_len.max(1), p, k as usize);
-        sends[src][dst].push((k, value(i, v)));
+        sends[src].push((dst, (k, value(i, v))));
     }
-    let send_max =
-        sends.iter().map(|row| row.iter().map(|m| m.len() as u64).sum::<u64>()).max().unwrap_or(0);
+    let send_max = sends.iter().map(|list| list.len() as u64).max().unwrap_or(0);
     let recvd = comm.alltoallv(kernel, 2, sends);
-    let recv_max =
-        recvd.iter().map(|row| row.iter().map(|m| m.len() as u64).sum::<u64>()).max().unwrap_or(0);
+    let recv_max = recvd.iter().map(|list| list.len() as u64).max().unwrap_or(0);
     // Local packing/unpacking on the bottleneck rank (streaming sweeps).
     comm.ctx_mut().charge_compute_stream(kernel, send_max + recv_max);
 
     // Drain destination-major, source-ascending: sources own contiguous
     // ascending index ranges, so each key's candidates appear in original
     // index order and the stable keep-first dedup matches the serial INVERT.
-    let mut pairs: Vec<(Vidx, U)> = Vec::new();
-    for row in recvd {
-        for msg in row {
-            pairs.extend(msg);
-        }
-    }
-    SpVec::from_pairs(result_len, pairs)
+    SpVec::from_pairs(result_len, recvd.into_iter().flatten().collect())
 }
 
 /// `INVERT` for plain index-valued vectors: `z[x[i]] = i`.
@@ -252,18 +243,34 @@ mod tests {
     fn invert_charges_match_the_direct_route_formula() {
         // The trait-routed INVERT must charge exactly what the hard-wired
         // charge_invert_route always charged: an alltoallv at the
-        // bottleneck pair volume plus a streaming pack/unpack sweep.
-        let x = SpVec::from_pairs(8, vec![(0, 0u32), (2, 0), (4, 0), (6, 0)]);
-        let mut direct = ctx();
-        direct.charge_invert_route(Kernel::Invert, &x, 8, |&v| v);
-        let mut routed = ctx();
-        let _ = invert(&mut routed, Kernel::Invert, &x, 8);
-        assert_eq!(
-            direct.timers.seconds(Kernel::Invert),
-            routed.timers.seconds(Kernel::Invert),
-            "routed INVERT drifted from the modeled charge"
-        );
-        assert_eq!(direct.timers.calls(Kernel::Invert), routed.timers.calls(Kernel::Invert));
+        // bottleneck pair volume plus a streaming pack/unpack sweep. The
+        // second case runs on a 64×64 grid (p = 4096).
+        // A quarter of its entries share key 5, so one rank receives most.
+        let wide: Vec<(Vidx, u32)> = (0..20_000)
+            .step_by(3)
+            .map(|i| (i, if i % 4 == 0 { 5 } else { (i * 7) % 9_000 }))
+            .collect();
+        let cases = [
+            (ctx(), SpVec::from_pairs(8, vec![(0, 0u32), (2, 0), (4, 0), (6, 0)]), 8),
+            (
+                DistCtx::new(mcm_bsp::MachineConfig::hybrid(64, 12)),
+                SpVec::from_pairs(20_000, wide),
+                9_000,
+            ),
+        ];
+        for (base, x, len) in cases {
+            let mut direct = base.clone();
+            direct.charge_invert_route(Kernel::Invert, &x, len, |&v| v);
+            let mut routed = base;
+            let _ = invert(&mut routed, Kernel::Invert, &x, len);
+            assert_eq!(
+                direct.timers.seconds(Kernel::Invert),
+                routed.timers.seconds(Kernel::Invert),
+                "routed INVERT drifted from the modeled charge at p = {}",
+                routed.p()
+            );
+            assert_eq!(direct.timers.calls(Kernel::Invert), routed.timers.calls(Kernel::Invert));
+        }
     }
 
     #[test]

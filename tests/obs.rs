@@ -158,6 +158,45 @@ golden_latency_seconds_count{op=\"batch\"} 3
     assert_eq!(text, expect, "exposition drifted:\n{text}");
 }
 
+/// `mcm_init_rounds_total{exec}` says how each dynamic-mindegree round
+/// ran: a cold solve on the simulator's single block pulls round 1 from the
+/// structure and pushes the later rounds; the engine's 2×2 mesh pushes
+/// every round.
+#[test]
+fn init_rounds_record_how_they_ran() {
+    let _g = GUARD.lock().unwrap();
+    let t = rmat(RmatParams::g500(12), 7);
+    let a = t.to_csc();
+    let opts = McmOptions::default();
+    let rounds = |solve: &dyn Fn() -> usize| {
+        mcm_obs::enable_metrics(true);
+        let reg = mcm_obs::registry();
+        reg.clear();
+        assert!(solve() > 0);
+        let read = |exec| reg.counter("mcm_init_rounds_total", &[("exec", exec)]).get();
+        let counts = (read("structure"), read("product"));
+        reg.clear();
+        mcm_obs::enable_metrics(false);
+        counts
+    };
+    let (sim_structure, sim_product) = rounds(&|| {
+        let mut ctx = mcm_bsp::DistCtx::new(mcm_bsp::MachineConfig::hybrid(2, 1));
+        maximum_matching(&mut ctx, &a.view(), Start::Cold, &opts, &mut SolverPool::new())
+            .matching
+            .cardinality()
+    });
+    let (eng_structure, eng_product) = rounds(&|| {
+        let mut eng = mcm_bsp::EngineComm::new(4, 1);
+        maximum_matching(&mut eng, &a.view(), Start::Cold, &opts, &mut SolverPool::new())
+            .matching
+            .cardinality()
+    });
+    assert_eq!(sim_structure, 1, "the simulator pulls round 1 from the structure");
+    assert!(sim_product > 0, "later rounds push their proposals");
+    assert_eq!(eng_structure, 0, "the mesh engine runs every round as a product");
+    assert_eq!(eng_product, sim_structure + sim_product, "both backends run the same rounds");
+}
+
 /// The <2% disabled-recorder gate (CI runs this under `--release`).
 ///
 /// The instrumented baseline *is* the shipped code, so compiled-in-but-off

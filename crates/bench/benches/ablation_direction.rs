@@ -11,7 +11,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mcm_bsp::{DistCtx, Kernel, MachineConfig};
 use mcm_core::maximal::Initializer;
-use mcm_core::{maximum_matching, McmOptions, SolverPool, Start};
+use mcm_core::{maximum_matching, McmOptions, Start};
 use mcm_gen::rmat::{rmat, RmatParams};
 use std::hint::black_box;
 
@@ -22,8 +22,7 @@ fn bench_direction(c: &mut Criterion) {
         for diropt in [false, true] {
             let mut ctx = DistCtx::new(MachineConfig::hybrid(4, 12));
             let opts = McmOptions { init, direction_optimizing: diropt, ..Default::default() };
-            let r =
-                maximum_matching(&mut ctx, &a.view(), Start::Cold, &opts, &mut SolverPool::new());
+            let r = maximum_matching(&mut ctx, &a.view(), Start::Cold, &opts);
             eprintln!(
                 "[ablation_direction] init={:<18} bottom_up={}: SpMV {:.3} ms \
                  ({} of {} iterations pulled), |M| {}",
@@ -51,13 +50,7 @@ fn bench_direction(c: &mut Criterion) {
                         direction_optimizing: diropt,
                         ..Default::default()
                     };
-                    black_box(maximum_matching(
-                        &mut ctx,
-                        &a.view(),
-                        Start::Cold,
-                        &opts,
-                        &mut SolverPool::new(),
-                    ))
+                    black_box(maximum_matching(&mut ctx, &a.view(), Start::Cold, &opts))
                 });
             },
         );

@@ -9,7 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mcm_bsp::{DistCtx, MachineConfig};
-use mcm_core::{maximum_matching, McmOptions, SemiringKind, SolverPool, Start};
+use mcm_core::{maximum_matching, McmOptions, SemiringKind, Start};
 use mcm_gen::rmat::{rmat, RmatParams};
 use std::hint::black_box;
 
@@ -26,7 +26,7 @@ fn bench_semirings(c: &mut Criterion) {
     for (name, semiring) in semirings {
         let mut ctx = DistCtx::new(MachineConfig::hybrid(8, 12));
         let opts = McmOptions { semiring, ..Default::default() };
-        let r = maximum_matching(&mut ctx, &a.view(), Start::Cold, &opts, &mut SolverPool::new());
+        let r = maximum_matching(&mut ctx, &a.view(), Start::Cold, &opts);
         eprintln!(
             "[ablation_semiring] {name:>10}: modeled {:.3} ms, {} phases, {} iterations, |M| {}",
             ctx.timers.total() * 1e3,
@@ -43,13 +43,7 @@ fn bench_semirings(c: &mut Criterion) {
             b.iter(|| {
                 let mut ctx = DistCtx::new(MachineConfig::hybrid(4, 1));
                 let opts = McmOptions { semiring, ..Default::default() };
-                black_box(maximum_matching(
-                    &mut ctx,
-                    &a.view(),
-                    Start::Cold,
-                    &opts,
-                    &mut SolverPool::new(),
-                ))
+                black_box(maximum_matching(&mut ctx, &a.view(), Start::Cold, &opts))
             });
         });
     }

@@ -4,7 +4,7 @@
 //! (`MCM_BENCH_JSON=BENCH_algo.json` records the numbers).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mcm_core::mcm::{SolverPool, Start};
+use mcm_core::mcm::Start;
 use mcm_core::portfolio::{solve, MatchingAlgo, PortfolioBackend, PortfolioOptions, SelectorStats};
 use mcm_gen::er::gnm_bipartite;
 use mcm_gen::hard::{chain, crown};
@@ -42,16 +42,14 @@ fn bench_portfolio(c: &mut Criterion) {
                 let opts = PortfolioOptions { algo, ..base };
                 let id = BenchmarkId::new(format!("{}/t{threads}", algo.name()), name);
                 group.bench_with_input(id, &a, |b, a| {
-                    b.iter(|| {
-                        black_box(solve(&a.view(), Start::Cold, &opts, &mut SolverPool::new()))
-                    });
+                    b.iter(|| black_box(solve(&a.view(), Start::Cold, &opts)));
                 });
             }
             // The auto path: measurement + dispatch, the end-to-end cost a
             // caller actually pays for not choosing.
             let id = BenchmarkId::new(format!("auto/t{threads}"), name);
             group.bench_with_input(id, &a, |b, a| {
-                b.iter(|| black_box(solve(&a.view(), Start::Cold, &base, &mut SolverPool::new())));
+                b.iter(|| black_box(solve(&a.view(), Start::Cold, &base)));
             });
         }
     }

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mcm_bsp::{DistCtx, MachineConfig};
-use mcm_core::{maximum_matching, McmOptions, SolverPool, Start};
+use mcm_core::{maximum_matching, McmOptions, Start};
 use mcm_gen::mesh::triangulated_grid;
 use mcm_gen::rmat::{rmat, RmatParams};
 use std::hint::black_box;
@@ -24,13 +24,7 @@ fn bench_mcm_dist(c: &mut Criterion) {
                     b.iter(|| {
                         let mut ctx = DistCtx::new(MachineConfig::hybrid(dim, 1));
                         let opts = McmOptions::default();
-                        black_box(maximum_matching(
-                            &mut ctx,
-                            &a.view(),
-                            Start::Cold,
-                            &opts,
-                            &mut SolverPool::new(),
-                        ))
+                        black_box(maximum_matching(&mut ctx, &a.view(), Start::Cold, &opts))
                     });
                 },
             );

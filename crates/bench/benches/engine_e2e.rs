@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mcm_bsp::{Communicator, DistCtx, EngineComm, MachineConfig};
 use mcm_core::serial::hopcroft_karp;
-use mcm_core::{maximum_matching, McmOptions, SolverPool, Start};
+use mcm_core::{maximum_matching, McmOptions, Start};
 use mcm_gen::rmat::{rmat, RmatParams};
 use mcm_sparse::Csc;
 use std::hint::black_box;
@@ -20,9 +20,7 @@ const CORES: [(usize, usize, usize); 4] = [(1, 1, 1), (2, 1, 2), (4, 4, 1), (8, 
 
 /// Cardinality of one cold solve of `a` on `comm`.
 fn solve(comm: &mut impl Communicator, a: &Csc, opts: &McmOptions) -> usize {
-    maximum_matching(comm, &a.view(), Start::Cold, opts, &mut SolverPool::new())
-        .matching
-        .cardinality()
+    maximum_matching(comm, &a.view(), Start::Cold, opts).matching.cardinality()
 }
 
 fn bench_engine_e2e(c: &mut Criterion) {

@@ -18,7 +18,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mcm_bsp::EngineComm;
-use mcm_core::{maximum_matching, McmOptions, SolverPool, Start};
+use mcm_core::{maximum_matching, McmOptions, Start};
 use mcm_gen::rmat::{rmat, RmatParams};
 use mcm_sparse::Csc;
 use std::hint::black_box;
@@ -29,9 +29,7 @@ const CORES: [(usize, usize, usize); 4] = [(1, 1, 1), (2, 1, 2), (4, 4, 1), (8, 
 /// Cardinality of one cold solve of `a` on `p` engine ranks.
 fn solve_engine(p: usize, threads: usize, a: &Csc, opts: &McmOptions) -> usize {
     let mut comm = EngineComm::new(p, threads);
-    maximum_matching(&mut comm, &a.view(), Start::Cold, opts, &mut SolverPool::new())
-        .matching
-        .cardinality()
+    maximum_matching(&mut comm, &a.view(), Start::Cold, opts).matching.cardinality()
 }
 
 fn bench_obs_overhead(c: &mut Criterion) {

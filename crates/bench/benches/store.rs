@@ -19,7 +19,7 @@
 
 use mcm_bsp::{DistCtx, MachineConfig};
 use mcm_core::verify::is_maximum;
-use mcm_core::{maximum_matching, McmOptions, McmResult, SolverPool, Start};
+use mcm_core::{maximum_matching, McmOptions, McmResult, Start};
 use mcm_gen::RmatParams;
 use mcm_sparse::CscView;
 use mcm_store::{McsbFile, McsbStreamWriter};
@@ -28,7 +28,7 @@ use std::time::Instant;
 /// One cold solve of `v` on the simulator with 4 logical ranks.
 fn solve_sim(v: &CscView<'_>, threads: usize) -> McmResult {
     let mut comm = DistCtx::new(MachineConfig::hybrid(2, threads));
-    maximum_matching(&mut comm, v, Start::Cold, &McmOptions::default(), &mut SolverPool::new())
+    maximum_matching(&mut comm, v, Start::Cold, &McmOptions::default())
 }
 
 /// Reads a `VmRSS`/`VmHWM`-style field from `/proc/self/status`, in bytes.

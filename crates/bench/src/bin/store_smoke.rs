@@ -8,7 +8,7 @@
 
 use mcm_bsp::{DistCtx, MachineConfig};
 use mcm_core::verify::is_maximum;
-use mcm_core::{maximum_matching, McmOptions, SolverPool, Start};
+use mcm_core::{maximum_matching, McmOptions, Start};
 use mcm_gen::RmatParams;
 use mcm_store::{McsbFile, McsbStreamWriter};
 use std::process::ExitCode;
@@ -76,7 +76,7 @@ fn main() -> ExitCode {
     // Solve from the borrowed view and certify maximality.
     let mut comm = DistCtx::new(MachineConfig::hybrid(2, mcm_par::max_threads()));
     let opts = McmOptions::default();
-    let res = maximum_matching(&mut comm, &v, Start::Cold, &opts, &mut SolverPool::new());
+    let res = maximum_matching(&mut comm, &v, Start::Cold, &opts);
     if !is_maximum(v, &res.matching) {
         eprintln!("store_smoke: FAIL: Berge certificate rejected the matching");
         return ExitCode::FAILURE;

@@ -7,7 +7,7 @@
 //! augmenting paths for the augmentation ablation.
 
 use mcm_bsp::{DistCtx, Kernel, MachineConfig, Timers};
-use mcm_core::{maximum_matching, Matching, McmOptions, McmStats, SolverPool, Start};
+use mcm_core::{maximum_matching, Matching, McmOptions, McmStats, Start};
 use mcm_sparse::{DenseVec, Triples, Vidx};
 use std::path::Path;
 
@@ -37,7 +37,7 @@ pub fn run_mcm_scaled(
 ) -> RunOutcome {
     let mut ctx = DistCtx::new(cfg).with_work_scale(work_scale);
     let a = t.to_csc();
-    let result = maximum_matching(&mut ctx, &a.view(), Start::Cold, opts, &mut SolverPool::new());
+    let result = maximum_matching(&mut ctx, &a.view(), Start::Cold, opts);
     RunOutcome {
         modeled_s: ctx.timers.total(),
         timers: ctx.timers.clone(),

@@ -11,14 +11,14 @@
 //! ```
 //! use mcm_bsp::{DistCtx, MachineConfig};
 //! use mcm_sparse::Triples;
-//! use mcm_core::{maximum_matching, McmOptions, SolverPool, Start};
+//! use mcm_core::{maximum_matching, McmOptions, Start};
 //!
 //! // A tiny bipartite graph as an edge list (rows x columns), compressed
 //! // once into the CSC the solver reads.
 //! let g = Triples::from_edges(3, 3, vec![(0, 0), (0, 1), (1, 0), (2, 2)]).to_csc();
 //! let mut ctx = DistCtx::new(MachineConfig::hybrid(2, 2)); // 2x2 grid, 2 threads
 //! let opts = McmOptions::default();
-//! let result = maximum_matching(&mut ctx, &g.view(), Start::Cold, &opts, &mut SolverPool::new());
+//! let result = maximum_matching(&mut ctx, &g.view(), Start::Cold, &opts);
 //! assert_eq!(result.matching.cardinality(), 3);
 //! ```
 
@@ -43,7 +43,7 @@ pub mod vertex;
 pub mod weighted;
 
 pub use matching::Matching;
-pub use mcm::{maximum_matching, McmOptions, McmResult, McmStats, SolverPool, Start};
+pub use mcm::{maximum_matching, McmOptions, McmResult, McmStats, Start};
 pub use portfolio::{MatchingAlgo, PortfolioBackend, PortfolioOptions, SelectorStats};
 pub use semirings::SemiringKind;
 pub use vertex::Vertex;

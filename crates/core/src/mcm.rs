@@ -116,11 +116,8 @@ pub enum Start {
     /// From an existing valid (not necessarily maximal) matching in the
     /// caller's labels; the initializer is skipped.
     ///
-    /// §V of the paper shows a warm start removes most of the BFS work; the
-    /// incremental engine (`mcm-dyn`) leans on this as its large-dirty-set
-    /// fallback — after a batch of edge updates, the stale matching is still
-    /// valid on the new graph (matched deletions were unmatched first), so
-    /// the phase loop only has to repair the damaged region.
+    /// §V of the paper shows a warm start removes most of the BFS work: the
+    /// phase loop only has to repair what the start matching leaves free.
     Warm(Matching),
 }
 
@@ -138,10 +135,6 @@ pub enum Start {
 /// ([`Csc::view`](mcm_sparse::Csc::view)); `Triples` convert once with
 /// `t.to_csc()`.
 ///
-/// `pool` carries the SpMSpV plan and phase vectors across calls, so
-/// repeated solves on the same grid run on warm buffers (see
-/// [`SolverPool`]); pass `&mut SolverPool::new()` for a one-off solve.
-///
 /// # Panics
 /// Panics when a warm matching's dimensions do not match `a`'s;
 /// debug-panics when it is not a valid matching of `a`.
@@ -150,7 +143,6 @@ pub fn maximum_matching<C: Communicator>(
     a: &CscView<'_>,
     start: Start,
     opts: &McmOptions,
-    pool: &mut SolverPool,
 ) -> McmResult {
     if let Start::Warm(warm) = &start {
         assert!(
@@ -190,80 +182,13 @@ pub fn maximum_matching<C: Communicator>(
     let mut stats =
         McmStats { init_cardinality: m.cardinality(), algo: "msbfs", ..Default::default() };
 
-    run_phases_pooled(comm, &da, dat.as_ref(), &mut m, opts, &mut stats, pool);
+    run_phases(comm, &da, dat.as_ref(), &mut m, opts, &mut stats);
 
     let matching = match perms {
         None => m,
         Some((rowp, colp)) => unpermute(m, &rowp, &colp),
     };
     McmResult { matching, stats }
-}
-
-/// Reusable cross-solve state for repeated solves: the SpMSpV
-/// plan (per-block workspaces + frontier-slice buffers) and the dense
-/// `parent_r`/`path_c` phase vectors.
-///
-/// One [`maximum_matching`] call pays ~1.3ms of cold allocations on
-/// the benchmark instances before its first iteration runs warm; a
-/// service that falls back repeatedly (`mcm-dyn`'s large-dirty-set path,
-/// `mcmd` under load) pays it per solve. Holding a `SolverPool` across
-/// [`maximum_matching`] calls keeps those buffers at their
-/// high-water mark instead: every call after the first runs entirely on
-/// warm workspaces as long as the grid shape is stable (buffers regrow
-/// transparently when the graph outgrows them).
-pub struct SolverPool {
-    plan: SpmvPlan<Vertex>,
-    parent_r: DenseVec,
-    path_c: DenseVec,
-    /// Solves serviced through this pool.
-    solves: u64,
-}
-
-impl SolverPool {
-    /// An empty pool; buffers materialize on first use.
-    pub fn new() -> Self {
-        Self {
-            plan: SpmvPlan::new(),
-            parent_r: DenseVec::nil(0),
-            path_c: DenseVec::nil(0),
-            solves: 0,
-        }
-    }
-
-    /// Solves serviced through this pool since construction.
-    pub fn solves(&self) -> u64 {
-        self.solves
-    }
-
-    /// Cumulative workspace reuse counters of the pooled plan (across all
-    /// solves, unlike the per-run diff in [`McmStats`]).
-    pub fn workspace_stats(&self) -> mcm_sparse::workspace::WorkspaceStats {
-        self.plan.stats()
-    }
-}
-
-impl Default for SolverPool {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// A cloned pool starts cold: the buffers belong to the original.
-impl Clone for SolverPool {
-    fn clone(&self) -> Self {
-        Self::new()
-    }
-}
-
-impl std::fmt::Debug for SolverPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let ws = self.plan.stats();
-        f.debug_struct("SolverPool")
-            .field("solves", &self.solves)
-            .field("spmv_calls", &ws.calls)
-            .field("spmv_reuse_hits", &ws.reuse_hits)
-            .finish()
-    }
 }
 
 /// Maps a matching in original labels into relabeled vertices (the inverse
@@ -291,34 +216,10 @@ pub fn run_phases<C: Communicator>(
     opts: &McmOptions,
     stats: &mut McmStats,
 ) {
-    run_phases_pooled(comm, a, at, m, opts, stats, &mut SolverPool::new());
-}
-
-/// [`run_phases`] with buffers drawn from a caller-held [`SolverPool`]:
-/// the SpMSpV plan and the dense phase vectors persist across calls, so a
-/// second solve on the same grid starts with every buffer already at its
-/// high-water mark (the per-solve cold-allocation cost drops to zero).
-fn run_phases_pooled<C: Communicator>(
-    comm: &mut C,
-    a: &DistMatrix,
-    at: Option<&DistMatrix>,
-    m: &mut Matching,
-    opts: &McmOptions,
-    stats: &mut McmStats,
-    pool: &mut SolverPool,
-) {
     let (n1, n2) = (a.nrows(), a.ncols());
-    pool.solves += 1;
-    // Workspace stats are cumulative over the pooled plan's lifetime;
-    // snapshot at entry so this run reports only its own calls.
-    let ws0 = pool.plan.stats();
-    if pool.parent_r.len() != n1 {
-        pool.parent_r = DenseVec::nil(n1);
-    }
-    if pool.path_c.len() != n2 {
-        pool.path_c = DenseVec::nil(n2);
-    }
-    let SolverPool { plan, parent_r, path_c, .. } = pool;
+    let mut plan: SpmvPlan<Vertex> = SpmvPlan::new();
+    let mut parent_r = DenseVec::nil(n1);
+    let mut path_c = DenseVec::nil(n2);
     stats.sched_seed = comm.ctx().sched.as_ref().map(|s| s.seed());
 
     loop {
@@ -388,7 +289,7 @@ fn run_phases_pooled<C: Communicator>(
                 let f_r_all = comm.spmspv(
                     a,
                     Kernel::SpMV,
-                    &mut *plan,
+                    &mut plan,
                     &f_c,
                     |j, v: &Vertex| Vertex::new(j, v.root),
                     |acc, inc| semiring.fold(acc, inc),
@@ -399,9 +300,9 @@ fn run_phases_pooled<C: Communicator>(
                 f_r_all
             };
             // Step 2: keep rows not yet visited in this phase.
-            let f_r_new = select(comm, Kernel::Select, &f_r_all, parent_r, |p| p == NIL);
+            let f_r_new = select(comm, Kernel::Select, &f_r_all, &parent_r, |p| p == NIL);
             // Step 3: record their parents.
-            set_dense(comm, Kernel::Select, parent_r, &f_r_new, |v| v.parent);
+            set_dense(comm, Kernel::Select, &mut parent_r, &f_r_new, |v| v.parent);
             // Step 4: split into unmatched (path endpoints) and matched rows.
             let uf_r = select(comm, Kernel::Select, &f_r_new, &m.mate_r, |v| v == NIL);
             let mut f_r = select(comm, Kernel::Select, &f_r_new, &m.mate_r, |v| v != NIL);
@@ -409,7 +310,7 @@ fn run_phases_pooled<C: Communicator>(
             if !uf_r.is_empty() {
                 // Step 5: record one augmenting-path endpoint per tree.
                 let t_c = invert_by(comm, Kernel::Invert, &uf_r, n2, |v| v.root, |i, _| i);
-                set_dense(comm, Kernel::Select, path_c, &t_c, |&r| r);
+                set_dense(comm, Kernel::Select, &mut path_c, &t_c, |&r| r);
                 // Step 6: prune the rest of those trees from the frontier.
                 if opts.prune {
                     let roots: Vec<Vidx> = t_c.ind();
@@ -436,7 +337,7 @@ fn run_phases_pooled<C: Communicator>(
         }
 
         // Step 8: augment by every path discovered in this phase.
-        let report = augment(comm, opts.augment, path_c, parent_r, m);
+        let report = augment(comm, opts.augment, &path_c, &parent_r, m);
         if report.paths == 0 {
             break; // no augmenting path: maximum reached
         }
@@ -446,20 +347,15 @@ fn run_phases_pooled<C: Communicator>(
     }
 
     // Workspace accounting is measured once (by the plan itself) and fans
-    // out to the compat `McmStats` fields and the obs registry. The plan
-    // may be pooled across solves, so report this run's diff only.
+    // out to the compat `McmStats` fields and the obs registry.
     let ws = plan.stats();
-    stats.spmv_workspace_calls += ws.calls - ws0.calls;
-    stats.spmv_workspace_hits += ws.reuse_hits - ws0.reuse_hits;
-    stats.spmv_bytes_reused += ws.bytes_reused - ws0.bytes_reused;
+    stats.spmv_workspace_calls += ws.calls;
+    stats.spmv_workspace_hits += ws.reuse_hits;
+    stats.spmv_bytes_reused += ws.bytes_reused;
     if mcm_obs::metrics_enabled() {
-        mcm_obs::counter_add("mcm_spmv_workspace_calls_total", &[], ws.calls - ws0.calls);
-        mcm_obs::counter_add("mcm_spmv_workspace_hits_total", &[], ws.reuse_hits - ws0.reuse_hits);
-        mcm_obs::counter_add(
-            "mcm_spmv_workspace_bytes_reused_total",
-            &[],
-            ws.bytes_reused - ws0.bytes_reused,
-        );
+        mcm_obs::counter_add("mcm_spmv_workspace_calls_total", &[], ws.calls);
+        mcm_obs::counter_add("mcm_spmv_workspace_hits_total", &[], ws.reuse_hits);
+        mcm_obs::counter_add("mcm_spmv_workspace_bytes_reused_total", &[], ws.bytes_reused);
         mcm_obs::counter_add("mcm_augmentations_total", &[], stats.augmentations as u64);
     }
 }
@@ -488,14 +384,14 @@ mod tests {
     use mcm_bsp::{DistCtx, MachineConfig};
     use mcm_sparse::Triples;
 
-    /// One solve of `t` on `comm` with a throwaway pool.
+    /// One solve of `t` on `comm`.
     fn solve<C: Communicator>(
         comm: &mut C,
         t: &Triples,
         start: Start,
         opts: &McmOptions,
     ) -> McmResult {
-        maximum_matching(comm, &t.to_csc().view(), start, opts, &mut SolverPool::new())
+        maximum_matching(comm, &t.to_csc().view(), start, opts)
     }
 
     fn fig2() -> Triples {
@@ -718,44 +614,6 @@ mod tests {
         assert_eq!(r.stats.augmentations, 0, "an already-maximum warm start needs no paths");
         assert_eq!(r.stats.phases, 1, "one certifying phase only");
         assert_eq!(r.matching.cardinality(), 4);
-    }
-
-    #[test]
-    fn pooled_solves_reuse_the_plan_across_runs() {
-        // A cold start (empty warm matching, no initializer work skipped)
-        // forces many SpMSpV calls. The first pooled run pays one cold
-        // call per block; the second identical run must be entirely warm —
-        // that is the per-solve allocation cost the pool exists to cut.
-        let t = fig2();
-        let opts = McmOptions { permute_seed: None, ..Default::default() };
-        let mut pool = SolverPool::new();
-        let run = |pool: &mut SolverPool| {
-            let mut ctx = DistCtx::new(MachineConfig::hybrid(2, 1));
-            let a = t.to_csc();
-            maximum_matching(&mut ctx, &a.view(), Start::Warm(Matching::empty(4, 5)), &opts, pool)
-        };
-        let first = run(&mut pool);
-        assert_eq!(first.matching.cardinality(), 4);
-        assert!(first.stats.spmv_workspace_calls > 0);
-        assert!(
-            first.stats.spmv_workspace_hits < first.stats.spmv_workspace_calls,
-            "a cold pool must miss on first touch ({} hits / {} calls)",
-            first.stats.spmv_workspace_hits,
-            first.stats.spmv_workspace_calls
-        );
-        let second = run(&mut pool);
-        assert_eq!(second.matching.cardinality(), 4);
-        assert_eq!(
-            second.stats.spmv_workspace_hits, second.stats.spmv_workspace_calls,
-            "the second pooled run must serve every call from warm buffers"
-        );
-        assert_eq!(pool.solves(), 2);
-        // Per-run stats are diffs, not the pool's cumulative counters.
-        let cumulative = pool.workspace_stats();
-        assert_eq!(
-            cumulative.calls,
-            first.stats.spmv_workspace_calls + second.stats.spmv_workspace_calls
-        );
     }
 
     #[test]

@@ -2,10 +2,9 @@
 //! the two first-class cardinality engines — MS-BFS (the paper's
 //! MCM-DIST) and parallel Pothen–Fan ([`crate::ppf`]) — plus the `auto`
 //! selector that picks one from cheap measured graph statistics
-//! (DESIGN.md §15). `mcm match`, the `mcmd` warm-start fallback
-//! (`mcm_dyn::DynMatching`) and the simtest sweep all solve through
-//! [`solve`], cold or warm, on one [`PortfolioBackend`] built from the
-//! command-line spellings by [`PortfolioBackend::from_cli`].
+//! (DESIGN.md §15). `mcm match` and the simtest sweep solve through
+//! [`solve`], on one [`PortfolioBackend`] that `mcm match` builds from its
+//! command-line spellings with [`PortfolioBackend::from_cli`].
 //!
 //! The selector reads three numbers off one O(nnz) pass over the
 //! deduplicated graph: density, side ratio and degree skew. All three are
@@ -18,7 +17,7 @@
 //! everything else takes MS-BFS, the paper's engine. Every run is
 //! differential-tested against the serial oracles regardless of the pick.
 
-use crate::mcm::{maximum_matching, McmOptions, McmResult, McmStats, SolverPool, Start};
+use crate::mcm::{maximum_matching, McmOptions, McmResult, McmStats, Start};
 use crate::ppf::{ppf, PpfOptions};
 use mcm_bsp::{Communicator, DistCtx, EngineComm, MachineConfig, Timers};
 use mcm_sparse::workspace::FoldGrid;
@@ -263,13 +262,12 @@ pub fn resolve_algo(a: &CscView<'_>, algo: MatchingAlgo) -> (MatchingAlgo, Optio
 /// `start` (cold, or warm from a valid matching as in the paper's §V),
 /// and stamps `McmStats::algo`/`algo_auto` plus the
 /// `mcm_algo_runs_total{algo,selector}` metric. MS-BFS runs on
-/// `opts.backend` with `pool`'s warm buffers and hands back the
-/// backend's modeled per-kernel [`Timers`]; PPF hands back `None`.
+/// `opts.backend` and hands back the backend's modeled per-kernel
+/// [`Timers`]; PPF hands back `None`.
 pub fn solve(
     a: &CscView<'_>,
     start: Start,
     opts: &PortfolioOptions,
-    pool: &mut SolverPool,
 ) -> (McmResult, Option<Timers>) {
     let was_auto = opts.algo == MatchingAlgo::Auto;
     let (algo, _) = resolve_algo(a, opts.algo);
@@ -285,18 +283,17 @@ pub fn solve(
                 a: &CscView<'_>,
                 start: Start,
                 opts: &McmOptions,
-                pool: &mut SolverPool,
             ) -> (McmResult, Option<Timers>) {
-                let r = maximum_matching(&mut comm, a, start, opts, pool);
+                let r = maximum_matching(&mut comm, a, start, opts);
                 (r, Some(std::mem::take(&mut comm.ctx_mut().timers)))
             }
             match opts.backend {
                 PortfolioBackend::Sim { grid, threads } => {
                     let ctx = DistCtx::new(MachineConfig::hybrid(grid, threads));
-                    run(ctx, a, start, &opts.mcm, pool)
+                    run(ctx, a, start, &opts.mcm)
                 }
                 PortfolioBackend::Engine { p, threads } => {
-                    run(EngineComm::new(p, threads), a, start, &opts.mcm, pool)
+                    run(EngineComm::new(p, threads), a, start, &opts.mcm)
                 }
             }
         }
@@ -435,14 +432,12 @@ mod tests {
             let want = hopcroft_karp(&a, None).cardinality();
             for algo in MatchingAlgo::CONCRETE {
                 let opts = PortfolioOptions { algo, ..PortfolioOptions::default() };
-                let r = solve(&a.view(), Start::Cold, &opts, &mut SolverPool::new()).0;
+                let r = solve(&a.view(), Start::Cold, &opts).0;
                 assert_eq!(r.matching.cardinality(), want, "algo {algo}");
                 assert_eq!(r.stats.algo, algo.name());
                 assert!(!r.stats.algo_auto);
             }
-            let auto =
-                solve(&a.view(), Start::Cold, &PortfolioOptions::default(), &mut SolverPool::new())
-                    .0;
+            let auto = solve(&a.view(), Start::Cold, &PortfolioOptions::default()).0;
             assert_eq!(auto.matching.cardinality(), want);
             assert!(auto.stats.algo_auto);
             assert_ne!(auto.stats.algo, "auto", "auto must resolve to a concrete engine");

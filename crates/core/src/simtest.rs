@@ -25,7 +25,7 @@
 
 use crate::augment::AugmentMode;
 use crate::maximal::Initializer;
-use crate::mcm::{maximum_matching, McmOptions, SolverPool, Start};
+use crate::mcm::{maximum_matching, McmOptions, Start};
 use crate::portfolio::{solve, MatchingAlgo, PortfolioOptions};
 use crate::primitives::invert;
 use crate::semirings::SemiringKind;
@@ -253,7 +253,7 @@ fn run_portfolio_one(
     seed: u64,
 ) -> Result<(), String> {
     let opts = PortfolioOptions { algo, threads, seed, ..PortfolioOptions::default() };
-    let (r, _) = solve(&a.view(), Start::Cold, &opts, &mut SolverPool::new());
+    let (r, _) = solve(&a.view(), Start::Cold, &opts);
     if r.stats.algo != algo.name() {
         return Err(format!("stats.algo reports '{}', expected '{}'", r.stats.algo, algo.name()));
     }
@@ -310,7 +310,7 @@ fn run_one(
         seed,
         ..Default::default()
     };
-    let r = maximum_matching(&mut ctx, &a.view(), Start::Cold, &opts, &mut SolverPool::new());
+    let r = maximum_matching(&mut ctx, &a.view(), Start::Cold, &opts);
     if r.matching.cardinality() != want {
         return Err(format!(
             "cardinality {} diverged from serial oracles ({want})",

@@ -17,12 +17,10 @@
 //!    miss, because the new path threads through two matched vertices).
 //! 3. **Switch** — mirroring the paper's `k < 2p²` path-vs-level
 //!    parallelism rule: if the dirty set is larger than
-//!    `fallback_threshold · (n1 + n2)`, hand the whole graph to the
-//!    portfolio's one solve entry point warm-started from the stale
-//!    matching ([`mcm_core::portfolio::solve`] with `Start::Warm`: the
-//!    multi-source MS-BFS driver on [`DynOptions::portfolio`]'s backend by
-//!    default, or warm PPF — the same door `mcm match` solves through
-//!    cold); otherwise run one alternating BFS per dirty free vertex
+//!    `fallback_threshold · (n1 + n2)`, run serial MS-BFS over the whole
+//!    graph warm-started from the stale matching (the paper's §V warm
+//!    start, [`mcm_core::serial::ms_bfs_serial`]); otherwise run one
+//!    alternating BFS per dirty free vertex
 //!    (column-rooted over `A`, row-rooted over `Aᵀ`), plus one global
 //!    sweep per interior insert.
 //!    A failed search marks the region it explored *dead* for the rest
@@ -48,11 +46,9 @@
 //! from-scratch Hopcroft–Karp.
 
 use crate::graph::DynGraph;
-use mcm_core::mcm::{SolverPool, Start};
-use mcm_core::portfolio::solve;
-use mcm_core::serial::hopcroft_karp;
+use mcm_core::serial::{hopcroft_karp, ms_bfs_serial};
 use mcm_core::verify::VerifyError;
-use mcm_core::{Matching, MatchingAlgo, McmOptions, PortfolioBackend, PortfolioOptions};
+use mcm_core::Matching;
 use mcm_sparse::{Triples, Vidx, NIL};
 
 /// One edge update.
@@ -68,7 +64,7 @@ pub enum Update {
 #[derive(Clone, Copy, Debug)]
 pub struct DynOptions {
     /// Dirty-set fraction of `n1 + n2` above which the engine falls back
-    /// to a warm-started portfolio solve instead of per-vertex path
+    /// to a warm-started serial MS-BFS solve instead of per-vertex path
     /// repair (the analogue of the paper's `k < 2p²` switch between
     /// path- and level-parallel augmentation).
     pub fallback_threshold: f64,
@@ -76,30 +72,11 @@ pub struct DynOptions {
     /// batch through `mcm-core::verify` on the materialized graph.
     /// Expensive; meant for harnesses and `mcmd --full-verify`.
     pub full_verify: bool,
-    /// The fallback solve: engine (`MsBfs` warm-starts the distributed
-    /// driver on `portfolio.backend`, the historical default; `Ppf`
-    /// warm-starts parallel Pothen–Fan; `Auto` measures the current
-    /// graph's `SelectorStats` per fallback and picks), backend, PPF
-    /// workers and MS-BFS tunables, as [`mcm_core::portfolio::solve`]
-    /// takes them.
-    pub portfolio: PortfolioOptions,
 }
 
 impl Default for DynOptions {
     fn default() -> Self {
-        Self {
-            fallback_threshold: 0.25,
-            full_verify: false,
-            portfolio: PortfolioOptions {
-                algo: MatchingAlgo::MsBfs,
-                backend: PortfolioBackend::Sim { grid: 1, threads: 1 },
-                threads: 1,
-                // Warm starts carry their own structure; skip the relabeling
-                // permutation so small repair solves stay allocation-light.
-                mcm: McmOptions { permute_seed: None, ..Default::default() },
-                seed: 0,
-            },
-        }
+        Self { fallback_threshold: 0.25, full_verify: false }
     }
 }
 
@@ -183,13 +160,6 @@ pub struct DynStats {
     pub global_sweeps: usize,
     /// Warm-started MS-BFS fallbacks taken.
     pub fallbacks: usize,
-    /// SpMSpV workspace calls / warm-buffer hits across those fallbacks
-    /// (hits ≈ calls once the pooled plan is warm; see `SolverPool`).
-    pub fallback_spmv_calls: u64,
-    pub fallback_spmv_hits: u64,
-    /// Engine that serviced the most recent fallback solve (`""` until
-    /// one runs) — `mcmd stats` reports which engine actually ran.
-    pub last_algo: &'static str,
     /// Berge-certificate seeds checked across all batches.
     pub cert_seeds: usize,
     /// The last batch's report.
@@ -212,9 +182,6 @@ pub struct StateSnapshot {
     pub nnz: usize,
     /// Overlay-compaction epoch as of publication.
     pub epoch: u64,
-    /// The configured fallback engine (`mcmd stats` reports it until a
-    /// fallback runs).
-    pub algo: MatchingAlgo,
 }
 
 /// A dynamic bipartite graph with an always-maximum matching.
@@ -249,9 +216,6 @@ pub struct DynMatching {
     /// Row that discovered each column (valid where `col_stamp == stamp`).
     col_parent: Vec<Vidx>,
     queue: Vec<Vidx>,
-    /// Pooled SpMSpV plan + MS-BFS vectors, warm across fallback solves
-    /// (clones start cold — a clone is a new engine, not a resumed one).
-    pool: SolverPool,
 }
 
 impl DynMatching {
@@ -292,7 +256,6 @@ impl DynMatching {
             row_parent: vec![NIL; n1],
             col_parent: vec![NIL; n2],
             queue: Vec::new(),
-            pool: SolverPool::new(),
         }
     }
 
@@ -332,7 +295,6 @@ impl DynMatching {
             cardinality: self.m.cardinality(),
             nnz: self.g.nnz(),
             epoch: self.g.epoch(),
-            algo: self.opts.portfolio.algo,
         }
     }
 
@@ -398,7 +360,7 @@ impl DynMatching {
         dirty_cols.retain(|&c| !self.m.col_matched(c));
         rep.dirty = dirty_rows.len() + dirty_cols.len() + interior;
 
-        // 3. Repair: per-vertex paths, or the warm-started MS-BFS driver.
+        // 3. Repair: per-vertex paths, or warm-started serial MS-BFS.
         let budget = self.opts.fallback_threshold * (self.g.n1() + self.g.n2()) as f64;
         if rep.dirty > 0 && rep.dirty as f64 > budget {
             self.fallback();
@@ -452,7 +414,7 @@ impl DynMatching {
 
         // Satellite: every batch reports its repair-strategy decision —
         // "warm_start" when the dirty set blew the budget and the batch
-        // re-ran the MS-BFS driver, "incremental" otherwise.
+        // re-ran MS-BFS, "incremental" otherwise.
         if mcm_obs::metrics_enabled() {
             let strategy = if rep.fallback { "warm_start" } else { "incremental" };
             let labels = [("strategy", strategy)];
@@ -493,18 +455,14 @@ impl DynMatching {
         s.last = *rep;
     }
 
-    /// Large-dirty-set path: hand the stale matching to the portfolio's
-    /// one solve entry point as a warm start (§V) — MS-BFS on the
-    /// configured backend, or warm PPF — on one copy of the graph.
+    /// Large-dirty-set path: serial MS-BFS over one CSC copy of the
+    /// graph, warm-started from the stale matching (§V). The stale
+    /// matching is valid on the new graph: matched deletions were
+    /// unmatched in step 1.
     fn fallback(&mut self) {
         let _span = mcm_obs::span("warm_start_fallback");
         let stale = std::mem::replace(&mut self.m, Matching::empty(0, 0));
-        let a = self.g.to_csc();
-        let (r, _) = solve(&a.view(), Start::Warm(stale), &self.opts.portfolio, &mut self.pool);
-        self.stats.last_algo = r.stats.algo;
-        self.stats.fallback_spmv_calls += r.stats.spmv_workspace_calls;
-        self.stats.fallback_spmv_hits += r.stats.spmv_workspace_hits;
-        self.m = r.matching;
+        self.m = ms_bfs_serial(&self.g.to_csc(), Some(stale)).0;
     }
 
     fn bump_stamp(&mut self) -> u32 {
@@ -781,7 +739,7 @@ mod tests {
         let t = Triples::from_edges(2, 2, vec![(0, 0), (0, 1), (1, 0)]);
         let mut dm = DynMatching::from_triples(
             &t,
-            DynOptions { fallback_threshold: 0.0, full_verify: true, ..DynOptions::default() },
+            DynOptions { fallback_threshold: 0.0, full_verify: true },
         );
         let r = dm.apply_batch(&[Update::Delete(1, 0)]);
         assert!(r.fallback, "threshold 0 must always fall back");
@@ -792,115 +750,49 @@ mod tests {
     }
 
     #[test]
-    fn fallback_pool_is_warm_by_the_second_solve() {
-        // Two forced fallbacks on a shrinking graph: the first pays the
-        // cold SpMSpV workspace allocations, the second must be served
-        // entirely from the pooled plan (the ~1.3ms/solve lever).
-        let t = Triples::from_edges(4, 4, vec![(0, 0), (0, 1), (1, 0), (2, 2), (3, 3), (1, 2)]);
+    fn forced_fallback_tracks_hopcroft_karp_through_deletes_and_interior_inserts() {
+        // Threshold 0 sends every dirtying batch to warm serial MS-BFS.
+        // Each batch deletes matched edges (freeing both endpoints) and
+        // random edges, and inserts edges between two matched vertices
+        // (interior inserts); after every batch the cardinality must equal
+        // HK from scratch, and full_verify re-certifies the matching.
+        let (n1, n2) = (40usize, 36usize);
+        let mut rng = SplitMix64::new(0xFA11);
+        let base: Vec<(Vidx, Vidx)> = (0..110)
+            .map(|_| (rng.below(n1 as u64) as Vidx, rng.below(n2 as u64) as Vidx))
+            .collect();
+        let t = Triples::from_edges(n1, n2, base);
         let mut dm = DynMatching::from_triples(
             &t,
-            DynOptions { fallback_threshold: 0.0, full_verify: true, ..DynOptions::default() },
+            DynOptions { fallback_threshold: 0.0, full_verify: true },
         );
-        dm.apply_batch(&[Update::Delete(3, 3)]);
-        let s1 = dm.stats().clone();
-        assert!(s1.fallback_spmv_calls > 0, "first batch must take the MS-BFS fallback");
-        dm.apply_batch(&[Update::Delete(2, 2)]);
-        let s2 = dm.stats();
-        let calls = s2.fallback_spmv_calls - s1.fallback_spmv_calls;
-        let hits = s2.fallback_spmv_hits - s1.fallback_spmv_hits;
-        assert!(calls > 0, "second batch must also fall back");
-        assert_eq!(hits, calls, "second fallback must reuse the warm pooled plan");
-    }
-
-    #[test]
-    fn engine_backend_fallback_matches_simulator() {
-        // Same forced-fallback batches, once per backend: cardinalities
-        // must track each other (both are maximum, certified per batch).
-        let (n1, n2) = (10usize, 10usize);
-        for backend in [
-            PortfolioBackend::Sim { grid: 1, threads: 1 },
-            PortfolioBackend::Sim { grid: 2, threads: 1 },
-            PortfolioBackend::Sim { grid: 1, threads: 2 },
-            PortfolioBackend::Engine { p: 4, threads: 1 },
-            PortfolioBackend::Engine { p: 1, threads: 2 },
-        ] {
-            let mut rng = SplitMix64::new(0xD15C);
-            let mut dm = DynMatching::new(
-                n1,
-                n2,
-                DynOptions {
-                    fallback_threshold: 0.0, // every non-trivial batch falls back
-                    full_verify: true,
-                    portfolio: PortfolioOptions { backend, ..DynOptions::default().portfolio },
-                },
-            );
-            let mut fell_back = false;
-            for _ in 0..12 {
-                let mut ops = Vec::new();
-                for _ in 0..5 {
-                    let r = rng.below(n1 as u64) as Vidx;
-                    let c = rng.below(n2 as u64) as Vidx;
-                    if rng.below(4) < 3 {
-                        ops.push(Update::Insert(r, c));
-                    } else {
-                        ops.push(Update::Delete(r, c));
-                    }
-                }
-                fell_back |= dm.apply_batch(&ops).fallback;
-                let a = dm.graph().to_csc();
-                let want = hopcroft_karp(&a, None).cardinality();
-                assert_eq!(dm.cardinality(), want, "backend {backend:?} diverged from HK");
+        for batch in 0..30 {
+            let matched: Vec<(Vidx, Vidx)> = (0..n1 as Vidx)
+                .filter_map(|r| {
+                    let c = dm.matching().mate_r.get(r);
+                    (c != NIL).then_some((r, c))
+                })
+                .collect();
+            let pick = |rng: &mut SplitMix64| matched[rng.below(matched.len() as u64) as usize];
+            let mut ops = Vec::new();
+            for _ in 0..2 {
+                let (r, c) = pick(&mut rng);
+                ops.push(Update::Delete(r, c));
+                let (r, c) = (rng.below(n1 as u64) as Vidx, rng.below(n2 as u64) as Vidx);
+                ops.push(Update::Delete(r, c));
             }
-            assert!(fell_back, "backend {backend:?} never exercised the fallback");
+            for _ in 0..3 {
+                let ((r, _), (_, c)) = (pick(&mut rng), pick(&mut rng));
+                ops.push(Update::Insert(r, c));
+            }
+            let rep = dm.apply_batch(&ops);
+            assert_eq!(rep.fallback, rep.dirty > 0, "batch {batch}");
+            let want = hopcroft_karp(&dm.graph().to_csc(), None).cardinality();
+            assert_eq!(dm.cardinality(), want, "batch {batch} diverged from HK");
         }
-    }
-
-    #[test]
-    fn every_fallback_algo_tracks_hopcroft_karp() {
-        // Same forced-fallback update stream under each portfolio engine:
-        // all must stay maximum (full_verify certifies every batch) and
-        // report which engine serviced the solve.
-        let (n1, n2) = (12usize, 12usize);
-        for algo in [MatchingAlgo::MsBfs, MatchingAlgo::Ppf, MatchingAlgo::Auto] {
-            let mut rng = SplitMix64::new(0xA160);
-            let mut dm = DynMatching::new(
-                n1,
-                n2,
-                DynOptions {
-                    fallback_threshold: 0.0,
-                    full_verify: true,
-                    portfolio: PortfolioOptions { algo, ..DynOptions::default().portfolio },
-                },
-            );
-            let mut fell_back = false;
-            for _ in 0..10 {
-                let mut ops = Vec::new();
-                for _ in 0..6 {
-                    let r = rng.below(n1 as u64) as Vidx;
-                    let c = rng.below(n2 as u64) as Vidx;
-                    if rng.below(4) < 3 {
-                        ops.push(Update::Insert(r, c));
-                    } else {
-                        ops.push(Update::Delete(r, c));
-                    }
-                }
-                fell_back |= dm.apply_batch(&ops).fallback;
-                let a = dm.graph().to_csc();
-                let want = hopcroft_karp(&a, None).cardinality();
-                assert_eq!(dm.cardinality(), want, "algo {algo} diverged from HK");
-            }
-            assert!(fell_back, "algo {algo} never exercised the fallback");
-            let last = dm.stats().last_algo;
-            match algo {
-                MatchingAlgo::Auto => {
-                    assert!(
-                        MatchingAlgo::CONCRETE.iter().any(|c| c.name() == last),
-                        "auto must resolve to a concrete engine, got {last:?}"
-                    );
-                }
-                concrete => assert_eq!(last, concrete.name()),
-            }
-        }
+        let s = dm.stats();
+        assert!(s.matched_deletes > 0 && s.interior_inserts > 0, "{s:?}");
+        assert!(s.fallbacks > 0, "{s:?}");
     }
 
     #[test]
@@ -933,11 +825,7 @@ mod tests {
             let mut dm = DynMatching::new(
                 n1,
                 n2,
-                DynOptions {
-                    fallback_threshold: threshold,
-                    full_verify: true,
-                    ..DynOptions::default()
-                },
+                DynOptions { fallback_threshold: threshold, full_verify: true },
             );
             for batch in 0..25 {
                 let mut ops = Vec::new();

@@ -9,10 +9,10 @@
 //!   edge value, so both engines below share it (`()` and `f64`);
 //! * [`DynMatching`] — an always-maximum matching repaired after each
 //!   update batch by single-source augmenting searches from the dirtied
-//!   vertices, falling back to a warm-started solve through the
-//!   portfolio's one entry point (`mcm_core::portfolio::solve`, MS-BFS
-//!   by default) when the dirty set is large — the dynamic
-//!   analogue of the paper's `k < 2p²` path-vs-level parallelism switch;
+//!   vertices, falling back to serial MS-BFS warm-started from the stale
+//!   matching (`mcm_core::serial::ms_bfs_serial`, the paper's §V warm
+//!   start) when the dirty set is large — the dynamic analogue of the
+//!   paper's `k < 2p²` path-vs-level parallelism switch;
 //! * [`WDynMatching`] — the weighted sibling: an always-(ε-)optimal
 //!   weighted matching whose auction prices persist across batches, so a
 //!   batch only re-auctions the columns whose ε-complementary-slackness

@@ -164,9 +164,7 @@ impl Snap {
     /// The `stats` response line.
     pub fn stats_line(&self) -> String {
         match self {
-            Snap::Card(s) => {
-                format_stats_line(&s.stats, s.cardinality, s.nnz, s.epoch, s.algo.name())
-            }
+            Snap::Card(s) => format_stats_line(&s.stats, s.cardinality, s.nnz, s.epoch),
             Snap::Weighted(s) => {
                 format_wstats_line(&s.stats, s.cardinality, s.weight, s.nnz, s.epoch)
             }
@@ -321,19 +319,14 @@ pub(crate) fn answer_snapshot(
 }
 
 /// The `stats` response line of the cardinality engine (asserted by
-/// `tests/cli.rs`).
-pub fn format_stats_line(
-    s: &DynStats,
-    cardinality: usize,
-    nnz: usize,
-    epoch: u64,
-    configured_algo: &str,
-) -> String {
+/// `tests/cli.rs`). Its `algo` token names the fallback engine, warm
+/// serial MS-BFS, in `mcm match --algo msbfs`'s spelling.
+pub fn format_stats_line(s: &DynStats, cardinality: usize, nnz: usize, epoch: u64) -> String {
     format!(
         "stats batches {} updates {} inserts {} deletes {} matched_deletes {} \
          immediate {} searches {} repaired {} path_edges {} max_path {} \
          interior {} sweeps {} fallbacks {} cert_seeds {} cardinality {} \
-         nnz {} epoch {} incremental {} warm_start {} scanned {} algo {}",
+         nnz {} epoch {} incremental {} warm_start {} scanned {} algo msbfs-serial",
         s.batches,
         s.updates,
         s.inserts,
@@ -354,9 +347,6 @@ pub fn format_stats_line(
         s.batches - s.fallbacks,
         s.fallbacks,
         s.scanned,
-        // Which engine actually serviced the last fallback; until one
-        // runs, the configured choice (`auto` included).
-        if s.last_algo.is_empty() { configured_algo } else { s.last_algo },
     )
 }
 

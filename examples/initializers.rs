@@ -10,7 +10,7 @@
 
 use mcm_bsp::{DistCtx, Kernel, MachineConfig};
 use mcm_core::maximal::Initializer;
-use mcm_core::{maximum_matching, McmOptions, SolverPool, Start};
+use mcm_core::{maximum_matching, McmOptions, Start};
 use mcm_gen::mesh::triangulated_grid;
 
 fn main() {
@@ -32,8 +32,7 @@ fn main() {
         // Charge the mesh as if it were delaunay_n24-sized (~100M nonzeros).
         let mut ctx = DistCtx::new(cfg).with_work_scale(1.0e8 / g.len() as f64);
         let opts = McmOptions { init, ..Default::default() };
-        let result =
-            maximum_matching(&mut ctx, &a.view(), Start::Cold, &opts, &mut SolverPool::new());
+        let result = maximum_matching(&mut ctx, &a.view(), Start::Cold, &opts);
         let init_s = ctx.timers.seconds(Kernel::Init);
         let total_s = ctx.timers.total();
         println!(

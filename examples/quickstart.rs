@@ -7,7 +7,7 @@
 use mcm_bsp::{DistCtx, MachineConfig};
 use mcm_core::serial::hopcroft_karp;
 use mcm_core::verify::assert_maximum;
-use mcm_core::{maximum_matching, McmOptions, SolverPool, Start};
+use mcm_core::{maximum_matching, McmOptions, Start};
 use mcm_sparse::Triples;
 
 fn main() {
@@ -26,7 +26,7 @@ fn main() {
     // Simulate a 2x2 process grid with 2 threads per process (8 cores).
     let mut ctx = DistCtx::new(MachineConfig::hybrid(2, 2));
     let opts = McmOptions::default();
-    let result = maximum_matching(&mut ctx, &a.view(), Start::Cold, &opts, &mut SolverPool::new());
+    let result = maximum_matching(&mut ctx, &a.view(), Start::Cold, &opts);
 
     println!("graph: {} rows x {} cols, {} edges", g.nrows(), g.ncols(), g.len());
     println!("maximum matching cardinality: {}", result.matching.cardinality());

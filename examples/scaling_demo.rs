@@ -10,7 +10,7 @@
 //! ```
 
 use mcm_bsp::{DistCtx, MachineConfig};
-use mcm_core::{maximum_matching, McmOptions, SolverPool, Start};
+use mcm_core::{maximum_matching, McmOptions, Start};
 use mcm_gen::rmat::{rmat, RmatParams};
 
 fn main() {
@@ -33,8 +33,7 @@ fn main() {
     let mut base: Option<f64> = None;
     for cfg in MachineConfig::paper_sweep(2028) {
         let mut ctx = DistCtx::new(cfg).with_work_scale(work_scale);
-        let result =
-            maximum_matching(&mut ctx, &a.view(), Start::Cold, &opts, &mut SolverPool::new());
+        let result = maximum_matching(&mut ctx, &a.view(), Start::Cold, &opts);
         let secs = ctx.timers.total();
         let speedup = base.get_or_insert(secs).max(1e-12) / secs.max(1e-12);
         println!(

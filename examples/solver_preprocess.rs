@@ -14,7 +14,7 @@
 //! ```
 
 use mcm_bsp::{DistCtx, MachineConfig};
-use mcm_core::{maximum_matching, McmOptions, SolverPool, Start};
+use mcm_core::{maximum_matching, McmOptions, Start};
 use mcm_gen::kkt::kkt_stencil;
 use mcm_sparse::permute::{permute_triples, Permutation};
 use mcm_sparse::{Triples, Vidx};
@@ -37,8 +37,7 @@ fn main() {
     let mut ctx = DistCtx::new(MachineConfig::hybrid(4, 12));
     let opts = McmOptions::default();
     let csc = a.to_csc();
-    let result =
-        maximum_matching(&mut ctx, &csc.view(), Start::Cold, &opts, &mut SolverPool::new());
+    let result = maximum_matching(&mut ctx, &csc.view(), Start::Cold, &opts);
     let m = &result.matching;
     println!(
         "maximum matching: {} of {} columns matched ({} phases, {} iterations)",

@@ -14,7 +14,7 @@ use mcm_bsp::{DistCtx, MachineConfig};
 use mcm_core::btf::block_triangular_form;
 use mcm_core::cover::{cover_certifies, koenig_cover};
 use mcm_core::dm::{dulmage_mendelsohn, DmBlock};
-use mcm_core::{maximum_matching, McmOptions, SolverPool, Start};
+use mcm_core::{maximum_matching, McmOptions, Start};
 use mcm_gen::kkt::kkt_stencil;
 use mcm_gen::rmat::{rmat, RmatParams};
 use mcm_sparse::Triples;
@@ -26,7 +26,7 @@ fn analyze(name: &str, t: &Triples) {
     let a = t.to_csc();
     let mut ctx = DistCtx::new(MachineConfig::hybrid(4, 12));
     let opts = McmOptions::default();
-    let result = maximum_matching(&mut ctx, &a.view(), Start::Cold, &opts, &mut SolverPool::new());
+    let result = maximum_matching(&mut ctx, &a.view(), Start::Cold, &opts);
     let m = &result.matching;
     println!(
         "   structural rank {} of {} (modeled {:.2} ms on {} cores)",

@@ -44,9 +44,7 @@ use mcm_core::portfolio::solve;
 use mcm_core::serial::{hopcroft_karp, ms_bfs_serial, pothen_fan};
 use mcm_core::verify::verify;
 use mcm_core::weighted::{auction_mwm_par, AuctionOptions};
-use mcm_core::{
-    MatchingAlgo, McmResult, McmStats, PortfolioBackend, PortfolioOptions, SolverPool, Start,
-};
+use mcm_core::{MatchingAlgo, McmResult, McmStats, PortfolioBackend, PortfolioOptions, Start};
 use mcm_sparse::io::{read_matrix_market_file, write_matrix_market_file};
 use mcm_sparse::permute::{permute_triples, Permutation};
 use mcm_sparse::stats::MatrixStats;
@@ -80,21 +78,40 @@ fn main() -> ExitCode {
     }
 }
 
+type Command = fn(&[String]) -> Result<(), String>;
+
 fn run(args: &[String]) -> Result<(), String> {
-    match args.first().map(String::as_str) {
-        Some("stats") => cmd_stats(&args[1..]),
-        Some("match") => cmd_match(&args[1..]),
-        Some("permute") => cmd_permute(&args[1..]),
-        Some("dm") => cmd_dm(&args[1..]),
-        Some("btf") => cmd_btf(&args[1..]),
-        Some("gen") => cmd_gen(&args[1..]),
-        Some("convert") => cmd_convert(&args[1..]),
-        Some("help") | None => {
-            print!("{}", USAGE);
-            Ok(())
+    // Each subcommand with the flags that take a value and the ones that
+    // take none.
+    let (cmd, valued, switches): (Command, &[&str], &[&str]) =
+        match args.first().map(String::as_str) {
+            Some("stats") => (cmd_stats, &[], &[]),
+            Some("match") => (
+                cmd_match,
+                &["--algo", "--backend", "--grid", "--ranks", "--threads", "--trace-out", "--out"],
+                &SWITCHES,
+            ),
+            Some("permute") => (cmd_permute, &["--out"], &[]),
+            Some("dm") => (cmd_dm, &[], &[]),
+            Some("btf") => (cmd_btf, &[], &[]),
+            Some("gen") => (cmd_gen, &["--scale", "--seed", "--out", "--format"], &[]),
+            Some("convert") => (cmd_convert, &["--out"], &[]),
+            Some("help") | None => {
+                print!("{}", USAGE);
+                return Ok(());
+            }
+            Some(other) => return Err(format!("unknown command: {other}")),
+        };
+    let rest = &args[1..];
+    let mut it = rest.iter();
+    while let Some(a) = it.next() {
+        if valued.contains(&a.as_str()) {
+            it.next();
+        } else if a.starts_with("--") && !switches.contains(&a.as_str()) {
+            return Err(format!("unknown flag for `mcm {}`: {a}", args[0]));
         }
-        Some(other) => Err(format!("unknown command: {other}")),
     }
+    cmd(rest)
 }
 
 const USAGE: &str = "\
@@ -243,7 +260,7 @@ fn compute(
         other => return Err(format!("unknown algorithm: {other}")),
     };
     let opts = PortfolioOptions { algo, backend, threads, ..Default::default() };
-    Ok(solve(g, Start::Cold, &opts, &mut SolverPool::new()))
+    Ok(solve(g, Start::Cold, &opts))
 }
 
 /// `match` flags that choose or instrument a cardinality engine; the

@@ -36,16 +36,12 @@
 //! shutdown                stop the daemon after draining admitted updates
 //! ```
 //!
-//! Large-dirty-set fallback recomputes are warm-started solves through
-//! the portfolio's one entry point (`mcm_core::portfolio::solve`), on
-//! the backend `PortfolioBackend::from_cli` builds from `--backend`,
-//! `--ranks` and `--threads` — the same constructor, checks and
-//! spellings as `mcm match`. `sim` (the default) is the simulator on one
-//! rank; `--backend engine` runs MS-BFS on the real thread-per-rank
-//! `EngineComm` mesh (`--ranks × --threads` cores), so warm-started
-//! recomputes actually use all cores, and gives a warm PPF fallback
-//! (`--algo ppf|auto`) `--ranks × --threads` workers. `--backend shared`
-//! keeps them on the simulator, on the `√p × √p` grid of `--ranks p`.
+//! When a batch dirties more than `--fallback` of the vertices, the
+//! cardinality engine recomputes with serial MS-BFS warm-started from the
+//! stale matching (`mcm_core::serial::ms_bfs_serial`); the `stats` line
+//! names it `algo msbfs-serial`. `--threads` sizes the weighted engine's
+//! auction and is checked in both modes. An unknown flag is an error
+//! naming it.
 //!
 //! The `mcm-obs` metrics registry is always live in `mcmd`: per-request
 //! latency histograms (`mcmd_request_seconds{verb}`), per-batch repair
@@ -54,7 +50,6 @@
 //! command. `--trace-out` additionally records spans for the whole
 //! session and writes a `chrome://tracing` JSON file at exit.
 
-use mcm_core::{MatchingAlgo, PortfolioBackend, PortfolioOptions};
 use mcm_dyn::{DynMatching, DynOptions, WDynMatching, WDynOptions};
 use mcm_serve::{run_session, Engine, Server, ServerConfig};
 use mcm_sparse::io::{read_matrix_market_file, read_matrix_market_weighted_file};
@@ -68,9 +63,7 @@ mcmd — streaming update service for dynamic maximum matching
 usage:
   mcmd [--weighted] [--rows n] [--cols n] [--load file.mtx] [--input file]
        [--listen addr] [--max-batch n] [--max-delay-ms ms] [--queue-cap n]
-       [--fallback f] [--algo msbfs|ppf|auto]
-       [--backend sim|engine|shared] [--ranks p] [--threads t]
-       [--trace-out file] [--full-verify] [--quiet]
+       [--fallback f] [--threads t] [--trace-out file] [--full-verify] [--quiet]
 
   --weighted            serve maximum *weight* matching: `insert u v [w]`
                         (missing weight = 1.0), `query` answers
@@ -93,19 +86,10 @@ usage:
   --queue-cap n         socket mode: admission queue bound; a full queue answers
                         `busy` (default 4096)
   --fallback f          cardinality mode: dirty fraction of n1+n2 above which
-                        repair falls back to the warm-started MS-BFS driver
-                        (default 0.25); ignored with --weighted
-  --algo a              engine servicing fallback solves: warm-started MS-BFS
-                        (msbfs, default), warm-started parallel Pothen-Fan
-                        (ppf), or a per-fallback measured pick (auto)
-  --backend b           run fallback recomputes on the one-rank cost-model
-                        simulator (sim, default) or the real thread-per-rank
-                        mesh (engine); shared = the simulator on the
-                        sqrt(p) x sqrt(p) grid of --ranks p
-  --ranks p             engine/shared: rank count, a perfect square (default 4)
-  --threads t           threads per rank (default 1); warm PPF fallbacks take
-                        ranks x threads workers on engine, threads otherwise;
-                        with --weighted, the auction's worker threads
+                        repair falls back to serial MS-BFS warm-started from
+                        the stale matching (default 0.25); ignored with
+                        --weighted
+  --threads t           with --weighted, the auction's worker threads (default 1)
   --trace-out file      record spans; write chrome://tracing JSON at exit
   --full-verify         re-verify the full matching after every batch
   --quiet               suppress per-batch report lines (stdin mode)
@@ -129,6 +113,35 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// Flags that take a value, and flags that take none.
+const VALUED: [&str; 11] = [
+    "--rows",
+    "--cols",
+    "--load",
+    "--input",
+    "--listen",
+    "--max-batch",
+    "--max-delay-ms",
+    "--queue-cap",
+    "--fallback",
+    "--threads",
+    "--trace-out",
+];
+const SWITCHES: [&str; 3] = ["--weighted", "--full-verify", "--quiet"];
+
+/// Rejects the first flag `mcmd` does not take, naming it.
+fn check_flags(args: &[String]) -> Result<(), String> {
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if VALUED.contains(&a.as_str()) {
+            it.next();
+        } else if a.starts_with("--") && !SWITCHES.contains(&a.as_str()) {
+            return Err(format!("unknown flag: {a}"));
+        }
+    }
+    Ok(())
 }
 
 fn opt<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
@@ -168,6 +181,7 @@ fn load_weighted(path: &str) -> Result<mcm_sparse::WCsc, String> {
 }
 
 fn run(args: &[String]) -> Result<(), String> {
+    check_flags(args)?;
     let fallback = match opt(args, "--fallback") {
         Some(f) => f.parse::<f64>().map_err(|_| format!("bad --fallback value: {f}"))?,
         None => 0.25,
@@ -179,29 +193,12 @@ fn run(args: &[String]) -> Result<(), String> {
         }
     };
     let threads = parse_usize(opt(args, "--threads"), "--threads", 1)?;
-    let backend = PortfolioBackend::from_cli(
-        opt(args, "--backend").unwrap_or("sim"),
-        1,
-        parse_usize(opt(args, "--ranks"), "--ranks", 4)?,
-        threads,
-    )?;
-    let algo: MatchingAlgo = match opt(args, "--algo") {
-        Some(s) => s.parse()?,
-        None => MatchingAlgo::MsBfs,
-    };
+    if threads == 0 {
+        return Err("--threads must be at least 1".into());
+    }
     let opts = DynOptions {
         fallback_threshold: fallback,
         full_verify: args.iter().any(|a| a == "--full-verify"),
-        portfolio: PortfolioOptions {
-            algo,
-            backend,
-            // PPF takes a flat worker count: every core the backend runs.
-            threads: match backend {
-                PortfolioBackend::Sim { threads, .. } => threads,
-                PortfolioBackend::Engine { p, threads } => p * threads,
-            },
-            ..DynOptions::default().portfolio
-        },
     };
     let quiet = args.iter().any(|a| a == "--quiet");
 

@@ -6,7 +6,7 @@
 //! `verify::is_maximum_from`, and warm starts reach maximum through the
 //! same `portfolio::solve` entry point as cold solves.
 
-use mcm_core::mcm::{McmResult, SolverPool, Start};
+use mcm_core::mcm::{McmResult, Start};
 use mcm_core::portfolio::{
     self, resolve_algo, MatchingAlgo, PortfolioBackend, PortfolioOptions, SelectorStats,
 };
@@ -36,7 +36,7 @@ fn dense_random(seed: u64) -> Triples {
 
 /// A cold one-off solve through the portfolio's entry point.
 fn solve_cold(a: &CscView<'_>, opts: &PortfolioOptions) -> McmResult {
-    portfolio::solve(a, Start::Cold, opts, &mut SolverPool::new()).0
+    portfolio::solve(a, Start::Cold, opts).0
 }
 
 /// `t` with every edge weighted 1, so maximum weight = maximum cardinality.
@@ -227,7 +227,6 @@ fn warm_starts_through_the_one_entry_point_reach_maximum() {
         (MatchingAlgo::MsBfs, PortfolioBackend::Engine { p: 4, threads: 1 }),
         (MatchingAlgo::Ppf, PortfolioBackend::default()),
     ];
-    let mut pool = SolverPool::new();
     for (name, t) in &simtest_suite(0x3A7) {
         let a = t.to_csc();
         let want = hopcroft_karp(&a, None).cardinality();
@@ -235,7 +234,7 @@ fn warm_starts_through_the_one_entry_point_reach_maximum() {
             let opts =
                 PortfolioOptions { algo, backend, threads: 2, ..PortfolioOptions::default() };
             let warm = Start::Warm(greedy_serial(&a));
-            let (r, modeled) = portfolio::solve(&a.view(), warm, &opts, &mut pool);
+            let (r, modeled) = portfolio::solve(&a.view(), warm, &opts);
             let tag = format!("{name}/{algo} on {backend:?}");
             assert_eq!(r.matching.cardinality(), want, "{tag}: not maximum");
             verify::verify(&a, &r.matching).unwrap_or_else(|e| panic!("{tag}: {e}"));

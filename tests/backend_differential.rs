@@ -23,7 +23,7 @@
 use mcm_bsp::{Communicator, DistCtx, EngineComm, MachineConfig};
 use mcm_core::augment::AugmentMode;
 use mcm_core::maximal::Initializer;
-use mcm_core::mcm::{maximum_matching, McmOptions, SolverPool, Start};
+use mcm_core::mcm::{maximum_matching, McmOptions, Start};
 use mcm_core::portfolio::{solve, MatchingAlgo, PortfolioBackend, PortfolioOptions};
 use mcm_core::serial::hopcroft_karp;
 use mcm_core::verify;
@@ -79,9 +79,8 @@ fn both_backends_produce_identical_matchings_and_charges_across_the_suite() {
             for opts in &configs {
                 let mut ctx = DistCtx::new(MachineConfig::hybrid(dim, threads));
                 let mut eng_comm = EngineComm::new(p, threads);
-                let pool = &mut SolverPool::new();
-                let sim = maximum_matching(&mut ctx, &v, Start::Cold, opts, pool);
-                let eng = maximum_matching(&mut eng_comm, &v, Start::Cold, opts, pool);
+                let sim = maximum_matching(&mut ctx, &v, Start::Cold, opts);
+                let eng = maximum_matching(&mut eng_comm, &v, Start::Cold, opts);
                 let tag = format!(
                     "{name} p={p} threads={threads} init={:?} augment={:?} diropt={}",
                     opts.init, opts.augment, opts.direction_optimizing
@@ -164,7 +163,7 @@ fn cross_algorithm_matrix_agrees_with_the_oracle() {
                                     backend,
                                     ..PortfolioOptions::default()
                                 };
-                                solve(&a.view(), Start::Cold, &opts, &mut SolverPool::new()).0
+                                solve(&a.view(), Start::Cold, &opts).0
                             })
                             .collect();
                         for (r, backend) in results.iter().zip(backends) {
@@ -192,7 +191,7 @@ fn cross_algorithm_matrix_agrees_with_the_oracle() {
                                 seed: suite_seed ^ p as u64,
                                 ..PortfolioOptions::default()
                             };
-                            let r = solve(&a.view(), Start::Cold, &opts, &mut SolverPool::new()).0;
+                            let r = solve(&a.view(), Start::Cold, &opts).0;
                             assert_eq!(r.stats.algo, algo.name(), "{tag}");
                             assert_eq!(
                                 r.matching.cardinality(),
@@ -245,9 +244,8 @@ fn engine_backend_warm_start_matches_simulator() {
         let mut ctx = DistCtx::new(MachineConfig::hybrid(2, threads));
         let mut eng_comm = EngineComm::new(4, threads);
         let v = a.view();
-        let pool = &mut SolverPool::new();
-        let sim = maximum_matching(&mut ctx, &v, Start::Warm(warm.clone()), &opts, pool);
-        let eng = maximum_matching(&mut eng_comm, &v, Start::Warm(warm.clone()), &opts, pool);
+        let sim = maximum_matching(&mut ctx, &v, Start::Warm(warm.clone()), &opts);
+        let eng = maximum_matching(&mut eng_comm, &v, Start::Warm(warm.clone()), &opts);
         let tag = format!("warm-started {name} ({label})");
         assert_eq!(sim.matching, eng.matching, "{tag} diverged (engine)");
         assert_eq!(ctx.timers, eng_comm.ctx().timers, "{tag} charges diverged (engine)");

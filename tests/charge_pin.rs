@@ -12,7 +12,7 @@
 
 use mcm_bsp::{DistCtx, Kernel, MachineConfig};
 use mcm_core::maximal::Initializer;
-use mcm_core::mcm::{maximum_matching, McmOptions, SolverPool, Start};
+use mcm_core::mcm::{maximum_matching, McmOptions, Start};
 use mcm_gen::{rmat, RmatParams};
 
 const SCALE: u32 = 12;
@@ -71,7 +71,7 @@ const CARDINALITY: usize = 2610;
 fn assert_pinned(name: &str, opts: &McmOptions, golden: &[(Kernel, f64, u64)]) -> usize {
     let csc = rmat(RmatParams::g500(SCALE), SEED).to_csc();
     let mut ctx = DistCtx::new(MachineConfig::hybrid(2, 1));
-    let res = maximum_matching(&mut ctx, &csc.view(), Start::Cold, opts, &mut SolverPool::new());
+    let res = maximum_matching(&mut ctx, &csc.view(), Start::Cold, opts);
     let (got_card, got) = (res.matching.cardinality(), ctx.timers.breakdown());
     let table: String =
         got.iter().map(|(k, s, c)| format!("    (Kernel::{}, {s:?}, {c}),\n", k.name())).collect();

@@ -456,81 +456,6 @@ fn mcmd_reports_errors_without_dying() {
 }
 
 #[test]
-fn mcmd_engine_backend_agrees_with_simulator() {
-    // Same trace, forced fallbacks (--fallback 0), both backends: query
-    // answers must be identical, and the engine run must really fall back.
-    let script = "insert 0 0\ninsert 0 1\ninsert 1 0\ninsert 2 2\nquery\n\
-                  delete 0 0\ninsert 3 2\ninsert 2 3\nquery\nstats\nquit\n";
-    let sim = mcmd_session(
-        &["--rows", "6", "--cols", "6", "--fallback", "0", "--full-verify", "--quiet"],
-        script,
-    );
-    let eng = mcmd_session(
-        &[
-            "--rows",
-            "6",
-            "--cols",
-            "6",
-            "--fallback",
-            "0",
-            "--full-verify",
-            "--quiet",
-            "--backend",
-            "engine",
-            "--ranks",
-            "4",
-            "--threads",
-            "2",
-        ],
-        script,
-    );
-    let cards = |t: &str| -> Vec<String> {
-        t.lines().filter(|l| l.starts_with("matching ")).map(str::to_owned).collect()
-    };
-    assert_eq!(cards(&sim), cards(&eng), "sim:\n{sim}\nengine:\n{eng}");
-    let stats = eng.lines().find(|l| l.starts_with("stats ")).unwrap_or_else(|| panic!("{eng}"));
-    assert!(!stats.contains("fallbacks 0"), "engine run never fell back: {stats}");
-}
-
-#[test]
-fn mcmd_shared_backend_agrees_with_simulator() {
-    // Same forced-fallback trace with `--backend shared`, the simulator
-    // accounting 4 ranks × 2 threads: query answers must match the serial
-    // simulator's, and fallbacks must really run.
-    let script = "insert 0 0\ninsert 0 1\ninsert 1 0\ninsert 2 2\nquery\n\
-                  delete 0 0\ninsert 3 2\ninsert 2 3\nquery\nstats\nquit\n";
-    let sim = mcmd_session(
-        &["--rows", "6", "--cols", "6", "--fallback", "0", "--full-verify", "--quiet"],
-        script,
-    );
-    let shr = mcmd_session(
-        &[
-            "--rows",
-            "6",
-            "--cols",
-            "6",
-            "--fallback",
-            "0",
-            "--full-verify",
-            "--quiet",
-            "--backend",
-            "shared",
-            "--ranks",
-            "4",
-            "--threads",
-            "2",
-        ],
-        script,
-    );
-    let cards = |t: &str| -> Vec<String> {
-        t.lines().filter(|l| l.starts_with("matching ")).map(str::to_owned).collect()
-    };
-    assert_eq!(cards(&sim), cards(&shr), "sim:\n{sim}\nshared:\n{shr}");
-    let stats = shr.lines().find(|l| l.starts_with("stats ")).unwrap_or_else(|| panic!("{shr}"));
-    assert!(!stats.contains("fallbacks 0"), "shared run never fell back: {stats}");
-}
-
-#[test]
 fn match_backend_shared_is_the_simulator_on_the_ranks_grid() {
     // `--backend shared --ranks p` spells `--backend sim --grid √p`: the
     // same matching and the same modeled time.
@@ -597,15 +522,7 @@ fn shared_backend_output_and_modeled_time_are_pinned_across_ranks() {
 
 #[test]
 fn mcmd_rejects_bad_backend_flags() {
-    for args in [
-        &["--backend", "frob"][..],
-        &["--backend", "engine", "--ranks", "3"][..],
-        &["--backend", "engine", "--threads", "0"][..],
-        &["--backend", "shared", "--ranks", "3"][..],
-        &["--backend", "shared", "--threads", "0"][..],
-        &["--threads", "0"][..],
-        &["--weighted", "--threads", "0"][..],
-    ] {
+    for args in [&["--threads", "0"][..], &["--weighted", "--threads", "0"][..]] {
         let out = mcmd().args(args).output().unwrap();
         assert!(!out.status.success(), "{args:?} should fail");
         assert!(String::from_utf8_lossy(&out.stderr).contains("error"), "{args:?}");
@@ -616,7 +533,7 @@ fn mcmd_rejects_bad_backend_flags() {
 fn simulator_rejects_grids_beyond_its_rank_limit() {
     // The fused kernel's fold-segment ids are u16, so the simulator takes
     // at most 65536 logical ranks: a larger grid is a clean error, on the
-    // `--grid` and `--ranks` spellings of `mcm match` and on `mcmd`.
+    // `--grid` and `--ranks` spellings of `mcm match`.
     let file = tmp("rank_limit.mtx");
     assert!(mcm()
         .args(["gen", "er", "--scale", "5", "--seed", "1", "--out"])
@@ -633,9 +550,6 @@ fn simulator_rejects_grids_beyond_its_rank_limit() {
             "{args:?}: {err}"
         );
     }
-    let out = mcmd().args(["--backend", "shared", "--ranks", "66049"]).output().unwrap();
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("at most 65536 ranks"));
 }
 
 #[test]
@@ -818,72 +732,6 @@ fn match_rejects_non_square_ranks_for_every_algo() {
 }
 
 #[test]
-fn mcmd_algo_flag_routes_fallbacks_and_reports_the_engine() {
-    // Same forced-fallback trace under every portfolio engine: the query
-    // answers must agree (all engines are maximum, full_verify certifies
-    // each batch) and the stats line must report the engine that ran.
-    let script = "insert 0 0\ninsert 0 1\ninsert 1 0\ninsert 2 2\nquery\n\
-                  delete 0 0\ninsert 3 2\ninsert 2 3\nquery\nstats\nquit\n";
-    let base = ["--rows", "6", "--cols", "6", "--fallback", "0", "--full-verify", "--quiet"];
-    let sim = mcmd_session(&base, script);
-    let cards = |t: &str| -> Vec<String> {
-        t.lines().filter(|l| l.starts_with("matching ")).map(str::to_owned).collect()
-    };
-    for algo in ["msbfs", "ppf"] {
-        let mut args = base.to_vec();
-        args.extend(["--algo", algo]);
-        let text = mcmd_session(&args, script);
-        assert_eq!(cards(&sim), cards(&text), "--algo {algo} diverged:\n{sim}\n{text}");
-        let stats =
-            text.lines().find(|l| l.starts_with("stats ")).unwrap_or_else(|| panic!("{text}"));
-        assert!(!stats.contains("fallbacks 0"), "--algo {algo} never fell back: {stats}");
-        assert!(stats.contains(&format!("algo {algo}")), "--algo {algo}: {stats}");
-    }
-}
-
-#[test]
-fn mcmd_algo_auto_resolves_to_a_concrete_engine() {
-    // With `--fallback 0` every batch is a fallback solve, so auto must
-    // have measured the graph and the stats line names its concrete pick,
-    // never the literal "auto".
-    let text = mcmd_session(
-        &[
-            "--rows",
-            "6",
-            "--cols",
-            "6",
-            "--fallback",
-            "0",
-            "--full-verify",
-            "--quiet",
-            "--algo",
-            "auto",
-        ],
-        "insert 0 0\ninsert 0 1\ninsert 1 0\nquery\nstats\nquit\n",
-    );
-    assert!(text.contains("matching 2"), "{text}");
-    let stats = text.lines().find(|l| l.starts_with("stats ")).unwrap_or_else(|| panic!("{text}"));
-    assert!(!stats.contains("fallbacks 0"), "auto run never fell back: {stats}");
-    let algo = stats
-        .split(" algo ")
-        .nth(1)
-        .map(str::trim)
-        .unwrap_or_else(|| panic!("no algo token: {stats}"));
-    assert!(["msbfs", "ppf"].contains(&algo), "auto leaked through: {stats}");
-}
-
-#[test]
-fn mcmd_rejects_unknown_algo_names() {
-    for algo in ["frobnicate", "auction"] {
-        let out = mcmd().args(["--algo", algo]).output().unwrap();
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{algo}: {err}");
-        assert!(err.contains("unknown algorithm"), "{algo}: {err}");
-        assert!(!err.contains("panicked"), "{algo}: {err}");
-    }
-}
-
-#[test]
 fn mcmd_metrics_command_serves_prometheus_text() {
     let text = mcmd_session(
         &["--rows", "8", "--cols", "8", "--quiet"],
@@ -924,7 +772,7 @@ fn mcmd_reports_scanned_adjacency_entries() {
         "insert 0 0\ninsert 1 1\ninsert 0 1\nquery\ndelete 0 0\nquery\nstats\nmetrics\nquit\n",
     );
     let line = text.lines().find(|l| l.starts_with("stats ")).unwrap_or_else(|| panic!("{text}"));
-    assert!(line.ends_with(" warm_start 0 scanned 2 algo msbfs"), "{line}");
+    assert!(line.ends_with(" warm_start 0 scanned 2 algo msbfs-serial"), "{line}");
     assert!(text.contains("mcm_dyn_scanned_total{strategy=\"incremental\"} 2"), "{text}");
 }
 
@@ -1085,5 +933,126 @@ fn mcmd_stdin_and_socket_modes_agree() {
                 |base: &PathBuf| std::fs::read(format!("{}_{which}.mtx", base.display())).unwrap();
             assert_eq!(file(&stdin_snap), file(&socket_snap), "{kind}: {which} snapshots differ");
         }
+    }
+}
+
+#[test]
+fn mcmd_forced_fallback_agrees_across_stdin_and_socket() {
+    // `--fallback 0` sends every dirtying batch to warm serial MS-BFS, and
+    // `--full-verify` certifies each one. The same windows of updates
+    // through `--input` and through `--listen` must answer identically,
+    // and the stats line must show fallbacks that ran and name their engine.
+    let mut x = 0xFA11u64;
+    let mut next = |n: u64| {
+        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (x >> 33) % n
+    };
+    let mut script = Vec::new();
+    for _ in 0..6 {
+        for _ in 0..25 {
+            let (r, c) = (next(10), next(10));
+            script.push(if next(3) == 0 {
+                format!("delete {r} {c}")
+            } else {
+                format!("insert {r} {c}")
+            });
+        }
+        script.extend(["sync", "query", "state", "stats"].map(String::from));
+    }
+    let engine = ["--rows", "10", "--cols", "10", "--fallback", "0", "--full-verify"];
+    let input = tmp("forced_fallback.txt");
+    std::fs::write(&input, script.iter().map(|l| format!("{l}\n")).collect::<String>() + "quit\n")
+        .unwrap();
+    let out = mcmd().args(engine).args(["--quiet", "--input"]).arg(&input).output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdin_lines: Vec<String> =
+        String::from_utf8_lossy(&out.stdout).lines().map(str::to_owned).collect();
+    let socket_lines: Vec<String> = mcmd_socket_session(&engine, &script)
+        .into_iter()
+        .filter(|l| l != "ok" && l != "bye")
+        .collect();
+    assert_eq!(stdin_lines, socket_lines, "the modes answered differently");
+    let stats = stdin_lines.iter().rfind(|l| l.starts_with("stats ")).unwrap();
+    let fallbacks: usize = stats
+        .split(" fallbacks ")
+        .nth(1)
+        .and_then(|t| t.split(' ').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no fallbacks token: {stats}"));
+    assert!(fallbacks > 0, "no batch fell back: {stats}");
+    assert!(stats.ends_with(" algo msbfs-serial"), "{stats}");
+}
+
+#[test]
+fn mcm_rejects_unknown_flags_per_subcommand() {
+    // A flag the subcommand does not take exits 1 naming it, also when
+    // another subcommand takes it; the flags each one takes still work.
+    let file = tmp("unknown_flags.mtx");
+    let out = mcm()
+        .args(["gen", "g500", "--scale", "6", "--seed", "3", "--format", "mtx", "--out"])
+        .arg(&file)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let f = file.to_str().unwrap();
+    let pairs = tmp("unknown_flags_pairs.txt");
+    let pairs = pairs.to_str().unwrap();
+    for (cmd, bad) in [
+        ("stats", "--frob"),
+        ("match", "--frob"),
+        ("match", "--scale"),
+        ("permute", "--algo"),
+        ("dm", "--out"),
+        ("btf", "--threads"),
+        ("gen", "--algo"),
+        ("convert", "--seed"),
+    ] {
+        let out = mcm().args([cmd, f, bad, "1"]).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd} {bad}: {err}");
+        assert!(err.contains(&format!("unknown flag for `mcm {cmd}`: {bad}")), "{err}");
+    }
+    let ok = |args: &[&str]| {
+        let out = mcm().args(args).output().unwrap();
+        assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+    };
+    ok(&["stats", f]);
+    ok(&["dm", f]);
+    ok(&["match", f, "--algo", "dist", "--backend", "sim", "--grid", "1", "--threads", "1"]);
+    ok(&["match", f, "--backend", "shared", "--ranks", "4", "--breakdown", "--out", pairs]);
+    ok(&["match", f, "--weighted", "--threads", "1", "--out", pairs]);
+}
+
+#[test]
+fn mcmd_rejects_unknown_flags() {
+    // The solver flags mcmd no longer takes and a made-up one: each exits
+    // 1 naming the flag. Every flag mcmd does take still parses.
+    for (args, flag) in [
+        (&["--algo", "msbfs"][..], "--algo"),
+        (&["--backend", "engine"][..], "--backend"),
+        (&["--ranks", "4"][..], "--ranks"),
+        (&["--rows", "4", "--cols", "4", "--frobnicate", "3"][..], "--frobnicate"),
+    ] {
+        let out = mcmd().args(args).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.contains(&format!("unknown flag: {flag}")), "{args:?}: {err}");
+    }
+    let trace = tmp("mcmd_all_flags.json");
+    let input = tmp("mcmd_all_flags.txt");
+    std::fs::write(&input, "insert 0 0\nquery\nquit\n").unwrap();
+    for weighted in [&[][..], &["--weighted"][..]] {
+        let out = mcmd()
+            .args(weighted)
+            .args(["--rows", "4", "--cols", "4", "--fallback", "0.5", "--threads", "1"])
+            .args(["--max-batch", "8", "--max-delay-ms", "1", "--queue-cap", "16"])
+            .args(["--full-verify", "--quiet", "--trace-out"])
+            .arg(&trace)
+            .arg("--input")
+            .arg(&input)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{weighted:?}: {}", String::from_utf8_lossy(&out.stderr));
+        assert!(String::from_utf8_lossy(&out.stdout).contains("matching 1"));
     }
 }

@@ -5,7 +5,7 @@
 use mcm_bench::{run_mcm_scaled, share};
 use mcm_bsp::{DistCtx, Kernel, MachineConfig};
 use mcm_core::gather::centralized_cost;
-use mcm_core::{maximum_matching, McmOptions, SolverPool, Start};
+use mcm_core::{maximum_matching, McmOptions, Start};
 use mcm_gen::mesh::road_grid;
 use mcm_gen::rmat::{rmat, RmatParams};
 
@@ -114,13 +114,7 @@ fn work_scale_leaves_results_untouched() {
 fn timer_breakdown_sums_to_total() {
     let t = rmat(RmatParams::g500(9), 2);
     let mut ctx = DistCtx::new(MachineConfig::hybrid(3, 4));
-    let _ = maximum_matching(
-        &mut ctx,
-        &t.to_csc().view(),
-        Start::Cold,
-        &McmOptions::default(),
-        &mut SolverPool::new(),
-    );
+    let _ = maximum_matching(&mut ctx, &t.to_csc().view(), Start::Cold, &McmOptions::default());
     let sum: f64 = ctx.timers.breakdown().iter().map(|(_, s, _)| s).sum();
     assert!((sum - ctx.timers.total()).abs() < 1e-12 * sum.max(1.0));
 }

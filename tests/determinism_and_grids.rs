@@ -5,7 +5,7 @@
 
 use mcm_bsp::{DistCtx, MachineConfig};
 use mcm_core::semirings::SemiringKind;
-use mcm_core::{maximum_matching, McmOptions, SolverPool, Start};
+use mcm_core::{maximum_matching, McmOptions, Start};
 use mcm_gen::mesh::triangulated_grid;
 use mcm_gen::rmat::{rmat, RmatParams};
 use mcm_gen::smallworld::watts_strogatz;
@@ -24,14 +24,8 @@ fn matchings_are_identical_across_grid_shapes() {
     for (name, t) in inputs() {
         let run = |dim: usize, threads: usize| {
             let mut ctx = DistCtx::new(MachineConfig::hybrid(dim, threads));
-            maximum_matching(
-                &mut ctx,
-                &t.to_csc().view(),
-                Start::Cold,
-                &McmOptions::default(),
-                &mut SolverPool::new(),
-            )
-            .matching
+            maximum_matching(&mut ctx, &t.to_csc().view(), Start::Cold, &McmOptions::default())
+                .matching
         };
         let base = run(1, 1);
         for (dim, threads) in [(2, 1), (3, 2), (4, 12), (5, 1)] {
@@ -52,14 +46,7 @@ fn randomized_semirings_are_seed_deterministic() {
                 let mut ctx = DistCtx::new(MachineConfig::hybrid(2, 1));
                 let opts =
                     McmOptions { semiring: SemiringKind::RandRoot(seed), ..Default::default() };
-                maximum_matching(
-                    &mut ctx,
-                    &t.to_csc().view(),
-                    Start::Cold,
-                    &opts,
-                    &mut SolverPool::new(),
-                )
-                .matching
+                maximum_matching(&mut ctx, &t.to_csc().view(), Start::Cold, &opts).matching
             };
             assert_eq!(run(), run(), "{name}: seed {seed} not reproducible");
         }
@@ -74,14 +61,7 @@ fn randomized_semirings_are_grid_independent() {
         let run = |dim: usize| {
             let mut ctx = DistCtx::new(MachineConfig::hybrid(dim, 1));
             let opts = McmOptions { semiring: SemiringKind::RandRoot(99), ..Default::default() };
-            maximum_matching(
-                &mut ctx,
-                &t.to_csc().view(),
-                Start::Cold,
-                &opts,
-                &mut SolverPool::new(),
-            )
-            .matching
+            maximum_matching(&mut ctx, &t.to_csc().view(), Start::Cold, &opts).matching
         };
         assert_eq!(run(1), run(3), "{name}");
     }
@@ -108,13 +88,7 @@ fn modeled_time_is_deterministic() {
     let t = rmat(RmatParams::g500(8), 3);
     let run = || {
         let mut ctx = DistCtx::new(MachineConfig::hybrid(3, 12));
-        let _ = maximum_matching(
-            &mut ctx,
-            &t.to_csc().view(),
-            Start::Cold,
-            &McmOptions::default(),
-            &mut SolverPool::new(),
-        );
+        let _ = maximum_matching(&mut ctx, &t.to_csc().view(), Start::Cold, &McmOptions::default());
         ctx.timers.total()
     };
     assert_eq!(run(), run());
@@ -125,13 +99,7 @@ fn stats_are_grid_independent_for_deterministic_semiring() {
     let t = triangulated_grid(10, 10, 7);
     let run = |dim: usize| {
         let mut ctx = DistCtx::new(MachineConfig::hybrid(dim, 1));
-        let r = maximum_matching(
-            &mut ctx,
-            &t.to_csc().view(),
-            Start::Cold,
-            &McmOptions::default(),
-            &mut SolverPool::new(),
-        );
+        let r = maximum_matching(&mut ctx, &t.to_csc().view(), Start::Cold, &McmOptions::default());
         (r.stats.phases, r.stats.iterations, r.stats.augmentations)
     };
     let base = run(1);

@@ -5,7 +5,7 @@
 //! relabeled twin — and the permutation must never change the result.
 
 use mcm_bsp::{DistCtx, Kernel, MachineConfig};
-use mcm_core::{maximum_matching, McmOptions, SolverPool, Start};
+use mcm_core::{maximum_matching, McmOptions, Start};
 use mcm_sparse::permute::SplitMix64;
 use mcm_sparse::{Triples, Vidx};
 
@@ -32,13 +32,7 @@ fn random_relabeling_reduces_bottleneck_time() {
     let run = |permute: Option<u64>| {
         let mut ctx = DistCtx::new(MachineConfig::hybrid(4, 1));
         let opts = McmOptions { permute_seed: permute, ..Default::default() };
-        let r = maximum_matching(
-            &mut ctx,
-            &t.to_csc().view(),
-            Start::Cold,
-            &opts,
-            &mut SolverPool::new(),
-        );
+        let r = maximum_matching(&mut ctx, &t.to_csc().view(), Start::Cold, &opts);
         (ctx.timers.seconds(Kernel::SpMV) + ctx.timers.seconds(Kernel::Init), r.matching)
     };
     let (unbalanced, m1) = run(None);
@@ -57,13 +51,7 @@ fn permutation_never_changes_cardinality() {
     for seed in [None, Some(1), Some(2), Some(999)] {
         let mut ctx = DistCtx::new(MachineConfig::hybrid(3, 1));
         let opts = McmOptions { permute_seed: seed, ..Default::default() };
-        let r = maximum_matching(
-            &mut ctx,
-            &t.to_csc().view(),
-            Start::Cold,
-            &opts,
-            &mut SolverPool::new(),
-        );
+        let r = maximum_matching(&mut ctx, &t.to_csc().view(), Start::Cold, &opts);
         r.matching.validate(&t.to_csc()).unwrap();
         cards.insert(r.matching.cardinality());
     }

@@ -11,7 +11,7 @@
 //! The obs globals (two flags, one trace sink, one registry) are shared
 //! by every test in this binary, so each test serializes on [`GUARD`].
 
-use mcm_core::{maximum_matching, McmOptions, SolverPool, Start};
+use mcm_core::{maximum_matching, McmOptions, Start};
 use mcm_gen::rmat::{rmat, RmatParams};
 use std::sync::Mutex;
 
@@ -24,13 +24,7 @@ fn traced_engine_run(p: usize, threads: usize) -> mcm_obs::Trace {
     mcm_obs::enable_tracing(true);
     drop(mcm_obs::take_trace());
     let mut comm = mcm_bsp::EngineComm::new(p, threads);
-    let r = maximum_matching(
-        &mut comm,
-        &t.to_csc().view(),
-        Start::Cold,
-        &McmOptions::default(),
-        &mut SolverPool::new(),
-    );
+    let r = maximum_matching(&mut comm, &t.to_csc().view(), Start::Cold, &McmOptions::default());
     assert!(r.matching.cardinality() > 0);
     mcm_obs::enable_tracing(false);
     mcm_obs::take_trace()
@@ -181,15 +175,11 @@ fn init_rounds_record_how_they_ran() {
     };
     let (sim_structure, sim_product) = rounds(&|| {
         let mut ctx = mcm_bsp::DistCtx::new(mcm_bsp::MachineConfig::hybrid(2, 1));
-        maximum_matching(&mut ctx, &a.view(), Start::Cold, &opts, &mut SolverPool::new())
-            .matching
-            .cardinality()
+        maximum_matching(&mut ctx, &a.view(), Start::Cold, &opts).matching.cardinality()
     });
     let (eng_structure, eng_product) = rounds(&|| {
         let mut eng = mcm_bsp::EngineComm::new(4, 1);
-        maximum_matching(&mut eng, &a.view(), Start::Cold, &opts, &mut SolverPool::new())
-            .matching
-            .cardinality()
+        maximum_matching(&mut eng, &a.view(), Start::Cold, &opts).matching.cardinality()
     });
     assert_eq!(sim_structure, 1, "the simulator pulls round 1 from the structure");
     assert!(sim_product > 0, "later rounds push their proposals");
@@ -212,9 +202,7 @@ fn disabled_recorder_overhead_is_under_two_percent() {
     let opts = McmOptions::default();
     let run = |t: &mcm_sparse::Triples| {
         let mut comm = mcm_bsp::EngineComm::new(4, 2);
-        maximum_matching(&mut comm, &t.to_csc().view(), Start::Cold, &opts, &mut SolverPool::new())
-            .matching
-            .cardinality()
+        maximum_matching(&mut comm, &t.to_csc().view(), Start::Cold, &opts).matching.cardinality()
     };
 
     // Sites per run, from an enabled run's trace (span sites; each is one

@@ -11,7 +11,7 @@ use mcm_core::maximal::Initializer;
 use mcm_core::semirings::SemiringKind;
 use mcm_core::serial::{hopcroft_karp, ms_bfs_serial, pothen_fan};
 use mcm_core::verify::{is_maximal, is_maximum};
-use mcm_core::{maximum_matching, McmOptions, SolverPool, Start};
+use mcm_core::{maximum_matching, McmOptions, Start};
 use mcm_sparse::permute::SplitMix64;
 use mcm_sparse::{Triples, Vidx};
 
@@ -37,13 +37,7 @@ fn distributed_mcm_matches_hopcroft_karp() {
         let a = t.to_csc();
         let want = hopcroft_karp(&a, None).cardinality();
         let mut ctx = DistCtx::new(MachineConfig::hybrid(dim, 1));
-        let r = maximum_matching(
-            &mut ctx,
-            &a.view(),
-            Start::Cold,
-            &McmOptions::default(),
-            &mut SolverPool::new(),
-        );
+        let r = maximum_matching(&mut ctx, &a.view(), Start::Cold, &McmOptions::default());
         assert_eq!(r.matching.cardinality(), want, "trial {trial} dim {dim}");
         assert!(r.matching.validate(&a).is_ok(), "trial {trial}");
         assert!(is_maximum(&a, &r.matching), "trial {trial}");
@@ -86,13 +80,7 @@ fn all_option_combinations_agree() {
             seed,
         };
         let mut ctx = DistCtx::new(MachineConfig::hybrid(2, 1));
-        let r = maximum_matching(
-            &mut ctx,
-            &t.to_csc().view(),
-            Start::Cold,
-            &opts,
-            &mut SolverPool::new(),
-        );
+        let r = maximum_matching(&mut ctx, &t.to_csc().view(), Start::Cold, &opts);
         assert_eq!(r.matching.cardinality(), want, "trial {trial} opts {opts:?}");
         assert!(r.matching.validate(&a).is_ok(), "trial {trial} opts {opts:?}");
     }

@@ -13,7 +13,7 @@ use mcm_core::augment::{augment, AugmentMode};
 use mcm_core::primitives::{invert_by, prune, select, set_dense};
 use mcm_core::semirings::SemiringKind;
 use mcm_core::vertex::Vertex;
-use mcm_core::{maximum_matching, Matching, McmOptions, SolverPool, Start};
+use mcm_core::{maximum_matching, Matching, McmOptions, Start};
 use mcm_sparse::{DenseVec, SpVec, Triples, NIL};
 
 fn fig2_graph() -> Triples {
@@ -129,13 +129,7 @@ fn full_run_reaches_the_maximum_of_four() {
     let g = fig2_graph();
     for dim in 1..=3 {
         let mut ctx = DistCtx::new(MachineConfig::hybrid(dim, 1));
-        let r = maximum_matching(
-            &mut ctx,
-            &g.to_csc().view(),
-            Start::Cold,
-            &McmOptions::default(),
-            &mut SolverPool::new(),
-        );
+        let r = maximum_matching(&mut ctx, &g.to_csc().view(), Start::Cold, &McmOptions::default());
         assert_eq!(r.matching.cardinality(), 4, "grid {dim}x{dim}");
         r.matching.validate(&g.to_csc()).unwrap();
         mcm_core::verify::assert_maximum(&g.to_csc(), &r.matching);
@@ -150,13 +144,7 @@ fn rand_root_semiring_balances_trees_on_fig2() {
     for seed in 0..8 {
         let mut ctx = DistCtx::new(MachineConfig::hybrid(2, 1));
         let opts = McmOptions { semiring: SemiringKind::RandRoot(seed), ..Default::default() };
-        let r = maximum_matching(
-            &mut ctx,
-            &g.to_csc().view(),
-            Start::Cold,
-            &opts,
-            &mut SolverPool::new(),
-        );
+        let r = maximum_matching(&mut ctx, &g.to_csc().view(), Start::Cold, &opts);
         assert_eq!(r.matching.cardinality(), 4, "seed {seed}");
     }
 }

@@ -72,7 +72,7 @@ fn rand_root_balances_trees_around_low_index_hubs() {
 
 #[test]
 fn rand_parent_differs_from_min_parent_but_same_cardinality() {
-    use mcm_core::{maximum_matching, McmOptions, SolverPool, Start};
+    use mcm_core::{maximum_matching, McmOptions, Start};
     let mut rng = SplitMix64::new(99);
     let n = 200;
     let mut t = Triples::new(n, n);
@@ -82,8 +82,7 @@ fn rand_parent_differs_from_min_parent_but_same_cardinality() {
     let run = |semiring| {
         let mut ctx = DistCtx::new(MachineConfig::hybrid(2, 1));
         let opts = McmOptions { semiring, permute_seed: None, ..Default::default() };
-        maximum_matching(&mut ctx, &t.to_csc().view(), Start::Cold, &opts, &mut SolverPool::new())
-            .matching
+        maximum_matching(&mut ctx, &t.to_csc().view(), Start::Cold, &opts).matching
     };
     let a = run(SemiringKind::MinParent);
     let b = run(SemiringKind::RandParent(3));

@@ -14,7 +14,7 @@ use mcm_bsp::{
 use mcm_core::augment::AugmentMode;
 use mcm_core::maximal::Initializer;
 use mcm_core::serial::hopcroft_karp;
-use mcm_core::{maximum_matching, verify, McmOptions, SolverPool, Start};
+use mcm_core::{maximum_matching, verify, McmOptions, Start};
 use mcm_gen::hard::{chain, parallel_chains};
 use mcm_sparse::{DenseVec, Vidx, NIL};
 
@@ -156,14 +156,13 @@ fn path_parallel_matching_is_schedule_oblivious_end_to_end() {
         let oracle = hopcroft_karp(&a, None).cardinality();
         let friendly = {
             let mut ctx = DistCtx::new(MachineConfig::hybrid(2, 1));
-            maximum_matching(&mut ctx, &a.view(), Start::Cold, &opts, &mut SolverPool::new())
+            maximum_matching(&mut ctx, &a.view(), Start::Cold, &opts)
         };
         assert_eq!(friendly.matching.cardinality(), oracle, "{name}: friendly run wrong");
         for seed in 0..24u64 {
             let mut ctx =
                 DistCtx::new(MachineConfig::hybrid(2, 1)).with_schedule(Schedule::new(seed));
-            let result =
-                maximum_matching(&mut ctx, &a.view(), Start::Cold, &opts, &mut SolverPool::new());
+            let result = maximum_matching(&mut ctx, &a.view(), Start::Cold, &opts);
             assert_eq!(
                 result.matching, friendly.matching,
                 "{name} seed {seed}: schedule changed the matching"
@@ -194,7 +193,7 @@ fn broken_window_corrupts_real_matchings_and_replays_from_its_seed() {
     let run = |seed: u64| {
         let mut ctx = DistCtx::new(MachineConfig::hybrid(1, 1))
             .with_schedule(Schedule::with_config(seed, cfg));
-        maximum_matching(&mut ctx, &a.view(), Start::Cold, &opts, &mut SolverPool::new())
+        maximum_matching(&mut ctx, &a.view(), Start::Cold, &opts)
     };
 
     let caught = (0..8u64).find(|&seed| {
@@ -286,23 +285,17 @@ fn engine_path_parallel_matching_is_schedule_oblivious_end_to_end() {
         let oracle = hopcroft_karp(&a, None).cardinality();
         let sim = {
             let mut ctx = DistCtx::new(MachineConfig::hybrid(2, 1));
-            maximum_matching(&mut ctx, &a.view(), Start::Cold, &opts, &mut SolverPool::new())
+            maximum_matching(&mut ctx, &a.view(), Start::Cold, &opts)
         };
         let friendly = {
             let mut eng = EngineComm::new(4, 1);
-            maximum_matching(&mut eng, &a.view(), Start::Cold, &opts, &mut SolverPool::new())
+            maximum_matching(&mut eng, &a.view(), Start::Cold, &opts)
         };
         assert_eq!(friendly.matching.cardinality(), oracle, "{name}: friendly engine run wrong");
         assert_eq!(friendly.matching, sim.matching, "{name}: engine diverged from simulator");
         for seed in 0..12u64 {
             let mut eng = EngineComm::new(4, 1).with_schedule(Schedule::new(seed));
-            let result = maximum_matching(
-                &mut eng,
-                &g.to_csc().view(),
-                Start::Cold,
-                &opts,
-                &mut SolverPool::new(),
-            );
+            let result = maximum_matching(&mut eng, &g.to_csc().view(), Start::Cold, &opts);
             assert_eq!(
                 result.matching, friendly.matching,
                 "{name} seed {seed}: schedule changed the engine matching"
@@ -327,7 +320,7 @@ fn engine_broken_window_is_caught_by_the_same_checks() {
 
     let caught = (0..8u64).any(|seed| {
         let mut eng = EngineComm::new(4, 1).with_schedule(Schedule::with_config(seed, cfg));
-        let r = maximum_matching(&mut eng, &a.view(), Start::Cold, &opts, &mut SolverPool::new());
+        let r = maximum_matching(&mut eng, &a.view(), Start::Cold, &opts);
         r.matching.cardinality() != oracle || verify::verify(&a, &r.matching).is_err()
     });
     assert!(caught, "broken fetch_and_put survived every engine schedule in the budget");
@@ -385,19 +378,13 @@ fn shared_matching_and_trace_hash_are_stable_under_epoch_perturbation() {
         let oracle = hopcroft_karp(&a, None).cardinality();
         let friendly = {
             let mut shc = shared_ctx();
-            maximum_matching(&mut shc, &a.view(), Start::Cold, &opts, &mut SolverPool::new())
+            maximum_matching(&mut shc, &a.view(), Start::Cold, &opts)
         };
         assert_eq!(friendly.matching.cardinality(), oracle, "{name}: friendly shared run wrong");
         for seed in 0..12u64 {
             let run = |seed: u64| {
                 let mut shc = shared_ctx().with_schedule(Schedule::new(seed));
-                let r = maximum_matching(
-                    &mut shc,
-                    &a.view(),
-                    Start::Cold,
-                    &opts,
-                    &mut SolverPool::new(),
-                );
+                let r = maximum_matching(&mut shc, &a.view(), Start::Cold, &opts);
                 let cert = shc.ctx().sched.as_ref().map(|s| (s.trace_hash(), s.decisions()));
                 (r, cert.expect("schedule must survive the run"))
             };

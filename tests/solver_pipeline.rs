@@ -7,7 +7,7 @@ use mcm_core::btf::block_triangular_form;
 use mcm_core::cover::{cover_certifies, koenig_cover};
 use mcm_core::dm::{dulmage_mendelsohn, DmBlock};
 use mcm_core::serial::hopcroft_karp;
-use mcm_core::{maximum_matching, McmOptions, SolverPool, Start};
+use mcm_core::{maximum_matching, McmOptions, Start};
 use mcm_gen::hard::{chain, crown, parallel_chains, staircase};
 use mcm_gen::kkt::kkt_stencil;
 use mcm_gen::rmat::{rmat, RmatParams};
@@ -16,14 +16,7 @@ use mcm_sparse::Triples;
 fn pipeline(t: &Triples) {
     let a = t.to_csc();
     let mut ctx = DistCtx::new(MachineConfig::hybrid(2, 2));
-    let m = maximum_matching(
-        &mut ctx,
-        &a.view(),
-        Start::Cold,
-        &McmOptions::default(),
-        &mut SolverPool::new(),
-    )
-    .matching;
+    let m = maximum_matching(&mut ctx, &a.view(), Start::Cold, &McmOptions::default()).matching;
     m.validate(&a).unwrap();
 
     // Certificate: a König cover of exactly |M| vertices.

@@ -13,7 +13,7 @@
 use mcm_bsp::{DistCtx, MachineConfig};
 use mcm_core::serial::hopcroft_karp;
 use mcm_core::verify::is_maximum;
-use mcm_core::{maximum_matching, McmOptions, SolverPool, Start};
+use mcm_core::{maximum_matching, McmOptions, Start};
 use mcm_gen::table2;
 
 #[test]
@@ -26,13 +26,7 @@ fn all_standins_reach_the_maximum() {
         assert!(is_maximum(&a, &want), "{}: HK oracle not maximum?!", s.name);
 
         let mut ctx = DistCtx::new(MachineConfig::hybrid(4, 4));
-        let r = maximum_matching(
-            &mut ctx,
-            &a.view(),
-            Start::Cold,
-            &McmOptions::default(),
-            &mut SolverPool::new(),
-        );
+        let r = maximum_matching(&mut ctx, &a.view(), Start::Cold, &McmOptions::default());
         r.matching.validate(&a).unwrap_or_else(|e| panic!("{}: {e}", s.name));
         assert_eq!(
             r.matching.cardinality(),

@@ -7,7 +7,7 @@
 
 use mcm_bsp::{Communicator, DistCtx, EngineComm, MachineConfig};
 use mcm_core::verify::{is_maximum, verify};
-use mcm_core::{maximum_matching, McmOptions, McmResult, SolverPool, Start};
+use mcm_core::{maximum_matching, McmOptions, McmResult, Start};
 use mcm_gen::{assign_weights, simtest_suite};
 use mcm_sparse::{CscView, Triples, WCsc};
 use mcm_store::{write_csc_file, write_wcsc_file, McsbFile, StoreError};
@@ -302,7 +302,7 @@ fn unsorted_or_duplicated_column_rows_are_a_typed_error_on_both_backings() {
 #[test]
 fn view_solves_match_triples_solves_across_the_suite() {
     fn solve(comm: &mut impl Communicator, v: &CscView<'_>) -> McmResult {
-        maximum_matching(comm, v, Start::Cold, &McmOptions::default(), &mut SolverPool::new())
+        maximum_matching(comm, v, Start::Cold, &McmOptions::default())
     }
     for (name, mut t) in simtest_suite(0xCA11) {
         t.sort_dedup();

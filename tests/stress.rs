@@ -7,7 +7,7 @@ use mcm_core::augment::AugmentMode;
 use mcm_core::maximal::Initializer;
 use mcm_core::semirings::SemiringKind;
 use mcm_core::serial::{hopcroft_karp, pothen_fan};
-use mcm_core::{maximum_matching, McmOptions, SolverPool, Start};
+use mcm_core::{maximum_matching, McmOptions, Start};
 use mcm_sparse::permute::SplitMix64;
 use mcm_sparse::{Triples, Vidx};
 
@@ -71,7 +71,6 @@ fn dist_matches_hk_exhaustive_options() {
                                     &t.to_csc().view(),
                                     Start::Cold,
                                     &opts,
-                                    &mut SolverPool::new(),
                                 );
                                 r.matching.validate(&t.to_csc()).unwrap_or_else(|e| {
                                     panic!("seed {seed:#x} trial {trial} dim {dim}: {e}")
@@ -120,14 +119,7 @@ fn grid_determinism_min_parent() {
         let run = |dim: usize| {
             let mut ctx = DistCtx::new(MachineConfig::hybrid(dim, 1));
             let opts = McmOptions { augment: AugmentMode::LevelParallel, ..Default::default() };
-            maximum_matching(
-                &mut ctx,
-                &t.to_csc().view(),
-                Start::Cold,
-                &opts,
-                &mut SolverPool::new(),
-            )
-            .matching
+            maximum_matching(&mut ctx, &t.to_csc().view(), Start::Cold, &opts).matching
         };
         let base = run(1);
         for dim in 2..=4 {
@@ -151,14 +143,7 @@ fn grid_determinism_rand_semirings() {
                     augment: AugmentMode::LevelParallel,
                     ..Default::default()
                 };
-                maximum_matching(
-                    &mut ctx,
-                    &t.to_csc().view(),
-                    Start::Cold,
-                    &opts,
-                    &mut SolverPool::new(),
-                )
-                .matching
+                maximum_matching(&mut ctx, &t.to_csc().view(), Start::Cold, &opts).matching
             };
             let base = run(1);
             for dim in 2..=3 {

@@ -30,9 +30,12 @@ const N: usize = 2000;
 const EDGES: usize = 16_000;
 const SEED: u64 = 0xD11A_BE7C;
 
-/// The dirty-fraction axis (of `n1 + n2`); 2% and 8% are below the
-/// acceptance bar, 25% is past where recompute should be competitive.
-const DIRTY_FRACS: [(f64, &str); 3] = [(0.02, "2pct"), (0.08, "8pct"), (0.25, "25pct")];
+/// The dirty-fraction axis (of `n1 + n2`). 4% and 6% bracket the
+/// crossover between incremental repair and warm serial MS-BFS that
+/// `DynOptions::fallback_threshold` is set at; 25% is past where
+/// recompute should be competitive.
+const DIRTY_FRACS: [(f64, &str); 5] =
+    [(0.02, "2pct"), (0.04, "4pct"), (0.06, "6pct"), (0.08, "8pct"), (0.25, "25pct")];
 
 fn solved_base(threshold: f64) -> DynMatching {
     let t = gnm_bipartite(N, N, EDGES, SEED);
@@ -144,9 +147,11 @@ fn bench_dynamic(c: &mut Criterion) {
         let t_full = t0.elapsed();
         assert_eq!(rep.cardinality, full, "incremental diverged from recompute at {tag}");
         eprintln!(
-            "[dynamic] {tag}: {} updates, dirty {} → incremental {:?} vs recompute {:?} ({:.1}x)",
+            "[dynamic] {tag}: {} updates, dirty {} ({:.2}% of n1+n2) → incremental {:?} vs \
+             recompute {:?} ({:.1}x)",
             ops.len(),
             rep.dirty,
+            100.0 * rep.dirty as f64 / (2 * N) as f64,
             t_inc,
             t_full,
             t_full.as_secs_f64() / t_inc.as_secs_f64().max(1e-9),

@@ -13,7 +13,8 @@
 //!
 //! Custom harness (not the criterion stand-in): the record carries RSS and
 //! file-size fields that the shared `BenchRecord` schema has no slots for.
-//! Writes to `$MCM_BENCH_JSON` or `BENCH_store.json`. Scales default to
+//! Writes to `$MCM_BENCH_JSON` or `BENCH_store.json`, a relative path
+//! taken from the workspace root. Scales default to
 //! `15,18,20`; override with `MCM_STORE_SCALES=s1,s2,...` (CI uses a
 //! smaller list — see .github/workflows/ci.yml).
 
@@ -139,7 +140,7 @@ fn main() {
     }
     std::fs::remove_dir_all(&dir).ok();
 
-    let out = std::env::var("MCM_BENCH_JSON").unwrap_or_else(|_| "BENCH_store.json".to_string());
+    let out = criterion::bench_json_path("BENCH_store.json");
     let mut json =
         String::from("{\n  \"bench\": \"store\",\n  \"edge_factor\": 16,\n  \"scales\": [\n");
     for (i, r) in records.iter().enumerate() {
@@ -160,5 +161,5 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
     std::fs::write(&out, json).expect("write BENCH_store.json");
-    eprintln!("wrote {out}");
+    eprintln!("wrote {}", out.display());
 }

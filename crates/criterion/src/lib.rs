@@ -12,9 +12,10 @@
 //! timed with `std::time::Instant` and summarized by min / median / mean
 //! ns-per-iteration. Every result is printed and, at `criterion_main!`
 //! exit, appended to a JSON summary under `target/bench-json/<bench>.json`
-//! (override the path with the `MCM_BENCH_JSON` environment variable) so
-//! perf trajectories can be recorded without the real criterion's report
-//! machinery.
+//! (override the path with the `MCM_BENCH_JSON` environment variable; a
+//! relative path is taken from the workspace root, not from the bench
+//! crate `cargo bench` runs in) so perf trajectories can be recorded
+//! without the real criterion's report machinery.
 
 use std::hint::black_box as std_black_box;
 use std::time::Instant;
@@ -104,7 +105,7 @@ impl Criterion {
     /// Writes the JSON summary; called by `criterion_main!` after all groups.
     pub fn finish_all(&self) {
         let path = match std::env::var("MCM_BENCH_JSON") {
-            Ok(p) => std::path::PathBuf::from(p),
+            Ok(p) => resolve_bench_json(std::path::Path::new(&p), &workspace_root()),
             Err(_) => {
                 let dir = std::path::Path::new("target").join("bench-json");
                 if std::fs::create_dir_all(&dir).is_err() {
@@ -388,9 +389,44 @@ macro_rules! criterion_main {
     };
 }
 
+/// Where a custom-harness bench writes its JSON: `$MCM_BENCH_JSON`, else
+/// `default`; a relative path is taken from the workspace root.
+pub fn bench_json_path(default: &str) -> std::path::PathBuf {
+    let p = std::env::var("MCM_BENCH_JSON").unwrap_or_else(|_| default.to_string());
+    resolve_bench_json(std::path::Path::new(&p), &workspace_root())
+}
+
+/// The workspace root: two levels above this crate's manifest.
+fn workspace_root() -> std::path::PathBuf {
+    let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    manifest.ancestors().nth(2).unwrap_or(manifest).to_path_buf()
+}
+
+/// Where `MCM_BENCH_JSON=path` writes: an absolute path as given, a
+/// relative one under `root`.
+fn resolve_bench_json(path: &std::path::Path, root: &std::path::Path) -> std::path::PathBuf {
+    if path.is_absolute() {
+        path.to_path_buf()
+    } else {
+        root.join(path)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
+
+    #[test]
+    fn bench_json_paths_resolve_against_the_workspace_root() {
+        let root = workspace_root();
+        assert!(root.join("Cargo.toml").is_file(), "{}", root.display());
+        assert!(root.join("crates").join("criterion").is_dir(), "{}", root.display());
+        assert_eq!(resolve_bench_json(Path::new("BENCH_x.json"), &root), root.join("BENCH_x.json"));
+        assert_eq!(resolve_bench_json(Path::new("out/b.json"), &root), root.join("out/b.json"));
+        let abs = std::env::temp_dir().join("b.json");
+        assert_eq!(resolve_bench_json(&abs, &root), abs);
+    }
 
     fn record(c: &mut Criterion) {
         let mut g = c.benchmark_group("g");

@@ -7,17 +7,19 @@
 //! still almost maximum, so repair is a handful of single-source
 //! augmenting-path searches instead of a full solve.
 //!
-//! Per batch ([`DynMatching::apply_batch`]):
+//! Per batch ([`DynMatching::apply_batch`], or [`DynMatching::stage`]
+//! once per run of updates and then [`DynMatching::close`]):
 //!
-//! 1. **Apply** every update to the graph. Deleting a *matched* edge
+//! 1. **Stage** every update into the graph. Deleting a *matched* edge
 //!    unmatches it and marks both endpoints dirty; inserts are staged.
 //! 2. **Classify** staged inserts on the post-batch graph: both endpoints
 //!    free → match immediately; one free → that endpoint is dirty; both
 //!    matched → an *interior* insert (the one case a local search can
 //!    miss, because the new path threads through two matched vertices).
 //! 3. **Switch** — mirroring the paper's `k < 2p²` path-vs-level
-//!    parallelism rule: if the dirty set is larger than
-//!    `fallback_threshold · (n1 + n2)`, run serial MS-BFS over the whole
+//!    parallelism rule: if the dirty set's still-free vertices (one local
+//!    search each) reach `fallback_threshold · (n1 + n2)`, run serial
+//!    MS-BFS over the whole
 //!    graph warm-started from the stale matching (the paper's §V warm
 //!    start, [`mcm_core::serial::ms_bfs_serial`]); otherwise run one
 //!    alternating BFS per dirty free vertex
@@ -46,6 +48,7 @@
 //! from-scratch Hopcroft–Karp.
 
 use crate::graph::DynGraph;
+use crate::phase::{Phase, PhaseClock};
 use mcm_core::serial::{hopcroft_karp, ms_bfs_serial};
 use mcm_core::verify::VerifyError;
 use mcm_core::Matching;
@@ -63,10 +66,15 @@ pub enum Update {
 /// Tunables of the incremental engine.
 #[derive(Clone, Copy, Debug)]
 pub struct DynOptions {
-    /// Dirty-set fraction of `n1 + n2` above which the engine falls back
-    /// to a warm-started serial MS-BFS solve instead of per-vertex path
+    /// Fraction of `n1 + n2` that a batch's still-free dirty vertices
+    /// (one local search each) must reach for the engine to fall back to
+    /// a warm-started serial MS-BFS solve instead of per-vertex path
     /// repair (the analogue of the paper's `k < 2p²` switch between
-    /// path- and level-parallel augmentation).
+    /// path- and level-parallel augmentation). Interior inserts do not
+    /// count: they cost one global sweep however many there are. A
+    /// graph smaller than [`FALLBACK_MIN_VERTICES`] counts as that size.
+    /// At 0 every dirtying batch falls back. The default, 0.018, is
+    /// where the two cross on `BENCH_dynamic.json`'s instance.
     pub fallback_threshold: f64,
     /// Re-verify the full matching (structure + global Berge) after every
     /// batch through `mcm-core::verify` on the materialized graph.
@@ -74,9 +82,16 @@ pub struct DynOptions {
     pub full_verify: bool,
 }
 
+/// The vertex count (`n1 + n2`) of the instance the default
+/// [`DynOptions::fallback_threshold`] was measured on. The budget is
+/// never a fraction of fewer vertices: on smaller graphs both repairs
+/// take microseconds, and a handful of dirty vertices should not buy a
+/// whole-graph solve.
+pub const FALLBACK_MIN_VERTICES: usize = 4000;
+
 impl Default for DynOptions {
     fn default() -> Self {
-        Self { fallback_threshold: 0.25, full_verify: false }
+        Self { fallback_threshold: 0.018, full_verify: false }
     }
 }
 
@@ -216,6 +231,34 @@ pub struct DynMatching {
     /// Row that discovered each column (valid where `col_stamp == stamp`).
     col_parent: Vec<Vidx>,
     queue: Vec<Vidx>,
+    /// The open batch's step-1 output, kept between [`DynMatching::stage`]
+    /// and [`DynMatching::close`].
+    staged: Staged,
+}
+
+/// What [`DynMatching::stage`] hands to [`DynMatching::close`]. Its
+/// vectors keep their capacity from batch to batch.
+#[derive(Clone, Debug, Default)]
+struct Staged {
+    /// `inserts`, `deletes` and `matched_deletes` so far.
+    rep: BatchReport,
+    /// Endpoints of matched deletions (classification adds more).
+    dirty_rows: Vec<Vidx>,
+    dirty_cols: Vec<Vidx>,
+    /// Inserts that changed the graph, classified at close.
+    inserts: Vec<(Vidx, Vidx)>,
+    /// Wall time spent staging.
+    ns: u64,
+}
+
+impl Staged {
+    fn clear(&mut self) {
+        self.rep = BatchReport::default();
+        self.dirty_rows.clear();
+        self.dirty_cols.clear();
+        self.inserts.clear();
+        self.ns = 0;
+    }
 }
 
 impl DynMatching {
@@ -256,6 +299,7 @@ impl DynMatching {
             row_parent: vec![NIL; n1],
             col_parent: vec![NIL; n2],
             queue: Vec::new(),
+            staged: Staged::default(),
         }
     }
 
@@ -299,43 +343,64 @@ impl DynMatching {
     }
 
     /// Applies a batch of updates and repairs the matching back to
-    /// maximum. Returns what the repair did.
-    pub fn apply_batch(&mut self, updates: &[Update]) -> BatchReport {
+    /// maximum: [`stage`](Self::stage) then [`close`](Self::close).
+    /// Returns what the repair did.
+    pub fn apply_batch<U: Copy + Into<Update>>(&mut self, updates: &[U]) -> BatchReport {
         let _span = mcm_obs::span("apply_batch");
-        let sw = mcm_obs::Stopwatch::new();
-        let mut rep = BatchReport::default();
-        let mut dirty_rows: Vec<Vidx> = Vec::new();
-        let mut dirty_cols: Vec<Vidx> = Vec::new();
-        let mut staged: Vec<(Vidx, Vidx)> = Vec::new();
+        self.stage(updates);
+        self.close()
+    }
 
-        // 1. Apply to the graph; matched deletions free both endpoints.
+    /// Step 1 of a batch: applies `updates` to the graph, unmatches
+    /// matched deletions and records the dirty vertices and the inserts
+    /// to classify. Nothing is repaired until [`close`](Self::close), so
+    /// a batch may be staged in any number of runs: staging it in pieces
+    /// and closing once gives the same matching and report as one
+    /// [`apply_batch`](Self::apply_batch). Weighted updates stage with
+    /// their weights dropped.
+    pub fn stage<U: Copy + Into<Update>>(&mut self, updates: &[U]) {
+        let _span = mcm_obs::span("dyn_stage");
+        let sw = mcm_obs::Stopwatch::new();
+        let st = &mut self.staged;
         for &u in updates {
-            match u {
+            match u.into() {
                 Update::Insert(r, c) => {
                     if self.g.insert(r, c, ()) {
-                        rep.inserts += 1;
-                        staged.push((r, c));
+                        st.rep.inserts += 1;
+                        st.inserts.push((r, c));
                     }
                 }
                 Update::Delete(r, c) => {
                     if self.g.delete(r, c) {
-                        rep.deletes += 1;
+                        st.rep.deletes += 1;
                         if self.m.mate_r.get(r) == c {
                             self.m.mate_r.set(r, NIL);
                             self.m.mate_c.set(c, NIL);
-                            rep.matched_deletes += 1;
-                            dirty_rows.push(r);
-                            dirty_cols.push(c);
+                            st.rep.matched_deletes += 1;
+                            st.dirty_rows.push(r);
+                            st.dirty_cols.push(c);
                         }
                     }
                 }
             }
         }
+        st.ns += sw.elapsed_ns();
+    }
+
+    /// Closes the staged batch (steps 2–4): classifies its inserts,
+    /// repairs the matching back to maximum and certifies it. Returns
+    /// what the batch did; closing with nothing staged is an empty batch.
+    pub fn close(&mut self) -> BatchReport {
+        let _span = mcm_obs::span("dyn_close");
+        let mut st = std::mem::take(&mut self.staged);
+        let mut phases = PhaseClock::new(st.ns);
+        let mut rep = st.rep;
         rep.applied = rep.inserts + rep.deletes;
+        let (dirty_rows, dirty_cols) = (&mut st.dirty_rows, &mut st.dirty_cols);
 
         // 2. Classify staged inserts on the post-batch graph.
         let mut interior = 0usize;
-        for (r, c) in staged {
+        for &(r, c) in &st.inserts {
             if !self.g.contains(r, c) {
                 continue; // deleted again within the batch
             }
@@ -360,30 +425,38 @@ impl DynMatching {
         dirty_cols.retain(|&c| !self.m.col_matched(c));
         rep.dirty = dirty_rows.len() + dirty_cols.len() + interior;
 
-        // 3. Repair: per-vertex paths, or warm-started serial MS-BFS.
-        let budget = self.opts.fallback_threshold * (self.g.n1() + self.g.n2()) as f64;
-        if rep.dirty > 0 && rep.dirty as f64 > budget {
+        // 3. Repair: per-vertex paths, or warm-started serial MS-BFS. Each
+        // still-free dirty vertex costs one local search; the interior
+        // inserts cost one global sweep however many there are, so only
+        // the searches count against the budget.
+        let n = (self.g.n1() + self.g.n2()).max(FALLBACK_MIN_VERTICES);
+        let budget = self.opts.fallback_threshold * n as f64;
+        let searches = dirty_rows.len() + dirty_cols.len();
+        if rep.dirty > 0 && searches as f64 >= budget {
+            phases.lap(Phase::Local);
             self.fallback();
+            phases.lap(Phase::Fallback);
             rep.fallback = true;
             rep.cert_scope = CertScope::Full;
         } else {
             // A fresh dead value per batch: marks made under an earlier
             // batch's graph read as stale stamps.
             self.dead = self.bump_stamp();
-            for &c in &dirty_cols {
+            for &c in dirty_cols.iter() {
                 if self.m.col_matched(c) {
                     continue; // matched by an earlier repair in this batch
                 }
                 rep.local_searches += 1;
                 self.repair(Side::Col, &[c], Mode::Repair, &mut rep);
             }
-            for &r in &dirty_rows {
+            for &r in dirty_rows.iter() {
                 if self.m.row_matched(r) {
                     continue;
                 }
                 rep.local_searches += 1;
                 self.repair(Side::Row, &[r], Mode::Repair, &mut rep);
             }
+            phases.lap(Phase::Local);
             if interior > 0 {
                 // A path between two *settled* free vertices can thread an
                 // interior insert; only a full sweep sees those.
@@ -395,14 +468,15 @@ impl DynMatching {
                     }
                 }
                 rep.cert_scope = CertScope::Full;
+                phases.lap(Phase::Sweep);
             } else {
                 // 4. Running Berge certificate on the dirty region.
                 rep.cert_scope = CertScope::DirtyRegion;
                 dirty_cols.retain(|&c| !self.m.col_matched(c));
                 dirty_rows.retain(|&r| !self.m.row_matched(r));
                 rep.cert_seeds = dirty_cols.len() + dirty_rows.len();
-                let clean = self.search(Side::Col, &dirty_cols, Mode::Certify).0.is_none()
-                    && self.search(Side::Row, &dirty_rows, Mode::Certify).0.is_none();
+                let clean = self.search(Side::Col, dirty_cols, Mode::Certify).0.is_none()
+                    && self.search(Side::Row, dirty_rows, Mode::Certify).0.is_none();
                 assert!(clean, "dirty-region Berge certificate failed after repair");
             }
         }
@@ -411,10 +485,11 @@ impl DynMatching {
         if self.opts.full_verify {
             self.verify_full().expect("full per-batch verification failed");
         }
+        phases.lap(Phase::Certify);
 
-        // Satellite: every batch reports its repair-strategy decision —
-        // "warm_start" when the dirty set blew the budget and the batch
-        // re-ran MS-BFS, "incremental" otherwise.
+        // Every batch reports its repair-strategy decision — "warm_start"
+        // when the dirty set blew the budget and the batch re-ran MS-BFS,
+        // "incremental" otherwise — and where its time went.
         if mcm_obs::metrics_enabled() {
             let strategy = if rep.fallback { "warm_start" } else { "incremental" };
             let labels = [("strategy", strategy)];
@@ -422,10 +497,13 @@ impl DynMatching {
             mcm_obs::counter_add("mcm_dyn_updates_total", &labels, rep.applied as u64);
             mcm_obs::counter_add("mcm_dyn_repaired_total", &labels, rep.repaired as u64);
             mcm_obs::counter_add("mcm_dyn_scanned_total", &labels, rep.scanned as u64);
-            mcm_obs::observe_ns("mcm_dyn_batch_seconds", &labels, sw.elapsed_ns());
+            mcm_obs::observe_ns("mcm_dyn_batch_seconds", &labels, phases.total_ns());
+            phases.observe(true);
         }
 
         self.absorb(&rep);
+        st.clear();
+        self.staged = st;
         rep
     }
 
@@ -863,5 +941,80 @@ mod tests {
         assert_eq!(s.matched_deletes, 1);
         assert_eq!(s.immediate_matches, 2);
         assert_eq!(s.last.deletes, 1);
+    }
+    /// Splits `ops` at up to three seeded cut points (runs may be empty).
+    fn seeded_runs<'a>(rng: &mut SplitMix64, ops: &'a [Update]) -> Vec<&'a [Update]> {
+        let mut cuts: Vec<usize> =
+            (0..rng.below(4)).map(|_| rng.below(ops.len() as u64 + 1) as usize).collect();
+        cuts.sort_unstable();
+        let mut runs = Vec::new();
+        let mut at = 0;
+        for cut in cuts.into_iter().chain([ops.len()]) {
+            runs.push(&ops[at..cut]);
+            at = cut;
+        }
+        runs
+    }
+
+    #[test]
+    fn staging_in_runs_then_closing_equals_one_apply_batch() {
+        // Deletes of matched edges, random deletes, interior and one-free
+        // inserts, split into seeded runs; every threshold so the local,
+        // sweep and fallback closes are all covered.
+        let (n1, n2) = (36usize, 30usize);
+        // 0.001 of the 4000-vertex floor is a 4-search budget: a mix.
+        for threshold in [0.0f64, 0.001, 1e9] {
+            let mut rng = SplitMix64::new(0x57A6ED ^ threshold.to_bits());
+            let base: Vec<(Vidx, Vidx)> = (0..90)
+                .map(|_| (rng.below(n1 as u64) as Vidx, rng.below(n2 as u64) as Vidx))
+                .collect();
+            let o = DynOptions { fallback_threshold: threshold, ..opts() };
+            let mut whole = DynMatching::from_triples(&Triples::from_edges(n1, n2, base), o);
+            let mut staged = whole.clone();
+            for batch in 0..25 {
+                let mut ops = Vec::new();
+                for _ in 0..10 {
+                    let (r, c) = (rng.below(n1 as u64) as Vidx, rng.below(n2 as u64) as Vidx);
+                    let c_mate = whole.matching().mate_r.get(r);
+                    ops.push(match rng.below(4) {
+                        0 if c_mate != NIL => Update::Delete(r, c_mate),
+                        1 => Update::Delete(r, c),
+                        _ => Update::Insert(r, c),
+                    });
+                }
+                let want = whole.apply_batch(&ops);
+                for run in seeded_runs(&mut rng, &ops) {
+                    staged.stage(run);
+                }
+                let got = staged.close();
+                assert_eq!(
+                    format!("{got:?}"),
+                    format!("{want:?}"),
+                    "threshold {threshold} batch {batch}"
+                );
+                assert_eq!(
+                    staged.matching(),
+                    whole.matching(),
+                    "threshold {threshold} batch {batch}"
+                );
+            }
+            assert_eq!(format!("{:?}", staged.stats()), format!("{:?}", whole.stats()));
+            let (batches, fallbacks) = (whole.stats().batches, whole.stats().fallbacks);
+            match threshold {
+                0.0 => assert!(fallbacks > 0),
+                1e9 => assert_eq!(fallbacks, 0),
+                _ => assert!(fallbacks > 0 && fallbacks < batches, "{fallbacks} of {batches}"),
+            }
+        }
+    }
+
+    #[test]
+    fn close_with_nothing_staged_is_an_empty_batch() {
+        let mut dm = DynMatching::new(2, 2, opts());
+        dm.stage(&[Update::Insert(0, 0)]);
+        assert_eq!(dm.close().immediate_matches, 1);
+        let r = dm.close();
+        assert_eq!((r.applied, r.dirty, r.cardinality), (0, 0, 1));
+        assert_eq!(dm.stats().batches, 2);
     }
 }

@@ -29,10 +29,12 @@
 
 pub mod engine;
 pub mod graph;
+mod phase;
 pub mod weighted;
 
 pub use engine::{
     BatchReport, CertScope, DynMatching, DynOptions, DynStats, StateSnapshot, Update,
+    FALLBACK_MIN_VERTICES,
 };
 pub use graph::DynGraph;
 pub use weighted::{WBatchReport, WDynMatching, WDynOptions, WDynStats, WStateSnapshot, WUpdate};

@@ -20,9 +20,11 @@
 //! * deleting an unmatched edge only shrinks a column's candidate set,
 //!   which cannot violate any ε-CS condition — no work at all.
 //!
-//! [`WDynMatching::apply_batch`] repairs in five phases:
+//! [`WDynMatching::apply_batch`] repairs in five phases
+//! ([`WDynMatching::stage`] runs the first, once per run of updates, and
+//! [`WDynMatching::close`] the rest):
 //!
-//! 1. **Apply** the updates, collecting dirty columns and freed rows.
+//! 1. **Stage** the updates, collecting dirty columns and freed rows.
 //! 2. **Check** ε-CS on the dirty columns. A violating matched column is
 //!    unmatched and its row joins the freed rows *at its current price*.
 //!    Nothing resets to 0 and nothing fans out.
@@ -63,7 +65,9 @@
 //! the exactness bound `1/(2·(n1+1))` so integer-weight instances stay
 //! exactly optimal across arbitrary update histories.
 
+use crate::engine::Update;
 use crate::graph::DynGraph;
+use crate::phase::{Phase, PhaseClock};
 use mcm_core::verify::{verify_eps_cs, VerifyError};
 use mcm_core::weighted::{auction_mwm_par, AuctionOptions};
 use mcm_core::Matching;
@@ -77,6 +81,16 @@ pub enum WUpdate {
     Insert(Vidx, Vidx, f64),
     /// Delete edge `(row, col)` if present.
     Delete(Vidx, Vidx),
+}
+
+/// The cardinality view of a weighted update: the weight is dropped.
+impl From<WUpdate> for Update {
+    fn from(u: WUpdate) -> Update {
+        match u {
+            WUpdate::Insert(r, c, _) => Update::Insert(r, c),
+            WUpdate::Delete(r, c) => Update::Delete(r, c),
+        }
+    }
 }
 
 /// Tunables of the weighted incremental engine.
@@ -260,6 +274,26 @@ pub struct WDynMatching {
     /// Neighbours `(c, w(r, c))` at profit 0 (the unmatched ones among
     /// them) of the row making a reverse bid; reused across bids.
     open: Vec<(Vidx, f64)>,
+    /// The open batch's phase-1 output, kept between
+    /// [`WDynMatching::stage`] and [`WDynMatching::close`].
+    staged: WStaged,
+}
+
+/// What [`WDynMatching::stage`] hands to [`WDynMatching::close`].
+#[derive(Default)]
+struct WStaged {
+    /// A batch is open: its scratch generation has been started.
+    open: bool,
+    /// Matching weight when the batch opened.
+    weight_before: f64,
+    /// `applied`, `inserts`, `deletes` and `matched_deletes` so far.
+    rep: WBatchReport,
+    /// Columns whose ε-CS the batch may have broken, each once.
+    dirty: Vec<Vidx>,
+    /// Rows freed by matched deletions, at their current prices.
+    freed: VecDeque<Vidx>,
+    /// Wall time spent staging.
+    ns: u64,
 }
 
 impl WDynMatching {
@@ -285,6 +319,7 @@ impl WDynMatching {
             col_stamp: vec![0; n2],
             new_best: vec![0.0; n2],
             open: Vec::new(),
+            staged: WStaged::default(),
         }
     }
 
@@ -371,19 +406,27 @@ impl WDynMatching {
         verify_eps_cs(&self.g.cols().to_wcsc(), &self.m, &self.prices, self.eps)
     }
 
-    /// Applies a batch of weighted updates and repairs the matching.
+    /// Applies a batch of weighted updates and repairs the matching:
+    /// [`stage`](Self::stage) then [`close`](Self::close).
     pub fn apply_batch(&mut self, batch: &[WUpdate]) -> WBatchReport {
         let _span = mcm_obs::span("wdyn_apply_batch");
-        let sw = mcm_obs::Stopwatch::new();
-        let weight_before = self.weight;
-        let mut rep = WBatchReport::default();
-        self.bump_stamp();
+        self.stage(batch);
+        self.close()
+    }
 
-        // --- Apply: update the graph, collect dirty columns and freed
-        // rows. No price moves before the repair, so a new candidate's
-        // net value is final when it arrives.
-        let mut dirty: Vec<Vidx> = Vec::new();
-        let mut freed: VecDeque<Vidx> = VecDeque::new();
+    /// Phase 1 of a batch: applies `batch` to the graph, unmatches
+    /// matched deletions and collects the dirty columns and freed rows.
+    /// Nothing is repaired until [`close`](Self::close), so a batch may be
+    /// staged in any number of runs: staging it in pieces and closing
+    /// once gives the same matching, prices and report as one
+    /// [`apply_batch`](Self::apply_batch).
+    pub fn stage(&mut self, batch: &[WUpdate]) {
+        let _span = mcm_obs::span("wdyn_stage");
+        let sw = mcm_obs::Stopwatch::new();
+        self.open_batch();
+        let mut st = std::mem::take(&mut self.staged);
+        // No price moves before the repair, so a new candidate's net
+        // value is final when it arrives.
         for &u in batch {
             match u {
                 WUpdate::Insert(r, c, w) => {
@@ -391,9 +434,9 @@ impl WDynMatching {
                         continue; // pure no-op
                     }
                     self.g.insert(r, c, w);
-                    rep.applied += 1;
-                    rep.inserts += 1;
-                    self.mark_dirty(&mut dirty, c);
+                    st.rep.applied += 1;
+                    st.rep.inserts += 1;
+                    self.mark_dirty(&mut st.dirty, c);
                     let j = c as usize;
                     if self.m.mate_c.get(c) == r {
                         // Re-weighting the matched edge moves π_c itself:
@@ -413,13 +456,13 @@ impl WDynMatching {
                     if !self.g.delete(r, c) {
                         continue;
                     }
-                    rep.applied += 1;
-                    rep.deletes += 1;
+                    st.rep.applied += 1;
+                    st.rep.deletes += 1;
                     if self.m.mate_c.get(c) == r {
-                        rep.matched_deletes += 1;
+                        st.rep.matched_deletes += 1;
                         self.unmatch(c, r);
-                        freed.push_back(r);
-                        self.mark_dirty(&mut dirty, c);
+                        st.freed.push_back(r);
+                        self.mark_dirty(&mut st.dirty, c);
                         self.new_best[c as usize] = f64::INFINITY;
                     }
                     // Deleting an unmatched edge only shrinks a candidate
@@ -427,13 +470,27 @@ impl WDynMatching {
                 }
             }
         }
+        st.ns += sw.elapsed_ns();
+        self.staged = st;
+    }
+
+    /// Closes the staged batch (phases 2–5): checks ε-CS on its dirty
+    /// columns, re-auctions, and accounts. Closing with nothing staged is
+    /// an empty batch.
+    pub fn close(&mut self) -> WBatchReport {
+        let _span = mcm_obs::span("wdyn_close");
+        self.open_batch();
+        let mut st = std::mem::take(&mut self.staged);
+        let mut phases = PhaseClock::new(st.ns);
+        let mut rep = std::mem::take(&mut st.rep);
+        let mut freed = std::mem::take(&mut st.freed);
 
         // --- Check: ε-CS on the dirty columns. A violator is unmatched
         // and its row freed at its current price, so no other column's
         // condition changes and nothing fans out.
         let mut seeds: Vec<Vidx> = Vec::new();
-        rep.dirty = dirty.len();
-        for c in dirty {
+        rep.dirty = st.dirty.len();
+        for &c in &st.dirty {
             let j = c as usize;
             let r = self.m.mate_c.get(c);
             if r == NIL {
@@ -467,16 +524,18 @@ impl WDynMatching {
         let exhausted = self.repair(seeds, freed, &mut bids).is_err();
         rep.rebids = bids.spent;
         rep.reverse_bids = bids.reverse;
+        phases.lap(Phase::Local);
         if exhausted {
             // The repair's partial matching and prices are overwritten
             // wholesale by the cold solve.
             rep.cold = true;
             self.cold_solve();
         }
+        phases.lap(Phase::Fallback);
 
         // --- Account + certify. -----------------------------------------
         rep.weight = self.weight;
-        rep.weight_delta = self.weight - weight_before;
+        rep.weight_delta = self.weight - st.weight_before;
         rep.cardinality = self.m.cardinality();
         if self.opts.full_verify {
             self.verify_full().expect("post-batch eps-CS certificate");
@@ -503,6 +562,7 @@ impl WDynMatching {
         } else {
             self.stats.weight_lost -= rep.weight_delta;
         }
+        phases.lap(Phase::Certify);
         if mcm_obs::metrics_enabled() {
             let strategy = if rep.cold { "cold" } else { "incremental" };
             let labels = [("strategy", strategy)];
@@ -511,11 +571,26 @@ impl WDynMatching {
             mcm_obs::counter_add("mcm_wdyn_updates_total", &labels, rep.applied as u64);
             mcm_obs::counter_add("mcm_wdyn_rebids_total", &labels, rep.rebids as u64);
             mcm_obs::counter_add("mcm_wdyn_reverse_bids_total", &labels, rep.reverse_bids as u64);
-            mcm_obs::observe_ns("mcm_wdyn_batch_seconds", &labels, sw.elapsed_ns());
+            mcm_obs::observe_ns("mcm_wdyn_batch_seconds", &labels, phases.total_ns());
             mcm_obs::gauge_set("mcm_matching_weight", &[], self.weight);
+            phases.observe(false);
         }
         self.stats.last = rep.clone();
+        st.dirty.clear();
+        st.ns = 0;
+        st.open = false;
+        self.staged = st;
         rep
+    }
+
+    /// Opens a batch at its first stage (or at a close with nothing
+    /// staged): a fresh scratch generation and the weight to diff against.
+    fn open_batch(&mut self) {
+        if !self.staged.open {
+            self.bump_stamp();
+            self.staged.open = true;
+            self.staged.weight_before = self.weight;
+        }
     }
 
     /// The repair's bid budget: what the last cold solve spent, and at
@@ -1054,5 +1129,50 @@ mod tests {
         assert_eq!(snap.weight, 4.0);
         assert_eq!(snap.nnz, 1);
         assert_eq!(wm.weight(), 13.0);
+    }
+
+    #[test]
+    fn staging_in_runs_then_closing_equals_one_apply_batch() {
+        // Inserts, re-weights, matched and unmatched deletes, split into
+        // seeded runs (some empty): the staged engine must reach the same
+        // mates, prices and report as the one that applied each batch
+        // whole.
+        let (n1, n2) = (24usize, 20usize);
+        let mut rng = SplitMix64::new(0x57A6ED);
+        let base: Vec<(Vidx, Vidx, f64)> = (0..70)
+            .map(|_| {
+                let (r, c) = (rng.below(n1 as u64) as Vidx, rng.below(n2 as u64) as Vidx);
+                (r, c, (rng.below(20) + 1) as f64)
+            })
+            .collect();
+        let o = WDynOptions { full_verify: true, ..Default::default() };
+        let mut whole = WDynMatching::from_weighted_triples(n1, n2, base.clone(), o);
+        let mut staged = WDynMatching::from_weighted_triples(n1, n2, base, o);
+        for batch in 0..30 {
+            let mut ops = Vec::new();
+            for _ in 0..9 {
+                let (r, c) = (rng.below(n1 as u64) as Vidx, rng.below(n2 as u64) as Vidx);
+                let c_mate = whole.matching().mate_r.get(r);
+                ops.push(match rng.below(4) {
+                    0 if c_mate != NIL => WUpdate::Delete(r, c_mate),
+                    1 => WUpdate::Delete(r, c),
+                    _ => WUpdate::Insert(r, c, (rng.below(20) + 1) as f64),
+                });
+            }
+            let want = whole.apply_batch(&ops);
+            let mut cuts: Vec<usize> =
+                (0..rng.below(4)).map(|_| rng.below(ops.len() as u64 + 1) as usize).collect();
+            cuts.sort_unstable();
+            let mut at = 0;
+            for cut in cuts.into_iter().chain([ops.len()]) {
+                staged.stage(&ops[at..cut]);
+                at = cut;
+            }
+            let got = staged.close();
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "batch {batch}");
+            assert_eq!(staged.matching(), whole.matching(), "batch {batch}");
+            assert_eq!(staged.prices(), whole.prices(), "batch {batch}");
+        }
+        assert_eq!(format!("{:?}", staged.stats()), format!("{:?}", whole.stats()));
     }
 }

@@ -17,7 +17,7 @@
 
 use crate::proto::Command;
 use mcm_dyn::{
-    DynMatching, DynStats, StateSnapshot, Update, WDynMatching, WDynStats, WStateSnapshot, WUpdate,
+    DynMatching, DynStats, StateSnapshot, WDynMatching, WDynStats, WStateSnapshot, WUpdate,
 };
 use mcm_sparse::io::{write_matrix_market_file, write_matrix_market_weighted_file};
 use mcm_sparse::{Triples, Vidx};
@@ -34,18 +34,12 @@ pub enum Engine {
 impl Engine {
     /// Applies one batch, given in the weighted update vocabulary (a
     /// cardinality engine drops the weights), and returns the `batch ...`
-    /// report line the stdin loop prints.
+    /// report line the stdin loop prints. The same as
+    /// [`stage`](Self::stage) then [`close`](Self::close).
     pub fn apply_batch(&mut self, batch: &[WUpdate]) -> String {
         match self {
             Engine::Card(dm) => {
-                let unweighted: Vec<Update> = batch
-                    .iter()
-                    .map(|u| match *u {
-                        WUpdate::Insert(r, c, _) => Update::Insert(r, c),
-                        WUpdate::Delete(r, c) => Update::Delete(r, c),
-                    })
-                    .collect();
-                let rep = dm.apply_batch(&unweighted);
+                let rep = dm.apply_batch(batch);
                 format!(
                     "batch applied {} dirty {} repaired {} path_edges {} sweeps {} fallback {} \
                      cert {:?} seeds {} cardinality {}",
@@ -76,6 +70,27 @@ impl Engine {
                     rep.cardinality,
                     rep.reverse_bids,
                 )
+            }
+        }
+    }
+
+    /// Stages one run of updates into the open batch: graph edits only,
+    /// no repair (see [`DynMatching::stage`], [`WDynMatching::stage`]).
+    pub fn stage(&mut self, run: &[WUpdate]) {
+        match self {
+            Engine::Card(dm) => dm.stage(run),
+            Engine::Weighted(wm) => wm.stage(run),
+        }
+    }
+
+    /// Closes the open batch: repair, certificate and accounting.
+    pub fn close(&mut self) {
+        match self {
+            Engine::Card(dm) => {
+                dm.close();
+            }
+            Engine::Weighted(wm) => {
+                wm.close();
             }
         }
     }
@@ -134,6 +149,30 @@ impl Engine {
             Engine::Weighted(wm) => *wm,
             Engine::Card(_) => panic!("daemon was running the cardinality engine"),
         }
+    }
+}
+
+/// `mcmd_request_seconds{verb}` handles, registered on first use (a
+/// no-op unless metrics are enabled). A registry lookup takes the global
+/// lock and allocates its label strings; an observation on a held handle
+/// does neither.
+#[derive(Default)]
+pub(crate) struct RequestTimers(Vec<(&'static str, mcm_obs::Histogram)>);
+
+impl RequestTimers {
+    pub(crate) fn observe(&mut self, verb: &'static str, ns: u64) {
+        if !mcm_obs::metrics_enabled() {
+            return;
+        }
+        let i = match self.0.iter().position(|(v, _)| *v == verb) {
+            Some(i) => i,
+            None => {
+                let h = mcm_obs::registry().histogram("mcmd_request_seconds", &[("verb", verb)]);
+                self.0.push((verb, h));
+                self.0.len() - 1
+            }
+        };
+        self.0[i].1.observe_ns(ns);
     }
 }
 

@@ -16,9 +16,10 @@
 //! * [`session`] — `mcmd` without `--listen`: the serial stdin loop,
 //!   batching updates until the next read verb;
 //! * [`server`] — `mcmd --listen`: a non-blocking acceptor, a worker
-//!   thread per connection, a single writer thread applying admitted
-//!   updates in bounded batches (size + latency watermarks, `busy`
-//!   backpressure), **lock-free-published O(1) snapshots** so
+//!   thread per connection handing each read's admitted updates to a
+//!   single writer thread as one run, the writer staging every run's
+//!   graph edits on arrival and repairing in bounded batches (size +
+//!   latency watermarks, `busy` backpressure), **lock-free-published O(1) snapshots** so
 //!   `query`/`state`/`stats` never block behind a repair (or each
 //!   other), and `sync`/`snapshot` barriers that answer once everything
 //!   admitted before them is applied. Serves either engine: maximum

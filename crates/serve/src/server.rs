@@ -35,20 +35,31 @@
 //!
 //! ## Adaptive admission batching and backpressure
 //!
-//! Updates are admitted through a bounded queue
-//! ([`ServerConfig::queue_cap`]). The writer coalesces admitted updates
-//! into one repair batch per wake-up, closing the batch at either
-//! watermark: [`ServerConfig::max_batch`] updates (size) or
-//! [`ServerConfig::max_delay`] since the batch opened (latency). When
-//! the queue is full the connection worker answers `busy` immediately —
+//! A connection worker handles each socket read as one *run*: it parses
+//! every line of the read, answers reads and errors in order, admits
+//! each update against the bounded queue ([`ServerConfig::queue_cap`],
+//! counted in updates), and then sends the run's admitted updates to the
+//! writer as one message before any of their `ok` lines leave for the
+//! socket. When the queue is full an update is answered `busy` at once —
 //! explicit backpressure instead of unbounded buffering — and the client
-//! retries. `sync` and `snapshot <path>` are barriers: they ride the
-//! same queue (a full queue answers `busy`), close the open batch, and
-//! are answered only after everything admitted before them has been
-//! applied *and published*. For `snapshot` the writer then copies the
-//! live edge set (`Engine::edges`) and hands it to the connection,
-//! whose thread writes the file: the writer does no file I/O, and the
-//! file holds every update the connection sent before it.
+//! retries. The `mcmd_queue_depth` gauge is set once per run on each
+//! side.
+//!
+//! The writer *stages* each run as it arrives (the graph edits and the
+//! freeing of matched deletes, `mcmd_batch_stage_seconds`), so on a
+//! multi-core host the edits overlap the worker's parsing of the next
+//! read. It closes the batch (classify, repair, certify, publish;
+//! `mcmd_batch_apply_seconds` times the close) at either watermark:
+//! exactly [`ServerConfig::max_batch`] updates, splitting a run across
+//! batches when needed, or [`ServerConfig::max_delay`] since the batch
+//! opened. `sync` and `snapshot <path>` are barriers: the worker first
+//! sends its pending run, a full queue answers `busy`, and the barrier
+//! closes the open batch and is answered only after everything admitted
+//! before it has been applied *and published*. `quit` and `shutdown`
+//! send the pending run too. For `snapshot` the writer then copies the
+//! live edge set (`Engine::edges`) and hands it to the connection, whose
+//! thread writes the file: the writer does no file I/O, and the file
+//! holds every update the connection sent before it.
 //!
 //! ## Shutdown
 //!
@@ -57,24 +68,27 @@
 //! current frames, then drains every admitted update through the writer
 //! before returning the engine — admitted work is never dropped.
 
-use crate::engine::{answer_read, answer_snapshot, Admission, EdgeSet, Engine, Published};
+use crate::engine::{
+    answer_read, answer_snapshot, Admission, EdgeSet, Engine, Published, RequestTimers,
+};
 use crate::proto::{parse_command, verb_of, Command, LineFramer};
 use crate::swap::SwapCell;
 use mcm_dyn::{DynMatching, WDynMatching, WUpdate};
-use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{self, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Called with each batch after it is closed and before it is applied —
-/// the hook the isolation tests use to hold a repair mid-flight while
-/// asserting that reads still answer. Batches are delivered in the
-/// weighted update vocabulary for both engines (a cardinality daemon's
-/// inserts carry weight 1.0).
+/// Called with each batch's updates when the batch closes: after its runs
+/// were staged (the graph edits are done, nothing is published) and
+/// before the repair, certificate and publication — the hook the
+/// isolation tests use to hold a repair mid-flight while asserting that
+/// reads still answer. Batches are delivered in the weighted update
+/// vocabulary for both engines (a cardinality daemon's inserts carry
+/// weight 1.0).
 pub type ApplyHook = Arc<dyn Fn(&[WUpdate]) + Send + Sync>;
 
 /// Daemon tuning knobs; the defaults suit a loopback service.
@@ -83,13 +97,16 @@ pub struct ServerConfig {
     /// Bind address; use port 0 to let the OS pick (see
     /// [`Server::local_addr`]).
     pub addr: String,
-    /// Size watermark: close the open batch at this many updates.
+    /// Size watermark: close the open batch at exactly this many updates
+    /// (0 counts as 1).
     pub max_batch: usize,
     /// Latency watermark: close the open batch this long after it opened.
     pub max_delay: Duration,
-    /// Bound of the admission queue; a full queue answers `busy`.
+    /// Bound of the admission queue, in updates; a full queue answers
+    /// `busy`.
     pub queue_cap: usize,
-    /// Test hook run with each closed batch before it is applied.
+    /// Test hook run with each batch before it is closed (see
+    /// [`ApplyHook`]).
     pub on_apply: Option<ApplyHook>,
 }
 
@@ -106,7 +123,8 @@ impl Default for ServerConfig {
 }
 
 enum WriterMsg {
-    Update(WUpdate),
+    /// One read's admitted updates, in arrival order.
+    Run(Vec<WUpdate>),
     /// Closes the open batch; acked once everything admitted before it has
     /// been applied and published.
     Barrier(Barrier),
@@ -122,8 +140,11 @@ enum Barrier {
 struct Shared {
     /// Lock-free snapshot cell: the read path never takes a mutex.
     published: SwapCell<Published>,
-    /// Updates admitted but not yet absorbed by the writer.
+    /// Updates admitted but not yet taken by the writer, including those
+    /// a connection holds in its not-yet-sent run.
     queue_depth: AtomicUsize,
+    /// Bound on `queue_depth` ([`ServerConfig::queue_cap`]).
+    queue_cap: usize,
     /// Live connections (drives the `mcmd_connections` gauge).
     connections: AtomicUsize,
     /// Set by [`Server::shutdown`]/[`Server::finish`].
@@ -148,7 +169,7 @@ impl Shared {
 pub struct Server {
     local_addr: SocketAddr,
     shared: Arc<Shared>,
-    tx: Option<SyncSender<WriterMsg>>,
+    tx: Option<Sender<WriterMsg>>,
     acceptor: Option<JoinHandle<()>>,
     writer: Option<JoinHandle<Engine>>,
 }
@@ -178,11 +199,14 @@ impl Server {
         let shared = Arc::new(Shared {
             published: SwapCell::new(Arc::new(Published { seq: 0, snap: engine.snapshot() })),
             queue_depth: AtomicUsize::new(0),
+            queue_cap: cfg.queue_cap,
             connections: AtomicUsize::new(0),
             stop: AtomicBool::new(false),
             shutdown_verb: AtomicBool::new(false),
         });
-        let (tx, rx) = mpsc::sync_channel::<WriterMsg>(cfg.queue_cap);
+        // Unbounded in messages: the bound is `queue_cap` updates, kept by
+        // `queue_depth`, and each connection has at most one barrier out.
+        let (tx, rx) = mpsc::channel::<WriterMsg>();
         let writer = {
             let shared = shared.clone();
             let cfg = cfg.clone();
@@ -245,91 +269,124 @@ impl Server {
 }
 
 fn writer_loop(
-    mut engine: Engine,
+    engine: Engine,
     rx: mpsc::Receiver<WriterMsg>,
     shared: Arc<Shared>,
     cfg: ServerConfig,
 ) -> Engine {
-    let mut seq = 0u64;
-    let mut batch: Vec<WUpdate> = Vec::new();
-    let mut barriers: Vec<Barrier> = Vec::new();
+    let mut w = Writer { engine, shared, cfg, seq: 0, staged: 0, opened: None, held: Vec::new() };
     loop {
-        let Ok(first) = rx.recv() else { break };
-        let opened = Instant::now();
-        absorb(first, &mut batch, &mut barriers, &shared);
-        // A barrier closes the batch immediately: its ack must cover
-        // exactly what was admitted before it.
-        if barriers.is_empty() {
-            let deadline = opened + cfg.max_delay;
-            while batch.len() < cfg.max_batch {
-                let Some(left) = deadline.checked_duration_since(Instant::now()) else { break };
-                match rx.recv_timeout(left) {
-                    Ok(msg) => {
-                        absorb(msg, &mut batch, &mut barriers, &shared);
-                        if !barriers.is_empty() {
-                            break;
-                        }
-                    }
-                    Err(RecvTimeoutError::Timeout) => break,
-                    Err(RecvTimeoutError::Disconnected) => break,
+        let msg = match w.opened {
+            None => match rx.recv() {
+                Ok(msg) => msg,
+                Err(_) => break,
+            },
+            // The latency watermark: an open batch closes `max_delay`
+            // after it opened, whatever is still in flight.
+            Some(opened) => match (opened + w.cfg.max_delay).checked_duration_since(Instant::now())
+            {
+                None => {
+                    w.close();
+                    continue;
                 }
+                Some(left) => match rx.recv_timeout(left) {
+                    Ok(msg) => msg,
+                    Err(RecvTimeoutError::Timeout) => {
+                        w.close();
+                        continue;
+                    }
+                    Err(RecvTimeoutError::Disconnected) => break,
+                },
+            },
+        };
+        match msg {
+            WriterMsg::Run(run) => w.take_run(&run),
+            // A barrier closes the batch immediately: its ack must cover
+            // exactly what was admitted before it.
+            WriterMsg::Barrier(barrier) => {
+                w.close();
+                match barrier {
+                    Barrier::Sync(ack) => ack.send(w.shared.published()).ok(),
+                    Barrier::Snapshot(ack) => ack.send(w.engine.edges()).ok(),
+                };
             }
         }
-        seq = apply_and_publish(&mut engine, &mut batch, &mut barriers, seq, &shared, &cfg);
     }
     // Senders are gone; everything queued was already delivered by the
-    // draining recv() above. Apply any final partial batch.
-    apply_and_publish(&mut engine, &mut batch, &mut barriers, seq, &shared, &cfg);
-    engine
+    // draining recv() above. Close any final partial batch.
+    w.close();
+    w.engine
 }
 
-fn absorb(msg: WriterMsg, batch: &mut Vec<WUpdate>, barriers: &mut Vec<Barrier>, shared: &Shared) {
-    match msg {
-        WriterMsg::Update(u) => {
-            batch.push(u);
-            let d = shared.queue_depth.fetch_sub(1, Ordering::Relaxed).saturating_sub(1);
-            mcm_obs::gauge_set("mcmd_queue_depth", &[], d as f64);
+/// The writer thread's state: the engine and the open batch.
+struct Writer {
+    engine: Engine,
+    shared: Arc<Shared>,
+    cfg: ServerConfig,
+    /// Batches published so far.
+    seq: u64,
+    /// Updates staged into the open batch.
+    staged: usize,
+    /// When the open batch took its first update; `None` when none is open.
+    opened: Option<Instant>,
+    /// The open batch's updates, kept only for [`ServerConfig::on_apply`].
+    held: Vec<WUpdate>,
+}
+
+impl Writer {
+    /// Stages a run as it arrives, closing a batch each time it reaches
+    /// exactly `max_batch` updates (a run may span batches).
+    fn take_run(&mut self, run: &[WUpdate]) {
+        let depth = self.shared.queue_depth.fetch_sub(run.len(), Ordering::Relaxed) - run.len();
+        mcm_obs::gauge_set("mcmd_queue_depth", &[], depth as f64);
+        let max = self.cfg.max_batch.max(1);
+        let mut rest = run;
+        while !rest.is_empty() {
+            let (part, later) = rest.split_at(rest.len().min(max - self.staged));
+            self.opened.get_or_insert_with(Instant::now);
+            let sw = mcm_obs::Stopwatch::new();
+            self.engine.stage(part);
+            mcm_obs::observe_ns("mcmd_batch_stage_seconds", &[], sw.elapsed_ns());
+            self.staged += part.len();
+            if self.cfg.on_apply.is_some() {
+                self.held.extend_from_slice(part);
+            }
+            if self.staged == max {
+                self.close();
+            }
+            rest = later;
         }
-        WriterMsg::Barrier(b) => barriers.push(b),
     }
-}
 
-fn apply_and_publish(
-    engine: &mut Engine,
-    batch: &mut Vec<WUpdate>,
-    barriers: &mut Vec<Barrier>,
-    mut seq: u64,
-    shared: &Shared,
-    cfg: &ServerConfig,
-) -> u64 {
-    if !batch.is_empty() {
-        if let Some(hook) = &cfg.on_apply {
-            hook(batch);
+    /// Closes the open batch, if any: repair and certificate
+    /// (`mcmd_batch_apply_seconds`), then publication.
+    fn close(&mut self) {
+        if self.staged == 0 {
+            return;
+        }
+        if let Some(hook) = &self.cfg.on_apply {
+            hook(&self.held);
+            self.held.clear();
         }
         let sw = mcm_obs::Stopwatch::new();
-        engine.apply_batch(batch);
+        self.engine.close();
         mcm_obs::observe_ns("mcmd_batch_apply_seconds", &[], sw.elapsed_ns());
-        mcm_obs::observe_ns("mcmd_batch_size", &[], batch.len() as u64);
-        seq += 1;
+        mcm_obs::observe_ns("mcmd_batch_size", &[], self.staged as u64);
+        self.staged = 0;
+        self.opened = None;
+        self.seq += 1;
         let _span = mcm_obs::span("mcmd_publish");
         let sw = mcm_obs::Stopwatch::new();
-        shared.published.store(Arc::new(Published { seq, snap: engine.snapshot() }));
+        let published = Published { seq: self.seq, snap: self.engine.snapshot() };
+        self.shared.published.store(Arc::new(published));
         mcm_obs::observe_ns("mcmd_publish_seconds", &[], sw.elapsed_ns());
-        batch.clear();
     }
-    for barrier in barriers.drain(..) {
-        match barrier {
-            Barrier::Sync(ack) => ack.send(shared.published()).ok(),
-            Barrier::Snapshot(ack) => ack.send(engine.edges()).ok(),
-        };
-    }
-    seq
 }
 
 fn accept_loop(
     listener: TcpListener,
     shared: Arc<Shared>,
-    tx: SyncSender<WriterMsg>,
+    tx: Sender<WriterMsg>,
     admission: Admission,
 ) {
     let mut workers: Vec<JoinHandle<()>> = Vec::new();
@@ -370,12 +427,7 @@ enum Flow {
     Shutdown,
 }
 
-fn conn_loop(
-    stream: TcpStream,
-    shared: Arc<Shared>,
-    tx: SyncSender<WriterMsg>,
-    admission: Admission,
-) {
+fn conn_loop(stream: TcpStream, shared: Arc<Shared>, tx: Sender<WriterMsg>, admission: Admission) {
     let conns = shared.connections.fetch_add(1, Ordering::Relaxed) + 1;
     mcm_obs::gauge_set("mcmd_connections", &[], conns as f64);
     serve_conn(&stream, &shared, &tx, admission);
@@ -383,25 +435,24 @@ fn conn_loop(
     mcm_obs::gauge_set("mcmd_connections", &[], conns as f64);
 }
 
-fn serve_conn(
-    stream: &TcpStream,
-    shared: &Shared,
-    tx: &SyncSender<WriterMsg>,
-    admission: Admission,
-) {
+fn serve_conn(stream: &TcpStream, shared: &Shared, tx: &Sender<WriterMsg>, admission: Admission) {
     // The read timeout doubles as the stop-flag poll interval.
     stream.set_read_timeout(Some(Duration::from_millis(25))).ok();
     stream.set_nodelay(true).ok();
-    let Ok(write_half) = stream.try_clone() else { return };
-    let mut out = std::io::BufWriter::new(write_half);
+    let mut conn = Conn {
+        shared,
+        tx,
+        admission,
+        out: Vec::new(),
+        run: Vec::new(),
+        oks: Vec::new(),
+        timers: RequestTimers::default(),
+    };
     let mut framer = LineFramer::new();
-    // Histogram handles cached per connection: the registry lookup takes
-    // a lock, the observation itself is lock-free.
-    let mut hists: HashMap<&'static str, mcm_obs::Histogram> = HashMap::new();
     let mut buf = [0u8; 8192];
-    let mut reader = stream;
-    'conn: loop {
-        match reader.read(&mut buf) {
+    let (mut reader, mut writer) = (stream, stream);
+    loop {
+        let flow = match reader.read(&mut buf) {
             Ok(0) => {
                 // Orderly EOF. A half-sent command is reported, not run.
                 if framer.finish().is_err() {
@@ -410,143 +461,175 @@ fn serve_conn(
                 break;
             }
             Ok(n) => {
+                let mut flow = Flow::Continue;
                 for line in framer.push(&buf[..n]) {
-                    match handle_line(&line, &mut out, shared, tx, admission, &mut hists) {
-                        Flow::Continue => {}
-                        Flow::Close => {
-                            out.flush().ok();
-                            break 'conn;
-                        }
-                        Flow::Shutdown => {
-                            out.flush().ok();
-                            shared.shutdown_verb.store(true, Ordering::Relaxed);
-                            break 'conn;
-                        }
+                    flow = conn.handle_line(&line);
+                    if !matches!(flow, Flow::Continue) {
+                        break;
                     }
                 }
-                if out.flush().is_err() {
-                    // Client went away mid-response (abrupt disconnect).
-                    break;
+                // The read's run is queued before any of its `ok`s leave.
+                conn.send_run();
+                let written = writer.write_all(&conn.out).is_ok();
+                conn.out.clear();
+                match flow {
+                    // Client went away mid-response (abrupt disconnect);
+                    // a `shutdown` still stops the daemon.
+                    Flow::Continue if !written => Flow::Close,
+                    flow => flow,
                 }
             }
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
-                if shared.stopping() {
-                    break;
-                }
+                Flow::Continue
             }
             // Connection reset / broken pipe: tolerated, never fatal to
             // the daemon.
             Err(_) => break,
-        }
-        if shared.stopping() {
-            break;
+        };
+        match flow {
+            Flow::Continue if !shared.stopping() => {}
+            Flow::Continue | Flow::Close => break,
+            Flow::Shutdown => {
+                shared.shutdown_verb.store(true, Ordering::Relaxed);
+                break;
+            }
         }
     }
 }
 
-fn handle_line(
-    line: &str,
-    out: &mut impl Write,
-    shared: &Shared,
-    tx: &SyncSender<WriterMsg>,
+/// One connection's worker state.
+struct Conn<'a> {
+    shared: &'a Shared,
+    tx: &'a Sender<WriterMsg>,
     admission: Admission,
-    hists: &mut HashMap<&'static str, mcm_obs::Histogram>,
-) -> Flow {
-    let cmd = match parse_command(line) {
-        Ok(Some(cmd)) => cmd,
-        Ok(None) => return Flow::Continue,
-        Err(e) => {
-            writeln!(out, "error {e}").ok();
-            return Flow::Continue;
-        }
-    };
-    let sw = mcm_obs::Stopwatch::new();
-    let verb = verb_of(&cmd);
-    let flow = match (admission.admit(&cmd), &cmd) {
-        (Some(Err(e)), _) => {
-            writeln!(out, "error {e}").ok();
-            Flow::Continue
-        }
-        (Some(Ok(u)), _) => {
-            // Count the admission *before* sending: the writer may
-            // absorb (and decrement) the instant the send lands.
-            let d = shared.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-            match tx.try_send(WriterMsg::Update(u)) {
-                Ok(()) => {
-                    mcm_obs::gauge_set("mcmd_queue_depth", &[], d as f64);
-                    writeln!(out, "ok").ok();
-                }
-                Err(TrySendError::Full(_)) => {
-                    shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                    mcm_obs::counter_add("mcmd_busy_total", &[("verb", verb)], 1);
-                    writeln!(out, "busy").ok();
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                    writeln!(out, "error daemon shutting down").ok();
-                }
-            }
-            Flow::Continue
-        }
-        (None, Command::Sync) => {
-            if let Some(p) = barrier(tx, Barrier::Sync, verb, out) {
-                answer_read(&cmd, p.seq, &p.snap, out);
-            }
-            Flow::Continue
-        }
-        (None, Command::Snapshot(path)) => {
-            if let Some(edges) = barrier(tx, Barrier::Snapshot, verb, out) {
-                if let Err(e) = answer_snapshot(path, &edges, out) {
-                    writeln!(out, "error {e}").ok();
-                }
-            }
-            Flow::Continue
-        }
-        (None, Command::Quit) => {
-            writeln!(out, "bye").ok();
-            Flow::Close
-        }
-        (None, Command::Shutdown) => {
-            writeln!(out, "bye").ok();
-            Flow::Shutdown
-        }
-        (None, _) => {
-            let p = shared.published();
-            answer_read(&cmd, p.seq, &p.snap, out);
-            Flow::Continue
-        }
-    };
-    hists
-        .entry(verb)
-        .or_insert_with(|| mcm_obs::registry().histogram("mcmd_request_seconds", &[("verb", verb)]))
-        .observe_ns(sw.elapsed_ns());
-    flow
+    /// Responses to the current read, written once its run is queued.
+    out: Vec<u8>,
+    /// The current read's admitted updates, in order, not yet queued.
+    run: Vec<WUpdate>,
+    /// Where each of the run's `ok` lines starts in `out`.
+    oks: Vec<usize>,
+    timers: RequestTimers,
 }
 
-/// Sends a barrier through the admission queue and waits for the writer's
-/// ack. Answers `busy` (full queue) or a shutdown error itself and returns
-/// `None` then.
-fn barrier<T>(
-    tx: &SyncSender<WriterMsg>,
-    make: impl FnOnce(mpsc::Sender<T>) -> Barrier,
-    verb: &'static str,
-    out: &mut impl Write,
-) -> Option<T> {
-    let (ack_tx, ack_rx) = mpsc::channel();
-    match tx.try_send(WriterMsg::Barrier(make(ack_tx))) {
-        Ok(()) => match ack_rx.recv() {
-            Ok(ack) => return Some(ack),
-            Err(_) => writeln!(out, "error daemon shutting down"),
-        },
-        Err(TrySendError::Full(_)) => {
-            mcm_obs::counter_add("mcmd_busy_total", &[("verb", verb)], 1);
-            writeln!(out, "busy")
-        }
-        Err(TrySendError::Disconnected(_)) => writeln!(out, "error daemon shutting down"),
+impl Conn<'_> {
+    fn handle_line(&mut self, line: &str) -> Flow {
+        let cmd = match parse_command(line) {
+            Ok(Some(cmd)) => cmd,
+            Ok(None) => return Flow::Continue,
+            Err(e) => {
+                writeln!(self.out, "error {e}").ok();
+                return Flow::Continue;
+            }
+        };
+        let sw = mcm_obs::Stopwatch::new();
+        let verb = verb_of(&cmd);
+        let flow = match (self.admission.admit(&cmd), &cmd) {
+            (Some(Err(e)), _) => {
+                writeln!(self.out, "error {e}").ok();
+                Flow::Continue
+            }
+            (Some(Ok(u)), _) => {
+                // The bound is in updates, counted at admission: the
+                // writer subtracts a run when it takes it.
+                let depth = &self.shared.queue_depth;
+                if depth.fetch_add(1, Ordering::Relaxed) >= self.shared.queue_cap {
+                    depth.fetch_sub(1, Ordering::Relaxed);
+                    mcm_obs::counter_add("mcmd_busy_total", &[("verb", verb)], 1);
+                    self.out.extend_from_slice(b"busy\n");
+                } else {
+                    self.oks.push(self.out.len());
+                    self.out.extend_from_slice(OK);
+                    self.run.push(u);
+                }
+                Flow::Continue
+            }
+            (None, Command::Sync) => {
+                if let Some(p) = self.barrier(Barrier::Sync, verb) {
+                    answer_read(&cmd, p.seq, &p.snap, &mut self.out);
+                }
+                Flow::Continue
+            }
+            (None, Command::Snapshot(path)) => {
+                if let Some(edges) = self.barrier(Barrier::Snapshot, verb) {
+                    if let Err(e) = answer_snapshot(path, &edges, &mut self.out) {
+                        writeln!(self.out, "error {e}").ok();
+                    }
+                }
+                Flow::Continue
+            }
+            (None, Command::Quit) => {
+                self.send_run();
+                self.out.extend_from_slice(b"bye\n");
+                Flow::Close
+            }
+            (None, Command::Shutdown) => {
+                self.send_run();
+                self.out.extend_from_slice(b"bye\n");
+                Flow::Shutdown
+            }
+            (None, _) => {
+                let p = self.shared.published();
+                answer_read(&cmd, p.seq, &p.snap, &mut self.out);
+                Flow::Continue
+            }
+        };
+        self.timers.observe(verb, sw.elapsed_ns());
+        flow
     }
-    .ok();
-    None
+
+    /// Queues the pending run as one writer message. If the writer is
+    /// gone, none of it was queued: its `ok`s become shutdown errors.
+    fn send_run(&mut self) {
+        if self.run.is_empty() {
+            return;
+        }
+        let n = self.run.len();
+        let run = std::mem::replace(&mut self.run, Vec::with_capacity(n));
+        let depth = self.shared.queue_depth.load(Ordering::Relaxed);
+        if self.tx.send(WriterMsg::Run(run)).is_ok() {
+            mcm_obs::gauge_set("mcmd_queue_depth", &[], depth as f64);
+        } else {
+            self.shared.queue_depth.fetch_sub(n, Ordering::Relaxed);
+            let mut out = Vec::with_capacity(self.out.len() + n * SHUTTING_DOWN.len());
+            let mut at = 0;
+            for &ok in &self.oks {
+                out.extend_from_slice(&self.out[at..ok]);
+                out.extend_from_slice(SHUTTING_DOWN);
+                at = ok + OK.len();
+            }
+            out.extend_from_slice(&self.out[at..]);
+            self.out = out;
+        }
+        self.oks.clear();
+    }
+
+    /// Queues the pending run, then a barrier, and waits for the writer's
+    /// ack. Answers `busy` (full queue) or a shutdown error itself and
+    /// returns `None` then.
+    fn barrier<T>(
+        &mut self,
+        make: impl FnOnce(mpsc::Sender<T>) -> Barrier,
+        verb: &'static str,
+    ) -> Option<T> {
+        self.send_run();
+        if self.shared.queue_depth.load(Ordering::Relaxed) >= self.shared.queue_cap {
+            mcm_obs::counter_add("mcmd_busy_total", &[("verb", verb)], 1);
+            self.out.extend_from_slice(b"busy\n");
+            return None;
+        }
+        let (ack_tx, ack_rx) = mpsc::channel();
+        if self.tx.send(WriterMsg::Barrier(make(ack_tx))).is_ok() {
+            if let Ok(ack) = ack_rx.recv() {
+                return Some(ack);
+            }
+        }
+        self.out.extend_from_slice(SHUTTING_DOWN);
+        None
+    }
 }
+
+const OK: &[u8] = b"ok\n";
+const SHUTTING_DOWN: &[u8] = b"error daemon shutting down\n";

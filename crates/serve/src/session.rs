@@ -8,7 +8,7 @@
 //! [`answer_read`] and `answer_snapshot` the socket daemon uses. Errors
 //! are reported as `error line <n>: ...` and never end the session.
 
-use crate::engine::{answer_read, answer_snapshot, Admission, Engine};
+use crate::engine::{answer_read, answer_snapshot, Admission, Engine, RequestTimers};
 use crate::proto::{parse_command, verb_of, Command, LineFramer};
 use mcm_dyn::WUpdate;
 use std::io::{BufRead, Write};
@@ -27,10 +27,12 @@ pub fn run_session(
         engine,
         out: std::io::BufWriter::new(out),
         staged: Vec::new(),
+        timers: RequestTimers::default(),
         seq: 0,
         quiet,
     };
     let mut framer = LineFramer::new();
+    let mut lineno = 0u64;
     'session: loop {
         let chunk = input.fill_buf().map_err(|e| format!("read error: {e}"))?;
         if chunk.is_empty() {
@@ -43,7 +45,6 @@ pub fn run_session(
         let n = chunk.len();
         let lines = framer.push(chunk);
         input.consume(n);
-        let mut lineno = framer.lines_seen() - lines.len() as u64;
         for line in lines {
             lineno += 1;
             if s.handle_line(&line, lineno) {
@@ -62,6 +63,7 @@ struct Session<'a, W: Write> {
     admission: Admission,
     out: std::io::BufWriter<W>,
     staged: Vec<WUpdate>,
+    timers: RequestTimers,
     /// Batches applied: the stdin analogue of the daemon's writer
     /// sequence number.
     seq: u64,
@@ -101,7 +103,7 @@ impl<W: Write> Session<'_, W> {
                 matches!(cmd, Command::Quit | Command::Shutdown)
             }
         };
-        mcm_obs::observe_ns("mcmd_request_seconds", &[("verb", verb_of(&cmd))], sw.elapsed_ns());
+        self.timers.observe(verb_of(&cmd), sw.elapsed_ns());
         ends
     }
 

@@ -85,9 +85,10 @@ usage:
   --max-delay-ms ms     socket mode: ... or this many ms after it opened (default 1)
   --queue-cap n         socket mode: admission queue bound; a full queue answers
                         `busy` (default 4096)
-  --fallback f          cardinality mode: dirty fraction of n1+n2 above which
-                        repair falls back to serial MS-BFS warm-started from
-                        the stale matching (default 0.25); ignored with
+  --fallback f          cardinality mode: fraction of n1+n2 that a batch's
+                        still-free dirty vertices must reach for repair to
+                        fall back to serial MS-BFS warm-started from the
+                        stale matching (default 0.018); ignored with
                         --weighted
   --threads t           with --weighted, the auction's worker threads (default 1)
   --trace-out file      record spans; write chrome://tracing JSON at exit
@@ -184,7 +185,7 @@ fn run(args: &[String]) -> Result<(), String> {
     check_flags(args)?;
     let fallback = match opt(args, "--fallback") {
         Some(f) => f.parse::<f64>().map_err(|_| format!("bad --fallback value: {f}"))?,
-        None => 0.25,
+        None => DynOptions::default().fallback_threshold,
     };
     let parse_usize = |v: Option<&str>, what: &str, default: usize| -> Result<usize, String> {
         match v {

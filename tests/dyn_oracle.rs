@@ -115,6 +115,23 @@ fn incremental_matches_hk_across_trace_and_threshold_sweep() {
 }
 
 #[test]
+fn small_budget_regime_mixes_fallback_and_local_repair() {
+    // The fallback budget is a fraction of at least 4000 vertices, so on
+    // the suite's small graphs a mixed regime needs a tiny threshold:
+    // 0.001 is a 4-search budget. Across the suite some batches must fall
+    // back and some must not, with the HK oracle checked after each.
+    let seed = sweep_seed(0xD11A);
+    let (mut batches, mut fallbacks) = (0, 0);
+    for (name, params) in update_trace_suite(seed) {
+        let ops = update_trace(&params);
+        let (b, f) = replay_against_hk(&name, seed, &ops, params.n1, params.n2, 0.001);
+        batches += b;
+        fallbacks += f;
+    }
+    assert!(fallbacks > 0 && fallbacks < batches, "seed {seed:#x}: {fallbacks} of {batches}");
+}
+
+#[test]
 fn always_fallback_regime_actually_falls_back() {
     // Under threshold 0 every batch with a non-empty dirty set must take
     // the warm-started MS-BFS path; the churn trace guarantees matched

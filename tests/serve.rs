@@ -515,3 +515,142 @@ fn card_daemon_rejects_weighted_inserts() {
     assert_eq!(c.roundtrip("query"), "matching 1");
     server.shutdown();
 }
+
+/// A hook that reports each batch's size and holds the writer until the
+/// returned gate sender is dropped.
+fn holding_hook() -> (ApplyHook, mpsc::Receiver<usize>, mpsc::Sender<()>) {
+    let (applying_tx, applying_rx) = mpsc::channel::<usize>();
+    let (gate_tx, gate_rx) = mpsc::channel::<()>();
+    let applying_tx = Mutex::new(applying_tx);
+    let gate_rx = Mutex::new(gate_rx);
+    let hook: ApplyHook = Arc::new(move |batch: &[WUpdate]| {
+        applying_tx.lock().unwrap().send(batch.len()).ok();
+        gate_rx.lock().unwrap().recv().ok();
+    });
+    (hook, applying_rx, gate_tx)
+}
+
+/// One write of 64 inserts against an 8-update queue, with the writer
+/// held: the first 8 are admitted as one run, exactly the other 56 are
+/// answered `busy`, and every acked insert lands once released.
+#[test]
+fn one_write_over_a_full_queue_answers_busy_for_exactly_the_overflow() {
+    let (hook, applying_rx, gate_tx) = holding_hook();
+    let cfg = ServerConfig { queue_cap: 8, on_apply: Some(hook), ..ServerConfig::default() };
+    let server = start(128, cfg);
+    let mut c = Client::connect(server.local_addr());
+    assert_eq!(c.roundtrip("insert 127 127"), "ok");
+    assert_eq!(applying_rx.recv_timeout(Duration::from_secs(5)).expect("writer never held"), 1);
+
+    let burst: String = (0..64).map(|i| format!("insert {i} {i}\n")).collect();
+    c.stream.write_all(burst.as_bytes()).expect("write");
+    let answers: Vec<String> = (0..64)
+        .map(|_| {
+            let mut l = String::new();
+            c.reader.read_line(&mut l).expect("read");
+            l.trim_end().to_string()
+        })
+        .collect();
+    let acked: Vec<u32> = (0..64).filter(|&i| answers[i as usize] == "ok").collect();
+    assert_eq!(acked, (0..8).collect::<Vec<u32>>(), "{answers:?}");
+    assert!(answers[8..].iter().all(|a| a == "busy"), "{answers:?}");
+
+    drop(gate_tx);
+    let resp = c.update_retrying("sync");
+    assert!(resp.starts_with("synced "), "{resp}");
+    let dm = server.shutdown().expect_card();
+    assert_eq!(dm.graph().nnz(), 9, "exactly the acked inserts land");
+    assert!(acked.iter().all(|&i| dm.graph().contains(i, i)) && dm.graph().contains(127, 127));
+    dm.verify_full().expect("post-release matching must verify");
+}
+
+/// A single run longer than `max_batch` is split: every batch but the
+/// one `sync` closes holds exactly `max_batch` updates, and replaying
+/// the stream with the same batch boundaries reaches the same matching.
+#[test]
+fn a_run_longer_than_max_batch_closes_batches_of_at_most_max_batch() {
+    let seed = test_seed();
+    let (n, max_batch) = (48usize, 16usize);
+    let mut rng = SplitMix64(seed ^ 0xBA7C);
+    let stream: Vec<Update> = (0..150)
+        .map(|_| {
+            let (r, col) = (rng.below(n as u64) as u32, rng.below(n as u64) as u32);
+            if rng.below(4) == 0 {
+                Update::Delete(r, col)
+            } else {
+                Update::Insert(r, col)
+            }
+        })
+        .collect();
+    let sizes = Arc::new(Mutex::new(Vec::new()));
+    let hook: ApplyHook = {
+        let sizes = sizes.clone();
+        Arc::new(move |batch: &[WUpdate]| sizes.lock().unwrap().push(batch.len()))
+    };
+    let cfg = ServerConfig {
+        max_batch,
+        max_delay: Duration::from_secs(600),
+        on_apply: Some(hook),
+        ..ServerConfig::default()
+    };
+    let server = start(n, cfg);
+    let mut c = Client::connect(server.local_addr());
+    let mut burst = String::new();
+    for u in &stream {
+        match *u {
+            Update::Insert(r, col) => burst.push_str(&format!("insert {r} {col}\n")),
+            Update::Delete(r, col) => burst.push_str(&format!("delete {r} {col}\n")),
+        }
+    }
+    burst.push_str("sync\n");
+    c.stream.write_all(burst.as_bytes()).expect("write");
+    for i in 0..stream.len() {
+        let mut l = String::new();
+        c.reader.read_line(&mut l).expect("read");
+        assert_eq!(l.trim_end(), "ok", "update {i}");
+    }
+    let mut l = String::new();
+    c.reader.read_line(&mut l).expect("read");
+    assert!(l.starts_with("synced "), "{l}");
+    let dm = server.shutdown().expect_card();
+
+    let sizes = sizes.lock().unwrap().clone();
+    assert_eq!(sizes.iter().sum::<usize>(), stream.len(), "{sizes:?}");
+    let (last, full) = sizes.split_last().unwrap();
+    assert!(full.iter().all(|&s| s == max_batch) && *last <= max_batch, "{sizes:?}");
+    let mut serial = DynMatching::new(n, n, DynOptions::default());
+    let mut at = 0;
+    for s in sizes {
+        serial.apply_batch(&stream[at..at + s]);
+        at += s;
+    }
+    assert_eq!(dm.matching(), serial.matching(), "seed {seed}");
+    assert_eq!(dm.graph().nnz(), serial.graph().nnz(), "seed {seed}");
+    dm.verify_full().expect("split batches must certify");
+}
+
+/// If the writer is gone, a run's updates were never queued: each of
+/// them is answered with a shutdown error, in place, with the read's
+/// other answers around them kept in order.
+#[test]
+fn a_run_the_writer_cannot_take_answers_errors_in_order() {
+    let hook: ApplyHook = Arc::new(|_: &[WUpdate]| panic!("writer stops here (test)"));
+    let server = start(8, ServerConfig { on_apply: Some(hook), ..ServerConfig::default() });
+    let mut c = Client::connect(server.local_addr());
+    assert_eq!(c.roundtrip("insert 0 0"), "ok");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while c.roundtrip("insert 5 5") == "ok" {
+        assert!(Instant::now() < deadline, "writer never stopped");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    c.stream.write_all(b"insert 1 1\nquery\ninsert 2 2\n").expect("write");
+    let mut lines = Vec::new();
+    for _ in 0..3 {
+        let mut l = String::new();
+        c.reader.read_line(&mut l).expect("read");
+        lines.push(l.trim_end().to_string());
+    }
+    assert_eq!(lines, ["error daemon shutting down", "matching 0", "error daemon shutting down"]);
+    let joined = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| server.shutdown()));
+    assert!(joined.is_err(), "the writer's panic surfaces at join");
+}

@@ -9,7 +9,12 @@
 //! * `rss_delta` — resident-set growth across open + full view
 //!   construction, the number the format exists to keep small;
 //! * `solve` — `maximum_matching` on the simulator (4 logical ranks), end-to-end
-//!   on the borrowed view, Berge-certified at the smallest scale.
+//!   on the borrowed view, Berge-certified at the smallest scale;
+//! * `solve_hwm` — the process's `VmHWM` after the solve. Scales run in
+//!   ascending order in one process, so each figure is that scale's solve
+//!   peak (generation peaks far lower).
+//!
+//! The record carries the host (cores, CPU model) and the commit.
 //!
 //! Custom harness (not the criterion stand-in): the record carries RSS and
 //! file-size fields that the shared `BenchRecord` schema has no slots for.
@@ -18,6 +23,7 @@
 //! `15,18,20`; override with `MCM_STORE_SCALES=s1,s2,...` (CI uses a
 //! smaller list — see .github/workflows/ci.yml).
 
+use mcm_bench::proc_status_bytes;
 use mcm_bsp::{DistCtx, MachineConfig};
 use mcm_core::verify::is_maximum;
 use mcm_core::{maximum_matching, McmOptions, McmResult, Start};
@@ -32,13 +38,6 @@ fn solve_sim(v: &CscView<'_>, threads: usize) -> McmResult {
     maximum_matching(&mut comm, v, Start::Cold, &McmOptions::default())
 }
 
-/// Reads a `VmRSS`/`VmHWM`-style field from `/proc/self/status`, in bytes.
-fn proc_status_kb(field: &str) -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with(field))?;
-    line.split_whitespace().nth(1)?.parse::<u64>().ok().map(|kb| kb * 1024)
-}
-
 struct ScaleRecord {
     scale: u32,
     nnz: u64,
@@ -47,6 +46,7 @@ struct ScaleRecord {
     load_secs: f64,
     rss_delta_bytes: Option<u64>,
     solve_secs: f64,
+    solve_hwm_bytes: Option<u64>,
     cardinality: usize,
 }
 
@@ -70,12 +70,12 @@ fn run_scale(scale: u32, dir: &std::path::Path) -> ScaleRecord {
     let summary = w.finish(mcm_par::max_threads()).expect("finish stream");
     let gen_secs = t0.elapsed().as_secs_f64();
 
-    let rss_before = proc_status_kb("VmRSS:");
+    let rss_before = proc_status_bytes("VmRSS:");
     let t1 = Instant::now();
     let file = McsbFile::open(&path).expect("mmap open");
     let v = file.view();
     let load_secs = t1.elapsed().as_secs_f64();
-    let rss_delta_bytes = match (rss_before, proc_status_kb("VmRSS:")) {
+    let rss_delta_bytes = match (rss_before, proc_status_bytes("VmRSS:")) {
         (Some(b), Some(a)) => Some(a.saturating_sub(b)),
         _ => None,
     };
@@ -83,6 +83,7 @@ fn run_scale(scale: u32, dir: &std::path::Path) -> ScaleRecord {
     let t2 = Instant::now();
     let res = solve_sim(&v, mcm_par::max_threads());
     let solve_secs = t2.elapsed().as_secs_f64();
+    let solve_hwm_bytes = proc_status_bytes("VmHWM:");
 
     std::fs::remove_file(&path).ok();
     ScaleRecord {
@@ -93,15 +94,17 @@ fn run_scale(scale: u32, dir: &std::path::Path) -> ScaleRecord {
         load_secs,
         rss_delta_bytes,
         solve_secs,
+        solve_hwm_bytes,
         cardinality: res.matching.cardinality(),
     }
 }
 
 fn main() {
-    let scales: Vec<u32> = std::env::var("MCM_STORE_SCALES")
+    let mut scales: Vec<u32> = std::env::var("MCM_STORE_SCALES")
         .ok()
         .map(|s| s.split(',').filter_map(|x| x.trim().parse().ok()).collect())
         .unwrap_or_else(|| vec![15, 18, 20]);
+    scales.sort_unstable();
     let dir = std::env::temp_dir().join(format!("mcm_bench_store_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("bench scratch dir");
 
@@ -126,7 +129,8 @@ fn main() {
     for &scale in &scales {
         let r = run_scale(scale, &dir);
         eprintln!(
-            "store/g500_s{}: nnz {} file {:.1} MiB gen {:.2}s load {:.6}s rss_delta {} solve {:.3}s card {}",
+            "store/g500_s{}: nnz {} file {:.1} MiB gen {:.2}s load {:.6}s rss_delta {} solve {:.3}s \
+             solve_hwm {} card {}",
             r.scale,
             r.nnz,
             r.file_bytes as f64 / (1024.0 * 1024.0),
@@ -134,6 +138,7 @@ fn main() {
             r.load_secs,
             r.rss_delta_bytes.map_or("n/a".into(), |b| format!("{:.1} MiB", b as f64 / 1048576.0)),
             r.solve_secs,
+            r.solve_hwm_bytes.map_or("n/a".into(), |b| format!("{:.1} MiB", b as f64 / 1048576.0)),
             r.cardinality
         );
         records.push(r);
@@ -141,13 +146,17 @@ fn main() {
     std::fs::remove_dir_all(&dir).ok();
 
     let out = criterion::bench_json_path("BENCH_store.json");
-    let mut json =
-        String::from("{\n  \"bench\": \"store\",\n  \"edge_factor\": 16,\n  \"scales\": [\n");
+    let mut json = format!(
+        "{{\n  \"bench\": \"store\",\n  \"host\": {:?},\n  \"commit\": {:?},\n  \
+         \"edge_factor\": 16,\n  \"scales\": [\n",
+        mcm_bench::host(),
+        mcm_bench::commit()
+    );
     for (i, r) in records.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"scale\": {}, \"nnz\": {}, \"file_bytes\": {}, \"gen_secs\": {:.6}, \
              \"load_secs\": {:.6}, \"rss_delta_bytes\": {}, \"solve_secs\": {:.6}, \
-             \"cardinality\": {}}}{}\n",
+             \"solve_hwm_bytes\": {}, \"cardinality\": {}}}{}\n",
             r.scale,
             r.nnz,
             r.file_bytes,
@@ -155,6 +164,7 @@ fn main() {
             r.load_secs,
             r.rss_delta_bytes.map_or("null".to_string(), |b| b.to_string()),
             r.solve_secs,
+            r.solve_hwm_bytes.map_or("null".to_string(), |b| b.to_string()),
             r.cardinality,
             if i + 1 < records.len() { "," } else { "" }
         ));

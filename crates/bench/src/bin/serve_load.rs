@@ -41,32 +41,6 @@ fn server_view(verb: &str) -> (u64, f64, f64) {
     (h.count(), h.quantile_ns(0.50) as f64 / 1_000.0, h.quantile_ns(0.99) as f64 / 1_000.0)
 }
 
-/// `"<cores> cores, <CPU model>, <OS>"`.
-fn host() -> String {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let model = std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|s| {
-            s.lines().find_map(|l| {
-                let (key, value) = l.split_once(':')?;
-                (key.trim() == "model name").then(|| value.trim().to_string())
-            })
-        })
-        .unwrap_or_else(|| "unknown CPU".to_string());
-    format!("{cores} cores, {model}, {}", std::env::consts::OS)
-}
-
-/// The checkout's commit, `-dirty` when the tree has local edits.
-fn commit() -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
 /// A JSON string literal.
 fn quoted(s: &str) -> String {
     format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
@@ -196,8 +170,8 @@ fn main() -> ExitCode {
     json.push_str(&format!(
         "  \"command\": {},\n  \"host\": {},\n  \"commit\": {},\n",
         quoted(&command),
-        quoted(&host()),
-        quoted(&commit())
+        quoted(&mcm_bench::host()),
+        quoted(&mcm_bench::commit())
     ));
     json.push_str(&format!(
         "  \"engine\": \"{}\",\n",

@@ -2,10 +2,17 @@
 //! (DESIGN.md §18): stream-generate a scale-16 G500 RMAT graph into MCSB,
 //! mmap it, assert the load stayed out-of-core (resident-set growth a
 //! small fraction of the on-disk size), solve on the simulator from the
-//! borrowed view, and Berge-certify the result.
+//! borrowed view, hold the solve's memory to a budget, and Berge-certify
+//! the result.
+//!
+//! The memory gate reads `VmHWM` after `maximum_matching` against `VmRSS`
+//! before it. The rise may not exceed the mapped file's bytes, plus one
+//! transpose (`4·nnz + 12·nzc` bytes, DCSC), plus [`VERTEX_BYTES`] per
+//! vertex: a solve that also held an nnz-sized copy of the matrix fails.
 //!
 //! Exits non-zero on any failed step. `--scale n` overrides the size.
 
+use mcm_bench::proc_status_bytes;
 use mcm_bsp::{DistCtx, MachineConfig};
 use mcm_core::verify::is_maximum;
 use mcm_core::{maximum_matching, McmOptions, Start};
@@ -13,11 +20,17 @@ use mcm_gen::RmatParams;
 use mcm_store::{McsbFile, McsbStreamWriter};
 use std::process::ExitCode;
 
-fn vm_rss_bytes() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmRSS:"))?;
-    line.split_whitespace().nth(1)?.parse::<u64>().ok().map(|kb| kb * 1024)
-}
+/// Edges generated per vertex. Dense enough that an nnz-sized copy of the
+/// matrix (4 bytes an entry) is several times the per-vertex workspace, so
+/// the memory gate tells the two apart.
+const EDGE_FACTOR: usize = 64;
+
+/// The solve's per-vertex allowance beyond the mapped file and one
+/// transpose, in bytes per vertex (rows plus columns): matchings, parent
+/// and path vectors, permutations and their inverses, fold tables, the
+/// SpMSpV accumulators and frontiers. Fitted on scales 14–18 at this edge
+/// factor (at most 33.2 bytes a vertex, EXPERIMENTS.md), plus 20% headroom.
+const VERTEX_BYTES: u64 = 40;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -27,7 +40,7 @@ fn main() -> ExitCode {
         .and_then(|i| args.get(i + 1))
         .and_then(|s| s.parse().ok())
         .unwrap_or(16);
-    let p = RmatParams { edge_factor: 16, ..RmatParams::g500(scale) };
+    let p = RmatParams { edge_factor: EDGE_FACTOR, ..RmatParams::g500(scale) };
     let path = std::env::temp_dir().join(format!("mcm_store_smoke_{}.mcsb", std::process::id()));
 
     // Stream-generate: the full edge list never materializes.
@@ -52,10 +65,10 @@ fn main() -> ExitCode {
     // touches the header and colptr pages only, so RSS growth must stay a
     // small fraction of the on-disk size (budget: 1/4, generous vs. the
     // ~3% a scale-16 colptr section actually is).
-    let rss_before = vm_rss_bytes();
+    let rss_before = proc_status_bytes("VmRSS:");
     let file = McsbFile::open(&path).expect("mmap open");
     let v = file.view();
-    if let (Some(before), Some(after)) = (rss_before, vm_rss_bytes()) {
+    if let (Some(before), Some(after)) = (rss_before, proc_status_bytes("VmRSS:")) {
         let delta = after.saturating_sub(before);
         let budget = summary.bytes / 4;
         if file.is_mapped() && delta > budget {
@@ -76,7 +89,32 @@ fn main() -> ExitCode {
     // Solve from the borrowed view and certify maximality.
     let mut comm = DistCtx::new(MachineConfig::hybrid(2, mcm_par::max_threads()));
     let opts = McmOptions::default();
+    let rss_before = proc_status_bytes("VmRSS:");
     let res = maximum_matching(&mut comm, &v, Start::Cold, &opts);
+    let hwm_after = proc_status_bytes("VmHWM:");
+    if let (Some(before), Some(peak)) = (rss_before, hwm_after) {
+        // The rise bounds the solve's own growth from above: exact when the
+        // solve set the peak, and generation peaks far lower.
+        let rise = peak.saturating_sub(before);
+        let mut rows = vec![false; v.nrows()];
+        v.rowind().iter().for_each(|&i| rows[i as usize] = true);
+        let nzc = rows.iter().filter(|&&r| r).count() as u64;
+        let transpose = 4 * v.nnz() as u64 + 12 * nzc;
+        let vertices = (v.nrows() + v.ncols()) as u64;
+        let budget = summary.bytes + transpose + VERTEX_BYTES * vertices;
+        eprintln!(
+            "store_smoke: solve VmHWM rise {rise} bytes; budget {budget} = file {} + transpose \
+             {transpose} + {VERTEX_BYTES} x {vertices} vertices ({:.1} bytes a vertex left)",
+            summary.bytes,
+            (rise as f64 - (summary.bytes + transpose) as f64) / vertices as f64
+        );
+        if rise > budget {
+            eprintln!("store_smoke: FAIL: the solve's memory rise {rise} exceeds {budget} bytes");
+            return ExitCode::FAILURE;
+        }
+    } else {
+        eprintln!("store_smoke: /proc/self/status unavailable; skipping the memory gate");
+    }
     if !is_maximum(v, &res.matching) {
         eprintln!("store_smoke: FAIL: Berge certificate rejected the matching");
         return ExitCode::FAILURE;

@@ -11,6 +11,41 @@ use mcm_core::{maximum_matching, Matching, McmOptions, McmStats, Start};
 use mcm_sparse::{DenseVec, Triples, Vidx};
 use std::path::Path;
 
+/// `"<cores> cores, <CPU model>, <OS>"`: the host line of a BENCH record.
+pub fn host() -> String {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            s.lines().find_map(|l| {
+                let (key, value) = l.split_once(':')?;
+                (key.trim() == "model name").then(|| value.trim().to_string())
+            })
+        })
+        .unwrap_or_else(|| "unknown CPU".to_string());
+    format!("{cores} cores, {model}, {}", std::env::consts::OS)
+}
+
+/// The checkout's commit, `-dirty` when the tree has local edits: the
+/// commit line of a BENCH record.
+pub fn commit() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// A `/proc/self/status` size field (`key` such as `"VmRSS:"` or
+/// `"VmHWM:"`) in bytes; `None` where the file or the field is missing.
+pub fn proc_status_bytes(key: &str) -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with(key))?;
+    line.split_whitespace().nth(1)?.parse::<u64>().ok().map(|kb| kb * 1024)
+}
+
 /// Outcome of one simulated MCM-DIST run.
 #[derive(Clone, Debug)]
 pub struct RunOutcome {

@@ -29,11 +29,19 @@ pub fn balanced_owner(n: usize, parts: usize, idx: usize) -> usize {
 
 /// Per-rank explicit-entry counts of a sparse vector distributed in balanced
 /// blocks over `p` ranks. The maximum entry is the bottleneck rank's load.
+///
+/// The entries are sorted, so each rank's are one run: one partition point
+/// per rank cut, O(p log nnz), instead of an owner division per entry.
 pub fn per_rank_counts<T>(x: &SpVec<T>, p: usize) -> Vec<u64> {
-    let n = x.len();
-    let mut counts = vec![0u64; p];
-    for (i, _) in x.iter() {
-        counts[balanced_owner(n, p, i as usize)] += 1;
+    let (entries, base, extra) = (x.entries(), x.len() / p, x.len() % p);
+    let mut counts = Vec::with_capacity(p);
+    let mut lo = 0;
+    for k in 1..=p {
+        // Rank k starts at k · base plus one for each bigger block before it.
+        let cut = k * base + k.min(extra);
+        let hi = lo + entries[lo..].partition_point(|&(i, _)| (i as usize) < cut);
+        counts.push((hi - lo) as u64);
+        lo = hi;
     }
     counts
 }
@@ -80,6 +88,28 @@ mod tests {
         // blocks: [0,4), [4,7), [7,10) → counts 2, 1, 1
         assert_eq!(c, vec![2, 1, 1]);
         assert_eq!(c.iter().sum::<u64>() as usize, x.nnz());
+    }
+
+    #[test]
+    fn per_rank_counts_match_the_owner_division_per_entry() {
+        // The partition-point cut against the division form it replaced,
+        // over seeded sorted vectors: lengths below, at and above p (so
+        // whole ranks are empty), densities from one entry to full.
+        use mcm_sparse::permute::SplitMix64;
+        let mut rng = SplitMix64::new(0xC077);
+        for p in 1..=16usize {
+            for n in [0usize, 1, p - 1, p, p + 1, 3 * p + 2, 100, 257] {
+                for keep in [1u64, 2, 7, 50] {
+                    let idx = (0..n as Vidx).filter(|_| rng.below(keep) == 0);
+                    let x = SpVec::from_sorted_pairs(n, idx.map(|i| (i, ())).collect());
+                    let mut want = vec![0u64; p];
+                    for (i, _) in x.iter() {
+                        want[balanced_owner(n, p, i as usize)] += 1;
+                    }
+                    assert_eq!(per_rank_counts(&x, p), want, "p={p} n={n} nnz={}", x.nnz());
+                }
+            }
+        }
     }
 
     #[test]

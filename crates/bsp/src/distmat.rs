@@ -15,13 +15,15 @@
 //!   into its destination row's slot, so no slice is copied and no partial
 //!   is merge-sorted. The kernel counts, in the same traversal, the
 //!   per-block volumes the logical `p_r × p_c` grid of `ctx.machine.grid`
-//!   would ship, and the α–β–γ model charges those. `A` is assembled by
-//!   one sequential pass that copies each column of the view into its
-//!   relabeled slot ([`Dcsc::relabeled`], rows kept in source order) and
-//!   `Aᵀ` by one counting scatter of `A`.
-//!   The kernel does not need sorted rows: it looks each row's fold
-//!   segment up in a [`FoldGrid`] the plan caches per matrix shape and
-//!   grid, and counts flops and fold pairs per (block column, segment).
+//!   would ship, and the α–β–γ model charges those. Assembled from a CSC
+//!   view, `A` is not copied: the block is the view read through the
+//!   random relabeling's index maps ([`RelabeledView`]), and only `Aᵀ` is
+//!   built, by one counting scatter straight from the view
+//!   ([`Dcsc::transpose_of`]). The kernel does not need sorted rows: it
+//!   looks each row's fold segment up in a [`FoldGrid`] the plan caches
+//!   per matrix shape and grid (on the view, composed with `rowp` so that
+//!   the product runs in the view's own row labels), and counts flops and
+//!   fold pairs per (block column, segment).
 //! * **Engine** ([`EngineComm`]): the matrix is split into the grid's
 //!   blocks and rank `(i, j)` runs block `(i, j)`. Frontier slices really
 //!   are allgathered along grid columns and partials really fold along
@@ -48,8 +50,10 @@ use crate::ctx::DistCtx;
 use crate::timers::Kernel;
 use mcm_sparse::permute::Permutation;
 use mcm_sparse::triples::{block_offsets, block_owner};
-use mcm_sparse::workspace::{FoldGrid, SegCounts, SpmvWorkspace, WorkspaceStats};
+use mcm_sparse::view::RelabeledView;
+use mcm_sparse::workspace::{Columns, FoldGrid, SegCounts, SpmvWorkspace, WorkspaceStats};
 use mcm_sparse::{CscView, Dcsc, SpVec, Triples, Vidx};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Wire format of the engine-mesh SpMSpV: expand payloads (block-local
@@ -95,6 +99,10 @@ pub struct SpmvPlan<U: Copy> {
     /// Simulator only: the fold geometry of the last fused product,
     /// rebuilt when the matrix shape or the logical grid changes.
     fold: Option<FoldGrid>,
+    /// Simulator only: the last relabeled matrix's fold geometry composed
+    /// with its row map ([`FoldGrid::composed`]), keyed by the matrix's
+    /// identity; rebuilt when the matrix or the logical grid changes.
+    composed: Option<(u64, FoldGrid)>,
 }
 
 impl<U: Copy> Default for SpmvPlan<U> {
@@ -106,7 +114,7 @@ impl<U: Copy> Default for SpmvPlan<U> {
 impl<U: Copy> SpmvPlan<U> {
     /// An empty plan; buffers materialize on first use.
     pub fn new() -> Self {
-        Self { blocks: Vec::new(), fold: None }
+        Self { blocks: Vec::new(), fold: None, composed: None }
     }
 
     fn ensure(&mut self, nblocks: usize) {
@@ -135,11 +143,33 @@ impl<U: Copy> SpmvPlan<U> {
         pc: usize,
     ) -> (&mut SpmvWorkspace<U>, &FoldGrid) {
         self.ensure(1);
-        let SpmvPlan { blocks, fold } = self;
+        let SpmvPlan { blocks, fold, .. } = self;
         if fold.as_ref().is_some_and(|g| !g.fits(nrows, ncols, pr, pc)) {
             *fold = None;
         }
         let grid = fold.get_or_insert_with(|| FoldGrid::new(nrows, ncols, pr, pc));
+        (&mut blocks[0].ws, grid)
+    }
+
+    /// [`SpmvPlan::single`] for the relabeled matrix `id`, whose stored
+    /// rows map through `rowp`: the grid composed with `rowp`, built once
+    /// per matrix and grid.
+    fn single_composed(
+        &mut self,
+        id: u64,
+        rowp: &[Vidx],
+        ncols: usize,
+        pr: usize,
+        pc: usize,
+    ) -> (&mut SpmvWorkspace<U>, &FoldGrid) {
+        self.ensure(1);
+        let SpmvPlan { blocks, composed, .. } = self;
+        let nrows = rowp.len();
+        if composed.as_ref().is_some_and(|(k, g)| *k != id || !g.fits(nrows, ncols, pr, pc)) {
+            *composed = None;
+        }
+        let (_, grid) = composed
+            .get_or_insert_with(|| (id, FoldGrid::new(nrows, ncols, pr, pc).composed(rowp)));
         (&mut blocks[0].ws, grid)
     }
 }
@@ -194,7 +224,60 @@ fn count_runs(
     y
 }
 
+/// The edges of `a`'s columns in the frontier `x`.
+fn frontier_edges<A: Columns, T>(a: &A, x: &SpVec<T>) -> usize {
+    let mut cursor = 0;
+    x.entries().iter().map(|&(j, _)| a.seek(&mut cursor, j).len()).sum()
+}
+
+/// Each nonempty column's least key among its stored rows, counted on one
+/// or two logical block columns of `grid`. `keys` is indexed by stored row
+/// label, and `right(r)` says whether stored row `r` lies at or past the
+/// block boundary (a flop of the right block column). The columns are
+/// read in storage order ([`Columns::columns`], sequential for a
+/// relabeled view), since neither the minima nor the counts depend on it,
+/// and the minima are gathered in ascending column order at the end.
+fn least_keys<A: Columns>(
+    t: &A,
+    keys: &[u64],
+    right: impl Fn(Vidx) -> bool,
+    grid: &FoldGrid,
+    counts: &mut SegCounts,
+) -> Vec<(Vidx, u64)> {
+    let (pc, seg_of) = (grid.col_off().len() - 1, grid.seg());
+    let mut least = vec![0u64; t.ncols()];
+    let mut filled = vec![0u64; t.ncols().div_ceil(64)];
+    for (c, rows) in t.columns() {
+        let seg = usize::from(seg_of[c as usize]);
+        let (mut best, mut nright) = (u64::MAX, 0u64);
+        for &r in rows {
+            best = best.min(keys[r as usize]);
+            nright += u64::from(right(r));
+        }
+        counts.add(0, seg, rows.len() as u64 - nright);
+        if pc == 2 {
+            counts.add(1, seg, nright);
+        }
+        least[c as usize] = best;
+        filled[c as usize / 64] |= 1 << (c % 64);
+    }
+    let mut y = Vec::with_capacity(t.ncols());
+    for (w, &bits) in filled.iter().enumerate() {
+        let mut bits = bits;
+        while bits != 0 {
+            let c = 64 * w + bits.trailing_zeros() as usize;
+            y.push((c as Vidx, least[c]));
+            bits &= bits - 1;
+        }
+    }
+    y
+}
+
 /// A sparse matrix distributed over a 2D process grid in DCSC blocks.
+///
+/// The lifetime is that of the CSC view and the permutations a 1×1
+/// assembly reads in place ([`DistMatrix::with_grid_csc`]); matrices built
+/// from owned data borrow nothing.
 ///
 /// # Example
 ///
@@ -211,7 +294,7 @@ fn count_runs(
 /// assert!(ctx.timers.seconds(Kernel::SpMV) > 0.0); // modeled time accrued
 /// ```
 #[derive(Clone, Debug)]
-pub struct DistMatrix {
+pub struct DistMatrix<'a> {
     nrows: usize,
     ncols: usize,
     pr: usize,
@@ -220,12 +303,25 @@ pub struct DistMatrix {
     row_off: Vec<usize>,
     /// Global column index where each block column starts (`len == pc + 1`).
     col_off: Vec<usize>,
-    /// Row-major `pr × pc` DCSC blocks with block-local coordinates.
-    blocks: Vec<Dcsc>,
+    blocks: Blocks<'a>,
     nnz: usize,
 }
 
-impl DistMatrix {
+/// The physical blocks of a [`DistMatrix`].
+#[derive(Clone, Debug)]
+enum Blocks<'a> {
+    /// Row-major `pr × pc` DCSC blocks with block-local coordinates.
+    Dcsc(Vec<Dcsc>),
+    /// One block (a 1×1 grid): a CSC view read through the relabeling's
+    /// index maps, with an identity that [`SpmvPlan`]s key the view's
+    /// composed fold geometry by (clones share it, as they share the view).
+    Relabeled(RelabeledView<'a>, u64),
+}
+
+/// Source of [`Blocks::Relabeled`] identities.
+static NEXT_VIEW_ID: AtomicU64 = AtomicU64::new(0);
+
+impl<'a> DistMatrix<'a> {
     /// Distributes `t` over the grid `comm` executes on
     /// ([`Communicator::exec_grid`]): one block for the simulator, the
     /// rank grid for the engine.
@@ -234,38 +330,37 @@ impl DistMatrix {
         Self::with_grid(t, pr, pc)
     }
 
-    /// Distributes `t` over an explicit `pr × pc` grid.
+    /// Distributes `t` over an explicit `pr × pc` grid, in DCSC blocks.
     pub fn with_grid(t: &Triples, pr: usize, pc: usize) -> Self {
-        Self::with_grid_csc(&t.to_csc().view(), pr, pc, None, None)
+        Self::scattered(t.nrows(), t.ncols(), pr, pc, t.len(), t.entries().iter().copied())
     }
 
-    /// Builds `A` and `Aᵀ` together from a borrowed CSC view with the
-    /// relabeling fused into one scatter pass: entry `(i, j)` lands as
-    /// `(rowp(i), colp(j))` in `A` and swapped in `Aᵀ`, so permutation
-    /// lookups and block routing are paid once for both orientations. Used
-    /// by the matching pipeline, which needs the transpose for every
-    /// row-proposing initializer and for bottom-up BFS.
+    /// Builds `A` and `Aᵀ` together from a borrowed CSC view, relabeled so
+    /// that entry `(i, j)` is `(rowp(i), colp(j))` in `A` and swapped in
+    /// `Aᵀ`. Used by the matching pipeline, which needs the transpose for
+    /// every row-proposing initializer and for bottom-up BFS.
     ///
-    /// On a 1×1 grid (the simulator's execution grid) no pair list ever
-    /// exists and nothing is sorted. `A` is one sequential pass over the
-    /// view ([`Dcsc::relabeled`]: target column `j'` holds source column
-    /// `colp⁻¹(j')` with its rows mapped through `rowp`, in source order),
-    /// and `Aᵀ` is one counting scatter of `A` ([`Dcsc::transposed`]),
-    /// canonical because `A`'s columns are walked in ascending `j'`. `A`'s
-    /// rows are unsorted within a column when `rowp` is given; the fused
-    /// product does not need them sorted. Multi-block grids scatter into
-    /// per-block pair buffers.
+    /// On a 1×1 grid (the simulator's execution grid) `A` is not
+    /// materialized: its block is `v` itself read through `colp⁻¹` and
+    /// `rowp` ([`RelabeledView`]), so target column `j'` is source column
+    /// `colp⁻¹(j')` with its rows mapped through `rowp`, in source order.
+    /// `Aᵀ` is one counting scatter straight from the view
+    /// ([`Dcsc::transpose_of`]), canonical (sorted columns) because the
+    /// target columns are walked in ascending `j'`. No pair list exists
+    /// and nothing is sorted. Multi-block grids scatter into per-block
+    /// pair buffers, paying permutation lookups and block routing once for
+    /// both orientations.
     pub fn with_grid_csc_pair(
-        v: &CscView<'_>,
+        v: &CscView<'a>,
         pr: usize,
         pc: usize,
-        rowp: Option<&Permutation>,
-        colp: Option<&Permutation>,
+        rowp: Option<&'a Permutation>,
+        colp: Option<&'a Permutation>,
     ) -> (Self, Self) {
         if pr == 1 && pc == 1 {
-            let a = Dcsc::relabeled(v, rowp, colp);
-            let at = a.transposed();
-            return (Self::single_block(a), Self::single_block(at));
+            let a = RelabeledView::new(*v, rowp, colp);
+            let at = Dcsc::transpose_of(&a);
+            return (Self::relabeled(a), Self::single_block(at));
         }
         let row_off = block_offsets(v.nrows(), pr);
         let col_off = block_offsets(v.ncols(), pc);
@@ -293,44 +388,59 @@ impl DistMatrix {
     }
 
     /// `A` alone from a borrowed CSC view, relabeled as in
-    /// [`DistMatrix::with_grid_csc_pair`].
+    /// [`DistMatrix::with_grid_csc_pair`]: on a 1×1 grid, the view itself
+    /// read through the index maps.
     pub fn with_grid_csc(
-        v: &CscView<'_>,
+        v: &CscView<'a>,
         pr: usize,
         pc: usize,
-        rowp: Option<&Permutation>,
-        colp: Option<&Permutation>,
+        rowp: Option<&'a Permutation>,
+        colp: Option<&'a Permutation>,
     ) -> Self {
         if pr == 1 && pc == 1 {
-            return Self::single_block(Dcsc::relabeled(v, rowp, colp));
+            return Self::relabeled(RelabeledView::new(*v, rowp, colp));
         }
-        let row_off = block_offsets(v.nrows(), pr);
-        let col_off = block_offsets(v.ncols(), pc);
+        let relabel = |(i, j)| (rowp.map_or(i, |p| p.apply(i)), colp.map_or(j, |p| p.apply(j)));
+        Self::scattered(v.nrows(), v.ncols(), pr, pc, v.nnz(), v.iter().map(relabel))
+    }
+
+    /// Scatters `entries` (global coordinates, possibly duplicated) into
+    /// per-block pair buffers and compacts them into DCSC blocks.
+    fn scattered(
+        nrows: usize,
+        ncols: usize,
+        pr: usize,
+        pc: usize,
+        nnz: usize,
+        entries: impl Iterator<Item = (Vidx, Vidx)>,
+    ) -> Self {
+        let row_off = block_offsets(nrows, pr);
+        let col_off = block_offsets(ncols, pc);
         let mut parts: Vec<Vec<(Vidx, Vidx)>> =
-            (0..pr * pc).map(|_| Vec::with_capacity(v.nnz() / (pr * pc) + 8)).collect();
-        for (i, j) in v.iter() {
-            let pi = rowp.map_or(i, |p| p.apply(i));
-            let pj = colp.map_or(j, |p| p.apply(j));
-            let bi = block_owner(&row_off, pi as usize);
-            let bj = block_owner(&col_off, pj as usize);
-            parts[bi * pc + bj].push((pi - row_off[bi] as Vidx, pj - col_off[bj] as Vidx));
+            (0..pr * pc).map(|_| Vec::with_capacity(nnz / (pr * pc) + 8)).collect();
+        for (i, j) in entries {
+            let bi = block_owner(&row_off, i as usize);
+            let bj = block_owner(&col_off, j as usize);
+            parts[bi * pc + bj].push((i - row_off[bi] as Vidx, j - col_off[bj] as Vidx));
         }
-        Self::from_parts(v.nrows(), v.ncols(), pr, pc, row_off, col_off, &parts)
+        Self::from_parts(nrows, ncols, pr, pc, row_off, col_off, &parts)
+    }
+
+    /// A 1×1 grid over `blocks`, of `nrows × ncols` with `nnz` entries.
+    fn one(nrows: usize, ncols: usize, nnz: usize, blocks: Blocks<'a>) -> Self {
+        let (row_off, col_off) = (vec![0, nrows], vec![0, ncols]);
+        Self { nrows, ncols, pr: 1, pc: 1, row_off, col_off, blocks, nnz }
     }
 
     /// A 1×1 grid holding `block` whole.
     fn single_block(block: Dcsc) -> Self {
-        let (nrows, ncols, nnz) = (block.nrows(), block.ncols(), block.nnz());
-        Self {
-            nrows,
-            ncols,
-            pr: 1,
-            pc: 1,
-            row_off: vec![0, nrows],
-            col_off: vec![0, ncols],
-            blocks: vec![block],
-            nnz,
-        }
+        Self::one(block.nrows(), block.ncols(), block.nnz(), Blocks::Dcsc(vec![block]))
+    }
+
+    /// A 1×1 grid reading `v` in place.
+    fn relabeled(v: RelabeledView<'a>) -> Self {
+        let id = NEXT_VIEW_ID.fetch_add(1, Ordering::Relaxed);
+        Self::one(v.nrows(), v.ncols(), v.nnz(), Blocks::Relabeled(v, id))
     }
 
     /// Compacts per-block pair buffers (block-local coordinates, row-major
@@ -353,7 +463,7 @@ impl DistMatrix {
             )
         });
         let nnz = blocks.iter().map(|b| b.nnz()).sum();
-        Self { nrows, ncols, pr, pc, row_off, col_off, blocks, nnz }
+        Self { nrows, ncols, pr, pc, row_off, col_off, blocks: Blocks::Dcsc(blocks), nnz }
     }
 
     /// Global row count.
@@ -381,16 +491,41 @@ impl DistMatrix {
     }
 
     /// The DCSC block at grid position `(bi, bj)`.
+    ///
+    /// # Panics
+    ///
+    /// On a 1×1 matrix assembled from a CSC view, whose block is the view
+    /// read in place ([`DistMatrix::relabeled_view`]).
     #[inline]
     pub fn block(&self, bi: usize, bj: usize) -> &Dcsc {
-        &self.blocks[bi * self.pc + bj]
+        &self.dcsc_blocks()[bi * self.pc + bj]
+    }
+
+    /// The block of a 1×1 matrix assembled from a CSC view: the view read
+    /// through the relabeling's index maps. `None` for DCSC blocks.
+    pub fn relabeled_view(&self) -> Option<&RelabeledView<'a>> {
+        match &self.blocks {
+            Blocks::Relabeled(v, _) => Some(v),
+            Blocks::Dcsc(_) => None,
+        }
+    }
+
+    fn dcsc_blocks(&self) -> &[Dcsc] {
+        match &self.blocks {
+            Blocks::Dcsc(b) => b,
+            Blocks::Relabeled(..) => panic!("a block read off a CSC view holds no DCSC"),
+        }
     }
 
     /// Fraction of blocks that are hypersparse (`nnz < ncols`); grows with
     /// the grid and motivates DCSC (storage ablation).
     pub fn hypersparse_fraction(&self) -> f64 {
-        let h = self.blocks.iter().filter(|b| b.is_hypersparse()).count();
-        h as f64 / self.blocks.len() as f64
+        match &self.blocks {
+            Blocks::Dcsc(b) => {
+                b.iter().filter(|b| b.is_hypersparse()).count() as f64 / b.len() as f64
+            }
+            Blocks::Relabeled(v, _) => f64::from(u8::from(v.nnz() < v.ncols())),
+        }
     }
 
     /// Distributed semiring SpMSpV: `y = A ⊗ x` where `x` is a sparse vector
@@ -573,12 +708,22 @@ impl DistMatrix {
         assert_eq!(x.len(), self.ncols, "frontier length must match ncols");
         assert_eq!((self.pr, self.pc), (1, 1), "the simulator executes a single physical block");
         let (pr, pc) = (ctx.machine.grid.pr, ctx.machine.grid.pc);
-        let (ws, grid) = plan.single(self.nrows, self.ncols, pr, pc);
+        // A relabeled view's product runs in stored row labels, on the grid
+        // composed with its row map.
+        let (ws, grid) = match (&self.blocks, self.relabeled_view().and_then(|v| v.row_map())) {
+            (Blocks::Relabeled(_, id), Some(rowp)) => {
+                plan.single_composed(*id, rowp, self.ncols, pr, pc)
+            }
+            _ => plan.single(self.nrows, self.ncols, pr, pc),
+        };
         // Logical expand: the bottleneck frontier slice along a grid column
         // (no slice is materialized — the fused kernel reads `x` in place).
         ctx.charge_allgather(kernel, pr, expand_max(grid.col_off(), x.entries()));
         let mut y = SpVec::new(0);
-        let vols = ws.spmspv_fused_into(&self.blocks[0], x, grid, mul, fold, &mut y);
+        let vols = match &self.blocks {
+            Blocks::Dcsc(b) => ws.spmspv_fused_into(&b[0], x, grid, mul, fold, &mut y),
+            Blocks::Relabeled(v, _) => ws.spmspv_fused_into(v, x, grid, mul, fold, &mut y),
+        };
         ctx.charge_compute(kernel, vols.max_flops);
         ctx.charge_alltoallv(kernel, pc, vols.fold_bottleneck);
         y
@@ -600,30 +745,18 @@ impl DistMatrix {
     /// choice only.
     pub fn pull_pays<T>(&self, x: &SpVec<T>) -> bool {
         assert_eq!((self.pr, self.pc), (1, 1), "structure kernels read a single physical block");
-        let b = &self.blocks[0];
-        let cols = b.nonzero_cols();
-        // One merge of two ascending lists: the frontier and the nonempty
-        // columns.
-        let (mut q, mut edges) = (0usize, 0usize);
-        for &(j, _) in x.entries() {
-            while q < cols.len() && cols[q] < j {
-                q += 1;
-            }
-            if q == cols.len() {
-                break;
-            }
-            if cols[q] == j {
-                edges += b.nth_col(q).0.len();
-            }
-        }
+        let edges = match &self.blocks {
+            Blocks::Dcsc(b) => frontier_edges(&b[0], x),
+            Blocks::Relabeled(v, _) => frontier_edges(v, x),
+        };
         PULL_SHARE * edges >= self.nnz
     }
 
     /// The counting product `y = self ⊗ x` over `(+, 1)` — each row's
     /// number of neighbours among `x`'s columns — on one physical block,
     /// read off the structure of `t`, the transpose of `self`, instead of
-    /// pushing `x`'s columns. `t`'s columns must be sorted, as every
-    /// transpose this crate assembles is ([`Dcsc::transposed`]).
+    /// pushing `x`'s columns. `t` must be a DCSC with sorted columns, as
+    /// every transpose this crate assembles is ([`Dcsc::transpose_of`]).
     ///
     /// Result and charges equal the fused product
     /// ([`Communicator::spmspv`] on [`DistCtx`] with `|_, _| 1` and `+=`),
@@ -648,7 +781,7 @@ impl DistMatrix {
         assert_eq!((self.pr, self.pc, t.pr, t.pc), (1, 1, 1, 1), "one physical block each");
         assert_eq!((t.nrows, t.ncols), (self.ncols, self.nrows), "t must be the transpose");
         assert!(self.reads_structure(ctx), "structure kernels count at most two block columns");
-        let tb = &t.blocks[0];
+        let tb = &t.dcsc_blocks()[0];
         debug_assert!(
             (0..tb.nzc()).all(|k| tb.nth_col(k).0.windows(2).all(|w| w[0] < w[1])),
             "the transpose's columns must be sorted"
@@ -678,7 +811,11 @@ impl DistMatrix {
     /// frontier `x` that holds **every** column: each row keeps the least
     /// key among its neighbours. Computed on one physical block by one pull
     /// over the columns of `t`, the transpose of `self`, whose rows may be
-    /// in any order ([`Dcsc::relabeled`]).
+    /// in any order: `t` is usually `A` read off its view through the
+    /// index maps ([`RelabeledView`]). Then the keys and the block sides
+    /// are composed with `rowp` once, in the view's stored row labels, so
+    /// an edge reads no map, and the view's columns are read in storage
+    /// order.
     ///
     /// Result and charges equal the fused product
     /// ([`Communicator::spmspv`] on [`DistCtx`] with `|_, &k| k` and a
@@ -708,26 +845,26 @@ impl DistMatrix {
         ctx.charge_allgather(kernel, pr, expand_max(grid.col_off(), x.entries()));
         // The keys alone, indexed by column: half the bytes per gather.
         let keys: Vec<u64> = x.entries().iter().map(|&(_, k)| k).collect();
-        let (col_off, seg_of) = (grid.col_off(), grid.seg());
         let counts = ws.seg_counts();
         counts.reset(pr, pc);
-        let mid = col_off[1];
-        let tb = &t.blocks[0];
-        let mut y = Vec::with_capacity(tb.nzc());
-        for k in 0..tb.nzc() {
-            let (rows, c) = tb.nth_col(k);
-            let seg = usize::from(seg_of[c as usize]);
-            let (mut best, mut right) = (u64::MAX, 0u64);
-            for &r in rows {
-                best = best.min(keys[r as usize]);
-                right += u64::from(r as usize >= mid);
-            }
-            counts.add(0, seg, rows.len() as u64 - right);
-            if pc == 2 {
-                counts.add(1, seg, right);
-            }
-            y.push((c, best));
-        }
+        let mid = grid.col_off()[1];
+        let y = match &t.blocks {
+            Blocks::Dcsc(b) => least_keys(&b[0], &keys, |r| r as usize >= mid, grid, counts),
+            Blocks::Relabeled(v, _) => match v.row_map() {
+                None => least_keys(v, &keys, |r| r as usize >= mid, grid, counts),
+                // Keys and block sides composed with `rowp` once, in stored
+                // labels, so an edge reads no map.
+                Some(p) => {
+                    let keys: Vec<u64> = p.iter().map(|&r| keys[r as usize]).collect();
+                    let mut bits = vec![0u64; p.len().div_ceil(64)];
+                    for (i, &r) in p.iter().enumerate() {
+                        bits[i / 64] |= u64::from(r as usize >= mid) << (i % 64);
+                    }
+                    let right = |r: Vidx| bits[r as usize / 64] >> (r % 64) & 1 == 1;
+                    least_keys(v, &keys, right, grid, counts)
+                }
+            },
+        };
         let vols = counts.volumes();
         ctx.charge_compute(kernel, vols.max_flops);
         ctx.charge_alltoallv(kernel, pc, vols.fold_bottleneck);
@@ -819,12 +956,16 @@ impl DistMatrix {
             let mut guard = slots[q].lock().unwrap();
             let st = &mut **guard;
             let off = col_off[bj] as Vidx;
-            let block = &blocks[q];
             let local_mul = |lj, v: &T| mul(lj + off, v);
-            let flops = if threads > 1 {
-                st.ws.spmspv_parallel_into(block, &slice, threads, local_mul, fold, &mut st.out)
-            } else {
-                st.ws.spmspv_into(block, &slice, local_mul, fold, &mut st.out)
+            let flops = match blocks {
+                Blocks::Dcsc(b) if threads > 1 => {
+                    st.ws.spmspv_parallel_into(&b[q], &slice, threads, local_mul, fold, &mut st.out)
+                }
+                Blocks::Dcsc(b) => st.ws.spmspv_into(&b[q], &slice, local_mul, fold, &mut st.out),
+                // A one-rank mesh over a view: the plain product reads it in place.
+                Blocks::Relabeled(v, _) => {
+                    st.ws.spmspv_into(v, &slice, local_mul, fold, &mut st.out)
+                }
             };
 
             // -- Fold: route partials to their row owners along this grid
@@ -937,12 +1078,16 @@ mod tests {
     }
 
     #[test]
-    fn single_block_assembly_gathers_a_and_scatters_a_canonical_transpose() {
-        // The 1×1 path builds A by one gather and Aᵀ by one scatter of A.
-        // A's column j' must be source column colp⁻¹(j') with its rows
-        // mapped through rowp, in source order; Aᵀ must equal, byte for
-        // byte, what scattering the relabeled pairs through the sorting
-        // builder gives.
+    fn single_block_assembly_maps_the_view_and_scatters_a_canonical_transpose() {
+        // The 1×1 path keeps A as the view read through the index maps and
+        // builds Aᵀ by one scatter from the view. For all four (rowp, colp)
+        // combinations: A's column j', as the kernels read it, must be
+        // source column colp⁻¹(j') with its rows mapped through rowp, in
+        // source order; Aᵀ must equal, byte for byte, what scattering the
+        // relabeled pairs through the sorting builder gives; and the fused
+        // products on the view must equal those on an assembled DCSC of the
+        // relabeled pairs, in values and charges, for the min, last and
+        // count folds on square and rectangular logical grids.
         use mcm_sparse::permute::{relabel_permutations, SplitMix64};
         let mut rng = SplitMix64::new(0xB10C);
         let mut shapes = vec![fig2_triples()];
@@ -954,9 +1099,6 @@ mod tests {
             t.sort_dedup();
             shapes.push(t);
         }
-        let columns = |d: &Dcsc| -> Vec<(Vidx, Vec<Vidx>)> {
-            (0..d.nzc()).map(|k| d.nth_col(k)).map(|(rows, j)| (j, rows.to_vec())).collect()
-        };
         let mut unsorted_seen = false;
         for t in &shapes {
             let csc = t.to_csc();
@@ -976,22 +1118,59 @@ mod tests {
                     })
                     .filter(|(_, rows)| !rows.is_empty())
                     .collect();
-                let swapped: Vec<(Vidx, Vidx)> = want_a
-                    .iter()
-                    .flat_map(|(j, rows)| rows.iter().map(move |&i| (*j, i)))
-                    .collect();
-                let want_at = Dcsc::from_unsorted_pairs(n2, n1, &swapped);
                 let (a, at) = DistMatrix::with_grid_csc_pair(&v, 1, 1, rowp, colp);
-                assert_eq!(columns(a.block(0, 0)), want_a, "{tag}: A");
                 assert_eq!((a.nrows(), a.ncols(), a.nnz()), (n1, n2, t.len()), "{tag}: A shape");
-                assert_eq!(at.block(0, 0), &want_at, "{tag}: Aᵀ");
+                let view = a.relabeled_view().expect("A is read off the view");
+                let read = |v: &RelabeledView| -> Vec<(Vidx, Vec<Vidx>)> {
+                    let mut cursor = 0;
+                    (0..n2 as Vidx)
+                        .map(|j| (j, v.seek(&mut cursor, j).iter().map(|&i| v.row(i)).collect()))
+                        .filter(|(_, rows): &(Vidx, Vec<Vidx>)| !rows.is_empty())
+                        .collect()
+                };
+                assert_eq!(read(view), want_a, "{tag}: A");
+                let pairs: Vec<(Vidx, Vidx)> = want_a
+                    .iter()
+                    .flat_map(|(j, rows)| rows.iter().map(move |&i| (i, *j)))
+                    .collect();
+                let swapped: Vec<(Vidx, Vidx)> = pairs.iter().map(|&(i, j)| (j, i)).collect();
+                assert_eq!(
+                    at.block(0, 0),
+                    &Dcsc::from_unsorted_pairs(n2, n1, &swapped),
+                    "{tag}: Aᵀ"
+                );
                 let alone = DistMatrix::with_grid_csc(&v, 1, 1, rowp, colp);
-                assert_eq!(alone.block(0, 0), a.block(0, 0), "{tag}: A alone");
+                let alone = alone.relabeled_view().expect("A alone is read off the view");
+                assert_eq!(read(alone), want_a, "{tag}: A alone");
                 unsorted_seen |=
                     want_a.iter().any(|(_, rows)| rows.windows(2).any(|w| w[0] > w[1]));
+
+                let assembled = DistMatrix::with_grid(&Triples::from_edges(n1, n2, pairs), 1, 1);
+                let x: SpVec<Vidx> =
+                    SpVec::from_pairs(n2, (0..n2 as Vidx).step_by(3).map(|j| (j, j ^ 5)).collect());
+                let cnt = SpVec::from_pairs(n2, (0..n2 as Vidx).map(|j| (j, ())).collect());
+                for (pr, pc) in [(1, 1), (2, 2), (3, 3), (2, 1), (1, 3)] {
+                    let machine = || MachineConfig {
+                        grid: crate::machine::ProcGrid { pr, pc },
+                        ..MachineConfig::hybrid(1, 1)
+                    };
+                    let (mut on_view, mut on_dcsc) =
+                        (DistCtx::new(machine()), DistCtx::new(machine()));
+                    let run = |m: &DistMatrix, ctx: &mut DistCtx| {
+                        let mut plan = SpmvPlan::new();
+                        let ym = ctx.spmspv(m, Kernel::SpMV, &mut plan, &x, |j, &k| j ^ k, min);
+                        let yl = ctx.spmspv(m, Kernel::SpMV, &mut plan, &x, |j, _| j, last);
+                        let mut counting = SpmvPlan::new();
+                        let yc = ctx.spmspv(m, Kernel::Init, &mut counting, &cnt, |_, _| 1, count);
+                        (ym, yl, yc)
+                    };
+                    let tag = format!("{tag} on {pr}x{pc}");
+                    assert_eq!(run(&a, &mut on_view), run(&assembled, &mut on_dcsc), "{tag}");
+                    assert_eq!(on_view.timers, on_dcsc.timers, "{tag}: charges");
+                }
             }
         }
-        assert!(unsorted_seen, "some relabeled column must keep its rows unsorted");
+        assert!(unsorted_seen, "some relabeled column must read its rows unsorted");
     }
 
     #[test]
@@ -1296,7 +1475,8 @@ mod tests {
         // `count_pull` and `min_pull` read a product off the structure; on
         // every logical grid of at most two block columns they must return
         // the fused product's vector and charge its timers to the bit,
-        // with `A`'s rows unsorted as the relabeled assembly leaves them.
+        // with `A` read off the view through the index maps, its rows
+        // unsorted.
         use mcm_sparse::permute::Permutation;
         let grids = [(1, 1), (2, 2), (1, 2), (2, 1), (16, 1), (5, 2), (7, 2)];
         for (name, t) in structure_cases() {

@@ -128,10 +128,13 @@ pub enum Start {
 /// the identical matching and charges (the `backend_differential` suite
 /// asserts this).
 ///
-/// `a` is read in place: the load-balancing relabeling (§IV-A) is fused
-/// into the block scatter of matrix assembly, so no permuted or transposed
+/// `a` is read in place: on the simulator the load-balancing relabeling
+/// (§IV-A) is two index maps over `a`, so no permuted copy of `a` and no
 /// edge list is ever materialized, and an mmap'ed MCSB view is solved
-/// zero-copy. An owned [`Csc`](mcm_sparse::Csc) lends its view for free
+/// zero-copy. The one nnz-sized structure built is the transpose, for the
+/// initializer, and it is dropped when the initializer returns (kept only
+/// for `opts.direction_optimizing`); the engine's multi-block grids fuse
+/// the relabeling into their block scatter. An owned [`Csc`](mcm_sparse::Csc) lends its view for free
 /// ([`Csc::view`](mcm_sparse::Csc::view)); `Triples` convert once with
 /// `t.to_csc()`.
 ///
@@ -160,12 +163,12 @@ pub fn maximum_matching<C: Communicator>(
 
     // The transpose is needed by the row-proposing initializers and by the
     // bottom-up direction; when anything wants it, build both orientations
-    // from a single fused scatter pass. Blocks live on the backend's
-    // *physical* execution grid (1×1 for the simulator, the rank grid for
-    // the engine).
+    // together. Blocks live on the backend's *physical* execution grid
+    // (1×1 for the simulator, where `A` is `a` itself read through the
+    // relabeling's index maps; the rank grid for the engine).
     let (epr, epc) = comm.exec_grid();
     let run_init = matches!(start, Start::Cold) && !matches!(opts.init, Initializer::None);
-    let (da, dat) = if run_init || opts.direction_optimizing {
+    let (da, mut dat) = if run_init || opts.direction_optimizing {
         let (da, dat) = DistMatrix::with_grid_csc_pair(a, epr, epc, rowp, colp);
         (da, Some(dat))
     } else {
@@ -179,6 +182,11 @@ pub fn maximum_matching<C: Communicator>(
         (Start::Cold, Some(dat)) if run_init => opts.init.run(comm, &da, dat, opts.seed),
         (Start::Cold, _) => Matching::empty(a.nrows(), a.ncols()),
     };
+    // Top-down phases read `A` alone: free the transpose's nnz-sized
+    // arrays before they run.
+    if !opts.direction_optimizing {
+        dat = None;
+    }
     let mut stats =
         McmStats { init_cardinality: m.cardinality(), algo: "msbfs", ..Default::default() };
 

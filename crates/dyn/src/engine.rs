@@ -160,6 +160,9 @@ pub struct DynStats {
     pub inserts: usize,
     pub deletes: usize,
     pub matched_deletes: usize,
+    /// Dirty vertices across all batches (the sum of
+    /// [`BatchReport::dirty`]).
+    pub dirty: usize,
     /// Immediate matches of fresh both-free edges.
     pub immediate_matches: usize,
     /// Single-source repair searches / successful augmentations.
@@ -520,6 +523,7 @@ impl DynMatching {
         s.inserts += rep.inserts;
         s.deletes += rep.deletes;
         s.matched_deletes += rep.matched_deletes;
+        s.dirty += rep.dirty;
         s.immediate_matches += rep.immediate_matches;
         s.local_searches += rep.local_searches;
         s.repaired += rep.repaired;

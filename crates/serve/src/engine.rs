@@ -359,11 +359,12 @@ pub(crate) fn answer_snapshot(
 
 /// The `stats` response line of the cardinality engine (asserted by
 /// `tests/cli.rs`). Its `algo` token names the fallback engine, warm
-/// serial MS-BFS, in `mcm match --algo msbfs`'s spelling.
+/// serial MS-BFS, in `mcm match --algo msbfs`'s spelling; `dirty` is the
+/// running sum of the batches' dirty sets, as on the weighted line.
 pub fn format_stats_line(s: &DynStats, cardinality: usize, nnz: usize, epoch: u64) -> String {
     format!(
         "stats batches {} updates {} inserts {} deletes {} matched_deletes {} \
-         immediate {} searches {} repaired {} path_edges {} max_path {} \
+         dirty {} immediate {} searches {} repaired {} path_edges {} max_path {} \
          interior {} sweeps {} fallbacks {} cert_seeds {} cardinality {} \
          nnz {} epoch {} incremental {} warm_start {} scanned {} algo msbfs-serial",
         s.batches,
@@ -371,6 +372,7 @@ pub fn format_stats_line(s: &DynStats, cardinality: usize, nnz: usize, epoch: u6
         s.inserts,
         s.deletes,
         s.matched_deletes,
+        s.dirty,
         s.immediate_matches,
         s.local_searches,
         s.repaired,

@@ -73,6 +73,7 @@
 //! re-evaluated per nonzero.
 
 use crate::triples::block_offsets;
+use crate::view::RelabeledView;
 use crate::{Csc, Dcsc, SpVec, Vidx};
 use std::mem::MaybeUninit;
 
@@ -202,6 +203,34 @@ impl<U> SpaBuf<U> {
         }
     }
 
+    /// [`SpaBuf::drain_into`] for an SPA indexed by stored row label:
+    /// stored row `s` is row `rowp[s]` of the output, and `rinv` is
+    /// `rowp`'s inverse. A sparse result maps the touched list and sorts
+    /// it; a dense one sweeps the output rows in order, reading each one's
+    /// stored slot.
+    fn drain_mapped_into(&mut self, y: &mut SpVec<U>, rowp: &[Vidx], rinv: &[Vidx])
+    where
+        U: Copy,
+    {
+        if 8 * self.touched.len() >= self.active {
+            let base = self.base;
+            for (t, &s) in rinv[..self.active].iter().enumerate() {
+                if self.stamp[s as usize] >= base {
+                    y.push(t as Vidx, self.take(s));
+                }
+            }
+        } else {
+            for k in 0..self.touched.len() {
+                self.touched[k] = rowp[self.touched[k] as usize];
+            }
+            self.touched.sort_unstable();
+            for k in 0..self.touched.len() {
+                let t = self.touched[k];
+                y.push(t, self.take(rinv[t as usize]));
+            }
+        }
+    }
+
     /// Heap bytes currently held by this SPA (capacity-based).
     fn heap_bytes(&self) -> u64 {
         (self.stamp.capacity() * std::mem::size_of::<u32>()
@@ -316,12 +345,20 @@ impl SegCounts {
 /// the rows of logical block row `bi` that grid-row rank `d` owns in the
 /// balanced fold distribution. It depends only on the shape and the grid,
 /// so callers build it once and reuse it across products.
+///
+/// A grid [composed](FoldGrid::composed) with a row map is indexed by
+/// *stored* row label instead, for products over a [`RelabeledView`]: the
+/// kernel's accumulator then runs in stored labels, so an edge reads no
+/// map, and rows take their labels only when the accumulator drains.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FoldGrid {
     /// `(nrows, ncols, pr, pc)`.
     shape: (usize, usize, usize, usize),
     col_off: Vec<usize>,
+    /// The fold segment of every row, by stored label when composed.
     seg: Vec<u16>,
+    /// Composed grids only: the stored label of every row (`rowp⁻¹`).
+    stored: Option<Vec<Vidx>>,
 }
 
 impl FoldGrid {
@@ -342,7 +379,21 @@ impl FoldGrid {
                 seg.resize(seg.len() + s[1] - s[0], (bi * pc + d) as u16);
             }
         }
-        Self { shape: (nrows, ncols, pr, pc), col_off: block_offsets(ncols, pc), seg }
+        Self { shape: (nrows, ncols, pr, pc), col_off: block_offsets(ncols, pc), seg, stored: None }
+    }
+
+    /// This grid for a matrix whose stored row `i` is row `rowp[i]`: the
+    /// segment table re-indexed by stored label (`seg[rowp[i]]`), plus
+    /// `rowp`'s inverse for the drain. One pass over the rows.
+    pub fn composed(&self, rowp: &[Vidx]) -> Self {
+        assert!(self.stored.is_none(), "the grid is composed already");
+        assert_eq!(rowp.len(), self.shape.0, "rowp must cover the rows");
+        let mut stored = vec![0 as Vidx; rowp.len()];
+        for (i, &t) in rowp.iter().enumerate() {
+            stored[t as usize] = i as Vidx;
+        }
+        let seg = rowp.iter().map(|&t| self.seg[t as usize]).collect();
+        Self { shape: self.shape, col_off: self.col_off.clone(), seg, stored: Some(stored) }
     }
 
     /// `true` when this is the geometry of `nrows × ncols` on `pr × pc`.
@@ -355,7 +406,7 @@ impl FoldGrid {
         &self.col_off
     }
 
-    /// The fold segment of every row.
+    /// The fold segment of every row (by stored label when composed).
     pub fn seg(&self) -> &[u16] {
         &self.seg
     }
@@ -393,6 +444,108 @@ fn join<T>(cols: &[Vidx], xs: &[(Vidx, T)], mut f: impl FnMut(usize, usize)) {
         }
     }
 }
+
+/// Column access of the single-block kernels: an assembled [`Dcsc`], or a
+/// CSC view read through the relabeling's index maps ([`RelabeledView`]).
+/// A column's rows come in *stored* labels; [`Columns::row_map`] maps them
+/// to the matrix's row labels.
+pub trait Columns {
+    /// Number of rows.
+    fn nrows(&self) -> usize;
+    /// Number of columns.
+    fn ncols(&self) -> usize;
+    /// The stored rows of column `j`, empty when it has none, for lookups
+    /// in ascending `j`: `cursor` starts at 0 and carries the search
+    /// position from one call to the next.
+    fn seek(&self, cursor: &mut usize, j: Vidx) -> &[Vidx];
+    /// Every nonempty column with its stored rows, in storage order (not
+    /// necessarily ascending): the cheapest walk for readers that do not
+    /// depend on the column order.
+    fn columns(&self) -> impl Iterator<Item = (Vidx, &[Vidx])>;
+    /// Stored row label → row label (`slice[i]`), or `None` when they are
+    /// the same.
+    fn row_map(&self) -> Option<&[Vidx]>;
+    /// Hints that column `far` and then column `near` will be sought soon,
+    /// for layouts whose columns are not stored in ascending order. A
+    /// cache hint only: no effect on any result.
+    #[inline]
+    fn prefetch(&self, _near: Vidx, _far: Vidx) {}
+}
+
+impl Columns for Dcsc {
+    fn nrows(&self) -> usize {
+        Dcsc::nrows(self)
+    }
+
+    fn ncols(&self) -> usize {
+        Dcsc::ncols(self)
+    }
+
+    /// Gallops the nonzero columns from `cursor`, so a sparse frontier
+    /// does not walk every one of them.
+    #[inline]
+    fn seek(&self, cursor: &mut usize, j: Vidx) -> &[Vidx] {
+        let cols = self.nonzero_cols();
+        *cursor = gallop(cols, *cursor, j);
+        if *cursor < cols.len() && cols[*cursor] == j {
+            *cursor += 1;
+            self.nth_col(*cursor - 1).0
+        } else {
+            &[]
+        }
+    }
+
+    fn columns(&self) -> impl Iterator<Item = (Vidx, &[Vidx])> {
+        (0..self.nzc()).map(|k| {
+            let (rows, j) = self.nth_col(k);
+            (j, rows)
+        })
+    }
+
+    fn row_map(&self) -> Option<&[Vidx]> {
+        None
+    }
+}
+
+impl Columns for RelabeledView<'_> {
+    fn nrows(&self) -> usize {
+        RelabeledView::nrows(self)
+    }
+
+    fn ncols(&self) -> usize {
+        RelabeledView::ncols(self)
+    }
+
+    /// Direct: the column map names the source column.
+    #[inline]
+    fn seek(&self, _: &mut usize, j: Vidx) -> &[Vidx] {
+        self.col(j as usize)
+    }
+
+    /// The source columns in order, each under its target label: a
+    /// sequential read of the view.
+    fn columns(&self) -> impl Iterator<Item = (Vidx, &[Vidx])> {
+        let v = self.source();
+        (0..self.ncols())
+            .map(move |j| (self.target_col(j), v.col(j)))
+            .filter(|(_, rows)| !rows.is_empty())
+    }
+
+    fn row_map(&self) -> Option<&[Vidx]> {
+        RelabeledView::row_map(self)
+    }
+
+    /// Target columns sit at random places in the source: `far`'s column
+    /// pointer and `near`'s first rows are pulled toward the cache.
+    #[inline]
+    fn prefetch(&self, near: Vidx, far: Vidx) {
+        self.prefetch_col(near, far);
+    }
+}
+
+/// How many frontier columns ahead the fused kernel hints a column's rows
+/// ([`Columns::prefetch`]); its column pointer is hinted twice as far.
+const PREFETCH_NEAR: usize = 8;
 
 /// Reusable state for the `*_into` SpMSpV kernels: one stamped SPA for the
 /// serial path, per-chunk SPAs for the intra-block parallel path, and the
@@ -450,14 +603,32 @@ impl<U: Copy> SpmvWorkspace<U> {
         }
     }
 
-    /// DCSC SpMSpV into a caller-owned output vector; returns the traversed
-    /// edge count (`flops`), identical to [`crate::spmv::spmspv`].
+    /// Single-block SpMSpV into a caller-owned output vector, over a DCSC
+    /// block or a relabeled view ([`Columns`]); returns the traversed edge
+    /// count (`flops`), identical to [`crate::spmv::spmspv`].
     ///
     /// `y` is [`SpVec::reset`] to `a.nrows()` and filled in ascending row
     /// order; its allocation is reused.
-    pub fn spmspv_into<T>(
+    pub fn spmspv_into<A: Columns, T>(
         &mut self,
-        a: &Dcsc,
+        a: &A,
+        x: &SpVec<T>,
+        mul: impl FnMut(Vidx, &T) -> U,
+        fold: impl FnMut(&mut U, U),
+        y: &mut SpVec<U>,
+    ) -> u64 {
+        match a.row_map() {
+            None => self.product_into(a, |i| i, x, mul, fold, y),
+            Some(p) => self.product_into(a, |i| p[i as usize], x, mul, fold, y),
+        }
+    }
+
+    /// [`SpmvWorkspace::spmspv_into`] with the row map `row` applied to
+    /// every stored row.
+    fn product_into<A: Columns, T>(
+        &mut self,
+        a: &A,
+        row: impl Fn(Vidx) -> Vidx,
         x: &SpVec<T>,
         mut mul: impl FnMut(Vidx, &T) -> U,
         mut fold: impl FnMut(&mut U, U),
@@ -466,20 +637,20 @@ impl<U: Copy> SpmvWorkspace<U> {
         self.note_call(a.nrows(), 0);
         self.spa.begin(a.nrows());
         let mut flops = 0u64;
-
-        let xs = x.entries();
-        join(a.nonzero_cols(), xs, |p, q| {
-            let (rows, _) = a.nth_col(q);
-            if !rows.is_empty() {
-                // The multiply depends only on (j, xj): hoist it out of the
-                // row loop and copy per edge.
-                let colv = mul(xs[p].0, &xs[p].1);
-                flops += rows.len() as u64;
-                for &i in rows {
-                    self.spa.accum(i, colv, &mut fold);
-                }
+        let mut cursor = 0;
+        for (j, xj) in x.iter() {
+            let rows = a.seek(&mut cursor, j);
+            if rows.is_empty() {
+                continue;
             }
-        });
+            // The multiply depends only on (j, xj): hoist it out of the
+            // row loop and copy per edge.
+            let colv = mul(j, xj);
+            flops += rows.len() as u64;
+            for &i in rows {
+                self.spa.accum(row(i), colv, &mut fold);
+            }
+        }
 
         y.reset(a.nrows());
         self.spa.drain_into(y);
@@ -542,10 +713,13 @@ impl<U: Copy> SpmvWorkspace<U> {
     /// pair. Each edge looks its row's fold segment up in `grid` and adds
     /// one flop to that (block column, segment) counter; each first touch
     /// adds one fold pair the same way. Nothing depends on the order of the
-    /// rows within a column, so `a` may hold them unsorted
-    /// ([`Dcsc::relabeled`]). The frontier is merge-joined with the
-    /// nonzero columns by galloping, so a sparse frontier does not walk
-    /// every nonzero column.
+    /// rows within a column, so `a` may be a [`RelabeledView`], whose
+    /// mapped rows are unsorted. Its product runs in stored row labels on
+    /// the grid [composed](FoldGrid::composed) with its `rowp`, so an edge
+    /// reads no map, and the drain gives the rows their labels. A DCSC
+    /// block is merge-joined with the frontier by galloping
+    /// ([`Columns::seek`]), so a sparse frontier does not walk every
+    /// nonzero column.
     ///
     /// A block's flops and fold send are the sums over its block row's `pc`
     /// segments; a destination's receive is its segment's pairs over all
@@ -556,9 +730,9 @@ impl<U: Copy> SpmvWorkspace<U> {
     /// hence — by grid independence — to the engine's split execution on
     /// any grid, and the returned [`FusedVolumes`] match that execution's
     /// charges exactly.
-    pub fn spmspv_fused_into<T>(
+    pub fn spmspv_fused_into<A: Columns, T>(
         &mut self,
-        a: &Dcsc,
+        a: &A,
         x: &SpVec<T>,
         grid: &FoldGrid,
         mut mul: impl FnMut(Vidx, &T) -> U,
@@ -567,6 +741,12 @@ impl<U: Copy> SpmvWorkspace<U> {
     ) -> FusedVolumes {
         let (nrows, ncols, pr, pc) = grid.shape;
         assert_eq!((a.nrows(), a.ncols()), (nrows, ncols), "fold grid of another shape");
+        let maps = match (a.row_map(), &grid.stored) {
+            (None, None) => None,
+            (Some(rowp), Some(stored)) => Some((rowp, stored)),
+            (Some(_), None) => panic!("a relabeled matrix needs its composed fold grid"),
+            (None, Some(_)) => panic!("a composed fold grid needs a relabeled matrix"),
+        };
         let nseg = pr * pc;
         self.note_call(nrows, 0);
         self.counts.reset(pr, pc);
@@ -578,21 +758,20 @@ impl<U: Copy> SpmvWorkspace<U> {
         let seg_of = &grid.seg[..];
 
         // An explicit loop, not `join`: the hot arrays stay locals, which
-        // measured faster than capturing them in a closure.
-        let cols = a.nonzero_cols();
-        let mut q = 0usize;
+        // measured faster than capturing them in a closure. Rows stay in
+        // stored labels throughout: the accumulator and `seg_of` are
+        // indexed by them.
+        let mut cursor = 0usize;
         let mut bj = 0usize; // logical column block: ascending with j
-        for (j, xj) in x.iter() {
-            q = gallop(cols, q, j);
-            if q == cols.len() {
-                break;
-            }
-            if cols[q] != j {
+        let xs = x.entries();
+        for (k, (j, xj)) in xs.iter().enumerate() {
+            let (j, xj) = (*j, xj);
+            let ahead = |d: usize| xs.get(k + d).map_or(j, |e| e.0);
+            a.prefetch(ahead(PREFETCH_NEAR), ahead(2 * PREFETCH_NEAR));
+            let rows = a.seek(&mut cursor, j);
+            if rows.is_empty() {
                 continue;
             }
-            // DCSC stores nonempty columns only.
-            let (rows, _) = a.nth_col(q);
-            q += 1;
             while (j as usize) >= grid.col_off[bj + 1] {
                 bj += 1;
             }
@@ -620,7 +799,10 @@ impl<U: Copy> SpmvWorkspace<U> {
         }
 
         y.reset(nrows);
-        self.spa.drain_into(y);
+        match maps {
+            None => self.spa.drain_into(y),
+            Some((rowp, stored)) => self.spa.drain_mapped_into(y, rowp, stored),
+        }
         self.counts.volumes()
     }
 
@@ -892,12 +1074,13 @@ mod tests {
 
     #[test]
     fn unsorted_rows_give_the_canonical_product_and_volumes_on_every_grid() {
-        // One seeded random matrix stored twice: with each column's rows in
-        // the source order a relabeled gather keeps (unsorted) and
-        // canonically (ascending). On every logical grid from 1×1 to 16×16
-        // (the 64–256-rank shapes included) and a few rectangular ones,
-        // both layouts must give the same vector for order-sensitive and
-        // counting folds, and the same volumes, equal to a per-edge recount.
+        // One seeded random matrix read two ways: as a relabeled view, whose
+        // mapped rows come in source order (unsorted), and assembled
+        // canonically (ascending) from the relabeled pairs. For all four
+        // (rowp, colp) combinations, on every logical grid from 1×1 to 16×16
+        // (the 64–256-rank shapes included) and a few rectangular ones, both
+        // must give the same vector for order-sensitive and counting folds,
+        // and the same volumes, equal to a per-edge recount.
         use crate::permute::{Permutation, SplitMix64};
         for seed in [0x5EED_u64, 7, 23] {
             let mut rng = SplitMix64::new(seed);
@@ -912,12 +1095,7 @@ mod tests {
             }
             t.sort_dedup();
             let csc = t.to_csc();
-            let (rowp, colp) =
-                (Permutation::random(n1, seed ^ 1), Permutation::random(n2, seed ^ 2));
-            let unsorted = Dcsc::relabeled(&csc.view(), Some(&rowp), Some(&colp));
-            let pairs: Vec<(Vidx, Vidx)> = unsorted.iter().collect();
-            let canonical = Dcsc::from_unsorted_pairs(n1, n2, &pairs);
-            assert_ne!(unsorted, canonical, "seed {seed:#x}: the layouts must differ");
+            let (rp, cp) = (Permutation::random(n1, seed ^ 1), Permutation::random(n2, seed ^ 2));
             let frontiers: Vec<SpVec<u32>> = [1u64, 3, 40]
                 .iter()
                 .map(|&keep| {
@@ -927,31 +1105,56 @@ mod tests {
                 .collect();
             let mut grids: Vec<(usize, usize)> = (1..=16).map(|d| (d, d)).collect();
             grids.extend([(1, 16), (16, 1), (3, 5), (5, 3)]);
-            let (mut wu, mut wc) = (SpmvWorkspace::new(), SpmvWorkspace::new());
-            for &(pr, pc) in &grids {
-                let grid = FoldGrid::new(n1, n2, pr, pc);
-                for x in &frontiers {
-                    let tag = format!("seed {seed:#x} grid {pr}x{pc} nnz(x) {}", x.nnz());
-                    let want = spmspv(&canonical, x, |j, &v| j ^ v, min).y;
-                    let run = |ws: &mut SpmvWorkspace<u32>, a: &Dcsc| {
-                        let (mut ym, mut yl, mut yc) =
-                            (SpVec::new(0), SpVec::new(0), SpVec::new(0));
+            for (rowp, colp) in
+                [(None, None), (Some(&rp), Some(&cp)), (Some(&rp), None), (None, Some(&cp))]
+            {
+                let mapped = RelabeledView::new(csc.view(), rowp, colp);
+                let pairs: Vec<(Vidx, Vidx)> = mapped
+                    .columns()
+                    .flat_map(|(j, rows)| rows.iter().map(move |&i| (i, j)))
+                    .map(|(i, j)| (mapped.row(i), j))
+                    .collect();
+                let canonical = Dcsc::from_unsorted_pairs(n1, n2, &pairs);
+                let (mut wu, mut wc) = (SpmvWorkspace::new(), SpmvWorkspace::new());
+                for &(pr, pc) in &grids {
+                    let grid = FoldGrid::new(n1, n2, pr, pc);
+                    // The view's product runs in stored labels on the grid
+                    // composed with its row map.
+                    let composed = mapped.row_map().map(|p| grid.composed(p));
+                    let mgrid = composed.as_ref().unwrap_or(&grid);
+                    for x in &frontiers {
+                        let tag = format!(
+                            "seed {seed:#x} rowp={} colp={} grid {pr}x{pc} nnz(x) {}",
+                            rowp.is_some(),
+                            colp.is_some(),
+                            x.nnz()
+                        );
+                        let want = spmspv(&canonical, x, |j, &v| j ^ v, min);
                         let last = |acc: &mut u32, inc: u32| *acc = inc;
                         let count = |acc: &mut u32, inc: u32| *acc += inc;
-                        let vm = ws.spmspv_fused_into(a, x, &grid, |j, &v| j ^ v, min, &mut ym);
-                        let vl = ws.spmspv_fused_into(a, x, &grid, |j, _| j, last, &mut yl);
-                        let vc = ws.spmspv_fused_into(a, x, &grid, |_, _| 1, count, &mut yc);
+                        let (mut ym, mut yl, mut yc) =
+                            (SpVec::new(0), SpVec::new(0), SpVec::new(0));
+                        let vm =
+                            wu.spmspv_fused_into(&mapped, x, mgrid, |j, &v| j ^ v, min, &mut ym);
+                        let vl = wu.spmspv_fused_into(&mapped, x, mgrid, |j, _| j, last, &mut yl);
+                        let vc = wu.spmspv_fused_into(&mapped, x, mgrid, |_, _| 1, count, &mut yc);
                         assert_eq!(
                             (vm, vl),
                             (vc, vc),
                             "{tag}: volumes must not depend on the fold"
                         );
-                        (ym, yl, yc, vm)
-                    };
-                    let got = run(&mut wu, &unsorted);
-                    assert_eq!(got, run(&mut wc, &canonical), "{tag}");
-                    assert_eq!(got.0, want, "{tag}: serial product");
-                    assert_eq!(got.3, recounted_volumes(&canonical, x, pr, pc), "{tag}: volumes");
+                        let (mut zm, mut zl, mut zc) =
+                            (SpVec::new(0), SpVec::new(0), SpVec::new(0));
+                        let um =
+                            wc.spmspv_fused_into(&canonical, x, &grid, |j, &v| j ^ v, min, &mut zm);
+                        wc.spmspv_fused_into(&canonical, x, &grid, |j, _| j, last, &mut zl);
+                        wc.spmspv_fused_into(&canonical, x, &grid, |_, _| 1, count, &mut zc);
+                        assert_eq!((&ym, &yl, &yc, vm), (&zm, &zl, &zc, um), "{tag}");
+                        assert_eq!(ym, want.y, "{tag}: serial product");
+                        assert_eq!(vm, recounted_volumes(&canonical, x, pr, pc), "{tag}: volumes");
+                        let flops = wu.spmspv_into(&mapped, x, |j, _| j, last, &mut yl);
+                        assert_eq!((&yl, flops), (&zl, want.flops), "{tag}: plain product");
+                    }
                 }
             }
         }

@@ -937,6 +937,40 @@ fn mcmd_stdin_and_socket_modes_agree() {
 }
 
 #[test]
+fn mcmd_stats_count_dirty_vertices_in_both_modes() {
+    // The cardinality stats line carries the running dirty-set total the
+    // weighted line already prints. Two fresh both-free inserts match at
+    // once (no dirty vertex); deleting a matched edge then frees both its
+    // endpoints, and the stdin session and the socket must print the same
+    // nonzero total.
+    let script: Vec<String> =
+        ["insert 0 0", "insert 1 1", "sync", "stats", "delete 0 0", "sync", "stats"]
+            .map(String::from)
+            .to_vec();
+    let engine = ["--rows", "4", "--cols", "4"];
+    let input = tmp("dirty_stats.txt");
+    std::fs::write(&input, script.iter().map(|l| format!("{l}\n")).collect::<String>() + "quit\n")
+        .unwrap();
+    let out = mcmd().args(engine).args(["--quiet", "--input"]).arg(&input).output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdin_text = String::from_utf8_lossy(&out.stdout).into_owned();
+    let socket_lines = mcmd_socket_session(&engine, &script);
+    let dirty = |lines: Vec<&str>| -> Vec<usize> {
+        let stats = lines.into_iter().filter(|l| l.starts_with("stats "));
+        stats
+            .map(|l| {
+                let token = l.split(" dirty ").nth(1).and_then(|t| t.split(' ').next());
+                token.and_then(|n| n.parse().ok()).unwrap_or_else(|| panic!("no dirty: {l}"))
+            })
+            .collect()
+    };
+    let from_stdin = dirty(stdin_text.lines().collect());
+    let from_socket = dirty(socket_lines.iter().map(String::as_str).collect());
+    assert_eq!(from_stdin, [0, 2], "{stdin_text}");
+    assert_eq!(from_socket, from_stdin, "{socket_lines:?}");
+}
+
+#[test]
 fn mcmd_forced_fallback_agrees_across_stdin_and_socket() {
     // `--fallback 0` sends every dirtying batch to warm serial MS-BFS, and
     // `--full-verify` certifies each one. The same windows of updates

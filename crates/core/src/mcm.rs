@@ -131,10 +131,15 @@ pub enum Start {
 /// `a` is read in place: on the simulator the load-balancing relabeling
 /// (§IV-A) is two index maps over `a`, so no permuted copy of `a` and no
 /// edge list is ever materialized, and an mmap'ed MCSB view is solved
-/// zero-copy. The one nnz-sized structure built is the transpose, for the
-/// initializer, and it is dropped when the initializer returns (kept only
-/// for `opts.direction_optimizing`); the engine's multi-block grids fuse
-/// the relabeling into their block scatter. An owned [`Csc`](mcm_sparse::Csc) lends its view for free
+/// zero-copy. The default solve builds no nnz-sized structure at all:
+/// dynamic mindegree reads `A` alone where it reads structure (one physical
+/// block charged on at most two logical block columns). The transpose is
+/// built only when something needs it — `opts.direction_optimizing`,
+/// Karp–Sipser, or dynamic mindegree on wider logical grids and
+/// multi-block engine meshes ([`Initializer::needs_transpose`]) — and is
+/// dropped when the initializer returns unless the phases read it. The
+/// engine's multi-block grids fuse the relabeling into their block scatter.
+/// An owned [`Csc`](mcm_sparse::Csc) lends its view for free
 /// ([`Csc::view`](mcm_sparse::Csc::view)); `Triples` convert once with
 /// `t.to_csc()`.
 ///
@@ -161,26 +166,28 @@ pub fn maximum_matching<C: Communicator>(
     let perms = opts.permute_seed.map(|seed| relabel_permutations(a.nrows(), a.ncols(), seed));
     let (rowp, colp) = (perms.as_ref().map(|p| &p.0), perms.as_ref().map(|p| &p.1));
 
-    // The transpose is needed by the row-proposing initializers and by the
-    // bottom-up direction; when anything wants it, build both orientations
-    // together. Blocks live on the backend's *physical* execution grid
-    // (1×1 for the simulator, where `A` is `a` itself read through the
-    // relabeling's index maps; the rank grid for the engine).
+    // The transpose is needed by the bottom-up direction and by the
+    // initializers that cannot do without it here; when anything wants it,
+    // build both orientations together. Blocks live on the backend's
+    // *physical* execution grid (1×1 for the simulator, where `A` is `a`
+    // itself read through the relabeling's index maps; the rank grid for
+    // the engine).
     let (epr, epc) = comm.exec_grid();
     let run_init = matches!(start, Start::Cold) && !matches!(opts.init, Initializer::None);
-    let (da, mut dat) = if run_init || opts.direction_optimizing {
+    let (da, mut dat) = if opts.direction_optimizing || run_init && opts.init.needs_transpose(comm)
+    {
         let (da, dat) = DistMatrix::with_grid_csc_pair(a, epr, epc, rowp, colp);
         (da, Some(dat))
     } else {
         (DistMatrix::with_grid_csc(a, epr, epc, rowp, colp), None)
     };
-    let mut m = match (start, &dat) {
-        (Start::Warm(warm), _) => match &perms {
+    let mut m = match start {
+        Start::Warm(warm) => match &perms {
             None => warm,
             Some((rowp, colp)) => permute_matching(warm, rowp, colp),
         },
-        (Start::Cold, Some(dat)) if run_init => opts.init.run(comm, &da, dat, opts.seed),
-        (Start::Cold, _) => Matching::empty(a.nrows(), a.ncols()),
+        Start::Cold if run_init => opts.init.maximal(comm, &da, dat.as_ref(), opts.seed),
+        Start::Cold => Matching::empty(a.nrows(), a.ncols()),
     };
     // Top-down phases read `A` alone: free the transpose's nnz-sized
     // arrays before they run.

@@ -284,7 +284,7 @@ pub struct FusedVolumes {
 /// pairs. [`SegCounts::volumes`] is the one reduction to charged volumes,
 /// shared by [`SpmvWorkspace::spmspv_fused_into`] and the kernels that read
 /// a product's counts off the matrix's structure (`mcm-bsp`'s
-/// `DistMatrix::count_pull` and `DistMatrix::min_pull`).
+/// `DistMatrix::count_cols` and `DistMatrix::min_pull`).
 #[derive(Clone, Debug, Default)]
 pub struct SegCounts {
     pr: usize,
@@ -410,6 +410,11 @@ impl FoldGrid {
     pub fn seg(&self) -> &[u16] {
         &self.seg
     }
+
+    /// Composed grids only: the stored label of every row (`rowp⁻¹`).
+    pub fn stored(&self) -> Option<&[Vidx]> {
+        self.stored.as_deref()
+    }
 }
 
 /// First position at or after `from` whose column is `>= j` in the sorted
@@ -458,10 +463,12 @@ pub trait Columns {
     /// in ascending `j`: `cursor` starts at 0 and carries the search
     /// position from one call to the next.
     fn seek(&self, cursor: &mut usize, j: Vidx) -> &[Vidx];
-    /// Every nonempty column with its stored rows, in storage order (not
-    /// necessarily ascending): the cheapest walk for readers that do not
-    /// depend on the column order.
-    fn columns(&self) -> impl Iterator<Item = (Vidx, &[Vidx])>;
+    /// Number of stored column slots ([`Columns::stored`]).
+    fn nstored(&self) -> usize;
+    /// The column in storage slot `k` (`k < nstored()`): its label and its
+    /// stored rows, possibly none. Slots in ascending order are the
+    /// cheapest walk for readers that do not depend on the column order.
+    fn stored(&self, k: usize) -> (Vidx, &[Vidx]);
     /// Stored row label → row label (`slice[i]`), or `None` when they are
     /// the same.
     fn row_map(&self) -> Option<&[Vidx]>;
@@ -495,11 +502,14 @@ impl Columns for Dcsc {
         }
     }
 
-    fn columns(&self) -> impl Iterator<Item = (Vidx, &[Vidx])> {
-        (0..self.nzc()).map(|k| {
-            let (rows, j) = self.nth_col(k);
-            (j, rows)
-        })
+    fn nstored(&self) -> usize {
+        self.nzc()
+    }
+
+    #[inline]
+    fn stored(&self, k: usize) -> (Vidx, &[Vidx]) {
+        let (rows, j) = self.nth_col(k);
+        (j, rows)
     }
 
     fn row_map(&self) -> Option<&[Vidx]> {
@@ -522,13 +532,15 @@ impl Columns for RelabeledView<'_> {
         self.col(j as usize)
     }
 
-    /// The source columns in order, each under its target label: a
+    fn nstored(&self) -> usize {
+        self.ncols()
+    }
+
+    /// Source column `k` under its target label: slots in order are a
     /// sequential read of the view.
-    fn columns(&self) -> impl Iterator<Item = (Vidx, &[Vidx])> {
-        let v = self.source();
-        (0..self.ncols())
-            .map(move |j| (self.target_col(j), v.col(j)))
-            .filter(|(_, rows)| !rows.is_empty())
+    #[inline]
+    fn stored(&self, k: usize) -> (Vidx, &[Vidx]) {
+        (self.target_col(k), self.source().col(k))
     }
 
     fn row_map(&self) -> Option<&[Vidx]> {
@@ -1109,8 +1121,8 @@ mod tests {
                 [(None, None), (Some(&rp), Some(&cp)), (Some(&rp), None), (None, Some(&cp))]
             {
                 let mapped = RelabeledView::new(csc.view(), rowp, colp);
-                let pairs: Vec<(Vidx, Vidx)> = mapped
-                    .columns()
+                let pairs: Vec<(Vidx, Vidx)> = (0..mapped.nstored())
+                    .map(|k| mapped.stored(k))
                     .flat_map(|(j, rows)| rows.iter().map(move |&i| (i, j)))
                     .map(|(i, j)| (mapped.row(i), j))
                     .collect();

@@ -53,6 +53,10 @@ impl RmatParams {
     fn validate(&self) {
         let sum = self.a + self.b + self.c + self.d;
         assert!((sum - 1.0).abs() < 1e-9, "RMAT quadrant probabilities must sum to 1, got {sum}");
+        assert!(
+            [self.a, self.b, self.c, self.d].iter().all(|&q| q >= 0.0),
+            "RMAT quadrant probabilities must be nonnegative"
+        );
         assert!(self.scale >= 1 && self.scale < 31, "scale must be in 1..31");
     }
 }
@@ -110,28 +114,31 @@ pub fn rmat_profile(name: &str) -> Option<&'static RmatProfile> {
 }
 
 /// Samples one edge by recursive quadrant descent.
+///
+/// Each level draws the noise and the uniform `r` and picks the quadrant
+/// from three compares against the running sums `a`, `a + b`, `a + b + c`,
+/// turned into the two coordinate bits without a branch: G500's skewed
+/// odds (.57/.19/.19/.05) would defeat a branch predictor on every level.
+/// With `b, c ≥ 0` (checked by `validate`) the sums are monotone, so this
+/// picks what an `if`/`else if` chain over the same float expressions
+/// picks; the tests pin the two together.
 #[inline]
 fn sample_edge(p: &RmatParams, rng: &mut SplitMix64) -> (Vidx, Vidx) {
     let (mut i, mut j) = (0u32, 0u32);
     // Per-level parameter noise (±10%) as in the Graph500 reference
     // implementation, which prevents exact self-similarity artifacts.
     for _ in 0..p.scale {
-        i <<= 1;
-        j <<= 1;
         let noise = 0.9 + 0.2 * rng.next_f64();
         let (a, b, c) = (p.a * noise, p.b, p.c);
         let total = a + b + c + p.d * (2.0 - noise);
         let r = rng.next_f64() * total;
-        if r < a {
-            // top-left: nothing to add
-        } else if r < a + b {
-            j |= 1;
-        } else if r < a + b + c {
-            i |= 1;
-        } else {
-            i |= 1;
-            j |= 1;
-        }
+        let ge_a = r >= a;
+        let ge_ab = r >= a + b;
+        let ge_abc = r >= a + b + c;
+        // Quadrants in order: top-left, top-right (j), bottom-left (i),
+        // bottom-right (both).
+        i = (i << 1) | ge_ab as u32;
+        j = (j << 1) | ((ge_a & !ge_ab) | ge_abc) as u32;
     }
     (i, j)
 }
@@ -259,6 +266,58 @@ mod tests {
             t.sort_dedup();
             assert_eq!(t, rmat(p, 42));
         }
+    }
+
+    /// The descent as a three-way `if`/`else if` chain, kept to pin the
+    /// branch-free [`sample_edge`] to it.
+    fn sample_edge_branchy(p: &RmatParams, rng: &mut SplitMix64) -> (Vidx, Vidx) {
+        let (mut i, mut j) = (0u32, 0u32);
+        for _ in 0..p.scale {
+            i <<= 1;
+            j <<= 1;
+            let noise = 0.9 + 0.2 * rng.next_f64();
+            let (a, b, c) = (p.a * noise, p.b, p.c);
+            let total = a + b + c + p.d * (2.0 - noise);
+            let r = rng.next_f64() * total;
+            if r < a {
+            } else if r < a + b {
+                j |= 1;
+            } else if r < a + b + c {
+                i |= 1;
+            } else {
+                i |= 1;
+                j |= 1;
+            }
+        }
+        (i, j)
+    }
+
+    #[test]
+    fn branch_free_descent_equals_the_branchy_one() {
+        for profile in RMAT_PROFILES {
+            for scale in 1..=12 {
+                let p = profile.params(scale);
+                for seed in 0..64u64 {
+                    let mut fast = SplitMix64::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 11);
+                    let mut slow = fast.clone();
+                    for k in 0..128 {
+                        assert_eq!(
+                            sample_edge(&p, &mut fast),
+                            sample_edge_branchy(&p, &mut slow),
+                            "{} scale {scale} seed {seed} sample {k}",
+                            profile.name
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "nonnegative")]
+    fn rejects_negative_probabilities() {
+        let p = RmatParams { a: 0.7, b: -0.1, c: 0.2, d: 0.2, scale: 4, edge_factor: 4 };
+        let _ = rmat(p, 0);
     }
 
     #[test]

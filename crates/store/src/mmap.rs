@@ -13,13 +13,16 @@
 //! * **Lifetime**: the `&[u8]` from [`MmapRegion::bytes`] borrows `self`, so
 //!   the borrow checker prevents use after `Drop` runs `munmap`.
 //! * **Aliasing**: the mapping is `PROT_READ | MAP_PRIVATE`; this process
-//!   never writes through it, so shared `&[u8]` access is sound. A
-//!   *concurrent writer to the underlying file* could still change mapped
-//!   bytes under us — MCSB files are written once and then immutable by
-//!   convention, and every array index read out of a mapping is
-//!   bounds-checked against the header before use, so torn reads can
-//!   produce wrong answers on a file being overwritten in place but never
-//!   memory unsafety.
+//!   never writes through it, so shared `&[u8]` access is sound. The
+//!   crate's writers never write a file in place: they build it under a
+//!   temporary name beside the target and `rename(2)` it over the target
+//!   once sealed, so regenerating a path swaps in a new inode while a live
+//!   mapping keeps the old one, bytes and checksum intact. Only a *foreign*
+//!   writer to the mapped inode could still change bytes under us (or
+//!   truncate it, which raises `SIGBUS` on a read past the new end); every
+//!   array index read out of a mapping is bounds-checked against the
+//!   header before use, so such torn reads can produce wrong answers but
+//!   never memory unsafety.
 //! * **Alignment**: `mmap` returns page-aligned memory and MCSB sections
 //!   sit at 64-byte offsets, so the `u64`/`u32`/`f64` reinterpretations in
 //!   `read.rs` are aligned (each cast re-asserts this).

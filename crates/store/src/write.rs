@@ -2,12 +2,16 @@
 //!
 //! These one-shot writers serve graphs that already fit in memory (tests,
 //! small conversions, `Csc`/`WCsc` snapshots). The bounded-memory ingest
-//! paths live in [`crate::stream`].
+//! paths live in [`crate::stream`]. Both write under a temporary name beside
+//! the target and rename the finished file over it, so a reader never sees
+//! a half-written graph at the target path and one that has the old file
+//! mapped keeps reading the old bytes.
 
 use crate::format::{fnv1a, Header, StoreError, FNV_OFFSET};
 use mcm_sparse::{Csc, Vidx, WCsc};
 use std::io::Write;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Writes a pattern matrix as an MCSB file. Returns the file size in bytes.
 pub fn write_csc_file(path: impl AsRef<Path>, a: &Csc) -> Result<u64, StoreError> {
@@ -73,6 +77,34 @@ pub fn write_parts(
     }
     header.payload_checksum = h;
 
+    let path = path.as_ref();
+    let tmp = sibling_tmp(path);
+    let result = write_sections(&tmp, &header, colptr, rowind, values).and_then(|written| {
+        std::fs::rename(&tmp, path)?;
+        Ok(written)
+    });
+    if result.is_err() {
+        std::fs::remove_file(&tmp).ok();
+    }
+    result
+}
+
+/// A fresh name beside `path` (same directory, so same file system, so a
+/// rename over `path` is atomic), unique across processes and threads.
+fn sibling_tmp(path: &Path) -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    PathBuf::from(format!("{}.{}-{n}.tmp", path.display(), std::process::id()))
+}
+
+/// Emits the header and sections to a new file at `path` in one pass.
+fn write_sections(
+    path: &Path,
+    header: &Header,
+    colptr: &[u64],
+    rowind: &[Vidx],
+    values: Option<&[f64]>,
+) -> Result<u64, StoreError> {
     let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
     let mut written = 0u64;
     w.write_all(&header.encode())?;

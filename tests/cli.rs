@@ -248,6 +248,49 @@ fn gen_takes_the_format_from_a_mcsb_out_path() {
     }
 }
 
+/// FNV-1a digests of `mcm gen <family> --scale 12 --seed <seed>` file
+/// bytes, as Matrix Market text and as MCSB, recorded before the sampler's
+/// descent went branch-free: any change to the edge stream, the text
+/// writer or the MCSB writer's bytes fails here by name.
+const PINNED_GEN: [(&str, u64, u64, u64); 6] = [
+    ("g500", 7, 0x202b_935a_4ebd_73a2, 0x489e_4b39_fb21_4dfe),
+    ("g500", 23, 0x0859_f610_40be_b53e, 0x8f01_2f51_59b9_9e17),
+    ("ssca", 7, 0xb0d0_b803_193c_e316, 0x6b0e_d12a_24a7_ea50),
+    ("ssca", 23, 0xb635_2cdd_2331_2d82, 0xd21c_fdea_02be_a107),
+    ("er", 7, 0x3fd0_4a65_55ba_9e17, 0xeff9_47b2_bbf4_15e0),
+    ("er", 23, 0xf80c_60c5_9bac_ea94, 0x9f20_cd39_70c4_7f4d),
+];
+
+/// Runs `mcm gen` for each pinned case in `format` and checks the digest
+/// of the bytes it wrote.
+fn check_pinned_gen(format: &str) {
+    use mcm_store::format::{fnv1a, FNV_OFFSET};
+    for (family, seed, mtx, mcsb) in PINNED_GEN {
+        let (ext, want) = if format == "mcsb" { ("mcsb", mcsb) } else { ("mtx", mtx) };
+        let file = tmp(&format!("pinned_{family}_{seed}.{ext}"));
+        let out = mcm()
+            .args(["gen", family, "--scale", "12", "--seed", &seed.to_string()])
+            .args(["--format", format, "--out"])
+            .arg(&file)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let got = fnv1a(FNV_OFFSET, &std::fs::read(&file).unwrap());
+        assert_eq!(got, want, "mcm gen {family} --scale 12 --seed {seed} --format {format}");
+        std::fs::remove_file(&file).ok();
+    }
+}
+
+#[test]
+fn gen_matrix_market_bytes_are_pinned() {
+    check_pinned_gen("mtx");
+}
+
+#[test]
+fn gen_mcsb_bytes_are_pinned() {
+    check_pinned_gen("mcsb");
+}
+
 #[test]
 fn out_of_range_mcsb_row_index_fails_cleanly() {
     // A mapped MCSB file whose rowind holds one index >= nrows made

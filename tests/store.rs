@@ -10,7 +10,7 @@ use mcm_core::verify::{is_maximum, verify};
 use mcm_core::{maximum_matching, McmOptions, McmResult, Start};
 use mcm_gen::{assign_weights, simtest_suite};
 use mcm_sparse::{CscView, Triples, WCsc};
-use mcm_store::{write_csc_file, write_wcsc_file, McsbFile, StoreError};
+use mcm_store::{write_csc_file, write_wcsc_file, McsbFile, McsbStreamWriter, StoreError};
 use std::path::PathBuf;
 
 fn tmp(name: &str) -> PathBuf {
@@ -334,4 +334,49 @@ fn view_solves_match_triples_solves_across_the_suite() {
         }
         std::fs::remove_file(p).ok();
     }
+}
+
+// ------------------------------------------------------------ seal by rename
+
+/// The file's graph and stored checksum, read through its view.
+fn contents(file: &McsbFile) -> (mcm_sparse::Csc, u64) {
+    (file.view().to_csc(), file.header().payload_checksum)
+}
+
+#[test]
+fn a_mapped_reader_keeps_the_old_graph_while_the_path_is_regenerated() {
+    let graph = |scale, seed| mcm_gen::rmat(mcm_gen::RmatParams::g500(scale), seed);
+    let p = tmp("regen");
+    // Each writer regenerates a mapped path with a smaller graph (a read of
+    // the old mapping past the new end of an in-place rewrite would fault):
+    // the old mapping must not move, and a fresh open must see the new graph.
+    for streamed in [true, false] {
+        let (old, new) = (graph(10, 1), graph(8, 2));
+        write_csc_file(&p, &old.to_csc()).unwrap();
+        let mapped = McsbFile::open(&p).unwrap();
+        let before = contents(&mapped);
+        assert_eq!(before.0, old.to_csc());
+        if streamed {
+            let mut w = McsbStreamWriter::create(&p, new.nrows(), new.ncols(), false).unwrap();
+            w.push_edges(new.entries()).unwrap();
+            w.finish(2).unwrap();
+        } else {
+            write_csc_file(&p, &new.to_csc()).unwrap();
+        }
+        assert!(contents(&mapped) == before, "streamed {streamed}: the mapped graph moved");
+        mapped.verify_payload().unwrap();
+        let fresh = McsbFile::open(&p).unwrap();
+        fresh.verify_payload().unwrap();
+        assert_eq!(fresh.view().to_csc(), new.to_csc(), "streamed {streamed}");
+    }
+    // Nothing but the target is left beside it.
+    let dir = p.parent().unwrap();
+    let stem = p.file_name().unwrap().to_str().unwrap();
+    let leftovers: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|n| n.starts_with(stem) && n != stem)
+        .collect();
+    assert!(leftovers.is_empty(), "{leftovers:?}");
+    std::fs::remove_file(p).ok();
 }

@@ -1,24 +1,21 @@
 //! Streaming Matrix Market → MCSB conversion.
 //!
-//! The converter never holds the edge list: lines are read in chunks,
-//! parsed in parallel (`mcm-par`), and pushed straight into a
-//! [`McsbStreamWriter`](crate::McsbStreamWriter), so memory is bounded by
-//! the chunk size plus the stream writer's bucket budget regardless of the
-//! input size. Header and entries go through the `mcm_sparse::io` parsers
-//! the in-memory readers use: 1-based coordinates,
+//! The converter never holds the edge list or the text: the body is read
+//! in fixed-size byte blocks by [`MmReader`], the one Matrix Market parser
+//! the in-memory readers use too, and each chunk of parsed entries is
+//! pushed straight into a [`McsbStreamWriter`].
+//! Memory is bounded by one block of text and one chunk of entries plus
+//! the stream writer's bucket budget, regardless of the input size. The
+//! parse is `MmReader`'s: 1-based coordinates,
 //! `general`/`symmetric`/`skew-symmetric` symmetry with mirror expansion,
 //! finite values kept iff the field is not `pattern` (`complex` keeps the
-//! real part), and a declared-count check at EOF.
+//! real part), and a declared-count check at the end of the body.
 
 use crate::format::StoreError;
 use crate::stream::McsbStreamWriter;
-use mcm_sparse::io::{is_mm_comment, parse_mm_entry, parse_mm_header, MmError};
+use mcm_sparse::io::MmReader;
 use mcm_sparse::Vidx;
-use std::io::{BufRead, BufReader};
 use std::path::Path;
-
-/// Lines parsed per parallel chunk.
-const CHUNK_LINES: usize = 1 << 16;
 
 /// What a conversion produced.
 #[derive(Clone, Copy, Debug)]
@@ -35,8 +32,8 @@ pub struct ConvertSummary {
     pub bytes: u64,
 }
 
-/// Converts a Matrix Market file to MCSB using [`mcm_par::max_threads`]
-/// parse workers.
+/// Converts a Matrix Market file to MCSB, sorting the spilled buckets on
+/// [`mcm_par::max_threads`] workers.
 pub fn convert_matrix_market(
     src: impl AsRef<Path>,
     dst: impl AsRef<Path>,
@@ -44,72 +41,33 @@ pub fn convert_matrix_market(
     convert_matrix_market_with(src, dst, mcm_par::max_threads())
 }
 
-/// Converts a Matrix Market file to MCSB with an explicit parse-worker
-/// count. The output is weighted iff the source field is not `pattern`.
+/// Converts a Matrix Market file to MCSB; `threads` sizes only the
+/// stream writer's bucket sort (the parse is one sequential pass). The
+/// output is weighted iff the source field is not `pattern`.
 pub fn convert_matrix_market_with(
     src: impl AsRef<Path>,
     dst: impl AsRef<Path>,
     threads: usize,
 ) -> Result<ConvertSummary, StoreError> {
-    let src = src.as_ref();
-    let mut lines = BufReader::new(std::fs::File::open(src)?).lines();
-
-    let h = parse_mm_header(&mut lines).map_err(mm_error)?;
-    let (nrows, ncols, has_value) = (h.nrows, h.ncols, h.has_value);
-
-    let mut writer = McsbStreamWriter::create(&dst, nrows, ncols, has_value)?;
-    let threads = threads.max(1);
-    let mut chunk: Vec<String> = Vec::with_capacity(CHUNK_LINES);
-    let mut seen = 0usize;
-    let flush_chunk = |chunk: &mut Vec<String>,
-                       writer: &mut McsbStreamWriter,
-                       seen: &mut usize|
-     -> Result<(), StoreError> {
-        if chunk.is_empty() {
-            return Ok(());
-        }
-        let parsed: Vec<Result<(Vidx, Vidx, f64), MmError>> =
-            mcm_par::par_map_range(chunk.len(), threads, |k| parse_mm_entry(&chunk[k], &h));
-        let mut out: Vec<(Vidx, Vidx, f64)> =
-            Vec::with_capacity(chunk.len() * if h.mirror { 2 } else { 1 });
-        for r in parsed {
-            let e = r.map_err(mm_error)?;
-            out.push(e);
-            out.extend(h.mirrored(e));
-        }
-        *seen += chunk.len();
-        if has_value {
-            writer.push_weighted_edges(&out)?;
+    let reader = MmReader::new(std::fs::File::open(src.as_ref())?)?;
+    let h = *reader.header();
+    let mut writer = McsbStreamWriter::create(&dst, h.nrows, h.ncols, h.has_value)?;
+    let mut pairs: Vec<(Vidx, Vidx)> = Vec::new();
+    reader.for_each_chunk(|chunk| {
+        if h.has_value {
+            writer.push_weighted_edges(chunk)
         } else {
-            let pairs: Vec<(Vidx, Vidx)> = out.iter().map(|&(i, j, _)| (i, j)).collect();
-            writer.push_edges(&pairs)?;
+            pairs.clear();
+            pairs.extend(chunk.iter().map(|&(i, j, _)| (i, j)));
+            writer.push_edges(&pairs)
         }
-        chunk.clear();
-        Ok(())
-    };
-
-    for line in lines {
-        let line = line?;
-        if is_mm_comment(&line) {
-            continue;
-        }
-        chunk.push(line);
-        if chunk.len() >= CHUNK_LINES {
-            flush_chunk(&mut chunk, &mut writer, &mut seen)?;
-        }
-    }
-    flush_chunk(&mut chunk, &mut writer, &mut seen)?;
-    if seen != h.nnz {
-        return Err(StoreError::Format(format!("expected {} entries, found {seen}", h.nnz)));
-    }
-    let summary = writer.finish(threads)?;
-    Ok(ConvertSummary { nrows, ncols, nnz: summary.nnz, weighted: has_value, bytes: summary.bytes })
-}
-
-/// Parse failures keep their text; I/O failures stay I/O errors.
-fn mm_error(e: MmError) -> StoreError {
-    match e {
-        MmError::Io(e) => StoreError::Io(e),
-        e => StoreError::Format(e.to_string()),
-    }
+    })?;
+    let summary = writer.finish(threads.max(1))?;
+    Ok(ConvertSummary {
+        nrows: h.nrows,
+        ncols: h.ncols,
+        nnz: summary.nnz,
+        weighted: h.has_value,
+        bytes: summary.bytes,
+    })
 }

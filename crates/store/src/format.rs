@@ -123,6 +123,8 @@ pub enum StoreError {
         /// The row index before it in the same column.
         prev: u64,
     },
+    /// A Matrix Market source that does not parse (`mcm convert`).
+    MatrixMarket(mcm_sparse::io::MmError),
     /// A weighted file's values section holds an infinite or NaN value.
     NonFiniteValue {
         /// Position of the value among the nonzeros.
@@ -156,6 +158,7 @@ impl std::fmt::Display for StoreError {
                 f,
                 "MCSB column {col} is not sorted: row {row} at nonzero {index} follows row {prev}"
             ),
+            StoreError::MatrixMarket(e) => write!(f, "{e}"),
             StoreError::NonFiniteValue { index, value } => {
                 write!(f, "MCSB value {value} at nonzero {index} is not finite")
             }
@@ -168,6 +171,16 @@ impl std::error::Error for StoreError {}
 impl From<std::io::Error> for StoreError {
     fn from(e: std::io::Error) -> Self {
         StoreError::Io(e)
+    }
+}
+
+/// Parse failures stay typed; I/O failures stay I/O errors.
+impl From<mcm_sparse::io::MmError> for StoreError {
+    fn from(e: mcm_sparse::io::MmError) -> Self {
+        match e {
+            mcm_sparse::io::MmError::Io(e) => StoreError::Io(e),
+            e => StoreError::MatrixMarket(e),
+        }
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! The storage subsystem behind the repo's scaling story (DESIGN.md §18):
 //! every other crate assumes a graph that fits in RAM and arrives through a
-//! line-by-line Matrix Market parser; this crate makes the on-disk layout
+//! Matrix Market parse; this crate makes the on-disk layout
 //! *be* the in-memory layout so graphs 10–100× larger load in O(1) work.
 //!
 //! * [`format`](mod@format) — **MCSB**, a compact versioned binary format whose payload
@@ -181,32 +181,109 @@ mod tests {
         std::fs::remove_file(p2).ok();
     }
 
+    /// A `coordinate` file of `k` seeded entries in an `n × n` shape (`m`
+    /// columns for a `general` one); value fields cycle through decimal,
+    /// exponent, negative and integer spellings, and the last entry
+    /// repeats the first coordinate with another value.
+    fn seeded_mtx(field: &str, symmetry: &str, (n, m): (u64, u64), k: usize, seed: u64) -> String {
+        let mut x = seed;
+        let mut entries = Vec::new();
+        for e in 0..k {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let (i, j) = ((x >> 33) % n + 1, (x >> 3) % m + 1);
+            let value = match e % 5 {
+                0 => format!("{}.{}", x % 97, x % 13),
+                1 => format!("{}e{}", x % 9 + 1, (x % 7) as i64 - 3),
+                2 => format!("-{}.25", x % 31),
+                3 => format!("{}", x % 50),
+                _ => format!("-{}E+1", x % 11),
+            };
+            entries.push((i, j, value));
+        }
+        let (i, j, _) = entries[0].clone();
+        entries.push((i, j, "-1e-3".to_string()));
+        let mut text = format!("%%MatrixMarket matrix coordinate {field} {symmetry}\n");
+        text += &format!("{n} {m} {}\n", entries.len());
+        for (i, j, value) in entries {
+            text += &if field == "pattern" {
+                format!("{i} {j}\n")
+            } else {
+                format!("{i} {j} {value}\n")
+            };
+        }
+        text
+    }
+
     #[test]
     fn convert_matches_in_ram_parse() {
-        let t = mcm_sparse::Triples::from_edges(40, 30, {
-            let mut e = Vec::new();
-            let mut x = 7u64;
-            for _ in 0..300 {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                e.push((((x >> 33) % 40) as u32, ((x >> 3) % 30) as u32));
+        // `mcm convert` and the in-memory readers are the two drivers of
+        // the one Matrix Market reader: the converted file must be the
+        // one-shot writer's file of the in-memory read, byte for byte, on
+        // pattern, weighted, symmetric and skew-symmetric inputs.
+        let cases = [
+            ("pattern", "general", (40, 30)),
+            ("real", "general", (40, 30)),
+            ("pattern", "symmetric", (35, 35)),
+            ("real", "symmetric", (35, 35)),
+            ("integer", "skew-symmetric", (35, 35)),
+            ("real", "skew-symmetric", (35, 35)),
+        ];
+        for (k, &(field, symmetry, shape)) in cases.iter().enumerate() {
+            let mtx = tmp(&format!("convert_{k}.mtx"));
+            std::fs::write(&mtx, seeded_mtx(field, symmetry, shape, 300, 7 + k as u64)).unwrap();
+            let mcsb = tmp(&format!("convert_{k}.mcsb"));
+            let want = tmp(&format!("convert_{k}_want.mcsb"));
+            let summary = convert_matrix_market_with(&mtx, &mcsb, 2).unwrap();
+            let nnz = if field == "pattern" {
+                let a = mcm_sparse::io::read_matrix_market_file(&mtx).unwrap().to_csc();
+                write_csc_file(&want, &a).unwrap();
+                a.nnz()
+            } else {
+                let a = mcm_sparse::io::read_matrix_market_weighted_file(&mtx).unwrap();
+                write_wcsc_file(&want, &a).unwrap();
+                a.nnz()
+            };
+            assert_eq!(summary.nnz as usize, nnz, "{field} {symmetry}");
+            assert_eq!(summary.weighted, field != "pattern", "{field} {symmetry}");
+            assert!(nnz > 150, "{field} {symmetry}: dedup collapsed the instance to {nnz}");
+            let (got, want_bytes) = (std::fs::read(&mcsb).unwrap(), std::fs::read(&want).unwrap());
+            assert!(got == want_bytes, "{field} {symmetry}: converted bytes differ");
+            for p in [mtx, mcsb, want] {
+                std::fs::remove_file(p).ok();
             }
-            e
-        });
-        let mtx = tmp("convert.mtx");
-        mcm_sparse::io::write_matrix_market_file(&t, &mtx).unwrap();
-        let mcsb = tmp("convert.mcsb");
-        let summary = convert_matrix_market_with(&mtx, &mcsb, 2).unwrap();
-        let mut want = t.clone();
-        want.sort_dedup();
-        assert_eq!(summary.nnz as usize, want.len());
-        assert!(!summary.weighted);
-        let file = McsbFile::open(&mcsb).unwrap();
-        let a = want.to_csc();
-        let v = file.view();
-        for j in 0..30 {
-            assert_eq!(v.col(j), a.col(j), "column {j}");
         }
-        std::fs::remove_file(mtx).ok();
-        std::fs::remove_file(mcsb).ok();
+    }
+
+    #[test]
+    fn convert_keeps_matrix_market_errors_typed() {
+        use mcm_sparse::io::MmError;
+        let banner = "%%MatrixMarket matrix coordinate real general\n";
+        type Check = fn(&StoreError) -> bool;
+        let cases: [(String, Check); 3] = [
+            (format!("{banner}2 2 2\n1 1 1.5\n2 x 1\n"), |e| {
+                matches!(e, StoreError::MatrixMarket(MmError::BadEntry { line: 4, .. }))
+            }),
+            (format!("{banner}2 2 3\n1 1 1.5\n"), |e| {
+                matches!(
+                    e,
+                    StoreError::MatrixMarket(MmError::CountMismatch { declared: 3, found: 1, .. })
+                )
+            }),
+            (format!("{banner}2 2 1\n1 1 nan\n"), |e| {
+                matches!(e, StoreError::MatrixMarket(MmError::NonFinite { line: 3, .. }))
+            }),
+        ];
+        for (k, (text, want)) in cases.iter().enumerate() {
+            let mtx = tmp(&format!("convert_err_{k}.mtx"));
+            let mcsb = tmp(&format!("convert_err_{k}.mcsb"));
+            std::fs::write(&mtx, text).unwrap();
+            let err = convert_matrix_market_with(&mtx, &mcsb, 1).unwrap_err();
+            assert!(want(&err), "{text:?}: {err:?}");
+            assert!(err.to_string().starts_with("Matrix Market parse error: line "), "{err}");
+            assert!(!mcsb.exists(), "a failed convert wrote {}", mcsb.display());
+            std::fs::remove_file(mtx).ok();
+        }
+        let missing = convert_matrix_market_with(tmp("convert_missing.mtx"), tmp("x.mcsb"), 1);
+        assert!(matches!(missing, Err(StoreError::Io(_))), "{missing:?}");
     }
 }

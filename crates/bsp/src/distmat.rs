@@ -466,10 +466,10 @@ impl<'a> DistMatrix<'a> {
 
     /// Builds `A` and `Aᵀ` together from a borrowed CSC view, relabeled so
     /// that entry `(i, j)` is `(rowp(i), colp(j))` in `A` and swapped in
-    /// `Aᵀ`. The matching pipeline calls it only when something needs the
-    /// transpose: bottom-up BFS, Karp–Sipser, and dynamic mindegree where
-    /// it cannot read `A`'s structure instead (wider logical grids,
-    /// multi-block engine meshes); otherwise it assembles `A` alone
+    /// `Aᵀ`. The matching pipeline calls it only when an initializer needs
+    /// the transpose: Karp–Sipser, and dynamic mindegree where it cannot
+    /// read `A`'s structure instead (wider logical grids, multi-block
+    /// engine meshes); otherwise it assembles `A` alone
     /// ([`DistMatrix::with_grid_csc`]). Each call counts one
     /// `mcm_transpose_builds_total`.
     ///
@@ -651,17 +651,6 @@ impl<'a> DistMatrix<'a> {
         }
     }
 
-    /// Fraction of blocks that are hypersparse (`nnz < ncols`); grows with
-    /// the grid and motivates DCSC (storage ablation).
-    pub fn hypersparse_fraction(&self) -> f64 {
-        match &self.blocks {
-            Blocks::Dcsc(b) => {
-                b.iter().filter(|b| b.is_hypersparse()).count() as f64 / b.len() as f64
-            }
-            Blocks::Relabeled(v, _) => f64::from(u8::from(v.nnz() < v.ncols())),
-        }
-    }
-
     /// Distributed semiring SpMSpV: `y = A ⊗ x` where `x` is a sparse vector
     /// over the columns and `y` over the rows.
     ///
@@ -692,127 +681,6 @@ impl<'a> DistMatrix<'a> {
         U: Copy + Send + Sync,
     {
         ctx.spmspv(self, kernel, &mut SpmvPlan::new(), x, mul, fold)
-    }
-
-    /// Bottom-up ("pull") frontier expansion — the direction-optimizing
-    /// counterpart of [`DistMatrix::spmspv`], per the paper's §VII future
-    /// work ("the bottom-up BFS in distributed memory", after Beamer's
-    /// direction-optimizing BFS).
-    ///
-    /// `self` must be the **transpose** `Aᵀ` (an `n2 × n1` matrix whose
-    /// columns are the rows of `A`). Instead of scanning the frontier
-    /// columns' adjacency, every *candidate* (unvisited) row scans its own
-    /// adjacency and stops at the first frontier member — a large win when
-    /// the frontier covers much of the graph, because most rows stop after
-    /// O(1) probes.
-    ///
-    /// The scan runs per block of the **logical** grid `ctx.machine.grid`,
-    /// whatever blocks `self` is physically stored in: each logical block
-    /// row keeps its own early exit, and a candidate's hits fold in
-    /// ascending block-row order. Adjacency is scanned in ascending column
-    /// order, so with the `minParent` semiring the result is bit-identical
-    /// to the top-down product. (Randomized semirings get a valid but
-    /// possibly different parent choice; MCM correctness does not depend on
-    /// which.) Result and charges are the same on one physical block as on
-    /// the logical grid's blocks.
-    ///
-    /// Charges to `kernel`: an allgather of the frontier slice along each
-    /// grid column (bitmap + values — the frontier is dense here, which is
-    /// precisely when bottom-up is chosen), the scanned-edge compute at the
-    /// bottleneck block, and the candidate-merge alltoallv along grid rows.
-    pub fn bottom_up_spmspv<T, U>(
-        &self,
-        ctx: &mut DistCtx,
-        kernel: Kernel,
-        candidates: &[Vidx],
-        frontier: &[Option<T>],
-        mul: impl Fn(Vidx, &T) -> U + Sync,
-        fold: impl Fn(&mut U, U) + Sync,
-    ) -> SpVec<U>
-    where
-        T: Sync,
-        U: Send,
-    {
-        // In Aᵀ terms: nrows = n2 (A's columns = frontier side),
-        // ncols = n1 (A's rows = candidate side).
-        assert_eq!(frontier.len(), self.nrows, "frontier must cover A's columns");
-        debug_assert!(candidates.windows(2).all(|w| w[0] < w[1]));
-        // The logical grid's blocks of Aᵀ.
-        let (lpr, lpc) = (ctx.machine.grid.pr, ctx.machine.grid.pc);
-        let (row_off, col_off) = (block_offsets(self.nrows, lpr), block_offsets(self.ncols, lpc));
-
-        // ---- Frontier replication along each grid column. -----------------
-        // Every process needs the frontier slice matching its block's
-        // A-column range: a bitmap word per 64 columns plus the values.
-        let mut expand_max = 0u64;
-        for w in row_off.windows(2) {
-            let slice_nnz = frontier[w[0]..w[1]].iter().filter(|v| v.is_some()).count() as u64;
-            expand_max = expand_max.max((w[1] - w[0]) as u64 / 64 + 2 * slice_nnz);
-        }
-        // The slice for block row bi is replicated across that grid row's
-        // pc ranks (on the square grids the paper uses, pr == pc).
-        ctx.charge_allgather(kernel, lpc, expand_max);
-
-        // ---- Candidate scans, one task per logical block column. ----------
-        struct ColOut<U> {
-            /// (global candidate index, folded value), ascending.
-            hits: Vec<(Vidx, U)>,
-            /// Probes and hits per logical block row of this block column.
-            flops: Vec<u64>,
-            nhits: Vec<u64>,
-        }
-        let outs: Vec<ColOut<U>> = mcm_par::par_map_range(lpc, mcm_par::max_threads(), |bj| {
-            let lo = candidates.partition_point(|&r| (r as usize) < col_off[bj]);
-            let hi = candidates.partition_point(|&r| (r as usize) < col_off[bj + 1]);
-            let mut out = ColOut { hits: Vec::new(), flops: vec![0; lpr], nhits: vec![0; lpr] };
-            for &r in &candidates[lo..hi] {
-                let pbj = block_owner(&self.col_off, r as usize);
-                let local = r as usize - self.col_off[pbj];
-                let mut acc: Option<U> = None;
-                let mut bi = 0; // logical block row: ascending with the scan
-                for pbi in 0..self.pr {
-                    let rows = self.block(pbi, pbj).col(local);
-                    let base = self.row_off[pbi];
-                    let mut k = 0;
-                    while k < rows.len() {
-                        let gcol = rows[k] as usize + base; // a column of A
-                        while gcol >= row_off[bi + 1] {
-                            bi += 1;
-                        }
-                        out.flops[bi] += 1;
-                        let Some(v) = &frontier[gcol] else {
-                            k += 1;
-                            continue;
-                        };
-                        out.nhits[bi] += 1;
-                        let inc = mul(gcol as Vidx, v);
-                        match acc.as_mut() {
-                            Some(a) => fold(a, inc),
-                            None => acc = Some(inc),
-                        }
-                        // Early exit: skip the rest of this logical block.
-                        let end = row_off[bi + 1];
-                        k += rows[k..].partition_point(|&li| li as usize + base < end);
-                    }
-                }
-                if let Some(a) = acc {
-                    out.hits.push((r, a));
-                }
-            }
-            out
-        });
-        let max_flops = outs.iter().flat_map(|o| &o.flops).copied().max().unwrap_or(0);
-        ctx.charge_compute(kernel, max_flops);
-
-        // ---- Merge candidate hits across block rows (grid-row reduce). ----
-        let max_hits = outs.iter().flat_map(|o| &o.nhits).map(|&h| 2 * h).max().unwrap_or(0);
-        ctx.charge_alltoallv(kernel, lpr, max_hits);
-        // Block columns cover ascending candidate ranges.
-        let mut result = Vec::with_capacity(outs.iter().map(|o| o.hits.len()).sum());
-        for o in outs {
-            result.extend(o.hits);
-        }
-        SpVec::from_sorted_pairs(self.ncols, result)
     }
 
     /// Simulator SpMSpV: one **fused** product over the single physical
@@ -1372,68 +1240,6 @@ mod tests {
     }
 
     #[test]
-    fn bottom_up_matches_top_down_under_min_parent() {
-        let t = fig2_triples();
-        let x = SpVec::from_pairs(5, vec![(0, (0u32, 0u32)), (1, (1, 1)), (4, (4, 4))]);
-        // Dense frontier map over the 5 columns.
-        let mut fmap: Vec<Option<(Vidx, Vidx)>> = vec![None; 5];
-        for (j, &v) in x.iter() {
-            fmap[j as usize] = Some(v);
-        }
-        for dim in 1..=3 {
-            let mut ctx = DistCtx::new(MachineConfig::hybrid(dim, 1));
-            let a = DistMatrix::from_triples(&ctx, &t);
-            let top = a.spmspv(&mut ctx, Kernel::SpMV, &x, |j, &(_, r)| (j, r), min_parent);
-            let at = DistMatrix::from_triples(&ctx, &t.transposed());
-            let candidates: Vec<Vidx> = (0..4).collect(); // all rows unvisited
-            let bottom = at.bottom_up_spmspv(
-                &mut ctx,
-                Kernel::SpMV,
-                &candidates,
-                &fmap,
-                |j, &(_, r)| (j, r),
-                min_parent,
-            );
-            assert_eq!(bottom, top, "grid {dim}x{dim}");
-        }
-    }
-
-    #[test]
-    fn bottom_up_respects_candidate_subset() {
-        let t = fig2_triples();
-        let mut fmap: Vec<Option<u32>> = vec![None; 5];
-        fmap[0] = Some(7); // only c1 in frontier
-        let mut ctx = DistCtx::new(MachineConfig::hybrid(2, 1));
-        let at = DistMatrix::from_triples(&ctx, &t.transposed());
-        // Only rows r2 (adjacent to c1) and r3 (not adjacent) are candidates.
-        let y = at.bottom_up_spmspv(&mut ctx, Kernel::SpMV, &[1, 2], &fmap, |j, &v| (j, v), first);
-        assert_eq!(y.entries(), &[(1, (0, 7))]);
-    }
-
-    #[test]
-    fn bottom_up_early_exit_saves_flops() {
-        // Full frontier: every candidate stops at its first neighbour, so
-        // scanned edges = number of candidates (rows with any neighbour).
-        let t = fig2_triples();
-        let fmap: Vec<Option<u32>> = (0..5).map(Some).collect();
-        let mut ctx = DistCtx::new(MachineConfig::hybrid(1, 1));
-        let at = DistMatrix::from_triples(&ctx, &t.transposed());
-        let before = ctx.timers.seconds(Kernel::SpMV);
-        let _ = at.bottom_up_spmspv(
-            &mut ctx,
-            Kernel::SpMV,
-            &[0, 1, 2, 3],
-            &fmap,
-            |j, &v| (j, v),
-            first,
-        );
-        // With gamma = 8 ns and 4 single-probe candidates on one process:
-        // exactly 4 probes charged (p = 1: no comm terms).
-        let scanned = (ctx.timers.seconds(Kernel::SpMV) - before) / ctx.cost.gamma;
-        assert!((scanned - 4.0).abs() < 1e-6, "scanned {scanned} edges, expected 4");
-    }
-
-    #[test]
     fn counting_fold_matches_serial_counting() {
         let t = fig2_triples();
         let x = SpVec::from_pairs(5, vec![(0, ()), (1, ()), (4, ())]);
@@ -1445,15 +1251,6 @@ mod tests {
             let y = a.spmspv(&mut ctx, Kernel::Init, &x, |_, _| 1u32, count);
             assert_eq!(y, want, "grid {dim}x{dim}");
         }
-    }
-
-    #[test]
-    fn hypersparse_fraction_increases_with_grid() {
-        // A sparse-ish random-ish structure: diagonal of a 64x64.
-        let t = Triples::from_edges(64, 64, (0..64).map(|i| (i as Vidx, i as Vidx)).collect());
-        let small = DistMatrix::with_grid(&t, 2, 2);
-        let large = DistMatrix::with_grid(&t, 16, 16);
-        assert!(large.hypersparse_fraction() >= small.hypersparse_fraction());
     }
 
     /// A 512 × 512 matrix with 200 random draws per column: a full
@@ -1758,29 +1555,5 @@ mod tests {
         let wide = DistCtx::new(MachineConfig::hybrid(3, 1));
         let a = DistMatrix::with_grid(&structure_cases().remove(0).1, 1, 1);
         assert!(!a.reads_structure(&wide), "three block columns push");
-    }
-
-    #[test]
-    fn bottom_up_charges_the_logical_grid_on_any_physical_layout() {
-        // A single physical block must scan, exit early and charge per
-        // logical block exactly like the logical grid's own blocks.
-        let t = fig2_triples().transposed();
-        let fmap: Vec<Option<Vidx>> = vec![Some(0), None, Some(2), Some(3), Some(4)];
-        for dim in 1..=3usize {
-            let run = |physical: usize| {
-                let mut ctx = DistCtx::new(MachineConfig::hybrid(dim, 1));
-                let at = DistMatrix::with_grid(&t, physical, physical);
-                let y = at.bottom_up_spmspv(
-                    &mut ctx,
-                    Kernel::SpMV,
-                    &[0, 1, 2, 3],
-                    &fmap,
-                    |j, &v| (j, v),
-                    min_parent,
-                );
-                (y, ctx.timers.seconds(Kernel::SpMV), ctx.timers.calls(Kernel::SpMV))
-            };
-            assert_eq!(run(1), run(dim), "grid {dim}x{dim}");
-        }
     }
 }

@@ -32,10 +32,6 @@ pub struct McmOptions {
     pub augment: AugmentMode,
     /// Maximal-matching initializer (§VI-A).
     pub init: Initializer,
-    /// Direction-optimizing BFS (§VII future work, after Beamer): switch
-    /// to bottom-up frontier expansion when the frontier covers a large
-    /// fraction of the columns. Bit-identical results under `MinParent`.
-    pub direction_optimizing: bool,
     /// Randomly permute rows/columns for load balance (§IV-A) with this
     /// seed. The returned matching is mapped back to original labels.
     pub permute_seed: Option<u64>,
@@ -52,7 +48,6 @@ impl Default for McmOptions {
             prune: true,
             augment: AugmentMode::Auto,
             init: Initializer::DynamicMindegree,
-            direction_optimizing: false,
             permute_seed: Some(0x5EED),
             seed: 1,
         }
@@ -70,19 +65,12 @@ pub struct McmStats {
     pub augmentations: usize,
     /// Cardinality contributed by the initializer.
     pub init_cardinality: usize,
-    /// BFS iterations expanded bottom-up (direction optimization).
-    pub bottom_up_iterations: usize,
     /// One report per phase that augmented.
     pub augment_reports: Vec<AugmentReport>,
     /// Kernel calls served by the reused SpMSpV plan (all blocks).
     pub spmv_workspace_calls: u64,
     /// Plan calls that ran entirely on warm buffers (no allocation).
     pub spmv_workspace_hits: u64,
-    /// Bytes of sparse-accumulator capacity reused instead of reallocated.
-    pub spmv_bytes_reused: u64,
-    /// Wall-clock nanoseconds of each top-down SpMSpV iteration (in order
-    /// across phases; bottom-up iterations are not included).
-    pub spmv_iteration_ns: Vec<u64>,
     /// Seed of the simtest schedule this run executed under (`None` on the
     /// friendly fixed schedule) — the failure-report handle that replays
     /// the exact perturbation.
@@ -134,10 +122,10 @@ pub enum Start {
 /// zero-copy. The default solve builds no nnz-sized structure at all:
 /// dynamic mindegree reads `A` alone where it reads structure (one physical
 /// block charged on at most two logical block columns). The transpose is
-/// built only when something needs it — `opts.direction_optimizing`,
-/// Karp–Sipser, or dynamic mindegree on wider logical grids and
-/// multi-block engine meshes ([`Initializer::needs_transpose`]) — and is
-/// dropped when the initializer returns unless the phases read it. The
+/// built only for an initializer that needs it — Karp–Sipser, or dynamic
+/// mindegree on wider logical grids and multi-block engine meshes
+/// ([`Initializer::needs_transpose`]) — and is dropped as soon as the
+/// initializer returns, since the phases read `A` alone. The
 /// engine's multi-block grids fuse the relabeling into their block scatter.
 /// An owned [`Csc`](mcm_sparse::Csc) lends its view for free
 /// ([`Csc::view`](mcm_sparse::Csc::view)); `Triples` convert once with
@@ -166,16 +154,14 @@ pub fn maximum_matching<C: Communicator>(
     let perms = opts.permute_seed.map(|seed| relabel_permutations(a.nrows(), a.ncols(), seed));
     let (rowp, colp) = (perms.as_ref().map(|p| &p.0), perms.as_ref().map(|p| &p.1));
 
-    // The transpose is needed by the bottom-up direction and by the
-    // initializers that cannot do without it here; when anything wants it,
-    // build both orientations together. Blocks live on the backend's
-    // *physical* execution grid (1×1 for the simulator, where `A` is `a`
-    // itself read through the relabeling's index maps; the rank grid for
-    // the engine).
+    // The transpose is needed only by the initializers that cannot do
+    // without it here; when one wants it, build both orientations together.
+    // Blocks live on the backend's *physical* execution grid (1×1 for the
+    // simulator, where `A` is `a` itself read through the relabeling's
+    // index maps; the rank grid for the engine).
     let (epr, epc) = comm.exec_grid();
     let run_init = matches!(start, Start::Cold) && !matches!(opts.init, Initializer::None);
-    let (da, mut dat) = if opts.direction_optimizing || run_init && opts.init.needs_transpose(comm)
-    {
+    let (da, dat) = if run_init && opts.init.needs_transpose(comm) {
         let (da, dat) = DistMatrix::with_grid_csc_pair(a, epr, epc, rowp, colp);
         (da, Some(dat))
     } else {
@@ -189,15 +175,13 @@ pub fn maximum_matching<C: Communicator>(
         Start::Cold if run_init => opts.init.maximal(comm, &da, dat.as_ref(), opts.seed),
         Start::Cold => Matching::empty(a.nrows(), a.ncols()),
     };
-    // Top-down phases read `A` alone: free the transpose's nnz-sized
-    // arrays before they run.
-    if !opts.direction_optimizing {
-        dat = None;
-    }
+    // The phases read `A` alone: free the transpose's nnz-sized arrays
+    // before they run.
+    drop(dat);
     let mut stats =
         McmStats { init_cardinality: m.cardinality(), algo: "msbfs", ..Default::default() };
 
-    run_phases(comm, &da, dat.as_ref(), &mut m, opts, &mut stats);
+    run_phases(comm, &da, None, &mut m, opts, &mut stats);
 
     let matching = match perms {
         None => m,
@@ -222,11 +206,12 @@ fn permute_matching(m: Matching, rowp: &Permutation, colp: &Permutation) -> Matc
 /// The phase loop of Algorithm 2, operating on an already-distributed
 /// matrix and matching (used directly by harnesses that time assembly and
 /// the phases apart).
-/// `at` (the transpose) is only consulted when `opts.direction_optimizing`.
+/// `_at` (a transpose) is ignored: the phases read `A` alone. The
+/// parameter stays only for callers that still pass one.
 pub fn run_phases<C: Communicator>(
     comm: &mut C,
     a: &DistMatrix,
-    at: Option<&DistMatrix>,
+    _at: Option<&DistMatrix>,
     m: &mut Matching,
     opts: &McmOptions,
     stats: &mut McmStats,
@@ -265,55 +250,20 @@ pub fn run_phases<C: Communicator>(
                 comm.allreduce(Kernel::Other, &per_rank_counts(&f_c, comm.p()), ReduceOp::Sum);
             debug_assert_eq!(total as usize, f_c.nnz());
 
-            // Step 1: explore neighbours of the column frontier — top-down
-            // SpMSpV, or bottom-up when the frontier is dense enough
-            // (Beamer's direction optimization; §VII future work).
+            // Step 1: explore neighbours of the column frontier (SpMSpV),
+            // timed into the obs registry's latency histogram.
             let semiring = opts.semiring;
-            // Pull pays off only when a random probe is likely to hit the
-            // frontier: require majority column coverage (misses cost a
-            // full adjacency scan, so low-density pulls lose to push).
-            let bottom_up = opts.direction_optimizing && at.is_some() && 2 * f_c.nnz() > n2;
             mcm_obs::counter_add("mcm_bfs_iterations_total", &[], 1);
-            let f_r_all = if bottom_up {
-                stats.bottom_up_iterations += 1;
-                let _span = mcm_obs::kernel_span("bottom_up_spmspv", "SpMV");
-                // Densify the frontier (local streaming sweep)...
-                let mut fmap: Vec<Option<Vertex>> = vec![None; n2];
-                for (j, &v) in f_c.iter() {
-                    fmap[j as usize] = Some(v);
-                }
-                // ...and list the candidate rows: unvisited this phase.
-                let candidates: Vec<Vidx> =
-                    (0..n1 as Vidx).filter(|&r| parent_r.get(r) == NIL).collect();
-                let p = comm.p();
-                let ctx = comm.ctx_mut();
-                ctx.charge_compute_stream(Kernel::Select, (n1 + n2) as u64 / p.max(1) as u64);
-                at.expect("bottom_up requires at").bottom_up_spmspv(
-                    ctx,
-                    Kernel::SpMV,
-                    &candidates,
-                    &fmap,
-                    |j, v: &Vertex| Vertex::new(j, v.root),
-                    |acc, inc| semiring.fold(acc, inc),
-                )
-            } else {
-                // One measurement path: the always-on stopwatch feeds both
-                // the compat `McmStats` field and (when enabled) the obs
-                // registry's latency histogram.
-                let sw = mcm_obs::Stopwatch::new();
-                let f_r_all = comm.spmspv(
-                    a,
-                    Kernel::SpMV,
-                    &mut plan,
-                    &f_c,
-                    |j, v: &Vertex| Vertex::new(j, v.root),
-                    |acc, inc| semiring.fold(acc, inc),
-                );
-                let ns = sw.elapsed_ns();
-                stats.spmv_iteration_ns.push(ns);
-                mcm_obs::observe_ns("mcm_spmv_iteration_seconds", &[], ns);
-                f_r_all
-            };
+            let sw = mcm_obs::Stopwatch::new();
+            let f_r_all = comm.spmspv(
+                a,
+                Kernel::SpMV,
+                &mut plan,
+                &f_c,
+                |j, v: &Vertex| Vertex::new(j, v.root),
+                |acc, inc| semiring.fold(acc, inc),
+            );
+            mcm_obs::observe_ns("mcm_spmv_iteration_seconds", &[], sw.elapsed_ns());
             // Step 2: keep rows not yet visited in this phase.
             let f_r_new = select(comm, Kernel::Select, &f_r_all, &parent_r, |p| p == NIL);
             // Step 3: record their parents.
@@ -366,7 +316,6 @@ pub fn run_phases<C: Communicator>(
     let ws = plan.stats();
     stats.spmv_workspace_calls += ws.calls;
     stats.spmv_workspace_hits += ws.reuse_hits;
-    stats.spmv_bytes_reused += ws.bytes_reused;
     if mcm_obs::metrics_enabled() {
         mcm_obs::counter_add("mcm_spmv_workspace_calls_total", &[], ws.calls);
         mcm_obs::counter_add("mcm_spmv_workspace_hits_total", &[], ws.reuse_hits);
@@ -501,71 +450,10 @@ mod tests {
     }
 
     #[test]
-    fn direction_optimizing_is_bit_identical_under_min_parent() {
-        // Without an initializer the first frontier is every column, so the
-        // bottom-up path actually triggers; the result must be identical.
-        for t in [fig2(), {
-            use mcm_sparse::permute::SplitMix64;
-            let mut rng = SplitMix64::new(404);
-            let mut t = Triples::new(40, 40);
-            for _ in 0..160 {
-                t.push(rng.below(40) as Vidx, rng.below(40) as Vidx);
-            }
-            t
-        }] {
-            let run = |diropt: bool| {
-                let mut ctx = DistCtx::new(MachineConfig::hybrid(2, 1));
-                let opts = McmOptions {
-                    init: Initializer::None,
-                    direction_optimizing: diropt,
-                    permute_seed: None,
-                    ..Default::default()
-                };
-                let r = solve(&mut ctx, &t, Start::Cold, &opts);
-                (r.matching, r.stats.bottom_up_iterations)
-            };
-            let (plain, zero) = run(false);
-            let (diropt, used) = run(true);
-            assert_eq!(zero, 0);
-            assert!(used > 0, "bottom-up should trigger with a full first frontier");
-            assert_eq!(diropt, plain, "direction optimization changed the matching");
-        }
-    }
-
-    #[test]
-    fn bottom_up_reduces_spmv_traversals_on_dense_frontiers() {
-        // A dense-ish bipartite block: with all columns unmatched the first
-        // iterations have huge frontiers where bottom-up probes O(1) edges
-        // per row instead of scanning the whole frontier adjacency.
-        use mcm_sparse::permute::SplitMix64;
-        let mut rng = SplitMix64::new(11);
-        let n = 60;
-        let mut t = Triples::new(n, n);
-        for _ in 0..n * 12 {
-            t.push(rng.below(n as u64) as Vidx, rng.below(n as u64) as Vidx);
-        }
-        let run = |diropt: bool| {
-            let mut ctx = DistCtx::new(MachineConfig::hybrid(1, 1));
-            let opts = McmOptions {
-                init: Initializer::None,
-                direction_optimizing: diropt,
-                permute_seed: None,
-                ..Default::default()
-            };
-            let _ = solve(&mut ctx, &t, Start::Cold, &opts);
-            ctx.timers.seconds(Kernel::SpMV)
-        };
-        assert!(
-            run(true) < run(false),
-            "bottom-up should lower modeled SpMV time on dense frontiers"
-        );
-    }
-
-    #[test]
     fn workspace_counters_report_steady_state_reuse() {
         // Cold start (no initializer) forces many BFS iterations through the
         // shared plan: everything after the first iteration must hit warm
-        // buffers, and each top-down iteration must record its wall time.
+        // buffers.
         let t = fig2();
         let mut ctx = DistCtx::new(MachineConfig::hybrid(2, 1));
         let opts = McmOptions { init: Initializer::None, ..Default::default() };
@@ -573,9 +461,6 @@ mod tests {
         let s = &r.stats;
         assert!(s.spmv_workspace_calls > 0);
         assert!(s.spmv_workspace_hits > 0, "later iterations must reuse buffers");
-        assert!(s.spmv_bytes_reused > 0);
-        assert!(!s.spmv_iteration_ns.is_empty());
-        assert!(s.spmv_iteration_ns.len() <= s.iterations);
     }
 
     #[test]

@@ -65,8 +65,7 @@ pub fn staircase(k: usize) -> Triples {
 /// A bipartite "crown": `n` columns, `n` rows, column `j` adjacent to every
 /// row *except* `j`. For `n ≥ 2` a perfect matching exists (shift by one),
 /// but the graph is dense and every vertex has the same degree — a fairness
-/// stress for randomized semirings and a dense-frontier case for bottom-up
-/// exploration.
+/// stress for randomized semirings and a dense-frontier case for the BFS.
 pub fn crown(n: usize) -> Triples {
     assert!(n >= 2);
     let mut t = Triples::with_capacity(n, n, n * (n - 1));

@@ -223,7 +223,8 @@ pub fn kernel_span(name: &'static str, kernel: &'static str) -> SpanGuard {
 
 /// A plain always-on wall-clock stopwatch (no tracing flag involved).
 /// Used where a measurement must exist regardless of observability state —
-/// e.g. `McmStats::spmv_iteration_ns` stays populated with tracing off.
+/// e.g. the staging time a dynamic matcher reports in its batch stats
+/// stays populated with tracing off.
 pub struct Stopwatch(Instant);
 
 impl Stopwatch {

@@ -4,7 +4,7 @@
 //! counts) and the DESIGN.md claims about the stand-in generators (degree
 //! skew, empty rows/columns, average degree).
 
-use crate::{Csc, Triples};
+use crate::{CscView, Triples};
 
 /// Summary statistics of a pattern matrix / bipartite graph.
 #[derive(Clone, Debug, PartialEq)]
@@ -30,10 +30,15 @@ pub struct MatrixStats {
 }
 
 impl MatrixStats {
-    /// Computes statistics from a CSC matrix.
-    pub fn from_csc(a: &Csc) -> Self {
-        let rd = a.row_degrees();
-        let cd = a.col_degrees();
+    /// Computes statistics from a CSC matrix, owned ([`Csc`](crate::Csc))
+    /// or borrowed ([`CscView`], such as a mapped MCSB file's).
+    pub fn from_csc<'a>(a: impl Into<CscView<'a>>) -> Self {
+        let a = a.into();
+        let cd: Vec<usize> = (0..a.ncols()).map(|j| a.col_nnz(j)).collect();
+        let mut rd = vec![0usize; a.nrows()];
+        for &i in a.rowind() {
+            rd[i as usize] += 1;
+        }
         let nnz = a.nnz();
         Self {
             nrows: a.nrows(),
@@ -41,8 +46,8 @@ impl MatrixStats {
             nnz,
             avg_row_degree: if a.nrows() == 0 { 0.0 } else { nnz as f64 / a.nrows() as f64 },
             avg_col_degree: if a.ncols() == 0 { 0.0 } else { nnz as f64 / a.ncols() as f64 },
-            max_row_degree: rd.iter().map(|&d| d as usize).max().unwrap_or(0),
-            max_col_degree: cd.iter().map(|&d| d as usize).max().unwrap_or(0),
+            max_row_degree: rd.iter().copied().max().unwrap_or(0),
+            max_col_degree: cd.iter().copied().max().unwrap_or(0),
             empty_rows: rd.iter().filter(|&&d| d == 0).count(),
             empty_cols: cd.iter().filter(|&&d| d == 0).count(),
         }

@@ -46,7 +46,6 @@ use mcm_core::verify::verify;
 use mcm_core::weighted::{auction_mwm_par, AuctionOptions};
 use mcm_core::{MatchingAlgo, McmResult, McmStats, PortfolioBackend, PortfolioOptions, Start};
 use mcm_sparse::io::{read_matrix_market_file, write_matrix_market_file};
-use mcm_sparse::permute::{permute_triples, Permutation};
 use mcm_sparse::stats::MatrixStats;
 use mcm_sparse::{Csc, CscView, Triples, Vidx, NIL};
 use mcm_store::{GraphFormat, McsbFile, McsbStreamWriter};
@@ -165,43 +164,9 @@ fn positional(args: &[String]) -> Option<&str> {
     None
 }
 
-/// A loaded graph: Matrix Market text parsed to triples, or an MCSB file
-/// whose CSC arrays stay on their mmap'ed pages (the zero-copy path).
-enum Input {
-    Mtx(Triples),
-    Mcsb(McsbFile),
-}
-
-/// Sniffs `path` by content (MCSB magic vs `%%MatrixMarket`) and opens it.
-/// Corrupt or truncated MCSB files surface as structured errors here, not
-/// panics deeper in the pipeline.
-fn load_input(path: &str) -> Result<Input, String> {
-    match mcm_store::sniff_format(path).map_err(|e| format!("{path}: {e}"))? {
-        GraphFormat::MatrixMarket => {
-            read_matrix_market_file(path).map(Input::Mtx).map_err(|e| format!("{path}: {e}"))
-        }
-        GraphFormat::Mcsb => {
-            McsbFile::open(path).map(Input::Mcsb).map_err(|e| format!("{path}: {e}"))
-        }
-    }
-}
-
-fn load(args: &[String]) -> Result<Triples, String> {
-    let path = positional(args).ok_or("missing input file")?;
-    match load_input(path)? {
-        Input::Mtx(t) => Ok(t),
-        // Commands that need triples (stats, permute) materialize the edge
-        // list; the solver commands read the mapped view instead.
-        Input::Mcsb(f) => {
-            let v = f.view();
-            Ok(Triples::from_edges(v.nrows(), v.ncols(), v.iter().collect()))
-        }
-    }
-}
-
-/// A graph opened for the solvers: Matrix Market text compressed once into
-/// an owned CSC (the triples drop), or MCSB left on its mmap'ed pages.
-/// Both lend one [`CscView`].
+/// An opened graph: Matrix Market text compressed once into an owned CSC
+/// (the triples drop), or MCSB left on its mmap'ed pages (the zero-copy
+/// path). Both lend one [`CscView`].
 enum Graph {
     Owned(Csc),
     Mapped(McsbFile),
@@ -216,17 +181,23 @@ impl Graph {
     }
 }
 
+/// Sniffs the input file by content (MCSB magic vs `%%MatrixMarket`) and
+/// opens it. Corrupt or truncated MCSB files surface as structured errors
+/// here, not panics deeper in the pipeline.
 fn load_graph(args: &[String]) -> Result<Graph, String> {
     let path = positional(args).ok_or("missing input file")?;
-    Ok(match load_input(path)? {
-        Input::Mtx(t) => Graph::Owned(t.to_csc()),
-        Input::Mcsb(f) => Graph::Mapped(f),
+    let at = |e: &dyn std::fmt::Display| format!("{path}: {e}");
+    Ok(match mcm_store::sniff_format(path).map_err(|e| at(&e))? {
+        GraphFormat::MatrixMarket => {
+            Graph::Owned(read_matrix_market_file(path).map_err(|e| at(&e))?.to_csc())
+        }
+        GraphFormat::Mcsb => Graph::Mapped(McsbFile::open(path).map_err(|e| at(&e))?),
     })
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let t = load(args)?;
-    let s = MatrixStats::from_triples(&t);
+    let graph = load_graph(args)?;
+    let s = MatrixStats::from_csc(graph.view());
     println!("rows:            {}", s.nrows);
     println!("cols:            {}", s.ncols);
     println!("nonzeros:        {}", s.nnz);
@@ -389,23 +360,22 @@ fn cmd_match(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_permute(args: &[String]) -> Result<(), String> {
-    let t = load(args)?;
-    if t.nrows() != t.ncols() {
+    let graph = load_graph(args)?;
+    let a = graph.view();
+    let n = a.ncols();
+    if a.nrows() != n {
         return Err("permute requires a square matrix".into());
     }
     let out = opt(args, "--out").ok_or("missing --out")?;
-    let a = t.to_csc();
-    let m = hopcroft_karp(&a, None);
-    if m.cardinality() != t.ncols() {
+    let m = hopcroft_karp(a, None);
+    if m.cardinality() != n {
         return Err(format!(
-            "matrix is structurally singular: maximum matching covers only {} of {} columns",
-            m.cardinality(),
-            t.ncols()
+            "matrix is structurally singular: maximum matching covers only {} of {n} columns",
+            m.cardinality()
         ));
     }
-    let forward: Vec<Vidx> = (0..t.nrows() as Vidx).map(|i| m.mate_r.get(i)).collect();
-    let perm = Permutation::from_forward(forward);
-    let pt = permute_triples(&t, &perm, &Permutation::identity(t.ncols()));
+    // Row i moves to its mate's column index: the diagonal is zero-free.
+    let pt = Triples::from_edges(n, n, a.iter().map(|(i, j)| (m.mate_r.get(i), j)).collect());
     write_matrix_market_file(&pt, out).map_err(|e| format!("{out}: {e}"))?;
     println!("wrote row-permuted matrix with zero-free diagonal to {out}");
     Ok(())

@@ -1,8 +1,8 @@
 //! Backend differential: full MCM-DIST on the cost-model simulator (one
 //! physical block, fused SpMSpV) vs the real thread-per-rank mesh engine
 //! (the grid's blocks split over ranks), across the `mcm-gen` suite — all
-//! initializers × both augmentation kernels × p ∈ {1, 4, 9}, plus the
-//! direction-optimizing BFS.
+//! initializers × both augmentation kernels × p ∈ {1, 4, 9}, plus warm
+//! starts.
 //!
 //! The comm trait layer (`mcm_bsp::comm`, DESIGN.md §12) promises that one
 //! generic pipeline runs identically on both backends: same cardinality,
@@ -55,20 +55,13 @@ fn both_backends_produce_identical_matchings_and_charges_across_the_suite() {
         Initializer::DynamicMindegree,
     ];
     let augments = [AugmentMode::LevelParallel, AugmentMode::PathParallel];
-    // Every initializer × augmentation kernel, plus the direction-optimizing
-    // BFS from an empty start (dense first frontiers, so bottom-up runs).
-    let mut configs: Vec<McmOptions> = inits
+    // Every initializer × augmentation kernel.
+    let configs: Vec<McmOptions> = inits
         .iter()
         .flat_map(|&init| {
             augments.map(|augment| McmOptions { init, augment, ..McmOptions::default() })
         })
         .collect();
-    configs.extend(augments.map(|augment| McmOptions {
-        init: Initializer::None,
-        augment,
-        direction_optimizing: true,
-        ..McmOptions::default()
-    }));
     let mut runs = 0usize;
     for (name, t) in &cases {
         let a = t.to_csc();
@@ -82,8 +75,8 @@ fn both_backends_produce_identical_matchings_and_charges_across_the_suite() {
                 let sim = maximum_matching(&mut ctx, &v, Start::Cold, opts);
                 let eng = maximum_matching(&mut eng_comm, &v, Start::Cold, opts);
                 let tag = format!(
-                    "{name} p={p} threads={threads} init={:?} augment={:?} diropt={}",
-                    opts.init, opts.augment, opts.direction_optimizing
+                    "{name} p={p} threads={threads} init={:?} augment={:?}",
+                    opts.init, opts.augment
                 );
                 assert_eq!(sim.matching, eng.matching, "sim/engine matching diverged: {tag}");
                 assert_eq!(eng.matching.cardinality(), want, "not maximum: {tag}");
@@ -96,14 +89,11 @@ fn both_backends_produce_identical_matchings_and_charges_across_the_suite() {
                     .unwrap_or_else(|e| panic!("simulator Berge failed: {tag}: {e}"));
                 verify::verify(&a, &eng.matching)
                     .unwrap_or_else(|e| panic!("engine Berge failed: {tag}: {e}"));
-                if opts.direction_optimizing {
-                    assert!(sim.stats.bottom_up_iterations > 0, "bottom-up never ran: {tag}");
-                }
                 runs += 1;
             }
         }
     }
-    // 9 cases × 3 grids × (4 initializers × 2 kernels + 2 diropt configs).
+    // 9 cases × 3 grids × 4 initializers × 2 kernels.
     assert_eq!(runs, cases.len() * 3 * configs.len());
 }
 
@@ -217,16 +207,15 @@ fn cross_algorithm_matrix_agrees_with_the_oracle() {
 #[test]
 fn engine_backend_warm_start_matches_simulator() {
     // The dyn fallback path hands a *stale* matching to either backend:
-    // warm starts must agree too. Direction optimization is the one warm
-    // configuration that assembles Aᵀ; an empty warm start puts every
-    // column in the first frontier, so its bottom-up branch really runs.
+    // warm starts must agree too, in the caller's labels and relabeled. An
+    // empty warm start puts every column in the first frontier.
     let cases = simtest_suite(seed(0xD1FF_BACC));
     let threads = engine_threads();
     let (name, t) = &cases[0];
     let a = t.to_csc();
     let want = hopcroft_karp(&a, None).cardinality();
     let plain = McmOptions { permute_seed: None, ..McmOptions::default() };
-    let diropt = McmOptions { direction_optimizing: true, ..McmOptions::default() };
+    let relabeled = McmOptions::default();
 
     // A deliberately suboptimal warm start: greedy on the serial sim.
     let stale = {
@@ -238,8 +227,8 @@ fn engine_backend_warm_start_matches_simulator() {
 
     for (label, opts, warm) in [
         ("greedy", plain, &stale),
-        ("greedy+diropt", diropt, &stale),
-        ("empty+diropt", diropt, &empty),
+        ("greedy, relabeled", relabeled, &stale),
+        ("empty, relabeled", relabeled, &empty),
     ] {
         let mut ctx = DistCtx::new(MachineConfig::hybrid(2, threads));
         let mut eng_comm = EngineComm::new(4, threads);
@@ -252,8 +241,5 @@ fn engine_backend_warm_start_matches_simulator() {
         verify::verify(&a, &sim.matching).unwrap_or_else(|e| panic!("{tag}: {e}"));
         verify::verify(&a, &eng.matching).unwrap_or_else(|e| panic!("{tag}: {e}"));
         assert_eq!(eng.matching.cardinality(), want, "{tag}");
-        if label == "empty+diropt" {
-            assert!(sim.stats.bottom_up_iterations > 0, "{tag}: bottom-up never ran");
-        }
     }
 }

@@ -144,6 +144,45 @@ fn dm_and_btf_read_mcsb_like_matrix_market() {
 }
 
 #[test]
+fn stats_reads_mcsb_like_matrix_market() {
+    // `stats` opens MCSB through the mapped view, with no copy into an
+    // edge list; its report must not depend on the input format. The
+    // hand-written file repeats an entry and leaves a row and two columns
+    // empty.
+    let rmat = tmp("stats_format.mtx");
+    assert!(mcm()
+        .args(["gen", "g500", "--scale", "7", "--out"])
+        .arg(&rmat)
+        .status()
+        .unwrap()
+        .success());
+    let small = tmp("stats_small.mtx");
+    std::fs::write(
+        &small,
+        "%%MatrixMarket matrix coordinate pattern general\n4 5 6\n\
+         1 1\n1 1\n2 3\n4 3\n4 5\n2 1\n",
+    )
+    .unwrap();
+    for mtx in [&rmat, &small] {
+        let mcsb = mtx.with_extension("mcsb");
+        let out = mcm().arg("convert").arg(mtx).arg("--out").arg(&mcsb).output().unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let run = |file: &std::path::Path| {
+            let out = mcm().arg("stats").arg(file).output().unwrap();
+            assert!(out.status.success(), "stats: {}", String::from_utf8_lossy(&out.stderr));
+            String::from_utf8_lossy(&out.stdout).into_owned()
+        };
+        let text = run(mtx);
+        assert_eq!(run(&mcsb), text, "{}: MCSB and Matrix Market stats differ", mtx.display());
+        if mtx == &small {
+            for line in ["nonzeros:        5", "empty rows:      1", "empty cols:      2"] {
+                assert!(text.contains(line), "{line:?} missing from:\n{text}");
+            }
+        }
+    }
+}
+
+#[test]
 fn helpful_errors() {
     let out = mcm().arg("match").arg("/nonexistent/file.mtx").output().unwrap();
     assert!(!out.status.success());

@@ -191,32 +191,31 @@ fn init_rounds_record_how_they_ran() {
 #[test]
 fn only_what_needs_the_transpose_builds_it() {
     // The default cold solve on the 2 × 2 simulator reads `A` alone; the
-    // transpose is built once for Karp–Sipser, for the bottom-up BFS and
-    // for dynamic mindegree on a logical grid three blocks wide.
+    // transpose is built once for Karp–Sipser and for dynamic mindegree on
+    // a logical grid three blocks wide, and never for a warm start, which
+    // skips the initializer.
     use mcm_bsp::{DistCtx, MachineConfig};
     use mcm_core::maximal::Initializer;
     let _g = GUARD.lock().unwrap();
     let a = rmat(RmatParams::g500(10), 7).to_csc();
-    let builds = |dim: usize, opts: McmOptions| {
+    let builds = |dim: usize, start: Start, opts: McmOptions| {
         mcm_obs::enable_metrics(true);
         let reg = mcm_obs::registry();
         reg.clear();
         let mut ctx = DistCtx::new(MachineConfig::hybrid(dim, 1));
-        assert!(
-            maximum_matching(&mut ctx, &a.view(), Start::Cold, &opts).matching.cardinality() > 0
-        );
+        assert!(maximum_matching(&mut ctx, &a.view(), start, &opts).matching.cardinality() > 0);
         let n = reg.counter("mcm_transpose_builds_total", &[]).get();
         reg.clear();
         mcm_obs::enable_metrics(false);
         n
     };
     let default = McmOptions::default();
-    assert_eq!(builds(2, default), 0, "default solve on 2 x 2");
+    assert_eq!(builds(2, Start::Cold, default), 0, "default solve on 2 x 2");
     let ks = McmOptions { init: Initializer::KarpSipser, ..default };
-    assert_eq!(builds(2, ks), 1, "Karp-Sipser");
-    let diropt = McmOptions { direction_optimizing: true, ..default };
-    assert_eq!(builds(2, diropt), 1, "direction-optimizing");
-    assert_eq!(builds(3, default), 1, "dynamic mindegree on 3 x 3");
+    assert_eq!(builds(2, Start::Cold, ks), 1, "Karp-Sipser");
+    let empty = mcm_core::Matching::empty(a.nrows(), a.ncols());
+    assert_eq!(builds(2, Start::Warm(empty), ks), 0, "Karp-Sipser on a warm start");
+    assert_eq!(builds(3, Start::Cold, default), 1, "dynamic mindegree on 3 x 3");
 }
 
 /// The <2% disabled-recorder gate (CI runs this under `--release`).

@@ -50,7 +50,6 @@ fn all_option_combinations_agree() {
     for trial in 0..CASES {
         let t = random_graph(&mut rng);
         let prune = rng.below(2) == 1;
-        let diropt = rng.below(2) == 1;
         let seed = rng.below(1000);
         let semiring_pick = rng.below(3);
         let augment_pick = rng.below(3);
@@ -58,7 +57,6 @@ fn all_option_combinations_agree() {
         let a = t.to_csc();
         let want = hopcroft_karp(&a, None).cardinality();
         let opts = McmOptions {
-            direction_optimizing: diropt,
             semiring: match semiring_pick {
                 0 => SemiringKind::MinParent,
                 1 => SemiringKind::RandParent(seed),

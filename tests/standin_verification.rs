@@ -2,9 +2,9 @@
 //! algorithm must reach the Hopcroft–Karp cardinality and pass the Berge
 //! certificate on all 13 matrices.
 //!
-//! These are the heaviest tests in the suite (~200K-edge graphs each);
-//! they are `#[ignore]`d so `cargo test` in debug mode stays fast. Run
-//! them with:
+//! The stand-ins reach ~200K edges each, which debug builds solve slowly,
+//! so both tests are `#[ignore]`d to keep a debug `cargo test` fast. In
+//! release they take well under a second; CI's simtest job runs them with:
 //!
 //! ```text
 //! cargo test --release --test standin_verification -- --ignored
@@ -17,7 +17,7 @@ use mcm_core::{maximum_matching, McmOptions, Start};
 use mcm_gen::table2;
 
 #[test]
-#[ignore = "heavy: run with --release -- --ignored"]
+#[ignore = "slow in debug builds: run with --release -- --ignored"]
 fn all_standins_reach_the_maximum() {
     for s in table2() {
         let t = s.generate();
@@ -39,7 +39,7 @@ fn all_standins_reach_the_maximum() {
 }
 
 #[test]
-#[ignore = "heavy: run with --release -- --ignored"]
+#[ignore = "slow in debug builds: run with --release -- --ignored"]
 fn serial_family_agrees_on_standins() {
     use mcm_core::serial::pothen_fan;
     for s in table2().into_iter().take(4) {

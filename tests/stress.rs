@@ -49,38 +49,31 @@ fn dist_matches_hk_exhaustive_options() {
                 [SemiringKind::MinParent, SemiringKind::RandParent(3), SemiringKind::RandRoot(4)]
             {
                 for prune in [true, false] {
-                    for diropt in [false, true] {
-                        for init in [Initializer::None, Initializer::KarpSipser] {
-                            for aug in [
-                                AugmentMode::Auto,
-                                AugmentMode::LevelParallel,
-                                AugmentMode::PathParallel,
-                            ] {
-                                let mut ctx = DistCtx::new(MachineConfig::hybrid(dim, 2));
-                                let opts = McmOptions {
-                                    semiring,
-                                    prune,
-                                    augment: aug,
-                                    init,
-                                    direction_optimizing: diropt,
-                                    permute_seed: if trial % 2 == 0 { Some(trial) } else { None },
-                                    seed: trial,
-                                };
-                                let r = maximum_matching(
-                                    &mut ctx,
-                                    &t.to_csc().view(),
-                                    Start::Cold,
-                                    &opts,
-                                );
-                                r.matching.validate(&t.to_csc()).unwrap_or_else(|e| {
-                                    panic!("seed {seed:#x} trial {trial} dim {dim}: {e}")
-                                });
-                                assert_eq!(
-                                    r.matching.cardinality(),
-                                    want,
-                                    "seed {seed:#x} trial {trial} dim {dim} {semiring:?} prune {prune} diropt {diropt} init {init:?} aug {aug:?}"
-                                );
-                            }
+                    for init in [Initializer::None, Initializer::KarpSipser] {
+                        for aug in [
+                            AugmentMode::Auto,
+                            AugmentMode::LevelParallel,
+                            AugmentMode::PathParallel,
+                        ] {
+                            let mut ctx = DistCtx::new(MachineConfig::hybrid(dim, 2));
+                            let opts = McmOptions {
+                                semiring,
+                                prune,
+                                augment: aug,
+                                init,
+                                permute_seed: if trial % 2 == 0 { Some(trial) } else { None },
+                                seed: trial,
+                            };
+                            let r =
+                                maximum_matching(&mut ctx, &t.to_csc().view(), Start::Cold, &opts);
+                            r.matching.validate(&t.to_csc()).unwrap_or_else(|e| {
+                                panic!("seed {seed:#x} trial {trial} dim {dim}: {e}")
+                            });
+                            assert_eq!(
+                                r.matching.cardinality(),
+                                want,
+                                "seed {seed:#x} trial {trial} dim {dim} {semiring:?} prune {prune} init {init:?} aug {aug:?}"
+                            );
                         }
                     }
                 }

@@ -16,13 +16,14 @@
 //! `matching <n> weight <w>` shape.
 //!
 //! Exits non-zero if any response was corrupted, any read was dropped,
-//! or the daemon's histogram disagrees with the client's ledger —
+//! the daemon's histogram disagrees with the client's ledger, or the
+//! drained engine fails its certificate (Berge, or ε-CS when weighted) —
 //! `BENCH_serve.json` is only written by a clean run. The file records
 //! the host (cores, CPU model), the commit (`git describe --dirty`) and
 //! the command line.
 
 use mcm_dyn::{DynMatching, DynOptions, WDynMatching, WDynOptions};
-use mcm_serve::{report_summary, run_load, Engine, LoadConfig, LoadMode, Server, ServerConfig};
+use mcm_serve::{report_summary, run_load, LoadConfig, LoadMode, Repair, Server, ServerConfig};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -48,24 +49,27 @@ fn quoted(s: &str) -> String {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let conns: usize = num(&args, "--conns", 256);
-    let secs: f64 = num(&args, "--secs", 2.0);
     let rows: usize = num(&args, "--rows", 2048);
     let cols: usize = num(&args, "--cols", 2048);
-    let rate: f64 = num(&args, "--rate", 25.0);
-    let weighted = args.iter().any(|a| a == "--weighted");
+    if args.iter().any(|a| a == "--weighted") {
+        drive(WDynMatching::new(rows, cols, WDynOptions::default()), &args)
+    } else {
+        drive(DynMatching::new(rows, cols, DynOptions::default()), &args)
+    }
+}
+
+/// Serves `engine`, loads it in both modes, and writes the report.
+fn drive<R: Repair>(engine: R, args: &[String]) -> ExitCode {
+    let conns: usize = num(args, "--conns", 256);
+    let secs: f64 = num(args, "--secs", 2.0);
+    let rate: f64 = num(args, "--rate", 25.0);
+    let weighted = R::WEIGHTED;
+    let (rows, cols) = engine.dims();
     let default_out = if weighted { "BENCH_serve_weighted.json" } else { "BENCH_serve.json" };
-    let out_path = opt(&args, "--out").unwrap_or_else(|| default_out.to_string());
+    let out_path = opt(args, "--out").unwrap_or_else(|| default_out.to_string());
 
     mcm_obs::enable_metrics(true);
-    let started = if weighted {
-        let wm = WDynMatching::new(rows, cols, WDynOptions::default());
-        Server::start_weighted(wm, ServerConfig::default())
-    } else {
-        let dm = DynMatching::new(rows, cols, DynOptions::default());
-        Server::start(dm, ServerConfig::default())
-    };
-    let server = match started {
+    let server = match Server::start(engine, ServerConfig::default()) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("serve_load: failed to start daemon: {e}");
@@ -141,16 +145,13 @@ fn main() -> ExitCode {
         blocks.push(mcm_serve::load::report_to_json(&report, &extra));
     }
 
-    let (cardinality, nnz, batches, weight) = match server.shutdown() {
-        Engine::Card(dm) => (dm.cardinality(), dm.graph().nnz(), dm.stats().batches as u64, None),
-        Engine::Weighted(wm) => {
-            if let Err(e) = wm.verify_full() {
-                eprintln!("serve_load: FINAL CERTIFICATE FAILED: {e}");
-                failed = true;
-            }
-            (wm.cardinality(), wm.nnz(), wm.stats().batches, Some(wm.weight()))
-        }
-    };
+    let engine = server.shutdown();
+    if let Err(e) = engine.verify() {
+        eprintln!("serve_load: FINAL CERTIFICATE FAILED: {e}");
+        failed = true;
+    }
+    let s = R::summary(&engine.state());
+    let (cardinality, nnz, batches, weight) = (s.cardinality, s.nnz, s.batches, s.weight);
     eprintln!(
         "serve_load: daemon drained: cardinality {cardinality} nnz {nnz} batches {batches}{}",
         weight.map(|w| format!(" weight {w}")).unwrap_or_default()

@@ -7,12 +7,12 @@
 //!   [`proto::LineFramer`], the partial-line/pipelining-tolerant
 //!   byte-to-line layer whose EOF check reports a truncated tail as a
 //!   structured error;
-//! * [`engine`] — the protocol handler both modes share: [`Engine`],
-//!   [`Snap`] and `EdgeSet` (the only code that asks which engine
-//!   runs), the update [`Admission`] check, [`answer_read`], the one
-//!   answer to each scalar read verb from an O(1) [`Snap`], and
-//!   `answer_snapshot`, the one answer to `snapshot` from an on-demand
-//!   copy of the live edges;
+//! * [`engine`] — the [`Repair`] trait both dynamic engines implement
+//!   and everything below is generic over, plus the protocol handler
+//!   both modes share: the update [`Admission`] check, [`answer_read`],
+//!   the one answer to each scalar read verb from an O(1) [`Published`]
+//!   state, and `answer_snapshot`, the one answer to `snapshot` from an
+//!   on-demand copy of the live edges;
 //! * [`session`] — `mcmd` without `--listen`: the serial stdin loop,
 //!   batching updates until the next read verb;
 //! * [`server`] — `mcmd --listen`: a non-blocking acceptor, a worker
@@ -42,9 +42,7 @@ pub mod server;
 pub mod session;
 pub mod swap;
 
-pub use engine::{
-    answer_read, format_stats_line, format_wstats_line, Admission, Engine, Published, Snap, Summary,
-};
+pub use engine::{answer_read, Admission, Published, Repair, Summary};
 pub use load::{report_summary, run_load, LoadConfig, LoadMode, LoadReport, VerbReport};
 pub use proto::{parse_command, verb_of, Command, FrameError, LineFramer};
 pub use server::{ApplyHook, Server, ServerConfig};

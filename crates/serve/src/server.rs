@@ -16,12 +16,11 @@
 //!
 //! ## Engines
 //!
-//! The daemon serves either engine behind one protocol:
+//! [`Server::start`] serves any [`Repair`] engine behind one protocol:
 //!
-//! * [`Server::start`] — cardinality ([`DynMatching`]): the original
-//!   service; `insert u v` / `delete u v`, `query` answers
-//!   `matching <n>`.
-//! * [`Server::start_weighted`] — weighted ([`WDynMatching`]):
+//! * [`DynMatching`](mcm_dyn::DynMatching) — maximum cardinality:
+//!   `insert u v` / `delete u v`, `query` answers `matching <n>`.
+//! * [`WDynMatching`](mcm_dyn::WDynMatching) — maximum weight:
 //!   `insert u v [w]` (missing weight = 1.0, so unweighted clients work
 //!   unchanged), `query` answers `matching <n> weight <w>`, and `stats`
 //!   reports the auction-repair counters. A weighted insert sent to a
@@ -57,7 +56,7 @@
 //! closes the open batch and is answered only after everything admitted
 //! before it has been applied *and published*. `quit` and `shutdown`
 //! send the pending run too. For `snapshot` the writer then copies the
-//! live edge set (`Engine::edges`) and hands it to the connection, whose
+//! live edge set ([`Repair::edges`]) and hands it to the connection, whose
 //! thread writes the file: the writer does no file I/O, and the file
 //! holds every update the connection sent before it.
 //!
@@ -69,11 +68,12 @@
 //! before returning the engine — admitted work is never dropped.
 
 use crate::engine::{
-    answer_read, answer_snapshot, Admission, EdgeSet, Engine, Published, RequestTimers,
+    answer_read, answer_snapshot, close_batch, copy_edges, stage_run, Admission, Published, Repair,
+    RequestTimers,
 };
 use crate::proto::{parse_command, verb_of, Command, LineFramer};
 use crate::swap::SwapCell;
-use mcm_dyn::{DynMatching, WDynMatching, WUpdate};
+use mcm_dyn::WUpdate;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -103,7 +103,7 @@ pub struct ServerConfig {
     /// Latency watermark: close the open batch this long after it opened.
     pub max_delay: Duration,
     /// Bound of the admission queue, in updates; a full queue answers
-    /// `busy`.
+    /// `busy`. At least 1: [`Server::start`] refuses 0.
     pub queue_cap: usize,
     /// Test hook run with each batch before it is closed (see
     /// [`ApplyHook`]).
@@ -122,24 +122,24 @@ impl Default for ServerConfig {
     }
 }
 
-enum WriterMsg {
+enum WriterMsg<R: Repair> {
     /// One read's admitted updates, in arrival order.
     Run(Vec<WUpdate>),
     /// Closes the open batch; acked once everything admitted before it has
     /// been applied and published.
-    Barrier(Barrier),
+    Barrier(Barrier<R>),
 }
 
-enum Barrier {
+enum Barrier<R: Repair> {
     /// `sync`: acked with the published state.
-    Sync(mpsc::Sender<Arc<Published>>),
+    Sync(mpsc::Sender<Arc<Published<R>>>),
     /// `snapshot`: acked with a copy of the live edge set.
-    Snapshot(mpsc::Sender<EdgeSet>),
+    Snapshot(mpsc::Sender<R::Edges>),
 }
 
-struct Shared {
+struct Shared<R: Repair> {
     /// Lock-free snapshot cell: the read path never takes a mutex.
-    published: SwapCell<Published>,
+    published: SwapCell<Published<R>>,
     /// Updates admitted but not yet taken by the writer, including those
     /// a connection holds in its not-yet-sent run.
     queue_depth: AtomicUsize,
@@ -153,51 +153,41 @@ struct Shared {
     shutdown_verb: AtomicBool,
 }
 
-impl Shared {
+impl<R: Repair> Shared<R> {
     fn stopping(&self) -> bool {
         self.stop.load(Ordering::Relaxed) || self.shutdown_verb.load(Ordering::Relaxed)
-    }
-
-    fn published(&self) -> Arc<Published> {
-        self.published.load()
     }
 }
 
 /// A running daemon. Dropping the handle without calling
 /// [`shutdown`](Server::shutdown)/[`join`](Server::join) detaches the
 /// threads (the process exit reaps them); tests always join.
-pub struct Server {
+pub struct Server<R: Repair> {
     local_addr: SocketAddr,
-    shared: Arc<Shared>,
-    tx: Option<Sender<WriterMsg>>,
-    acceptor: Option<JoinHandle<()>>,
-    writer: Option<JoinHandle<Engine>>,
+    shared: Arc<Shared<R>>,
+    tx: Sender<WriterMsg<R>>,
+    acceptor: JoinHandle<()>,
+    writer: JoinHandle<R>,
 }
 
-impl Server {
+impl<R: Repair> Server<R> {
     /// Binds, publishes the initial snapshot, and starts the acceptor and
-    /// writer threads around the cardinality engine. Returns once the
-    /// socket is listening.
-    pub fn start(dm: DynMatching, cfg: ServerConfig) -> std::io::Result<Server> {
-        Server::start_engine(Engine::Card(Box::new(dm)), cfg)
-    }
-
-    /// As [`Server::start`], but serving the weighted engine: weighted
-    /// inserts are accepted and `query`/`state`/`stats` report the
-    /// matching weight.
-    pub fn start_weighted(wm: WDynMatching, cfg: ServerConfig) -> std::io::Result<Server> {
-        Server::start_engine(Engine::Weighted(Box::new(wm)), cfg)
-    }
-
-    /// As [`Server::start`], for either engine.
-    pub fn start_engine(engine: Engine, cfg: ServerConfig) -> std::io::Result<Server> {
+    /// writer threads around `engine`. Returns once the socket is
+    /// listening; a `queue_cap` of 0 is an `InvalidInput` error.
+    pub fn start(engine: R, cfg: ServerConfig) -> std::io::Result<Server<R>> {
+        if cfg.queue_cap == 0 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "queue_cap must be at least 1",
+            ));
+        }
         mcm_obs::enable_metrics(true);
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-        let admission = engine.admission();
+        let admission = Admission::of(&engine);
         let shared = Arc::new(Shared {
-            published: SwapCell::new(Arc::new(Published { seq: 0, snap: engine.snapshot() })),
+            published: SwapCell::new(Arc::new(Published { seq: 0, snap: engine.state() })),
             queue_depth: AtomicUsize::new(0),
             queue_cap: cfg.queue_cap,
             connections: AtomicUsize::new(0),
@@ -206,7 +196,7 @@ impl Server {
         });
         // Unbounded in messages: the bound is `queue_cap` updates, kept by
         // `queue_depth`, and each connection has at most one barrier out.
-        let (tx, rx) = mpsc::channel::<WriterMsg>();
+        let (tx, rx) = mpsc::channel::<WriterMsg<R>>();
         let writer = {
             let shared = shared.clone();
             let cfg = cfg.clone();
@@ -221,13 +211,7 @@ impl Server {
                 .name("mcmd-accept".into())
                 .spawn(move || accept_loop(listener, shared, tx, admission))?
         };
-        Ok(Server {
-            local_addr,
-            shared,
-            tx: Some(tx),
-            acceptor: Some(acceptor),
-            writer: Some(writer),
-        })
+        Ok(Server { local_addr, shared, tx, acceptor, writer })
     }
 
     /// The bound address (resolves port 0).
@@ -236,44 +220,41 @@ impl Server {
     }
 
     /// The currently published snapshot (what readers would answer from).
-    pub fn published(&self) -> Arc<Published> {
-        self.shared.published()
+    pub fn published(&self) -> Arc<Published<R>> {
+        self.shared.published.load()
     }
 
     /// Stops accepting, drains every admitted update through the writer,
     /// and returns the engine.
-    pub fn shutdown(mut self) -> Engine {
-        self.shared.stop.store(true, Ordering::Relaxed);
+    pub fn shutdown(self) -> R {
         self.finish()
     }
 
     /// Blocks until a client issues the `shutdown` verb, then drains and
     /// returns the engine (what `mcmd --listen` runs on its main thread).
-    pub fn join(mut self) -> Engine {
+    pub fn join(self) -> R {
         while !self.shared.shutdown_verb.load(Ordering::Relaxed) {
             std::thread::sleep(Duration::from_millis(20));
         }
         self.finish()
     }
 
-    fn finish(&mut self) -> Engine {
+    fn finish(self) -> R {
         self.shared.stop.store(true, Ordering::Relaxed);
         // Acceptor joins its workers; when they and our handle drop the
         // last senders, the writer drains the queue and exits.
-        if let Some(a) = self.acceptor.take() {
-            a.join().expect("acceptor thread panicked");
-        }
-        drop(self.tx.take());
-        self.writer.take().expect("server already finished").join().expect("writer panicked")
+        self.acceptor.join().expect("acceptor thread panicked");
+        drop(self.tx);
+        self.writer.join().expect("writer panicked")
     }
 }
 
-fn writer_loop(
-    engine: Engine,
-    rx: mpsc::Receiver<WriterMsg>,
-    shared: Arc<Shared>,
+fn writer_loop<R: Repair>(
+    engine: R,
+    rx: mpsc::Receiver<WriterMsg<R>>,
+    shared: Arc<Shared<R>>,
     cfg: ServerConfig,
-) -> Engine {
+) -> R {
     let mut w = Writer { engine, shared, cfg, seq: 0, staged: 0, opened: None, held: Vec::new() };
     loop {
         let msg = match w.opened {
@@ -306,8 +287,8 @@ fn writer_loop(
             WriterMsg::Barrier(barrier) => {
                 w.close();
                 match barrier {
-                    Barrier::Sync(ack) => ack.send(w.shared.published()).ok(),
-                    Barrier::Snapshot(ack) => ack.send(w.engine.edges()).ok(),
+                    Barrier::Sync(ack) => ack.send(w.shared.published.load()).ok(),
+                    Barrier::Snapshot(ack) => ack.send(copy_edges(&w.engine)).ok(),
                 };
             }
         }
@@ -319,9 +300,9 @@ fn writer_loop(
 }
 
 /// The writer thread's state: the engine and the open batch.
-struct Writer {
-    engine: Engine,
-    shared: Arc<Shared>,
+struct Writer<R: Repair> {
+    engine: R,
+    shared: Arc<Shared<R>>,
     cfg: ServerConfig,
     /// Batches published so far.
     seq: u64,
@@ -333,7 +314,7 @@ struct Writer {
     held: Vec<WUpdate>,
 }
 
-impl Writer {
+impl<R: Repair> Writer<R> {
     /// Stages a run as it arrives, closing a batch each time it reaches
     /// exactly `max_batch` updates (a run may span batches).
     fn take_run(&mut self, run: &[WUpdate]) {
@@ -344,9 +325,7 @@ impl Writer {
         while !rest.is_empty() {
             let (part, later) = rest.split_at(rest.len().min(max - self.staged));
             self.opened.get_or_insert_with(Instant::now);
-            let sw = mcm_obs::Stopwatch::new();
-            self.engine.stage(part);
-            mcm_obs::observe_ns("mcmd_batch_stage_seconds", &[], sw.elapsed_ns());
+            stage_run(&mut self.engine, part);
             self.staged += part.len();
             if self.cfg.on_apply.is_some() {
                 self.held.extend_from_slice(part);
@@ -368,25 +347,22 @@ impl Writer {
             hook(&self.held);
             self.held.clear();
         }
-        let sw = mcm_obs::Stopwatch::new();
-        self.engine.close();
-        mcm_obs::observe_ns("mcmd_batch_apply_seconds", &[], sw.elapsed_ns());
-        mcm_obs::observe_ns("mcmd_batch_size", &[], self.staged as u64);
+        close_batch(&mut self.engine, self.staged);
         self.staged = 0;
         self.opened = None;
         self.seq += 1;
         let _span = mcm_obs::span("mcmd_publish");
         let sw = mcm_obs::Stopwatch::new();
-        let published = Published { seq: self.seq, snap: self.engine.snapshot() };
+        let published = Published { seq: self.seq, snap: self.engine.state() };
         self.shared.published.store(Arc::new(published));
         mcm_obs::observe_ns("mcmd_publish_seconds", &[], sw.elapsed_ns());
     }
 }
 
-fn accept_loop(
+fn accept_loop<R: Repair>(
     listener: TcpListener,
-    shared: Arc<Shared>,
-    tx: Sender<WriterMsg>,
+    shared: Arc<Shared<R>>,
+    tx: Sender<WriterMsg<R>>,
     admission: Admission,
 ) {
     let mut workers: Vec<JoinHandle<()>> = Vec::new();
@@ -403,12 +379,7 @@ fn accept_loop(
                     Err(_) => std::thread::sleep(Duration::from_millis(5)),
                 }
             }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                std::thread::sleep(Duration::from_millis(2));
-            }
+            // Nothing to accept yet (`WouldBlock`), or a transient error.
             Err(_) => std::thread::sleep(Duration::from_millis(2)),
         }
         workers.retain(|h| !h.is_finished());
@@ -427,21 +398,20 @@ enum Flow {
     Shutdown,
 }
 
-fn conn_loop(stream: TcpStream, shared: Arc<Shared>, tx: Sender<WriterMsg>, admission: Admission) {
+fn conn_loop<R: Repair>(
+    stream: TcpStream,
+    shared: Arc<Shared<R>>,
+    tx: Sender<WriterMsg<R>>,
+    admission: Admission,
+) {
     let conns = shared.connections.fetch_add(1, Ordering::Relaxed) + 1;
     mcm_obs::gauge_set("mcmd_connections", &[], conns as f64);
-    serve_conn(&stream, &shared, &tx, admission);
-    let conns = shared.connections.fetch_sub(1, Ordering::Relaxed) - 1;
-    mcm_obs::gauge_set("mcmd_connections", &[], conns as f64);
-}
-
-fn serve_conn(stream: &TcpStream, shared: &Shared, tx: &Sender<WriterMsg>, admission: Admission) {
     // The read timeout doubles as the stop-flag poll interval.
     stream.set_read_timeout(Some(Duration::from_millis(25))).ok();
     stream.set_nodelay(true).ok();
     let mut conn = Conn {
-        shared,
-        tx,
+        shared: &shared,
+        tx: &tx,
         admission,
         out: Vec::new(),
         run: Vec::new(),
@@ -450,7 +420,7 @@ fn serve_conn(stream: &TcpStream, shared: &Shared, tx: &Sender<WriterMsg>, admis
     };
     let mut framer = LineFramer::new();
     let mut buf = [0u8; 8192];
-    let (mut reader, mut writer) = (stream, stream);
+    let (mut reader, mut writer) = (&stream, &stream);
     loop {
         let flow = match reader.read(&mut buf) {
             Ok(0) => {
@@ -498,12 +468,14 @@ fn serve_conn(stream: &TcpStream, shared: &Shared, tx: &Sender<WriterMsg>, admis
             }
         }
     }
+    let conns = shared.connections.fetch_sub(1, Ordering::Relaxed) - 1;
+    mcm_obs::gauge_set("mcmd_connections", &[], conns as f64);
 }
 
 /// One connection's worker state.
-struct Conn<'a> {
-    shared: &'a Shared,
-    tx: &'a Sender<WriterMsg>,
+struct Conn<'a, R: Repair> {
+    shared: &'a Shared<R>,
+    tx: &'a Sender<WriterMsg<R>>,
     admission: Admission,
     /// Responses to the current read, written once its run is queued.
     out: Vec<u8>,
@@ -514,7 +486,7 @@ struct Conn<'a> {
     timers: RequestTimers,
 }
 
-impl Conn<'_> {
+impl<R: Repair> Conn<'_, R> {
     fn handle_line(&mut self, line: &str) -> Flow {
         let cmd = match parse_command(line) {
             Ok(Some(cmd)) => cmd,
@@ -548,13 +520,13 @@ impl Conn<'_> {
             }
             (None, Command::Sync) => {
                 if let Some(p) = self.barrier(Barrier::Sync, verb) {
-                    answer_read(&cmd, p.seq, &p.snap, &mut self.out);
+                    answer_read(&cmd, &p, &mut self.out);
                 }
                 Flow::Continue
             }
             (None, Command::Snapshot(path)) => {
                 if let Some(edges) = self.barrier(Barrier::Snapshot, verb) {
-                    if let Err(e) = answer_snapshot(path, &edges, &mut self.out) {
+                    if let Err(e) = answer_snapshot::<R>(path, &edges, &mut self.out) {
                         writeln!(self.out, "error {e}").ok();
                     }
                 }
@@ -571,8 +543,8 @@ impl Conn<'_> {
                 Flow::Shutdown
             }
             (None, _) => {
-                let p = self.shared.published();
-                answer_read(&cmd, p.seq, &p.snap, &mut self.out);
+                let p = self.shared.published.load();
+                answer_read(&cmd, &p, &mut self.out);
                 Flow::Continue
             }
         };
@@ -611,7 +583,7 @@ impl Conn<'_> {
     /// returns `None` then.
     fn barrier<T>(
         &mut self,
-        make: impl FnOnce(mpsc::Sender<T>) -> Barrier,
+        make: impl FnOnce(mpsc::Sender<T>) -> Barrier<R>,
         verb: &'static str,
     ) -> Option<T> {
         self.send_run();

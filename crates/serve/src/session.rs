@@ -3,12 +3,17 @@
 //!
 //! Updates are *batched*: nothing is repaired until a read verb or
 //! `quit` forces a flush, so a burst of inserts costs one repair pass.
-//! Each flush prints the engine's `batch ...` report line (unless
-//! `quiet`), and read verbs answer from the live engine through the same
+//! A flush stages and closes the batch through the same timed calls the
+//! socket writer makes (`mcmd_batch_*` metrics, an `apply_batch` span)
+//! and prints the engine's `batch ...` report line (unless `quiet`).
+//! Read verbs answer from the live engine through the same
 //! [`answer_read`] and `answer_snapshot` the socket daemon uses. Errors
 //! are reported as `error line <n>: ...` and never end the session.
 
-use crate::engine::{answer_read, answer_snapshot, Admission, Engine, RequestTimers};
+use crate::engine::{
+    answer_read, answer_snapshot, close_batch, copy_edges, stage_run, Admission, Published, Repair,
+    RequestTimers,
+};
 use crate::proto::{parse_command, verb_of, Command, LineFramer};
 use mcm_dyn::WUpdate;
 use std::io::{BufRead, Write};
@@ -16,14 +21,14 @@ use std::io::{BufRead, Write};
 /// Runs one session over `input` until `quit`, `shutdown` or EOF. Updates
 /// still staged at the end are applied, so piped traces that end in
 /// updates still repair. Fails only when `input` cannot be read.
-pub fn run_session(
-    engine: &mut Engine,
+pub fn run_session<R: Repair>(
+    engine: &mut R,
     mut input: impl BufRead,
     out: impl Write,
     quiet: bool,
 ) -> Result<(), String> {
     let mut s = Session {
-        admission: engine.admission(),
+        admission: Admission::of(engine),
         engine,
         out: std::io::BufWriter::new(out),
         staged: Vec::new(),
@@ -58,8 +63,8 @@ pub fn run_session(
     Ok(())
 }
 
-struct Session<'a, W: Write> {
-    engine: &'a mut Engine,
+struct Session<'a, R: Repair, W: Write> {
+    engine: &'a mut R,
     admission: Admission,
     out: std::io::BufWriter<W>,
     staged: Vec<WUpdate>,
@@ -70,7 +75,7 @@ struct Session<'a, W: Write> {
     quiet: bool,
 }
 
-impl<W: Write> Session<'_, W> {
+impl<R: Repair, W: Write> Session<'_, R, W> {
     /// Handles one line; returns `true` when the session ends.
     fn handle_line(&mut self, line: &str, lineno: u64) -> bool {
         let cmd = match parse_command(line) {
@@ -94,11 +99,13 @@ impl<W: Write> Session<'_, W> {
             None => {
                 self.flush();
                 if let Command::Snapshot(path) = &cmd {
-                    if let Err(e) = answer_snapshot(path, &self.engine.edges(), &mut self.out) {
+                    let edges = copy_edges(&*self.engine);
+                    if let Err(e) = answer_snapshot::<R>(path, &edges, &mut self.out) {
                         writeln!(self.out, "error line {lineno}: {e}").ok();
                     }
                 } else {
-                    answer_read(&cmd, self.seq, &self.engine.snapshot(), &mut self.out);
+                    let p = Published::<R> { seq: self.seq, snap: self.engine.state() };
+                    answer_read(&cmd, &p, &mut self.out);
                 }
                 matches!(cmd, Command::Quit | Command::Shutdown)
             }
@@ -112,11 +119,13 @@ impl<W: Write> Session<'_, W> {
         if self.staged.is_empty() {
             return;
         }
-        let line = self.engine.apply_batch(&self.staged);
+        let _span = mcm_obs::span("apply_batch");
+        stage_run(self.engine, &self.staged);
+        let report = close_batch(self.engine, self.staged.len());
         self.staged.clear();
         self.seq += 1;
         if !self.quiet {
-            writeln!(self.out, "{line}").ok();
+            writeln!(self.out, "{}", R::batch_line(&report)).ok();
         }
     }
 }
@@ -126,8 +135,8 @@ mod tests {
     use super::*;
     use mcm_dyn::{DynMatching, DynOptions};
 
-    fn session(script: &str, quiet: bool) -> (String, Engine) {
-        let mut engine = Engine::Card(Box::new(DynMatching::new(4, 4, DynOptions::default())));
+    fn session(script: &str, quiet: bool) -> (String, DynMatching) {
+        let mut engine = DynMatching::new(4, 4, DynOptions::default());
         let mut out = Vec::new();
         run_session(&mut engine, script.as_bytes(), &mut out, quiet).unwrap();
         (String::from_utf8(out).unwrap(), engine)
@@ -156,13 +165,13 @@ mod tests {
     fn eof_applies_staged_updates_and_reports_a_truncated_tail() {
         let (text, engine) = session("insert 0 0\ninsert 1 1\nque", true);
         assert!(text.starts_with("error line 3: "), "{text}");
-        assert_eq!(engine.snapshot().summary().cardinality, 2);
+        assert_eq!(engine.cardinality(), 2);
     }
 
     #[test]
     fn quit_ends_the_session_before_later_lines() {
         let (text, engine) = session("insert 0 0\nquit\ninsert 1 1\nquery\n", true);
         assert_eq!(text, "");
-        assert_eq!(engine.snapshot().summary().nnz, 1);
+        assert_eq!(engine.graph().nnz(), 1);
     }
 }

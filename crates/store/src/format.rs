@@ -125,6 +125,8 @@ pub enum StoreError {
     },
     /// A Matrix Market source that does not parse (`mcm convert`).
     MatrixMarket(mcm_sparse::io::MmError),
+    /// A weighted load met an MCSB file that has no values section.
+    Unweighted,
     /// A weighted file's values section holds an infinite or NaN value.
     NonFiniteValue {
         /// Position of the value among the nonzeros.
@@ -159,6 +161,7 @@ impl std::fmt::Display for StoreError {
                 "MCSB column {col} is not sorted: row {row} at nonzero {index} follows row {prev}"
             ),
             StoreError::MatrixMarket(e) => write!(f, "{e}"),
+            StoreError::Unweighted => write!(f, "MCSB file has no values (unweighted)"),
             StoreError::NonFiniteValue { index, value } => {
                 write!(f, "MCSB value {value} at nonzero {index} is not finite")
             }

@@ -17,7 +17,8 @@
 //!   file) spill into column-range buckets, each bucket sorts in RAM, and
 //!   the sorted sections stream into their final file positions.
 //! * [`sniff_format`] — magic-byte dispatch between MCSB and Matrix Market
-//!   for the `--load` paths of `mcm` and `mcmd`.
+//!   for the `--load` paths of `mcm` and `mcmd`; [`load_weighted`] is the
+//!   one weighted loader both binaries use.
 
 pub mod convert;
 pub mod format;
@@ -67,6 +68,18 @@ pub fn sniff_format(path: impl AsRef<Path>) -> Result<GraphFormat, StoreError> {
     Err(StoreError::Format(
         "unrecognized graph format (expected MCSB magic or a %%MatrixMarket header)".to_string(),
     ))
+}
+
+/// Loads a weighted graph by content: Matrix Market entry values, or a
+/// weighted MCSB file decoded on the heap (the auction mutates prices
+/// next to the weights, so there is no zero-copy weighted path). An MCSB
+/// file without values is [`StoreError::Unweighted`].
+pub fn load_weighted(path: impl AsRef<Path>) -> Result<mcm_sparse::WCsc, StoreError> {
+    let path = path.as_ref();
+    match sniff_format(path)? {
+        GraphFormat::MatrixMarket => Ok(mcm_sparse::io::read_matrix_market_weighted_file(path)?),
+        GraphFormat::Mcsb => McsbFile::open_heap(path)?.to_wcsc().ok_or(StoreError::Unweighted),
+    }
 }
 
 #[cfg(test)]

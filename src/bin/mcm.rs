@@ -48,7 +48,7 @@ use mcm_core::{MatchingAlgo, McmResult, McmStats, PortfolioBackend, PortfolioOpt
 use mcm_sparse::io::{read_matrix_market_file, write_matrix_market_file};
 use mcm_sparse::stats::MatrixStats;
 use mcm_sparse::{Csc, CscView, Triples, Vidx, NIL};
-use mcm_store::{GraphFormat, McsbFile, McsbStreamWriter};
+use mcm_store::{GraphFormat, McsbFile, McsbStreamWriter, StoreError};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -247,7 +247,10 @@ fn cmd_match_weighted(args: &[String]) -> Result<(), String> {
         return Err(format!("{flag} does not apply to --weighted (it takes --threads and --out)"));
     }
     let path = positional(args).ok_or("missing input file")?;
-    let a = load_weighted(path)?;
+    let a = mcm_store::load_weighted(path).map_err(|e| match e {
+        StoreError::Unweighted => format!("{path}: {e}; use `mcm match`"),
+        e => format!("{path}: {e}"),
+    })?;
     let threads: usize =
         opt(args, "--threads").unwrap_or("4").parse().map_err(|_| "bad --threads")?;
     if threads == 0 {
@@ -422,22 +425,6 @@ fn cmd_btf(args: &[String]) -> Result<(), String> {
         (0..btf.num_blocks()).filter(|&b| btf.block_ptr[b + 1] - btf.block_ptr[b] == 1).count();
     println!("singleton blocks: {singletons}");
     Ok(())
-}
-
-/// Loads a weighted graph (`WCsc`): Matrix Market with values, or a
-/// weighted MCSB file (decoded on the heap; the auction mutates
-/// prices next to the weights, so there is no zero-copy weighted path).
-fn load_weighted(path: &str) -> Result<mcm_sparse::WCsc, String> {
-    match mcm_store::sniff_format(path).map_err(|e| format!("{path}: {e}"))? {
-        GraphFormat::MatrixMarket => mcm_sparse::io::read_matrix_market_weighted_file(path)
-            .map_err(|e| format!("{path}: {e}")),
-        GraphFormat::Mcsb => {
-            let f = McsbFile::open_heap(path).map_err(|e| format!("{path}: {e}"))?;
-            f.to_wcsc().ok_or_else(|| {
-                format!("{path}: MCSB file has no values (unweighted); use `mcm match`")
-            })
-        }
-    }
 }
 
 fn cmd_gen(args: &[String]) -> Result<(), String> {

@@ -20,8 +20,9 @@
 //!   the daemon.
 //!
 //! Both modes admit updates and answer read verbs through the same
-//! `mcm_serve::engine` functions; this binary only parses flags and
-//! builds the engine.
+//! `mcm_serve::engine` functions, generic over the `Repair` trait; this
+//! binary only parses flags, builds the engine `--weighted` names, and
+//! hands it to one generic `serve`.
 //!
 //! ```text
 //! insert <row> <col>      stage (stdin) / admit (socket) an edge insertion
@@ -40,8 +41,8 @@
 //! cardinality engine recomputes with serial MS-BFS warm-started from the
 //! stale matching (`mcm_core::serial::ms_bfs_serial`); the `stats` line
 //! names it `algo msbfs-serial`. `--threads` sizes the weighted engine's
-//! auction and is checked in both modes. An unknown flag is an error
-//! naming it.
+//! auction; it and `--queue-cap` must be at least 1, checked in both
+//! modes. An unknown flag is an error naming it.
 //!
 //! The `mcm-obs` metrics registry is always live in `mcmd`: per-request
 //! latency histograms (`mcmd_request_seconds{verb}`), per-batch repair
@@ -51,9 +52,10 @@
 //! session and writes a `chrome://tracing` JSON file at exit.
 
 use mcm_dyn::{DynMatching, DynOptions, WDynMatching, WDynOptions};
-use mcm_serve::{run_session, Engine, Server, ServerConfig};
-use mcm_sparse::io::{read_matrix_market_file, read_matrix_market_weighted_file};
-use std::io::Write;
+use mcm_serve::{run_session, Repair, Server, ServerConfig};
+use mcm_sparse::io::read_matrix_market_file;
+use mcm_store::{GraphFormat, McsbFile, StoreError};
+use std::io::{BufRead, Write};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -61,7 +63,7 @@ const USAGE: &str = "\
 mcmd — streaming update service for dynamic maximum matching
 
 usage:
-  mcmd [--weighted] [--rows n] [--cols n] [--load file.mtx] [--input file]
+  mcmd [--weighted] [--rows n] [--cols n] [--load file] [--input file]
        [--listen addr] [--max-batch n] [--max-delay-ms ms] [--queue-cap n]
        [--fallback f] [--threads t] [--trace-out file] [--full-verify] [--quiet]
 
@@ -83,8 +85,8 @@ usage:
                         Runs until a client sends `shutdown`.
   --max-batch n         socket mode: close an update batch at n updates (default 512)
   --max-delay-ms ms     socket mode: ... or this many ms after it opened (default 1)
-  --queue-cap n         socket mode: admission queue bound; a full queue answers
-                        `busy` (default 4096)
+  --queue-cap n         socket mode: admission queue bound, at least 1; a full
+                        queue answers `busy` (default 4096)
   --fallback f          cardinality mode: fraction of n1+n2 that a batch's
                         still-free dirty vertices must reach for repair to
                         fall back to serial MS-BFS warm-started from the
@@ -154,29 +156,13 @@ fn opt<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
 /// list); corrupt or truncated files surface as structured errors here.
 fn load_card(path: &str, opts: DynOptions) -> Result<DynMatching, String> {
     match mcm_store::sniff_format(path).map_err(|e| format!("{path}: {e}"))? {
-        mcm_store::GraphFormat::MatrixMarket => {
+        GraphFormat::MatrixMarket => {
             let t = read_matrix_market_file(path).map_err(|e| format!("{path}: {e}"))?;
             Ok(DynMatching::from_triples(&t, opts))
         }
-        mcm_store::GraphFormat::Mcsb => {
-            let f = mcm_store::McsbFile::open_heap(path).map_err(|e| format!("{path}: {e}"))?;
+        GraphFormat::Mcsb => {
+            let f = McsbFile::open_heap(path).map_err(|e| format!("{path}: {e}"))?;
             Ok(DynMatching::from_csc(f.to_csc(), opts))
-        }
-    }
-}
-
-/// `--load` for the weighted engine: Matrix Market values or a weighted
-/// MCSB file become edge weights.
-fn load_weighted(path: &str) -> Result<mcm_sparse::WCsc, String> {
-    match mcm_store::sniff_format(path).map_err(|e| format!("{path}: {e}"))? {
-        mcm_store::GraphFormat::MatrixMarket => {
-            read_matrix_market_weighted_file(path).map_err(|e| format!("{path}: {e}"))
-        }
-        mcm_store::GraphFormat::Mcsb => {
-            let f = mcm_store::McsbFile::open_heap(path).map_err(|e| format!("{path}: {e}"))?;
-            f.to_wcsc().ok_or_else(|| {
-                format!("{path}: MCSB file has no values (unweighted); drop --weighted")
-            })
         }
     }
 }
@@ -197,11 +183,21 @@ fn run(args: &[String]) -> Result<(), String> {
     if threads == 0 {
         return Err("--threads must be at least 1".into());
     }
-    let opts = DynOptions {
-        fallback_threshold: fallback,
-        full_verify: args.iter().any(|a| a == "--full-verify"),
+    let cfg = ServerConfig {
+        addr: opt(args, "--listen").unwrap_or_default().to_string(),
+        max_batch: parse_usize(opt(args, "--max-batch"), "--max-batch", 512)?,
+        max_delay: Duration::from_millis(parse_usize(
+            opt(args, "--max-delay-ms"),
+            "--max-delay-ms",
+            1,
+        )? as u64),
+        queue_cap: parse_usize(opt(args, "--queue-cap"), "--queue-cap", 4096)?,
+        on_apply: None,
     };
-    let quiet = args.iter().any(|a| a == "--quiet");
+    if cfg.queue_cap == 0 {
+        return Err("--queue-cap must be at least 1".into());
+    }
+    let full_verify = args.iter().any(|a| a == "--full-verify");
 
     // The registry is the service's own telemetry (request latencies,
     // per-batch repair counters, strategy decisions); the `metrics`
@@ -213,72 +209,38 @@ fn run(args: &[String]) -> Result<(), String> {
         drop(mcm_obs::take_trace()); // start the session from an empty sink
     }
 
-    let listen_cfg = |addr: &str| -> Result<ServerConfig, String> {
-        Ok(ServerConfig {
-            addr: addr.to_string(),
-            max_batch: parse_usize(opt(args, "--max-batch"), "--max-batch", 512)?,
-            max_delay: Duration::from_millis(parse_usize(
-                opt(args, "--max-delay-ms"),
-                "--max-delay-ms",
-                1,
-            )? as u64),
-            queue_cap: parse_usize(opt(args, "--queue-cap"), "--queue-cap", 4096)?,
-            on_apply: None,
-        })
+    let dims = || -> Result<(usize, usize), String> {
+        Ok((
+            parse_usize(opt(args, "--rows"), "--rows", 1024)?,
+            parse_usize(opt(args, "--cols"), "--cols", 1024)?,
+        ))
     };
-
-    let weighted = args.iter().any(|a| a == "--weighted");
-    let wopts = WDynOptions { threads, full_verify: opts.full_verify, ..WDynOptions::default() };
-    let mut engine = match opt(args, "--load") {
-        Some(path) if weighted => {
-            Engine::Weighted(Box::new(WDynMatching::from_wcsc(load_weighted(path)?, wopts)))
-        }
-        Some(path) => Engine::Card(Box::new(load_card(path, opts)?)),
-        None => {
-            let n1 = parse_usize(opt(args, "--rows"), "--rows", 1024)?;
-            let n2 = parse_usize(opt(args, "--cols"), "--cols", 1024)?;
-            if weighted {
-                Engine::Weighted(Box::new(WDynMatching::new(n1, n2, wopts)))
-            } else {
-                Engine::Card(Box::new(DynMatching::new(n1, n2, opts)))
-            }
-        }
-    };
-    if let Some(path) = opt(args, "--load") {
-        let (s, (n1, n2)) = (engine.snapshot().summary(), engine.admission().dims());
-        println!(
-            "loaded {path} {n1}x{n2} nnz {} matching {}{}",
-            s.nnz,
-            s.cardinality,
-            s.weight_field()
-        );
-    }
-    let served = match opt(args, "--listen") {
-        Some(addr) => {
-            let server = Server::start_engine(engine, listen_cfg(addr)?)
-                .map_err(|e| format!("{addr}: {e}"))?;
-            println!("listening {}", server.local_addr());
-            std::io::stdout().flush().ok();
-            // Blocks until a client sends `shutdown`; admitted updates
-            // are drained before the engine comes back.
-            let s = server.join().snapshot().summary();
-            println!("shutdown cardinality {}{} nnz {}", s.cardinality, s.weight_field(), s.nnz);
-            Ok(())
-        }
-        None => match opt(args, "--input") {
+    let served = if args.iter().any(|a| a == "--weighted") {
+        let wopts = WDynOptions { threads, full_verify, ..WDynOptions::default() };
+        let wm = match opt(args, "--load") {
             Some(path) => {
-                let f = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
-                run_session(
-                    &mut engine,
-                    std::io::BufReader::new(f),
-                    std::io::stdout().lock(),
-                    quiet,
-                )
+                let a = mcm_store::load_weighted(path).map_err(|e| match e {
+                    StoreError::Unweighted => format!("{path}: {e}; drop --weighted"),
+                    e => format!("{path}: {e}"),
+                })?;
+                WDynMatching::from_wcsc(a, wopts)
             }
             None => {
-                run_session(&mut engine, std::io::stdin().lock(), std::io::stdout().lock(), quiet)
+                let (n1, n2) = dims()?;
+                WDynMatching::new(n1, n2, wopts)
             }
-        },
+        };
+        serve(wm, args, cfg)
+    } else {
+        let opts = DynOptions { fallback_threshold: fallback, full_verify };
+        let dm = match opt(args, "--load") {
+            Some(path) => load_card(path, opts)?,
+            None => {
+                let (n1, n2) = dims()?;
+                DynMatching::new(n1, n2, opts)
+            }
+        };
+        serve(dm, args, cfg)
     };
     if let Some(path) = trace_out {
         mcm_obs::enable_tracing(false);
@@ -287,4 +249,36 @@ fn run(args: &[String]) -> Result<(), String> {
         eprintln!("wrote chrome://tracing JSON ({} events) to {path}", trace.events.len());
     }
     served
+}
+
+/// Serves `engine`: over TCP with `--listen`, else as the stdin (or
+/// `--input`) session.
+fn serve<R: Repair>(mut engine: R, args: &[String], cfg: ServerConfig) -> Result<(), String> {
+    if let Some(path) = opt(args, "--load") {
+        let (s, (n1, n2)) = (R::summary(&engine.state()), engine.dims());
+        println!(
+            "loaded {path} {n1}x{n2} nnz {} matching {}{}",
+            s.nnz,
+            s.cardinality,
+            s.weight_field()
+        );
+    }
+    if let Some(addr) = opt(args, "--listen") {
+        let server = Server::start(engine, cfg).map_err(|e| format!("{addr}: {e}"))?;
+        println!("listening {}", server.local_addr());
+        std::io::stdout().flush().ok();
+        // Blocks until a client sends `shutdown`; admitted updates are
+        // drained before the engine comes back.
+        let s = R::summary(&server.join().state());
+        println!("shutdown cardinality {}{} nnz {}", s.cardinality, s.weight_field(), s.nnz);
+        return Ok(());
+    }
+    let input: Box<dyn BufRead> = match opt(args, "--input") {
+        Some(path) => Box::new(std::io::BufReader::new(
+            std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?,
+        )),
+        None => Box::new(std::io::stdin().lock()),
+    };
+    let quiet = args.iter().any(|a| a == "--quiet");
+    run_session(&mut engine, input, std::io::stdout().lock(), quiet)
 }

@@ -609,6 +609,34 @@ fn mcmd_rejects_bad_backend_flags() {
         assert!(!out.status.success(), "{args:?} should fail");
         assert!(String::from_utf8_lossy(&out.stderr).contains("error"), "{args:?}");
     }
+    // A zero-capacity queue would answer `busy` to every update and
+    // barrier forever: refused in both modes, before any daemon starts.
+    for args in [&["--queue-cap", "0"][..], &["--listen", "127.0.0.1:0", "--queue-cap", "0"][..]] {
+        let out = mcmd().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?} should fail");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("--queue-cap must be at least 1"), "{args:?}: {err}");
+    }
+}
+
+#[test]
+fn weighted_loaders_reject_an_unweighted_mcsb() {
+    let file = tmp("unweighted.mcsb");
+    assert!(mcm()
+        .args(["gen", "er", "--scale", "5", "--seed", "1", "--out"])
+        .arg(&file)
+        .status()
+        .unwrap()
+        .success());
+    let runs = [
+        mcm().args(["match", "--weighted"]).arg(&file).output().unwrap(),
+        mcmd().args(["--weighted", "--load"]).arg(&file).output().unwrap(),
+    ];
+    for out in runs {
+        assert_eq!(out.status.code(), Some(1));
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("MCSB file has no values") && !err.contains("panicked"), "{err}");
+    }
 }
 
 #[test]
@@ -824,6 +852,7 @@ fn mcmd_metrics_command_serves_prometheus_text() {
     assert!(text.contains("# TYPE mcm_dyn_batches_total counter"), "{text}");
     assert!(text.contains("mcm_dyn_batches_total{strategy=\"incremental\"} 1"), "{text}");
     assert!(text.contains("mcm_dyn_batch_seconds_count{strategy=\"incremental\"} 1"), "{text}");
+    assert!(text.contains("mcmd_batch_apply_seconds_count 1"), "{text}");
     assert!(text.contains("mcmd_request_seconds_count{verb=\"insert\"} 2"), "{text}");
     assert!(text.contains("mcmd_request_seconds_count{verb=\"query\"} 1"), "{text}");
     assert!(text.lines().any(|l| l == "# EOF"), "{text}");

@@ -68,9 +68,18 @@ impl Client {
     }
 }
 
-fn start(n: usize, cfg: ServerConfig) -> Server {
+fn start(n: usize, cfg: ServerConfig) -> Server<DynMatching> {
     let dm = DynMatching::new(n, n, DynOptions::default());
     Server::start(dm, cfg).expect("server start")
+}
+
+/// A queue that holds no update would answer `busy` forever.
+#[test]
+fn zero_queue_cap_is_refused() {
+    let dm = DynMatching::new(4, 4, DynOptions::default());
+    let cfg = ServerConfig { queue_cap: 0, ..ServerConfig::default() };
+    let err = Server::start(dm, cfg).err().expect("queue_cap 0 must be refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
 }
 
 /// N interleaved clients inserting disjoint row ranges must leave the
@@ -114,7 +123,7 @@ fn interleaved_clients_match_serialized_replay() {
         }
     });
     assert_eq!(Client::connect(addr).roundtrip("shutdown"), "bye");
-    let dm = server.join().expect_card();
+    let dm = server.join();
 
     // Serialized replay: same per-client streams, applied client by
     // client on a fresh engine.
@@ -218,7 +227,7 @@ fn snapshot_reads_its_own_writes_without_sync() {
     assert_eq!(snapshot_edges(&path), [(1, 0), (0, 1)]);
     // The barrier published the batch it closed.
     assert!(c.roundtrip("state").starts_with("state seq 1 epoch 0 cardinality 2 nnz 2"));
-    let dm = server.shutdown().expect_card();
+    let dm = server.shutdown();
     assert_eq!(dm.graph().nnz(), 2);
 }
 
@@ -338,7 +347,7 @@ fn full_queue_answers_busy_then_recovers() {
     drop(gate_tx);
     let resp = c.update_retrying("sync");
     assert!(resp.starts_with("synced "), "{resp}");
-    let dm = server.shutdown().expect_card();
+    let dm = server.shutdown();
     assert_eq!(dm.graph().nnz(), acked.len(), "every acked insert must be applied");
     for (r, col) in acked {
         assert!(dm.graph().contains(r, col), "acked insert ({r},{col}) missing");
@@ -377,7 +386,7 @@ fn truncated_tail_is_counted_not_executed() {
     assert!(resp.starts_with("synced "), "{resp}");
     let st = c.roundtrip("state");
     assert!(st.contains("nnz 1"), "only the complete line may execute: {st}");
-    let dm = server.shutdown().expect_card();
+    let dm = server.shutdown();
     assert!(dm.graph().contains(1, 1));
     assert_eq!(dm.graph().nnz(), 1, "the half-received insert must not run");
 }
@@ -412,7 +421,7 @@ fn abrupt_disconnect_is_tolerated() {
         assert!(Instant::now() < deadline, "dropped connection's burst never fully applied: {q}");
         std::thread::sleep(Duration::from_millis(2));
     }
-    let dm = server.shutdown().expect_card();
+    let dm = server.shutdown();
     assert_eq!(dm.cardinality(), 16);
 }
 
@@ -446,7 +455,7 @@ fn shutdown_drains_admitted_updates() {
         assert_eq!(c.update_retrying(&format!("insert {i} {}", 63 - i)), "ok");
     }
     assert_eq!(c.roundtrip("shutdown"), "bye");
-    let dm = server.join().expect_card();
+    let dm = server.join();
     assert_eq!(dm.graph().nnz(), 48, "shutdown dropped admitted updates");
     assert_eq!(dm.cardinality(), 48);
     dm.verify_full().expect("drained state must verify");
@@ -458,7 +467,7 @@ fn shutdown_drains_admitted_updates() {
 #[test]
 fn weighted_daemon_round_trips_weights() {
     let wm = WDynMatching::new(8, 8, WDynOptions::default());
-    let server = Server::start_weighted(wm, ServerConfig::default()).expect("server start");
+    let server = Server::start(wm, ServerConfig::default()).expect("server start");
     let mut c = Client::connect(server.local_addr());
 
     // A 2x2 block where the heavy diagonal wins.
@@ -495,7 +504,7 @@ fn weighted_daemon_round_trips_weights() {
     assert_eq!(c.roundtrip("query"), "matching 2 weight 3");
 
     assert_eq!(c.roundtrip("shutdown"), "bye");
-    let wm = server.join().expect_weighted();
+    let wm = server.join();
     assert_eq!(wm.cardinality(), 2);
     assert!((wm.weight() - 3.0).abs() < 1e-9, "weight {}", wm.weight());
     wm.verify_full().expect("final weighted state must be eps-CS certified");
@@ -558,7 +567,7 @@ fn one_write_over_a_full_queue_answers_busy_for_exactly_the_overflow() {
     drop(gate_tx);
     let resp = c.update_retrying("sync");
     assert!(resp.starts_with("synced "), "{resp}");
-    let dm = server.shutdown().expect_card();
+    let dm = server.shutdown();
     assert_eq!(dm.graph().nnz(), 9, "exactly the acked inserts land");
     assert!(acked.iter().all(|&i| dm.graph().contains(i, i)) && dm.graph().contains(127, 127));
     dm.verify_full().expect("post-release matching must verify");
@@ -612,7 +621,7 @@ fn a_run_longer_than_max_batch_closes_batches_of_at_most_max_batch() {
     let mut l = String::new();
     c.reader.read_line(&mut l).expect("read");
     assert!(l.starts_with("synced "), "{l}");
-    let dm = server.shutdown().expect_card();
+    let dm = server.shutdown();
 
     let sizes = sizes.lock().unwrap().clone();
     assert_eq!(sizes.iter().sum::<usize>(), stream.len(), "{sizes:?}");

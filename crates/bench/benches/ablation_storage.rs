@@ -47,7 +47,7 @@ fn bench_storage(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("csc", grid * grid), &frontier, |b, x| {
             b.iter(|| {
-                black_box(mcm_sparse::spmspv_csc(
+                black_box(mcm_sparse::spmspv(
                     &csc,
                     x,
                     |j, _| j,

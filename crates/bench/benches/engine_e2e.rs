@@ -15,7 +15,9 @@ use mcm_sparse::Csc;
 use std::hint::black_box;
 
 /// Total-core sweep → (ranks, threads-per-rank): square rank counts only,
-/// threads soak up the non-square factors.
+/// threads soak up the non-square factors. Threads are modeled only (each
+/// rank runs one serial local product), so `engine/2` and `engine/8` run
+/// the work of `engine/1` and `engine/4` and differ only in the charges.
 const CORES: [(usize, usize, usize); 4] = [(1, 1, 1), (2, 1, 2), (4, 4, 1), (8, 4, 2)];
 
 /// Cardinality of one cold solve of `a` on `comm`.

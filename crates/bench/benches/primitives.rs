@@ -1,7 +1,7 @@
 //! Criterion micro-benches for the Table I primitives: SELECT, SET, INVERT,
 //! PRUNE at several frontier sizes — verifying the O(nnz) serial
-//! complexities the table claims — plus a seed-kernel vs workspace vs
-//! parallel SpMSpV comparison on an R-MAT scale-12 frontier sweep
+//! complexities the table claims — plus a seed-kernel vs workspace
+//! SpMSpV comparison on an R-MAT scale-12 frontier sweep
 //! (`MCM_BENCH_JSON=BENCH_spmv.json` records the numbers).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -66,12 +66,11 @@ fn bench_primitives(c: &mut Criterion) {
 }
 
 /// Seed SpMSpV (allocates output + SPA per call) against the workspace
-/// kernel (`spmspv_into`, generation-stamped SPA, caller-owned buffers) and
-/// the intra-block parallel path, across a frontier-density sweep on an
-/// R-MAT scale-12 block — the shape of the MS-BFS hot path.
+/// kernel (`spmspv_into`, generation-stamped SPA, caller-owned buffers),
+/// across a frontier-density sweep on an R-MAT scale-12 block — the shape
+/// of the MS-BFS hot path.
 fn bench_spmv_workspace(c: &mut Criterion) {
     let a = Dcsc::from_triples(&rmat(RmatParams::g500(12), 42));
-    let threads = mcm_par::max_threads();
     let mut group = c.benchmark_group("spmv_workspace");
 
     for &every in &[1usize, 4, 16, 64] {
@@ -107,21 +106,6 @@ fn bench_spmv_workspace(c: &mut Criterion) {
                 let f = ws.spmspv_into(
                     &a,
                     x,
-                    |j, v: &Vertex| Vertex::new(j, v.root),
-                    |acc, inc| MinParent.fold(acc, inc),
-                    &mut y,
-                );
-                black_box((f, y.nnz()));
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("parallel", every), &x, |b, x| {
-            let mut ws: SpmvWorkspace<Vertex> = SpmvWorkspace::new();
-            let mut y = SpVec::new(0);
-            b.iter(|| {
-                let f = ws.spmspv_parallel_into(
-                    &a,
-                    x,
-                    threads,
                     |j, v: &Vertex| Vertex::new(j, v.root),
                     |acc, inc| MinParent.fold(acc, inc),
                     &mut y,

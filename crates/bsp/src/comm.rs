@@ -36,10 +36,6 @@
 //! did (replay seeds stay valid), and the engine additionally perturbs
 //! rank skew *inside* the epoch via [`RankComm::perturb_point`], with the
 //! closing fence exercising the per-source FIFO stash.
-//!
-//! `bcast` completes the MPI-style surface for service-layer callers
-//! (e.g. distributing configuration epochs); MCM-DIST itself never
-//! broadcasts, so the simulator pipeline's modeled time is unchanged.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
@@ -235,10 +231,6 @@ pub trait Communicator {
     /// traffic does not grow with the matrix).
     fn allreduce(&mut self, kernel: Kernel, per_rank: &[u64], op: ReduceOp) -> u64;
 
-    /// Broadcast `data` from `root` to every rank. Service-layer
-    /// completeness; MCM-DIST never calls this (§IV needs no broadcast).
-    fn bcast<T: Send + Clone>(&mut self, kernel: Kernel, root: usize, data: Vec<T>) -> Vec<T>;
-
     /// Distributed semiring SpMSpV `y = A ⊗ x` (expand allgather → local
     /// multiply → fold alltoallv), reusing `plan`'s per-block buffers.
     /// `fold(acc, inc)` is the semiring addition and must be associative
@@ -350,13 +342,6 @@ impl Communicator for DistCtx {
         op.fold(per_rank.iter().copied())
     }
 
-    fn bcast<T: Send + Clone>(&mut self, kernel: Kernel, root: usize, data: Vec<T>) -> Vec<T> {
-        let _span = mcm_obs::kernel_span("bcast", kernel.name());
-        assert!(root < self.p(), "bcast root out of range");
-        self.charge_bcast(kernel, data.len() as u64);
-        data
-    }
-
     fn spmspv<T, U>(
         &mut self,
         a: &DistMatrix,
@@ -414,7 +399,9 @@ impl Communicator for DistCtx {
 
 /// The thread-per-rank execution backend: every collective runs as a real
 /// exchange over the [`RankComm`] channel mesh, with `p` ranks on a square
-/// `√p × √p` grid and `threads` intra-rank workers for local multiplies.
+/// `√p × √p` grid. Each rank runs one serial local multiply on its block;
+/// its `threads` are modeled only, dividing charged compute as on the
+/// simulator.
 ///
 /// The embedded [`DistCtx`] mirrors the simulator's cost accounting from
 /// the volumes the engine actually moves, so per-kernel call counts and
@@ -442,7 +429,7 @@ pub struct EngineComm {
 
 impl EngineComm {
     /// An engine over `p` ranks (must be a perfect square — the 2D
-    /// SpMV grid) with `threads` workers per rank.
+    /// SpMV grid) with `threads` modeled threads per rank.
     pub fn new(p: usize, threads: usize) -> Self {
         Self { ctx: DistCtx::new(MachineConfig::square_ranks(p, threads)), epoch: 0 }
     }
@@ -547,33 +534,6 @@ impl Communicator for EngineComm {
         let out = results.swap_remove(0);
         debug_assert!(results.iter().all(|&r| r == out), "allreduce replicas diverged");
         out
-    }
-
-    fn bcast<T: Send + Clone>(&mut self, kernel: Kernel, root: usize, data: Vec<T>) -> Vec<T> {
-        let _span = mcm_obs::kernel_span("bcast", kernel.name());
-        let p = self.ctx.p();
-        assert!(root < p, "bcast root out of range");
-        self.ctx.charge_bcast(kernel, data.len() as u64);
-        let slot = Mutex::new(Some(data));
-        let group: Vec<usize> = (0..p).collect();
-        let mut per_rank = self.session::<T, _, _>(|mut comm| {
-            // An alltoallv where only the root's row is non-empty is a
-            // (naive, full-mesh) broadcast; the charge above models the
-            // binomial tree a real MPI_Bcast would use.
-            let mine: Vec<Vec<T>> = if comm.rank() == root {
-                let payload = slot.lock().unwrap().take().expect("root payload consumed twice");
-                let mut rows: Vec<Vec<T>> = (0..p - 1).map(|_| payload.clone()).collect();
-                rows.push(payload);
-                rows.rotate_right(p - 1 - root);
-                debug_assert_eq!(rows.len(), p);
-                rows
-            } else {
-                (0..p).map(|_| Vec::new()).collect()
-            };
-            let mut recvd = comm.alltoallv(&group, mine);
-            recvd.swap_remove(root)
-        });
-        per_rank.swap_remove(0)
     }
 
     fn spmspv<T, U>(
@@ -739,20 +699,6 @@ mod tests {
                 let x = sim(dim).allreduce(Kernel::Other, &vals, op);
                 let y = EngineComm::new(p, 1).allreduce(Kernel::Other, &vals, op);
                 assert_eq!(x, y, "p = {p} op {op:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn bcast_replicates_the_root_payload() {
-        for p in [1usize, 4, 9] {
-            let dim = (p as f64).sqrt() as usize;
-            for root in [0, p - 1] {
-                let data = vec![7u32, 8, 9];
-                let a = sim(dim).bcast(Kernel::Other, root, data.clone());
-                let b = EngineComm::new(p, 1).bcast(Kernel::Other, root, data.clone());
-                assert_eq!(a, data, "p = {p} root {root}");
-                assert_eq!(b, data, "p = {p} root {root}");
             }
         }
     }

@@ -134,18 +134,6 @@ impl CostModel {
         2.0 * lg * self.alpha + 2.0 * words as f64 * self.beta
     }
 
-    /// Broadcast of `words` from one root to `g` ranks (binomial tree):
-    /// `⌈log₂ g⌉·α + words·β`. Not used by MCM-DIST itself — the paper's
-    /// pipeline needs no broadcast — but part of the backend-agnostic
-    /// [`crate::comm::Communicator`] surface for service-layer callers.
-    #[inline]
-    pub fn bcast(&self, g: usize, words: u64) -> f64 {
-        if g <= 1 {
-            return 0.0;
-        }
-        (g as f64).log2().ceil() * self.alpha + words as f64 * self.beta
-    }
-
     /// One one-sided RMA operation (`MPI_Get` / `MPI_Put` /
     /// `MPI_Fetch_and_op`) moving a single word: `α + β` (§IV-B: "the
     /// communication cost per processor per iteration is 3(α+β)" for the
@@ -166,7 +154,6 @@ mod tests {
         assert_eq!(c.allgather(1, 1000), 0.0);
         assert_eq!(c.alltoallv(1, 1000), 0.0);
         assert_eq!(c.allreduce(1, 10), 0.0);
-        assert_eq!(c.bcast(1, 1000), 0.0);
     }
 
     #[test]
@@ -176,7 +163,6 @@ mod tests {
         assert!((c.allgather(4, 10) - (2.0 + 5.0)).abs() < 1e-12);
         assert!((c.alltoallv(4, 10) - (4.0 + 5.0)).abs() < 1e-12);
         assert!((c.allreduce(4, 2) - (4.0 + 2.0)).abs() < 1e-12);
-        assert!((c.bcast(4, 10) - (2.0 + 5.0)).abs() < 1e-12);
         assert!((c.compute(100, 4) - 2.5).abs() < 1e-12);
         assert!((c.rma_op() - 1.5).abs() < 1e-12);
     }

@@ -187,16 +187,6 @@ impl DistCtx {
         record_collective("allreduce", kernel, words);
     }
 
-    /// Charges a broadcast of `words` of graph data (work-scaled) from one
-    /// root over all `p` ranks. MCM-DIST itself never broadcasts; this is
-    /// the accounting hook behind [`crate::comm::Communicator::bcast`].
-    #[inline]
-    pub fn charge_bcast(&mut self, kernel: Kernel, words: u64) {
-        let dt = self.cost.bcast(self.p(), self.scaled(words));
-        self.timers.charge(kernel, dt);
-        record_collective("bcast", kernel, words);
-    }
-
     /// Applies the work scale to a graph-data word count.
     #[inline]
     fn scaled(&self, words: u64) -> u64 {
@@ -229,11 +219,6 @@ impl DistCtx {
         // Local packing/unpacking on the bottleneck rank (streaming sweeps).
         let local = max_count(&send) + max_count(&recv);
         self.charge_compute_stream(kernel, local);
-    }
-
-    /// Resets the timers, keeping machine and cost.
-    pub fn reset_timers(&mut self) {
-        self.timers.reset();
     }
 }
 

@@ -56,7 +56,8 @@ impl ProcGrid {
 pub struct MachineConfig {
     /// Square process grid.
     pub grid: ProcGrid,
-    /// Threads per process (the paper's OpenMP threads; our mcm-par stand-in).
+    /// Threads per process (the paper's OpenMP threads), modeled only: they
+    /// divide charged compute, and no product is split across them.
     pub threads_per_process: usize,
 }
 

@@ -12,10 +12,7 @@
 //! edge count; §VI-E's argument is that this communication alone exceeds
 //! running MCM-DIST in place.
 
-use crate::matching::Matching;
-use crate::serial::hopcroft_karp;
 use mcm_bsp::{DistCtx, Kernel};
-use mcm_sparse::Triples;
 
 /// Modeled costs of the centralized pipeline.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -43,16 +40,6 @@ pub fn centralized_cost(ctx: &mut DistCtx, m_edges: u64, n1: u64, n2: u64) -> Ce
     CentralizedCost { gather_s, scatter_s }
 }
 
-/// Runs the full centralized pipeline on an actual graph: charge the
-/// gather, solve serially on "rank 0", charge the scatter. Returns the
-/// matching and the modeled communication cost.
-pub fn centralized_matching(ctx: &mut DistCtx, t: &Triples) -> (Matching, CentralizedCost) {
-    let cost = centralized_cost(ctx, t.len() as u64, t.nrows() as u64, t.ncols() as u64);
-    let a = t.to_csc();
-    let m = hopcroft_karp(&a, None);
-    (m, cost)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,17 +59,5 @@ mod tests {
         let mut ctx = DistCtx::serial();
         let c = centralized_cost(&mut ctx, 1_000_000, 1000, 1000);
         assert_eq!(c.total(), 0.0);
-    }
-
-    #[test]
-    fn pipeline_produces_maximum_matching() {
-        use mcm_sparse::Vidx;
-        let t = Triples::from_edges(3, 3, vec![(0, 0), (0, 1), (1, 0), (2, 2)]);
-        let mut ctx = DistCtx::new(MachineConfig::hybrid(2, 1));
-        let (m, cost) = centralized_matching(&mut ctx, &t);
-        assert_eq!(m.cardinality(), 3);
-        assert!(cost.total() > 0.0);
-        assert!(ctx.timers.seconds(Kernel::Gather) > 0.0);
-        let _ = m.mate_r.get(0 as Vidx);
     }
 }

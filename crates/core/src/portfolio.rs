@@ -173,7 +173,7 @@ pub enum PortfolioBackend {
     Engine {
         /// Real ranks (perfect square).
         p: usize,
-        /// Worker threads per rank.
+        /// Modeled threads per rank.
         threads: usize,
     },
 }

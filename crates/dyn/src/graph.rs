@@ -159,12 +159,6 @@ impl<V: Copy + PartialEq> DynGraph<V> {
         self.cols.col_degree(c)
     }
 
-    /// Live degree of row `r`.
-    #[inline]
-    pub fn row_degree(&self, r: Vidx) -> usize {
-        self.rows.col_degree(r)
-    }
-
     /// The column adjacency (`A`, `n1 × n2`): the `(row, value)` entries
     /// of each column in row order, and all a reader of the edge set needs.
     #[inline]
@@ -294,7 +288,6 @@ mod tests {
         let mut want = t.clone();
         want.sort_dedup();
         assert_eq!(g.to_triples(), want);
-        assert_eq!(g.row_degree(1), 1);
         assert_eq!(g.col_degree(1), 2);
     }
 }

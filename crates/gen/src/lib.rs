@@ -18,7 +18,6 @@
 //! (self-contained SplitMix64 streams, no `rand` dependency in the library).
 
 pub mod banded;
-pub mod bipartite;
 pub mod er;
 pub mod hard;
 pub mod kkt;

@@ -58,11 +58,6 @@ impl Trace {
     pub fn to_chrome_json(&self) -> String {
         crate::chrome::to_chrome_json(self)
     }
-
-    /// Measured per-kernel wall-clock breakdown (see [`crate::breakdown`]).
-    pub fn wall_breakdown(&self) -> crate::breakdown::WallBreakdown {
-        crate::breakdown::WallBreakdown::from_trace(self)
-    }
 }
 
 fn epoch() -> Instant {

@@ -18,6 +18,7 @@
 //! percentiles; `serve_load` cross-checks counts and p50/p99 against the
 //! daemon's own `mcmd_request_seconds` histograms.
 
+use mcm_sparse::permute::SplitMix64;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -108,26 +109,6 @@ pub struct LoadReport {
     /// send time before it was written, i.e. how late the generator ran.
     pub schedule_slip_secs: f64,
     pub verbs: Vec<VerbReport>,
-}
-
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn new(seed: u64) -> Self {
-        SplitMix64(seed)
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
 }
 
 /// A (verb index, request line) drawn from the workload mix.

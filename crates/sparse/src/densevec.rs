@@ -93,14 +93,6 @@ impl DenseVec {
         self.data.iter().enumerate().filter_map(|(i, &v)| (v == NIL).then_some(i as Vidx)).collect()
     }
 
-    /// The paper's `SET(y, x)` for a dense target: `y[i] ← x[i]` for every
-    /// explicit entry of the sparse vector `x`.
-    pub fn set_from_sparse(&mut self, x: &SpVec<Vidx>) {
-        for (i, &v) in x.iter() {
-            self.data[i as usize] = v;
-        }
-    }
-
     /// Extracts the non-`NIL` entries as a sparse vector (used by
     /// Algorithm 3 line 2: "sparse vector from `path_c` by removing entries
     /// with -1").
@@ -141,17 +133,6 @@ mod tests {
     }
 
     #[test]
-    fn set_from_sparse_matches_paper_example() {
-        // Table I SET example: x = [3,0,2,2,0] sparse, y dense →
-        // z[i] ← x[i] for nonzero x. With 0 treated as "no entry" there:
-        // our encoding uses explicit sparse entries instead.
-        let mut y = DenseVec::from_vec(vec![9, 9, 9, 9, 9]);
-        let x = SpVec::from_pairs(5, vec![(0, 3), (2, 2), (3, 2)]);
-        y.set_from_sparse(&x);
-        assert_eq!(y.as_slice(), &[3, 9, 2, 2, 9]);
-    }
-
-    #[test]
     fn atomic_view_aliases_the_storage() {
         let mut v = DenseVec::nil(3);
         v.set(1, 7);
@@ -173,7 +154,9 @@ mod tests {
         let s = v.to_sparse();
         assert_eq!(s.entries(), &[(1, 4), (4, 0)]);
         let mut w = DenseVec::nil(5);
-        w.set_from_sparse(&s);
+        for (i, &x) in s.iter() {
+            w.set(i, x);
+        }
         assert_eq!(w, v);
     }
 }

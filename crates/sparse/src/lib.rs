@@ -16,7 +16,8 @@
 //!   convention expressed through the [`NIL`] sentinel,
 //! * semiring sparse-matrix × sparse-vector products ([`spmspv`]) used for
 //!   frontier expansion in multi-source BFS, whose addition is one
-//!   associative fold,
+//!   associative fold: one serial local product over any column layout
+//!   ([`workspace::Columns`]), plus the simulator's fused kernel,
 //! * [`CscOverlay`] — an insert/delete edge overlay over a CSC base with
 //!   epoch-based compaction, generic over a value per edge (`()` for a
 //!   pattern, `f64` for weights, which inserts re-weight): the storage
@@ -47,7 +48,7 @@ pub use csc::Csc;
 pub use dcsc::Dcsc;
 pub use densevec::DenseVec;
 pub use overlay::CscOverlay;
-pub use spmv::{spmspv, spmspv_csc};
+pub use spmv::spmspv;
 pub use spvec::SpVec;
 pub use triples::Triples;
 pub use view::CscView;
@@ -75,19 +76,12 @@ pub fn is_some(v: Vidx) -> bool {
     v != NIL
 }
 
-/// Returns `true` if `v` is the [`NIL`] sentinel.
-#[inline(always)]
-pub fn is_nil(v: Vidx) -> bool {
-    v == NIL
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn nil_is_not_a_vertex() {
-        assert!(is_nil(NIL));
         assert!(!is_some(NIL));
         assert!(is_some(0));
         assert!(is_some(Vidx::MAX - 1));

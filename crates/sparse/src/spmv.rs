@@ -13,20 +13,23 @@
 //! All kernels report the number of traversed edges (`flops`) so the cost
 //! model can charge `γ · flops / t` of modeled compute per rank.
 //!
-//! The functions here are convenience wrappers that allocate a fresh
-//! [`SpmvWorkspace`](crate::workspace::SpmvWorkspace) and output vector per
-//! call. Hot paths (the per-block, per-iteration products inside
-//! `mcm-bsp::distmat`) should hold a workspace and call its `*_into`
-//! methods instead, which reuse the sparse accumulator and output
-//! allocations across calls — see [`crate::workspace`] for the
-//! generation-stamped SPA design and the intra-block parallel variant.
+//! [`spmspv`] is a convenience wrapper that allocates a fresh
+//! [`SpmvWorkspace`] and output vector per call, over any [`Columns`]
+//! layout (DCSC, CSC or a relabeled view). Hot paths (the per-block,
+//! per-iteration products inside `mcm-bsp::distmat`) should hold a
+//! workspace and call its `*_into` methods instead, which reuse the sparse
+//! accumulator and output allocations across calls — see
+//! [`crate::workspace`] for the generation-stamped SPA design. Every block
+//! runs one serial local product: the paper's per-process threads `t` are
+//! a modeled quantity (the cost model divides compute by `t`), not a split
+//! of the block's columns.
 //!
 //! The semiring multiply `mul(j, xj)` depends only on the column, so all
 //! kernels evaluate it once per matched column and clone the value per
 //! traversed edge (hence the `U: Copy` bound).
 
-use crate::workspace::SpmvWorkspace;
-use crate::{Csc, Dcsc, SpVec, Vidx};
+use crate::workspace::{Columns, SpmvWorkspace};
+use crate::{SpVec, Vidx};
 
 /// Result of a local SpMSpV: the output sparse vector plus the number of
 /// traversed matrix nonzeros (the serial-complexity term
@@ -39,7 +42,7 @@ pub struct SpmvOut<U> {
     pub flops: u64,
 }
 
-/// Local SpMSpV over a DCSC matrix.
+/// Local SpMSpV over a DCSC block, a CSC matrix or a relabeled view.
 ///
 /// * `mul(j, xj)` is the semiring multiply for column `j` carrying frontier
 ///   value `xj` (for BFS: return `xj` with its parent rewritten to `j` —
@@ -51,9 +54,10 @@ pub struct SpmvOut<U> {
 ///
 /// Columns are processed in ascending index order and rows accumulate into a
 /// sparse accumulator, so every row folds its candidates in ascending column
-/// order and results are deterministic. Runs in `O(nnz(x) + nzc(A) + flops)`
-/// time thanks to a merge-join between the sorted frontier and the sorted
-/// nonzero-column list of the DCSC.
+/// order and results are deterministic. On a DCSC block it runs in
+/// `O(nnz(x) + nzc(A) + flops)` time thanks to a merge-join between the
+/// sorted frontier and the sorted nonzero-column list; CSC and views index
+/// their columns directly.
 ///
 /// # Example
 ///
@@ -69,8 +73,8 @@ pub struct SpmvOut<U> {
 /// assert_eq!(out.y.entries(), &[(0, 0), (1, 1)]);
 /// assert_eq!(out.flops, 3); // edges traversed
 /// ```
-pub fn spmspv<T, U: Copy>(
-    a: &Dcsc,
+pub fn spmspv<A: Columns, T, U: Copy>(
+    a: &A,
     x: &SpVec<T>,
     mul: impl FnMut(Vidx, &T) -> U,
     fold: impl FnMut(&mut U, U),
@@ -81,26 +85,10 @@ pub fn spmspv<T, U: Copy>(
     SpmvOut { y, flops }
 }
 
-/// Local SpMSpV over a CSC matrix (same contract as [`spmspv`]).
-///
-/// Used by the CSC arm of the storage ablation; direct column indexing
-/// replaces the merge-join.
-pub fn spmspv_csc<T, U: Copy>(
-    a: &Csc,
-    x: &SpVec<T>,
-    mul: impl FnMut(Vidx, &T) -> U,
-    fold: impl FnMut(&mut U, U),
-) -> SpmvOut<U> {
-    let mut ws = SpmvWorkspace::new();
-    let mut y = SpVec::new(a.nrows());
-    let flops = ws.spmspv_csc_into(a, x, mul, fold, &mut y);
-    SpmvOut { y, flops }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Triples;
+    use crate::{Dcsc, Triples};
 
     /// The paper's Fig. 2 matrix: rows r1..r4, cols c1..c5 (0-based here).
     /// Edges: r1-c1, r1-c3, r2-c1, r2-c2, r2-c4, r3-c3, r3-c5, r4-c4, r4-c5.
@@ -138,7 +126,7 @@ mod tests {
         let x = SpVec::from_pairs(5, vec![(1, 10u32), (3, 30)]);
         let min = |a: &mut (Vidx, u32), b: (Vidx, u32)| *a = b.min(*a);
         let od = spmspv(&d, &x, |j, &v| (j, v), min);
-        let oc = spmspv_csc(&c, &x, |j, &v| (j, v), min);
+        let oc = spmspv(&c, &x, |j, &v| (j, v), min);
         assert_eq!(od.y, oc.y);
         assert_eq!(od.flops, oc.flops);
     }

@@ -70,18 +70,6 @@ impl<T> SpVec<T> {
         &self.entries
     }
 
-    /// Mutable access to the entries; the caller must preserve sortedness.
-    #[inline]
-    pub fn entries_mut(&mut self) -> &mut [(Vidx, T)] {
-        &mut self.entries
-    }
-
-    /// Consumes the vector, returning its entries.
-    #[inline]
-    pub fn into_entries(self) -> Vec<(Vidx, T)> {
-        self.entries
-    }
-
     /// The value at index `i`, if explicitly stored. O(log nnz).
     pub fn get(&self, i: Vidx) -> Option<&T> {
         self.entries.binary_search_by_key(&i, |&(idx, _)| idx).ok().map(|k| &self.entries[k].1)
@@ -153,17 +141,6 @@ impl<T> SpVec<T> {
     }
 }
 
-impl<T: Clone> SpVec<T> {
-    /// Densifies into a `Vec<Option<T>>` (test/debug helper).
-    pub fn to_dense_options(&self) -> Vec<Option<T>> {
-        let mut out = vec![None; self.len];
-        for (i, v) in self.iter() {
-            out[i as usize] = Some(v.clone());
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,11 +182,5 @@ mod tests {
         x.clear();
         assert!(x.is_empty());
         assert_eq!(x.len(), 10);
-    }
-
-    #[test]
-    fn to_dense_options() {
-        let x = SpVec::from_pairs(3, vec![(1, 5u8)]);
-        assert_eq!(x.to_dense_options(), vec![None, Some(5), None]);
     }
 }

@@ -134,12 +134,6 @@ impl WCsc {
     pub fn max_abs_weight(&self) -> f64 {
         self.values.iter().fold(0.0, |m, &w| m.max(w.abs()))
     }
-
-    /// Applies `f` to every weight (e.g. `|w| w.abs().ln()` for MC64-style
-    /// product objectives).
-    pub fn map_weights(&self, f: impl Fn(f64) -> f64) -> WCsc {
-        WCsc { pattern: self.pattern.clone(), values: self.values.iter().map(|&w| f(w)).collect() }
-    }
 }
 
 #[cfg(test)]
@@ -162,14 +156,6 @@ mod tests {
         let a = WCsc::from_weighted_triples(2, 2, vec![(0, 0, 1.0), (0, 0, 9.0), (0, 0, 3.0)]);
         assert_eq!(a.nnz(), 1);
         assert_eq!(a.weight(0, 0), Some(9.0));
-    }
-
-    #[test]
-    fn map_weights_transforms() {
-        let a = WCsc::from_weighted_triples(1, 1, vec![(0, 0, -8.0)]);
-        let b = a.map_weights(|w| w.abs());
-        assert_eq!(b.weight(0, 0), Some(8.0));
-        assert_eq!(b.pattern(), a.pattern());
     }
 
     #[test]

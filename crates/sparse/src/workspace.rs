@@ -32,16 +32,6 @@
 //!   too. In steady state (buffers warm) a call performs **zero heap
 //!   allocation**; `tests/spmv_workspace.rs` pins this down by checking
 //!   pointer/capacity stability across iterations.
-//! * [`SpmvWorkspace::spmspv_parallel_into`] adds an intra-block thread
-//!   level (the paper's OpenMP axis): the matched frontier columns are
-//!   split into contiguous chunks by traversed-edge count, each chunk runs
-//!   against its own stamped SPA on its own thread, and the chunk results
-//!   merge in **ascending chunk (hence ascending column) order** through an
-//!   allocation-free k-way merge. Because the fold is associative (see
-//!   below), the merged result is bit-identical to the serial kernel's —
-//!   `MinParent`, `RandParent`/`RandRoot`, first- and last-arrival
-//!   selections and counting folds all included — and `flops` is exactly
-//!   the serial count.
 //! * [`SpmvWorkspace::spmspv_fused_into`] is the simulator's kernel: one
 //!   physical product over the whole (single-block) matrix whose SPA
 //!   doubles as the communication arena — logical ranks' "messages" are
@@ -59,13 +49,13 @@
 //!
 //! The semiring addition is one fold, `fold(&mut acc, inc)`, and it must be
 //! **associative**: every kernel folds a row's candidates in ascending
-//! global column order, and the chunked and distributed kernels only
-//! re-parenthesize that sequence (each chunk or block folds its own
-//! sub-range, then the partials fold in ascending chunk or block order), so
-//! associativity makes every execution equal to the serial one, value for
-//! value. Commutativity is not needed, because the arrival order never
-//! changes: a last-arrival `|acc, inc| *acc = inc` is as valid as a
-//! `minParent` selection or a counting `+`.
+//! global column order, and the distributed product only re-parenthesizes
+//! that sequence (each block folds its own sub-range, then the partials
+//! fold in ascending block order), so associativity makes every execution
+//! equal to the serial one, value for value. Commutativity is not needed,
+//! because the arrival order never changes: a last-arrival
+//! `|acc, inc| *acc = inc` is as valid as a `minParent` selection or a
+//! counting `+`.
 //!
 //! The column-level semiring multiply `mul(j, xj)` is invoked **once per
 //! matched column** and its value copied per traversed edge (the multiply
@@ -432,26 +422,9 @@ fn gallop(cols: &[Vidx], from: usize, j: Vidx) -> usize {
     lo + cols[lo..hi.min(cols.len())].partition_point(|&c| c < j)
 }
 
-/// Calls `f(p, q)`, in ascending order, for each frontier entry `xs[p]`
-/// whose column is the `q`-th of the sorted nonzero columns `cols`,
-/// galloping from one match to the next.
-#[inline]
-fn join<T>(cols: &[Vidx], xs: &[(Vidx, T)], mut f: impl FnMut(usize, usize)) {
-    let mut q = 0;
-    for (p, &(j, _)) in xs.iter().enumerate() {
-        q = gallop(cols, q, j);
-        if q == cols.len() {
-            return;
-        }
-        if cols[q] == j {
-            f(p, q);
-            q += 1;
-        }
-    }
-}
-
-/// Column access of the single-block kernels: an assembled [`Dcsc`], or a
-/// CSC view read through the relabeling's index maps ([`RelabeledView`]).
+/// Column access of the single-block kernels: an assembled [`Dcsc`] or
+/// [`Csc`], or a CSC view read through the relabeling's index maps
+/// ([`RelabeledView`]).
 /// A column's rows come in *stored* labels; [`Columns::row_map`] maps them
 /// to the matrix's row labels.
 pub trait Columns {
@@ -517,6 +490,35 @@ impl Columns for Dcsc {
     }
 }
 
+impl Columns for Csc {
+    fn nrows(&self) -> usize {
+        Csc::nrows(self)
+    }
+
+    fn ncols(&self) -> usize {
+        Csc::ncols(self)
+    }
+
+    /// Direct column indexing: no search.
+    #[inline]
+    fn seek(&self, _: &mut usize, j: Vidx) -> &[Vidx] {
+        self.col(j as usize)
+    }
+
+    fn nstored(&self) -> usize {
+        self.ncols()
+    }
+
+    #[inline]
+    fn stored(&self, k: usize) -> (Vidx, &[Vidx]) {
+        (k as Vidx, self.col(k))
+    }
+
+    fn row_map(&self) -> Option<&[Vidx]> {
+        None
+    }
+}
+
 impl Columns for RelabeledView<'_> {
     fn nrows(&self) -> usize {
         RelabeledView::nrows(self)
@@ -559,21 +561,12 @@ impl Columns for RelabeledView<'_> {
 /// ([`Columns::prefetch`]); its column pointer is hinted twice as far.
 const PREFETCH_NEAR: usize = 8;
 
-/// Reusable state for the `*_into` SpMSpV kernels: one stamped SPA for the
-/// serial path, per-chunk SPAs for the intra-block parallel path, and the
-/// merge-join scratch shared by both.
+/// Reusable state for the two SpMSpV kernels, [`SpmvWorkspace::spmspv_into`]
+/// and [`SpmvWorkspace::spmspv_fused_into`]: one stamped SPA, the fused
+/// kernel's counters and the reuse statistics.
 #[derive(Clone, Debug)]
 pub struct SpmvWorkspace<U: Copy> {
     spa: SpaBuf<U>,
-    /// One SPA per chunk of the parallel path (grown on demand).
-    chunk_spas: Vec<SpaBuf<U>>,
-    /// Matched `(frontier position, nonzero-column position)` pairs from the
-    /// merge-join, reused across calls.
-    pairs: Vec<(u32, u32)>,
-    /// Per-chunk cursors for the k-way merge.
-    heads: Vec<usize>,
-    /// Per-chunk pair-range boundaries (`chunk c` owns `bounds[c]..bounds[c+1]`).
-    bounds: Vec<usize>,
     /// Fused-kernel scratch: flops and fold pairs per (logical block
     /// column, fold segment).
     counts: SegCounts,
@@ -590,34 +583,23 @@ impl<U: Copy> Default for SpmvWorkspace<U> {
 impl<U: Copy> SpmvWorkspace<U> {
     /// An empty workspace; buffers grow on first use and are then reused.
     pub fn new() -> Self {
-        Self {
-            spa: SpaBuf::new(),
-            chunk_spas: Vec::new(),
-            pairs: Vec::new(),
-            heads: Vec::new(),
-            bounds: Vec::new(),
-            counts: SegCounts::default(),
-            stats: WorkspaceStats::default(),
-        }
+        Self { spa: SpaBuf::new(), counts: SegCounts::default(), stats: WorkspaceStats::default() }
     }
 
-    /// Records one call's reuse accounting: `needed` rows against what the
-    /// buffers already held.
-    fn note_call(&mut self, nrows: usize, chunks_used: usize) {
+    /// Records one call's reuse accounting: `nrows` rows against what the
+    /// SPA already held.
+    fn note_call(&mut self, nrows: usize) {
         self.stats.calls += 1;
-        let warm = self.spa.stamp.len() >= nrows
-            && self.chunk_spas.len() >= chunks_used
-            && self.chunk_spas[..chunks_used].iter().all(|s| s.stamp.len() >= nrows);
-        if warm {
+        if self.spa.stamp.len() >= nrows {
             self.stats.reuse_hits += 1;
-            self.stats.bytes_reused += self.spa.heap_bytes()
-                + self.chunk_spas[..chunks_used].iter().map(|s| s.heap_bytes()).sum::<u64>();
+            self.stats.bytes_reused += self.spa.heap_bytes();
         }
     }
 
-    /// Single-block SpMSpV into a caller-owned output vector, over a DCSC
-    /// block or a relabeled view ([`Columns`]); returns the traversed edge
-    /// count (`flops`), identical to [`crate::spmv::spmspv`].
+    /// Single-block SpMSpV into a caller-owned output vector, over any
+    /// [`Columns`] (a DCSC block, a CSC matrix or a relabeled view);
+    /// returns the traversed edge count (`flops`), identical to
+    /// [`crate::spmv::spmspv`].
     ///
     /// `y` is [`SpVec::reset`] to `a.nrows()` and filled in ascending row
     /// order; its allocation is reused.
@@ -646,7 +628,7 @@ impl<U: Copy> SpmvWorkspace<U> {
         mut fold: impl FnMut(&mut U, U),
         y: &mut SpVec<U>,
     ) -> u64 {
-        self.note_call(a.nrows(), 0);
+        self.note_call(a.nrows());
         self.spa.begin(a.nrows());
         let mut flops = 0u64;
         let mut cursor = 0;
@@ -661,38 +643,6 @@ impl<U: Copy> SpmvWorkspace<U> {
             flops += rows.len() as u64;
             for &i in rows {
                 self.spa.accum(row(i), colv, &mut fold);
-            }
-        }
-
-        y.reset(a.nrows());
-        self.spa.drain_into(y);
-        flops
-    }
-
-    /// CSC SpMSpV into a caller-owned output vector (same contract as
-    /// [`SpmvWorkspace::spmspv_into`]; direct column indexing replaces the
-    /// merge-join).
-    pub fn spmspv_csc_into<T>(
-        &mut self,
-        a: &Csc,
-        x: &SpVec<T>,
-        mut mul: impl FnMut(Vidx, &T) -> U,
-        mut fold: impl FnMut(&mut U, U),
-        y: &mut SpVec<U>,
-    ) -> u64 {
-        self.note_call(a.nrows(), 0);
-        self.spa.begin(a.nrows());
-        let mut flops = 0u64;
-
-        for (j, xj) in x.iter() {
-            let rows = a.col(j as usize);
-            if rows.is_empty() {
-                continue;
-            }
-            let colv = mul(j, xj);
-            flops += rows.len() as u64;
-            for &i in rows {
-                self.spa.accum(i, colv, &mut fold);
             }
         }
 
@@ -760,7 +710,7 @@ impl<U: Copy> SpmvWorkspace<U> {
             (None, Some(_)) => panic!("a composed fold grid needs a relabeled matrix"),
         };
         let nseg = pr * pc;
-        self.note_call(nrows, 0);
+        self.note_call(nrows);
         self.counts.reset(pr, pc);
         let base = self.spa.begin_span(nrows, pc as u32);
         // Split borrows into slices: the hot loop holds every array in a
@@ -769,8 +719,8 @@ impl<U: Copy> SpmvWorkspace<U> {
         let (stamp, vals) = (&mut stamp[..nrows], &mut vals[..nrows]);
         let seg_of = &grid.seg[..];
 
-        // An explicit loop, not `join`: the hot arrays stay locals, which
-        // measured faster than capturing them in a closure. Rows stay in
+        // An explicit loop: the hot arrays stay locals, which measured
+        // faster than capturing them in a closure. Rows stay in
         // stored labels throughout: the accumulator and `seg_of` are
         // indexed by them.
         let mut cursor = 0usize;
@@ -816,127 +766,6 @@ impl<U: Copy> SpmvWorkspace<U> {
             Some((rowp, stored)) => self.spa.drain_mapped_into(y, rowp, stored),
         }
         self.counts.volumes()
-    }
-
-    /// Intra-block thread-parallel DCSC SpMSpV: the matched frontier columns
-    /// are split into up to `threads` contiguous chunks (balanced by
-    /// traversed-edge count), each chunk accumulates into its own stamped
-    /// SPA on its own thread, and the per-chunk results merge in ascending
-    /// chunk order through an allocation-free k-way merge.
-    ///
-    /// Output and `flops` are **bit-identical** to
-    /// [`SpmvWorkspace::spmspv_into`] (see the module docs for the fold
-    /// contract). `threads <= 1` — or a frontier too small to be worth
-    /// splitting — falls through to the serial path.
-    pub fn spmspv_parallel_into<T>(
-        &mut self,
-        a: &Dcsc,
-        x: &SpVec<T>,
-        threads: usize,
-        mul: impl Fn(Vidx, &T) -> U + Sync,
-        fold: impl Fn(&mut U, U) + Sync,
-        y: &mut SpVec<U>,
-    ) -> u64
-    where
-        T: Sync,
-        U: Send,
-    {
-        // Merge-join once, into the reusable pair list.
-        self.pairs.clear();
-        let xs = x.entries();
-        let mut total_edges = 0u64;
-        join(a.nonzero_cols(), xs, |p, q| {
-            let (rows, _) = a.nth_col(q);
-            if !rows.is_empty() {
-                self.pairs.push((p as u32, q as u32));
-                total_edges += rows.len() as u64;
-            }
-        });
-
-        /// Below this many traversed edges, thread spawn costs more than it
-        /// saves; run serial.
-        const MIN_PARALLEL_EDGES: u64 = 4096;
-        let chunks = threads
-            .min(self.pairs.len())
-            .min((total_edges / MIN_PARALLEL_EDGES.max(1)).max(1) as usize);
-        if chunks <= 1 {
-            return self.spmspv_into(a, x, &mul, &fold, y);
-        }
-
-        // Chunk boundaries balanced by edge count (deterministic in the
-        // input, independent of the worker count actually scheduled).
-        self.bounds.clear();
-        self.bounds.push(0);
-        let per_chunk = total_edges.div_ceil(chunks as u64);
-        let mut acc_edges = 0u64;
-        for (k, &(_, q)) in self.pairs.iter().enumerate() {
-            let deg = {
-                let (rows, _) = a.nth_col(q as usize);
-                rows.len() as u64
-            };
-            acc_edges += deg;
-            if acc_edges >= per_chunk && self.bounds.len() < chunks && k + 1 < self.pairs.len() {
-                self.bounds.push(k + 1);
-                acc_edges = 0;
-            }
-        }
-        self.bounds.push(self.pairs.len());
-        let used = self.bounds.len() - 1;
-
-        if self.chunk_spas.len() < used {
-            self.chunk_spas.resize_with(used, SpaBuf::new);
-        }
-        self.note_call(a.nrows(), used);
-
-        // Parallel phase: one stamped SPA per chunk, ascending columns
-        // within each chunk.
-        let pairs = &self.pairs;
-        let bounds = &self.bounds;
-        let per_chunk_flops =
-            mcm_par::par_for_each_mut(&mut self.chunk_spas[..used], used, |c, spa| {
-                spa.begin(a.nrows());
-                let mut flops = 0u64;
-                for &(p, q) in &pairs[bounds[c]..bounds[c + 1]] {
-                    let (j, xj) = (&xs[p as usize].0, &xs[p as usize].1);
-                    let (rows, _) = a.nth_col(q as usize);
-                    let colv = mul(*j, xj);
-                    flops += rows.len() as u64;
-                    for &i in rows {
-                        spa.accum(i, colv, &mut &fold);
-                    }
-                }
-                spa.touched.sort_unstable();
-                flops
-            });
-        let flops: u64 = per_chunk_flops.into_iter().sum();
-
-        // Deterministic fold: k-way merge of the per-chunk sorted rows,
-        // ties resolved toward the lower chunk (= earlier columns), values
-        // folded left-to-right — exactly the serial arrival order,
-        // re-parenthesized per chunk.
-        y.reset(a.nrows());
-        self.heads.clear();
-        self.heads.resize(used, 0);
-        loop {
-            let mut best: Option<(Vidx, usize)> = None;
-            for c in 0..used {
-                let spa = &self.chunk_spas[c];
-                if self.heads[c] < spa.touched.len() {
-                    let r = spa.touched[self.heads[c]];
-                    if best.is_none_or(|(br, _)| r < br) {
-                        best = Some((r, c));
-                    }
-                }
-            }
-            let Some((r, c)) = best else { break };
-            self.heads[c] += 1;
-            let v = self.chunk_spas[c].take(r);
-            match y.entries_mut().last_mut() {
-                Some((last, acc)) if *last == r => fold(acc, v),
-                _ => y.push(r, v),
-            }
-        }
-        flops
     }
 }
 
@@ -989,18 +818,6 @@ mod tests {
         let tiny = SpVec::from_pairs(5, vec![(1, 1u32)]);
         ws.spmspv_into(&a, &tiny, |j, _| j, min, &mut y);
         assert_eq!(y.entries(), &[(1, 1)]);
-    }
-
-    #[test]
-    fn parallel_matches_serial_on_fig2() {
-        let a = fig2_matrix();
-        let x = SpVec::from_pairs(5, vec![(0, (0u32, 0u32)), (1, (1, 1)), (4, (4, 4))]);
-        let seed = spmspv(&a, &x, |j, &(_, r)| (j, r), min_parent);
-        let mut ws = SpmvWorkspace::new();
-        let mut y = SpVec::new(0);
-        let flops = ws.spmspv_parallel_into(&a, &x, 4, |j, &(_, r)| (j, r), min_parent, &mut y);
-        assert_eq!(y, seed.y);
-        assert_eq!(flops, seed.flops);
     }
 
     #[test]

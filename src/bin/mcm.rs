@@ -18,7 +18,10 @@
 //!                                      simulator on a √p×√p grid (--ranks p)
 //!   --grid <d>                         simulated d×d process grid (sim)
 //!   --ranks <p>                        engine/shared rank count, a perfect square
-//!   --threads <t>                      threads per process/rank (dist)
+//!   --threads <t>                      dist: modeled threads per process/rank
+//!                                      on both backends (divides charged
+//!                                      compute; the matching is the same);
+//!                                      ppf/auto: real worker threads
 //!   --breakdown                        print the measured wall-clock
 //!                                      per-kernel breakdown next to the
 //!                                      modeled α–β–γ one (dist)
@@ -122,6 +125,8 @@ usage:
               [--backend sim|engine|shared]  shared = sim on a sqrt(p) x sqrt(p)
                                            grid, p from --ranks
               [--grid d] [--ranks p] [--threads t] [--breakdown] [--trace-out file] [--out file]
+                                           --threads: modeled per rank for dist,
+                                           worker threads for ppf/auto
   mcm match   <file.mtx> --weighted [--threads t] [--out file]
                                            maximum weight matching (values used,
                                            parallel eps-scaled auction, eps-CS certified)

@@ -15,9 +15,11 @@
 //! maximum against serial Hopcroft–Karp.
 //!
 //! `MCM_TEST_SEED=<seed>` (decimal or `0x` hex) replays a sweep exactly;
-//! `MCM_ENGINE_TEST_THREADS=<t>` sets the engine's per-rank thread count
-//! (CI runs t ∈ {1, 2}); `MCM_TEST_ALGOS=<a,b>` restricts the
-//! cross-algorithm matrix to a comma-separated subset (the CI algo
+//! `MCM_ENGINE_TEST_THREADS=<t>` pins the per-rank thread count of both
+//! backends (CI runs t ∈ {1, 2}; unset, the suite sweep runs both, and the
+//! warm starts run t = 1). Threads are modeled only: they divide charged
+//! compute and never change the matching. `MCM_TEST_ALGOS=<a,b>` restricts
+//! the cross-algorithm matrix to a comma-separated subset (the CI algo
 //! dimension).
 
 use mcm_bsp::{Communicator, DistCtx, EngineComm, MachineConfig};
@@ -39,15 +41,15 @@ fn seed(default: u64) -> u64 {
     parsed.unwrap_or_else(|_| panic!("MCM_TEST_SEED={raw} is not a u64"))
 }
 
-/// Engine worker threads per rank, overridable via `MCM_ENGINE_TEST_THREADS`.
-fn engine_threads() -> usize {
-    std::env::var("MCM_ENGINE_TEST_THREADS").ok().and_then(|v| v.parse().ok()).unwrap_or(1)
+/// The pinned per-rank thread count, from `MCM_ENGINE_TEST_THREADS`.
+fn pinned_threads() -> Option<usize> {
+    std::env::var("MCM_ENGINE_TEST_THREADS").ok().and_then(|v| v.parse().ok())
 }
 
 #[test]
 fn both_backends_produce_identical_matchings_and_charges_across_the_suite() {
     let cases = simtest_suite(seed(0xD1FF_BACC));
-    let threads = engine_threads();
+    let thread_counts = pinned_threads().map_or(vec![1, 2], |t| vec![t]);
     let inits = [
         Initializer::None,
         Initializer::Greedy,
@@ -67,7 +69,9 @@ fn both_backends_produce_identical_matchings_and_charges_across_the_suite() {
         let a = t.to_csc();
         let v = a.view();
         let want = hopcroft_karp(&a, None).cardinality();
-        for dim in [1usize, 2, 3] {
+        for (dim, &threads) in
+            [1usize, 2, 3].into_iter().flat_map(|d| thread_counts.iter().map(move |t| (d, t)))
+        {
             let p = dim * dim;
             for opts in &configs {
                 let mut ctx = DistCtx::new(MachineConfig::hybrid(dim, threads));
@@ -93,8 +97,8 @@ fn both_backends_produce_identical_matchings_and_charges_across_the_suite() {
             }
         }
     }
-    // 9 cases × 3 grids × 4 initializers × 2 kernels.
-    assert_eq!(runs, cases.len() * 3 * configs.len());
+    // 9 cases × 3 grids × thread counts × 4 initializers × 2 kernels.
+    assert_eq!(runs, cases.len() * 3 * thread_counts.len() * configs.len());
 }
 
 /// Algorithms the cross-algorithm matrix sweeps, overridable via
@@ -210,7 +214,7 @@ fn engine_backend_warm_start_matches_simulator() {
     // warm starts must agree too, in the caller's labels and relabeled. An
     // empty warm start puts every column in the first frontier.
     let cases = simtest_suite(seed(0xD1FF_BACC));
-    let threads = engine_threads();
+    let threads = pinned_threads().unwrap_or(1);
     let (name, t) = &cases[0];
     let a = t.to_csc();
     let want = hopcroft_karp(&a, None).cardinality();

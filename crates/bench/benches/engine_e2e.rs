@@ -1,5 +1,5 @@
 //! End-to-end wall-clock of the execution backends: full MCM-DIST on the
-//! real thread-per-rank `EngineComm` mesh across a core sweep (1/2/4/8),
+//! real thread-per-rank `EngineComm` mesh at 1 and 4 ranks,
 //! against the cost-model simulator (single-block fused execution) and
 //! serial Hopcroft–Karp on the same graph. The modeled-time story lives in
 //! the figure binaries; this bench answers the sharded-serving question —
@@ -14,11 +14,10 @@ use mcm_gen::rmat::{rmat, RmatParams};
 use mcm_sparse::Csc;
 use std::hint::black_box;
 
-/// Total-core sweep → (ranks, threads-per-rank): square rank counts only,
-/// threads soak up the non-square factors. Threads are modeled only (each
-/// rank runs one serial local product), so `engine/2` and `engine/8` run
-/// the work of `engine/1` and `engine/4` and differ only in the charges.
-const CORES: [(usize, usize, usize); 4] = [(1, 1, 1), (2, 1, 2), (4, 4, 1), (8, 4, 2)];
+/// Rank sweep: square rank counts, one thread each. Threads are modeled
+/// only (each rank runs one serial local product), so a thread axis would
+/// rerun the same work under different charges.
+const RANKS: [usize; 2] = [1, 4];
 
 /// Cardinality of one cold solve of `a` on `comm`.
 fn solve(comm: &mut impl Communicator, a: &Csc, opts: &McmOptions) -> usize {
@@ -43,9 +42,9 @@ fn bench_engine_e2e(c: &mut Criterion) {
         })
     });
 
-    for &(cores, p, threads) in &CORES {
-        group.bench_function(BenchmarkId::new("engine", cores), |b| {
-            b.iter(|| black_box(solve(&mut EngineComm::new(p, threads), &csc, &opts)))
+    for p in RANKS {
+        group.bench_function(BenchmarkId::new("engine", p), |b| {
+            b.iter(|| black_box(solve(&mut EngineComm::new(p, 1), &csc, &opts)))
         });
     }
     group.finish();

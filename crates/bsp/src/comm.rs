@@ -195,11 +195,6 @@ pub trait Communicator {
         self.ctx().p()
     }
 
-    /// Threads per process `t`.
-    fn threads(&self) -> usize {
-        self.ctx().threads()
-    }
-
     /// The **physical** grid this backend executes matrix blocks on: the
     /// accounting grid itself on the engine, a single `1 × 1` block on the
     /// simulator (which still charges the logical grid). Matrix assembly

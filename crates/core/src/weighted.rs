@@ -1,4 +1,4 @@
-//! Maximum weight bipartite matching by auction (ε-scaling).
+//! Maximum weight bipartite matching by auction.
 //!
 //! The paper's motivating application chain (§I, citation \[2\] = Duff &
 //! Koster) continues past structural matching: direct solvers also want
@@ -20,11 +20,15 @@
 //! * [`auction_mwm_par`] — the production engine (DESIGN.md §17), the
 //!   library's one parallel auction: Jacobi-synchronous bid rounds
 //!   against round-frozen prices, bids computed in parallel, deterministic
-//!   serial resolution (thread-count-invariant matchings by construction),
-//!   and ε-scaling with edge-ε-CS repair at scale transitions. With unit
-//!   weights it computes a maximum cardinality matching; the portfolio
-//!   sends cardinality problems to MS-BFS or Pothen–Fan instead
-//!   (EXPERIMENTS.md, "One auction").
+//!   serial resolution (thread-count-invariant matchings by construction).
+//!   It first bids at the final ε alone under a bid budget of
+//!   `FINE_BIDS_PER_BIDDER` bids per non-empty column, which settles
+//!   random-like graphs in a few bids per column. Only when a price war
+//!   spends that budget does it run ε-scaling from zero prices, with
+//!   edge-ε-CS repair at scale transitions. With unit weights it computes
+//!   a maximum cardinality matching; the portfolio sends cardinality
+//!   problems to MS-BFS or Pothen–Fan instead (EXPERIMENTS.md, "One
+//!   auction").
 //!
 //! Keep-the-matching scaling needs one weighted-only ingredient to stay
 //! correct for *non-perfect* MWM without Bertsekas' λ-mechanism: besides
@@ -59,10 +63,12 @@ pub struct AuctionOptions {
     /// Worker threads for the per-bidder bid computation (`mcm-par`).
     /// Results are identical for every thread count by construction.
     pub threads: usize,
-    /// First scale's ε, relative to the value range. Clamped up to the
-    /// final ε when smaller.
+    /// First scale's ε, relative to the value range, of the ε-scaled
+    /// schedule that runs when the fine-ε attempt spends its bid budget.
+    /// Clamped up to the final ε when smaller; at or below it the auction
+    /// runs that one scale with no budget and no fallback.
     pub eps_start: f64,
-    /// Divisor applied to ε between scales (> 1).
+    /// Divisor applied to ε between the fallback schedule's scales (> 1).
     pub eps_scale: f64,
     /// Final ε; `None` uses `1 / (2·(nrows+1))`, strictly inside the
     /// exactness bound `1/(nrows+1)` for integer weights.
@@ -91,11 +97,13 @@ impl Default for AuctionOptions {
 /// Counters describing one auction run.
 #[derive(Clone, Debug, Default)]
 pub struct AuctionStats {
-    /// ε-scales executed.
+    /// ε-scales of the returned result: 1 when the fine-ε attempt
+    /// finished, the fallback schedule's count otherwise.
     pub scales: usize,
-    /// Jacobi rounds across all scales.
+    /// Jacobi rounds across all scales, a spent fine-ε attempt included.
     pub rounds: usize,
-    /// Bids computed (one per active bidder per round).
+    /// Bids computed (one per active bidder per round), a spent fine-ε
+    /// attempt included.
     pub bids: usize,
     /// Owners evicted by a higher bid.
     pub evictions: usize,
@@ -132,7 +140,8 @@ pub fn matching_weight(a: &WCsc, m: &Matching) -> f64 {
         .sum()
 }
 
-/// Maximum weight bipartite matching by forward auction with ε-scaling.
+/// Maximum weight bipartite matching by single-scale forward auction (the
+/// serial oracle).
 ///
 /// `eps_final` controls optimality: the result is within `n·eps_final` of
 /// the maximum total weight. For integer weights pass
@@ -204,32 +213,35 @@ pub fn auction_mwm(a: &WCsc, eps_final: f64) -> WeightedResult {
 
 const TOL: f64 = 1e-12;
 
-/// Maximum weight bipartite matching by parallel ε-scaled forward auction.
+/// Bids per bidder the fine-ε first attempt may spend before
+/// [`auction_mwm_par`] discards it and runs the ε-scaled schedule
+/// (DESIGN.md §17 states the rule this constant was fitted to).
+const FINE_BIDS_PER_BIDDER: usize = 64;
+
+/// Maximum weight bipartite matching by parallel forward auction.
 ///
 /// Columns bid for their best net-value row (`w − price`) in
 /// Jacobi-synchronous rounds — bids computed in parallel via `mcm-par`
 /// against the round-frozen price vector, then resolved serially in a
 /// deterministic order — so the matching is identical for every thread
-/// count. `opts.eps_start` is interpreted relative to the value range
-/// (`· max(1, max|w|)`); `opts.eps_final = None` uses `1/(2·(nrows+1))`,
-/// strictly inside the integer-weight exactness bound `1/(nrows+1)`.
+/// count. `opts.eps_final = None` uses `1/(2·(nrows+1))`, strictly inside
+/// the integer-weight exactness bound `1/(nrows+1)`.
+///
+/// The auction first bids at the final ε alone, under a budget of
+/// `FINE_BIDS_PER_BIDDER` bids per non-empty column, checked between
+/// rounds. On random-like graphs that single scale settles in a few bids
+/// per column. When a price war spends the budget, the attempt is
+/// discarded and the coarse-to-fine schedule runs from zero prices:
+/// `opts.eps_start` (relative to the value range, `· max(1, max|w|)`)
+/// divided by `opts.eps_scale` per scale down to the final ε. Its matching
+/// and prices are then those of the schedule run alone; `bids` and
+/// `rounds` also count the spent attempt. Options that already ask for
+/// one scale (`eps_start · range ≤ eps_final`) run it with no budget.
 pub fn auction_mwm_par(a: &WCsc, opts: &AuctionOptions) -> WeightedResult {
-    let (n1, n2) = (a.nrows(), a.ncols());
-    let mut m = Matching::empty(n1, n2);
-    let mut stats = AuctionStats::default();
-    let mut prices = vec![0.0f64; n1];
-    // Columns dropped by the injected fault never re-enter the auction —
-    // that is the bug being modelled.
-    let mut lost = vec![false; n2];
-
-    let eps_final = opts.eps_final.unwrap_or_else(|| 1.0 / (2.0 * (n1 as f64 + 1.0)));
+    let eps_final = opts.eps_final.unwrap_or_else(|| 1.0 / (2.0 * (a.nrows() as f64 + 1.0)));
     assert!(eps_final > 0.0, "eps_final must be positive");
     assert!(opts.eps_scale > 1.0, "eps_scale must exceed 1");
-    let value_range = a.max_abs_weight().max(1.0);
-    let mut eps = (opts.eps_start * value_range).max(eps_final);
-
-    let bidder = |c: Vidx| a.pattern().col_nnz(c as usize) > 0;
-    let mut active: Vec<Vidx> = (0..n2 as Vidx).filter(|&c| bidder(c)).collect();
+    let eps_start = (opts.eps_start * a.max_abs_weight().max(1.0)).max(eps_final);
 
     // One persistent pool for the whole auction: the bid loop fans out once
     // per Jacobi round (thousands of times on big graphs), so per-phase
@@ -238,10 +250,55 @@ pub fn auction_mwm_par(a: &WCsc, opts: &AuctionOptions) -> WeightedResult {
     // two condvar round-trips instead.
     let pool = mcm_par::WorkerPool::new(opts.threads.max(1));
 
+    let fine = (eps_start > eps_final * (1.0 + TOL)).then(|| {
+        let bidders = (0..a.ncols()).filter(|&c| a.pattern().col_nnz(c) > 0).count();
+        run_schedule(a, opts, eps_final, eps_final, Some(FINE_BIDS_PER_BIDDER * bidders), &pool)
+    });
+    let r = match fine {
+        Some(Ok(r)) => r,
+        spent => {
+            let mut r = run_schedule(a, opts, eps_start, eps_final, None, &pool)
+                .unwrap_or_else(|_| unreachable!("an unbudgeted schedule always finishes"));
+            if let Some(Err(s)) = spent {
+                r.stats.bids += s.bids;
+                r.stats.rounds += s.rounds;
+                r.bids = r.stats.bids as u64;
+            }
+            r
+        }
+    };
+    mcm_obs::counter_add("mcm_wauction_rounds_total", &[], r.stats.rounds as u64);
+    r
+}
+
+/// The auction from zero prices over ε-scales `eps_start`, `eps_start /
+/// eps_scale`, … down to `eps_final`, with edge-ε-CS repair at each scale
+/// transition. With a `budget`, gives up between rounds once that many
+/// bids are spent and returns the spent attempt's counters.
+fn run_schedule(
+    a: &WCsc,
+    opts: &AuctionOptions,
+    eps_start: f64,
+    eps_final: f64,
+    budget: Option<usize>,
+    pool: &mcm_par::WorkerPool,
+) -> Result<WeightedResult, AuctionStats> {
+    let (n1, n2) = (a.nrows(), a.ncols());
+    let mut m = Matching::empty(n1, n2);
+    let mut stats = AuctionStats::default();
+    let mut prices = vec![0.0f64; n1];
+    // Columns dropped by the injected fault never re-enter the auction —
+    // that is the bug being modelled.
+    let mut lost = vec![false; n2];
+    let mut eps = eps_start;
+
+    let bidder = |c: Vidx| a.pattern().col_nnz(c as usize) > 0;
+    let mut active: Vec<Vidx> = (0..n2 as Vidx).filter(|&c| bidder(c)).collect();
+
     loop {
         stats.scales += 1;
         let _span = mcm_obs::span("wauction_scale");
-        run_weighted_scale(
+        let finished = run_weighted_scale(
             a,
             &mut m,
             &mut prices,
@@ -250,9 +307,13 @@ pub fn auction_mwm_par(a: &WCsc, opts: &AuctionOptions) -> WeightedResult {
             eps,
             eps_final,
             opts,
-            &pool,
+            budget,
+            pool,
             &mut stats,
         );
+        if !finished {
+            return Err(stats);
+        }
         if eps <= eps_final * (1.0 + TOL) {
             break;
         }
@@ -296,15 +357,16 @@ pub fn auction_mwm_par(a: &WCsc, opts: &AuctionOptions) -> WeightedResult {
             .filter(|&c| bidder(c) && !m.col_matched(c) && !lost[c as usize])
             .collect();
     }
-    mcm_obs::counter_add("mcm_wauction_rounds_total", &[], stats.rounds as u64);
     debug_assert!(m.validate(a.pattern()).is_ok());
     let weight = matching_weight(a, &m);
     let bids = stats.bids as u64;
-    WeightedResult { matching: m, weight, bids, prices, eps, stats }
+    Ok(WeightedResult { matching: m, weight, bids, prices, eps, stats })
 }
 
 /// Runs Jacobi rounds at a fixed ε until no active bidder remains; a
-/// bidder's net value for row `r` is `w(r, c) − price[r]`.
+/// bidder's net value for row `r` is `w(r, c) − price[r]`. Returns `false`
+/// when `stats.bids` reached `budget` first. The check runs between
+/// rounds, so where it stops does not depend on the thread count.
 #[allow(clippy::too_many_arguments)]
 fn run_weighted_scale(
     a: &WCsc,
@@ -315,15 +377,19 @@ fn run_weighted_scale(
     eps: f64,
     eps_final: f64,
     opts: &AuctionOptions,
+    budget: Option<usize>,
     pool: &mcm_par::WorkerPool,
     stats: &mut AuctionStats,
-) {
+) -> bool {
     let mut winner_bid = vec![f64::NEG_INFINITY; prices.len()];
     let mut winner_col = vec![NIL; prices.len()];
     let mut touched: Vec<Vidx> = Vec::new();
     let mut round_in_scale = 0u64;
 
     while !active.is_empty() {
+        if budget.is_some_and(|b| stats.bids >= b) {
+            return false;
+        }
         stats.rounds += 1;
         round_in_scale += 1;
         let _span = mcm_obs::span("wauction_round");
@@ -422,6 +488,7 @@ fn run_weighted_scale(
         touched.clear();
         *active = next_active;
     }
+    true
 }
 
 #[cfg(test)]
@@ -654,6 +721,58 @@ mod tests {
             scaled.stats.rounds,
             fixed.stats.rounds
         );
+    }
+
+    #[test]
+    fn a_random_graph_settles_at_the_final_eps_alone() {
+        // The common case: on a weighted RMAT the fine-ε attempt ends well
+        // inside its budget, so no coarse scale runs at all.
+        use crate::verify::verify_eps_cs;
+        use mcm_gen::rmat::{rmat, RmatParams};
+        let t = rmat(RmatParams::g500(10), 7);
+        let weights = mcm_gen::assign_weights(t.entries(), 0xF1, 50);
+        let a = WCsc::from_weighted_triples(t.nrows(), t.ncols(), weights);
+        let want = auction_mwm(&a, exact_eps(a.nrows())).weight;
+        let runs: Vec<WeightedResult> = [1, 4, 9]
+            .into_iter()
+            .map(|threads| {
+                auction_mwm_par(&a, &AuctionOptions { threads, ..AuctionOptions::default() })
+            })
+            .collect();
+        for r in &runs {
+            assert_eq!(r.stats.scales, 1, "{:?}", r.stats);
+            verify_eps_cs(&a, &r.matching, &r.prices, r.eps).unwrap();
+            assert!((r.weight - want).abs() < 1e-9, "auction {} vs oracle {want}", r.weight);
+            assert_eq!(r.matching, runs[0].matching);
+            assert_eq!(r.prices, runs[0].prices);
+        }
+    }
+
+    #[test]
+    fn a_price_war_spends_the_budget_and_falls_back_to_scaling() {
+        // K_{16,128} at one weight: every column wants every row, so the
+        // fine-ε attempt creeps prices up by ε per win until the budget
+        // runs out. The result is then the coarse-to-fine schedule's.
+        let entries = (0..16).flat_map(|r| (0..128).map(move |c| (r, c, 64.0))).collect::<Vec<_>>();
+        let a = WCsc::from_weighted_triples(16, 128, entries);
+        let opts = AuctionOptions::default();
+        let r = auction_mwm_par(&a, &opts);
+        assert!(r.stats.scales > 1, "{:?}", r.stats);
+        assert_eq!(r.weight, 16.0 * 64.0);
+
+        let pool = mcm_par::WorkerPool::new(1);
+        let eps_final = exact_eps(16);
+        let budget = FINE_BIDS_PER_BIDDER * 128;
+        let spent = run_schedule(&a, &opts, eps_final, eps_final, Some(budget), &pool)
+            .expect_err("the price war must spend the budget");
+        assert!(spent.bids >= budget);
+        let alone = run_schedule(&a, &opts, opts.eps_start * 64.0, eps_final, None, &pool)
+            .expect("an unbudgeted schedule finishes");
+        assert_eq!(r.matching, alone.matching);
+        assert_eq!(r.prices, alone.prices);
+        assert_eq!(r.stats.scales, alone.stats.scales);
+        assert_eq!(r.bids, spent.bids as u64 + alone.bids);
+        assert_eq!(r.stats.rounds, spent.rounds + alone.stats.rounds);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! * [`WDynMatching`] — the weighted sibling: an always-(ε-)optimal
 //!   weighted matching whose auction prices persist across batches, so a
 //!   batch only re-auctions the columns whose ε-complementary-slackness
-//!   it actually violated (cold parallel ε-scaled solve above a dirty
-//!   threshold);
+//!   it actually violated (a cold parallel solve when the repair spends
+//!   its bid budget);
 //! * [`StateSnapshot`] — the O(1) scalars of the engine's state, the unit
 //!   of snapshot isolation in the `mcm-serve` daemon (which also owns the
 //!   `mcmd` line protocol, in `mcm_serve::proto`).

@@ -54,9 +54,10 @@
 //! count of its most recent cold solve
 //! ([`mcm_core::weighted::WeightedResult::bids`]), floored at one bid per
 //! column. The repair bids at the final ε only, so an adversarial batch
-//! (a price war among near-equal bids) can cost far more than the
-//! ε-scaled cold solve; once it spends the budget it stops, its partial
-//! state is discarded, and the batch cold-solves with
+//! (a price war among near-equal bids) can cost far more than the cold
+//! solve, which falls back to ε-scaling on such a war. Once the repair
+//! spends the budget it stops, its partial state is discarded, and the
+//! batch cold-solves with
 //! [`mcm_core::weighted::auction_mwm_par`] ([`WBatchReport::cold`],
 //! [`WDynStats::budget_exhausted`]). A batch thus costs at most about
 //! two cold solves, and one that is cheap to repair never pays for one.
@@ -69,7 +70,7 @@ use crate::engine::Update;
 use crate::graph::DynGraph;
 use crate::phase::{Phase, PhaseClock};
 use mcm_core::verify::{verify_eps_cs, VerifyError};
-use mcm_core::weighted::{auction_mwm_par, AuctionOptions};
+use mcm_core::weighted::{auction_mwm_par, AuctionOptions, WeightedResult};
 use mcm_core::Matching;
 use mcm_sparse::{Vidx, WCsc, NIL};
 use std::collections::VecDeque;
@@ -201,6 +202,27 @@ pub struct WStateSnapshot {
 
 const TOL: f64 = 1e-12;
 
+/// The engine's ε for `n1` rows: inside the exactness bound `1/(n1+1)`,
+/// so integer-weight instances stay exactly optimal.
+fn exact_eps(n1: usize) -> f64 {
+    1.0 / (2.0 * (n1 as f64 + 1.0))
+}
+
+/// A cold [`auction_mwm_par`] solve of `a` at `eps` with the engine's
+/// thread count and seed.
+fn cold_auction(a: &WCsc, opts: &WDynOptions, eps: f64) -> WeightedResult {
+    let _span = mcm_obs::span("wdyn_cold_solve");
+    auction_mwm_par(
+        a,
+        &AuctionOptions {
+            threads: opts.threads.max(1),
+            seed: opts.seed,
+            eps_final: Some(eps),
+            ..AuctionOptions::default()
+        },
+    )
+}
+
 /// Bids spent against one batch's budget, shared by forward and reverse
 /// bids.
 struct Bids {
@@ -310,7 +332,7 @@ impl WDynMatching {
             prices: vec![0.0; n1],
             mate_w: vec![0.0; n2],
             profit: vec![0.0; n2],
-            eps: 1.0 / (2.0 * (n1 as f64 + 1.0)),
+            eps: exact_eps(n1),
             opts,
             stats: WDynStats::default(),
             weight: 0.0,
@@ -338,9 +360,12 @@ impl WDynMatching {
     /// Builds from an already-assembled weighted CSC — the MCSB load path
     /// (`mcmd --weighted --load graph.mcsb`), which decodes pattern and
     /// values straight to a `WCsc` frozen base with no triple list.
+    /// The first cold solve runs on `a` itself, which then moves into
+    /// the graph: nothing is copied between the file and the engine.
     pub fn from_wcsc(a: WCsc, opts: WDynOptions) -> Self {
+        let r = cold_auction(&a, &opts, exact_eps(a.nrows()));
         let mut wm = Self::with_graph(DynGraph::from_wcsc(a), opts);
-        wm.cold_solve();
+        wm.install(r);
         wm
     }
 
@@ -761,20 +786,18 @@ impl WDynMatching {
         }
     }
 
-    /// Throws the certificate away and re-solves from scratch with the
-    /// parallel ε-scaled auction; its bid count becomes the next budget.
+    /// Throws the certificate away and re-solves from scratch with
+    /// [`auction_mwm_par`]; its bid count becomes the next budget. Only a
+    /// mid-stream fallback lands here, so the graph's columns are copied
+    /// into a fresh `WCsc` for the auction.
     fn cold_solve(&mut self) {
-        let _span = mcm_obs::span("wdyn_cold_solve");
-        let a = self.g.cols().to_wcsc();
-        let r = auction_mwm_par(
-            &a,
-            &AuctionOptions {
-                threads: self.opts.threads.max(1),
-                seed: self.opts.seed,
-                eps_final: Some(self.eps),
-                ..AuctionOptions::default()
-            },
-        );
+        let r = cold_auction(&self.g.cols().to_wcsc(), &self.opts, self.eps);
+        self.install(r);
+    }
+
+    /// Adopts a cold solve's matching and prices, and recomputes the
+    /// cached matched weights, profits and total from the graph.
+    fn install(&mut self, r: WeightedResult) {
         self.m = r.matching;
         self.prices = r.prices;
         self.cold_bids = r.bids as usize;
@@ -962,7 +985,7 @@ mod tests {
     fn price_war_exhausts_the_bid_budget_and_cold_solves() {
         // Many columns, few rows, equal weights: each forward bid at the
         // final ε raises a price by ε, ~rows·w/ε bids in all, while
-        // the ε-scaled cold solve settles the same instance in far fewer.
+        // the cold solve settles the same instance in far fewer.
         // An engine built empty budgets one bid per column.
         let (n1, n2, w) = (5usize, 65usize, 10.0);
         let mut wm =

@@ -72,13 +72,14 @@ pub fn sniff_format(path: impl AsRef<Path>) -> Result<GraphFormat, StoreError> {
 
 /// Loads a weighted graph by content: Matrix Market entry values, or a
 /// weighted MCSB file decoded on the heap (the auction mutates prices
-/// next to the weights, so there is no zero-copy weighted path). An MCSB
+/// next to the weights, so there is no zero-copy weighted path); the
+/// decoded arrays move into the result without a further copy. An MCSB
 /// file without values is [`StoreError::Unweighted`].
 pub fn load_weighted(path: impl AsRef<Path>) -> Result<mcm_sparse::WCsc, StoreError> {
     let path = path.as_ref();
     match sniff_format(path)? {
         GraphFormat::MatrixMarket => Ok(mcm_sparse::io::read_matrix_market_weighted_file(path)?),
-        GraphFormat::Mcsb => McsbFile::open_heap(path)?.to_wcsc().ok_or(StoreError::Unweighted),
+        GraphFormat::Mcsb => McsbFile::open_heap(path)?.into_wcsc().ok_or(StoreError::Unweighted),
     }
 }
 
@@ -128,6 +129,7 @@ mod tests {
             }
             assert!(file.values().is_none());
             file.verify_payload().unwrap();
+            assert_eq!(file.into_csc(), a);
         }
         std::fs::remove_file(p).ok();
     }
@@ -141,13 +143,16 @@ mod tests {
         );
         let p = tmp("weighted.mcsb");
         write_wcsc_file(&p, &a).unwrap();
-        let file = McsbFile::open(&p).unwrap();
-        assert!(file.is_weighted());
-        let back = file.to_wcsc().unwrap();
-        assert_eq!(back.pattern(), a.pattern());
-        let bits: Vec<u64> = back.values().iter().map(|w| w.to_bits()).collect();
-        let want: Vec<u64> = a.values().iter().map(|w| w.to_bits()).collect();
-        assert_eq!(bits, want);
+        let bits =
+            |w: &mcm_sparse::WCsc| w.values().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // A move on the heap backing, a copy out of the mapping.
+        for open in [McsbFile::open, McsbFile::open_heap] {
+            let file = open(&p).unwrap();
+            assert!(file.is_weighted());
+            let back = file.into_wcsc().unwrap();
+            assert_eq!(back.pattern(), a.pattern());
+            assert_eq!(bits(&back), bits(&a));
+        }
         std::fs::remove_file(p).ok();
     }
 

@@ -207,6 +207,35 @@ impl McsbFile {
         let values = self.values()?;
         Some(WCsc::from_sorted_parts(self.to_csc(), values.to_vec()))
     }
+
+    /// Consumes the file into an owned [`Csc`]. The heap backing hands
+    /// over its decoded arrays without a copy; the mmap backing copies
+    /// like [`McsbFile::to_csc`].
+    pub fn into_csc(self) -> Csc {
+        self.into_parts().0
+    }
+
+    /// Consumes the file into an owned [`WCsc`] when it is weighted, with
+    /// the same moves as [`McsbFile::into_csc`].
+    pub fn into_wcsc(self) -> Option<WCsc> {
+        let weighted = self.is_weighted();
+        let (pattern, values) = self.into_parts();
+        weighted.then(|| WCsc::from_sorted_parts(pattern, values))
+    }
+
+    /// The pattern and the values (empty when unweighted), moved out of a
+    /// heap backing or copied out of a mapping.
+    fn into_parts(self) -> (Csc, Vec<f64>) {
+        let (nrows, ncols) = (self.nrows(), self.ncols());
+        match self.backing {
+            Backing::Heap { colptr, rowind, values } => {
+                (Csc::from_parts(nrows, ncols, colptr, rowind), values)
+            }
+            Backing::Mapped(_) => {
+                (self.to_csc(), self.values().map(<[f64]>::to_vec).unwrap_or_default())
+            }
+        }
+    }
 }
 
 /// Checks that a colptr section is a monotone `0..=nnz` offset array, so

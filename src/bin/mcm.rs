@@ -29,7 +29,7 @@
 //!   --out <file>                       write "row col" pairs
 //!   --weighted                         maximum *weight* matching instead:
 //!                                      values are weights, the parallel
-//!                                      ε-scaled auction solves it and its
+//!                                      auction solves it and its
 //!                                      ε-CS certificate is checked; takes
 //!                                      --threads and --out only
 //! gen families: g500, ssca, er (RMAT presets); road, mesh (2D meshes);
@@ -129,7 +129,7 @@ usage:
                                            worker threads for ppf/auto
   mcm match   <file.mtx> --weighted [--threads t] [--out file]
                                            maximum weight matching (values used,
-                                           parallel eps-scaled auction, eps-CS certified)
+                                           parallel auction, eps-CS certified)
   mcm permute <file.mtx> --out <out.mtx>
   mcm dm      <file.mtx>
   mcm btf     <file.mtx>
@@ -245,8 +245,9 @@ const CARDINALITY_ONLY: [&str; 6] =
     ["--algo", "--backend", "--grid", "--ranks", "--breakdown", "--trace-out"];
 
 /// `mcm match --weighted`: maximum *weight* matching by the parallel
-/// eps-scaled auction, with the eps-complementary-slackness certificate
-/// checked before anything is printed.
+/// auction (fine eps first, eps-scaling after a price war), with the
+/// eps-complementary-slackness certificate checked before anything is
+/// printed.
 fn cmd_match_weighted(args: &[String]) -> Result<(), String> {
     if let Some(flag) = args.iter().find(|a| CARDINALITY_ONLY.contains(&a.as_str())) {
         return Err(format!("{flag} does not apply to --weighted (it takes --threads and --out)"));
@@ -273,7 +274,10 @@ fn cmd_match_weighted(args: &[String]) -> Result<(), String> {
         a.ncols(),
         r.weight,
     );
-    println!("algo: wauction ({threads} threads, {} bids, eps {:.2e})", r.bids, r.eps);
+    println!(
+        "algo: wauction ({threads} threads, {} bids, {} eps-scales, eps {:.2e})",
+        r.bids, r.stats.scales, r.eps
+    );
     if let Some(out) = opt(args, "--out") {
         let mut body = String::new();
         for c in 0..a.ncols() as Vidx {

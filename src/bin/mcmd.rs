@@ -162,7 +162,7 @@ fn load_card(path: &str, opts: DynOptions) -> Result<DynMatching, String> {
         }
         GraphFormat::Mcsb => {
             let f = McsbFile::open_heap(path).map_err(|e| format!("{path}: {e}"))?;
-            Ok(DynMatching::from_csc(f.to_csc(), opts))
+            Ok(DynMatching::from_csc(f.into_csc(), opts))
         }
     }
 }

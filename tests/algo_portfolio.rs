@@ -168,10 +168,12 @@ fn eps_scaling_converges_on_price_war_instances() {
     }
 
     // The crowded star is the Θ(1/ε) war: fixed fine ε creeps one bid
-    // per round, scaling resolves the war coarsely first.
+    // per round, scaling resolves the war coarsely first. Both arms bid
+    // down to the same final ε, so their rounds compare like for like.
     let a = unit_weights(&star(4, 32));
-    let scaled = auction_mwm_par(&a, &AuctionOptions::default());
     let fine = 1.0 / 128.0;
+    let scaled =
+        auction_mwm_par(&a, &AuctionOptions { eps_final: Some(fine), ..AuctionOptions::default() });
     let fixed = auction_mwm_par(
         &a,
         &AuctionOptions { eps_start: fine, eps_final: Some(fine), ..AuctionOptions::default() },
